@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -102,6 +103,16 @@ def _selection(cfg, a_override):
     return model, sel, rep
 
 
+def _reprs(values) -> list[str]:
+    """repr of every element as a Python float, in C order."""
+    return [repr(v) for v in np.ravel(values).tolist()]
+
+
+def _cells(grid) -> list[tuple[str, str, str]]:
+    """(x, y, z) repr strings of every grid node, in C order of a layer."""
+    return list(itertools.product(_reprs(grid.x), _reprs(grid.y), _reprs(grid.z)))
+
+
 def _cmd_admissible(cfg, args) -> int:
     model = cfg.validated_model()
     from .measure import a_bounds
@@ -168,11 +179,7 @@ def _cmd_price(cfg, args) -> int:
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "z", "U"])
-        for i, xv in enumerate(grid.x):
-            for j, yv in enumerate(grid.y):
-                for k, zv in enumerate(grid.z):
-                    w.writerow([repr(float(xv)), repr(float(yv)), repr(float(zv)),
-                                repr(float(sol.values[0][i, j, k]))])
+        w.writerows((*cell, u) for cell, u in zip(_cells(grid), _reprs(sol.values[0])))
     anchor = sol.at(0, model.S0, model.v0, model.lambda0)
     print(f"wrote {out}; price at (0, S0, v0, lambda0) = {anchor:.6f}")
     return 0
@@ -211,18 +218,13 @@ def _cmd_reserve(cfg, args) -> int:
         if args.method == "both":
             header.append("rel_diff")
         w.writerow(header)
+        cells = _cells(grid)
         for st in policy.states:
-            for i, xv in enumerate(grid.x):
-                for j, yv in enumerate(grid.y):
-                    for k, zv in enumerate(grid.z):
-                        row = [st, 0.0, repr(float(xv)), repr(float(yv)),
-                               repr(float(zv)), repr(float(primary[st][i, j, k]))]
-                        if args.method == "both":
-                            a_val = layers["pide"][st][i, j, k]
-                            b_val = layers["quadrature"][st][i, j, k]
-                            scale = max(abs(b_val), 1e-12)
-                            row.append(repr(float(abs(a_val - b_val) / scale)))
-                        w.writerow(row)
+            cols = [_reprs(primary[st])]
+            if args.method == "both":
+                a_val, b_val = layers["pide"][st], layers["quadrature"][st]
+                cols.append(_reprs(np.abs(a_val - b_val) / np.maximum(np.abs(b_val), 1e-12)))
+            w.writerows((st, 0.0, *cell, *vals) for cell, *vals in zip(cells, *cols))
     print(f"wrote {out} (method {args.method})")
     return 0
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import CFLViolation
 from .hawkes import expected_events
@@ -194,16 +194,14 @@ def _interp_matrix(axis: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _jump_matrices(grid: Grid4, eta: float, alpha: float, dist: JumpDistribution):
     """Dense shift-and-average matrices of the jump integral.
 
-    Returns (M_y, P_z, clamp_mass): M_y averages f(y + eta*u) over the mark
-    law (Gauss-Laguerre matched to an exponential rate; a single shifted
+    Returns (M_y, P_z): M_y averages f(y + eta*u) over the mark law
+    (Gauss-Laguerre matched to an exponential rate; a single shifted
     evaluation for constant marks), P_z shifts by alpha; both clamp at the
-    truncation boundary.  clamp_mass is the largest quadrature weight that
-    lands on a clamped node, a truncation diagnostic.
+    truncation boundary.
     """
     ny, nz = len(grid.y), len(grid.z)
     if eta == 0.0:
         m_y = np.eye(ny)
-        clamp = 0.0
     else:
         if isinstance(dist, ConstantJump):
             nodes = np.array([dist.size])
@@ -215,25 +213,41 @@ def _jump_matrices(grid: Grid4, eta: float, alpha: float, dist: JumpDistribution
         else:
             raise NotImplementedError(f"no quadrature rule for {type(dist).__name__}")
         m_y = np.zeros((ny, ny))
-        clamp = 0.0
         for u_node, w in zip(nodes, weights):
-            shifted = _interp_matrix(grid.y, grid.y + eta * u_node)
-            m_y += w * shifted
-            clamped_rows = grid.y + eta * u_node >= grid.y[-1]
-            if np.any(clamped_rows):
-                clamp = max(clamp, w)
+            m_y += w * _interp_matrix(grid.y, grid.y + eta * u_node)
     p_z = _interp_matrix(grid.z, grid.z + alpha) if alpha > 0 and nz > 1 else np.eye(nz)
-    return m_y, p_z, clamp
+    return m_y, p_z
 
 
-def _banded(lo, di, up, dt):
-    """ab array of I - dt*A for solve_banded."""
-    n = len(di)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 - dt * di
-    ab[0, 1:] = -dt * up[:-1]
-    ab[2, :-1] = -dt * lo[1:]
-    return ab
+def _tail_mass(dist: JumpDistribution, eta: float, y0: float, y_max: float) -> float:
+    """Mark-law mass of the jumps from y0 that reach the truncation y_max,
+    where the jump integral clamps: P(y0 + eta*U >= y_max)."""
+    if eta == 0.0:
+        return 0.0
+    if isinstance(dist, ConstantJump):
+        return float(y0 + eta * dist.size >= y_max)
+    if isinstance(dist, ExponentialJump):
+        return math.exp(-dist.rate * max(y_max - y0, 0.0) / eta)
+    raise NotImplementedError(f"no tail mass for {type(dist).__name__}")
+
+
+def _tridiag_factors(lo, di, up, dt):
+    """LU factors (LAPACK dgttrf) of I - dt*A; None on a one-node axis,
+    where the system is the identity."""
+    if len(di) == 1:
+        return None
+    *fac, info = dgttrf(-dt * lo[1:], 1.0 - dt * di, -dt * up[:-1])
+    if info:
+        raise np.linalg.LinAlgError(f"singular implicit sweep (dgttrf info={info})")
+    return fac
+
+
+def _solve_lines(fac, b: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered columns of b with their solutions."""
+    if fac is not None:
+        _, info = dgttrs(*fac, b, overwrite_b=1)
+        if info:
+            raise ValueError(f"dgttrs rejected argument {-info}")
 
 
 class Stepper:
@@ -258,7 +272,9 @@ class Stepper:
         self.z_op = _axis_operator(z, -p.beta * (z - p.lambda0), np.zeros(nz))
 
         self.mixed_coef = p.sigma * p.rho * np.outer(x, y)  # (nx, ny)
-        self.m_y, self.p_z, self.clamp_mass = _jump_matrices(grid, p.eta, p.alpha, dist)
+        self.m_y, self.p_z = _jump_matrices(grid, p.eta, p.alpha, dist)
+        # truncation diagnostic at the anchor row v0
+        self.clamp_mass = _tail_mass(dist, p.eta, p.v0, float(y[-1]))
         self.z_vec = z
         self._cache = {}
 
@@ -297,26 +313,27 @@ class Stepper:
         key = round(dt, 15)
         if key not in self._cache:
             self._cache[key] = {
-                "x": [_banded(*op, dt) for op in self.x_ops],
-                "y": _banded(*self.y_op, dt),
-                "z": _banded(*self.z_op, dt),
+                "x": [_tridiag_factors(*op, dt) for op in self.x_ops],
+                "y": _tridiag_factors(*self.y_op, dt),
+                "z": _tridiag_factors(*self.z_op, dt),
             }
         return self._cache[key]
 
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
+        """Solve (I - dt*A_x), then (I - dt*A_y), then (I - dt*A_z).
+
+        Each sweep works in place on a copy whose swept axis is the fastest,
+        so LAPACK receives its right-hand sides Fortran-ordered, uncopied.
+        """
         nx, ny, nz = self.grid.shape
         fac = self._factors(dt)
-        out = np.empty_like(W)
+        lines = np.ascontiguousarray(W.transpose(1, 2, 0))  # (y, z, x)
         for k in range(ny):
-            out[:, k, :] = solve_banded((1, 1), fac["x"][k], W[:, k, :])
-        if ny > 1:
-            flat = np.moveaxis(out, 1, 0).reshape(ny, nx * nz)
-            flat = solve_banded((1, 1), fac["y"], flat)
-            out = np.moveaxis(flat.reshape(ny, nx, nz), 0, 1)
-        if nz > 1:
-            flat = np.moveaxis(out, 2, 0).reshape(nz, nx * ny)
-            flat = solve_banded((1, 1), fac["z"], flat)
-            out = np.moveaxis(flat.reshape(nz, nx, ny), 0, 2)
+            _solve_lines(fac["x"][k], lines[k].T)
+        lines = np.ascontiguousarray(lines.transpose(2, 1, 0))  # (x, z, y)
+        _solve_lines(fac["y"], lines.reshape(nx * nz, ny).T)
+        out = np.ascontiguousarray(lines.transpose(0, 2, 1))  # (x, y, z)
+        _solve_lines(fac["z"], out.reshape(nx * ny, nz).T)
         return out
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:

@@ -88,19 +88,6 @@ class PriceTable:
         return self._key(*key) in self._entries
 
 
-def _solve_layer_at_t(payoff, s, t, model, selection, dist, grid, dt_target):
-    """t-layer of the price of payoff(s, S_s), solved on [t, s] with the
-    spatial axes of `grid` and a time step matching dt_target."""
-    nx, ny, nz = grid.shape
-    if s <= t + 1e-14:
-        term = np.asarray(payoff(s, grid.x), dtype=float)
-        return np.broadcast_to(term[:, None, None], (nx, ny, nz)).copy()
-    nt = max(2, int(round((s - t) / dt_target)))
-    sub = Grid4(t=np.linspace(t, s, nt + 1), x=grid.x, y=grid.y, z=grid.z)
-    sol = solve_price_pide(payoff, s, model, selection, dist, sub)
-    return sol.values[0]
-
-
 def _simpson_weights(n_nodes: int) -> np.ndarray:
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count >= 3")
@@ -108,6 +95,37 @@ def _simpson_weights(n_nodes: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / 3.0
+
+
+def _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target):
+    """t-layers of the prices of payoff(s, S_s) for every s in `maturities`.
+
+    The generator is time-homogeneous, so U_s(t) is the layer s - t before
+    the terminal of a backward march from payoff(s, .): one march per
+    distinct terminal layer serves all its maturities.  The maturities lie
+    on a lattice t + m*spacing; the march steps spacing/q with
+    q = max(2, round(spacing/dt_target)), so every node gets at least two
+    steps, the kinked half-step start included.
+    """
+    ss = np.asarray(maturities, dtype=float)
+    spacing = ss[1] - ss[0] if len(ss) > 1 else ss[0] - t
+    q = max(2, int(round(spacing / dt_target)))
+    pos = np.rint((ss - t) / spacing).astype(int) if spacing > 0 else np.zeros(len(ss), int)
+    if not np.allclose(t + pos * spacing, ss, rtol=0.0, atol=1e-12 * max(1.0, abs(ss[-1]))):
+        raise ValueError("maturities must lie on a uniform lattice starting at t")
+    groups = {}
+    for m, s in zip(pos, ss):
+        term = np.asarray(payoff(s, grid.x), dtype=float).tobytes()
+        groups.setdefault(term, []).append((m, float(s)))
+    layers = {}
+    for members in groups.values():
+        m_end, s_end = max(members)
+        n_steps = q * m_end
+        sub = Grid4(t=np.linspace(t, s_end, n_steps + 1), x=grid.x, y=grid.y, z=grid.z)
+        sol = solve_price_pide(payoff, s_end, model, selection, dist, sub)
+        for m, _ in members:
+            layers[m] = sol.values[n_steps - q * m].copy()
+    return [layers[m] for m in pos]
 
 
 def build_price_table(
@@ -119,24 +137,25 @@ def build_price_table(
     t: float,
     maturities: np.ndarray,
 ) -> PriceTable:
-    """Solve every price surface the quadrature needs at evaluation time t."""
+    """Solve every price surface the quadrature needs at evaluation time t.
+
+    Every maturity node is read from one backward march per distinct payoff
+    (per constant segment of the intensities for the payment rates);
+    `maturities` must be uniform nodes from t, as the quadrature uses.
+    """
     table = PriceTable()
     dt_target = model.T / (len(grid.t) - 1) if len(grid.t) > 1 else model.T / 64
     T = policy.horizon
     for j in policy.states:
         f = policy.terminal_payoff(j)
         if not f.is_zero:
-            table.put(
-                f"f:{j}", T,
-                _solve_layer_at_t(f, T, t, model, selection, dist, grid, dt_target),
-            )
+            (layer,) = _march_layers(f, t, [T], model, selection, dist, grid, dt_target)
+            table.put(f"f:{j}", T, layer)
         th = theta_payoff(policy, j)
         if not th.is_zero:
-            for s in maturities:
-                table.put(
-                    th.key(), s,
-                    _solve_layer_at_t(th, s, t, model, selection, dist, grid, dt_target),
-                )
+            layers = _march_layers(th, t, maturities, model, selection, dist, grid, dt_target)
+            for s, layer in zip(maturities, layers):
+                table.put(th.key(), s, layer)
     return table
 
 
@@ -155,67 +174,58 @@ def reserve_quadrature(
     """V_i(t) = sum_j p_ij(t,T) U_T^{f_j}(t) + int_t^T sum_j p_ij(t,s) U_s^{theta_j}(t) ds.
 
     The maturity integral uses composite Simpson on n_maturities nodes; the
-    embedded half-resolution rule gives a Richardson error estimate and the
-    node count is doubled once if that estimate exceeds refine_budget
-    (relative).  The price surfaces come from the supplied table, or are
-    solved on demand.
+    embedded half-resolution rule on every other node gives a Richardson
+    error estimate and the node count is doubled once if that estimate
+    exceeds refine_budget (relative).  The price surfaces come from the
+    supplied table, or are read from one backward march per distinct payoff
+    (build_price_table).
     """
     T = policy.horizon
-    nx, ny, nz = grid.shape
+    idx = policy.index
+    terminal = [j for j in policy.states if not policy.terminal_payoff(j).is_zero]
+    running = [theta_payoff(policy, j) for j in policy.states]
+    running = [(th.state, th.key()) for th in running if not th.is_zero]
+    probs = {}
 
-    def assemble(n_nodes, table):
-        ss = np.linspace(t, T, n_nodes)
-        if table is None:
-            table = build_price_table(policy, model, selection, dist, grid, t, ss)
-        w = _simpson_weights(n_nodes) * ((T - t) / (n_nodes - 1) if n_nodes > 1 else 0.0)
+    def p(s):
+        key = round(float(s), 12)
+        if key not in probs:
+            probs[key] = transition_probs(policy, t, s)
+        return probs[key]
+
+    def assemble(ss, table):
+        w = _simpson_weights(len(ss)) * ((T - t) / (len(ss) - 1))
         out = {}
         for i in policy.states:
-            acc = np.zeros((nx, ny, nz))
-            p_T = transition_probs(policy, t, T)
-            for j in policy.states:
-                f = policy.terminal_payoff(j)
-                if not f.is_zero:
-                    acc += p_T[policy.index(i), policy.index(j)] * table.get(f"f:{j}", T)
+            acc = np.zeros(grid.shape)
+            for j in terminal:
+                acc += p(T)[idx(i), idx(j)] * table.get(f"f:{j}", T)
             if T > t:
                 for m, s in enumerate(ss):
-                    p_s = transition_probs(policy, t, s)
-                    for j in policy.states:
-                        th = theta_payoff(policy, j)
-                        if th.is_zero:
-                            continue
-                        acc += (
-                            w[m]
-                            * p_s[policy.index(i), policy.index(j)]
-                            * table.get(th.key(), s)
-                        )
+                    for j, key in running:
+                        acc += w[m] * p(s)[idx(i), idx(j)] * table.get(key, s)
             out[i] = acc
-        return out, table, ss
+        return out
 
-    has_running = any(
-        not theta_payoff(policy, j).is_zero for j in policy.states
-    ) and T > t
-    fine, table, ss = assemble(n_maturities, prices)
+    def solve(n_nodes):
+        ss = np.linspace(t, T, n_nodes)
+        table = prices
+        if table is None:
+            table = build_price_table(policy, model, selection, dist, grid, t, ss)
+        return ss, table, assemble(ss, table)
+
+    p(T)  # refuses t outside [0, T] (TimeOrderError) before any solve
+    ss, table, fine = solve(n_maturities)
     refined = False
-    if has_running and prices is None and n_maturities >= 5:
-        coarse_nodes = (n_maturities + 1) // 2
-        if coarse_nodes % 2 == 1 and coarse_nodes >= 3:
-            sub = PriceTable()
-            for j in policy.states:
-                th = theta_payoff(policy, j)
-                if not th.is_zero:
-                    for s in ss[::2]:
-                        sub.put(th.key(), s, table.get(th.key(), s))
-                f = policy.terminal_payoff(j)
-                if not f.is_zero:
-                    sub.put(f"f:{j}", T, table.get(f"f:{j}", T))
-            coarse, _, _ = assemble(coarse_nodes, sub)
-            worst = 0.0
-            for i in policy.states:
-                scale = max(float(np.max(np.abs(fine[i]))), 1e-12)
-                worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
-            if worst > refine_budget:
-                fine, table, ss = assemble(2 * n_maturities - 1, None)
-                refined = True
+    if running and T > t and prices is None and n_maturities >= 5 and len(ss[::2]) % 2:
+        coarse = assemble(ss[::2], table)
+        worst = 0.0
+        for i in policy.states:
+            scale = max(float(np.max(np.abs(fine[i]))), 1e-12)
+            worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
+        if worst > refine_budget:
+            ss, _, fine = solve(2 * n_maturities - 1)
+            refined = True
     return ReserveLayer(
         grid=grid, t=t, states=policy.states, values=fine,
         method="quadrature", a=selection.a,

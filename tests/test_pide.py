@@ -165,6 +165,84 @@ class TestStability:
         assert "clamped_jump_mass" in sol.diagnostics
         assert sol.diagnostics["n_steps"] == 64
 
+    def test_clamp_mass_is_tiny_on_the_desk_grid(self, setup):
+        m, sel, grid = setup
+        st = pide.Stepper(grid, m, sel, DIST)
+        # exp(-rate (y_max - v0) / eta) with y_max = 12 vbar = 3.6
+        assert st.clamp_mass == pytest.approx(math.exp(-2.0 * 3.4 / 0.1), rel=1e-9)
+        assert st.clamp_mass < 1e-25
+
+    def test_clamp_mass_is_large_on_a_short_variance_axis(self, setup):
+        m, sel, _ = setup
+        grid = pide.build_grid(m, 1.0, 64, 16, 12, 8, y_span=1.0)
+        st = pide.Stepper(grid, m, sel, DIST)
+        # y_max = 2 v0 = 0.4: a fifth of the exponential marks' mass is clamped
+        assert grid.y[-1] == pytest.approx(0.4)
+        assert st.clamp_mass == pytest.approx(math.exp(-4.0), rel=1e-9)
+        sol = pide.solve_price_pide(payoff.constant(1.0), 1.0, m, sel, DIST, grid)
+        assert sol.diagnostics["clamped_jump_mass"] == st.clamp_mass
+
+    def test_clamp_mass_of_constant_marks_is_all_or_nothing(self):
+        small, large = model.ConstantJump(0.5), model.ConstantJump(2.0)
+        assert pide._tail_mass(small, 0.1, 0.2, 0.4) == 0.0
+        assert pide._tail_mass(large, 0.1, 0.2, 0.4) == 1.0
+        assert pide._tail_mass(large, 0.0, 0.2, 0.4) == 0.0
+
+
+def _banded(lo, di, up, dt):
+    n = len(di)
+    ab = np.zeros((3, n))
+    ab[1, :] = 1.0 - dt * di
+    ab[0, 1:] = -dt * up[:-1]
+    ab[2, :-1] = -dt * lo[1:]
+    return ab
+
+
+def _reference_sweeps(st, W, dt):
+    """The banded-solver loop the prefactored sweeps replaced."""
+    from scipy.linalg import solve_banded
+
+    nx, ny, nz = st.grid.shape
+    out = np.empty_like(W)
+    for k in range(ny):
+        out[:, k, :] = solve_banded((1, 1), _banded(*st.x_ops[k], dt), W[:, k, :])
+    if ny > 1:
+        flat = np.moveaxis(out, 1, 0).reshape(ny, nx * nz)
+        flat = solve_banded((1, 1), _banded(*st.y_op, dt), flat)
+        out = np.moveaxis(flat.reshape(ny, nx, nz), 0, 1)
+    if nz > 1:
+        flat = np.moveaxis(out, 2, 0).reshape(nz, nx * ny)
+        flat = solve_banded((1, 1), _banded(*st.z_op, dt), flat)
+        out = np.moveaxis(flat.reshape(nz, nx, ny), 0, 2)
+    return out
+
+
+class TestImplicitSweeps:
+    @pytest.mark.parametrize(
+        "overrides, shape, expected",
+        [
+            ({}, (64, 48, 24, 16), (48, 24, 16)),
+            ({"alpha": 0.0}, (64, 48, 24, 16), (48, 24, 1)),  # no excitation
+            ({}, (64, 48, 1, 16), (48, 1, 16)),
+        ],
+        ids=["desk", "nz1", "ny1"],
+    )
+    def test_match_banded_reference(self, overrides, shape, expected):
+        m = _mk(**overrides)
+        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        grid = pide.build_grid(m, 1.0, *shape)
+        assert grid.shape == expected
+        st = pide.Stepper(grid, m, sel, DIST)
+        W = np.random.default_rng(3).uniform(0.0, 200.0, grid.shape)
+        dt = grid.t[1] - grid.t[0]
+        for step in (dt, 0.5 * dt):
+            got = st.implicit_sweeps(W, step)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _reference_sweeps(st, W, step))
+        # the factors are built once per dt and the input is left intact
+        assert len(st._cache) == 2
+        assert np.array_equal(W, np.random.default_rng(3).uniform(0.0, 200.0, grid.shape))
+
 
 class TestJumpQuadrature:
     def test_constant_mark_law_prices_against_simulation(self):

@@ -200,6 +200,89 @@ class TestPriceTable:
         assert float(np.max(out.values["alive"])) > 0
 
 
+def _per_node_table(pol, m, sel, grid, t, maturities):
+    """One solve_price_pide per maturity node: the loop the single march per
+    payoff replaced, kept as the reference."""
+    dt_target = m.T / (len(grid.t) - 1)
+
+    def layer(pay, s):
+        if s <= t + 1e-14:
+            term = np.asarray(pay(s, grid.x), dtype=float)
+            return np.broadcast_to(term[:, None, None], grid.shape).copy()
+        nt = max(2, int(round((s - t) / dt_target)))
+        sub = pide.Grid4(t=np.linspace(t, s, nt + 1), x=grid.x, y=grid.y, z=grid.z)
+        return pide.solve_price_pide(pay, s, m, sel, DIST, sub).values[0]
+
+    table = thiele.PriceTable()
+    for j in pol.states:
+        f = pol.terminal_payoff(j)
+        if not f.is_zero:
+            table.put(f"f:{j}", pol.horizon, layer(f, pol.horizon))
+        th = markov.theta_payoff(pol, j)
+        if not th.is_zero:
+            for s in maturities:
+                table.put(th.key(), s, layer(th, s))
+    return table
+
+
+class TestSingleMarch:
+    @pytest.fixture(scope="class")
+    def small(self):
+        m = _mk()
+        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        return m, sel, pide.build_grid(m, 1.0, 16, 12, 8, 6)
+
+    @pytest.mark.parametrize("template, marches", [("guarantee", 2), ("breakpoint", 3)])
+    def test_matches_per_node_solves(self, small, template, marches, monkeypatch):
+        m, sel, grid = small
+        g = m.S0 * math.exp(m.r)
+        if template == "guarantee":
+            pol = markov.endowment_guarantee(1.0, 0.02, g)
+        else:
+            # the death payment rate changes at 0.5: one march per segment
+            pol = markov.PolicySpec(
+                states=("alive", "dead"),
+                horizon=1.0,
+                intensities={
+                    ("alive", "dead"): model.PiecewiseFlat.from_pairs([[0.0, 0.02], [0.5, 0.05]])
+                },
+                terminal={"alive": payoff.guarantee(g)},
+                transition={("alive", "dead"): payoff.guarantee(g)},
+            )
+        ss = np.linspace(0.0, 1.0, 9)
+        ref_table = _per_node_table(pol, m, sel, grid, 0.0, ss)
+        calls = []
+        solve = thiele.solve_price_pide
+
+        def counted(*args):
+            calls.append(args[1])
+            return solve(*args)
+
+        monkeypatch.setattr(thiele, "solve_price_pide", counted)
+        table = thiele.build_price_table(pol, m, sel, DIST, grid, 0.0, ss)
+        assert len(calls) == marches
+        for s in ss:
+            got = table.get("theta:alive", s)
+            assert np.array_equal(got, ref_table.get("theta:alive", s))
+        assert np.array_equal(table.get("f:alive", 1.0), ref_table.get("f:alive", 1.0))
+        got = thiele.reserve_quadrature(
+            pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=np.inf
+        )
+        ref = thiele.reserve_quadrature(
+            pol, m, sel, DIST, grid, 0.0, prices=ref_table, n_maturities=9
+        )
+        for state in pol.states:
+            assert np.array_equal(got.values[state], ref.values[state])
+
+    def test_off_lattice_maturities_rejected(self, small):
+        m, sel, grid = small
+        pol = markov.term_insurance(1.0, 0.02)
+        with pytest.raises(ValueError):
+            thiele.build_price_table(
+                pol, m, sel, DIST, grid, 0.0, np.array([0.0, 0.25, 0.6, 1.0])
+            )
+
+
 class TestSimpson:
     def test_weights_integrate_cubics_exactly(self):
         w = thiele._simpson_weights(33) * (1.0 / 32)
