@@ -20,7 +20,7 @@ from .config import (
     load_config,
     parse_grid,
 )
-from .errors import HHRError
+from .errors import DomainError, HHRError
 from .payoff import parse_payoff
 from .sde import simulate
 from .verification import run_verification
@@ -172,6 +172,11 @@ def _cmd_price(cfg, args) -> int:
     model, sel, _ = _selection(cfg, args.a)
     pay = parse_payoff(args.payoff)
     maturity = args.maturity if args.maturity is not None else model.T
+    if maturity > model.T:
+        # build_grid sizes the intensity axis from the expected events by T
+        raise DomainError(
+            f"maturity {maturity:g} exceeds the model horizon T = {model.T:g}"
+        )
     nt, nx, ny, nz = parse_grid(args.grid) if args.grid else cfg.run.grid
     grid = pide.build_grid(model, maturity, nt, nx, ny, nz)
     sol = pide.solve_price_pide(pay, maturity, model, sel, cfg.dist, grid)

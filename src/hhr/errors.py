@@ -11,18 +11,6 @@ class DomainError(HHRError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class RangeError(HHRError, ValueError):
-    """Parameter outside its admissible range."""
-
-
-class StabilityViolated(RangeError):
-    """Self-excitation ratio alpha/beta >= 1; the point process would explode."""
-
-
-class FellerViolated(RangeError):
-    """2*kappa*vbar < sigma^2; diffusive variance can reach zero."""
-
-
 class InvalidModel(HHRError, ValueError):
     """Model rejected at validation; carries the full violation list."""
 

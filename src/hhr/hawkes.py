@@ -22,6 +22,8 @@ from .rng import path_rng
 
 __all__ = [
     "HawkesPath",
+    "EventTable",
+    "draw_events",
     "simulate_hawkes",
     "simulate_hawkes_batch",
     "mean_intensity_ode",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_EVENT_CAP = 1_000_000
+_BLOCK = 64  # thinning candidates drawn per refill
+_CHUNK = 8192  # paths thinned together by simulate_hawkes_batch
 
 
 @dataclass(frozen=True)
@@ -65,37 +69,91 @@ class HawkesPath:
         return cum[self.n_at(t)]
 
 
-def _thin(rng, lambda0, alpha, beta, horizon, max_events):
-    """Exact thinning with the decaying-intensity upper bound."""
-    times = []
-    t = 0.0
-    lam = lambda0  # intensity immediately after t; valid bound while decaying
-    block = 64
-    exps = rng.exponential(size=block)
-    unis = rng.uniform(size=block)
-    ptr = 0
-    while True:
-        if ptr == block:
-            exps = rng.exponential(size=block)
-            unis = rng.uniform(size=block)
-            ptr = 0
-        wait = exps[ptr] / lam
+@dataclass(frozen=True)
+class EventTable:
+    """Events of a batch of paths in CSR form: path i owns the ordered
+    times[offsets[i]:offsets[i + 1]] and the marks at the same positions."""
+
+    times: np.ndarray
+    marks: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+
+def _thin_lockstep(rngs, lambda0, alpha, beta, horizon, max_events):
+    """Exact thinning of every path at once, with the decaying-intensity bound.
+
+    Path i draws only from rngs[i]: a block of 64 unit exponentials, then 64
+    uniforms, and a fresh pair of blocks after every 64 candidates.  All
+    live paths take the same candidate index together, with the float
+    operations of the one-path algorithm (the decay factor through
+    math.exp: numpy's SIMD exp rounds some arguments differently), so a
+    path's events do not depend on the batch it is thinned in.
+    Returns (times, counts): the events ordered by path, then by time.
+    """
+    n = len(rngs)
+    exps = np.empty((n, _BLOCK))
+    unis = np.empty((n, _BLOCK))
+    count = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    t = np.zeros(n)
+    lam = np.full(n, float(lambda0))  # intensity just after t; a bound while decaying
+    hit_path, hit_time = [], []
+    col = _BLOCK
+    while live.size:
+        if col == _BLOCK:
+            # the draws and stream positions of exponential(size=64), uniform(size=64)
+            for i in live.tolist():
+                rngs[i].standard_exponential(out=exps[i])
+                rngs[i].random(out=unis[i])
+            col = 0
+        wait = exps[live, col] / lam
         t = t + wait
-        if t > horizon:
-            break
-        lam_cand = lambda0 + (lam - lambda0) * math.exp(-beta * wait)
-        accept = unis[ptr] * lam <= lam_cand
-        ptr += 1
-        if accept:
-            times.append(t)
-            if len(times) > max_events:
+        inside = t <= horizon
+        if not inside.all():
+            live, t, lam, wait = live[inside], t[inside], lam[inside], wait[inside]
+        decay = np.fromiter(map(math.exp, (-beta * wait).tolist()), float, wait.size)
+        lam_cand = lambda0 + (lam - lambda0) * decay
+        accept = unis[live, col] * lam <= lam_cand
+        col += 1
+        hits = live[accept]
+        if hits.size:
+            count[hits] += 1
+            if count[hits].max() > max_events:
                 raise EventOverflow(
                     f"path exceeded {max_events} events; raise the cap only if intended"
                 )
-            lam = lam_cand + alpha
-        else:
-            lam = lam_cand  # tightened bound after rejection
-    return np.asarray(times)
+            hit_path.append(hits)
+            hit_time.append(t[accept])
+        # accepted: jump by alpha; rejected: the tightened bound
+        lam = np.where(accept, lam_cand + alpha, lam_cand)
+    if not hit_path:
+        return np.empty(0), count
+    by_path = np.argsort(np.concatenate(hit_path), kind="stable")
+    return np.concatenate(hit_time)[by_path], count
+
+
+def draw_events(rngs, p, dist: JumpDistribution, max_events: int) -> EventTable:
+    """Event table of the paths of `rngs` under the model parameters p: each
+    path's thinning draws, then its marks, from its own generator."""
+    times, count = _thin_lockstep(rngs, p.lambda0, p.alpha, p.beta, p.T, max_events)
+    offsets = np.zeros(len(rngs) + 1, dtype=np.int64)
+    np.cumsum(count, out=offsets[1:])
+    marks = np.empty(times.size)
+    for rng, lo, hi in zip(rngs, offsets[:-1].tolist(), offsets[1:].tolist()):
+        marks[lo:hi] = dist.sample(rng, hi - lo)
+    return EventTable(times, marks, offsets)
+
+
+def _hawkes_paths(p, table: EventTable) -> list[HawkesPath]:
+    off = table.offsets.tolist()
+    return [
+        HawkesPath(p.lambda0, p.alpha, p.beta, p.T, table.times[lo:hi], table.marks[lo:hi])
+        for lo, hi in zip(off[:-1], off[1:])
+    ]
 
 
 def simulate_hawkes(
@@ -111,9 +169,7 @@ def simulate_hawkes(
     p = model.params
     if rng is None:
         rng = path_rng(seed, path_index)
-    times = _thin(rng, p.lambda0, p.alpha, p.beta, p.T, max_events)
-    marks = dist.sample(rng, len(times))
-    return HawkesPath(p.lambda0, p.alpha, p.beta, p.T, times, np.asarray(marks))
+    return _hawkes_paths(p, draw_events([rng], p, dist, max_events))[0]
 
 
 def simulate_hawkes_batch(
@@ -125,10 +181,12 @@ def simulate_hawkes_batch(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> list[HawkesPath]:
     """n_paths independent paths, path i drawn from the (seed, i) stream."""
-    return [
-        simulate_hawkes(model, dist, seed, path_index=i, max_events=max_events)
-        for i in range(n_paths)
-    ]
+    p = model.params
+    paths = []
+    for lo in range(0, n_paths, _CHUNK):
+        rngs = [path_rng(seed, i) for i in range(lo, min(lo + _CHUNK, n_paths))]
+        paths += _hawkes_paths(p, draw_events(rngs, p, dist, max_events))
+    return paths
 
 
 def mean_intensity_ode(model: ValidatedModel, t: float) -> tuple[float, float]:

@@ -13,6 +13,17 @@ Each path consumes only its own counter-based stream: the thinning draws
 first, then the marks, then one pair of normal blocks sized to the path's
 own augmented grid.  Results are therefore identical for a fixed seed no
 matter how paths are chunked or threaded.
+
+A chunk thins all its paths in lockstep into one CSR event table (one flat
+array of times and marks plus per-path offsets; see hawkes.draw_events).
+Each uniform step then runs its first stage over every path and its later
+stages, up to the closing one, over only the paths with an event in that
+step.  A skipped path already sits at the step's end, and a stage of
+length 0 leaves its state unchanged, except that lambda is recomputed as
+lambda0 + (lambda - lambda0) * 1.  That is exact whenever lambda - lambda0
+is, which holds for lambda0 = 1.0 or 6.0, so there skipping is
+bit-identical to running every stage over every path; for other lambda0
+it may move lambda by one ulp.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .hawkes import DEFAULT_EVENT_CAP, _thin
+from .hawkes import DEFAULT_EVENT_CAP, draw_events
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
 from .rng import derive_seed, path_rng
@@ -79,55 +90,34 @@ class SimulationResult:
         return 0.5 * (x[:half] + x[half:])
 
 
-def _prepare_paths(p, dist, n_paths, n_steps, seed, max_events, index_offset=0):
-    """Per-path draws: events, marks, and normal blocks from (seed, i) streams."""
-    emax = 0
-    events, marks, zb, zw = [], [], [], []
-    for i in range(n_paths):
-        rng = path_rng(seed, index_offset + i)
-        t_i = _thin(rng, p.lambda0, p.alpha, p.beta, p.T, max_events)
-        m_i = dist.sample(rng, len(t_i))
-        n_draw = n_steps + len(t_i)
-        zb.append(rng.standard_normal(n_draw))
-        zw.append(rng.standard_normal(n_draw))
-        events.append(t_i)
-        marks.append(np.asarray(m_i))
-        emax = max(emax, len(t_i))
-    nc = n_paths
-    ZB = np.zeros((nc, n_steps + emax))
-    ZW = np.zeros((nc, n_steps + emax))
-    for i in range(nc):
-        ZB[i, : zb[i].size] = zb[i]
-        ZW[i, : zw[i].size] = zw[i]
-    return events, marks, ZB, ZW
+def _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events):
+    """Per-path draws from the (seed, i) streams: the chunk's event table,
+    then each path's two normal blocks sized to its own augmented grid."""
+    rngs = [path_rng(seed, i) for i in range(idx_lo, idx_hi)]
+    table = draw_events(rngs, p, dist, max_events)
+    n_draw = (n_steps + table.counts).tolist()
+    width = max(n_draw, default=n_steps)
+    ZB = np.zeros((len(rngs), width))
+    ZW = np.zeros((len(rngs), width))
+    for i, (rng, m) in enumerate(zip(rngs, n_draw)):
+        rng.standard_normal(out=ZB[i, :m])
+        rng.standard_normal(out=ZW[i, :m])
+    return table, ZB, ZW
 
 
-def _bucket_events(events, marks, dt, n_steps):
-    """Flat event table sorted by (step, path), with per-(path, step) order."""
-    path_idx, times, mk, steps, orders = [], [], [], [], []
-    for i, (t_i, m_i) in enumerate(zip(events, marks)):
-        if len(t_i) == 0:
-            continue
-        k = np.minimum(np.ceil(t_i / dt - 1e-12).astype(int) - 1, n_steps - 1)
-        k = np.maximum(k, 0)
-        order = np.zeros(len(t_i), dtype=int)
-        for j in range(1, len(t_i)):
-            order[j] = order[j - 1] + 1 if k[j] == k[j - 1] else 0
-        path_idx.extend([i] * len(t_i))
-        times.extend(t_i)
-        mk.extend(m_i)
-        steps.extend(k)
-        orders.extend(order)
-    if not times:
-        empty = np.empty(0)
-        return empty.astype(int), empty, empty, empty.astype(int), empty.astype(int)
-    path_idx = np.asarray(path_idx, dtype=int)
-    times = np.asarray(times)
-    mk = np.asarray(mk)
-    steps = np.asarray(steps, dtype=int)
-    orders = np.asarray(orders, dtype=int)
-    sorter = np.lexsort((orders, path_idx, steps))
-    return path_idx[sorter], times[sorter], mk[sorter], steps[sorter], orders[sorter]
+def _bucket_events(table, dt, n_steps):
+    """Event rows sorted by (step, path, order); order ranks an event among
+    its path's events in the same step."""
+    counts = table.counts
+    path = np.repeat(np.arange(counts.size), counts)
+    step = np.clip(np.ceil(table.times / dt - 1e-12).astype(int) - 1, 0, n_steps - 1)
+    idx = np.arange(step.size)
+    first = np.ones(step.size, dtype=bool)
+    first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
+    order = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    # the table is ordered by (path, time), so a stable sort by step suffices
+    sorter = np.argsort(step, kind="stable")
+    return path[sorter], table.times[sorter], table.marks[sorter], step[sorter], order[sorter]
 
 
 def _run_chunk(
@@ -147,15 +137,11 @@ def _run_chunk(
 ):
     nc = idx_hi - idx_lo
     dt_u = p.T / n_steps
-    events, marks, ZB, ZW = _prepare_paths(
-        p, dist, nc, n_steps, seed, max_events, index_offset=idx_lo
-    )
+    table, ZB, ZW = _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events)
     if flip_sign:
-        ZB = -ZB
-        ZW = -ZW
-    ev_path, ev_time, ev_mark, ev_step, ev_order = _bucket_events(
-        events, marks, dt_u, n_steps
-    )
+        np.negative(ZB, out=ZB)
+        np.negative(ZW, out=ZW)
+    ev_path, ev_time, ev_mark, ev_step, ev_order = _bucket_events(table, dt_u, n_steps)
     step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
     step_hi = np.searchsorted(ev_step, np.arange(n_steps), side="right")
 
@@ -168,16 +154,12 @@ def _run_chunk(
     a = selection.a if selection is not None else 0.0
     c1 = math.sqrt(1.0 - p.rho**2)
 
-    log_s = np.full(nc, math.log(p.S0))
-    v = np.full(nc, p.v0)
-    lam = np.full(nc, p.lambda0)
-    n_ev = np.zeros(nc)
-    l_ev = np.zeros(nc)
-    int_v = np.zeros(nc)
-    log_x = np.zeros(nc)
-    comp_n = np.zeros(nc)
+    # state rows: t, log S, v, lambda, N, L, int v, log X, compensator of N
+    st = np.zeros((9, nc))
+    st[1] = math.log(p.S0)
+    st[2] = p.v0
+    st[3] = p.lambda0
     ptr = np.zeros(nc, dtype=int)
-    cur_t = np.zeros(nc)
     trunc = 0
     active_total = 0
     probes = {}
@@ -187,142 +169,153 @@ def _run_chunk(
         if record_events
         else None
     )
-    snaps = [] if record_full else None
-    if record_full:
-        snaps.append(
-            (cur_t.copy(), log_s.copy(), v.copy(), lam.copy(),
-             n_ev.copy(), l_ev.copy(), int_v.copy(), log_x.copy())
-        )
+    snaps = [st[:8].copy()] if record_full else None
+
+    def stage(s, ptr, rows, target, hit, mk):
+        """Advance the state block s of chunk rows `rows` to `target`, then
+        jump its rows `hit` by the marks mk."""
+        nonlocal trunc, active_total
+        cur_t, log_s, v, lam, _, _, int_v, log_x, comp_n = s
+        # clamp guards the stage length when an event time sits a float
+        # ulp past a grid node and was bucketed into the earlier step
+        dt_vec = np.maximum(target - cur_t, 0.0)
+        active = dt_vec > 0.0
+        act = np.nonzero(active)[0]
+        zb = np.zeros(s.shape[1])
+        zw = np.zeros(s.shape[1])
+        if act.size:
+            zb[act] = ZB[rows[act], ptr[act]]
+            zw[act] = ZW[rows[act], ptr[act]]
+            ptr[act] += 1
+        sq = np.sqrt(dt_vec)
+        vp = np.maximum(v, 0.0)
+        trunc += int(np.count_nonzero(active & (v < 0.0)))
+        active_total += act.size
+        sv = np.sqrt(vp)
+        drift = np.broadcast_to(
+            np.float64(p.r), vp.shape
+        ) if under_q else np.asarray(p.mu(cur_t), dtype=float)
+        s[1] = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
+        v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
+        s[6] = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
+        if track_x:
+            vth = np.maximum(vp, _V_THETA_FLOOR)
+            svth = np.sqrt(vth)
+            th = ((drift - p.r) / svth - a * p.rho * svth) / c1
+            s[7] = log_x - (
+                th * zb * sq
+                + 0.5 * th**2 * dt_vec
+                + a * sv * zw * sq
+                + 0.5 * a * a * vp * dt_vec
+            )
+        em = -np.expm1(-p.beta * dt_vec)
+        s[8] = comp_n + p.lambda0 * dt_vec + (lam - p.lambda0) * em / p.beta
+        s[3] = p.lambda0 + (lam - p.lambda0) * (1.0 - em)
+        s[2] = v_new
+        s[0] = target
+        if hit is not None and hit.size:
+            if record_events:
+                ev_records["time"].extend(s[0, hit])
+                ev_records["path"].extend(rows[hit] + idx_lo)
+                ev_records["mark"].extend(mk)
+                ev_records["v_before"].extend(s[2, hit])
+                ev_records["v_after"].extend(s[2, hit] + p.eta * mk)
+                ev_records["lam_before"].extend(s[3, hit])
+                ev_records["lam_after"].extend(s[3, hit] + p.alpha)
+            s[2, hit] += p.eta * mk
+            s[3, hit] += p.alpha
+            s[4, hit] += 1.0
+            s[5, hit] += mk
 
     mean_j = dist.mean
+    all_rows = np.arange(nc)
 
     for k in range(n_steps):
         t_next = (k + 1) * dt_u
         lo, hi = step_lo[k], step_hi[k]
-        n_stage = int(ev_order[lo:hi].max()) + 1 if hi > lo else 0
-        for j in range(n_stage + 1):
-            target = np.full(nc, t_next)
-            if j < n_stage:
-                sel = slice(lo, hi)
-                mask_j = ev_order[sel] == j
-                jp = ev_path[sel][mask_j]
-                target[jp] = ev_time[sel][mask_j]
-            else:
-                jp = None
-            # clamp guards the stage length when an event time sits a float
-            # ulp past a grid node and was bucketed into the earlier step
-            dt_vec = np.maximum(target - cur_t, 0.0)
-            active = dt_vec > 0.0
-            rows = np.nonzero(active)[0]
-            zb = np.zeros(nc)
-            zw = np.zeros(nc)
-            if rows.size:
-                zb[rows] = ZB[rows, ptr[rows]]
-                zw[rows] = ZW[rows, ptr[rows]]
-                ptr[rows] += 1
-            sq = np.sqrt(dt_vec)
-            vp = np.maximum(v, 0.0)
-            trunc += int(np.count_nonzero(active & (v < 0.0)))
-            active_total += rows.size
-            sv = np.sqrt(vp)
-            drift = np.broadcast_to(
-                np.float64(p.r), (nc,)
-            ) if under_q else np.asarray(p.mu(cur_t), dtype=float)
-            log_s = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
-            v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
-            int_v = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
-            if track_x:
-                vth = np.maximum(vp, _V_THETA_FLOOR)
-                svth = np.sqrt(vth)
-                th = ((drift - p.r) / svth - a * p.rho * svth) / c1
-                log_x = log_x - (
-                    th * zb * sq
-                    + 0.5 * th**2 * dt_vec
-                    + a * sv * zw * sq
-                    + 0.5 * a * a * vp * dt_vec
-                )
-            em = -np.expm1(-p.beta * dt_vec)
-            comp_n = comp_n + p.lambda0 * dt_vec + (lam - p.lambda0) * em / p.beta
-            lam = p.lambda0 + (lam - p.lambda0) * (1.0 - em)
-            v = v_new
-            cur_t = target
-            if jp is not None and jp.size:
-                mk = ev_mark[sel][mask_j]
-                if record_events:
-                    ev_records["time"].extend(cur_t[jp])
-                    ev_records["path"].extend(jp + idx_lo)
-                    ev_records["mark"].extend(mk)
-                    ev_records["v_before"].extend(v[jp])
-                    ev_records["v_after"].extend(v[jp] + p.eta * mk)
-                    ev_records["lam_before"].extend(lam[jp])
-                    ev_records["lam_after"].extend(lam[jp] + p.alpha)
-                v[jp] += p.eta * mk
-                lam[jp] += p.alpha
-                n_ev[jp] += 1.0
-                l_ev[jp] += mk
-            if record_full:
-                snaps.append(
-                    (cur_t.copy(), log_s.copy(), v.copy(), lam.copy(),
-                     n_ev.copy(), l_ev.copy(), int_v.copy(), log_x.copy())
-                )
+        order = ev_order[lo:hi]
+        first = order == 0
+        rows = ev_path[lo:hi][first]  # the rows with an event in this step
+        # stage 0, full width: every row to its first event of the step, or
+        # to the step's end
+        target = np.full(nc, t_next)
+        target[rows] = ev_time[lo:hi][first]
+        stage(st, ptr, all_rows, target, rows, ev_mark[lo:hi][first])
+        if record_full:
+            snaps.append(st[:8].copy())
+        if rows.size:
+            # later stages touch only the event rows: any other row sits at
+            # t_next, where a stage of length 0 would leave its state
+            # unchanged (lambda: see the module docstring)
+            n_stage = int(order.max()) + 1
+            local = np.cumsum(first) - 1  # each event's row in the block
+            sub, sub_ptr = st[:, rows], ptr[rows]
+            for j in range(1, n_stage + 1):
+                target = np.full(rows.size, t_next)
+                if j < n_stage:
+                    sel = order == j
+                    hit = local[sel]
+                    target[hit] = ev_time[lo:hi][sel]
+                    stage(sub, sub_ptr, rows, target, hit, ev_mark[lo:hi][sel])
+                else:
+                    stage(sub, sub_ptr, rows, target, None, None)
+                if record_full:
+                    st[:, rows] = sub
+                    snaps.append(st[:8].copy())
+            st[:, rows] = sub
+            ptr[rows] = sub_ptr
         if (k + 1) in probe_steps:
             probes[t_next] = {
-                "N": n_ev.copy(),
-                "L": l_ev.copy(),
-                "comp_n": comp_n.copy(),
-                "comp_l": mean_j * comp_n,
-                "X": np.exp(log_x),
+                "N": st[4].copy(),
+                "L": st[5].copy(),
+                "comp_n": st[8].copy(),
+                "comp_l": mean_j * st[8],
+                "X": np.exp(st[7]),
             }
 
     out = {
-        "S": np.exp(log_s),
-        "v": np.maximum(v, 0.0),
-        "lam": lam.copy(),
-        "N": n_ev,
-        "L": l_ev,
-        "int_v": int_v,
-        "X": np.exp(log_x),
+        "S": np.exp(st[1]),
+        "v": np.maximum(st[2], 0.0),
+        "lam": st[3].copy(),
+        "N": st[4].copy(),
+        "L": st[5].copy(),
+        "int_v": st[6].copy(),
+        "X": np.exp(st[7]),
     }
     bundles = None
     if record_full:
-        bundles = _assemble_bundles(
-            measure_tag, snaps, events, marks, nc, n_steps, dt_u
-        )
+        bundles = _assemble_bundles(measure_tag, np.stack(snaps), table)
     return out, probes, trunc, active_total, bundles, ev_records
 
 
-def _assemble_bundles(measure_tag, snaps, events, marks, nc, n_steps, dt_u):
+def _assemble_bundles(measure_tag, snaps, table):
     """Per-path merged grids from the stage snapshots (uniform + own events).
 
-    Zero-length stages duplicate a time point; the last snapshot at each time
-    wins so event nodes carry the post-jump (cadlag) values.
+    snaps[j] is the state (t, log S, v, lambda, N, L, int v, log X) of every
+    path after stage j.  Zero-length stages duplicate a time point; the last
+    snapshot at each time wins so event nodes carry the post-jump (cadlag)
+    values.
     """
     bundles = []
-    times_all = np.stack([s[0] for s in snaps])
-    for i in range(nc):
-        ts = times_all[:, i]
+    off = table.offsets.tolist()
+    for i in range(snaps.shape[2]):
+        ts = snaps[:, 0, i]
         keep = np.ones(len(ts), dtype=bool)
         keep[:-1] = np.diff(ts) > 0
-        idx = np.nonzero(keep)[0]
-        grid = ts[idx]
-        cols = {
-            name: np.array([snaps[j][col][i] for j in idx])
-            for col, name in ((1, "log_s"), (2, "v"), (3, "lam"), (4, "N"),
-                              (5, "L"), (6, "int_v"), (7, "log_x"))
-        }
+        _, log_s, v, lam, n_ev, l_ev, int_v, log_x = snaps[keep, :, i].T
         bundles.append(
             PathBundle(
                 measure_tag=measure_tag,
-                time_grid=grid,
-                S=np.exp(cols["log_s"]),
-                v=np.maximum(cols["v"], 0.0),
-                lam=cols["lam"],
-                N=cols["N"],
-                L=cols["L"],
-                int_v=cols["int_v"],
-                X=np.exp(cols["log_x"]),
-                event_times=events[i],
-                marks=marks[i],
+                time_grid=ts[keep],
+                S=np.exp(log_s),
+                v=np.maximum(v, 0.0),
+                lam=lam,
+                N=n_ev,
+                L=l_ev,
+                int_v=int_v,
+                X=np.exp(log_x),
+                event_times=table.times[off[i]:off[i + 1]],
+                marks=table.marks[off[i]:off[i + 1]],
             )
         )
     return bundles

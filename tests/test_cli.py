@@ -128,6 +128,17 @@ class TestPrice:
         assert rc == 0
         assert out.exists()
 
+    def test_maturity_past_horizon_refused(self, small_config, tmp_path, capsys):
+        out = tmp_path / "price.csv"
+        rc = cli.main(
+            ["--config", str(small_config), "price", "--payoff", "constant",
+             "--maturity", "5", "--grid", "16x12x8x4", "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "maturity 5 exceeds the model horizon T = 1" in err
+        assert not out.exists()
+
 
 class TestReserve:
     def test_both_methods_with_rel_diff(self, small_config, tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from hhr import hawkes, model
+from hhr import hawkes, model, sde
 from hhr.errors import EventOverflow
+from hhr.rng import path_rng
 
 from conftest import desk_params
 
@@ -83,6 +84,104 @@ class TestThinning:
         if p.event_times.size == 1 or p.event_times[1] > mid:
             assert p.lambda_at(mid) < lam_post
             assert p.lambda_at(mid) >= m.lambda0
+
+
+def _scalar_thin(rng, lambda0, alpha, beta, horizon):
+    """Reference: one path at a time, the thinning loop the lockstep thinner
+    replaced.  Returns the event times and the number of candidates drawn."""
+    times = []
+    t = 0.0
+    lam = lambda0
+    exps = rng.exponential(size=64)
+    unis = rng.uniform(size=64)
+    ptr = 0
+    n_cand = 0
+    while True:
+        if ptr == 64:
+            exps = rng.exponential(size=64)
+            unis = rng.uniform(size=64)
+            ptr = 0
+        wait = exps[ptr] / lam
+        t = t + wait
+        n_cand += 1
+        if t > horizon:
+            break
+        lam_cand = lambda0 + (lam - lambda0) * math.exp(-beta * wait)
+        accept = unis[ptr] * lam <= lam_cand
+        ptr += 1
+        if accept:
+            times.append(t)
+            lam = lam_cand + alpha
+        else:
+            lam = lam_cand
+    return np.asarray(times), n_cand
+
+
+def _reference_paths(m, dist, n, seed):
+    """(times, marks, candidates) of paths 0..n-1 drawn one at a time."""
+    p = m.params
+    out = []
+    for i in range(n):
+        rng = path_rng(seed, i)
+        times, n_cand = _scalar_thin(rng, p.lambda0, p.alpha, p.beta, p.T)
+        out.append((times, dist.sample(rng, times.size), n_cand))
+    return out
+
+
+class TestLockstepThinner:
+    @pytest.mark.parametrize(
+        "params, dist",
+        [
+            # sparse: many paths without any event
+            (dict(), model.ExponentialJump(2.0)),
+            # the bursty benchmark model
+            (dict(lambda0=6.0, alpha=1.6, beta=2.0), model.ExponentialJump(2.0)),
+            # dense: many paths refill the 64-candidate block
+            (dict(lambda0=20.0, alpha=3.0, beta=3.5), model.ConstantJump(0.5)),
+        ],
+    )
+    def test_bit_identical_to_scalar_reference(self, params, dist):
+        m = _mk(**params)
+        ref = _reference_paths(m, dist, 400, 41)
+        batch = hawkes.simulate_hawkes_batch(m, dist, 400, 41)
+        for hp, (times, marks, _) in zip(batch, ref):
+            assert np.array_equal(hp.event_times, times)
+            assert np.array_equal(hp.marks, marks)
+        one = hawkes.simulate_hawkes(m, dist, 41, path_index=7)
+        assert np.array_equal(one.event_times, ref[7][0])
+        assert np.array_equal(one.marks, ref[7][1])
+        if not params:
+            assert min(r[0].size for r in ref) == 0
+        if params.get("lambda0") == 20.0:
+            assert sum(r[2] > 64 for r in ref) > 10
+
+    def test_table_layout(self):
+        m = _mk(lambda0=3.0)
+        dist = model.ExponentialJump(2.0)
+        rngs = [path_rng(5, i) for i in range(50)]
+        table = hawkes.draw_events(rngs, m.params, dist, hawkes.DEFAULT_EVENT_CAP)
+        ref = _reference_paths(m, dist, 50, 5)
+        assert table.offsets[0] == 0 and table.offsets[-1] == table.times.size
+        assert np.array_equal(table.counts, [r[0].size for r in ref])
+        assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
+        assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
+
+    def test_overflow_fires_one_past_the_cap(self, desk_selection):
+        m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
+        dist = model.ExponentialJump(2.0)
+        n_max = max(r[0].size for r in _reference_paths(m, dist, 8, 5))
+        assert hawkes.simulate_hawkes_batch(m, dist, 8, 5, max_events=n_max)
+        with pytest.raises(EventOverflow):
+            hawkes.simulate_hawkes_batch(m, dist, 8, 5, max_events=n_max - 1)
+        i = next(i for i, r in enumerate(_reference_paths(m, dist, 8, 5)) if r[0].size == n_max)
+        hawkes.simulate_hawkes(m, dist, 5, path_index=i, max_events=n_max)
+        with pytest.raises(EventOverflow):
+            hawkes.simulate_hawkes(m, dist, 5, path_index=i, max_events=n_max - 1)
+        kw = dict(selection=desk_selection)
+        res = sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max, **kw)
+        assert res.terminal["N"].max() == n_max
+        with pytest.raises(EventOverflow):
+            sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max - 1, **kw)
 
 
 class TestMeanIntensityOde:

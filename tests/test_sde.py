@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from hhr import hawkes, measure, model, sde
 from hhr.errors import AdmissibilityError, EventOverflow
+from hhr.rng import path_rng
 
 from conftest import desk_params
 
@@ -222,6 +223,200 @@ class TestNegativeTilt:
         disc = math.exp(-desk_model.r * desk_model.T) * res.terminal["S"]
         se = disc.std(ddof=1) / math.sqrt(disc.size)
         assert abs(disc.mean() - desk_model.S0) < 3 * se
+
+
+def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_steps):
+    """Reference: the chunk loop before sub-stepping.  Draws path by path,
+    buckets path by path and runs every stage of a step over every path.
+    Returns (terminal, probes, truncated fraction, bundles, event records,
+    largest number of events of one path in one step)."""
+    p = m.params
+    dt_u = p.T / n_steps
+    events, marks, zbs, zws = [], [], [], []
+    for i in range(n):
+        rng = path_rng(seed, i)
+        hp = hawkes.simulate_hawkes(m, dist, seed, rng=rng)
+        events.append(hp.event_times)
+        marks.append(hp.marks)
+        zbs.append(rng.standard_normal(n_steps + hp.event_times.size))
+        zws.append(rng.standard_normal(n_steps + hp.event_times.size))
+    width = n_steps + max(e.size for e in events)
+    ZB = np.zeros((n, width))
+    ZW = np.zeros((n, width))
+    for i in range(n):
+        ZB[i, : zbs[i].size] = zbs[i]
+        ZW[i, : zws[i].size] = zws[i]
+    by_step = {}  # step -> [(order, path, time, mark)]
+    for i, (t_i, m_i) in enumerate(zip(events, marks)):
+        k = np.clip(np.ceil(t_i / dt_u - 1e-12).astype(int) - 1, 0, n_steps - 1)
+        order = 0
+        for j in range(t_i.size):
+            order = order + 1 if j and k[j] == k[j - 1] else 0
+            by_step.setdefault(int(k[j]), []).append((order, i, t_i[j], m_i[j]))
+
+    under_q = measure_tag == "Q"
+    kappa_eff, vbar_eff = measure.q_dynamics(p, sel) if under_q else (p.kappa, p.vbar)
+    track_x = not under_q
+    a = sel.a
+    c1 = math.sqrt(1.0 - p.rho**2)
+    log_s = np.full(n, math.log(p.S0))
+    v = np.full(n, p.v0)
+    lam = np.full(n, p.lambda0)
+    n_ev, l_ev, int_v, log_x, comp_n, cur_t = (np.zeros(n) for _ in range(6))
+    ptr = np.zeros(n, dtype=int)
+    trunc = active_total = 0
+    probes = {}
+    rec = {key: [] for key in ("time", "path", "mark", "v_before", "v_after",
+                               "lam_before", "lam_after")}
+    snaps = []
+
+    def snap():
+        state = (cur_t, log_s, v, lam, n_ev, l_ev, int_v, log_x)
+        snaps.append(tuple(x.copy() for x in state))
+
+    snap()
+    max_order = 0
+    for k in range(n_steps):
+        t_next = (k + 1) * dt_u
+        evs = by_step.get(k, [])
+        n_stage = max((e[0] for e in evs), default=-1) + 1
+        max_order = max(max_order, n_stage)
+        for j in range(n_stage + 1):
+            target = np.full(n, t_next)
+            now = [e for e in evs if e[0] == j]
+            jp = np.array([e[1] for e in now], dtype=int)
+            target[jp] = [e[2] for e in now]
+            dt_vec = np.maximum(target - cur_t, 0.0)
+            active = dt_vec > 0.0
+            rows = np.nonzero(active)[0]
+            zb = np.zeros(n)
+            zw = np.zeros(n)
+            zb[rows] = ZB[rows, ptr[rows]]
+            zw[rows] = ZW[rows, ptr[rows]]
+            ptr[rows] += 1
+            sq = np.sqrt(dt_vec)
+            vp = np.maximum(v, 0.0)
+            trunc += int(np.count_nonzero(active & (v < 0.0)))
+            active_total += rows.size
+            sv = np.sqrt(vp)
+            drift = np.full(n, p.r) if under_q else np.asarray(p.mu(cur_t), dtype=float)
+            log_s = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
+            v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
+            int_v = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
+            if track_x:
+                vth = np.maximum(vp, 1e-12)
+                svth = np.sqrt(vth)
+                th = ((drift - p.r) / svth - a * p.rho * svth) / c1
+                log_x = log_x - (
+                    th * zb * sq
+                    + 0.5 * th**2 * dt_vec
+                    + a * sv * zw * sq
+                    + 0.5 * a * a * vp * dt_vec
+                )
+            em = -np.expm1(-p.beta * dt_vec)
+            comp_n = comp_n + p.lambda0 * dt_vec + (lam - p.lambda0) * em / p.beta
+            lam = p.lambda0 + (lam - p.lambda0) * (1.0 - em)
+            v = v_new
+            cur_t = target
+            if jp.size:
+                mk = np.array([e[3] for e in now])
+                for key, val in (("time", cur_t[jp]), ("path", jp), ("mark", mk),
+                                 ("v_before", v[jp]), ("v_after", v[jp] + p.eta * mk),
+                                 ("lam_before", lam[jp]), ("lam_after", lam[jp] + p.alpha)):
+                    rec[key].extend(val)
+                v[jp] += p.eta * mk
+                lam[jp] += p.alpha
+                n_ev[jp] += 1.0
+                l_ev[jp] += mk
+            snap()
+        if (k + 1) in probe_steps:
+            probes[t_next] = {"N": n_ev.copy(), "L": l_ev.copy(), "comp_n": comp_n.copy(),
+                              "comp_l": dist.mean * comp_n, "X": np.exp(log_x)}
+    terminal = {"S": np.exp(log_s), "v": np.maximum(v, 0.0), "lam": lam, "N": n_ev,
+                "L": l_ev, "int_v": int_v, "X": np.exp(log_x)}
+    bundles = []
+    for i in range(n):
+        ts = np.array([sn[0][i] for sn in snaps])
+        keep = np.append(np.diff(ts) > 0, True)
+        cols = [np.array([sn[c][i] for sn in snaps])[keep] for c in range(1, 8)]
+        bundles.append((ts[keep], np.exp(cols[0]), np.maximum(cols[1], 0.0), *cols[2:6],
+                        np.exp(cols[6]), events[i], marks[i]))
+    rec = {key: np.asarray(val) for key, val in rec.items()}
+    return terminal, probes, trunc / active_total, bundles, rec, max_order
+
+
+def _bundle_fields(b):
+    return (b.time_grid, b.S, b.v, b.lam, b.N, b.L, b.int_v, b.X, b.event_times, b.marks)
+
+
+class TestSubSteppedStageLoop:
+    """The stage loop runs only event rows after a step's first stage; it
+    must reproduce the loop that ran every stage over every path."""
+
+    @staticmethod
+    def _pair(params, meas, n=120, n_steps=64, seed=23):
+        m = _mk(**params)
+        sel = _sel(m)
+        probe_steps = {n_steps // 2, n_steps}
+        ref = _full_width_reference(m, DIST, meas, sel, n, n_steps, seed, probe_steps)
+        res = sde.simulate(
+            m, DIST, meas, n, n_steps, seed, selection=sel,
+            probe_times=tuple(k * m.T / n_steps for k in probe_steps),
+            record_full=True, record_events=True,
+        )
+        return ref, res
+
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    @pytest.mark.parametrize(
+        "params",
+        [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0)],
+    )
+    def test_identical_at_dyadic_baseline(self, params, meas):
+        (terminal, probes, trunc, bundles, rec, max_order), res = self._pair(params, meas)
+        if params.get("lambda0") == 6.0:
+            assert max_order >= 3  # steps where one path has several events
+        if params.get("alpha") == 0.0:
+            assert not terminal["N"].any()  # no event at all
+        for key, val in terminal.items():
+            assert np.array_equal(res.terminal[key], val), key
+        assert probes.keys() == res.probes.keys()
+        for t, row in probes.items():
+            for key, val in row.items():
+                assert np.array_equal(res.probes[t][key], val), (t, key)
+        assert res.truncated_fraction == trunc
+        assert len(res.bundles) == len(bundles)
+        for b, ref_b in zip(res.bundles, bundles):
+            for got, want in zip(_bundle_fields(b), ref_b):
+                assert np.array_equal(got, want)
+        for key, val in rec.items():
+            assert np.array_equal(res.events[key], val), key
+
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    def test_non_dyadic_baseline_moves_lambda_by_at_most_one_ulp(self, meas):
+        (terminal, probes, trunc, bundles, rec, _), res = self._pair(
+            dict(lambda0=0.7, alpha=1.6, beta=2.0), meas
+        )
+
+        def close(got, want):
+            return np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+        for key, val in terminal.items():
+            if key == "lam":
+                assert close(res.terminal[key], val)
+            else:
+                assert np.array_equal(res.terminal[key], val), key
+        for t, row in probes.items():
+            for key, val in row.items():
+                assert np.array_equal(res.probes[t][key], val), (t, key)
+        assert res.truncated_fraction == trunc
+        for b, ref_b in zip(res.bundles, bundles):
+            for i, (got, want) in enumerate(zip(_bundle_fields(b), ref_b)):
+                assert close(got, want) if i == 3 else np.array_equal(got, want)
+        for key, val in rec.items():
+            if key.startswith("lam"):
+                assert close(res.events[key], val)
+            else:
+                assert np.array_equal(res.events[key], val), key
 
 
 class TestEventCap:
