@@ -6,8 +6,8 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .config import (
     load_config,
     parse_grid,
 )
-from .errors import DomainError, HHRError
+from .errors import HHRError
 from .payoff import parse_payoff
 from .sde import simulate
 from .verification import run_verification
@@ -32,10 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--config", type=str, help="JSON run configuration")
     shared.add_argument("--seed", type=int, help="override run.seed")
-    shared.add_argument(
-        "--threads", type=int,
-        help="worker threads (fallback: HHR_THREADS, then run.threads)",
-    )
     shared.add_argument("--out", type=str, help="output file or directory")
 
     ap = argparse.ArgumentParser(prog="hhr", description=__doc__, parents=[shared])
@@ -69,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv=None):
     args = _build_parser().parse_args(argv)
-    for name in ("config", "seed", "threads", "out"):
+    for name in ("config", "seed", "out"):
         if not hasattr(args, name):
             setattr(args, name, None)
     return args
@@ -78,13 +74,10 @@ def _parse(argv=None):
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else config_from_dict(default_config_dict())
     run = cfg.run
-    seed = args.seed if args.seed is not None else run.seed
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HHR_THREADS", run.threads))
-    cfg.run = type(run)(
-        seed=seed, paths=run.paths, steps=run.steps, grid=run.grid,
-        threads=threads, out_dir=args.out or run.out_dir, tolerances=run.tolerances,
+    cfg.run = replace(
+        run,
+        seed=args.seed if args.seed is not None else run.seed,
+        out_dir=args.out or run.out_dir,
     )
     return cfg
 
@@ -172,11 +165,6 @@ def _cmd_price(cfg, args) -> int:
     model, sel, _ = _selection(cfg, args.a)
     pay = parse_payoff(args.payoff)
     maturity = args.maturity if args.maturity is not None else model.T
-    if maturity > model.T:
-        # build_grid sizes the intensity axis from the expected events by T
-        raise DomainError(
-            f"maturity {maturity:g} exceeds the model horizon T = {model.T:g}"
-        )
     nt, nx, ny, nz = parse_grid(args.grid) if args.grid else cfg.run.grid
     grid = pide.build_grid(model, maturity, nt, nx, ny, nz)
     sol = pide.solve_price_pide(pay, maturity, model, sel, cfg.dist, grid)

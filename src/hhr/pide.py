@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import CFLViolation
+from .errors import CFLViolation, DomainError
 from .hawkes import expected_events
 from .measure import MeasureSelection, q_dynamics
 from .model import ConstantJump, ExponentialJump, JumpDistribution, ValidatedModel
@@ -119,8 +119,11 @@ def build_grid(
     """Default truncation: x in [S0/span, ~span*S0] log-spaced (spot a node),
     y in [v0/50, y_span*vbar] sinh-clustered at v0, z from lambda0 out to
     lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node when there is
-    no self-excitation."""
+    no self-excitation.  A maturity past T is refused, because the z-axis is
+    sized for the events expected by T."""
     p = model.params
+    if maturity > p.T:
+        raise DomainError(f"maturity {maturity:g} exceeds the model horizon T = {p.T:g}")
     k0 = nx // 2
     h = math.log(x_span) / k0
     x = p.S0 * np.exp(h * (np.arange(nx) - k0))

@@ -1,320 +1,95 @@
-"""Acceptance criteria at full scale: one test and one printed verdict line
-per criterion.  Statistical gates are 3 standard errors; numerical gates are
-fixed tolerances stated inline.  Run with `pytest tests/test_acceptance.py -v -s`.
+"""Acceptance criteria at full scale: the shipped verification suite
+(`run_verification`, the code behind `hhr verify`) runs once on the desk
+config at 100k paths, and each check gets one test and one printed verdict
+line.  Every gate, sample size and tolerance lives in the suite itself.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import math
-import time
+import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hhr import hawkes, markov, measure, model, payoff, pide, special, thiele
-from hhr.sde import simulate
+from hhr.config import config_from_dict
+from hhr.verification import run_verification
 
-from conftest import desk_params
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+SCALE = {"paths": 100_000, "steps": 256, "grid": "64x48x24x16", "seed": 20240801}
 
-N_PATHS = 100_000
-N_STEPS = 256
-SEED = 20240801
-
-
-def verdict(num, name, ok, detail):
-    print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return ok
-
-
-@pytest.fixture(scope="module")
-def desk():
-    m = model.validate(desk_params())
-    dist = model.ExponentialJump(2.0)
-    sel, rep = measure.select_measure(m, dist, fraction=0.8)
-    return m, dist, sel, rep
+# check name -> criterion number, in the order the suite runs them
+CRITERIA = dict(
+    hawkes_mean_law=1, compensator_p=2, compensator_q_weighted=3, rn_density=4,
+    q_martingale_stock=5, girsanov_price_crosscheck=11, closed_form_oracles=6,
+    pide_exact_solutions=7, pide_vs_mc_guarantee=8, thiele_consistency=9,
+    admissibility_c_l=10, lambda_cap_corner=12,
+)
 
 
 @pytest.fixture(scope="module")
-def hawkes_paths(desk):
-    m, dist, _, _ = desk
-    t0 = time.perf_counter()
-    paths = hawkes.simulate_hawkes_batch(m, dist, N_PATHS, SEED)
-    return paths, time.perf_counter() - t0
+def checks():
+    doc = json.loads(DESK.read_text())
+    doc["run"].update(SCALE)
+    return run_verification(config_from_dict(doc)).checks
 
 
-@pytest.fixture(scope="module")
-def p_sim(desk):
-    m, dist, sel, _ = desk
-    return simulate(
-        m, dist, "P", 2 * N_PATHS, N_STEPS, SEED,
-        selection=sel, probe_times=(m.T / 2, m.T),
+def verdict(checks, name):
+    (c,) = [c for c in checks if c.name == name]
+    retry = f" (retried; first attempt {c.first_attempt['value']:.4g})" if c.retried else ""
+    print(
+        f"[criterion {CRITERIA[name]:02d}] {'PASS' if c.passed else 'FAIL'} {name}: "
+        f"budget used {c.value:.4g} in {c.wall_time:.1f}s{retry}; {c.detail}"
     )
+    assert c.passed, c.detail
+    return c
 
 
-@pytest.fixture(scope="module")
-def q_sim(desk):
-    m, dist, sel, _ = desk
-    return simulate(m, dist, "Q", 2 * N_PATHS, N_STEPS, SEED + 1, selection=sel)
+def test_suite_runs_every_check_once(checks):
+    assert [c.name for c in checks] == list(CRITERIA)
 
 
-def test_criterion_01_hawkes_mean_law(desk, hawkes_paths):
-    m, _, _, _ = desk
-    paths, elapsed = hawkes_paths
-    lam = np.array([p.lambda_at(1.0) for p in paths])
-    target = 2.0 - math.exp(-0.5)
-    se = lam.std(ddof=1) / math.sqrt(lam.size)
-    ok = abs(lam.mean() - target) < 3 * se and elapsed < 30.0
-    assert verdict(
-        1, "hawkes mean law",
-        ok,
-        f"mean lambda_1 = {lam.mean():.5f} vs {target:.5f} (3se = {3*se:.5f}), "
-        f"simulated {lam.size} paths in {elapsed:.1f}s",
-    )
+def test_criterion_01_hawkes_mean_law(checks):
+    assert verdict(checks, "hawkes_mean_law").wall_time < 30.0
 
 
-def test_criterion_02_compensator_martingale_p(desk, hawkes_paths):
-    m, dist, _, _ = desk
-    paths, _ = hawkes_paths
-    rows = hawkes.martingale_residual_test(paths, [m.T / 2, m.T], dist.mean)
-    ok = not any(r.flagged for r in rows)
-    detail = "; ".join(
-        f"{r.process}@t={r.t:g}: {r.mean:+.5f} (3se {3*r.se:.5f})" for r in rows
-    )
-    assert verdict(2, "compensated N and L have mean zero under P", ok, detail)
+def test_criterion_02_compensator_martingale_p(checks):
+    verdict(checks, "compensator_p")
 
 
-def test_criterion_03_compensator_martingale_q_weighted(desk, p_sim):
-    m, _, sel, rep = desk
-    assert sel.a == pytest.approx(0.8 * rep.bound_em_qs)
-    ok = True
-    details = []
-    for t, pr in p_sim.probes.items():
-        w = pr["X"][:N_PATHS] * (pr["N"][:N_PATHS] - pr["comp_n"][:N_PATHS])
-        se = w.std(ddof=1) / math.sqrt(w.size)
-        ok &= abs(w.mean()) < 3 * se
-        details.append(f"t={t:g}: {w.mean():+.5f} (3se {3*se:.5f})")
-    assert verdict(
-        3, "density-weighted compensated count has mean zero", ok, "; ".join(details)
-    )
+def test_criterion_03_compensator_martingale_q_weighted(checks):
+    verdict(checks, "compensator_q_weighted")
 
 
-def test_criterion_04_density_normalization_and_moment(desk, p_sim):
-    _, _, sel, _ = desk
-    x = p_sim.terminal["X"]
-    half = x[:N_PATHS]
-    se = half.std(ddof=1) / math.sqrt(half.size)
-    ok_mean = abs(half.mean() - 1.0) < 3 * se
-    mom = 2.0 + sel.epsilon1
-    m_half = float(np.mean(half**mom))
-    m_full = float(np.mean(x**mom))
-    change = abs(m_full - m_half) / m_half
-    ok = ok_mean and change < 0.05
-    assert verdict(
-        4, "density process normalization and moment stabilization",
-        ok,
-        f"E[X_T] = {half.mean():.5f} (3se {3*se:.5f}); "
-        f"E[X^{mom:.1f}] doubling change = {change:.3%} (< 5%)",
-    )
+def test_criterion_04_density_normalization_and_moment(checks):
+    verdict(checks, "rn_density")
 
 
-def test_criterion_05_martingale_measure_property(desk, q_sim):
-    m, _, _, _ = desk
-    disc = math.exp(-m.r * m.T) * q_sim.terminal["S"][:N_PATHS]
-    se = disc.std(ddof=1) / math.sqrt(disc.size)
-    ok = abs(disc.mean() - m.S0) < 3 * se
-    assert verdict(
-        5, "discounted stock is a martingale under Q(a)",
-        ok,
-        f"E[e^-rT S_T] = {disc.mean():.4f} vs {m.S0} (3se {3*se:.4f})",
-    )
+def test_criterion_05_martingale_measure_property(checks):
+    verdict(checks, "q_martingale_stock")
 
 
-def test_criterion_06_closed_form_oracles(desk):
-    m, _, _, _ = desk
-    p = m.params
-    # inverse-variance moment vs 1e6 exact noncentral chi-square transitions
-    val = special.cir_neg_moment(p.kappa, p.vbar, p.sigma, p.v0, 1.0, 1.0)
-    rng = np.random.default_rng(SEED)
-    emkt = math.exp(-p.kappa)
-    k = 4 * p.kappa * p.v0 * emkt / (p.sigma**2 * (1 - emkt))
-    delta = 4 * p.kappa * p.vbar / p.sigma**2
-    samp = rng.noncentral_chisquare(delta, k, size=1_000_000) * (emkt * p.v0 / k)
-    mc1 = float(np.mean(1.0 / samp))
-    rel1 = abs(val - mc1) / mc1
-
-    # integrated reciprocal-variance exponential vs 1e5 fine-step paths
-    c = 0.1
-    val2 = special.integrated_inverse_cir_exp(p.kappa, p.vbar, p.sigma, p.v0, 1.0, c)
-    n_paths, n_steps = 100_000, 512
-    dt = 1.0 / n_steps
-    df = 4 * p.kappa * p.vbar / p.sigma**2
-    ek = math.exp(-p.kappa * dt)
-    cc = 4 * p.kappa / (p.sigma**2 * (1 - ek))
-    v = np.full(n_paths, p.v0)
-    integ = np.zeros(n_paths)
-    for _ in range(n_steps):
-        v_new = rng.noncentral_chisquare(df, cc * ek * v) / cc
-        integ += 0.5 * (1 / v + 1 / v_new) * dt
-        v = v_new
-    mc2 = float(np.mean(np.exp(c * integ)))
-    rel2 = abs(val2 - mc2) / mc2
-
-    # series identities
-    dev = abs(special.hyp1f1(0.3, 1.1, 0.0) - 1.0)
-    dev = max(dev, abs(special.hyp1f1(2.0, 2.0, 1.0) - math.e) / math.e)
-    dev = max(dev, abs(special.hyp1f1(0.5, 1.5, -1.0) - 0.7468241328124271))
-    for a in (0.5, 1.0, 2.5):
-        for b in (0.5, 1.5, 2.5):
-            for z in np.linspace(-20, 20, 9):
-                lhs = special.hyp1f1(a, b, float(z))
-                rhs = math.exp(z) * special.hyp1f1(b - a, b, float(-z))
-                dev = max(dev, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-
-    ok = rel1 < 0.02 and rel2 < 0.02 and dev < 1e-9
-    assert verdict(
-        6, "closed-form moment oracles",
-        ok,
-        f"inverse moment rel {rel1:.3%} (<2%); integrated reciprocal rel "
-        f"{rel2:.3%} (<2%); series identity dev {dev:.2e} (<1e-9)",
-    )
+def test_criterion_06_closed_form_oracles(checks):
+    verdict(checks, "closed_form_oracles")
 
 
-def test_criterion_07_pide_exact_solutions(desk):
-    m, dist, sel, _ = desk
-    t0 = time.perf_counter()
-    grid = pide.build_grid(m, m.T, 64, 48, 24, 16)
-    sol_x = pide.solve_price_pide(payoff.linear(1.0), m.T, m, sel, dist, grid)
-    x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
-    err_x = max(
-        float(np.max(np.abs(sol_x.values[k] / x3 - 1.0))) for k in range(len(grid.t))
-    )
-    sol_1 = pide.solve_price_pide(payoff.constant(1.0), m.T, m, sel, dist, grid)
-    disc = np.exp(-m.r * (m.T - grid.t))
-    err_1 = max(
-        float(np.max(np.abs(sol_1.values[k] / disc[k] - 1.0)))
-        for k in range(len(grid.t))
-    )
-    elapsed = time.perf_counter() - t0
-    ok = err_x < 1e-3 and err_1 < 1e-6 and elapsed < 300.0
-    assert verdict(
-        7, "pricing equation reproduces exact solutions",
-        ok,
-        f"payoff x: max rel err {err_x:.2e} (<1e-3); payoff 1: {err_1:.2e} "
-        f"(<1e-6); 64x48x24x16 grid in {elapsed:.1f}s",
-    )
+def test_criterion_07_pide_exact_solutions(checks):
+    assert verdict(checks, "pide_exact_solutions").wall_time < 300.0
 
 
-def test_criterion_08_pide_vs_monte_carlo(desk, q_sim):
-    m, dist, sel, _ = desk
-    g = m.S0 * math.exp(m.r * m.T)
-    grid = pide.build_grid(m, m.T, 64, 48, 24, 16)
-    sol = pide.solve_price_pide(payoff.guarantee(g), m.T, m, sel, dist, grid)
-    u0 = sol.at(0, m.S0, m.v0, m.lambda0)
-    pay = math.exp(-m.r * m.T) * np.maximum(g, q_sim.terminal["S"])
-    mc, se = float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(pay.size))
-    gate = 0.01 * mc + 3 * se
-    ok = abs(u0 - mc) < gate
-    assert verdict(
-        8, "guarantee price: solver vs simulation",
-        ok,
-        f"PIDE {u0:.4f} vs MC {mc:.4f} +- {se:.4f} over {pay.size} paths "
-        f"(|diff| {abs(u0-mc):.4f} < 1% + 3se = {gate:.4f})",
-    )
+def test_criterion_08_pide_vs_monte_carlo(checks):
+    verdict(checks, "pide_vs_mc_guarantee")
 
 
-def test_criterion_09_thiele_consistency(desk):
-    m, dist, sel, _ = desk
-    g = m.S0 * math.exp(m.r * m.T)
-    grid = pide.build_grid(m, m.T, 64, 48, 24, 16)
-    templates = {
-        "pure_endowment": markov.pure_endowment(m.T, 0.02),
-        "term_insurance": markov.term_insurance(m.T, 0.02),
-        "endowment_guarantee": markov.endowment_guarantee(m.T, 0.02, g),
-    }
-    nx, ny, nz = grid.shape
-    probes = [
-        (i, j, k)
-        for i in (nx // 4, nx // 2, 3 * nx // 4)
-        for j in (ny // 4, ny // 2, 3 * ny // 4)
-        for k in (nz // 4, nz // 2, 3 * nz // 4)
-    ]
-    worst = 0.0
-    for name, pol in templates.items():
-        surf = thiele.solve_thiele_pide(pol, m, sel, dist, grid)
-        quad = thiele.reserve_quadrature(pol, m, sel, dist, grid, 0.0)
-        for st in pol.states:
-            a_lay, b_lay = surf.values[st][0], quad.values[st]
-            scale = max(float(np.max(np.abs(b_lay))), 1e-12)
-            for idx in probes:
-                worst = max(worst, abs(a_lay[idx] - b_lay[idx]) / scale)
-
-    # classical x-independent reduction against the scalar closed form
-    horizon, mu_rate = 10.0, 0.02
-    long_m = model.validate(desk_params(T=horizon))
-    long_sel, _ = measure.select_measure(long_m, dist, fraction=0.8)
-    pol = markov.term_insurance(horizon, mu_rate)
-    lgrid = pide.build_grid(long_m, horizon, 1024, 12, 8, 4)
-    surf = thiele.solve_thiele_pide(pol, long_m, long_sel, dist, lgrid)
-    got = float(surf.values["alive"][0][0, 0, 0])
-    closed = mu_rate / (m.r + mu_rate) * -math.expm1(-(m.r + mu_rate) * horizon)
-    dev = abs(got - closed)
-
-    ok = worst < 0.01 and dev < 1e-4
-    assert verdict(
-        9, "reserve routes agree",
-        ok,
-        f"worst probe rel diff {worst:.4%} (<1%) over {len(templates)} templates; "
-        f"classical reduction |{got:.7f} - {closed:.7f}| = {dev:.2e} (<1e-4)",
-    )
+def test_criterion_09_thiele_consistency(checks):
+    verdict(checks, "thiele_consistency")
 
 
-def test_criterion_10_admissibility_ledger(desk):
-    m, dist, _, rep = desk
-    p = m.params
-    res = measure.compute_c_l(m, dist, tol=1e-10)
+def test_criterion_10_admissibility_ledger(checks):
+    verdict(checks, "admissibility_c_l")
 
-    # independent vectorized grid-scan oracle on one million points
-    cap = p.kappa**2 / (2 * p.sigma**2)
-    cs = np.linspace(cap / 1_000_000, cap, 1_000_000)
-    d = np.sqrt(np.maximum(p.kappa**2 - 2 * p.sigma**2 * cs, 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(
-            d > 0,
-            2 * p.eta * cs * np.expm1(d * p.T)
-            / (d - p.kappa + (d + p.kappa) * np.exp(d * p.T)),
-            2 * p.eta * cs * p.T / (2 + p.kappa * p.T),
-        )
-    bound = p.beta / p.alpha * math.exp(p.alpha / p.beta - 1.0)
-    mgf = np.where(lam < dist.rate, dist.rate / (dist.rate - lam), np.inf)
-    okmask = (lam < dist.epsilon_j) & (mgf <= bound)
-    grid_sup = float(cs[okmask].max())
-    spacing = cap / 1_000_000
-    dev_grid = abs(res.value - grid_sup)
-    stable = abs(
-        measure.compute_c_l(m, dist, tol=1e-12).value - res.value
-    )
 
-    # zero jump scale attains the cap exactly
-    eta0 = model.validate(desk_params(eta=0.0))
-    exact_cap = measure.compute_c_l(eta0, dist).value == cap
+def test_criterion_11_girsanov_price_crosscheck(checks):
+    verdict(checks, "girsanov_price_crosscheck")
 
-    # band nesting across a parameter sweep
-    sweeps = [
-        dict(),
-        dict(rho=-0.2, eta=0.3),
-        dict(kappa=3.0, sigma=0.8, vbar=0.2, v0=0.15),
-        dict(lambda0=2.0, alpha=0.1, beta=0.5, eta=0.4),
-        dict(rho=0.4, vbar=0.5, eta=0.6),
-    ]
-    nested = True
-    for kw in sweeps:
-        r = measure.a_bounds(model.validate(desk_params(**kw)), dist)
-        nested &= r.bound_em_qs <= r.bound_em <= r.bound_e
 
-    ok = dev_grid <= spacing + 1e-10 and stable <= 1e-10 and exact_cap and nested
-    assert verdict(
-        10, "admissibility threshold and band nesting",
-        ok,
-        f"bisection {res.value:.10f} vs 1e6-point scan {grid_sup:.10f} "
-        f"(|diff| {dev_grid:.2e} <= spacing {spacing:.2e}); refinement shift "
-        f"{stable:.1e} (<=1e-10); zero-eta cap exact: {exact_cap}; nesting on "
-        f"{len(sweeps)} parameter sets: {nested}",
-    )
+def test_criterion_12_lambda_cap_corner(checks):
+    verdict(checks, "lambda_cap_corner")

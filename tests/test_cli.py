@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,14 +53,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
 
-    def test_threads_env_fallback(self, small_config, monkeypatch, capsys):
-        monkeypatch.setenv("HHR_THREADS", "3")
+    def test_config_before_subcommand_survives(self, small_config):
         args = cli._parse(["--config", str(small_config), "admissible"])
         assert args.config == str(small_config)
-        cfg = cli._load(args)
-        assert cfg.run.threads == 3
-        args = cli._parse(["--threads", "2", "admissible"])
-        assert cli._load(args).run.threads == 2
+        assert cli._load(args).run.seed == 99
+
+    def test_built_in_defaults_match_desk_file(self):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        assert default_config_dict() == json.loads(desk.read_text())
 
 
 class TestAdmissible:
@@ -176,6 +177,19 @@ class TestReserve:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_policy_horizon_past_model_refused(self, small_config, tmp_path, capsys):
+        pol = default_config_dict()["policy"] | {"horizon": 5.0}
+        ppath = tmp_path / "policy.json"
+        ppath.write_text(json.dumps({"policy": pol}))
+        out = tmp_path / "reserve.csv"
+        rc = cli.main(
+            ["--config", str(small_config), "reserve", "--policy", str(ppath),
+             "--grid", "16x12x8x4", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "maturity 5 exceeds the model horizon T = 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

@@ -35,8 +35,17 @@ class TestSuiteMechanics:
 
         suite.add_stat("flaky", "independent-oracle", compute)
         assert calls == [0, 1]
-        assert suite.checks[0].passed
-        assert suite.checks[0].retried
+        c = suite.checks[0]
+        assert c.passed and c.retried
+        assert c.detail == "attempt 1"
+        assert c.first_attempt == {"value": 2.0, "detail": "attempt 0"}
+        assert c.to_dict()["first_attempt"] == {"value": 2.0, "detail": "attempt 0"}
+
+    def test_first_attempt_absent_without_retry(self):
+        suite = self._suite()
+        suite.add_stat("steady", "independent-oracle", lambda tag: (0.5, "ok"))
+        assert not suite.checks[0].retried
+        assert "first_attempt" not in suite.checks[0].to_dict()
 
     def test_tolerance_override_scales_budget(self):
         cfg = config_from_dict(default_config_dict())
