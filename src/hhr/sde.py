@@ -38,9 +38,9 @@ from .errors import AdmissibilityError
 from .hawkes import DEFAULT_EVENT_CAP, draw_events
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
-from .rng import derive_seed, path_rng
+from .rng import path_rng
 
-__all__ = ["PathBundle", "SimulationResult", "simulate", "girsanov_cross_check"]
+__all__ = ["PathBundle", "SimulationResult", "simulate"]
 
 _V_THETA_FLOOR = 1e-12
 
@@ -79,7 +79,6 @@ class SimulationResult:
     truncated_fraction: float
     antithetic: bool = False
     bundles: list | None = None
-    events: dict | None = None
 
     def pair_view(self, key: str) -> np.ndarray:
         """Per-unit values for error bars: pair means under antithetic."""
@@ -131,7 +130,6 @@ def _run_chunk(
     idx_hi,
     probe_steps,
     record_full,
-    record_events,
     flip_sign,
     max_events,
 ):
@@ -163,12 +161,6 @@ def _run_chunk(
     trunc = 0
     active_total = 0
     probes = {}
-    ev_records = (
-        {"time": [], "path": [], "mark": [], "v_before": [], "v_after": [],
-         "lam_before": [], "lam_after": []}
-        if record_events
-        else None
-    )
     snaps = [st[:8].copy()] if record_full else None
 
     def stage(s, ptr, rows, target, hit, mk):
@@ -214,14 +206,6 @@ def _run_chunk(
         s[2] = v_new
         s[0] = target
         if hit is not None and hit.size:
-            if record_events:
-                ev_records["time"].extend(s[0, hit])
-                ev_records["path"].extend(rows[hit] + idx_lo)
-                ev_records["mark"].extend(mk)
-                ev_records["v_before"].extend(s[2, hit])
-                ev_records["v_after"].extend(s[2, hit] + p.eta * mk)
-                ev_records["lam_before"].extend(s[3, hit])
-                ev_records["lam_after"].extend(s[3, hit] + p.alpha)
             s[2, hit] += p.eta * mk
             s[3, hit] += p.alpha
             s[4, hit] += 1.0
@@ -285,7 +269,7 @@ def _run_chunk(
     bundles = None
     if record_full:
         bundles = _assemble_bundles(measure_tag, np.stack(snaps), table)
-    return out, probes, trunc, active_total, bundles, ev_records
+    return out, probes, trunc, active_total, bundles
 
 
 def _assemble_bundles(measure_tag, snaps, table):
@@ -332,7 +316,6 @@ def simulate(
     selection: MeasureSelection | None = None,
     probe_times=(),
     record_full: bool = False,
-    record_events: bool = False,
     antithetic: bool = False,
     threads: int = 1,
     chunk_size: int = 8192,
@@ -371,7 +354,7 @@ def simulate(
         lo, hi, flip = args
         return _run_chunk(
             p, dist, measure, selection, n_steps, seed, lo, hi,
-            probe_steps, record_full, record_events, flip, max_events,
+            probe_steps, record_full, flip, max_events,
         )
 
     jobs = [(lo, hi, False) for lo, hi in chunks]
@@ -399,12 +382,6 @@ def simulate(
     bundles = None
     if record_full:
         bundles = [b for r in results for b in r[4]]
-    events = None
-    if record_events:
-        events = {
-            key: np.concatenate([np.asarray(r[5][key]) for r in results])
-            for key in results[0][5]
-        }
     return SimulationResult(
         measure_tag=measure if measure == "P" else f"Q(a={selection.a:g})",
         n_paths=n_paths * (2 if antithetic else 1),
@@ -415,46 +392,4 @@ def simulate(
         truncated_fraction=trunc / active if active else 0.0,
         antithetic=antithetic,
         bundles=bundles,
-        events=events,
-    )
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    estimate_p: float
-    se_p: float
-    estimate_q: float
-    se_q: float
-    se_pooled: float
-    flagged: bool
-
-
-def girsanov_cross_check(
-    model: ValidatedModel,
-    dist: JumpDistribution,
-    selection: MeasureSelection,
-    payoff,
-    n_paths: int,
-    seed: int,
-    n_steps: int = 256,
-) -> CrossCheckReport:
-    """Compare E_P[X_T f(S_T)] against E_Q[f(S_T)] with pooled error bars.
-
-    `payoff` is any callable f(S_T) of linear growth; the two estimators use
-    independent streams and must agree within 3 pooled standard errors.
-    """
-    sim_p = simulate(
-        model, dist, "P", n_paths, n_steps, seed, selection=selection
-    )
-    sim_q = simulate(
-        model, dist, "Q", n_paths, n_steps, derive_seed(seed, "girsanov-q"),
-        selection=selection,
-    )
-    wp = sim_p.terminal["X"] * payoff(sim_p.terminal["S"])
-    wq = payoff(sim_q.terminal["S"])
-    m_p, se_p = float(wp.mean()), float(wp.std(ddof=1) / math.sqrt(wp.size))
-    m_q, se_q = float(wq.mean()), float(wq.std(ddof=1) / math.sqrt(wq.size))
-    pooled = math.hypot(se_p, se_q)
-    return CrossCheckReport(
-        m_p, se_p, m_q, se_q, pooled, abs(m_p - m_q) > 3 * pooled > 0
     )

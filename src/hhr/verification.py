@@ -5,8 +5,13 @@ oracles, exact PIDE solutions, and agreement of the two reserve routes.
 
 Each check reports the fraction of its error budget consumed (statistical
 gates are 3 standard errors); the raw numbers live in the detail string.
-Statistical checks are flaky-tolerant: one retry on a fresh sub-seed before
-a failure counts, and a retried check keeps its failed first attempt (budget
+The Monte Carlo checks read three samples, each drawn once and released
+after its last reader (`readers` in run_verification): the event batch
+(run.paths paths at the run seed), the P sample (twice as many at the run
+seed, probes at T/2 and T) and the Q sample (as many at derive_seed(seed,
+"pidemc0")).  A statistical check that fails is retried once, on a fresh
+sample of the same kind and size drawn from the base seed derive_seed(seed,
+check name + "1"); a retried check keeps its failed first attempt (budget
 used and detail) in the report.  The JSON report is byte-identical across
 runs of the same config and seed (wall times appear only in the
 human-readable table).
@@ -29,7 +34,7 @@ from .measure import compute_c_l, lambda_cap
 from .model import ConstantJump, ExponentialJump, validate
 from .payoff import constant, guarantee, linear
 from .rng import derive_seed
-from .sde import girsanov_cross_check, simulate
+from .sde import simulate
 
 __all__ = ["Check", "VerificationReport", "run_verification"]
 
@@ -52,7 +57,6 @@ class Check:
     kind: str
     detail: str
     value: float
-    reference: float
     tolerance: float
     passed: bool
     first_attempt: dict | None = None
@@ -70,7 +74,6 @@ class Check:
             "kind": self.kind,
             "detail": self.detail,
             "value": self.value,
-            "reference": self.reference,
             "tolerance": self.tolerance,
             "passed": self.passed,
             "retried": self.retried,
@@ -140,7 +143,6 @@ class _Suite:
                 kind=kind,
                 detail=detail,
                 value=float(used),
-                reference=0.0,
                 tolerance=budget,
                 passed=bool(used <= budget),
                 first_attempt=first_attempt,
@@ -194,14 +196,42 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     suite = _Suite(cfg)
     seed = run.seed
     g_level = p.S0 * math.exp(p.r * p.T)
-    shared = {}
+
+    def guarantee_pv(s_t):
+        return math.exp(-p.r * p.T) * np.maximum(g_level, s_t)
+
+    # The suite's three Monte Carlo samples and the checks that read them, in
+    # order; a sample is released after the last check of its row.
+    readers = {
+        "events": ("hawkes_mean_law", "compensator_p"),
+        "P": ("compensator_q_weighted", "rn_density", "girsanov_price_crosscheck"),
+        "Q": ("q_martingale_stock", "girsanov_price_crosscheck", "pide_vs_mc_guarantee"),
+    }
+    held = {}
+
+    def draw(kind, base):
+        if kind == "events":
+            return hawkes.simulate_hawkes_batch(model, dist, run.paths, base)
+        under_p = kind == "P"
+        # the Q sample's stream is apart from the P sample's: they are independent
+        return simulate(
+            model, dist, kind, 2 * run.paths, run.steps,
+            base if under_p else derive_seed(base, "pidemc0"), selection=selection,
+            probe_times=(p.T / 2, p.T) if under_p else (), threads=run.threads,
+        )
+
+    def sample(kind, check, tag):
+        """The shared `kind` sample on a first attempt; on retry `tag` a fresh
+        one drawn from the base seed derive_seed(seed, check + tag)."""
+        if tag:
+            return draw(kind, derive_seed(seed, f"{check}{tag}"))
+        if kind not in held:
+            held[kind] = draw(kind, seed)
+        return held.pop(kind) if check == readers[kind][-1] else held[kind]
 
     # 1. event-process mean law against the first-moment equation
     def hawkes_mean_law(tag):
-        paths = hawkes.simulate_hawkes_batch(
-            model, dist, run.paths, derive_seed(seed, f"hawkes{tag}") if tag else seed
-        )
-        shared["hawkes_paths"] = paths
+        paths = sample("events", "hawkes_mean_law", tag)
         lam_t = np.array([hp.lambda_at(p.T) for hp in paths])
         _, el_ref = hawkes.mean_intensity_ode(model, p.T)
         se = lam_t.std(ddof=1) / math.sqrt(lam_t.size)
@@ -212,11 +242,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     # 2. compensated counting and compound processes have mean zero under P
     def compensator_p(tag):
-        paths = shared.pop("hawkes_paths", None)
-        if tag or paths is None:
-            paths = hawkes.simulate_hawkes_batch(
-                model, dist, run.paths, derive_seed(seed, f"compp{tag}")
-            )
+        paths = sample("events", "compensator_p", tag)
         rows = hawkes.martingale_residual_test(paths, [p.T / 2, p.T], dist.mean)
         used = max(_ratio(abs(r.mean), 3 * r.se) for r in rows)
         detail = "; ".join(
@@ -226,19 +252,9 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.stat("compensator_p", ORACLE, compensator_p)
 
-    # 3 + 4. joint P-simulation: weighted compensator and density moments
-    def p_run(tag):
-        return simulate(
-            model, dist, "P", 2 * run.paths, run.steps,
-            derive_seed(seed, f"prun{tag}") if tag else seed,
-            selection=selection, probe_times=(p.T / 2, p.T), threads=run.threads,
-        )
-
+    # 3 + 4. the P sample's first half: weighted compensator, density moments
     def compensator_q_weighted(tag):
-        sim_p = shared.get("p_sim")
-        if tag or sim_p is None:
-            sim_p = p_run(tag)
-            shared["p_sim"] = sim_p
+        sim_p = sample("P", "compensator_q_weighted", tag)
         used, parts = 0.0, []
         for t, pr in sim_p.probes.items():
             w = pr["X"][: run.paths] * (pr["N"][: run.paths] - pr["comp_n"][: run.paths])
@@ -250,10 +266,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     suite.stat("compensator_q_weighted", ORACLE, compensator_q_weighted)
 
     def rn_density(tag):
-        sim_p = shared.pop("p_sim", None)
-        if tag or sim_p is None:
-            sim_p = p_run(f"dens{tag}")
-        x_t = sim_p.terminal["X"]
+        x_t = sample("P", "rn_density", tag).terminal["X"]
         half = x_t[: run.paths]
         se = half.std(ddof=1) / math.sqrt(half.size)
         used = _ratio(abs(half.mean() - 1.0), 3 * se)
@@ -269,19 +282,9 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.stat("rn_density", ORACLE, rn_density)
 
-    # 5 + 8. joint Q-simulation: martingale stock and the guarantee price
-    def q_run(tag, n_paths):
-        return simulate(
-            model, dist, "Q", n_paths, run.steps, derive_seed(seed, tag),
-            selection=selection, threads=run.threads,
-        )
-
+    # 5. the Q sample's first half: the discounted stock is a martingale
     def q_martingale_stock(tag):
-        if tag:
-            s_t = q_run(f"qmart{tag}", run.paths).terminal["S"]
-        else:
-            shared["q_sim"] = q_run("pidemc0", 2 * run.paths)
-            s_t = shared["q_sim"].terminal["S"][: run.paths]
+        s_t = sample("Q", "q_martingale_stock", tag).terminal["S"][: run.paths]
         disc = math.exp(-p.r * p.T) * s_t
         se = disc.std(ddof=1) / math.sqrt(disc.size)
         used = _ratio(abs(disc.mean() - p.S0), 3 * se)
@@ -289,17 +292,20 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.stat("q_martingale_stock", ORACLE, q_martingale_stock)
 
-    # extra: density-weighted price under P vs tilted-measure price
+    # extra: E_P[X_T f(S_T)] = E_Q[f(S_T)] over the whole P and Q samples
     def girsanov_price_crosscheck(tag):
-        rep = girsanov_cross_check(
-            model, dist, selection,
-            lambda s_t: math.exp(-p.r * p.T) * np.maximum(g_level, s_t),
-            run.paths, derive_seed(seed, f"cross{tag}"), n_steps=run.steps,
-        )
-        used = _ratio(abs(rep.estimate_p - rep.estimate_q), 3 * rep.se_pooled)
-        return used, (
-            f"P-weighted {rep.estimate_p:.4f} vs Q {rep.estimate_q:.4f} "
-            f"(3se pooled {3*rep.se_pooled:.4f})"
+        sim_p = sample("P", "girsanov_price_crosscheck", tag)
+        sim_q = sample("Q", "girsanov_price_crosscheck", tag)
+        x_t = sim_p.terminal["X"]
+        wp = x_t * guarantee_pv(sim_p.terminal["S"])
+        wq = guarantee_pv(sim_q.terminal["S"])
+        m_p, se_p = float(wp.mean()), float(wp.std(ddof=1) / math.sqrt(wp.size))
+        m_q, se_q = float(wq.mean()), float(wq.std(ddof=1) / math.sqrt(wq.size))
+        pooled = math.hypot(se_p, se_q)
+        ess = float(x_t.sum()) ** 2 / float(np.sum(x_t**2))
+        return _ratio(abs(m_p - m_q), 3 * pooled), (
+            f"P-weighted {m_p:.4f} vs Q {m_q:.4f} (3se pooled {3*pooled:.4f}); "
+            f"P effective sample size {ess:.0f} of {x_t.size}"
         )
 
     suite.stat("girsanov_price_crosscheck", ORACLE, girsanov_price_crosscheck)
@@ -351,14 +357,11 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.fixed("pide_exact_solutions", EXACT, pide_exact_solutions)
 
-    # 8. guarantee price: solver vs tilted-measure estimator
+    # 8. guarantee price: solver vs the whole Q sample
     def pide_vs_mc_guarantee(tag):
         sol_g = pide.solve_price_pide(guarantee(g_level), p.T, model, selection, dist, grid)
         u0 = sol_g.at(0, p.S0, p.v0, p.lambda0)
-        sim_q = shared.pop("q_sim", None)
-        if tag or sim_q is None:
-            sim_q = q_run(f"pidemc{tag}", 2 * run.paths)
-        pay = math.exp(-p.r * p.T) * np.maximum(g_level, sim_q.terminal["S"])
+        pay = guarantee_pv(sample("Q", "pide_vs_mc_guarantee", tag).terminal["S"])
         mc, se = float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(pay.size))
         used = abs(u0 - mc) / (0.01 * mc + 3 * se)
         return used, (

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from hhr import hawkes, measure, model, sde
 from hhr.errors import AdmissibilityError, EventOverflow
-from hhr.rng import path_rng
+from hhr.rng import derive_seed, path_rng
 
 from conftest import desk_params
 
@@ -51,18 +51,6 @@ class TestDeterministicVariance:
 
 
 class TestJumpBookkeeping:
-    def test_jumps_applied_exactly_at_event_times(self, desk_model, desk_selection):
-        res = sde.simulate(
-            desk_model, DIST, "P", 256, 64, 17,
-            selection=desk_selection, record_events=True,
-        )
-        ev = res.events
-        assert ev["time"].size > 0
-        dv = ev["v_after"] - ev["v_before"]
-        assert np.allclose(dv, desk_model.eta * ev["mark"], rtol=0, atol=1e-15)
-        dl = ev["lam_after"] - ev["lam_before"]
-        assert np.allclose(dl, desk_model.alpha, rtol=0, atol=1e-15)
-
     def test_counts_match_bundles(self, desk_model, desk_selection):
         res = sde.simulate(
             desk_model, DIST, "P", 16, 64, 21,
@@ -148,32 +136,45 @@ class TestIntegratedVariance:
 
 
 class TestGirsanovCrossCheck:
-    def test_unit_payoff(self, desk_model, desk_selection):
-        rep = sde.girsanov_cross_check(
-            desk_model, DIST, desk_selection, lambda s: np.ones_like(s), 5_000, 51
+    """E_P[X_T f(S_T)] against E_Q[f(S_T)] on independent P and Q samples."""
+
+    @staticmethod
+    def _estimates(m, sel, payoff, n_paths, seed):
+        sim_p = sde.simulate(m, DIST, "P", n_paths, 256, seed, selection=sel)
+        sim_q = sde.simulate(
+            m, DIST, "Q", n_paths, 256, derive_seed(seed, "girsanov-q"), selection=sel
         )
-        assert rep.estimate_q == 1.0
-        assert abs(rep.estimate_p - 1.0) < 3 * rep.se_p
-        assert not rep.flagged
+        out = []
+        for w in (sim_p.terminal["X"] * payoff(sim_p.terminal["S"]),
+                  payoff(sim_q.terminal["S"])):
+            out += [float(w.mean()), float(w.std(ddof=1) / math.sqrt(w.size))]
+        return out  # mean and se under P, then under Q
+
+    def test_unit_payoff(self, desk_model, desk_selection):
+        m_p, se_p, m_q, se_q = self._estimates(
+            desk_model, desk_selection, lambda s: np.ones_like(s), 5_000, 51
+        )
+        assert m_q == 1.0
+        assert abs(m_p - 1.0) < 3 * se_p
 
     def test_discounted_linear_payoff(self, desk_model, desk_selection):
         m = desk_model
         disc = math.exp(-m.r * m.T)
-        rep = sde.girsanov_cross_check(
-            m, DIST, desk_selection, lambda s: disc * s, 20_000, 53
+        m_p, se_p, m_q, se_q = self._estimates(
+            m, desk_selection, lambda s: disc * s, 20_000, 53
         )
-        assert abs(rep.estimate_p - m.S0) < 3 * rep.se_p
-        assert abs(rep.estimate_q - m.S0) < 3 * rep.se_q
-        assert not rep.flagged
+        assert abs(m_p - m.S0) < 3 * se_p
+        assert abs(m_q - m.S0) < 3 * se_q
+        assert abs(m_p - m_q) <= 3 * math.hypot(se_p, se_q)
 
     def test_guarantee_payoff_consistency(self, desk_model, desk_selection):
         m = desk_model
         g = m.S0 * math.exp(m.r * m.T)
         disc = math.exp(-m.r * m.T)
-        rep = sde.girsanov_cross_check(
-            m, DIST, desk_selection, lambda s: disc * np.maximum(g, s), 20_000, 57
+        m_p, se_p, m_q, se_q = self._estimates(
+            m, desk_selection, lambda s: disc * np.maximum(g, s), 20_000, 57
         )
-        assert abs(rep.estimate_p - rep.estimate_q) <= 3 * rep.se_pooled
+        assert abs(m_p - m_q) <= 3 * math.hypot(se_p, se_q)
 
 
 class TestReproducibility:
@@ -228,8 +229,8 @@ class TestNegativeTilt:
 def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_steps):
     """Reference: the chunk loop before sub-stepping.  Draws path by path,
     buckets path by path and runs every stage of a step over every path.
-    Returns (terminal, probes, truncated fraction, bundles, event records,
-    largest number of events of one path in one step)."""
+    Returns (terminal, probes, truncated fraction, bundles, largest number
+    of events of one path in one step)."""
     p = m.params
     dt_u = p.T / n_steps
     events, marks, zbs, zws = [], [], [], []
@@ -266,8 +267,6 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     ptr = np.zeros(n, dtype=int)
     trunc = active_total = 0
     probes = {}
-    rec = {key: [] for key in ("time", "path", "mark", "v_before", "v_after",
-                               "lam_before", "lam_after")}
     snaps = []
 
     def snap():
@@ -320,10 +319,6 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
             cur_t = target
             if jp.size:
                 mk = np.array([e[3] for e in now])
-                for key, val in (("time", cur_t[jp]), ("path", jp), ("mark", mk),
-                                 ("v_before", v[jp]), ("v_after", v[jp] + p.eta * mk),
-                                 ("lam_before", lam[jp]), ("lam_after", lam[jp] + p.alpha)):
-                    rec[key].extend(val)
                 v[jp] += p.eta * mk
                 lam[jp] += p.alpha
                 n_ev[jp] += 1.0
@@ -341,8 +336,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
         cols = [np.array([sn[c][i] for sn in snaps])[keep] for c in range(1, 8)]
         bundles.append((ts[keep], np.exp(cols[0]), np.maximum(cols[1], 0.0), *cols[2:6],
                         np.exp(cols[6]), events[i], marks[i]))
-    rec = {key: np.asarray(val) for key, val in rec.items()}
-    return terminal, probes, trunc / active_total, bundles, rec, max_order
+    return terminal, probes, trunc / active_total, bundles, max_order
 
 
 def _bundle_fields(b):
@@ -362,7 +356,7 @@ class TestSubSteppedStageLoop:
         res = sde.simulate(
             m, DIST, meas, n, n_steps, seed, selection=sel,
             probe_times=tuple(k * m.T / n_steps for k in probe_steps),
-            record_full=True, record_events=True,
+            record_full=True,
         )
         return ref, res
 
@@ -372,7 +366,7 @@ class TestSubSteppedStageLoop:
         [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0)],
     )
     def test_identical_at_dyadic_baseline(self, params, meas):
-        (terminal, probes, trunc, bundles, rec, max_order), res = self._pair(params, meas)
+        (terminal, probes, trunc, bundles, max_order), res = self._pair(params, meas)
         if params.get("lambda0") == 6.0:
             assert max_order >= 3  # steps where one path has several events
         if params.get("alpha") == 0.0:
@@ -388,12 +382,10 @@ class TestSubSteppedStageLoop:
         for b, ref_b in zip(res.bundles, bundles):
             for got, want in zip(_bundle_fields(b), ref_b):
                 assert np.array_equal(got, want)
-        for key, val in rec.items():
-            assert np.array_equal(res.events[key], val), key
 
     @pytest.mark.parametrize("meas", ["P", "Q"])
     def test_non_dyadic_baseline_moves_lambda_by_at_most_one_ulp(self, meas):
-        (terminal, probes, trunc, bundles, rec, _), res = self._pair(
+        (terminal, probes, trunc, bundles, _), res = self._pair(
             dict(lambda0=0.7, alpha=1.6, beta=2.0), meas
         )
 
@@ -412,11 +404,6 @@ class TestSubSteppedStageLoop:
         for b, ref_b in zip(res.bundles, bundles):
             for i, (got, want) in enumerate(zip(_bundle_fields(b), ref_b)):
                 assert close(got, want) if i == 3 else np.array_equal(got, want)
-        for key, val in rec.items():
-            if key.startswith("lam"):
-                assert close(res.events[key], val)
-            else:
-                assert np.array_equal(res.events[key], val), key
 
 
 class TestEventCap:

@@ -1,9 +1,10 @@
 import json
+import re
 
-import pytest
-
-from hhr import markov, measure, model, pide, thiele
+from hhr import markov, measure, model, pide, sde, thiele, verification
 from hhr.config import config_from_dict, default_config_dict
+from hhr.rng import derive_seed
+from hhr.sde import simulate
 from hhr.verification import Check, VerificationReport, _Suite, run_verification
 
 from conftest import desk_params
@@ -47,6 +48,30 @@ class TestSuiteMechanics:
         assert not suite.checks[0].retried
         assert "first_attempt" not in suite.checks[0].to_dict()
 
+    def test_retry_draws_fresh_and_leaves_the_shared_sample(self, monkeypatch):
+        # a zero budget makes compensator_q_weighted retry; rn_density's first
+        # attempt must still read the suite's P sample, not the retry's
+        d = default_config_dict()
+        d["run"].update(paths=2000, grid="24x16x10x6",
+                        tolerances={"compensator_q_weighted": 0.0})
+        seed = d["run"]["seed"]
+        drawn = []
+
+        def recorded(*args, **kwargs):
+            drawn.append(simulate(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(verification, "simulate", recorded)
+        checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+        assert checks["compensator_q_weighted"].retried
+        assert [(s.measure_tag[0], s.seed) for s in drawn] == [
+            ("P", seed),
+            ("P", derive_seed(seed, "compensator_q_weighted1")),
+            ("Q", derive_seed(seed, "pidemc0")),
+        ]
+        x_t = drawn[0].terminal["X"][:2000]
+        assert f"E[X_T] {x_t.mean():.5f} " in checks["rn_density"].detail
+
     def test_tolerance_override_scales_budget(self):
         cfg = config_from_dict(default_config_dict())
         cfg.run.tolerances["loose_check"] = 3.0
@@ -63,12 +88,13 @@ class TestReportSerialization:
             checks=[
                 Check(
                     name="x", kind="exact-identity", detail="d", value=0.1,
-                    reference=0.0, tolerance=1.0, passed=True, wall_time=123.0,
+                    tolerance=1.0, passed=True, wall_time=123.0,
                 )
             ],
         )
         doc = json.loads(rep.to_json())
         assert "wall_time" not in doc["checks"][0]
+        assert "reference" not in doc["checks"][0]
         assert doc["passed"] is True
 
     def test_table_marks_failures(self):
@@ -78,7 +104,7 @@ class TestReportSerialization:
             checks=[
                 Check(
                     name="bad", kind="closed-form", detail="d", value=9.0,
-                    reference=0.0, tolerance=1.0, passed=False,
+                    tolerance=1.0, passed=False,
                 )
             ],
         )
@@ -98,13 +124,30 @@ class TestDegenerateConfigs:
         failures = [c.name for c in rep.checks if not c.passed]
         assert rep.passed, failures
 
-    def test_constant_jump_law_passes(self):
+    def test_constant_jump_law_passes(self, monkeypatch):
         d = default_config_dict()
         d["model"]["jump"] = {"kind": "constant", "value": 0.5}
         d["run"].update(paths=3000, grid="24x16x10x6")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return simulate(*args, **kwargs)
+
+        # both names: a second Monte Carlo path in `sde` would be counted too
+        monkeypatch.setattr(verification, "simulate", counted)
+        monkeypatch.setattr(sde, "simulate", counted)
         rep = run_verification(config_from_dict(d))
         failures = [c.name for c in rep.checks if not c.passed]
         assert rep.passed, failures
+        # without a retry the suite draws one P and one Q sample, shared by
+        # every check that simulates
+        assert not any(c.retried for c in rep.checks)
+        assert calls == ["P", "Q"]
+        detail = {c.name: c.detail for c in rep.checks}
+        q_mean = re.search(r" vs Q (\S+) ", detail["girsanov_price_crosscheck"])
+        sim_mean = re.search(r"vs simulation (\S+) ", detail["pide_vs_mc_guarantee"])
+        assert q_mean.group(1) == sim_mean.group(1)
 
 
 class TestQuadratureRefinement:
