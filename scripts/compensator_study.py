@@ -36,8 +36,8 @@ def main():
                 sigma=0.5, eta=0.1, T=1.0, **case,
             )
         )
-        paths = hawkes.simulate_hawkes_batch(m, dist, args.paths, args.seed)
-        rows = hawkes.martingale_residual_test(paths, [0.5, 1.0], dist.mean)
+        table = hawkes.simulate_events(m, dist, args.paths, args.seed)
+        rows = hawkes.martingale_residual_test(m, table, [0.5, 1.0], dist.mean)
         for r in rows:
             print(
                 f"{case['lambda0']:8.2f} {case['alpha']:6.2f} {case['beta']:5.2f} "

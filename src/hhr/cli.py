@@ -21,6 +21,7 @@ from .config import (
     parse_grid,
 )
 from .errors import HHRError
+from .hawkes import write_event_csv
 from .payoff import parse_payoff
 from .sde import simulate
 from .verification import run_verification
@@ -148,15 +149,8 @@ def _cmd_simulate(cfg, args) -> int:
                 )
     print(f"wrote {out} ({len(res.bundles)} paths, measure {res.measure_tag})")
     if args.events_out:
-        from .hawkes import HawkesPath, write_event_csv
-
-        hpaths = [
-            HawkesPath(model.lambda0, model.alpha, model.beta, model.T,
-                       b.event_times, b.marks)
-            for b in res.bundles
-        ]
         with open(args.events_out, "w", newline="") as fh:
-            write_event_csv(hpaths, fh)
+            write_event_csv(model, res.events, fh)
         print(f"wrote {args.events_out}")
     return 0
 

@@ -24,11 +24,14 @@ __all__ = [
     "HawkesPath",
     "EventTable",
     "draw_events",
-    "simulate_hawkes",
+    "simulate_events",
     "simulate_hawkes_batch",
     "mean_intensity_ode",
     "expected_intensity",
     "expected_events",
+    "lambda_at",
+    "n_at",
+    "l_at",
     "compensator",
     "martingale_residual_test",
     "write_event_csv",
@@ -36,37 +39,15 @@ __all__ = [
 
 DEFAULT_EVENT_CAP = 1_000_000
 _BLOCK = 64  # thinning candidates drawn per refill
-_CHUNK = 8192  # paths thinned together by simulate_hawkes_batch
+_CHUNK = 8192  # paths thinned together by simulate_events
 
 
 @dataclass(frozen=True)
 class HawkesPath:
     """One exact path: ordered event times in [0, T] with their marks."""
 
-    lambda0: float
-    alpha: float
-    beta: float
-    horizon: float
     event_times: np.ndarray
     marks: np.ndarray
-
-    def lambda_at(self, t):
-        """Intensity lambda_t (cadlag: includes the jump of an event at t)."""
-        t = np.asarray(t, dtype=float)
-        if self.event_times.size == 0:
-            return np.full_like(t, self.lambda0, dtype=float)
-        dtm = t[..., None] - self.event_times
-        contrib = np.where(dtm >= 0.0, np.exp(-self.beta * np.maximum(dtm, 0.0)), 0.0)
-        return self.lambda0 + self.alpha * contrib.sum(axis=-1)
-
-    def n_at(self, t):
-        """Counting value N_t."""
-        return np.searchsorted(self.event_times, np.asarray(t, dtype=float), side="right")
-
-    def l_at(self, t):
-        """Compound value L_t = sum of marks up to t."""
-        cum = np.concatenate([[0.0], np.cumsum(self.marks)])
-        return cum[self.n_at(t)]
 
 
 @dataclass(frozen=True)
@@ -78,9 +59,38 @@ class EventTable:
     marks: np.ndarray
     offsets: np.ndarray
 
+    @classmethod
+    def from_counts(cls, times, marks, counts) -> EventTable:
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(times, marks, offsets)
+
+    @classmethod
+    def concat(cls, tables) -> EventTable:
+        """One table holding the paths of `tables`, in order."""
+        return cls.from_counts(
+            np.concatenate([t.times for t in tables]),
+            np.concatenate([t.marks for t in tables]),
+            np.concatenate([t.counts for t in tables]),
+        )
+
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @property
+    def path(self) -> np.ndarray:
+        """The path of each event."""
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+    def head(self, n: int) -> EventTable:
+        """The table of the first n paths."""
+        end = self.offsets[n]
+        return EventTable(self.times[:end], self.marks[:end], self.offsets[: n + 1])
+
+    def per_path(self, values) -> np.ndarray:
+        """Sum of one value per event over each path's events, in time order."""
+        return np.bincount(self.path, weights=values, minlength=self.counts.size)
 
 
 def _thin_lockstep(rngs, lambda0, alpha, beta, horizon, max_events):
@@ -140,53 +150,31 @@ def draw_events(rngs, p, dist: JumpDistribution, max_events: int) -> EventTable:
     """Event table of the paths of `rngs` under the model parameters p: each
     path's thinning draws, then its marks, from its own generator."""
     times, count = _thin_lockstep(rngs, p.lambda0, p.alpha, p.beta, p.T, max_events)
-    offsets = np.zeros(len(rngs) + 1, dtype=np.int64)
-    np.cumsum(count, out=offsets[1:])
-    marks = np.empty(times.size)
-    for rng, lo, hi in zip(rngs, offsets[:-1].tolist(), offsets[1:].tolist()):
-        marks[lo:hi] = dist.sample(rng, hi - lo)
-    return EventTable(times, marks, offsets)
+    table = EventTable.from_counts(times, np.empty(times.size), count)
+    for rng, lo, hi in zip(rngs, table.offsets[:-1].tolist(), table.offsets[1:].tolist()):
+        table.marks[lo:hi] = dist.sample(rng, hi - lo)
+    return table
 
 
-def _hawkes_paths(p, table: EventTable) -> list[HawkesPath]:
-    off = table.offsets.tolist()
-    return [
-        HawkesPath(p.lambda0, p.alpha, p.beta, p.T, table.times[lo:hi], table.marks[lo:hi])
-        for lo, hi in zip(off[:-1], off[1:])
-    ]
-
-
-def simulate_hawkes(
-    model: ValidatedModel,
-    dist: JumpDistribution,
-    seed: int,
-    *,
-    path_index: int = 0,
+def simulate_events(
+    model: ValidatedModel, dist: JumpDistribution, n_paths: int, seed: int, *,
     max_events: int = DEFAULT_EVENT_CAP,
-    rng: np.random.Generator | None = None,
-) -> HawkesPath:
-    """Exact-law sample of the event process on [0, T], deterministic in seed."""
-    p = model.params
-    if rng is None:
-        rng = path_rng(seed, path_index)
-    return _hawkes_paths(p, draw_events([rng], p, dist, max_events))[0]
+) -> EventTable:
+    """Exact-law event table of n_paths independent paths on [0, T], path i
+    drawn from the (seed, i) stream."""
+    chunks = [range(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    return EventTable.concat([
+        draw_events([path_rng(seed, i) for i in c], model.params, dist, max_events)
+        for c in chunks
+    ])
 
 
-def simulate_hawkes_batch(
-    model: ValidatedModel,
-    dist: JumpDistribution,
-    n_paths: int,
-    seed: int,
-    *,
-    max_events: int = DEFAULT_EVENT_CAP,
-) -> list[HawkesPath]:
-    """n_paths independent paths, path i drawn from the (seed, i) stream."""
-    p = model.params
-    paths = []
-    for lo in range(0, n_paths, _CHUNK):
-        rngs = [path_rng(seed, i) for i in range(lo, min(lo + _CHUNK, n_paths))]
-        paths += _hawkes_paths(p, draw_events(rngs, p, dist, max_events))
-    return paths
+def simulate_hawkes_batch(model, dist, n_paths, seed) -> list[HawkesPath]:
+    """Per-path view of simulate_events."""
+    # kept only because perfbench/layers.py iterates it
+    table = simulate_events(model, dist, n_paths, seed)
+    cut = table.offsets[1:-1]
+    return list(map(HawkesPath, np.split(table.times, cut), np.split(table.marks, cut)))
 
 
 def mean_intensity_ode(model: ValidatedModel, t: float) -> tuple[float, float]:
@@ -214,8 +202,6 @@ def expected_intensity(model: ValidatedModel, t) -> np.ndarray:
     """Closed form E[lambda_t] = lambda0*(beta - alpha*exp(-(beta-alpha)t))/(beta-alpha)."""
     p = model.params
     t = np.asarray(t, dtype=float)
-    if p.alpha == p.beta:
-        return p.lambda0 * (1.0 + p.beta * t)
     d = p.beta - p.alpha
     return p.lambda0 * (p.beta - p.alpha * np.exp(-d * t)) / d
 
@@ -228,21 +214,40 @@ def expected_events(model: ValidatedModel, t) -> np.ndarray:
     return p.lambda0 * (p.beta * t + p.alpha / d * np.expm1(-d * t)) / d
 
 
-def compensator(path: HawkesPath, mean_j: float, t: float) -> tuple[float, float]:
-    """(Lambda^N_t, Lambda^L_t) in closed form, no quadrature.
+def lambda_at(model: ValidatedModel, table: EventTable, t: float) -> np.ndarray:
+    """Intensity lambda_t of every path (cadlag: includes the jump of an event
+    at t), lambda0 + alpha * sum_{t_i <= t} exp(-beta*(t - t_i))."""
+    p = model.params
+    dtm = t - table.times
+    kernel = np.where(dtm >= 0.0, np.exp(-p.beta * np.maximum(dtm, 0.0)), 0.0)
+    return p.lambda0 + p.alpha * table.per_path(kernel)
+
+
+def n_at(table: EventTable, t: float) -> np.ndarray:
+    """Counting value N_t of every path."""
+    return np.bincount(table.path[table.times <= t], minlength=table.counts.size)
+
+
+def l_at(table: EventTable, t: float) -> np.ndarray:
+    """Compound value L_t of every path, the sum of its marks up to t."""
+    return table.per_path(np.where(table.times <= t, table.marks, 0.0))
+
+
+def compensator(
+    model: ValidatedModel, table: EventTable, mean_j: float, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda^N_t, Lambda^L_t) of every path in closed form, no quadrature.
 
     Integrating the exponential kernel event by event gives
     Lambda^N_t = lambda0*t + (alpha/beta) * sum_{t_i <= t} (1 - exp(-beta*(t-t_i))).
     The compound compensator is E[J] times the counting one.
     """
-    if t > path.horizon:
-        raise ValueError(f"t={t} beyond simulated horizon {path.horizon}")
-    past = path.event_times[path.event_times <= t]
-    lam_n = path.lambda0 * t
-    if past.size and path.alpha > 0:
-        lam_n += (path.alpha / path.beta) * float(
-            np.sum(-np.expm1(-path.beta * (t - past)))
-        )
+    p = model.params
+    if t > p.T:
+        raise ValueError(f"t={t} beyond simulated horizon {p.T}")
+    dtm = t - table.times
+    rise = np.where(dtm >= 0.0, -np.expm1(-p.beta * np.maximum(dtm, 0.0)), 0.0)
+    lam_n = p.lambda0 * t + (p.alpha / p.beta) * table.per_path(rise)
     return lam_n, mean_j * lam_n
 
 
@@ -256,36 +261,38 @@ class ResidualRow:
 
 
 def martingale_residual_test(
-    paths: list[HawkesPath], times, mean_j: float
+    model: ValidatedModel, table: EventTable, times, mean_j: float
 ) -> list[ResidualRow]:
     """Sample mean and standard error of N_t - Lambda^N_t and L_t - Lambda^L_t.
 
     Both residuals have zero expectation; a row is flagged when its mean falls
     outside 3 standard errors.
     """
-    if len(paths) < 1000:
+    n = table.counts.size
+    if n < 1000:
         raise ValueError("need at least 1000 paths for a meaningful residual test")
     rows = []
-    n = len(paths)
     for t in times:
-        res_n = np.empty(n)
-        res_l = np.empty(n)
-        for i, p in enumerate(paths):
-            lam_n, lam_l = compensator(p, mean_j, t)
-            res_n[i] = p.n_at(t) - lam_n
-            res_l[i] = p.l_at(t) - lam_l
-        for name, res in (("N", res_n), ("L", res_l)):
-            mean = float(res.mean())
-            se = float(res.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        lam_n, lam_l = compensator(model, table, mean_j, t)
+        for name, res in (("N", n_at(table, t) - lam_n), ("L", l_at(table, t) - lam_l)):
+            mean, se = float(res.mean()), float(res.std(ddof=1) / math.sqrt(n))
             rows.append(ResidualRow(t, name, mean, se, abs(mean) > 3 * se > 0))
     return rows
 
 
-def write_event_csv(paths: list[HawkesPath], fileobj) -> None:
-    """Dump events as path_id, event_index, time, mark, lambda_after."""
+def write_event_csv(model: ValidatedModel, table: EventTable, fileobj) -> None:
+    """Dump events as path_id, event_index, time, mark, lambda_after, the
+    closed-form intensity at the event with its own jump."""
+    p = model.params
+    t, path = table.times, table.path
+    acc = np.zeros(t.size)
+    # the kernel of each earlier event of the path, `lag` rows up, earliest first
+    for lag in reversed(range(int(table.counts.max(initial=0)))):
+        same = path[lag:] == path[: t.size - lag]
+        acc[lag:][same] += np.exp(-p.beta * (t[lag:] - t[: t.size - lag])[same])
+    rank = np.arange(t.size) - table.offsets[path]
     w = csv.writer(fileobj)
     w.writerow(["path_id", "event_index", "time", "mark", "lambda_after"])
-    for pid, p in enumerate(paths):
-        lam_after = p.lambda_at(p.event_times) if p.event_times.size else []
-        for k, (t, m) in enumerate(zip(p.event_times, p.marks)):
-            w.writerow([pid, k, repr(float(t)), repr(float(m)), repr(float(lam_after[k]))])
+    for row in zip(path.tolist(), rank.tolist(), t.tolist(), table.marks.tolist(),
+                   (p.lambda0 + p.alpha * acc).tolist()):
+        w.writerow([row[0], row[1], *map(repr, row[2:])])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .hawkes import DEFAULT_EVENT_CAP, draw_events
+from .hawkes import DEFAULT_EVENT_CAP, EventTable, draw_events
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
 from .rng import path_rng
@@ -58,8 +58,6 @@ class PathBundle:
     L: np.ndarray
     int_v: np.ndarray
     X: np.ndarray
-    event_times: np.ndarray
-    marks: np.ndarray
 
 
 @dataclass
@@ -67,7 +65,8 @@ class SimulationResult:
     """Aggregate output of a batch run.
 
     terminal holds per-path arrays (S, v, lam, N, L, int_v, X); probes maps
-    each requested time to per-path arrays (N, L, comp_n, comp_l, X).
+    each requested time to per-path arrays (N, L, comp_n, X).
+    events is the event table of the same paths, path i in row i.
     """
 
     measure_tag: str
@@ -77,6 +76,7 @@ class SimulationResult:
     terminal: dict
     probes: dict
     truncated_fraction: float
+    events: EventTable
     antithetic: bool = False
     bundles: list | None = None
 
@@ -107,8 +107,7 @@ def _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events):
 def _bucket_events(table, dt, n_steps):
     """Event rows sorted by (step, path, order); order ranks an event among
     its path's events in the same step."""
-    counts = table.counts
-    path = np.repeat(np.arange(counts.size), counts)
+    path = table.path
     step = np.clip(np.ceil(table.times / dt - 1e-12).astype(int) - 1, 0, n_steps - 1)
     idx = np.arange(step.size)
     first = np.ones(step.size, dtype=bool)
@@ -211,7 +210,6 @@ def _run_chunk(
             s[4, hit] += 1.0
             s[5, hit] += mk
 
-    mean_j = dist.mean
     all_rows = np.arange(nc)
 
     for k in range(n_steps):
@@ -253,7 +251,6 @@ def _run_chunk(
                 "N": st[4].copy(),
                 "L": st[5].copy(),
                 "comp_n": st[8].copy(),
-                "comp_l": mean_j * st[8],
                 "X": np.exp(st[7]),
             }
 
@@ -268,11 +265,11 @@ def _run_chunk(
     }
     bundles = None
     if record_full:
-        bundles = _assemble_bundles(measure_tag, np.stack(snaps), table)
-    return out, probes, trunc, active_total, bundles
+        bundles = _assemble_bundles(measure_tag, np.stack(snaps))
+    return out, probes, trunc, active_total, bundles, table
 
 
-def _assemble_bundles(measure_tag, snaps, table):
+def _assemble_bundles(measure_tag, snaps):
     """Per-path merged grids from the stage snapshots (uniform + own events).
 
     snaps[j] is the state (t, log S, v, lambda, N, L, int v, log X) of every
@@ -281,7 +278,6 @@ def _assemble_bundles(measure_tag, snaps, table):
     values.
     """
     bundles = []
-    off = table.offsets.tolist()
     for i in range(snaps.shape[2]):
         ts = snaps[:, 0, i]
         keep = np.ones(len(ts), dtype=bool)
@@ -298,8 +294,6 @@ def _assemble_bundles(measure_tag, snaps, table):
                 L=l_ev,
                 int_v=int_v,
                 X=np.exp(log_x),
-                event_times=table.times[off[i]:off[i + 1]],
-                marks=table.marks[off[i]:off[i + 1]],
             )
         )
     return bundles
@@ -390,6 +384,7 @@ def simulate(
         terminal=terminal,
         probes=probes,
         truncated_fraction=trunc / active if active else 0.0,
+        events=EventTable.concat([r[5] for r in results]),
         antithetic=antithetic,
         bundles=bundles,
     )

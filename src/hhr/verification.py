@@ -5,11 +5,11 @@ oracles, exact PIDE solutions, and agreement of the two reserve routes.
 
 Each check reports the fraction of its error budget consumed (statistical
 gates are 3 standard errors); the raw numbers live in the detail string.
-The Monte Carlo checks read three samples, each drawn once and released
-after its last reader (`readers` in run_verification): the event batch
-(run.paths paths at the run seed), the P sample (twice as many at the run
-seed, probes at T/2 and T) and the Q sample (as many at derive_seed(seed,
-"pidemc0")).  A statistical check that fails is retried once, on a fresh
+The Monte Carlo checks read two samples, each drawn once and released
+after its last reader (`readers` in run_verification): the P sample (2 *
+run.paths paths at the run seed, probes at T/2 and T; the event checks read
+its first run.paths paths' event table) and the Q sample (as many at
+derive_seed(seed, "pidemc0")).  A statistical check that fails is retried once, on a fresh
 sample of the same kind and size drawn from the base seed derive_seed(seed,
 check name + "1"); a retried check keeps its failed first attempt (budget
 used and detail) in the report.  The JSON report is byte-identical across
@@ -29,6 +29,7 @@ import numpy as np
 
 from . import hawkes, pide, special, thiele
 from .config import RunConfig
+from .errors import ConfigError
 from .markov import endowment_guarantee, pure_endowment, term_insurance
 from .measure import compute_c_l, lambda_cap
 from .model import ConstantJump, ExponentialJump, validate
@@ -200,18 +201,16 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def guarantee_pv(s_t):
         return math.exp(-p.r * p.T) * np.maximum(g_level, s_t)
 
-    # The suite's three Monte Carlo samples and the checks that read them, in
+    # The suite's two Monte Carlo samples and the checks that read them, in
     # order; a sample is released after the last check of its row.
     readers = {
-        "events": ("hawkes_mean_law", "compensator_p"),
-        "P": ("compensator_q_weighted", "rn_density", "girsanov_price_crosscheck"),
+        "P": ("hawkes_mean_law", "compensator_p", "compensator_q_weighted", "rn_density",
+              "girsanov_price_crosscheck"),
         "Q": ("q_martingale_stock", "girsanov_price_crosscheck", "pide_vs_mc_guarantee"),
     }
     held = {}
 
     def draw(kind, base):
-        if kind == "events":
-            return hawkes.simulate_hawkes_batch(model, dist, run.paths, base)
         under_p = kind == "P"
         # the Q sample's stream is apart from the P sample's: they are independent
         return simulate(
@@ -231,8 +230,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     # 1. event-process mean law against the first-moment equation
     def hawkes_mean_law(tag):
-        paths = sample("events", "hawkes_mean_law", tag)
-        lam_t = np.array([hp.lambda_at(p.T) for hp in paths])
+        events = sample("P", "hawkes_mean_law", tag).events.head(run.paths)
+        lam_t = hawkes.lambda_at(model, events, p.T)
         _, el_ref = hawkes.mean_intensity_ode(model, p.T)
         se = lam_t.std(ddof=1) / math.sqrt(lam_t.size)
         used = _ratio(abs(lam_t.mean() - el_ref), 3 * se)
@@ -242,8 +241,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     # 2. compensated counting and compound processes have mean zero under P
     def compensator_p(tag):
-        paths = sample("events", "compensator_p", tag)
-        rows = hawkes.martingale_residual_test(paths, [p.T / 2, p.T], dist.mean)
+        events = sample("P", "compensator_p", tag).events.head(run.paths)
+        rows = hawkes.martingale_residual_test(model, events, [p.T / 2, p.T], dist.mean)
         used = max(_ratio(abs(r.mean), 3 * r.se) for r in rows)
         detail = "; ".join(
             f"{r.process}@{r.t:g}: {r.mean:+.4f} (3se {3*r.se:.4f})" for r in rows
@@ -392,6 +391,9 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.fixed("lambda_cap_corner", CLOSED, lambda_cap_corner)
 
+    unknown = sorted(set(run.tolerances) - {c.name for c in suite.checks})
+    if unknown:
+        raise ConfigError(f"run.tolerances names no check: {', '.join(unknown)}")
     digest = hashlib.sha256(cfg.canonical().encode()).hexdigest()[:16]
     return VerificationReport(seed=seed, config_digest=digest, checks=suite.checks)
 

@@ -20,23 +20,18 @@ class TestThinning:
     def test_poisson_degenerate_mean(self):
         m = _mk(alpha=0.0)
         dist = model.ExponentialJump(2.0)
-        n_t = np.array(
-            [len(p.event_times) for p in hawkes.simulate_hawkes_batch(m, dist, 10_000, 3)]
-        )
+        n_t = hawkes.simulate_events(m, dist, 10_000, 3).counts
         se = n_t.std(ddof=1) / math.sqrt(n_t.size)
         assert abs(n_t.mean() - m.lambda0 * m.T) < 3 * se
 
     def test_first_event_time_is_exponential(self):
         m = _mk(alpha=0.0)
         dist = model.ConstantJump(1.0)
-        firsts = []
-        for i in range(10_000):
-            p = hawkes.simulate_hawkes(m, dist, 11, path_index=i)
-            if p.event_times.size:
-                firsts.append(p.event_times[0])
+        table = hawkes.simulate_events(m, dist, 10_000, 11)
+        firsts = table.times[table.offsets[:-1][table.counts > 0]]
         # condition on an event before T: censored exponential
         stat = kstest(
-            np.asarray(firsts),
+            firsts,
             lambda x: -np.expm1(-m.lambda0 * x) / -math.expm1(-m.lambda0 * m.T),
         )
         assert stat.pvalue > 0.01
@@ -44,46 +39,50 @@ class TestThinning:
     def test_mean_intensity_matches_moment_equation(self):
         m = _mk()
         dist = model.ExponentialJump(2.0)
-        paths = hawkes.simulate_hawkes_batch(m, dist, 20_000, 5)
-        lam = np.array([p.lambda_at(1.0) for p in paths])
+        lam = hawkes.lambda_at(m, hawkes.simulate_events(m, dist, 20_000, 5), 1.0)
         se = lam.std(ddof=1) / math.sqrt(lam.size)
         assert abs(lam.mean() - (2.0 - math.exp(-0.5))) < 3 * se
 
     def test_tiny_horizon_gives_empty_path(self):
         m = _mk(T=1e-12)
-        p = hawkes.simulate_hawkes(m, model.ConstantJump(1.0), 1)
-        assert p.event_times.size == 0
-        assert p.lambda_at(0.0) == m.lambda0
+        table = hawkes.simulate_events(m, model.ConstantJump(1.0), 1, 1)
+        assert table.times.size == 0
+        assert hawkes.lambda_at(m, table, 0.0) == [m.lambda0]
 
     def test_event_cap_overflow(self):
         m = _mk(lambda0=50.0)
         with pytest.raises(EventOverflow):
-            hawkes.simulate_hawkes(m, model.ConstantJump(1.0), 2, max_events=3)
+            hawkes.simulate_events(m, model.ConstantJump(1.0), 1, 2, max_events=3)
 
     def test_deterministic_in_seed_and_index(self):
         m = _mk()
         d = model.ExponentialJump(2.0)
-        a = hawkes.simulate_hawkes(m, d, 9, path_index=4)
-        b = hawkes.simulate_hawkes(m, d, 9, path_index=4)
-        c = hawkes.simulate_hawkes(m, d, 9, path_index=5)
-        assert np.array_equal(a.event_times, b.event_times)
-        assert np.array_equal(a.marks, b.marks)
-        assert not np.array_equal(a.event_times, c.event_times)
+        # path i depends on (seed, i) only, not on the batch it is drawn in
+        a = hawkes.simulate_events(m, d, 5, 9)
+        b = hawkes.simulate_events(m, d, 6, 9)
+        assert np.array_equal(a.offsets, b.head(5).offsets)
+        assert np.array_equal(a.times, b.head(5).times)
+        assert np.array_equal(a.marks, b.head(5).marks)
+        assert not np.array_equal(b.times[b.offsets[4]:b.offsets[5]], b.times[b.offsets[5]:])
 
     def test_intensity_jumps_by_alpha_and_decays(self):
         m = _mk(lambda0=2.0)
-        p = hawkes.simulate_hawkes(m, model.ConstantJump(1.0), 17)
-        assert p.event_times.size >= 1
-        t1 = p.event_times[0]
-        lam_post = p.lambda_at(t1)
+        table = hawkes.simulate_events(m, model.ConstantJump(1.0), 1, 17)
+        assert table.times.size >= 1
+
+        def lam(t):
+            return hawkes.lambda_at(m, table, t)[0]
+
+        t1 = table.times[0]
+        lam_post = lam(t1)
         assert lam_post == pytest.approx(
-            m.lambda0 + m.alpha + (p.lambda_at(t1 - 1e-12) - m.lambda0), abs=1e-6
+            m.lambda0 + m.alpha + (lam(t1 - 1e-12) - m.lambda0), abs=1e-6
         )
         # decay toward the baseline between events
         mid = t1 + 1e-4
-        if p.event_times.size == 1 or p.event_times[1] > mid:
-            assert p.lambda_at(mid) < lam_post
-            assert p.lambda_at(mid) >= m.lambda0
+        if table.times.size == 1 or table.times[1] > mid:
+            assert lam(mid) < lam_post
+            assert lam(mid) >= m.lambda0
 
 
 def _scalar_thin(rng, lambda0, alpha, beta, horizon):
@@ -143,13 +142,14 @@ class TestLockstepThinner:
     def test_bit_identical_to_scalar_reference(self, params, dist):
         m = _mk(**params)
         ref = _reference_paths(m, dist, 400, 41)
+        table = hawkes.simulate_events(m, dist, 400, 41)
+        assert np.array_equal(table.counts, [r[0].size for r in ref])
+        assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
+        assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
         batch = hawkes.simulate_hawkes_batch(m, dist, 400, 41)
-        for hp, (times, marks, _) in zip(batch, ref):
+        for hp, (times, marks, _) in zip(batch, ref, strict=True):
             assert np.array_equal(hp.event_times, times)
             assert np.array_equal(hp.marks, marks)
-        one = hawkes.simulate_hawkes(m, dist, 41, path_index=7)
-        assert np.array_equal(one.event_times, ref[7][0])
-        assert np.array_equal(one.marks, ref[7][1])
         if not params:
             assert min(r[0].size for r in ref) == 0
         if params.get("lambda0") == 20.0:
@@ -170,13 +170,13 @@ class TestLockstepThinner:
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         dist = model.ExponentialJump(2.0)
         n_max = max(r[0].size for r in _reference_paths(m, dist, 8, 5))
-        assert hawkes.simulate_hawkes_batch(m, dist, 8, 5, max_events=n_max)
+        assert hawkes.simulate_events(m, dist, 8, 5, max_events=n_max).counts.max() == n_max
         with pytest.raises(EventOverflow):
-            hawkes.simulate_hawkes_batch(m, dist, 8, 5, max_events=n_max - 1)
+            hawkes.simulate_events(m, dist, 8, 5, max_events=n_max - 1)
         i = next(i for i, r in enumerate(_reference_paths(m, dist, 8, 5)) if r[0].size == n_max)
-        hawkes.simulate_hawkes(m, dist, 5, path_index=i, max_events=n_max)
+        hawkes.draw_events([path_rng(5, i)], m.params, dist, n_max)
         with pytest.raises(EventOverflow):
-            hawkes.simulate_hawkes(m, dist, 5, path_index=i, max_events=n_max - 1)
+            hawkes.draw_events([path_rng(5, i)], m.params, dist, n_max - 1)
         kw = dict(selection=desk_selection)
         res = sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max, **kw)
         assert res.terminal["N"].max() == n_max
@@ -203,57 +203,117 @@ class TestMeanIntensityOde:
         assert en == pytest.approx(float(hawkes.expected_events(m, 1.0)), rel=1e-8)
 
 
+def _table(times):
+    """One path with the given event times and unit marks."""
+    times = np.asarray(times, dtype=float)
+    return hawkes.EventTable.from_counts(times, np.ones(times.size), [times.size])
+
+
 class TestCompensator:
     def test_poisson_linear(self):
         m = _mk(alpha=0.0)
-        p = hawkes.simulate_hawkes(m, model.ConstantJump(1.0), 21)
-        lam_n, lam_l = hawkes.compensator(p, 1.0, 0.8)
-        assert lam_n == pytest.approx(m.lambda0 * 0.8)
-        assert lam_l == lam_n
+        table = hawkes.simulate_events(m, model.ConstantJump(1.0), 1, 21)
+        lam_n, lam_l = hawkes.compensator(m, table, 1.0, 0.8)
+        assert lam_n[0] == pytest.approx(m.lambda0 * 0.8)
+        assert lam_l[0] == lam_n[0]
 
     def test_no_events_stays_at_baseline(self):
         m = _mk()
-        p = hawkes.HawkesPath(1.0, 0.5, 1.0, 1.0, np.array([]), np.array([]))
-        lam_n, _ = hawkes.compensator(p, 0.5, 1.0)
-        assert lam_n == pytest.approx(1.0)
+        lam_n, _ = hawkes.compensator(m, _table([]), 0.5, 1.0)
+        assert lam_n[0] == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="beyond simulated horizon"):
+            hawkes.compensator(m, _table([]), 0.5, m.T * (1 + 1e-12))
 
     def test_single_event_closed_form_vs_quadrature(self):
-        p = hawkes.HawkesPath(1.0, 0.5, 1.0, 1.0, np.array([0.3]), np.array([1.0]))
+        m = _mk()  # lambda0 1, alpha 0.5, beta 1
+        table = _table([0.3])
         t = 0.9
-        lam_n, _ = hawkes.compensator(p, 1.0, t)
+        lam_n, _ = hawkes.compensator(m, table, 1.0, t)
         exact = 1.0 * t + 0.5 / 1.0 * (1 - math.exp(-1.0 * (t - 0.3)))
-        assert lam_n == pytest.approx(exact, rel=1e-12)
-        ref, _ = quad(lambda u: float(p.lambda_at(u)), 0, t, limit=200)
-        assert lam_n == pytest.approx(ref, rel=1e-9)
+        assert lam_n[0] == pytest.approx(exact, rel=1e-12)
+        ref, _ = quad(lambda u: float(hawkes.lambda_at(m, table, u)[0]), 0, t, limit=200)
+        assert lam_n[0] == pytest.approx(ref, rel=1e-9)
 
     def test_residual_path_shape(self):
         m = _mk(lambda0=3.0)
         dist = model.ConstantJump(1.0)
-        p = hawkes.simulate_hawkes(m, dist, 33)
-        assert p.event_times.size >= 2
-        assert p.n_at(0.0) - hawkes.compensator(p, 1.0, 0.0)[0] == 0.0
-        t0, t1 = p.event_times[0], p.event_times[1]
+        table = hawkes.simulate_events(m, dist, 1, 33)
+        assert table.times.size >= 2
+
+        def resid(t):
+            return (hawkes.n_at(table, t) - hawkes.compensator(m, table, 1.0, t)[0])[0]
+
+        assert resid(0.0) == 0.0
+        t0, t1 = table.times[0], table.times[1]
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 5)
-        resid = [p.n_at(t) - hawkes.compensator(p, 1.0, float(t))[0] for t in ts]
-        assert all(b < a for a, b in zip(resid, resid[1:]))
-        before = p.n_at(t1 - 1e-9)
-        assert p.n_at(t1) == before + 1
+        res = [resid(float(t)) for t in ts]
+        assert all(b < a for a, b in zip(res, res[1:]))
+        before = hawkes.n_at(table, t1 - 1e-9)[0]
+        assert hawkes.n_at(table, t1)[0] == before + 1
+
+
+def _path_reference(m, table, t):
+    """Reference: the closed forms path by path, each sum taken exactly;
+    per path (lambda_t, N_t, L_t, Lambda^N_t)."""
+    p = m.params
+    out = []
+    for lo, hi in zip(table.offsets[:-1], table.offsets[1:]):
+        ev, past = table.times[lo:hi], table.times[lo:hi] <= t
+        out.append((
+            p.lambda0 + p.alpha * math.fsum(np.exp(-p.beta * (t - ev[past]))),
+            int(past.sum()),
+            math.fsum(table.marks[lo:hi][past]),
+            p.lambda0 * t + p.alpha / p.beta * math.fsum(-np.expm1(-p.beta * (t - ev[past]))),
+        ))
+    return np.array(out).T
+
+
+class TestTableClosedForms:
+    """The segment sums over the table against the per-path closed forms
+    summed exactly.  They differ only by the rounding of sums of a few
+    dozen positive terms, so 1e-13 relative bounds them."""
+
+    def test_match_per_path_reference(self, tmp_path):
+        m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
+        dist = model.ExponentialJump(2.0)
+        table = hawkes.simulate_events(m, dist, 300, 29)
+        assert table.counts.max() >= 8  # numpy's pairwise sum reorders from 8 terms
+        for t in (0.0, 0.37, 0.5, 1.0):
+            lam_t, n_t, l_t, comp_n = _path_reference(m, table, t)
+            lam_n, lam_l = hawkes.compensator(m, table, dist.mean, t)
+            np.testing.assert_allclose(hawkes.lambda_at(m, table, t), lam_t, rtol=1e-13)
+            assert np.array_equal(hawkes.n_at(table, t), n_t)
+            np.testing.assert_allclose(hawkes.l_at(table, t), l_t, rtol=1e-13)
+            np.testing.assert_allclose(lam_n, comp_n, rtol=1e-13)
+            assert np.array_equal(lam_l, dist.mean * lam_n)
+        out = tmp_path / "events.csv"
+        with open(out, "w", newline="") as fh:
+            hawkes.write_event_csv(m, table, fh)
+        with open(out) as fh:
+            rows = np.array([[float(x) for x in line.split(",")] for line in fh.readlines()[1:]])
+        assert np.array_equal(rows[:, 0], table.path)
+        assert np.array_equal(rows[:, 2], table.times)
+        assert np.array_equal(rows[:, 3], table.marks)
+        for (i, k, t, _, lam_after) in rows:
+            # lambda just after an event: the path alone, evaluated at it
+            one = _table(table.times[table.offsets[int(i)]:][: int(k) + 1])
+            assert lam_after == pytest.approx(_path_reference(m, one, t)[0][0], rel=1e-13)
 
 
 class TestMartingaleResiduals:
     def test_zero_mean_at_probe_times(self):
         m = _mk()
         dist = model.ExponentialJump(2.0)
-        paths = hawkes.simulate_hawkes_batch(m, dist, 5_000, 8)
-        rows = hawkes.martingale_residual_test(paths, [0.5, 1.0], dist.mean)
+        table = hawkes.simulate_events(m, dist, 5_000, 8)
+        rows = hawkes.martingale_residual_test(m, table, [0.5, 1.0], dist.mean)
         assert len(rows) == 4
         assert not any(r.flagged for r in rows)
 
     def test_requires_enough_paths(self):
         m = _mk()
-        paths = hawkes.simulate_hawkes_batch(m, model.ConstantJump(1.0), 10, 1)
+        table = hawkes.simulate_events(m, model.ConstantJump(1.0), 10, 1)
         with pytest.raises(ValueError):
-            hawkes.martingale_residual_test(paths, [0.5], 1.0)
+            hawkes.martingale_residual_test(m, table, [0.5], 1.0)
 
     @pytest.mark.parametrize(
         "params",
@@ -262,9 +322,9 @@ class TestMartingaleResiduals:
     def test_simulated_counts_match_moment_equation(self, params):
         m = _mk(**params)
         dist = model.ConstantJump(1.0)
-        paths = hawkes.simulate_hawkes_batch(m, dist, 8_000, 13)
+        table = hawkes.simulate_events(m, dist, 8_000, 13)
         for t in (0.25, 0.5, 1.0):
-            counts = np.array([p.n_at(t) for p in paths], dtype=float)
+            counts = hawkes.n_at(table, t).astype(float)
             en, _ = hawkes.mean_intensity_ode(m, t)
             se = counts.std(ddof=1) / math.sqrt(counts.size)
             assert abs(counts.mean() - en) <= 3 * se + 1e-12
@@ -274,8 +334,7 @@ class TestCompoundMoments:
     def test_moments_stabilize_as_paths_double(self):
         m = _mk()
         dist = model.ExponentialJump(2.0)
-        paths = hawkes.simulate_hawkes_batch(m, dist, 40_000, 19)
-        l_t = np.array([p.l_at(m.T) for p in paths])
+        l_t = hawkes.l_at(hawkes.simulate_events(m, dist, 40_000, 19), m.T)
         for s in (1, 2, 3, 4):
             half = float(np.mean(l_t[:20_000] ** s))
             full = float(np.mean(l_t**s))
@@ -285,10 +344,10 @@ class TestCompoundMoments:
 class TestEventCsv:
     def test_columns(self, tmp_path):
         m = _mk(lambda0=3.0)
-        paths = hawkes.simulate_hawkes_batch(m, model.ConstantJump(0.5), 3, 2)
+        table = hawkes.simulate_events(m, model.ConstantJump(0.5), 3, 2)
         out = tmp_path / "events.csv"
         with open(out, "w", newline="") as fh:
-            hawkes.write_event_csv(paths, fh)
+            hawkes.write_event_csv(m, table, fh)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "path_id,event_index,time,mark,lambda_after"
-        assert len(lines) == 1 + sum(p.event_times.size for p in paths)
+        assert len(lines) == 1 + table.times.size

@@ -1,0 +1,28 @@
+"""Smoke tests of the scripts under scripts/, which call the library API."""
+
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_compensator_study_prints_one_row_per_case_process_and_time():
+    script = ROOT / "scripts" / "compensator_study.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--paths", "1000"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split() == ["lambda0", "alpha", "beta", "proc", "t", "mean", "3se", "ok"]
+    cases = runpy.run_path(str(script))["CASES"]
+    keys = [tuple(row.split()[:5]) for row in rows]
+    want = {
+        (f"{c['lambda0']:.2f}", f"{c['alpha']:.2f}", f"{c['beta']:.2f}", proc, t)
+        for c in cases for proc in ("N", "L") for t in ("0.50", "1.00")
+    }
+    assert len(keys) == len(want) and set(keys) == want

@@ -56,9 +56,10 @@ class TestJumpBookkeeping:
             desk_model, DIST, "P", 16, 64, 21,
             selection=desk_selection, record_full=True,
         )
-        for b in res.bundles:
-            assert b.N[-1] == b.event_times.size
-            assert b.L[-1] == pytest.approx(b.marks.sum())
+        ev = res.events
+        for i, b in enumerate(res.bundles):
+            assert b.N[-1] == ev.counts[i]
+            assert b.L[-1] == pytest.approx(ev.marks[ev.offsets[i]:ev.offsets[i + 1]].sum())
             assert np.all(np.diff(b.N) >= 0)
             assert np.all(b.lam >= desk_model.lambda0 - 1e-12)
             assert np.all(b.v >= 0)
@@ -189,6 +190,8 @@ class TestReproducibility:
             assert np.array_equal(a.terminal[key], b.terminal[key])
             assert np.array_equal(a.terminal[key], c.terminal[key])
         assert np.array_equal(a.probes[1.0]["comp_n"], b.probes[1.0]["comp_n"])
+        assert np.array_equal(a.events.offsets, b.events.offsets)
+        assert np.array_equal(a.events.times, b.events.times)
 
     def test_seed_changes_results(self, desk_model, desk_selection):
         a = sde.simulate(desk_model, DIST, "P", 64, 64, 1, selection=desk_selection)
@@ -230,17 +233,17 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     """Reference: the chunk loop before sub-stepping.  Draws path by path,
     buckets path by path and runs every stage of a step over every path.
     Returns (terminal, probes, truncated fraction, bundles, largest number
-    of events of one path in one step)."""
+    of events of one path in one step, event table)."""
     p = m.params
     dt_u = p.T / n_steps
     events, marks, zbs, zws = [], [], [], []
     for i in range(n):
         rng = path_rng(seed, i)
-        hp = hawkes.simulate_hawkes(m, dist, seed, rng=rng)
-        events.append(hp.event_times)
-        marks.append(hp.marks)
-        zbs.append(rng.standard_normal(n_steps + hp.event_times.size))
-        zws.append(rng.standard_normal(n_steps + hp.event_times.size))
+        one = hawkes.draw_events([rng], p, dist, hawkes.DEFAULT_EVENT_CAP)
+        events.append(one.times)
+        marks.append(one.marks)
+        zbs.append(rng.standard_normal(n_steps + one.times.size))
+        zws.append(rng.standard_normal(n_steps + one.times.size))
     width = n_steps + max(e.size for e in events)
     ZB = np.zeros((n, width))
     ZW = np.zeros((n, width))
@@ -326,7 +329,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
             snap()
         if (k + 1) in probe_steps:
             probes[t_next] = {"N": n_ev.copy(), "L": l_ev.copy(), "comp_n": comp_n.copy(),
-                              "comp_l": dist.mean * comp_n, "X": np.exp(log_x)}
+                              "X": np.exp(log_x)}
     terminal = {"S": np.exp(log_s), "v": np.maximum(v, 0.0), "lam": lam, "N": n_ev,
                 "L": l_ev, "int_v": int_v, "X": np.exp(log_x)}
     bundles = []
@@ -335,12 +338,15 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
         keep = np.append(np.diff(ts) > 0, True)
         cols = [np.array([sn[c][i] for sn in snaps])[keep] for c in range(1, 8)]
         bundles.append((ts[keep], np.exp(cols[0]), np.maximum(cols[1], 0.0), *cols[2:6],
-                        np.exp(cols[6]), events[i], marks[i]))
-    return terminal, probes, trunc / active_total, bundles, max_order
+                        np.exp(cols[6])))
+    table = hawkes.EventTable.from_counts(
+        np.concatenate(events), np.concatenate(marks), [e.size for e in events]
+    )
+    return terminal, probes, trunc / active_total, bundles, max_order, table
 
 
 def _bundle_fields(b):
-    return (b.time_grid, b.S, b.v, b.lam, b.N, b.L, b.int_v, b.X, b.event_times, b.marks)
+    return (b.time_grid, b.S, b.v, b.lam, b.N, b.L, b.int_v, b.X)
 
 
 class TestSubSteppedStageLoop:
@@ -366,7 +372,7 @@ class TestSubSteppedStageLoop:
         [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0)],
     )
     def test_identical_at_dyadic_baseline(self, params, meas):
-        (terminal, probes, trunc, bundles, max_order), res = self._pair(params, meas)
+        (terminal, probes, trunc, bundles, max_order, table), res = self._pair(params, meas)
         if params.get("lambda0") == 6.0:
             assert max_order >= 3  # steps where one path has several events
         if params.get("alpha") == 0.0:
@@ -378,6 +384,8 @@ class TestSubSteppedStageLoop:
             for key, val in row.items():
                 assert np.array_equal(res.probes[t][key], val), (t, key)
         assert res.truncated_fraction == trunc
+        for key in ("times", "marks", "offsets"):
+            assert np.array_equal(getattr(res.events, key), getattr(table, key)), key
         assert len(res.bundles) == len(bundles)
         for b, ref_b in zip(res.bundles, bundles):
             for got, want in zip(_bundle_fields(b), ref_b):
@@ -385,7 +393,7 @@ class TestSubSteppedStageLoop:
 
     @pytest.mark.parametrize("meas", ["P", "Q"])
     def test_non_dyadic_baseline_moves_lambda_by_at_most_one_ulp(self, meas):
-        (terminal, probes, trunc, bundles, _), res = self._pair(
+        (terminal, probes, trunc, bundles, _, _), res = self._pair(
             dict(lambda0=0.7, alpha=1.6, beta=2.0), meas
         )
 
@@ -430,3 +438,32 @@ class TestAntithetic:
         disc = math.exp(-desk_model.r * desk_model.T) * pairs
         se = disc.std(ddof=1) / math.sqrt(disc.size)
         assert abs(disc.mean() - desk_model.S0) < 3 * se
+
+
+class TestClosedFormTie:
+    """The stage recursion's bookkeeping (N, the compensator and lambda)
+    against hawkes' closed forms over the result's own event table."""
+
+    @pytest.mark.parametrize(
+        "params, antithetic",
+        [(dict(), False), (dict(lambda0=6.0, alpha=1.6, beta=2.0), False), (dict(), True)],
+    )
+    def test_probes_and_terminal_equal_the_closed_forms(
+        self, params, antithetic, desk_selection
+    ):
+        m = _mk(**params)
+        res = sde.simulate(
+            m, DIST, "P", 3000, 128, 71, selection=desk_selection,
+            probe_times=(m.T / 2, m.T), antithetic=antithetic,
+        )
+        ev = res.events
+        assert ev.counts.size == res.n_paths
+        for t, pr in res.probes.items():
+            assert np.array_equal(pr["N"], hawkes.n_at(ev, t))
+            comp_n, _ = hawkes.compensator(m, ev, DIST.mean, t)
+            np.testing.assert_allclose(pr["comp_n"], comp_n, rtol=1e-12, atol=0)
+        lam_t = hawkes.lambda_at(m, ev, m.T)
+        np.testing.assert_allclose(res.terminal["lam"], lam_t, rtol=1e-12, atol=0)
+        if antithetic:
+            half = ev.head(3000)
+            assert np.array_equal(ev.times, np.concatenate([half.times, half.times]))

@@ -1,8 +1,11 @@
 import json
 import re
 
-from hhr import markov, measure, model, pide, sde, thiele, verification
+import pytest
+
+from hhr import hawkes, markov, measure, model, pide, sde, thiele, verification
 from hhr.config import config_from_dict, default_config_dict
+from hhr.errors import ConfigError
 from hhr.rng import derive_seed
 from hhr.sde import simulate
 from hhr.verification import Check, VerificationReport, _Suite, run_verification
@@ -71,6 +74,17 @@ class TestSuiteMechanics:
         ]
         x_t = drawn[0].terminal["X"][:2000]
         assert f"E[X_T] {x_t.mean():.5f} " in checks["rn_density"].detail
+        # the event-process checks read the events of the same P sample
+        cfg = config_from_dict(d)
+        lam_t = hawkes.lambda_at(cfg.validated_model(), drawn[0].events.head(2000), 1.0)
+        assert f"mean lambda_T {lam_t.mean():.5f} " in checks["hawkes_mean_law"].detail
+
+    def test_unknown_tolerance_key_is_refused(self):
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6",
+                        tolerances={"hawkes_mean_law": 2.0, "compensator_pp": 2.0})
+        with pytest.raises(ConfigError, match="names no check: compensator_pp$"):
+            run_verification(config_from_dict(d))
 
     def test_tolerance_override_scales_budget(self):
         cfg = config_from_dict(default_config_dict())
@@ -134,9 +148,14 @@ class TestDegenerateConfigs:
             calls.append(args[2])
             return simulate(*args, **kwargs)
 
+        def no_batch(*args, **kwargs):
+            raise AssertionError("the suite draws no separate event batch")
+
         # both names: a second Monte Carlo path in `sde` would be counted too
         monkeypatch.setattr(verification, "simulate", counted)
         monkeypatch.setattr(sde, "simulate", counted)
+        monkeypatch.setattr(hawkes, "simulate_hawkes_batch", no_batch)
+        monkeypatch.setattr(hawkes, "simulate_events", no_batch)
         rep = run_verification(config_from_dict(d))
         failures = [c.name for c in rep.checks if not c.passed]
         assert rep.passed, failures
