@@ -12,7 +12,6 @@ from .errors import (
     EventOverflow,
     HypothesisViolated,
     InvalidModel,
-    MissingPrice,
     NonConvergence,
     TimeOrderError,
 )

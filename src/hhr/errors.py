@@ -64,10 +64,6 @@ class TimeOrderError(HHRError, ValueError):
     """Times passed in the wrong order (need t <= s)."""
 
 
-class MissingPrice(HHRError, KeyError):
-    """A required price-surface entry is absent from the price table."""
-
-
 class ConfigError(HHRError, ValueError):
     """Configuration document failed validation."""
 

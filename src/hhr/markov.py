@@ -3,7 +3,9 @@ probabilities through the backward equations, and contract cash flows.
 
 Intensities are piecewise-constant in time, so each constant segment admits
 the matrix-exponential closed form; an adaptive Runge-Kutta route is kept as
-the cross-checking alternative.
+the cross-checking alternative.  On a uniform maturity lattice the
+probabilities are chained from one step exponential per segment
+(lattice_probs).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "PolicySpec",
     "generator_matrix",
     "transition_probs",
+    "lattice_probs",
     "theta_rate",
     "theta_payoff",
     "pure_endowment",
@@ -64,9 +67,6 @@ class PolicySpec:
 
     def rate_payoff(self, state: str) -> Payoff:
         return self.rate.get(state, ZERO)
-
-    def transition_payoff(self, j: str, k: str) -> Payoff:
-        return self.transition.get((j, k), ZERO)
 
     def mu(self, j: str, k: str, t):
         pw = self.intensities.get((j, k))
@@ -126,6 +126,37 @@ def transition_probs(
     return p
 
 
+def lattice_probs(policy: PolicySpec, t: float, s: float, n: int) -> list[np.ndarray]:
+    """p_ij(t, u) at the n nodes u of linspace(t, s, n), chained along the
+    lattice: p(t, u_{m+1}) = p(t, u_m) p(u_m, u_{m+1}).
+
+    The step matrix exp(Q h) is computed once per constant segment of the
+    intensities, and a step that straddles a breakpoint is split there, so a
+    lattice costs one matrix exponential per segment and per straddled
+    breakpoint instead of one per node.  Each step adds a rounding, so the
+    nodes agree with transition_probs to about n ulps.
+    """
+    if not 0 <= t <= s:
+        raise TimeOrderError(f"need 0 <= t <= s, got t={t}, s={s}")
+    if n < 2:
+        raise ValueError("a lattice needs at least 2 nodes")
+    us = np.linspace(t, s, n)
+    h = (s - t) / (n - 1)
+    cuts = policy.breakpoints()
+    steps = {}
+    out = [np.eye(policy.n_states)]
+    for a, b in zip(us[:-1], us[1:]):
+        if np.any((a < cuts) & (cuts < b)):
+            step = transition_probs(policy, a, b)
+        else:
+            segment = int(np.searchsorted(cuts, a, side="right"))
+            if segment not in steps:
+                steps[segment] = transition_probs(policy, a, a + h)
+            step = steps[segment]
+        out.append(out[-1] @ step)
+    return out
+
+
 def theta_rate(policy: PolicySpec, j: str, s: float, x):
     """Combined payment rate g_j(s,x) + sum_k mu_jk(s) h_jk(s,x)."""
     out = np.asarray(policy.rate_payoff(j)(s, x), dtype=float)
@@ -159,9 +190,6 @@ class _ThetaPayoff:
 
     def __call__(self, s, x):
         return theta_rate(self.policy, self.state, s, x)
-
-    def key(self) -> str:
-        return f"theta:{self.state}"
 
 
 def theta_payoff(policy: PolicySpec, state: str) -> _ThetaPayoff:

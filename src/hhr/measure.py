@@ -290,7 +290,6 @@ def select_measure(
     """Certify `a` (or `fraction` of the level's bound) against its band."""
     if report is None:
         report = a_bounds(model, dist, epsilon1=epsilon1, epsilon2=epsilon2)
-    level = level
     if level == "E":
         bound = report.bound_e
     elif level == "Em":

@@ -42,9 +42,6 @@ class Payoff:
     def is_zero(self) -> bool:
         return self.kind in ("constant", "linear") and self.value == 0.0
 
-    def key(self) -> str:
-        return f"{self.kind}:{self.value!r}"
-
 
 def constant(c: float = 1.0) -> Payoff:
     return Payoff("constant", c)

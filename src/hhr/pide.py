@@ -25,7 +25,7 @@ from .hawkes import expected_events
 from .measure import MeasureSelection, q_dynamics
 from .model import ConstantJump, ExponentialJump, JumpDistribution, ValidatedModel
 
-__all__ = ["Grid4", "build_grid", "PIDESolution", "apply_generator", "solve_price_pide"]
+__all__ = ["Grid4", "build_grid", "PIDESolution", "solve_price_pide"]
 
 _GL_NODES = 32
 
@@ -369,31 +369,13 @@ class Stepper:
         return out
 
 
-def apply_generator(
-    values: np.ndarray,
-    grid: Grid4,
-    model: ValidatedModel,
-    selection: MeasureSelection,
-    dist: JumpDistribution,
-) -> np.ndarray:
-    """Apply the discretized generator to a grid function of shape (nx, ny, nz)."""
-    st = Stepper(grid, model, selection, dist)
-    return st.generator(np.asarray(values, dtype=float))
-
-
 @dataclass
 class PIDESolution:
     """Backward solution layers; values[k] is the surface at grid.t[k]."""
 
     grid: Grid4
-    payoff_key: str
-    maturity: float
-    a: float
     values: np.ndarray  # (nt+1, nx, ny, nz)
     diagnostics: dict = field(default_factory=dict)
-
-    def layer(self, k: int) -> np.ndarray:
-        return self.values[k]
 
     def at(self, t_index: int, x: float, y: float, z: float) -> float:
         g = self.grid
@@ -438,9 +420,6 @@ def solve_price_pide(
             out[k] = st.step(out[k + 1], dt)
     return PIDESolution(
         grid=grid,
-        payoff_key=getattr(payoff, "key", lambda: str(payoff))(),
-        maturity=maturity,
-        a=selection.a,
         values=out,
         diagnostics={"clamped_jump_mass": st.clamp_mass, "n_steps": nt},
     )

@@ -1,6 +1,7 @@
 """Mathematical reserves two independent ways: the quadrature representation
-over transition probabilities and price surfaces, and the coupled backward
-reserve equation; the two routes cross-validate each other.
+over transition probabilities and price surfaces, summed node by node on one
+maturity lattice, and the coupled backward reserve equation; the two routes
+cross-validate each other.
 """
 
 from __future__ import annotations
@@ -8,19 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import MissingPrice
-from .markov import PolicySpec, theta_payoff, transition_probs
+from .markov import PolicySpec, lattice_probs, theta_payoff, transition_probs
 from .measure import MeasureSelection
 from .model import JumpDistribution, ValidatedModel
+from .payoff import constant
 from .pide import Grid4, Stepper, solve_price_pide
 
 __all__ = [
     "ReserveSurface",
     "ReserveLayer",
-    "PriceTable",
-    "build_price_table",
     "reserve_quadrature",
     "solve_thiele_pide",
     "equivalence_premium",
@@ -35,11 +33,6 @@ class ReserveSurface:
     grid: Grid4
     states: tuple[str, ...]
     values: dict
-    method: str
-    a: float
-
-    def layer(self, state: str, k: int) -> np.ndarray:
-        return self.values[state][k]
 
     def z_gradient(self, state: str, k: int) -> np.ndarray:
         """dV/dz on layer k, emitted as a diagnostic: the reserve's intensity
@@ -59,33 +52,7 @@ class ReserveLayer:
     t: float
     states: tuple[str, ...]
     values: dict
-    method: str
-    a: float
     diagnostics: dict = field(default_factory=dict)
-
-
-class PriceTable:
-    """Price surfaces keyed by (payoff label, maturity); the quadrature
-    consumes these and refuses to run when one is missing."""
-
-    def __init__(self):
-        self._entries = {}
-
-    @staticmethod
-    def _key(label: str, maturity: float):
-        return label, round(float(maturity), 12)
-
-    def put(self, label: str, maturity: float, layer: np.ndarray) -> None:
-        self._entries[self._key(label, maturity)] = layer
-
-    def get(self, label: str, maturity: float) -> np.ndarray:
-        key = self._key(label, maturity)
-        if key not in self._entries:
-            raise MissingPrice(f"no price surface for {key[0]!r} at s={key[1]}")
-        return self._entries[key]
-
-    def __contains__(self, key):
-        return self._key(*key) in self._entries
 
 
 def _simpson_weights(n_nodes: int) -> np.ndarray:
@@ -128,37 +95,6 @@ def _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target
     return [layers[m] for m in pos]
 
 
-def build_price_table(
-    policy: PolicySpec,
-    model: ValidatedModel,
-    selection: MeasureSelection,
-    dist: JumpDistribution,
-    grid: Grid4,
-    t: float,
-    maturities: np.ndarray,
-) -> PriceTable:
-    """Solve every price surface the quadrature needs at evaluation time t.
-
-    Every maturity node is read from one backward march per distinct payoff
-    (per constant segment of the intensities for the payment rates);
-    `maturities` must be uniform nodes from t, as the quadrature uses.
-    """
-    table = PriceTable()
-    dt_target = model.T / (len(grid.t) - 1) if len(grid.t) > 1 else model.T / 64
-    T = policy.horizon
-    for j in policy.states:
-        f = policy.terminal_payoff(j)
-        if not f.is_zero:
-            (layer,) = _march_layers(f, t, [T], model, selection, dist, grid, dt_target)
-            table.put(f"f:{j}", T, layer)
-        th = theta_payoff(policy, j)
-        if not th.is_zero:
-            layers = _march_layers(th, t, maturities, model, selection, dist, grid, dt_target)
-            for s, layer in zip(maturities, layers):
-                table.put(th.key(), s, layer)
-    return table
-
-
 def reserve_quadrature(
     policy: PolicySpec,
     model: ValidatedModel,
@@ -167,68 +103,69 @@ def reserve_quadrature(
     grid: Grid4,
     t: float,
     *,
-    prices: PriceTable | None = None,
     n_maturities: int = 33,
     refine_budget: float = 1e-3,
 ) -> ReserveLayer:
     """V_i(t) = sum_j p_ij(t,T) U_T^{f_j}(t) + int_t^T sum_j p_ij(t,s) U_s^{theta_j}(t) ds.
 
-    The maturity integral uses composite Simpson on n_maturities nodes; the
-    embedded half-resolution rule on every other node gives a Richardson
-    error estimate and the node count is doubled once if that estimate
-    exceeds refine_budget (relative).  The price surfaces come from the
-    supplied table, or are read from one backward march per distinct payoff
-    (build_price_table).
+    The maturity integral uses composite Simpson on n_maturities nodes
+    ss = linspace(t, T, n_maturities); p_ij(t, s) and every U_s^{theta_j}(t)
+    are held as lists indexed by node, the former chained along the lattice
+    (lattice_probs), the latter read from one backward march per distinct
+    payoff (_march_layers), and U_T^{f_j}(t) is marched once.  The embedded
+    half-resolution rule on every other node gives a Richardson error
+    estimate; if it exceeds refine_budget (relative) the node count is
+    doubled once, which chains the probabilities again and marches only the
+    theta payoffs again.
     """
     T = policy.horizon
     idx = policy.index
-    terminal = [j for j in policy.states if not policy.terminal_payoff(j).is_zero]
-    running = [theta_payoff(policy, j) for j in policy.states]
-    running = [(th.state, th.key()) for th in running if not th.is_zero]
-    probs = {}
+    p_T = transition_probs(policy, t, T)  # refuses t outside [0, T] before any solve
+    dt_target = model.T / (len(grid.t) - 1) if len(grid.t) > 1 else model.T / 64
 
-    def p(s):
-        key = round(float(s), 12)
-        if key not in probs:
-            probs[key] = transition_probs(policy, t, s)
-        return probs[key]
+    def march(payoff, maturities):
+        return _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target)
 
-    def assemble(ss, table):
+    terminal = []
+    for j in policy.states:
+        f = policy.terminal_payoff(j)
+        if not f.is_zero:
+            terminal.append((idx(j), march(f, [T])[0]))
+    thetas = [theta_payoff(policy, j) for j in policy.states] if T > t else []
+    thetas = [th for th in thetas if not th.is_zero]
+
+    def assemble(ss, probs, running):
         w = _simpson_weights(len(ss)) * ((T - t) / (len(ss) - 1))
         out = {}
         for i in policy.states:
             acc = np.zeros(grid.shape)
-            for j in terminal:
-                acc += p(T)[idx(i), idx(j)] * table.get(f"f:{j}", T)
-            if T > t:
-                for m, s in enumerate(ss):
-                    for j, key in running:
-                        acc += w[m] * p(s)[idx(i), idx(j)] * table.get(key, s)
+            for j, layer in terminal:
+                acc += p_T[idx(i), j] * layer
+            for m, wm in enumerate(w):
+                for j, layers in running:
+                    acc += wm * probs[m][idx(i), j] * layers[m]
             out[i] = acc
         return out
 
-    def solve(n_nodes):
-        ss = np.linspace(t, T, n_nodes)
-        table = prices
-        if table is None:
-            table = build_price_table(policy, model, selection, dist, grid, t, ss)
-        return ss, table, assemble(ss, table)
-
-    p(T)  # refuses t outside [0, T] (TimeOrderError) before any solve
-    ss, table, fine = solve(n_maturities)
+    ss = np.linspace(t, T, n_maturities)
+    running = [(idx(th.state), march(th, ss)) for th in thetas]
+    probs = lattice_probs(policy, t, T, n_maturities) if thetas else []
+    fine = assemble(ss, probs, running)
     refined = False
-    if running and T > t and prices is None and n_maturities >= 5 and len(ss[::2]) % 2:
-        coarse = assemble(ss[::2], table)
+    if running and n_maturities >= 5 and len(ss[::2]) % 2:
+        coarse = assemble(ss[::2], probs[::2], [(j, layers[::2]) for j, layers in running])
         worst = 0.0
         for i in policy.states:
             scale = max(float(np.max(np.abs(fine[i]))), 1e-12)
             worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
         if worst > refine_budget:
-            ss, _, fine = solve(2 * n_maturities - 1)
+            ss = np.linspace(t, T, 2 * n_maturities - 1)
+            running = [(idx(th.state), march(th, ss)) for th in thetas]
+            probs = lattice_probs(policy, t, T, len(ss))
+            fine = assemble(ss, probs, running)
             refined = True
     return ReserveLayer(
         grid=grid, t=t, states=policy.states, values=fine,
-        method="quadrature", a=selection.a,
         diagnostics={"n_maturities": len(ss), "refined": refined},
     )
 
@@ -285,9 +222,7 @@ def solve_thiele_pide(
                 if mu:
                     source += mu * (cur[b] - cur[i])
             vals[i][k] = st.step(cur[i], dt, source=source)
-    return ReserveSurface(
-        grid=grid, states=policy.states, values=vals, method="pide", a=selection.a
-    )
+    return ReserveSurface(grid=grid, states=policy.states, values=vals)
 
 
 def equivalence_premium(
@@ -303,11 +238,8 @@ def equivalence_premium(
     """Constant premium rate pi with V(0) = 0 at the anchor point, where the
     premium is paid continuously while in `premium_state`.
 
-    Solved as a scalar root-find of benefits(0) - pi * annuity(0).
+    The reserve is linear in the premium, so pi = benefits(0) / annuity(0).
     """
-    from .markov import PolicySpec as _PS
-    from .payoff import constant
-
     p = model.params
     if probe is None:
         probe = (p.S0, p.v0, p.lambda0)
@@ -316,7 +248,7 @@ def equivalence_premium(
     iz = grid.index_near("z", probe[2])
 
     benefits = reserve_quadrature(policy, model, selection, dist, grid, 0.0)
-    annuity_policy = _PS(
+    annuity_policy = PolicySpec(
         states=policy.states,
         horizon=policy.horizon,
         intensities=policy.intensities,
@@ -325,5 +257,4 @@ def equivalence_premium(
     annuity = reserve_quadrature(annuity_policy, model, selection, dist, grid, 0.0)
     vb = benefits.values[premium_state][ix, iy, iz]
     va = annuity.values[premium_state][ix, iy, iz]
-    hi = 2.0 * vb / va if va > 0 else 1.0
-    return float(brentq(lambda pi: vb - pi * va, 0.0, max(hi, 1e-12), xtol=1e-12))
+    return float(vb / va)

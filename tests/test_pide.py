@@ -63,20 +63,20 @@ class TestGenerator:
         m, sel, grid = setup
         shape = grid.shape
         f = np.broadcast_to(grid.x[:, None, None], shape)
-        out = pide.apply_generator(f, grid, m, sel, DIST)
+        out = pide.Stepper(grid, m, sel, DIST).generator(f)
         interior = out[1:-1, :, :] / f[1:-1, :, :]
         assert np.max(np.abs(interior - m.r)) < 1e-10
 
     def test_constant_annihilated(self, setup):
         m, sel, grid = setup
-        out = pide.apply_generator(np.ones(grid.shape), grid, m, sel, DIST)
+        out = pide.Stepper(grid, m, sel, DIST).generator(np.ones(grid.shape))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_linear_in_y_hits_drift_plus_jump_mean(self, setup):
         m, sel, grid = setup
         kap_a, vbar_a = measure.q_dynamics(m, sel)
         f = np.broadcast_to(grid.y[None, :, None], grid.shape).copy()
-        out = pide.apply_generator(f, grid, m, sel, DIST)
+        out = pide.Stepper(grid, m, sel, DIST).generator(f)
         target = -kap_a * (grid.y[None, :, None] - vbar_a) + grid.z[
             None, None, :
         ] * m.eta * DIST.mean

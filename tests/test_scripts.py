@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/, which call the library API."""
 
+import math
 import os
 import runpy
 import subprocess
@@ -26,3 +27,16 @@ def test_compensator_study_prints_one_row_per_case_process_and_time():
         for c in cases for proc in ("N", "L") for t in ("0.50", "1.00")
     }
     assert len(keys) == len(want) and set(keys) == want
+
+
+def test_premium_sweep_prints_one_row_per_guarantee_level():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "premium_sweep.py"), "--grid", "16x12x8x6"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split() == ["guarantee", "premium", "rate"]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(col)) for row in rows for col in row.split())

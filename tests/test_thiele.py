@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hhr import markov, measure, model, payoff, pide, thiele
-from hhr.errors import MissingPrice
+from hhr.errors import TimeOrderError
 
 from conftest import desk_params
 
@@ -178,51 +178,34 @@ class TestDiagnostics:
         assert 0 < float(np.max(np.abs(gz))) < 0.05 * scale
 
 
-class TestPriceTable:
-    def test_missing_price_raises(self, setup):
-        m, sel, grid = setup
-        pol = markov.term_insurance(1.0, 0.02)
-        empty = thiele.PriceTable()
-        with pytest.raises(MissingPrice):
-            thiele.reserve_quadrature(
-                pol, m, sel, DIST, grid, 0.0, prices=empty, n_maturities=5
-            )
-
-    def test_prebuilt_table_is_used(self, setup):
-        m, sel, grid = setup
-        pol = markov.pure_endowment(1.0, 0.02)
-        table = thiele.build_price_table(
-            pol, m, sel, DIST, grid, 0.0, np.linspace(0.0, 1.0, 5)
-        )
-        out = thiele.reserve_quadrature(
-            pol, m, sel, DIST, grid, 0.0, prices=table, n_maturities=5
-        )
-        assert float(np.max(out.values["alive"])) > 0
-
-
-def _per_node_table(pol, m, sel, grid, t, maturities):
-    """One solve_price_pide per maturity node: the loop the single march per
-    payoff replaced, kept as the reference."""
+def _per_node_layers(pay, t, maturities, m, sel, grid):
+    """{s: U_s(t)} from one solve_price_pide per maturity node: the loop the
+    single march per payoff replaced, kept as the reference."""
     dt_target = m.T / (len(grid.t) - 1)
-
-    def layer(pay, s):
+    layers = {}
+    for s in maturities:
+        s = float(s)
         if s <= t + 1e-14:
             term = np.asarray(pay(s, grid.x), dtype=float)
-            return np.broadcast_to(term[:, None, None], grid.shape).copy()
+            layers[s] = np.broadcast_to(term[:, None, None], grid.shape).copy()
+            continue
         nt = max(2, int(round((s - t) / dt_target)))
         sub = pide.Grid4(t=np.linspace(t, s, nt + 1), x=grid.x, y=grid.y, z=grid.z)
-        return pide.solve_price_pide(pay, s, m, sel, DIST, sub).values[0]
+        layers[s] = pide.solve_price_pide(pay, s, m, sel, DIST, sub).values[0]
+    return layers
 
-    table = thiele.PriceTable()
-    for j in pol.states:
-        f = pol.terminal_payoff(j)
-        if not f.is_zero:
-            table.put(f"f:{j}", pol.horizon, layer(f, pol.horizon))
-        th = markov.theta_payoff(pol, j)
-        if not th.is_zero:
-            for s in maturities:
-                table.put(th.key(), s, layer(th, s))
-    return table
+
+def _counted(monkeypatch, name):
+    """Replace thiele.<name> by a wrapper that records its calls."""
+    calls = []
+    fn = getattr(thiele, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(thiele, name, counted)
+    return calls
 
 
 class TestSingleMarch:
@@ -250,37 +233,67 @@ class TestSingleMarch:
                 transition={("alive", "dead"): payoff.guarantee(g)},
             )
         ss = np.linspace(0.0, 1.0, 9)
-        ref_table = _per_node_table(pol, m, sel, grid, 0.0, ss)
-        calls = []
-        solve = thiele.solve_price_pide
+        dt_target = m.T / (len(grid.t) - 1)
+        theta = markov.theta_payoff(pol, "alive")
+        f = pol.terminal_payoff("alive")
+        ref_theta = _per_node_layers(theta, 0.0, ss, m, sel, grid)
+        ref_f = _per_node_layers(f, 0.0, [1.0], m, sel, grid)
 
-        def counted(*args):
-            calls.append(args[1])
-            return solve(*args)
-
-        monkeypatch.setattr(thiele, "solve_price_pide", counted)
-        table = thiele.build_price_table(pol, m, sel, DIST, grid, 0.0, ss)
+        calls = _counted(monkeypatch, "solve_price_pide")
+        got = thiele._march_layers(theta, 0.0, ss, m, sel, DIST, grid, dt_target)
+        (got_f,) = thiele._march_layers(f, 0.0, [1.0], m, sel, DIST, grid, dt_target)
         assert len(calls) == marches
-        for s in ss:
-            got = table.get("theta:alive", s)
-            assert np.array_equal(got, ref_table.get("theta:alive", s))
-        assert np.array_equal(table.get("f:alive", 1.0), ref_table.get("f:alive", 1.0))
-        got = thiele.reserve_quadrature(
+        for s, layer in zip(ss, got):
+            assert np.array_equal(layer, ref_theta[float(s)])
+        assert np.array_equal(got_f, ref_f[1.0])
+
+        marched = thiele.reserve_quadrature(
             pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=np.inf
         )
+
+        def per_node(pay, t, maturities, *_):
+            layers = _per_node_layers(pay, t, maturities, m, sel, grid)
+            return [layers[float(s)] for s in maturities]
+
+        monkeypatch.setattr(thiele, "_march_layers", per_node)
         ref = thiele.reserve_quadrature(
-            pol, m, sel, DIST, grid, 0.0, prices=ref_table, n_maturities=9
+            pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=np.inf
         )
         for state in pol.states:
-            assert np.array_equal(got.values[state], ref.values[state])
+            assert np.array_equal(marched.values[state], ref.values[state])
 
     def test_off_lattice_maturities_rejected(self, small):
         m, sel, grid = small
-        pol = markov.term_insurance(1.0, 0.02)
+        theta = markov.theta_payoff(markov.term_insurance(1.0, 0.02), "alive")
         with pytest.raises(ValueError):
-            thiele.build_price_table(
-                pol, m, sel, DIST, grid, 0.0, np.array([0.0, 0.25, 0.6, 1.0])
+            thiele._march_layers(
+                theta, 0.0, np.array([0.0, 0.25, 0.6, 1.0]), m, sel, DIST, grid, 1.0 / 16
             )
+
+    def test_refinement_remarches_only_the_payment_rates(self, small, monkeypatch):
+        # one march each for f and theta, then theta again on the doubled
+        # lattice; p(t, T) once for the terminal term and one probability
+        # chain per lattice
+        m, sel, grid = small
+        pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
+        solves = _counted(monkeypatch, "solve_price_pide")
+        probs = _counted(monkeypatch, "transition_probs")
+        chains = _counted(monkeypatch, "lattice_probs")
+        out = thiele.reserve_quadrature(
+            pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=0.0
+        )
+        assert out.diagnostics == {"n_maturities": 17, "refined": True}
+        assert len(solves) == 3
+        assert len(probs) == 1
+        assert [args[3] for args in chains] == [9, 17]
+
+    def test_time_outside_horizon_refused_before_any_solve(self, small, monkeypatch):
+        m, sel, grid = small
+        pol = markov.endowment_guarantee(1.0, 0.02, m.S0)
+        solves = _counted(monkeypatch, "solve_price_pide")
+        with pytest.raises(TimeOrderError):
+            thiele.reserve_quadrature(pol, m, sel, DIST, grid, 1.5)
+        assert solves == []
 
 
 class TestSimpson:
