@@ -6,7 +6,6 @@ multi-state reserves computed two independent ways.
 
 from .errors import (
     AdmissibilityError,
-    CFLViolation,
     ConfigError,
     DomainError,
     EventOverflow,

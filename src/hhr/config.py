@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .markov import PolicySpec
@@ -117,10 +117,27 @@ def _parse_policy(d: dict, default_horizon: float) -> PolicySpec:
         raise ConfigError(f"bad policy section: {exc}") from exc
 
 
+def _unknown_keys(d: dict) -> list[str]:
+    """Dotted names of the keys that no section of the config reads."""
+    model = d["model"]
+    sections = {
+        "": (d, {"model", "measure", "policy", "run"}),
+        "model.": (model, {f.name for f in fields(ModelParams)} - {"mu"} | {"mu_breakpoints", "jump"}),
+        "model.jump.": (model.get("jump"), {"kind", "value", "rate"}),
+        "measure.": (d.get("measure"), {f.name for f in fields(MeasureConfig)}),
+        "run.": (d.get("run"), {f.name for f in fields(RunSettings)}),
+    }
+    return [prefix + k for prefix, (section, keys) in sections.items()
+            if isinstance(section, dict) for k in section if k not in keys]
+
+
 def config_from_dict(d: dict) -> RunConfig:
     problems = []
     if "model" not in d:
         raise ConfigError("config needs a 'model' section")
+    unknown = _unknown_keys(d)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     md = dict(d["model"])
     jump_spec = md.pop("jump", None)
     if jump_spec is None:

@@ -48,18 +48,6 @@ class HypothesisViolated(DomainError):
     """Closed-form moment formula called outside its validity hypothesis."""
 
 
-class CFLViolation(HHRError, RuntimeError):
-    """Explicit part of the time stepping exceeds its stability bound."""
-
-    def __init__(self, dt, dt_max):
-        super().__init__(
-            f"time step {dt:.6g} exceeds the explicit stability bound; "
-            f"admissible dt <= {dt_max:.6g}"
-        )
-        self.dt = dt
-        self.dt_max = dt_max
-
-
 class TimeOrderError(HHRError, ValueError):
     """Times passed in the wrong order (need t <= s)."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import CFLViolation, DomainError
+from .errors import DomainError
 from .hawkes import expected_events
 from .measure import MeasureSelection, q_dynamics
 from .model import ConstantJump, ExponentialJump, JumpDistribution, ValidatedModel
@@ -234,6 +234,17 @@ def _tail_mass(dist: JumpDistribution, eta: float, y0: float, y_max: float) -> f
     raise NotImplementedError(f"no tail mass for {type(dist).__name__}")
 
 
+def _apply_tridiag(op, U: np.ndarray, axis: int) -> np.ndarray:
+    """Rows (lo, di, up) of a tridiagonal operator applied along `axis` of U;
+    a row's trailing dimensions match U's once `axis` is moved first."""
+    U = np.moveaxis(U, axis, 0)
+    lo, di, up = (c.reshape(c.shape + (1,) * (U.ndim - c.ndim)) for c in op)
+    out = di * U
+    out[1:] += lo[1:] * U[:-1]
+    out[:-1] += up[:-1] * U[1:]
+    return np.moveaxis(out, 0, axis)
+
+
 def _tridiag_factors(lo, di, up, dt):
     """LU factors (LAPACK dgttrf) of I - dt*A; None on a one-node axis,
     where the system is the identity."""
@@ -259,18 +270,14 @@ class Stepper:
 
     def __init__(self, grid: Grid4, model: ValidatedModel, selection: MeasureSelection,
                  dist: JumpDistribution):
-        p = model.params if hasattr(model, "params") else model
+        p = model.params
         self.grid = grid
         self.r = p.r
         kappa_a, vbar_a = q_dynamics(model, selection)
         x, y, z = grid.x, grid.y, grid.z
         nx, ny, nz = grid.shape
 
-        self.x_ops = []
-        for yk in y:
-            conv = p.r * x
-            diff = 0.5 * x**2 * yk
-            self.x_ops.append(_axis_operator(x, conv, diff))
+        self.x_ops = [_axis_operator(x, p.r * x, 0.5 * x**2 * yk) for yk in y]
         self.y_op = _axis_operator(y, -kappa_a * (y - vbar_a), 0.5 * p.sigma**2 * y)
         self.z_op = _axis_operator(z, -p.beta * (z - p.lambda0), np.zeros(nz))
 
@@ -285,10 +292,6 @@ class Stepper:
     def dt_max_explicit(self) -> float:
         """Positivity bound of the explicit jump relaxation."""
         return 1.0 / float(self.z_vec[-1])
-
-    def check_cfl(self, dt: float) -> None:
-        if dt > self.dt_max_explicit * (1 + 1e-12):
-            raise CFLViolation(dt, self.dt_max_explicit)
 
     def jump_term(self, U: np.ndarray) -> np.ndarray:
         shifted = U @ self.p_z.T
@@ -340,32 +343,26 @@ class Stepper:
         return out
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:
-        """One backward step of size dt; `source` is added explicitly."""
-        W = U + dt * self.explicit_terms(U)
-        if source is not None:
-            W = W + dt * source
-        W = self.implicit_sweeps(W, dt)
-        return math.exp(-self.r * dt) * W
+        """One backward step of size dt, `source` added explicitly and held over
+        the step, in ceil(dt / dt_max_explicit) equal substeps past that bound."""
+        bound = self.dt_max_explicit
+        n = 1 if dt <= bound * (1 + 1e-12) else math.ceil(dt / bound)
+        dt = dt / n
+        for _ in range(n):
+            W = U + dt * self.explicit_terms(U)
+            if source is not None:
+                W = W + dt * source
+            W = self.implicit_sweeps(W, dt)
+            U = math.exp(-self.r * dt) * W
+        return U
 
     def generator(self, U: np.ndarray) -> np.ndarray:
-        """Full explicit application of the generator (no reaction term)."""
-        nx, ny, nz = self.grid.shape
+        """Full explicit application of the generator (no reaction term):
+        the explicit terms plus the tridiagonal operators the sweeps invert."""
+        x_op = tuple(np.stack(c, axis=1) for c in zip(*self.x_ops))  # (nx, ny) rows
         out = self.explicit_terms(U)
-        for k in range(ny):
-            lo, di, up = self.x_ops[k]
-            out[:, k, :] += di[:, None] * U[:, k, :]
-            out[1:, k, :] += lo[1:, None] * U[:-1, k, :]
-            out[:-1, k, :] += up[:-1, None] * U[1:, k, :]
-        lo, di, up = self.y_op
-        out += di[None, :, None] * U
-        if ny > 1:
-            out[:, 1:, :] += lo[None, 1:, None] * U[:, :-1, :]
-            out[:, :-1, :] += up[None, :-1, None] * U[:, 1:, :]
-        lo, di, up = self.z_op
-        out += di[None, None, :] * U
-        if nz > 1:
-            out[:, :, 1:] += lo[None, None, 1:] * U[:, :, :-1]
-            out[:, :, :-1] += up[None, None, :-1] * U[:, :, 1:]
+        for op, axis in ((x_op, 0), (self.y_op, 1), (self.z_op, 2)):
+            out += _apply_tridiag(op, U, axis)
         return out
 
 
@@ -405,8 +402,6 @@ def solve_price_pide(
     st = Stepper(grid, model, selection, dist)
     nt = len(grid.t) - 1
     dt = grid.t[1] - grid.t[0] if nt else 0.0
-    if nt:
-        st.check_cfl(dt)
     nx, ny, nz = grid.shape
     out = np.empty((nt + 1, nx, ny, nz))
     term = np.asarray(payoff(maturity, grid.x), dtype=float)

@@ -13,7 +13,7 @@ import numpy as np
 from .markov import PolicySpec, lattice_probs, theta_payoff, transition_probs
 from .measure import MeasureSelection
 from .model import JumpDistribution, ValidatedModel
-from .payoff import constant
+from .payoff import ZERO, constant
 from .pide import Grid4, Stepper, solve_price_pide
 
 __all__ = [
@@ -188,7 +188,6 @@ def solve_thiele_pide(
     st = Stepper(grid, model, selection, dist)
     nt = len(grid.t) - 1
     dt = grid.t[1] - grid.t[0]
-    st.check_cfl(dt)
     nx, ny, nz = grid.shape
     T = policy.horizon
 
@@ -207,20 +206,15 @@ def solve_thiele_pide(
             g = policy.rate_payoff(i)
             if not g.is_zero:
                 source += np.asarray(g(t_expl, grid.x), dtype=float)[:, None, None]
-            for (a, b), pay in policy.transition.items():
+            for (a, b), pw in policy.intensities.items():
                 if a != i:
                     continue
-                mu = float(policy.mu(a, b, t_expl))
+                mu = float(pw(t_expl))
                 if mu == 0.0:
                     continue
+                pay = policy.transition.get((a, b), ZERO)
                 h = np.asarray(pay(t_expl, grid.x), dtype=float)[:, None, None]
                 source += mu * (h + cur[b] - cur[i])
-            for (a, b), pw in policy.intensities.items():
-                if a != i or (a, b) in policy.transition:
-                    continue
-                mu = float(pw(t_expl))
-                if mu:
-                    source += mu * (cur[b] - cur[i])
             vals[i][k] = st.step(cur[i], dt, source=source)
     return ReserveSurface(grid=grid, states=policy.states, values=vals)
 

@@ -464,8 +464,9 @@ def _classical_reduction_deviation(p, dist, cfg) -> float:
     long_model = validate(replace(p, T=horizon))
     sel, _ = cfg.selection(long_model)
     pol = term_insurance(horizon, mu_rate)
-    # the explicit jump relaxation needs dt below 1/z_max, and z_max grows
-    # with the horizon, hence the large step count on this small grid
+    # the step count serves accuracy, not stability (the stepper substeps a
+    # coarse grid): the coupling source is held over each step, and the
+    # deviation is 9e-6 at 1024 steps, 6.7e-5 at 128, 1.6e-4 at 64 (gate 1e-4)
     grid = pide.build_grid(long_model, horizon, 1024, 12, 8, 4)
     surf = thiele.solve_thiele_pide(pol, long_model, sel, dist, grid)
     got = float(surf.values["alive"][0][0, 0, 0])

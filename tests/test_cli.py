@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(d)
 
+    def test_unknown_keys_named(self):
+        d = default_config_dict()
+        d["model"]["mu"] = d["model"].pop("mu_breakpoints")
+        d["run"]["path"] = 500
+        d["measure"]["A"] = 1.0
+        with pytest.raises(ConfigError, match="model.mu, measure.A, run.path$"):
+            config_from_dict(d)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hhr import measure, model, payoff, pide
-from hhr.errors import CFLViolation
 
 from conftest import desk_params
 
@@ -147,12 +146,17 @@ class TestDimensionReduction:
 
 
 class TestStability:
-    def test_cfl_violation_reports_admissible_step(self, setup):
+    def test_coarse_steps_are_exact_substeps(self, setup):
         m, sel, _ = setup
-        grid = pide.build_grid(m, 1.0, 4, 12, 8, 8)
-        with pytest.raises(CFLViolation) as exc:
-            pide.solve_price_pide(payoff.constant(1.0), 1.0, m, sel, DIST, grid)
-        assert exc.value.dt_max > 0
+        coarse = pide.build_grid(m, 1.0, 4, 12, 8, 8)
+        fine = pide.build_grid(m, 1.0, 8, 12, 8, 8)
+        dt_max = pide.Stepper(coarse, m, sel, DIST).dt_max_explicit
+        # 0.125 <= dt_max < 0.25: each coarse step is two fine steps
+        assert fine.t[1] <= dt_max < coarse.t[1]
+        for pay in (payoff.linear(1.0), payoff.constant(1.0)):
+            got = pide.solve_price_pide(pay, 1.0, m, sel, DIST, coarse).values
+            want = pide.solve_price_pide(pay, 1.0, m, sel, DIST, fine).values
+            assert np.array_equal(got, want[::2])
 
     def test_maturity_mismatch_rejected(self, setup):
         m, sel, grid = setup

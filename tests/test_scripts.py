@@ -40,3 +40,20 @@ def test_premium_sweep_prints_one_row_per_guarantee_level():
     assert header.split() == ["guarantee", "premium", "rate"]
     assert len(rows) == 5
     assert all(math.isfinite(float(col)) for row in rows for col in row.split())
+
+
+def test_pide_convergence_prints_one_finite_row_per_grid():
+    script = ROOT / "scripts" / "pide_convergence.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--paths", "2000"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, header, *rows = proc.stdout.strip().splitlines()
+    assert header.split() == ["grid", "price", "diff", "rel", "sec"]
+    grids = runpy.run_path(str(script))["GRIDS"]
+    assert [row.split()[0] for row in rows] == [
+        f"{nt}x{nx}x{ny}x{nz}" for nt, nx, ny, nz in grids
+    ]
+    assert all(math.isfinite(float(row.split()[1])) for row in rows)
