@@ -83,20 +83,6 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _selection(cfg, a_override):
-    model = cfg.validated_model()
-    if a_override is not None:
-        from .measure import select_measure
-
-        sel, rep = select_measure(
-            model, cfg.dist, a=a_override, level=cfg.measure.level,
-            epsilon1=cfg.measure.epsilon1, epsilon2=cfg.measure.epsilon2,
-        )
-    else:
-        sel, rep = cfg.selection(model)
-    return model, sel, rep
-
-
 def _reprs(values) -> list[str]:
     """repr of every element as a Python float, in C order."""
     return [repr(v) for v in np.ravel(values).tolist()]
@@ -129,12 +115,12 @@ def _cmd_admissible(cfg, args) -> int:
 
 
 def _cmd_simulate(cfg, args) -> int:
-    model, sel, _ = _selection(cfg, args.a)
+    model = cfg.validated_model()
+    sel, _ = cfg.selection(model, a=args.a)
     steps = args.steps or cfg.run.steps
     res = simulate(
         model, cfg.dist, args.measure, args.paths, steps, cfg.run.seed,
         selection=sel, record_full=True, antithetic=args.antithetic,
-        threads=cfg.run.threads,
     )
     out = args.out or "paths.csv"
     with open(out, "w", newline="") as fh:
@@ -156,7 +142,8 @@ def _cmd_simulate(cfg, args) -> int:
 
 
 def _cmd_price(cfg, args) -> int:
-    model, sel, _ = _selection(cfg, args.a)
+    model = cfg.validated_model()
+    sel, _ = cfg.selection(model, a=args.a)
     pay = parse_payoff(args.payoff)
     maturity = args.maturity if args.maturity is not None else model.T
     nt, nx, ny, nz = parse_grid(args.grid) if args.grid else cfg.run.grid
@@ -173,7 +160,8 @@ def _cmd_price(cfg, args) -> int:
 
 
 def _cmd_reserve(cfg, args) -> int:
-    model, sel, _ = _selection(cfg, args.a)
+    model = cfg.validated_model()
+    sel, _ = cfg.selection(model, a=args.a)
     if args.policy:
         doc = json.loads(Path(args.policy).read_text())
         pol_cfg = config_from_dict(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .markov import PolicySpec
-from .measure import select_measure
+from .measure import LEVELS, select_measure
 from .model import (
     JumpDistribution,
     ModelParams,
@@ -36,7 +36,6 @@ class RunSettings:
     paths: int = 20000
     steps: int = 256
     grid: tuple[int, int, int, int] = (64, 48, 24, 16)
-    threads: int = 1
     out_dir: str = "out"
     tolerances: dict = field(default_factory=dict)
 
@@ -53,14 +52,15 @@ class RunConfig:
     def validated_model(self) -> ValidatedModel:
         return validate(self.model)
 
-    def selection(self, model: ValidatedModel | None = None):
-        """Certified measure selection per the config (raises on inadmissible a)."""
-        m = model or self.validated_model()
+    def selection(self, model: ValidatedModel, a: float | None = None):
+        """Certified measure selection per the config, or at the tilt `a`
+        when given (raises on inadmissible a)."""
+        a = self.measure.a if a is None else a
         return select_measure(
-            m,
+            model,
             self.dist,
-            a=self.measure.a,
-            fraction=self.measure.fraction_of_bound if self.measure.a is None else None,
+            a=a,
+            fraction=self.measure.fraction_of_bound if a is None else None,
             level=self.measure.level,
             epsilon1=self.measure.epsilon1,
             epsilon2=self.measure.epsilon2,
@@ -131,32 +131,37 @@ def _unknown_keys(d: dict) -> list[str]:
             if isinstance(section, dict) for k in section if k not in keys]
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def config_from_dict(d: dict) -> RunConfig:
-    problems = []
-    if "model" not in d:
+    if "model" not in _object(d, "config"):
         raise ConfigError("config needs a 'model' section")
+    md = dict(_object(d["model"], "model"))
+    mz, rz = (_object(d.get(key, {}), key) for key in ("measure", "run"))
+    tolerances = _object(rz.get("tolerances", {}), "run.tolerances")
     unknown = _unknown_keys(d)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    md = dict(d["model"])
-    jump_spec = md.pop("jump", None)
-    if jump_spec is None:
-        problems.append("model.jump is required")
-        dist = None
-    else:
-        try:
-            dist = jump_from_dict(jump_spec)
-        except (KeyError, ValueError) as exc:
-            problems.append(f"model.jump: {exc}")
-            dist = None
+    if md.get("jump") is None:
+        raise ConfigError("model.jump is required")
+    try:
+        dist = jump_from_dict(_object(md.pop("jump"), "model.jump"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"model.jump: {exc}") from exc
     try:
         params = ModelParams.from_dict(md)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
-    if problems:
-        raise ConfigError("; ".join(problems))
 
-    mz = d.get("measure", {})
+    if mz.get("level", "EmQS") not in LEVELS:
+        raise ConfigError(f"measure.level must be one of {', '.join(LEVELS)}, got {mz['level']!r}")
+    for key in ("a", "fraction_of_bound", "epsilon1", "epsilon2"):
+        if key in mz and (isinstance(mz[key], bool) or not isinstance(mz[key], (int, float))):
+            raise ConfigError(f"measure.{key} must be a number, got {mz[key]!r}")
     measure = MeasureConfig(
         level=mz.get("level", "EmQS"),
         a=mz.get("a"),
@@ -169,16 +174,17 @@ def config_from_dict(d: dict) -> RunConfig:
     if "policy" in d:
         policy = _parse_policy(d["policy"], params.T)
 
-    rz = d.get("run", {})
-    run = RunSettings(
-        seed=int(rz.get("seed", 20240801)),
-        paths=int(rz.get("paths", 20000)),
-        steps=int(rz.get("steps", 256)),
-        grid=parse_grid(rz.get("grid", "64x48x24x16")),
-        threads=int(rz.get("threads", 1)),
-        out_dir=str(rz.get("out_dir", "out")),
-        tolerances=dict(rz.get("tolerances", {})),
-    )
+    try:
+        run = RunSettings(
+            seed=int(rz.get("seed", 20240801)),
+            paths=int(rz.get("paths", 20000)),
+            steps=int(rz.get("steps", 256)),
+            grid=parse_grid(rz.get("grid", "64x48x24x16")),
+            out_dir=str(rz.get("out_dir", "out")),
+            tolerances=dict(tolerances),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad run section: {exc}") from exc
     return RunConfig(model=params, dist=dist, measure=measure, policy=policy, run=run, raw=d)
 
 
@@ -240,7 +246,6 @@ def default_config_dict() -> dict:
             "paths": 20000,
             "steps": 256,
             "grid": "64x48x24x16",
-            "threads": 1,
             "out_dir": "out",
         },
     }

@@ -88,6 +88,11 @@ class EventTable:
         end = self.offsets[n]
         return EventTable(self.times[:end], self.marks[:end], self.offsets[: n + 1])
 
+    def at(self, t) -> np.ndarray:
+        """t at each event: a time, or one time per path."""
+        t = np.asarray(t, dtype=float)
+        return t if t.ndim == 0 else t[self.path]
+
     def per_path(self, values) -> np.ndarray:
         """Sum of one value per event over each path's events, in time order."""
         return np.bincount(self.path, weights=values, minlength=self.counts.size)
@@ -214,23 +219,24 @@ def expected_events(model: ValidatedModel, t) -> np.ndarray:
     return p.lambda0 * (p.beta * t + p.alpha / d * np.expm1(-d * t)) / d
 
 
-def lambda_at(model: ValidatedModel, table: EventTable, t: float) -> np.ndarray:
+def lambda_at(model: ValidatedModel, table: EventTable, t) -> np.ndarray:
     """Intensity lambda_t of every path (cadlag: includes the jump of an event
-    at t), lambda0 + alpha * sum_{t_i <= t} exp(-beta*(t - t_i))."""
+    at t), lambda0 + alpha * sum_{t_i <= t} exp(-beta*(t - t_i)).  Here and
+    in n_at and l_at, t is a time or an array of one time per path."""
     p = model.params
-    dtm = t - table.times
+    dtm = table.at(t) - table.times
     kernel = np.where(dtm >= 0.0, np.exp(-p.beta * np.maximum(dtm, 0.0)), 0.0)
     return p.lambda0 + p.alpha * table.per_path(kernel)
 
 
-def n_at(table: EventTable, t: float) -> np.ndarray:
+def n_at(table: EventTable, t) -> np.ndarray:
     """Counting value N_t of every path."""
-    return np.bincount(table.path[table.times <= t], minlength=table.counts.size)
+    return np.bincount(table.path[table.times <= table.at(t)], minlength=table.counts.size)
 
 
-def l_at(table: EventTable, t: float) -> np.ndarray:
+def l_at(table: EventTable, t) -> np.ndarray:
     """Compound value L_t of every path, the sum of its marks up to t."""
-    return table.per_path(np.where(table.times <= t, table.marks, 0.0))
+    return table.per_path(np.where(table.times <= table.at(t), table.marks, 0.0))
 
 
 def compensator(

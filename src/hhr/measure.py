@@ -36,7 +36,10 @@ __all__ = [
     "select_measure",
     "theta",
     "q_dynamics",
+    "LEVELS",
 ]
+
+LEVELS = ("E", "Em", "EmQS")  # the admissibility levels select_measure certifies
 
 
 def _cap(model: ValidatedModel) -> float:

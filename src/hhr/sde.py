@@ -1,13 +1,16 @@
 """Joint simulation of (S, v, lambda, N, L) under the historical measure P or
 a tilted measure Q(a), with the pathwise change-of-measure process X.
 
+The events are drawn exactly (Ogata thinning, see hawkes), and lambda, N, L
+and the compensator are hawkes' closed forms over them; the stage loop
+carries only the diffusion state (S, v, the running integral of v, X).
 Scheme: full-truncation Euler for the variance between events (v+ = max(v,0)
-inside both the square root and the drift), log-Euler for the stock, exact
-exponential decay for the intensity, and the event jumps eta*J / alpha added
-at their exact times (the uniform grid is augmented per path, never smeared).
-X is accumulated with left-endpoint (predictable) integrands, which makes
-each step an exact conditional martingale, so E[X_t] = 1 holds without
-discretization bias; the reported running integral of v is trapezoidal.
+inside both the square root and the drift), log-Euler for the stock, and the
+variance jumps eta*J added at the exact event times (the uniform grid is
+augmented per path, never smeared).  X is accumulated with left-endpoint
+(predictable) integrands, which makes each step an exact conditional
+martingale, so E[X_t] = 1 holds without discretization bias; the reported
+running integral of v is trapezoidal.
 
 Each path consumes only its own counter-based stream: the thinning draws
 first, then the marks, then one pair of normal blocks sized to the path's
@@ -18,12 +21,9 @@ A chunk thins all its paths in lockstep into one CSR event table (one flat
 array of times and marks plus per-path offsets; see hawkes.draw_events).
 Each uniform step then runs its first stage over every path and its later
 stages, up to the closing one, over only the paths with an event in that
-step.  A skipped path already sits at the step's end, and a stage of
-length 0 leaves its state unchanged, except that lambda is recomputed as
-lambda0 + (lambda - lambda0) * 1.  That is exact whenever lambda - lambda0
-is, which holds for lambda0 = 1.0 or 6.0, so there skipping is
-bit-identical to running every stage over every path; for other lambda0
-it may move lambda by one ulp.
+step.  A skipped path already sits at the step's end, and a stage of length
+0 leaves every state row unchanged exactly, so skipping is bit-identical to
+running every stage over every path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .hawkes import DEFAULT_EVENT_CAP, EventTable, draw_events
+from .hawkes import DEFAULT_EVENT_CAP, EventTable, draw_events, l_at, lambda_at, n_at
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
 from .rng import path_rng
@@ -47,7 +47,8 @@ _V_THETA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PathBundle:
-    """One stored trajectory on its uniform-plus-event time grid."""
+    """One stored trajectory on its uniform-plus-event time grid; lam, N and
+    L are the closed forms over the path's own events."""
 
     measure_tag: str
     time_grid: np.ndarray
@@ -64,9 +65,10 @@ class PathBundle:
 class SimulationResult:
     """Aggregate output of a batch run.
 
-    terminal holds per-path arrays (S, v, lam, N, L, int_v, X); probes maps
-    each requested time to per-path arrays (N, L, comp_n, X).
-    events is the event table of the same paths, path i in row i.
+    terminal holds per-path arrays (S, v, int_v, X, N); probes maps each
+    requested time to the per-path X at that time.  events is the event
+    table of the same paths, path i in row i: lambda, L and the compensators
+    at any time are hawkes' closed forms over it.
     """
 
     measure_tag: str
@@ -119,7 +121,7 @@ def _bucket_events(table, dt, n_steps):
 
 
 def _run_chunk(
-    p,
+    model,
     dist,
     measure_tag,
     selection,
@@ -132,6 +134,7 @@ def _run_chunk(
     flip_sign,
     max_events,
 ):
+    p = model.params
     nc = idx_hi - idx_lo
     dt_u = p.T / n_steps
     table, ZB, ZW = _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events)
@@ -151,22 +154,21 @@ def _run_chunk(
     a = selection.a if selection is not None else 0.0
     c1 = math.sqrt(1.0 - p.rho**2)
 
-    # state rows: t, log S, v, lambda, N, L, int v, log X, compensator of N
-    st = np.zeros((9, nc))
+    # state rows: t, log S, v, int v, log X
+    st = np.zeros((5, nc))
     st[1] = math.log(p.S0)
     st[2] = p.v0
-    st[3] = p.lambda0
     ptr = np.zeros(nc, dtype=int)
     trunc = 0
     active_total = 0
     probes = {}
-    snaps = [st[:8].copy()] if record_full else None
+    snaps = [st.copy()] if record_full else None
 
     def stage(s, ptr, rows, target, hit, mk):
         """Advance the state block s of chunk rows `rows` to `target`, then
-        jump its rows `hit` by the marks mk."""
+        jump the variance of its rows `hit` by eta times the marks mk."""
         nonlocal trunc, active_total
-        cur_t, log_s, v, lam, _, _, int_v, log_x, comp_n = s
+        cur_t, log_s, v, int_v, log_x = s
         # clamp guards the stage length when an event time sits a float
         # ulp past a grid node and was bucketed into the earlier step
         dt_vec = np.maximum(target - cur_t, 0.0)
@@ -188,27 +190,21 @@ def _run_chunk(
         ) if under_q else np.asarray(p.mu(cur_t), dtype=float)
         s[1] = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
         v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
-        s[6] = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
+        s[3] = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
         if track_x:
             vth = np.maximum(vp, _V_THETA_FLOOR)
             svth = np.sqrt(vth)
             th = ((drift - p.r) / svth - a * p.rho * svth) / c1
-            s[7] = log_x - (
+            s[4] = log_x - (
                 th * zb * sq
                 + 0.5 * th**2 * dt_vec
                 + a * sv * zw * sq
                 + 0.5 * a * a * vp * dt_vec
             )
-        em = -np.expm1(-p.beta * dt_vec)
-        s[8] = comp_n + p.lambda0 * dt_vec + (lam - p.lambda0) * em / p.beta
-        s[3] = p.lambda0 + (lam - p.lambda0) * (1.0 - em)
         s[2] = v_new
         s[0] = target
         if hit is not None and hit.size:
             s[2, hit] += p.eta * mk
-            s[3, hit] += p.alpha
-            s[4, hit] += 1.0
-            s[5, hit] += mk
 
     all_rows = np.arange(nc)
 
@@ -224,11 +220,11 @@ def _run_chunk(
         target[rows] = ev_time[lo:hi][first]
         stage(st, ptr, all_rows, target, rows, ev_mark[lo:hi][first])
         if record_full:
-            snaps.append(st[:8].copy())
+            snaps.append(st.copy())
         if rows.size:
             # later stages touch only the event rows: any other row sits at
             # t_next, where a stage of length 0 would leave its state
-            # unchanged (lambda: see the module docstring)
+            # unchanged
             n_stage = int(order.max()) + 1
             local = np.cumsum(first) - 1  # each event's row in the block
             sub, sub_ptr = st[:, rows], ptr[rows]
@@ -243,46 +239,42 @@ def _run_chunk(
                     stage(sub, sub_ptr, rows, target, None, None)
                 if record_full:
                     st[:, rows] = sub
-                    snaps.append(st[:8].copy())
+                    snaps.append(st.copy())
             st[:, rows] = sub
             ptr[rows] = sub_ptr
         if (k + 1) in probe_steps:
-            probes[t_next] = {
-                "N": st[4].copy(),
-                "L": st[5].copy(),
-                "comp_n": st[8].copy(),
-                "X": np.exp(st[7]),
-            }
+            probes[t_next] = np.exp(st[4])
 
     out = {
         "S": np.exp(st[1]),
         "v": np.maximum(st[2], 0.0),
-        "lam": st[3].copy(),
-        "N": st[4].copy(),
-        "L": st[5].copy(),
-        "int_v": st[6].copy(),
-        "X": np.exp(st[7]),
+        "int_v": st[3].copy(),
+        "X": np.exp(st[4]),
     }
     bundles = None
     if record_full:
-        bundles = _assemble_bundles(measure_tag, np.stack(snaps))
+        bundles = _assemble_bundles(model, measure_tag, np.stack(snaps), table)
     return out, probes, trunc, active_total, bundles, table
 
 
-def _assemble_bundles(measure_tag, snaps):
+def _assemble_bundles(model, measure_tag, snaps, table):
     """Per-path merged grids from the stage snapshots (uniform + own events).
 
-    snaps[j] is the state (t, log S, v, lambda, N, L, int v, log X) of every
-    path after stage j.  Zero-length stages duplicate a time point; the last
-    snapshot at each time wins so event nodes carry the post-jump (cadlag)
-    values.
+    snaps[j] is the state (t, log S, v, int v, log X) of every path after
+    stage j; lambda, N and L are read off each path's events at its time
+    there.  Zero-length stages duplicate a time point; the last snapshot at
+    each time wins so event nodes carry the post-jump (cadlag) values.
     """
+    events = np.stack(
+        [(lambda_at(model, table, t), n_at(table, t), l_at(table, t)) for t in snaps[:, 0]]
+    )
+    snaps = np.concatenate([snaps, events], axis=1)
     bundles = []
     for i in range(snaps.shape[2]):
         ts = snaps[:, 0, i]
         keep = np.ones(len(ts), dtype=bool)
         keep[:-1] = np.diff(ts) > 0
-        _, log_s, v, lam, n_ev, l_ev, int_v, log_x = snaps[keep, :, i].T
+        _, log_s, v, int_v, log_x, lam, n_ev, l_ev = snaps[keep, :, i].T
         bundles.append(
             PathBundle(
                 measure_tag=measure_tag,
@@ -347,7 +339,7 @@ def simulate(
     def work(args):
         lo, hi, flip = args
         return _run_chunk(
-            p, dist, measure, selection, n_steps, seed, lo, hi,
+            model, dist, measure, selection, n_steps, seed, lo, hi,
             probe_steps, record_full, flip, max_events,
         )
 
@@ -365,14 +357,14 @@ def simulate(
         key: np.concatenate([r[0][key] for r in results])
         for key in results[0][0]
     }
-    probes = {}
-    for t in sorted({tt for r in results for tt in r[1]}):
-        probes[t] = {
-            key: np.concatenate([r[1][t][key] for r in results])
-            for key in results[0][1][t]
-        }
+    probes = {
+        t: np.concatenate([r[1][t] for r in results])
+        for t in sorted({tt for r in results for tt in r[1]})
+    }
     trunc = sum(r[2] for r in results)
     active = sum(r[3] for r in results)
+    events = EventTable.concat([r[5] for r in results])
+    terminal["N"] = events.counts.astype(float)
     bundles = None
     if record_full:
         bundles = [b for r in results for b in r[4]]
@@ -384,7 +376,7 @@ def simulate(
         terminal=terminal,
         probes=probes,
         truncated_fraction=trunc / active if active else 0.0,
-        events=EventTable.concat([r[5] for r in results]),
+        events=events,
         antithetic=antithetic,
         bundles=bundles,
     )

@@ -7,8 +7,9 @@ Each check reports the fraction of its error budget consumed (statistical
 gates are 3 standard errors); the raw numbers live in the detail string.
 The Monte Carlo checks read two samples, each drawn once and released
 after its last reader (`readers` in run_verification): the P sample (2 *
-run.paths paths at the run seed, probes at T/2 and T; the event checks read
-its first run.paths paths' event table) and the Q sample (as many at
+run.paths paths at the run seed, X probed at T/2 and T; the event checks
+read N, lambda and the compensator of its first run.paths paths off their
+event table with hawkes' closed forms) and the Q sample (as many at
 derive_seed(seed, "pidemc0")).  A statistical check that fails is retried once, on a fresh
 sample of the same kind and size drawn from the base seed derive_seed(seed,
 check name + "1"); a retried check keeps its failed first attempt (budget
@@ -216,7 +217,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         return simulate(
             model, dist, kind, 2 * run.paths, run.steps,
             base if under_p else derive_seed(base, "pidemc0"), selection=selection,
-            probe_times=(p.T / 2, p.T) if under_p else (), threads=run.threads,
+            probe_times=(p.T / 2, p.T) if under_p else (),
         )
 
     def sample(kind, check, tag):
@@ -254,9 +255,11 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     # 3 + 4. the P sample's first half: weighted compensator, density moments
     def compensator_q_weighted(tag):
         sim_p = sample("P", "compensator_q_weighted", tag)
+        events = sim_p.events.head(run.paths)
         used, parts = 0.0, []
-        for t, pr in sim_p.probes.items():
-            w = pr["X"][: run.paths] * (pr["N"][: run.paths] - pr["comp_n"][: run.paths])
+        for t, x_t in sim_p.probes.items():
+            comp_n, _ = hawkes.compensator(model, events, dist.mean, t)
+            w = x_t[: run.paths] * (hawkes.n_at(events, t) - comp_n)
             se = w.std(ddof=1) / math.sqrt(w.size)
             used = max(used, _ratio(abs(w.mean()), 3 * se))
             parts.append(f"t={t:g}: {w.mean():+.4f} (3se {3*se:.4f})")

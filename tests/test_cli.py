@@ -57,6 +57,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.mu, measure.A, run.path$"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("measure", "a", "0.5", "measure.a must be a number"),
+        ("measure", "fraction_of_bound", None, "measure.fraction_of_bound must be a number"),
+        ("measure", "level", "Q", "measure.level must be one of E, Em, EmQS"),
+        (None, "model", "desk", "model must be an object"),
+        ("model", "jump", "exponential", "model.jump must be an object"),
+        (None, "measure", [], "measure must be an object"),
+        (None, "run", "fast", "run must be an object"),
+        ("run", "tolerances", ["rn_density"], "run.tolerances must be an object"),
+        ("run", "paths", "many", "bad run section"),
+    ], ids=["a-string", "fraction-null", "level", "model", "jump", "measure", "run",
+            "tolerances", "paths"])
+    def test_malformed_values_refused(
+        self, section, key, value, named, tmp_path, capsys
+    ):
+        d = default_config_dict()
+        (d if section is None else d[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        rc = cli.main(["--config", str(path), "price", "--payoff", "constant",
+                       "--grid", "4x12x8x8", "--out", str(tmp_path / "price.csv")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
@@ -109,6 +133,16 @@ class TestSimulate:
         assert rc == 0
         header = ev.read_text().splitlines()[0]
         assert header == "path_id,event_index,time,mark,lambda_after"
+        with open(out) as fh:
+            nodes = {(r["path_id"], r["t"]): r for r in csv.DictReader(fh)}
+        with open(ev) as fh:
+            events = list(csv.DictReader(fh))
+        assert events
+        # each event is a node of its path, with the post-jump lambda and N
+        for e in events:
+            node = nodes[e["path_id"], e["time"]]
+            assert float(node["lambda"]) == pytest.approx(float(e["lambda_after"]), rel=1e-13)
+            assert int(node["N"]) == int(e["event_index"]) + 1
 
 
 class TestPrice:

@@ -82,8 +82,9 @@ class TestDensityProcess:
             desk_model, DIST, "P", 20_000, 128, 31,
             selection=desk_selection, probe_times=(0.5, 1.0),
         )
-        for t, pr in res.probes.items():
-            w = pr["X"] * (pr["N"] - pr["comp_n"])
+        for t, x_t in res.probes.items():
+            comp_n, _ = hawkes.compensator(desk_model, res.events, DIST.mean, t)
+            w = x_t * (hawkes.n_at(res.events, t) - comp_n)
             se = w.std(ddof=1) / math.sqrt(w.size)
             assert abs(w.mean()) < 3 * se
 
@@ -189,7 +190,7 @@ class TestReproducibility:
         for key in a.terminal:
             assert np.array_equal(a.terminal[key], b.terminal[key])
             assert np.array_equal(a.terminal[key], c.terminal[key])
-        assert np.array_equal(a.probes[1.0]["comp_n"], b.probes[1.0]["comp_n"])
+        assert np.array_equal(a.probes[1.0], b.probes[1.0])
         assert np.array_equal(a.events.offsets, b.events.offsets)
         assert np.array_equal(a.events.times, b.events.times)
 
@@ -230,8 +231,10 @@ class TestNegativeTilt:
 
 
 def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_steps):
-    """Reference: the chunk loop before sub-stepping.  Draws path by path,
-    buckets path by path and runs every stage of a step over every path.
+    """Reference: the chunk loop before sub-stepping, which also carried
+    lambda, N, L and the compensator of N by their stage recursion.  Draws
+    path by path, buckets path by path and runs every stage of a step over
+    every path.
     Returns (terminal, probes, truncated fraction, bundles, largest number
     of events of one path in one step, event table)."""
     p = m.params
@@ -350,8 +353,9 @@ def _bundle_fields(b):
 
 
 class TestSubSteppedStageLoop:
-    """The stage loop runs only event rows after a step's first stage; it
-    must reproduce the loop that ran every stage over every path."""
+    """The stage loop runs only event rows after a step's first stage and
+    reads lambda, N and L off the events; it must reproduce the loop that
+    ran every stage over every path, and the closed forms its recursion."""
 
     @staticmethod
     def _pair(params, meas, n=120, n_steps=64, seed=23):
@@ -369,49 +373,42 @@ class TestSubSteppedStageLoop:
     @pytest.mark.parametrize("meas", ["P", "Q"])
     @pytest.mark.parametrize(
         "params",
-        [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0)],
+        [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0),
+         dict(lambda0=0.7, alpha=1.6, beta=2.0), dict(lambda0=0.37)],
     )
-    def test_identical_at_dyadic_baseline(self, params, meas):
+    def test_identical_to_the_full_width_loop(self, params, meas):
         (terminal, probes, trunc, bundles, max_order, table), res = self._pair(params, meas)
+        m, ev = _mk(**params), res.events
         if params.get("lambda0") == 6.0:
             assert max_order >= 3  # steps where one path has several events
         if params.get("alpha") == 0.0:
             assert not terminal["N"].any()  # no event at all
-        for key, val in terminal.items():
-            assert np.array_equal(res.terminal[key], val), key
+        for key in ("times", "marks", "offsets"):
+            assert np.array_equal(getattr(ev, key), getattr(table, key)), key
+        assert res.terminal.keys() == {"S", "v", "int_v", "X", "N"}
+        for key, val in res.terminal.items():
+            assert np.array_equal(val, terminal[key]), key
+        assert res.truncated_fraction == trunc
+        # the reference's recursion against the closed forms over the events:
+        # N and L are sums of ones and marks in time order, so exact
+        assert np.array_equal(hawkes.l_at(ev, m.T), terminal["L"])
+        np.testing.assert_allclose(
+            hawkes.lambda_at(m, ev, m.T), terminal["lam"], rtol=1e-12, atol=0
+        )
         assert probes.keys() == res.probes.keys()
         for t, row in probes.items():
-            for key, val in row.items():
-                assert np.array_equal(res.probes[t][key], val), (t, key)
-        assert res.truncated_fraction == trunc
-        for key in ("times", "marks", "offsets"):
-            assert np.array_equal(getattr(res.events, key), getattr(table, key)), key
+            assert np.array_equal(res.probes[t], row["X"]), t
+            assert np.array_equal(hawkes.n_at(ev, t), row["N"]), t
+            assert np.array_equal(hawkes.l_at(ev, t), row["L"]), t
+            comp_n, _ = hawkes.compensator(m, ev, DIST.mean, t)
+            np.testing.assert_allclose(comp_n, row["comp_n"], rtol=1e-12, atol=0)
         assert len(res.bundles) == len(bundles)
         for b, ref_b in zip(res.bundles, bundles):
-            for got, want in zip(_bundle_fields(b), ref_b):
-                assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("meas", ["P", "Q"])
-    def test_non_dyadic_baseline_moves_lambda_by_at_most_one_ulp(self, meas):
-        (terminal, probes, trunc, bundles, _, _), res = self._pair(
-            dict(lambda0=0.7, alpha=1.6, beta=2.0), meas
-        )
-
-        def close(got, want):
-            return np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
-
-        for key, val in terminal.items():
-            if key == "lam":
-                assert close(res.terminal[key], val)
-            else:
-                assert np.array_equal(res.terminal[key], val), key
-        for t, row in probes.items():
-            for key, val in row.items():
-                assert np.array_equal(res.probes[t][key], val), (t, key)
-        assert res.truncated_fraction == trunc
-        for b, ref_b in zip(res.bundles, bundles):
             for i, (got, want) in enumerate(zip(_bundle_fields(b), ref_b)):
-                assert close(got, want) if i == 3 else np.array_equal(got, want)
+                if i == 3:  # lambda
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                else:
+                    assert np.array_equal(got, want), i
 
 
 class TestEventCap:
@@ -435,35 +432,9 @@ class TestAntithetic:
         assert pairs.size == 2_000
         # antithetic halves share the jump history
         assert np.array_equal(res.terminal["N"][:2_000], res.terminal["N"][2_000:])
+        assert res.events.counts.size == res.n_paths
+        half = res.events.head(2_000)
+        assert np.array_equal(res.events.times, np.concatenate([half.times, half.times]))
         disc = math.exp(-desk_model.r * desk_model.T) * pairs
         se = disc.std(ddof=1) / math.sqrt(disc.size)
         assert abs(disc.mean() - desk_model.S0) < 3 * se
-
-
-class TestClosedFormTie:
-    """The stage recursion's bookkeeping (N, the compensator and lambda)
-    against hawkes' closed forms over the result's own event table."""
-
-    @pytest.mark.parametrize(
-        "params, antithetic",
-        [(dict(), False), (dict(lambda0=6.0, alpha=1.6, beta=2.0), False), (dict(), True)],
-    )
-    def test_probes_and_terminal_equal_the_closed_forms(
-        self, params, antithetic, desk_selection
-    ):
-        m = _mk(**params)
-        res = sde.simulate(
-            m, DIST, "P", 3000, 128, 71, selection=desk_selection,
-            probe_times=(m.T / 2, m.T), antithetic=antithetic,
-        )
-        ev = res.events
-        assert ev.counts.size == res.n_paths
-        for t, pr in res.probes.items():
-            assert np.array_equal(pr["N"], hawkes.n_at(ev, t))
-            comp_n, _ = hawkes.compensator(m, ev, DIST.mean, t)
-            np.testing.assert_allclose(pr["comp_n"], comp_n, rtol=1e-12, atol=0)
-        lam_t = hawkes.lambda_at(m, ev, m.T)
-        np.testing.assert_allclose(res.terminal["lam"], lam_t, rtol=1e-12, atol=0)
-        if antithetic:
-            half = ev.head(3000)
-            assert np.array_equal(ev.times, np.concatenate([half.times, half.times]))
