@@ -370,13 +370,7 @@ class TestSubSteppedStageLoop:
         )
         return ref, res
 
-    @pytest.mark.parametrize("meas", ["P", "Q"])
-    @pytest.mark.parametrize(
-        "params",
-        [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0),
-         dict(lambda0=0.7, alpha=1.6, beta=2.0), dict(lambda0=0.37)],
-    )
-    def test_identical_to_the_full_width_loop(self, params, meas):
+    def _check_identical(self, params, meas):
         (terminal, probes, trunc, bundles, max_order, table), res = self._pair(params, meas)
         m, ev = _mk(**params), res.events
         if params.get("lambda0") == 6.0:
@@ -410,6 +404,23 @@ class TestSubSteppedStageLoop:
                 else:
                     assert np.array_equal(got, want), i
 
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    @pytest.mark.parametrize(
+        "params",
+        [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0), dict(lambda0=1e-3, alpha=0.0)],
+    )
+    def test_identical_at_dyadic_baseline(self, params, meas):
+        self._check_identical(params, meas)
+
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    @pytest.mark.parametrize(
+        "params", [dict(lambda0=0.7, alpha=1.6, beta=2.0), dict(lambda0=0.37)]
+    )
+    def test_identical_at_non_dyadic_baseline(self, params, meas):
+        # lambda no longer rides the stage loop, so a baseline that is not a
+        # dyadic fraction leaves every simulated value bit-identical too
+        self._check_identical(params, meas)
+
 
 class TestEventCap:
     def test_overflow_propagates(self, desk_selection):
@@ -432,9 +443,69 @@ class TestAntithetic:
         assert pairs.size == 2_000
         # antithetic halves share the jump history
         assert np.array_equal(res.terminal["N"][:2_000], res.terminal["N"][2_000:])
-        assert res.events.counts.size == res.n_paths
-        half = res.events.head(2_000)
-        assert np.array_equal(res.events.times, np.concatenate([half.times, half.times]))
         disc = math.exp(-desk_model.r * desk_model.T) * pairs
         se = disc.std(ddof=1) / math.sqrt(disc.size)
         assert abs(disc.mean() - desk_model.S0) < 3 * se
+
+
+def _recursive_bookkeeping(m, table, t):
+    """(N, L, lambda, Lambda^N) of every path at t by the stage recursion:
+    walk each path's events in time order, decaying the excess intensity
+    exactly between them.  Independent of hawkes' closed-form sums."""
+    p = m.params
+    n = table.counts.size
+    cur = np.zeros(n)
+    excess = np.zeros(n)
+    comp = np.zeros(n)
+    n_ev = np.zeros(n)
+    l_ev = np.zeros(n)
+    for j in range(int(table.counts.max(initial=0)) + 1):
+        has = table.counts > j
+        te = np.full(n, np.inf)
+        te[has] = table.times[table.offsets[:-1][has] + j]
+        target = np.minimum(te, t)
+        dt = np.maximum(target - cur, 0.0)
+        em = -np.expm1(-p.beta * dt)
+        comp += p.lambda0 * dt + excess * em / p.beta
+        excess *= 1.0 - em
+        cur = np.maximum(cur, target)
+        hit = te <= t
+        excess[hit] += p.alpha
+        n_ev[hit] += 1.0
+        l_ev[hit] += table.marks[table.offsets[:-1][hit] + j]
+    return n_ev, l_ev, p.lambda0 + excess, comp
+
+
+class TestClosedFormTie:
+    """hawkes' closed forms over the result's own event table (N, L, the
+    compensator and lambda, from which the run reads them) against the stage
+    recursion's bookkeeping over the same events."""
+
+    @pytest.mark.parametrize(
+        "params, antithetic",
+        [(dict(), False), (dict(lambda0=6.0, alpha=1.6, beta=2.0), False), (dict(), True)],
+    )
+    def test_probes_and_terminal_equal_the_closed_forms(
+        self, params, antithetic, desk_selection
+    ):
+        m = _mk(**params)
+        probe_times = (m.T / 2, m.T)
+        res = sde.simulate(
+            m, DIST, "P", 3000, 128, 71, selection=desk_selection,
+            probe_times=probe_times, antithetic=antithetic,
+        )
+        ev = res.events
+        assert ev.counts.size == res.n_paths
+        assert set(res.probes) == set(probe_times)
+        assert np.array_equal(res.terminal["N"], hawkes.n_at(ev, m.T))
+        for t in probe_times:
+            n_ev, l_ev, lam, comp = _recursive_bookkeeping(m, ev, t)
+            assert np.array_equal(hawkes.n_at(ev, t), n_ev)
+            np.testing.assert_allclose(hawkes.l_at(ev, t), l_ev, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(hawkes.lambda_at(m, ev, t), lam, rtol=1e-12, atol=0)
+            comp_n, comp_l = hawkes.compensator(m, ev, DIST.mean, t)
+            np.testing.assert_allclose(comp_n, comp, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(comp_l, DIST.mean * comp, rtol=1e-12, atol=0)
+        if antithetic:
+            half = ev.head(3000)
+            assert np.array_equal(ev.times, np.concatenate([half.times, half.times]))
