@@ -180,7 +180,7 @@ def _cmd_reserve(cfg, args) -> int:
         surf = thiele.solve_thiele_pide(policy, model, sel, cfg.dist, grid)
         layers["pide"] = {st: surf.values[st][0] for st in policy.states}
         for st in policy.states:
-            gz = float(np.max(np.abs(surf.z_gradient(st, 0))))
+            gz = float(np.max(np.abs(surf.z_gradient(st))))
             print(f"diagnostic max |dV/dz| ({st}): {gz:.6g}")
     if args.method in ("quadrature", "both"):
         quad = thiele.reserve_quadrature(policy, model, sel, cfg.dist, grid, 0.0)

@@ -175,10 +175,12 @@ def config_from_dict(d: dict) -> RunConfig:
         policy = _parse_policy(d["policy"], params.T)
 
     try:
+        counts = {key: rz[key] for key in ("seed", "paths", "steps") if key in rz}
+        for key, value in counts.items():
+            if type(value) is not int:  # a bool is an int subclass: refused too
+                raise TypeError(f"run.{key} must be an integer, got {value!r}")
         run = RunSettings(
-            seed=int(rz.get("seed", 20240801)),
-            paths=int(rz.get("paths", 20000)),
-            steps=int(rz.get("steps", 256)),
+            **counts,
             grid=parse_grid(rz.get("grid", "64x48x24x16")),
             out_dir=str(rz.get("out_dir", "out")),
             tolerances=dict(tolerances),

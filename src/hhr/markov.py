@@ -2,8 +2,7 @@
 probabilities through the backward equations, and contract cash flows.
 
 Intensities are piecewise-constant in time, so each constant segment admits
-the matrix-exponential closed form; an adaptive Runge-Kutta route is kept as
-the cross-checking alternative.  On a uniform maturity lattice the
+the matrix-exponential closed form.  On a uniform maturity lattice the
 probabilities are chained from one step exponential per segment
 (lattice_probs).
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import TimeOrderError
@@ -92,32 +90,17 @@ def generator_matrix(policy: PolicySpec, t: float) -> np.ndarray:
     return q
 
 
-def transition_probs(
-    policy: PolicySpec, t: float, s: float, *, method: str = "expm"
-) -> np.ndarray:
+def transition_probs(policy: PolicySpec, t: float, s: float) -> np.ndarray:
     """p_ij(t, s), the probability of being in j at s given state i at t.
 
-    Backward system d/dt p(t,s) = -Q(t) p(t,s), p(s,s) = I.  The default
-    multiplies matrix exponentials over the constant-intensity segments;
-    method='rk45' integrates adaptively instead and exists as the
-    independent route for cross-checks.
+    Backward system d/dt p(t,s) = -Q(t) p(t,s), p(s,s) = I, solved as the
+    product of matrix exponentials over the constant-intensity segments.
     """
     if not 0 <= t <= s:
         raise TimeOrderError(f"need 0 <= t <= s, got t={t}, s={s}")
     n = policy.n_states
     if t == s:
         return np.eye(n)
-    if method == "rk45":
-        # backward system d/du p(u,s) = -Q(u) p(u,s), terminal identity at u=s
-        def rhs(u, yflat):
-            return (-generator_matrix(policy, u) @ yflat.reshape(n, n)).ravel()
-
-        sol = solve_ivp(
-            rhs, (s, t), np.eye(n).ravel(), rtol=1e-10, atol=1e-12
-        )
-        return sol.y[:, -1].reshape(n, n)
-    if method != "expm":
-        raise ValueError(f"unknown method {method!r}")
     cuts = [t] + [b for b in policy.breakpoints() if t < b < s] + [s]
     p = np.eye(n)
     for a, b in zip(cuts[:-1], cuts[1:]):

@@ -15,6 +15,7 @@ U = x and U = e^{-r(s-t)} at every node including the boundary.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .hawkes import expected_events
 from .measure import MeasureSelection, q_dynamics
 from .model import ConstantJump, ExponentialJump, JumpDistribution, ValidatedModel
 
-__all__ = ["Grid4", "build_grid", "PIDESolution", "solve_price_pide"]
+__all__ = ["Grid4", "build_grid", "Layer0", "PIDESolution", "march", "solve_price_pide"]
 
 _GL_NODES = 32
 
@@ -349,11 +350,13 @@ class Stepper:
         n = 1 if dt <= bound * (1 + 1e-12) else math.ceil(dt / bound)
         dt = dt / n
         for _ in range(n):
-            W = U + dt * self.explicit_terms(U)
+            W = self.explicit_terms(U)  # fresh, like the sweeps' output: updated in place
+            W *= dt
+            W += U
             if source is not None:
-                W = W + dt * source
-            W = self.implicit_sweeps(W, dt)
-            U = math.exp(-self.r * dt) * W
+                W += dt * source
+            U = self.implicit_sweeps(W, dt)
+            U *= math.exp(-self.r * dt)
         return U
 
     def generator(self, U: np.ndarray) -> np.ndarray:
@@ -366,21 +369,48 @@ class Stepper:
         return out
 
 
+class Layer0(tuple):
+    """(U(0),): the one time layer a solve keeps, at index 0.  Any other time
+    index, -1 included, raises IndexError instead of aliasing it."""
+
+    def __getitem__(self, k):
+        return super().__getitem__(0 if k == 0 else len(self))
+
+
 @dataclass
 class PIDESolution:
-    """Backward solution layers; values[k] is the surface at grid.t[k]."""
+    """The t = 0 surface of a backward solve, the only layer kept: values[0]."""
 
     grid: Grid4
-    values: np.ndarray  # (nt+1, nx, ny, nz)
+    values: Layer0
     diagnostics: dict = field(default_factory=dict)
 
     def at(self, t_index: int, x: float, y: float, z: float) -> float:
-        g = self.grid
-        return float(
-            self.values[
-                t_index, g.index_near("x", x), g.index_near("y", y), g.index_near("z", z)
-            ]
-        )
+        g, u = self.grid, self.values[t_index]
+        return float(u[g.index_near("x", x), g.index_near("y", y), g.index_near("z", z)])
+
+
+def march(stepper: Stepper, start: dict, t: np.ndarray, *, kinked=False, source=None):
+    """The backward time loop over the uniform axis t: yield (k, layers), k = nt
+    down to 0, layers mapping each state to its surface at t[k], from the
+    terminal x-values start[state] broadcast over (y, z).  Each state steps from
+    the previous map, with source(state, layers, k) held over the step from k;
+    a kinked start takes two implicit half-steps first.  Holds one map only."""
+    nt = len(t) - 1
+    dt = t[1] - t[0] if nt else 0.0
+    cur = {i: np.broadcast_to(np.asarray(f, dtype=float)[:, None, None],
+                              stepper.grid.shape).copy() for i, f in start.items()}
+    yield nt, cur
+    for k in range(nt - 1, -1, -1):
+        nxt = {}
+        for i, u in cur.items():
+            src = None if source is None else source(i, cur, k + 1)
+            if kinked and k == nt - 1:
+                nxt[i] = stepper.step(stepper.step(u, 0.5 * dt, src), 0.5 * dt, src)
+            else:
+                nxt[i] = stepper.step(u, dt, src)
+        cur = nxt
+        yield k, cur
 
 
 def solve_price_pide(
@@ -392,29 +422,14 @@ def solve_price_pide(
     grid: Grid4,
 ) -> PIDESolution:
     """March the discounted conditional expectation of payoff(s, S_s) from the
-    terminal layer (stored bit-exact) back to t = 0.
-
-    Kinked payoffs start with two fully implicit half-steps, damping the
-    terminal gradient discontinuity before the regular stepping takes over.
-    """
+    terminal layer (stored bit-exact) back to t = 0, keeping only that layer."""
     if abs(grid.t[-1] - maturity) > 1e-12 * max(1.0, maturity):
         raise ValueError("grid time axis must end at the maturity")
     st = Stepper(grid, model, selection, dist)
-    nt = len(grid.t) - 1
-    dt = grid.t[1] - grid.t[0] if nt else 0.0
-    nx, ny, nz = grid.shape
-    out = np.empty((nt + 1, nx, ny, nz))
-    term = np.asarray(payoff(maturity, grid.x), dtype=float)
-    out[nt] = np.broadcast_to(term[:, None, None], (nx, ny, nz))
-    kinked = bool(getattr(payoff, "kinked", False))
-    for k in range(nt - 1, -1, -1):
-        if kinked and k == nt - 1:
-            half = st.step(out[k + 1], 0.5 * dt)
-            out[k] = st.step(half, 0.5 * dt)
-        else:
-            out[k] = st.step(out[k + 1], dt)
+    marching = march(st, {0: payoff(maturity, grid.x)}, grid.t, kinked=payoff.kinked)
+    (_, layers), = deque(marching, maxlen=1)  # the last map, k = 0
     return PIDESolution(
         grid=grid,
-        values=out,
-        diagnostics={"clamped_jump_mass": st.clamp_mass, "n_steps": nt},
+        values=Layer0((layers[0],)),
+        diagnostics={"clamped_jump_mass": st.clamp_mass, "n_steps": len(grid.t) - 1},
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, DomainError
 from .hawkes import DEFAULT_EVENT_CAP, EventTable, draw_events, l_at, lambda_at, n_at
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
@@ -322,14 +322,14 @@ def simulate(
     if measure == "Q" and selection is None:
         raise AdmissibilityError("Q-measure simulation requires a certified selection")
     if n_steps < 50:
-        raise ValueError(f"n_steps must be >= 50, got {n_steps}")
+        raise DomainError(f"n_steps must be >= 50, got {n_steps}")
 
     dt_u = p.T / n_steps
     probe_steps = set()
     for t in probe_times:
         k = round(t / dt_u)
         if abs(k * dt_u - t) > 1e-9 * max(p.T, 1.0) or not 1 <= k <= n_steps:
-            raise ValueError(f"probe time {t} is not on the uniform grid")
+            raise DomainError(f"probe time {t} is not on the uniform grid")
         probe_steps.add(k)
 
     chunks = [

@@ -6,6 +6,7 @@ cross-validate each other.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,12 +15,14 @@ from .markov import PolicySpec, lattice_probs, theta_payoff, transition_probs
 from .measure import MeasureSelection
 from .model import JumpDistribution, ValidatedModel
 from .payoff import ZERO, constant
-from .pide import Grid4, Stepper, solve_price_pide
+from .pide import Grid4, Layer0, Stepper, march
+from .pide import solve_price_pide  # noqa: F401  (perfbench traces hhr.thiele.solve_price_pide)
 
 __all__ = [
     "ReserveSurface",
     "ReserveLayer",
     "reserve_quadrature",
+    "thiele_march",
     "solve_thiele_pide",
     "equivalence_premium",
 ]
@@ -27,18 +30,17 @@ __all__ = [
 
 @dataclass
 class ReserveSurface:
-    """Per-state reserve layers from the backward solver; values[state][k] is
-    the surface at grid.t[k]."""
+    """Per-state t = 0 surfaces of the backward solver, the only layers kept: values[state][0]."""
 
     grid: Grid4
     states: tuple[str, ...]
-    values: dict
+    values: dict  # state -> Layer0
 
-    def z_gradient(self, state: str, k: int) -> np.ndarray:
-        """dV/dz on layer k, emitted as a diagnostic: the reserve's intensity
+    def z_gradient(self, state: str) -> np.ndarray:
+        """dV/dz at t = 0, emitted as a diagnostic: the reserve's intensity
         dependence enters only through the price surfaces and stays small at
         desk parameters, but it is surfaced rather than assumed away."""
-        v = self.values[state][k]
+        v = self.values[state][0]
         if len(self.grid.z) < 2:
             return np.zeros_like(v)
         return np.gradient(v, self.grid.z, axis=2)
@@ -88,10 +90,12 @@ def _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target
     for members in groups.values():
         m_end, s_end = max(members)
         n_steps = q * m_end
-        sub = Grid4(t=np.linspace(t, s_end, n_steps + 1), x=grid.x, y=grid.y, z=grid.z)
-        sol = solve_price_pide(payoff, s_end, model, selection, dist, sub)
-        for m, _ in members:
-            layers[m] = sol.values[n_steps - q * m].copy()
+        keep = {n_steps - q * m: m for m, _ in members}
+        st = Stepper(grid, model, selection, dist)
+        ts = np.linspace(t, s_end, n_steps + 1)
+        for k, cur in march(st, {0: payoff(s_end, grid.x)}, ts, kinked=payoff.kinked):
+            if k in keep:
+                layers[keep[k]] = cur[0]
     return [layers[m] for m in pos]
 
 
@@ -123,14 +127,14 @@ def reserve_quadrature(
     p_T = transition_probs(policy, t, T)  # refuses t outside [0, T] before any solve
     dt_target = model.T / (len(grid.t) - 1) if len(grid.t) > 1 else model.T / 64
 
-    def march(payoff, maturities):
+    def layers_at(payoff, maturities):
         return _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target)
 
     terminal = []
     for j in policy.states:
         f = policy.terminal_payoff(j)
         if not f.is_zero:
-            terminal.append((idx(j), march(f, [T])[0]))
+            terminal.append((idx(j), layers_at(f, [T])[0]))
     thetas = [theta_payoff(policy, j) for j in policy.states] if T > t else []
     thetas = [th for th in thetas if not th.is_zero]
 
@@ -148,7 +152,7 @@ def reserve_quadrature(
         return out
 
     ss = np.linspace(t, T, n_maturities)
-    running = [(idx(th.state), march(th, ss)) for th in thetas]
+    running = [(idx(th.state), layers_at(th, ss)) for th in thetas]
     probs = lattice_probs(policy, t, T, n_maturities) if thetas else []
     fine = assemble(ss, probs, running)
     refined = False
@@ -160,7 +164,7 @@ def reserve_quadrature(
             worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
         if worst > refine_budget:
             ss = np.linspace(t, T, 2 * n_maturities - 1)
-            running = [(idx(th.state), march(th, ss)) for th in thetas]
+            running = [(idx(th.state), layers_at(th, ss)) for th in thetas]
             probs = lattice_probs(policy, t, T, len(ss))
             fine = assemble(ss, probs, running)
             refined = True
@@ -170,14 +174,14 @@ def reserve_quadrature(
     )
 
 
-def solve_thiele_pide(
+def thiele_march(
     policy: PolicySpec,
     model: ValidatedModel,
     selection: MeasureSelection,
     dist: JumpDistribution,
     grid: Grid4,
-) -> ReserveSurface:
-    """Coupled backward system over the states:
+):
+    """march() of the coupled backward system over the states:
 
     dV_i/dt = r V_i - g_i - sum_k mu_ik (h_ik + V_k - V_i) - L V_i,
     V_i(T) = f_i(T, x).  The inter-state coupling and payment sources are
@@ -185,38 +189,34 @@ def solve_thiele_pide(
     """
     if abs(grid.t[-1] - policy.horizon) > 1e-12 * max(1.0, policy.horizon):
         raise ValueError("grid time axis must end at the policy horizon")
-    st = Stepper(grid, model, selection, dist)
-    nt = len(grid.t) - 1
-    dt = grid.t[1] - grid.t[0]
-    nx, ny, nz = grid.shape
-    T = policy.horizon
+    start = {i: policy.terminal_payoff(i)(policy.horizon, grid.x) for i in policy.states}
 
-    vals = {
-        i: np.empty((nt + 1, nx, ny, nz)) for i in policy.states
-    }
-    for i in policy.states:
-        term = np.asarray(policy.terminal_payoff(i)(T, grid.x), dtype=float)
-        vals[i][nt] = np.broadcast_to(term[:, None, None], (nx, ny, nz))
+    def source(i, cur, k):
+        t_k = grid.t[k]
+        out = np.zeros(grid.shape)
+        g = policy.rate_payoff(i)
+        if not g.is_zero:
+            out += np.asarray(g(t_k, grid.x), dtype=float)[:, None, None]
+        for (a, b), pw in policy.intensities.items():
+            mu = float(pw(t_k)) if a == i else 0.0
+            if mu != 0.0:
+                h = np.asarray(policy.transition.get((a, b), ZERO)(t_k, grid.x), dtype=float)
+                out += mu * (h[:, None, None] + cur[b] - cur[i])
+        return out
 
-    for k in range(nt - 1, -1, -1):
-        t_expl = grid.t[k + 1]
-        cur = {i: vals[i][k + 1] for i in policy.states}
-        for i in policy.states:
-            source = np.zeros((nx, ny, nz))
-            g = policy.rate_payoff(i)
-            if not g.is_zero:
-                source += np.asarray(g(t_expl, grid.x), dtype=float)[:, None, None]
-            for (a, b), pw in policy.intensities.items():
-                if a != i:
-                    continue
-                mu = float(pw(t_expl))
-                if mu == 0.0:
-                    continue
-                pay = policy.transition.get((a, b), ZERO)
-                h = np.asarray(pay(t_expl, grid.x), dtype=float)[:, None, None]
-                source += mu * (h + cur[b] - cur[i])
-            vals[i][k] = st.step(cur[i], dt, source=source)
-    return ReserveSurface(grid=grid, states=policy.states, values=vals)
+    return march(Stepper(grid, model, selection, dist), start, grid.t, source=source)
+
+
+def solve_thiele_pide(
+    policy: PolicySpec,
+    model: ValidatedModel,
+    selection: MeasureSelection,
+    dist: JumpDistribution,
+    grid: Grid4,
+) -> ReserveSurface:
+    """The t = 0 reserve surfaces of thiele_march, the only layers kept."""
+    (_, layers), = deque(thiele_march(policy, model, selection, dist, grid), maxlen=1)
+    return ReserveSurface(grid, policy.states, {i: Layer0((layers[i],)) for i in policy.states})
 
 
 def equivalence_premium(

@@ -341,18 +341,16 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     grid = pide.build_grid(model, p.T, nt, nx, ny, nz)
 
     def pide_exact_solutions():
-        sol_lin = pide.solve_price_pide(linear(1.0), p.T, model, selection, dist, grid)
+        # one stepper (one dt, so the same factors); no layer is stored
+        st = pide.Stepper(grid, model, selection, dist)
         x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
-        err_x = max(
-            float(np.max(np.abs(sol_lin.values[k] / x3 - 1.0)))
-            for k in range(len(grid.t))
-        )
-        sol_one = pide.solve_price_pide(constant(1.0), p.T, model, selection, dist, grid)
         disc = np.exp(-p.r * (p.T - grid.t))
-        err_1 = max(
-            float(np.max(np.abs(sol_one.values[k] / disc[k] - 1.0)))
-            for k in range(len(grid.t))
-        )
+        rel_x, rel_1 = [], []
+        for (k, lin), (_, one) in zip(pide.march(st, {0: linear(1.0)(p.T, grid.x)}, grid.t),
+                                      pide.march(st, {0: constant(1.0)(p.T, grid.x)}, grid.t)):
+            rel_x.append(float(np.max(np.abs(lin[0] / x3 - 1.0))))
+            rel_1.append(float(np.max(np.abs(one[0] / disc[k] - 1.0))))
+        err_x, err_1 = max(rel_x), max(rel_1)
         return max(err_x / 1e-3, err_1 / 1e-6), (
             f"payoff x rel err {err_x:.1e} (<1e-3); payoff 1 rel err {err_1:.1e} (<1e-6)"
         )

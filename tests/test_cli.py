@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from hhr import cli
 from hhr.config import config_from_dict, default_config_dict, load_config, parse_grid
 from hhr.errors import ConfigError
 
+ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture()
 def small_config(tmp_path):
@@ -67,8 +71,11 @@ class TestConfig:
         (None, "run", "fast", "run must be an object"),
         ("run", "tolerances", ["rn_density"], "run.tolerances must be an object"),
         ("run", "paths", "many", "bad run section"),
+        ("run", "seed", True, "bad run section"),
+        ("run", "paths", 1500.9, "bad run section"),
+        ("run", "steps", "1500", "bad run section"),
     ], ids=["a-string", "fraction-null", "level", "model", "jump", "measure", "run",
-            "tolerances", "paths"])
+            "tolerances", "paths", "seed-bool", "paths-float", "steps-string"])
     def test_malformed_values_refused(
         self, section, key, value, named, tmp_path, capsys
     ):
@@ -143,6 +150,18 @@ class TestSimulate:
             node = nodes[e["path_id"], e["time"]]
             assert float(node["lambda"]) == pytest.approx(float(e["lambda_after"]), rel=1e-13)
             assert int(node["N"]) == int(e["event_index"]) + 1
+
+
+    def test_too_few_steps_is_one_error_line(self, small_config, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhr", "--config", str(small_config), "simulate",
+             "--steps", "10", "--out", str(tmp_path / "paths.csv")],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: n_steps must be >= 50, got 10"]
+        assert "Traceback" not in proc.stderr
 
 
 class TestPrice:

@@ -86,23 +86,101 @@ class TestGenerator:
         assert err.max() < 1e-8
 
 
+def _marched(pay, m, sel, grid, dist=DIST):
+    """Every layer of the price march to maturity 1, stacked by time index
+    as the march streams them."""
+    st = pide.Stepper(grid, m, sel, dist)
+    out = np.empty((len(grid.t),) + grid.shape)
+    for k, layers in pide.march(st, {0: pay(1.0, grid.x)}, grid.t, kinked=pay.kinked):
+        out[k] = layers[0]
+    return out
+
+
+def _full_stack_price(pay, maturity, m, sel, dist, grid):
+    """The loop the marcher replaced, which stored every layer: kept as the
+    reference."""
+    st = pide.Stepper(grid, m, sel, dist)
+    nt = len(grid.t) - 1
+    dt = grid.t[1] - grid.t[0] if nt else 0.0
+    nx, ny, nz = grid.shape
+    out = np.empty((nt + 1, nx, ny, nz))
+    term = np.asarray(pay(maturity, grid.x), dtype=float)
+    out[nt] = np.broadcast_to(term[:, None, None], (nx, ny, nz))
+    kinked = bool(getattr(pay, "kinked", False))
+    for k in range(nt - 1, -1, -1):
+        if kinked and k == nt - 1:
+            half = st.step(out[k + 1], 0.5 * dt)
+            out[k] = st.step(half, 0.5 * dt)
+        else:
+            out[k] = st.step(out[k + 1], dt)
+    return out
+
+
+class TestMarch:
+    @pytest.mark.parametrize("kind", ["guarantee", "linear"])
+    def test_streamed_layers_equal_the_full_stack(self, setup, kind):
+        m, sel, grid = setup
+        pay = payoff.guarantee(m.S0 * math.exp(m.r)) if kind == "guarantee" else payoff.linear(1.0)
+        want = _full_stack_price(pay, 1.0, m, sel, DIST, grid)
+        assert np.array_equal(_marched(pay, m, sel, grid), want)
+        sol = pide.solve_price_pide(pay, 1.0, m, sel, DIST, grid)
+        assert np.array_equal(sol.values[0], want[0])
+        assert sol.values[0].flags.c_contiguous
+
+    def test_step_equals_its_out_of_place_form(self, setup):
+        # the step updates its own temporaries in place: the expressions it
+        # replaced are the reference, and its input and source stay intact
+        m, sel, grid = setup
+        st = pide.Stepper(grid, m, sel, DIST)
+        rng = np.random.default_rng(5)
+        U = rng.uniform(0.0, 200.0, grid.shape)
+        source = rng.uniform(-1.0, 1.0, grid.shape)
+        U0, source0 = U.copy(), source.copy()
+        dt = grid.t[1] - grid.t[0]
+        assert dt <= st.dt_max_explicit
+        for src in (None, source):
+            W = U + dt * st.explicit_terms(U)
+            if src is not None:
+                W = W + dt * src
+            want = math.exp(-m.r * dt) * st.implicit_sweeps(W, dt)
+            assert np.array_equal(st.step(U, dt, src), want)
+        assert np.array_equal(U, U0) and np.array_equal(source, source0)
+
+    def test_only_t0_is_kept(self, setup):
+        m, sel, grid = setup
+        sol = pide.solve_price_pide(payoff.constant(1.0), 1.0, m, sel, DIST, grid)
+        for k in (1, -1, len(grid.t) - 1):
+            with pytest.raises(IndexError):
+                sol.values[k]
+            with pytest.raises(IndexError):
+                sol.at(k, m.S0, m.v0, m.lambda0)
+
+    def test_no_steps_yields_the_terminal_only(self, setup):
+        m, sel, grid = setup
+        st = pide.Stepper(grid, m, sel, DIST)
+        (k, layers), = pide.march(st, {0: grid.x}, grid.t[-1:])
+        assert k == 0
+        assert np.array_equal(layers[0], np.broadcast_to(grid.x[:, None, None], grid.shape))
+        assert layers[0].flags.c_contiguous and layers[0].flags.writeable
+
+
 class TestExactSolutions:
     def test_constant_payoff_discounts_exactly(self, setup):
         m, sel, grid = setup
-        sol = pide.solve_price_pide(payoff.constant(1.0), 1.0, m, sel, DIST, grid)
+        values = _marched(payoff.constant(1.0), m, sel, grid)
         disc = np.exp(-m.r * (1.0 - grid.t))
         worst = max(
-            float(np.max(np.abs(sol.values[k] / disc[k] - 1.0)))
+            float(np.max(np.abs(values[k] / disc[k] - 1.0)))
             for k in range(len(grid.t))
         )
         assert worst < 1e-6
 
     def test_linear_payoff_prices_to_identity(self, setup):
         m, sel, grid = setup
-        sol = pide.solve_price_pide(payoff.linear(1.0), 1.0, m, sel, DIST, grid)
+        values = _marched(payoff.linear(1.0), m, sel, grid)
         x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
         worst = max(
-            float(np.max(np.abs(sol.values[k] / x3 - 1.0)))
+            float(np.max(np.abs(values[k] / x3 - 1.0)))
             for k in range(len(grid.t))
         )
         assert worst < 1e-3
@@ -110,24 +188,24 @@ class TestExactSolutions:
     def test_terminal_layer_bit_exact(self, setup):
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
-        sol = pide.solve_price_pide(payoff.guarantee(g), 1.0, m, sel, DIST, grid)
+        values = _marched(payoff.guarantee(g), m, sel, grid)
         term = np.broadcast_to(
             np.maximum(g, grid.x)[:, None, None], grid.shape
         )
-        assert np.array_equal(sol.values[-1], term)
+        assert np.array_equal(values[-1], term)
 
     def test_nonnegative_solution(self, setup):
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
-        sol = pide.solve_price_pide(payoff.guarantee(g), 1.0, m, sel, DIST, grid)
-        assert np.all(sol.values >= 0)
+        values = _marched(payoff.guarantee(g), m, sel, grid)
+        assert np.all(values >= 0)
 
     def test_monotone_in_x_for_monotone_payoff(self, setup):
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
-        sol = pide.solve_price_pide(payoff.guarantee(g), 1.0, m, sel, DIST, grid)
-        diffs = np.diff(sol.values, axis=1)
-        assert diffs.min() > -1e-9 * float(np.max(sol.values))
+        values = _marched(payoff.guarantee(g), m, sel, grid)
+        diffs = np.diff(values, axis=1)
+        assert diffs.min() > -1e-9 * float(np.max(values))
 
 
 class TestDimensionReduction:
@@ -154,8 +232,8 @@ class TestStability:
         # 0.125 <= dt_max < 0.25: each coarse step is two fine steps
         assert fine.t[1] <= dt_max < coarse.t[1]
         for pay in (payoff.linear(1.0), payoff.constant(1.0)):
-            got = pide.solve_price_pide(pay, 1.0, m, sel, DIST, coarse).values
-            want = pide.solve_price_pide(pay, 1.0, m, sel, DIST, fine).values
+            got = _marched(pay, m, sel, coarse)
+            want = _marched(pay, m, sel, fine)
             assert np.array_equal(got, want[::2])
 
     def test_maturity_mismatch_rejected(self, setup):

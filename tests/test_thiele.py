@@ -33,6 +33,49 @@ def long_setup():
     return m, sel, grid
 
 
+def _thiele_stack(pol, m, sel, grid):
+    """Every layer of the coupled march, per state stacked by time index as
+    the march streams them."""
+    out = {i: np.empty((len(grid.t),) + grid.shape) for i in pol.states}
+    for k, layers in thiele.thiele_march(pol, m, sel, DIST, grid):
+        for i in pol.states:
+            out[i][k] = layers[i]
+    return out
+
+
+def _full_stack_thiele(policy, m, sel, grid):
+    """The loop the marcher replaced, which stored every layer of every
+    state: kept as the reference."""
+    st = pide.Stepper(grid, m, sel, DIST)
+    nt = len(grid.t) - 1
+    dt = grid.t[1] - grid.t[0]
+    nx, ny, nz = grid.shape
+    T = policy.horizon
+    vals = {i: np.empty((nt + 1, nx, ny, nz)) for i in policy.states}
+    for i in policy.states:
+        term = np.asarray(policy.terminal_payoff(i)(T, grid.x), dtype=float)
+        vals[i][nt] = np.broadcast_to(term[:, None, None], (nx, ny, nz))
+    for k in range(nt - 1, -1, -1):
+        t_expl = grid.t[k + 1]
+        cur = {i: vals[i][k + 1] for i in policy.states}
+        for i in policy.states:
+            source = np.zeros((nx, ny, nz))
+            g = policy.rate_payoff(i)
+            if not g.is_zero:
+                source += np.asarray(g(t_expl, grid.x), dtype=float)[:, None, None]
+            for (a, b), pw in policy.intensities.items():
+                if a != i:
+                    continue
+                mu = float(pw(t_expl))
+                if mu == 0.0:
+                    continue
+                pay = policy.transition.get((a, b), payoff.ZERO)
+                h = np.asarray(pay(t_expl, grid.x), dtype=float)[:, None, None]
+                source += mu * (h + cur[b] - cur[i])
+            vals[i][k] = st.step(cur[i], dt, source=source)
+    return vals
+
+
 def scalar_term_insurance(r, mu, horizon):
     return mu / (r + mu) * -math.expm1(-(r + mu) * horizon)
 
@@ -45,9 +88,9 @@ class TestZeroPolicy:
             horizon=1.0,
             intensities={("a", "d"): model.PiecewiseFlat.constant(0.02)},
         )
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        stack = _thiele_stack(pol, m, sel, grid)
         quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
-        assert np.all(surf.values["a"] == 0.0)
+        assert np.all(stack["a"] == 0.0)
         assert np.all(quad.values["a"] == 0.0)
 
 
@@ -96,10 +139,40 @@ class TestTerminalExactness:
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
         pol = markov.endowment_guarantee(1.0, 0.02, g)
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        k, terminal = next(thiele.thiele_march(pol, m, sel, DIST, grid))
+        assert k == len(grid.t) - 1
         term = np.broadcast_to(np.maximum(g, grid.x)[:, None, None], grid.shape)
-        assert np.array_equal(surf.values["alive"][-1], term)
-        assert np.all(surf.values["dead"][-1] == 0.0)
+        assert np.array_equal(terminal["alive"], term)
+        assert np.all(terminal["dead"] == 0.0)
+
+    @pytest.mark.parametrize("template", ["endowment_guarantee", "premium_breakpoint"])
+    def test_streamed_layers_equal_the_full_stack(self, setup, template):
+        # endowment_guarantee pays on death, so the source carries a
+        # transition payment as well as the coupling; the second policy adds
+        # a premium rate and a death intensity that changes at t = 0.5, so
+        # the time at which the source is read shows
+        m, sel, grid = setup
+        g = m.S0 * math.exp(m.r)
+        pol = markov.endowment_guarantee(1.0, 0.02, g)
+        if template == "premium_breakpoint":
+            pol = markov.PolicySpec(
+                states=("alive", "dead"),
+                horizon=1.0,
+                intensities={
+                    ("alive", "dead"): model.PiecewiseFlat.from_pairs([[0.0, 0.02], [0.5, 0.05]])
+                },
+                terminal={"alive": payoff.guarantee(g)},
+                rate={"alive": payoff.constant(-2.0)},
+                transition={("alive", "dead"): payoff.guarantee(g)},
+            )
+        want = _full_stack_thiele(pol, m, sel, grid)
+        got = _thiele_stack(pol, m, sel, grid)
+        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        for state in pol.states:
+            assert np.array_equal(got[state], want[state])
+            assert np.array_equal(surf.values[state][0], want[state][0])
+            with pytest.raises(IndexError):
+                surf.values[state][1]
 
 
 class TestRouteConsistency:
@@ -115,7 +188,7 @@ class TestRouteConsistency:
             "term_insurance": markov.term_insurance(1.0, 0.02),
             "endowment_guarantee": markov.endowment_guarantee(1.0, 0.02, g),
         }[template]
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        stack = _thiele_stack(pol, m, sel, grid)
         quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
         nx, ny, nz = grid.shape
         probes = [
@@ -125,9 +198,9 @@ class TestRouteConsistency:
             for k in (nz // 4, nz // 2, 3 * nz // 4)
         ]
         for state in pol.states:
-            a_lay = surf.values[state][0]
+            a_lay = stack[state][0]
             b_lay = quad.values[state]
-            assert float(np.min(surf.values[state])) >= 0.0
+            assert float(np.min(stack[state])) >= 0.0
             assert float(np.min(b_lay)) >= 0.0
             scale = max(float(np.max(np.abs(b_lay))), 1e-12)
             for i, j, k in probes:
@@ -142,8 +215,8 @@ class TestRouteConsistency:
         closed = scalar_term_insurance(0.03, 0.02, 1.0 - t)
         assert float(quad.values["alive"][0, 0, 0]) == pytest.approx(closed, abs=2e-5)
         k = int(np.argmin(np.abs(grid.t - t)))
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
-        assert float(surf.values["alive"][k][0, 0, 0]) == pytest.approx(closed, abs=1e-4)
+        stack = _thiele_stack(pol, m, sel, grid)
+        assert float(stack["alive"][k][0, 0, 0]) == pytest.approx(closed, abs=1e-4)
 
     def test_horizon_time_layer_is_terminal_payoff(self, setup):
         m, sel, grid = setup
@@ -172,7 +245,7 @@ class TestDiagnostics:
         g = m.S0 * math.exp(m.r)
         pol = markov.endowment_guarantee(1.0, 0.02, g)
         surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
-        gz = surf.z_gradient("alive", 0)
+        gz = surf.z_gradient("alive")
         assert gz.shape == grid.shape
         scale = float(np.max(np.abs(surf.values["alive"][0])))
         assert 0 < float(np.max(np.abs(gz))) < 0.05 * scale
@@ -239,7 +312,7 @@ class TestSingleMarch:
         ref_theta = _per_node_layers(theta, 0.0, ss, m, sel, grid)
         ref_f = _per_node_layers(f, 0.0, [1.0], m, sel, grid)
 
-        calls = _counted(monkeypatch, "solve_price_pide")
+        calls = _counted(monkeypatch, "march")
         got = thiele._march_layers(theta, 0.0, ss, m, sel, DIST, grid, dt_target)
         (got_f,) = thiele._march_layers(f, 0.0, [1.0], m, sel, DIST, grid, dt_target)
         assert len(calls) == marches
@@ -276,24 +349,24 @@ class TestSingleMarch:
         # chain per lattice
         m, sel, grid = small
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
-        solves = _counted(monkeypatch, "solve_price_pide")
+        marches = _counted(monkeypatch, "march")
         probs = _counted(monkeypatch, "transition_probs")
         chains = _counted(monkeypatch, "lattice_probs")
         out = thiele.reserve_quadrature(
             pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=0.0
         )
         assert out.diagnostics == {"n_maturities": 17, "refined": True}
-        assert len(solves) == 3
+        assert len(marches) == 3
         assert len(probs) == 1
         assert [args[3] for args in chains] == [9, 17]
 
     def test_time_outside_horizon_refused_before_any_solve(self, small, monkeypatch):
         m, sel, grid = small
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0)
-        solves = _counted(monkeypatch, "solve_price_pide")
+        marches = _counted(monkeypatch, "march")
         with pytest.raises(TimeOrderError):
             thiele.reserve_quadrature(pol, m, sel, DIST, grid, 1.5)
-        assert solves == []
+        assert marches == []
 
 
 class TestSimpson:
