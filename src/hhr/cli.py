@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--a", type=float, default=None, help="override the tilt parameter")
     sim.add_argument("--paths", type=int, default=16)
     sim.add_argument("--steps", type=int, default=None)
-    sim.add_argument("--antithetic", action="store_true")
     sim.add_argument("--events-out", type=str, default=None, help="also dump the event log CSV")
 
     pr = sub.add_parser("price", parents=[shared], help="solve the pricing equation, dump the t=0 slice")
@@ -120,7 +119,7 @@ def _cmd_simulate(cfg, args) -> int:
     steps = args.steps or cfg.run.steps
     res = simulate(
         model, cfg.dist, args.measure, args.paths, steps, cfg.run.seed,
-        selection=sel, record_full=True, antithetic=args.antithetic,
+        selection=sel, record_full=True,
     )
     out = args.out or "paths.csv"
     with open(out, "w", newline="") as fh:

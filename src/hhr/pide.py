@@ -10,6 +10,14 @@ First derivatives are central unless the cell Peclet number exceeds 2, in
 which case they are upwinded; boundary rows carry one-sided convection with
 a vanishing second derivative, which preserves both exact solutions
 U = x and U = e^{-r(s-t)} at every node including the boundary.
+
+Execution: the x sweep calls LAPACK dgttrs once per y-node, whose factors
+differ per node; the y and z sweeps share one factorisation each and run
+the dgttrs recurrence one grid row at a time, vectorised across all their
+lines, in the same operations and order, so bit for bit as dgttrs.  The
+jump integral is one matrix product over y on a (y, x z) copy of the
+z-shifted layer.  Each Stepper owns a workspace allocated once, so a step
+allocates only the layer it returns.
 """
 
 from __future__ import annotations
@@ -121,10 +129,13 @@ def build_grid(
     y in [v0/50, y_span*vbar] sinh-clustered at v0, z from lambda0 out to
     lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node when there is
     no self-excitation.  A maturity past T is refused, because the z-axis is
-    sized for the events expected by T."""
+    sized for the events expected by T.  x needs at least 3 nodes, and y and z
+    1 or at least 3: LAPACK's tridiagonal factorisation refuses 2 rows."""
     p = model.params
     if maturity > p.T:
         raise DomainError(f"maturity {maturity:g} exceeds the model horizon T = {p.T:g}")
+    if nx < 3 or 2 in (ny, nz):
+        raise DomainError(f"grid needs nx >= 3 and ny, nz of 1 or >= 3, got nx={nx}, ny={ny}, nz={nz}")
     k0 = nx // 2
     h = math.log(x_span) / k0
     x = p.S0 * np.exp(h * (np.arange(nx) - k0))
@@ -265,9 +276,44 @@ def _solve_lines(fac, b: np.ndarray) -> None:
             raise ValueError(f"dgttrs rejected argument {-info}")
 
 
+def _solve_rows(fac, b: np.ndarray, tmp: np.ndarray) -> None:
+    """Overwrite b with the solutions of its lines, one line per position of
+    the rows b[0], ..., b[n-1]: the dgttrs recurrence (LAPACK dgtts2, no
+    transpose) in its operations and their order, run one row at a time and
+    vectorised across the lines; tmp is scratch of one row's shape."""
+    if fac is None:
+        return
+    dl, d, du, du2, ipiv = (f.tolist() for f in fac)
+    n = len(d)
+    row = list(b)  # views, indexed once
+    for i in range(n - 1):
+        if ipiv[i] != i + 1:  # pivot: rows i and i+1 swap before the update
+            np.copyto(tmp, row[i])
+            np.copyto(row[i], row[i + 1])
+            np.copyto(row[i + 1], tmp)
+        np.multiply(row[i], dl[i], out=tmp)
+        np.subtract(row[i + 1], tmp, out=row[i + 1])
+    np.divide(row[n - 1], d[n - 1], out=row[n - 1])
+    np.multiply(row[n - 1], du[n - 2], out=tmp)
+    np.subtract(row[n - 2], tmp, out=row[n - 2])
+    np.divide(row[n - 2], d[n - 2], out=row[n - 2])
+    for i in range(n - 3, -1, -1):
+        np.multiply(row[i + 1], du[i], out=tmp)
+        np.subtract(row[i], tmp, out=row[i])
+        np.multiply(row[i + 2], du2[i], out=tmp)
+        np.subtract(row[i], tmp, out=row[i])
+        np.divide(row[i], d[i], out=row[i])
+
+
 class Stepper:
     """Shared spatial discretization of the generator; prices and reserves
-    both step through it."""
+    both step through it.
+
+    Each Stepper owns a workspace of three layer-sized buffers and one row,
+    allocated once and reused by every step, so a Stepper serves one caller
+    at a time.  `jump_term` and `mixed_term` return views of it, valid until
+    the next call; `explicit_terms`, `implicit_sweeps`, `step` and
+    `generator` return fresh arrays."""
 
     def __init__(self, grid: Grid4, model: ValidatedModel, selection: MeasureSelection,
                  dist: JumpDistribution):
@@ -283,11 +329,20 @@ class Stepper:
         self.z_op = _axis_operator(z, -p.beta * (z - p.lambda0), np.zeros(nz))
 
         self.mixed_coef = p.sigma * p.rho * np.outer(x, y)  # (nx, ny)
+        self._dxdy = (x[2:] - x[:-2])[:, None, None] * (y[2:] - y[:-2])[None, :, None]
         self.m_y, self.p_z = _jump_matrices(grid, p.eta, p.alpha, dist)
         # truncation diagnostic at the anchor row v0
         self.clamp_mass = _tail_mass(dist, p.eta, p.v0, float(y[-1]))
         self.z_vec = z
         self._cache = {}
+        # _a and _b hold in turn the jump term's stages, the mixed term's
+        # differences, W, the source term and the sweeps' transposed lines;
+        # _mixed keeps the zero border of the mixed term
+        cells = nx * ny * nz
+        self._a = np.empty(cells)
+        self._b = np.empty(cells)
+        self._mixed = np.zeros((nx, ny, nz))
+        self._row = np.empty(max(ny, nz) * nx)
 
     @property
     def dt_max_explicit(self) -> float:
@@ -295,26 +350,40 @@ class Stepper:
         return 1.0 / float(self.z_vec[-1])
 
     def jump_term(self, U: np.ndarray) -> np.ndarray:
-        shifted = U @ self.p_z.T
-        shifted = np.moveaxis(np.tensordot(self.m_y, shifted, axes=(1, 1)), 0, 1)
-        return self.z_vec[None, None, :] * (shifted - U)
+        """z * (M_y (U P_z^T) - U), the one dgemm over y taking the (y, x z)
+        copy of the z-shift: a workspace view.  (A batched matmul over x
+        instead differs in the last bits for small nz: BLAS picks other
+        kernels for narrow products.)"""
+        nx, ny, nz = self.grid.shape
+        shifted = np.matmul(U, self.p_z.T, out=self._a.reshape(nx, ny, nz))
+        lines = self._b.reshape(ny, nx, nz)
+        np.copyto(lines, shifted.transpose(1, 0, 2))
+        out = self._a.reshape(ny, nx, nz)
+        np.matmul(self.m_y, lines.reshape(ny, nx * nz), out=out.reshape(ny, nx * nz))
+        out -= U.transpose(1, 0, 2)
+        out *= self.z_vec
+        return out.transpose(1, 0, 2)
 
     def mixed_term(self, U: np.ndarray) -> np.ndarray:
+        """sigma rho x y U_xy by central differences, zero on the x and y
+        border: a workspace view."""
         nx, ny, nz = self.grid.shape
-        out = np.zeros_like(U)
+        out = self._mixed
         if nx < 3 or ny < 3:
             return out
-        x, y = self.grid.x, self.grid.y
-        dx = (x[2:] - x[:-2])[:, None, None]
-        dy = (y[2:] - y[:-2])[None, :, None]
-        cross = (
-            U[2:, 2:, :] - U[2:, :-2, :] - U[:-2, 2:, :] + U[:-2, :-2, :]
-        ) / (dx * dy)
-        out[1:-1, 1:-1, :] = self.mixed_coef[1:-1, 1:-1, None] * cross
+        cross = self._b[: (nx - 2) * (ny - 2) * nz].reshape(nx - 2, ny - 2, nz)
+        np.subtract(U[2:, 2:, :], U[2:, :-2, :], out=cross)
+        cross -= U[:-2, 2:, :]
+        cross += U[:-2, :-2, :]
+        cross /= self._dxdy
+        np.multiply(self.mixed_coef[1:-1, 1:-1, None], cross, out=out[1:-1, 1:-1, :])
         return out
 
-    def explicit_terms(self, U: np.ndarray) -> np.ndarray:
-        return self.jump_term(U) + self.mixed_term(U)
+    def explicit_terms(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The jump and mixed terms summed, into `out` if given, else fresh."""
+        if out is None:
+            out = np.empty(self.grid.shape)
+        return np.add(self.jump_term(U), self.mixed_term(U), out=out)
 
     def _factors(self, dt: float):
         key = round(dt, 15)
@@ -329,19 +398,22 @@ class Stepper:
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt*A_x), then (I - dt*A_y), then (I - dt*A_z).
 
-        Each sweep works in place on a copy whose swept axis is the fastest,
-        so LAPACK receives its right-hand sides Fortran-ordered, uncopied.
+        x goes to LAPACK one y-slice at a time (its factors differ per y),
+        on Fortran-ordered columns of a (y, z, x) copy; y and z share one
+        factorisation each and are solved row by row, vectorised across
+        their lines, in place in the (y, z, x) and then a (z, y, x) copy.
         """
         nx, ny, nz = self.grid.shape
         fac = self._factors(dt)
-        lines = np.ascontiguousarray(W.transpose(1, 2, 0))  # (y, z, x)
+        lines = self._a.reshape(ny, nz, nx)
+        np.copyto(lines, W.transpose(1, 2, 0))
         for k in range(ny):
             _solve_lines(fac["x"][k], lines[k].T)
-        lines = np.ascontiguousarray(lines.transpose(2, 1, 0))  # (x, z, y)
-        _solve_lines(fac["y"], lines.reshape(nx * nz, ny).T)
-        out = np.ascontiguousarray(lines.transpose(0, 2, 1))  # (x, y, z)
-        _solve_lines(fac["z"], out.reshape(nx * ny, nz).T)
-        return out
+        _solve_rows(fac["y"], lines, self._row[: nz * nx].reshape(nz, nx))
+        rows = self._b.reshape(nz, ny, nx)
+        np.copyto(rows, lines.transpose(1, 0, 2))
+        _solve_rows(fac["z"], rows, self._row[: ny * nx].reshape(ny, nx))
+        return rows.transpose(2, 1, 0).copy()
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:
         """One backward step of size dt, `source` added explicitly and held over
@@ -349,12 +421,13 @@ class Stepper:
         bound = self.dt_max_explicit
         n = 1 if dt <= bound * (1 + 1e-12) else math.ceil(dt / bound)
         dt = dt / n
+        W = self._b.reshape(self.grid.shape)
         for _ in range(n):
-            W = self.explicit_terms(U)  # fresh, like the sweeps' output: updated in place
+            self.explicit_terms(U, out=W)
             W *= dt
             W += U
             if source is not None:
-                W += dt * source
+                W += np.multiply(source, dt, out=self._a.reshape(self.grid.shape))
             U = self.implicit_sweeps(W, dt)
             U *= math.exp(-self.r * dt)
         return U

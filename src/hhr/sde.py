@@ -79,16 +79,7 @@ class SimulationResult:
     probes: dict
     truncated_fraction: float
     events: EventTable
-    antithetic: bool = False
     bundles: list | None = None
-
-    def pair_view(self, key: str) -> np.ndarray:
-        """Per-unit values for error bars: pair means under antithetic."""
-        x = self.terminal[key]
-        if not self.antithetic:
-            return x
-        half = x.size // 2
-        return 0.5 * (x[:half] + x[half:])
 
 
 def _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events):
@@ -131,16 +122,12 @@ def _run_chunk(
     idx_hi,
     probe_steps,
     record_full,
-    flip_sign,
     max_events,
 ):
     p = model.params
     nc = idx_hi - idx_lo
     dt_u = p.T / n_steps
     table, ZB, ZW = _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events)
-    if flip_sign:
-        np.negative(ZB, out=ZB)
-        np.negative(ZW, out=ZW)
     ev_path, ev_time, ev_mark, ev_step, ev_order = _bucket_events(table, dt_u, n_steps)
     step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
     step_hi = np.searchsorted(ev_step, np.arange(n_steps), side="right")
@@ -302,7 +289,6 @@ def simulate(
     selection: MeasureSelection | None = None,
     probe_times=(),
     record_full: bool = False,
-    antithetic: bool = False,
     threads: int = 1,
     chunk_size: int = 8192,
     max_events: int = DEFAULT_EVENT_CAP,
@@ -336,22 +322,18 @@ def simulate(
         (lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)
     ]
 
-    def work(args):
-        lo, hi, flip = args
+    def work(chunk):
+        lo, hi = chunk
         return _run_chunk(
             model, dist, measure, selection, n_steps, seed, lo, hi,
-            probe_steps, record_full, flip, max_events,
+            probe_steps, record_full, max_events,
         )
-
-    jobs = [(lo, hi, False) for lo, hi in chunks]
-    if antithetic:
-        jobs += [(lo, hi, True) for lo, hi in chunks]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, jobs))
+            results = list(ex.map(work, chunks))
     else:
-        results = [work(j) for j in jobs]
+        results = [work(c) for c in chunks]
 
     terminal = {
         key: np.concatenate([r[0][key] for r in results])
@@ -370,13 +352,12 @@ def simulate(
         bundles = [b for r in results for b in r[4]]
     return SimulationResult(
         measure_tag=measure if measure == "P" else f"Q(a={selection.a:g})",
-        n_paths=n_paths * (2 if antithetic else 1),
+        n_paths=n_paths,
         n_steps=n_steps,
         seed=seed,
         terminal=terminal,
         probes=probes,
         truncated_fraction=trunc / active if active else 0.0,
         events=events,
-        antithetic=antithetic,
         bundles=bundles,
     )

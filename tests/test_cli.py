@@ -201,6 +201,21 @@ class TestPrice:
         assert "maturity 5 exceeds the model horizon T = 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["16x2x8x8", "16x12x2x8", "16x12x8x2", "16x1x8x8"],
+                             ids=["x2", "y2", "z2", "x1"])
+    def test_too_few_axis_nodes_is_one_error_line(self, small_config, tmp_path, capsys, grid):
+        # LAPACK's tridiagonal factorisation refuses 2 rows; x needs an interior
+        out = tmp_path / "price.csv"
+        rc = cli.main(
+            ["--config", str(small_config), "price", "--payoff", "guarantee:103.05",
+             "--grid", grid, "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: grid needs nx >= 3 and ny, nz of 1 or >= 3")
+        assert not out.exists()
+
 
 class TestReserve:
     def test_both_methods_with_rel_diff(self, small_config, tmp_path, capsys):

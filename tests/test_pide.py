@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hhr import measure, model, payoff, pide
 
@@ -299,6 +301,26 @@ def _reference_sweeps(st, W, dt):
     return out
 
 
+def _dgttrs_rows(fac, b):
+    """The oracle of the row solver: LAPACK dgttrs on the lines of b, whose
+    first axis runs along each line."""
+    n = b.shape[0]
+    lines, info = dgttrs(*fac, np.asfortranarray(b.reshape(n, -1)))
+    assert info == 0
+    return lines.reshape(b.shape)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _tensordot_jump(st, U):
+    """The jump product the workspace form replaced: kept as the reference."""
+    shifted = U @ st.p_z.T
+    shifted = np.moveaxis(np.tensordot(st.m_y, shifted, axes=(1, 1)), 0, 1)
+    return st.z_vec[None, None, :] * (shifted - U)
+
+
 class TestImplicitSweeps:
     @pytest.mark.parametrize(
         "overrides, shape, expected",
@@ -306,8 +328,10 @@ class TestImplicitSweeps:
             ({}, (64, 48, 24, 16), (48, 24, 16)),
             ({"alpha": 0.0}, (64, 48, 24, 16), (48, 24, 1)),  # no excitation
             ({}, (64, 48, 1, 16), (48, 1, 16)),
+            ({}, (128, 128, 64, 32), (128, 64, 32)),  # layers past a core's L2
+            ({}, (1024, 12, 8, 4), (12, 8, 4)),  # the grid of verify's classical reduction
         ],
-        ids=["desk", "nz1", "ny1"],
+        ids=["desk", "nz1", "ny1", "fine", "long"],
     )
     def test_match_banded_reference(self, overrides, shape, expected):
         m = _mk(**overrides)
@@ -324,6 +348,68 @@ class TestImplicitSweeps:
         # the factors are built once per dt and the input is left intact
         assert len(st._cache) == 2
         assert np.array_equal(W, np.random.default_rng(3).uniform(0.0, 200.0, grid.shape))
+
+    def test_row_solver_is_dgttrs_bit_for_bit(self, setup):
+        m, sel, grid = setup
+        st = pide.Stepper(grid, m, sel, DIST)
+        fac = st._factors(grid.t[1] - grid.t[0])
+        rng = np.random.default_rng(11)
+        # a system that is not diagonally dominant, so dgttrf pivots on some
+        # rows and not on others
+        *pivoting, info = dgttrf(rng.uniform(0.5, 2.0, 8), rng.uniform(-0.1, 0.1, 9),
+                                 rng.uniform(0.5, 2.0, 8))
+        assert info == 0
+        swapped = pivoting[-1] != np.arange(1, 10)
+        assert swapped.any() and not swapped.all()
+        for f in (fac["y"], fac["z"], pivoting):
+            b = rng.uniform(-100.0, 100.0, (len(f[1]), 5, 7))
+            want = _dgttrs_rows(f, b)
+            pide._solve_rows(f, b, np.empty((5, 7)))
+            assert np.array_equal(_bits(b), _bits(want))
+
+    @pytest.mark.parametrize("nz", [1, 2, 3, 7, 16])
+    def test_jump_term_equals_the_tensordot_form(self, setup, nz):
+        m, sel, grid = setup
+        z = np.linspace(grid.z[0], grid.z[-1], nz) if nz > 1 else grid.z[:1]
+        g = dataclasses.replace(grid, z=z)
+        st = pide.Stepper(g, m, sel, DIST)
+        U = np.random.default_rng(nz).uniform(0.0, 200.0, g.shape)
+        want = _tensordot_jump(st, U)
+        for _ in range(2):  # the second call reuses the workspace
+            assert np.array_equal(_bits(st.jump_term(U)), _bits(want))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "overrides, shape",
+        [
+            ({}, (8, 48, 24, 16)),
+            ({"alpha": 0.0}, (8, 16, 12, 16)),  # z collapses to one node
+            ({}, (8, 16, 1, 8)),
+            ({"alpha": 0.0}, (8, 16, 1, 8)),  # y and z of one node
+        ],
+        ids=["desk", "nz1", "ny1", "ny1nz1"],
+    )
+    def test_results_never_alias_the_workspace(self, overrides, shape):
+        m = _mk(**overrides)
+        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        grid = pide.build_grid(m, 1.0, *shape)
+        st = pide.Stepper(grid, m, sel, DIST)
+        owned = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
+        dt = grid.t[1] - grid.t[0]
+        U = np.random.default_rng(7).uniform(0.0, 200.0, grid.shape)
+        first = st.step(U, dt)
+        kept = first.copy()
+        second = st.step(first, dt)
+        assert np.array_equal(_bits(first), _bits(kept))
+        layers = [(cur[0], cur[0].copy()) for _, cur in
+                  pide.march(st, {0: grid.x}, grid.t, kinked=True)]
+        results = [first, second, st.implicit_sweeps(U, dt), st.explicit_terms(U)]
+        for layer, copy in layers:
+            assert np.array_equal(_bits(layer), _bits(copy))
+            results.append(layer)
+        for out in results:
+            assert not any(np.shares_memory(out, buf) for buf in owned)
 
 
 class TestJumpQuadrature:

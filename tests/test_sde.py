@@ -431,23 +431,6 @@ class TestEventCap:
             )
 
 
-class TestAntithetic:
-    def test_pairing(self, desk_model, desk_selection):
-        res = sde.simulate(
-            desk_model, DIST, "Q", 2_000, 64, 67,
-            selection=desk_selection, antithetic=True,
-        )
-        assert res.n_paths == 4_000
-        assert res.terminal["S"].size == 4_000
-        pairs = res.pair_view("S")
-        assert pairs.size == 2_000
-        # antithetic halves share the jump history
-        assert np.array_equal(res.terminal["N"][:2_000], res.terminal["N"][2_000:])
-        disc = math.exp(-desk_model.r * desk_model.T) * pairs
-        se = disc.std(ddof=1) / math.sqrt(disc.size)
-        assert abs(disc.mean() - desk_model.S0) < 3 * se
-
-
 def _recursive_bookkeeping(m, table, t):
     """(N, L, lambda, Lambda^N) of every path at t by the stage recursion:
     walk each path's events in time order, decaying the excess intensity
@@ -482,17 +465,16 @@ class TestClosedFormTie:
     recursion's bookkeeping over the same events."""
 
     @pytest.mark.parametrize(
-        "params, antithetic",
-        [(dict(), False), (dict(lambda0=6.0, alpha=1.6, beta=2.0), False), (dict(), True)],
+        "params",
+        [dict(), dict(lambda0=6.0, alpha=1.6, beta=2.0)],
+        ids=["params0-False", "params1-False"],
     )
-    def test_probes_and_terminal_equal_the_closed_forms(
-        self, params, antithetic, desk_selection
-    ):
+    def test_probes_and_terminal_equal_the_closed_forms(self, params, desk_selection):
         m = _mk(**params)
         probe_times = (m.T / 2, m.T)
         res = sde.simulate(
             m, DIST, "P", 3000, 128, 71, selection=desk_selection,
-            probe_times=probe_times, antithetic=antithetic,
+            probe_times=probe_times,
         )
         ev = res.events
         assert ev.counts.size == res.n_paths
@@ -506,6 +488,3 @@ class TestClosedFormTie:
             comp_n, comp_l = hawkes.compensator(m, ev, DIST.mean, t)
             np.testing.assert_allclose(comp_n, comp, rtol=1e-12, atol=0)
             np.testing.assert_allclose(comp_l, DIST.mean * comp, rtol=1e-12, atol=0)
-        if antithetic:
-            half = ev.head(3000)
-            assert np.array_equal(ev.times, np.concatenate([half.times, half.times]))
