@@ -179,6 +179,8 @@ def config_from_dict(d: dict) -> RunConfig:
         for key, value in counts.items():
             if type(value) is not int:  # a bool is an int subclass: refused too
                 raise TypeError(f"run.{key} must be an integer, got {value!r}")
+        if counts.get("paths", 1) < 1:
+            raise ValueError(f"run.paths must be >= 1, got {counts['paths']}")
         run = RunSettings(
             **counts,
             grid=parse_grid(rz.get("grid", "64x48x24x16")),

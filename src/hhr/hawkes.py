@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import EventOverflow
+from .errors import DomainError, EventOverflow
 from .model import JumpDistribution, ValidatedModel
-from .rng import path_rng
+from .rng import PathStreams, path_rng
 
 __all__ = [
     "HawkesPath",
@@ -98,32 +98,49 @@ class EventTable:
         return np.bincount(self.path, weights=values, minlength=self.counts.size)
 
 
-def _thin_lockstep(rngs, lambda0, alpha, beta, horizon, max_events):
+def _redraw_blocks(rng, n_blocks, scratch):
+    """Draw again, into scratch, a path's first n_blocks thinning blocks."""
+    for _ in range(n_blocks):
+        rng.standard_exponential(out=scratch)
+        rng.random(out=scratch)
+    return rng
+
+
+def _thin_lockstep(streams, paths, lambda0, alpha, beta, horizon, max_events):
     """Exact thinning of every path at once, with the decaying-intensity bound.
 
-    Path i draws only from rngs[i]: a block of 64 unit exponentials, then 64
-    uniforms, and a fresh pair of blocks after every 64 candidates.  All
+    Path i draws only from its own stream: a block of 64 unit exponentials,
+    then 64 uniforms, and a fresh pair of blocks after every 64 candidates.
+    A refill enters the stream afresh and draws the path's earlier blocks
+    again before the new one, so no generator state is kept per path.  All
     live paths take the same candidate index together, with the float
     operations of the one-path algorithm (the decay factor through
     math.exp: numpy's SIMD exp rounds some arguments differently), so a
     path's events do not depend on the batch it is thinned in.
-    Returns (times, counts): the events ordered by path, then by time.
+    Returns (times, counts, blocks): the events ordered by path, then by
+    time, and the number of blocks each path drew.
     """
-    n = len(rngs)
+    n = len(paths)
     exps = np.empty((n, _BLOCK))
     unis = np.empty((n, _BLOCK))
+    scratch = np.empty(_BLOCK)
     count = np.zeros(n, dtype=np.int64)
+    blocks = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
     t = np.zeros(n)
     lam = np.full(n, float(lambda0))  # intensity just after t; a bound while decaying
     hit_path, hit_time = [], []
     col = _BLOCK
+    n_blocks = 0
     while live.size:
         if col == _BLOCK:
             # the draws and stream positions of exponential(size=64), uniform(size=64)
             for i in live.tolist():
-                rngs[i].standard_exponential(out=exps[i])
-                rngs[i].random(out=unis[i])
+                rng = _redraw_blocks(streams.enter(paths[i]), n_blocks, scratch)
+                rng.standard_exponential(out=exps[i])
+                rng.random(out=unis[i])
+            n_blocks += 1
+            blocks[live] = n_blocks
             col = 0
         wait = exps[live, col] / lam
         t = t + wait
@@ -146,19 +163,45 @@ def _thin_lockstep(rngs, lambda0, alpha, beta, horizon, max_events):
         # accepted: jump by alpha; rejected: the tightened bound
         lam = np.where(accept, lam_cand + alpha, lam_cand)
     if not hit_path:
-        return np.empty(0), count
+        return np.empty(0), count, blocks
     by_path = np.argsort(np.concatenate(hit_path), kind="stable")
-    return np.concatenate(hit_time)[by_path], count
+    return np.concatenate(hit_time)[by_path], count, blocks
 
 
-def draw_events(rngs, p, dist: JumpDistribution, max_events: int) -> EventTable:
-    """Event table of the paths of `rngs` under the model parameters p: each
-    path's thinning draws, then its marks, from its own generator."""
-    times, count = _thin_lockstep(rngs, p.lambda0, p.alpha, p.beta, p.T, max_events)
+def draw_events(
+    streams: PathStreams, paths: range, p, dist: JumpDistribution, max_events: int,
+    n_steps: int = 0,
+) -> tuple[EventTable, np.ndarray, np.ndarray]:
+    """Event table of the paths `paths` under the model parameters p, each
+    path drawing from its own stream (entered through `streams`): its
+    thinning draws, its marks, then the standard normals of its n_steps + k
+    diffusion stages (k its event count), a block for the stock and then
+    one for the variance.  Returns (table, ZB, ZW), each kind of block flat
+    in path order: path i's start at table.offsets[i] + n_steps * i."""
+    times, count, blocks = _thin_lockstep(
+        streams, paths, p.lambda0, p.alpha, p.beta, p.T, max_events
+    )
     table = EventTable.from_counts(times, np.empty(times.size), count)
-    for rng, lo, hi in zip(rngs, table.offsets[:-1].tolist(), table.offsets[1:].tolist()):
+    z_off = table.offsets + n_steps * np.arange(count.size + 1)
+    # two arrays, not one 2m block per path, each sized for the same whole
+    # number of normals per path in every chunk of a run, so that glibc can
+    # reuse a freed chunk's block for the next: one buffer of both lifted a
+    # second hhr verify's peak RSS in one process from 133 to 154 MB, and
+    # exact sizes to about 152 MB in some runs
+    size = (n_steps + -(-times.size // max(count.size, 1))) * count.size
+    ZB, ZW = np.empty(size)[: z_off[-1]], np.empty(size)[: z_off[-1]]
+    scratch = np.empty(_BLOCK)
+    for i, lo, hi, z_lo, z_hi, n_blocks in zip(
+        paths, table.offsets[:-1].tolist(), table.offsets[1:].tolist(),
+        z_off[:-1].tolist(), z_off[1:].tolist(), blocks.tolist(),
+    ):
+        if z_hi == z_lo:
+            continue  # no events and no normals: nothing left to draw
+        rng = _redraw_blocks(streams.enter(i), n_blocks, scratch)
         table.marks[lo:hi] = dist.sample(rng, hi - lo)
-    return table
+        rng.standard_normal(out=ZB[z_lo:z_hi])
+        rng.standard_normal(out=ZW[z_lo:z_hi])
+    return table, ZB, ZW
 
 
 def simulate_events(
@@ -166,10 +209,12 @@ def simulate_events(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> EventTable:
     """Exact-law event table of n_paths independent paths on [0, T], path i
-    drawn from the (seed, i) stream."""
+    drawn from the (seed, i) stream; one generator per chunk of paths."""
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     chunks = [range(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
     return EventTable.concat([
-        draw_events([path_rng(seed, i) for i in c], model.params, dist, max_events)
+        draw_events(PathStreams(path_rng(seed, c.start)), c, model.params, dist, max_events)[0]
         for c in chunks
     ])
 

@@ -13,9 +13,12 @@ martingale, so E[X_t] = 1 holds without discretization bias; the reported
 running integral of v is trapezoidal.
 
 Each path consumes only its own counter-based stream: the thinning draws
-first, then the marks, then one pair of normal blocks sized to the path's
-own augmented grid.  Results are therefore identical for a fixed seed no
-matter how paths are chunked or threaded.
+first, then the marks, then one block of normals for the stock and one for
+the variance, each sized to the path's own augmented grid.  Results are
+therefore identical for a fixed seed no matter how paths are chunked or
+threaded.  A chunk builds one generator, path_rng(seed, first path), and
+re-keys it to each path's stream (rng.PathStreams); it enters a path once
+to thin and once more, after thinning, for its marks and normals.
 
 A chunk thins all its paths in lockstep into one CSR event table (one flat
 array of times and marks plus per-path offsets; see hawkes.draw_events).
@@ -38,7 +41,7 @@ from .errors import AdmissibilityError, DomainError
 from .hawkes import DEFAULT_EVENT_CAP, EventTable, draw_events, l_at, lambda_at, n_at
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
-from .rng import path_rng
+from .rng import PathStreams, path_rng
 
 __all__ = ["PathBundle", "SimulationResult", "simulate"]
 
@@ -82,21 +85,6 @@ class SimulationResult:
     bundles: list | None = None
 
 
-def _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events):
-    """Per-path draws from the (seed, i) streams: the chunk's event table,
-    then each path's two normal blocks sized to its own augmented grid."""
-    rngs = [path_rng(seed, i) for i in range(idx_lo, idx_hi)]
-    table = draw_events(rngs, p, dist, max_events)
-    n_draw = (n_steps + table.counts).tolist()
-    width = max(n_draw, default=n_steps)
-    ZB = np.zeros((len(rngs), width))
-    ZW = np.zeros((len(rngs), width))
-    for i, (rng, m) in enumerate(zip(rngs, n_draw)):
-        rng.standard_normal(out=ZB[i, :m])
-        rng.standard_normal(out=ZW[i, :m])
-    return table, ZB, ZW
-
-
 def _bucket_events(table, dt, n_steps):
     """Event rows sorted by (step, path, order); order ranks an event among
     its path's events in the same step."""
@@ -127,7 +115,11 @@ def _run_chunk(
     p = model.params
     nc = idx_hi - idx_lo
     dt_u = p.T / n_steps
-    table, ZB, ZW = _prepare_paths(p, dist, n_steps, seed, idx_lo, idx_hi, max_events)
+    table, ZB, ZW = draw_events(
+        PathStreams(path_rng(seed, idx_lo)), range(idx_lo, idx_hi), p, dist, max_events,
+        n_steps,
+    )
+    z_off = table.offsets[:-1] + n_steps * np.arange(nc)  # each path's first normal
     ev_path, ev_time, ev_mark, ev_step, ev_order = _bucket_events(table, dt_u, n_steps)
     step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
     step_hi = np.searchsorted(ev_step, np.arange(n_steps), side="right")
@@ -151,9 +143,10 @@ def _run_chunk(
     probes = {}
     snaps = [st.copy()] if record_full else None
 
-    def stage(s, ptr, rows, target, hit, mk):
-        """Advance the state block s of chunk rows `rows` to `target`, then
-        jump the variance of its rows `hit` by eta times the marks mk."""
+    def stage(s, ptr, rows, target, hit, mk, drift):
+        """Advance the state block s of chunk rows `rows` to `target` with
+        the stock drift `drift` (a value or one per row), then jump the
+        variance of its rows `hit` by eta times the marks mk."""
         nonlocal trunc, active_total
         cur_t, log_s, v, int_v, log_x = s
         # clamp guards the stage length when an event time sits a float
@@ -161,20 +154,21 @@ def _run_chunk(
         dt_vec = np.maximum(target - cur_t, 0.0)
         active = dt_vec > 0.0
         act = np.nonzero(active)[0]
-        zb = np.zeros(s.shape[1])
-        zw = np.zeros(s.shape[1])
-        if act.size:
-            zb[act] = ZB[rows[act], ptr[act]]
-            zw[act] = ZW[rows[act], ptr[act]]
+        if act.size == rows.size:
+            at = z_off[rows] + ptr
+            zb, zw = ZB[at], ZW[at]
+            ptr += 1
+        else:  # an idle row draws nothing and moves by 0 * 0
+            at = z_off[rows[act]] + ptr[act]
+            zb = np.zeros(rows.size)
+            zw = np.zeros(rows.size)
+            zb[act], zw[act] = ZB[at], ZW[at]
             ptr[act] += 1
         sq = np.sqrt(dt_vec)
         vp = np.maximum(v, 0.0)
         trunc += int(np.count_nonzero(active & (v < 0.0)))
         active_total += act.size
         sv = np.sqrt(vp)
-        drift = np.broadcast_to(
-            np.float64(p.r), vp.shape
-        ) if under_q else np.asarray(p.mu(cur_t), dtype=float)
         s[1] = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
         v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
         s[3] = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
@@ -194,6 +188,7 @@ def _run_chunk(
             s[2, hit] += p.eta * mk
 
     all_rows = np.arange(nc)
+    mu = (lambda t: p.r) if under_q else p.mu
 
     for k in range(n_steps):
         t_next = (k + 1) * dt_u
@@ -201,11 +196,11 @@ def _run_chunk(
         order = ev_order[lo:hi]
         first = order == 0
         rows = ev_path[lo:hi][first]  # the rows with an event in this step
-        # stage 0, full width: every row to its first event of the step, or
-        # to the step's end
+        # stage 0, full width: every row from k dt to its first event of the
+        # step, or to the step's end
         target = np.full(nc, t_next)
         target[rows] = ev_time[lo:hi][first]
-        stage(st, ptr, all_rows, target, rows, ev_mark[lo:hi][first])
+        stage(st, ptr, all_rows, target, rows, ev_mark[lo:hi][first], mu(k * dt_u))
         if record_full:
             snaps.append(st.copy())
         if rows.size:
@@ -221,9 +216,9 @@ def _run_chunk(
                     sel = order == j
                     hit = local[sel]
                     target[hit] = ev_time[lo:hi][sel]
-                    stage(sub, sub_ptr, rows, target, hit, ev_mark[lo:hi][sel])
+                    stage(sub, sub_ptr, rows, target, hit, ev_mark[lo:hi][sel], mu(sub[0]))
                 else:
-                    stage(sub, sub_ptr, rows, target, None, None)
+                    stage(sub, sub_ptr, rows, target, None, None, mu(sub[0]))
                 if record_full:
                     st[:, rows] = sub
                     snaps.append(st.copy())
@@ -309,6 +304,10 @@ def simulate(
         raise AdmissibilityError("Q-measure simulation requires a certified selection")
     if n_steps < 50:
         raise DomainError(f"n_steps must be >= 50, got {n_steps}")
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    if chunk_size < 1:
+        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
 
     dt_u = p.T / n_steps
     probe_steps = set()

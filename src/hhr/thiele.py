@@ -66,8 +66,9 @@ def _simpson_weights(n_nodes: int) -> np.ndarray:
     return w / 3.0
 
 
-def _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target):
-    """t-layers of the prices of payoff(s, S_s) for every s in `maturities`.
+def _march_layers(payoff, t, maturities, st, dt_target):
+    """t-layers of the prices of payoff(s, S_s) for every s in `maturities`,
+    marched through the Stepper st.
 
     The generator is time-homogeneous, so U_s(t) is the layer s - t before
     the terminal of a backward march from payoff(s, .): one march per
@@ -82,6 +83,7 @@ def _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target
     pos = np.rint((ss - t) / spacing).astype(int) if spacing > 0 else np.zeros(len(ss), int)
     if not np.allclose(t + pos * spacing, ss, rtol=0.0, atol=1e-12 * max(1.0, abs(ss[-1]))):
         raise ValueError("maturities must lie on a uniform lattice starting at t")
+    grid = st.grid
     groups = {}
     for m, s in zip(pos, ss):
         term = np.asarray(payoff(s, grid.x), dtype=float).tobytes()
@@ -91,7 +93,6 @@ def _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target
         m_end, s_end = max(members)
         n_steps = q * m_end
         keep = {n_steps - q * m: m for m, _ in members}
-        st = Stepper(grid, model, selection, dist)
         ts = np.linspace(t, s_end, n_steps + 1)
         for k, cur in march(st, {0: payoff(s_end, grid.x)}, ts, kinked=payoff.kinked):
             if k in keep:
@@ -116,19 +117,21 @@ def reserve_quadrature(
     ss = linspace(t, T, n_maturities); p_ij(t, s) and every U_s^{theta_j}(t)
     are held as lists indexed by node, the former chained along the lattice
     (lattice_probs), the latter read from one backward march per distinct
-    payoff (_march_layers), and U_T^{f_j}(t) is marched once.  The embedded
-    half-resolution rule on every other node gives a Richardson error
-    estimate; if it exceeds refine_budget (relative) the node count is
-    doubled once, which chains the probabilities again and marches only the
-    theta payoffs again.
+    payoff (_march_layers), and U_T^{f_j}(t) is marched once; all marches
+    step through one Stepper, which keeps the factors of each step size.
+    The embedded half-resolution rule on every other node gives a
+    Richardson error estimate; if it exceeds refine_budget (relative) the
+    node count is doubled once, which chains the probabilities again and
+    marches only the theta payoffs again.
     """
     T = policy.horizon
     idx = policy.index
     p_T = transition_probs(policy, t, T)  # refuses t outside [0, T] before any solve
     dt_target = model.T / (len(grid.t) - 1) if len(grid.t) > 1 else model.T / 64
+    st = Stepper(grid, model, selection, dist)
 
     def layers_at(payoff, maturities):
-        return _march_layers(payoff, t, maturities, model, selection, dist, grid, dt_target)
+        return _march_layers(payoff, t, maturities, st, dt_target)
 
     terminal = []
     for j in policy.states:

@@ -120,6 +120,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _worst(*values: float) -> float:
+    """The largest of the values, NaN if any is NaN: Python's max drops a
+    NaN that is not its first argument, and a NaN budget share must fail."""
+    return float(np.max(values))
+
+
 def _ratio(deviation: float, gate: float) -> float:
     """Fraction of a (possibly zero) statistical gate consumed.
 
@@ -244,7 +250,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def compensator_p(tag):
         events = sample("P", "compensator_p", tag).events.head(run.paths)
         rows = hawkes.martingale_residual_test(model, events, [p.T / 2, p.T], dist.mean)
-        used = max(_ratio(abs(r.mean), 3 * r.se) for r in rows)
+        used = _worst(*(_ratio(abs(r.mean), 3 * r.se) for r in rows))
         detail = "; ".join(
             f"{r.process}@{r.t:g}: {r.mean:+.4f} (3se {3*r.se:.4f})" for r in rows
         )
@@ -261,7 +267,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             comp_n, _ = hawkes.compensator(model, events, dist.mean, t)
             w = x_t[: run.paths] * (hawkes.n_at(events, t) - comp_n)
             se = w.std(ddof=1) / math.sqrt(w.size)
-            used = max(used, _ratio(abs(w.mean()), 3 * se))
+            used = _worst(used, _ratio(abs(w.mean()), 3 * se))
             parts.append(f"t={t:g}: {w.mean():+.4f} (3se {3*se:.4f})")
         return used, "; ".join(parts)
 
@@ -276,7 +282,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         m_half = float(np.mean(half**mom))
         m_full = float(np.mean(x_t**mom))
         change = abs(m_full - m_half) / m_half
-        used = max(used, change / 0.05)
+        used = _worst(used, change / 0.05)
         return used, (
             f"E[X_T] {half.mean():.5f} (3se {3*se:.5f}); "
             f"E[X^{mom:g}] doubling change {change:.3%} (<5%)"
@@ -329,7 +335,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         mc2 = _integrated_inverse_mc(p, c_exp, run.paths, 512, derive_seed(seed, "iicir"))
         rel2 = abs(val2 / mc2 - 1.0)
         dev = _hyp1f1_identity_deviation()
-        return max(rel1 / 0.02, rel2 / 0.02, dev / 1e-9), (
+        return _worst(rel1 / 0.02, rel2 / 0.02, dev / 1e-9), (
             f"inverse moment rel {rel1:.3%} (<2%); integrated reciprocal rel "
             f"{rel2:.3%} (<2%); series identity dev {dev:.1e} (<1e-9)"
         )
@@ -350,8 +356,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
                                       pide.march(st, {0: constant(1.0)(p.T, grid.x)}, grid.t)):
             rel_x.append(float(np.max(np.abs(lin[0] / x3 - 1.0))))
             rel_1.append(float(np.max(np.abs(one[0] / disc[k] - 1.0))))
-        err_x, err_1 = max(rel_x), max(rel_1)
-        return max(err_x / 1e-3, err_1 / 1e-6), (
+        err_x, err_1 = _worst(*rel_x), _worst(*rel_1)
+        return _worst(err_x / 1e-3, err_1 / 1e-6), (
             f"payoff x rel err {err_x:.1e} (<1e-3); payoff 1 rel err {err_1:.1e} (<1e-6)"
         )
 
@@ -375,7 +381,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def thiele_consistency():
         worst = _thiele_consistency_worst(model, selection, dist, grid, g_level)
         dev = _classical_reduction_deviation(p, dist, cfg)
-        return max(worst / 0.01, dev / 1e-4), (
+        return _worst(worst / 0.01, dev / 1e-4), (
             f"worst probe rel diff {worst:.4%} (<1%); classical reduction "
             f"dev {dev:.1e} (<1e-4)"
         )
@@ -420,15 +426,15 @@ def _hyp1f1_identity_deviation() -> float:
     dev = 0.0
     for a in (0.5, 1.0, 2.5):
         for b in (0.5, 1.5, 2.5):
-            dev = max(dev, abs(special.hyp1f1(a, b, 0.0) - 1.0))
+            dev = _worst(dev, abs(special.hyp1f1(a, b, 0.0) - 1.0))
             for z in np.linspace(-20, 20, 9):
                 lhs = special.hyp1f1(a, b, float(z))
                 rhs = math.exp(z) * special.hyp1f1(b - a, b, float(-z))
-                dev = max(dev, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+                dev = _worst(dev, abs(lhs - rhs) / max(abs(lhs), 1e-30))
     for z in (-3.0, 0.7, 1.0, 4.0):
-        dev = max(dev, abs(special.hyp1f1(2.0, 2.0, z) - math.exp(z)) / math.exp(z))
-    dev = max(dev, abs(special.hyp1f1(0.3, 1.1, 0.0) - 1.0))
-    dev = max(dev, abs(special.hyp1f1(0.5, 1.5, -1.0) - 0.7468241328124271))
+        dev = _worst(dev, abs(special.hyp1f1(2.0, 2.0, z) - math.exp(z)) / math.exp(z))
+    dev = _worst(dev, abs(special.hyp1f1(0.3, 1.1, 0.0) - 1.0))
+    dev = _worst(dev, abs(special.hyp1f1(0.5, 1.5, -1.0) - 0.7468241328124271))
     return dev
 
 
@@ -455,7 +461,7 @@ def _thiele_consistency_worst(model, selection, dist, grid, g_level) -> float:
             b_lay = quad.values[st]
             scale = max(float(np.max(np.abs(b_lay))), 1e-12)
             for i, j, k in probes:
-                worst = max(worst, abs(a_lay[i, j, k] - b_lay[i, j, k]) / scale)
+                worst = _worst(worst, abs(a_lay[i, j, k] - b_lay[i, j, k]) / scale)
     return worst
 
 
@@ -491,7 +497,7 @@ def _c_l_consistency(model, dist, adm) -> tuple[float, str]:
     shift = abs(compute_c_l(model, dist, tol=1e-12).value - res.value)
     cap_exact = compute_c_l(validate(replace(p, eta=0.0)), dist).value == adm.cap
     nested = adm.bound_em_qs is not None and adm.bound_em_qs <= adm.bound_em <= adm.bound_e
-    used = max(dev_scan / (spacing + 1e-10), shift / 1e-10)
+    used = _worst(dev_scan / (spacing + 1e-10), shift / 1e-10)
     if not cap_exact or not nested:
         used = math.inf
     detail = (

@@ -74,8 +74,9 @@ class TestConfig:
         ("run", "seed", True, "bad run section"),
         ("run", "paths", 1500.9, "bad run section"),
         ("run", "steps", "1500", "bad run section"),
+        ("run", "paths", 0, "run.paths must be >= 1, got 0"),
     ], ids=["a-string", "fraction-null", "level", "model", "jump", "measure", "run",
-            "tolerances", "paths", "seed-bool", "paths-float", "steps-string"])
+            "tolerances", "paths", "seed-bool", "paths-float", "steps-string", "paths-zero"])
     def test_malformed_values_refused(
         self, section, key, value, named, tmp_path, capsys
     ):
@@ -162,6 +163,18 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: n_steps must be >= 50, got 10"]
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("paths", [0, -3])
+    def test_no_paths_is_one_error_line(self, small_config, tmp_path, paths):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhr", "--config", str(small_config), "simulate",
+             "--paths", str(paths), "--steps", "64", "--out", str(tmp_path / "paths.csv")],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: n_paths must be >= 1, got {paths}"]
+        assert not (tmp_path / "paths.csv").exists()
 
 
 class TestPrice:
@@ -282,6 +295,23 @@ class TestVerify:
         assert len(doc["checks"]) >= 12
         kinds = {c["kind"] for c in doc["checks"]}
         assert kinds <= {"exact-identity", "closed-form", "independent-oracle"}
+
+    def test_zero_paths_is_one_error_line(self, tmp_path):
+        d = default_config_dict()
+        d["run"]["paths"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(d))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhr", "--config", str(path), "verify",
+             "--out", str(tmp_path / "verify")],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: bad run section: run.paths must be >= 1, got 0"
+        ]
+        assert not (tmp_path / "verify").exists()
 
     def test_inadmissible_tilt_refused(self, tmp_path, capsys):
         d = default_config_dict()

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from hhr import hawkes, model, sde
-from hhr.errors import EventOverflow
-from hhr.rng import path_rng
+from hhr.errors import DomainError, EventOverflow
+from hhr.rng import PathStreams, path_rng
 
-from conftest import desk_params
+from conftest import desk_params, reference_draws
 
 
 def _mk(**kw):
@@ -49,6 +49,11 @@ class TestThinning:
         assert table.times.size == 0
         assert hawkes.lambda_at(m, table, 0.0) == [m.lambda0]
 
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_no_paths_refused(self, n_paths):
+        with pytest.raises(DomainError):
+            hawkes.simulate_events(_mk(), model.ConstantJump(1.0), n_paths, 1)
+
     def test_event_cap_overflow(self):
         m = _mk(lambda0=50.0)
         with pytest.raises(EventOverflow):
@@ -85,48 +90,6 @@ class TestThinning:
             assert lam(mid) >= m.lambda0
 
 
-def _scalar_thin(rng, lambda0, alpha, beta, horizon):
-    """Reference: one path at a time, the thinning loop the lockstep thinner
-    replaced.  Returns the event times and the number of candidates drawn."""
-    times = []
-    t = 0.0
-    lam = lambda0
-    exps = rng.exponential(size=64)
-    unis = rng.uniform(size=64)
-    ptr = 0
-    n_cand = 0
-    while True:
-        if ptr == 64:
-            exps = rng.exponential(size=64)
-            unis = rng.uniform(size=64)
-            ptr = 0
-        wait = exps[ptr] / lam
-        t = t + wait
-        n_cand += 1
-        if t > horizon:
-            break
-        lam_cand = lambda0 + (lam - lambda0) * math.exp(-beta * wait)
-        accept = unis[ptr] * lam <= lam_cand
-        ptr += 1
-        if accept:
-            times.append(t)
-            lam = lam_cand + alpha
-        else:
-            lam = lam_cand
-    return np.asarray(times), n_cand
-
-
-def _reference_paths(m, dist, n, seed):
-    """(times, marks, candidates) of paths 0..n-1 drawn one at a time."""
-    p = m.params
-    out = []
-    for i in range(n):
-        rng = path_rng(seed, i)
-        times, n_cand = _scalar_thin(rng, p.lambda0, p.alpha, p.beta, p.T)
-        out.append((times, dist.sample(rng, times.size), n_cand))
-    return out
-
-
 class TestLockstepThinner:
     @pytest.mark.parametrize(
         "params, dist",
@@ -141,7 +104,7 @@ class TestLockstepThinner:
     )
     def test_bit_identical_to_scalar_reference(self, params, dist):
         m = _mk(**params)
-        ref = _reference_paths(m, dist, 400, 41)
+        ref = reference_draws(m, dist, range(400), 41)
         table = hawkes.simulate_events(m, dist, 400, 41)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
@@ -155,12 +118,26 @@ class TestLockstepThinner:
         if params.get("lambda0") == 20.0:
             assert sum(r[2] > 64 for r in ref) > 10
 
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    def test_every_chunking_draws_the_path_streams(self, chunk, monkeypatch):
+        m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)
+        dist = model.ExponentialJump(2.0)
+        ref = reference_draws(m, dist, range(40), 43)
+        assert max(r[2] for r in ref) > 128  # some path refills twice
+        monkeypatch.setattr(hawkes, "_CHUNK", chunk)
+        table = hawkes.simulate_events(m, dist, 40, 43)
+        assert np.array_equal(table.counts, [r[0].size for r in ref])
+        assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
+        assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
+
     def test_table_layout(self):
         m = _mk(lambda0=3.0)
         dist = model.ExponentialJump(2.0)
-        rngs = [path_rng(5, i) for i in range(50)]
-        table = hawkes.draw_events(rngs, m.params, dist, hawkes.DEFAULT_EVENT_CAP)
-        ref = _reference_paths(m, dist, 50, 5)
+        streams = PathStreams(path_rng(5, 0))
+        table = hawkes.draw_events(
+            streams, range(50), m.params, dist, hawkes.DEFAULT_EVENT_CAP
+        )[0]
+        ref = reference_draws(m, dist, range(50), 5)
         assert table.offsets[0] == 0 and table.offsets[-1] == table.times.size
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
@@ -169,14 +146,15 @@ class TestLockstepThinner:
     def test_overflow_fires_one_past_the_cap(self, desk_selection):
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         dist = model.ExponentialJump(2.0)
-        n_max = max(r[0].size for r in _reference_paths(m, dist, 8, 5))
+        n_max = max(r[0].size for r in reference_draws(m, dist, range(8), 5))
         assert hawkes.simulate_events(m, dist, 8, 5, max_events=n_max).counts.max() == n_max
         with pytest.raises(EventOverflow):
             hawkes.simulate_events(m, dist, 8, 5, max_events=n_max - 1)
-        i = next(i for i, r in enumerate(_reference_paths(m, dist, 8, 5)) if r[0].size == n_max)
-        hawkes.draw_events([path_rng(5, i)], m.params, dist, n_max)
+        i = next(i for i, r in enumerate(reference_draws(m, dist, range(8), 5)) if r[0].size == n_max)
+        one = range(i, i + 1)
+        hawkes.draw_events(PathStreams(path_rng(5, i)), one, m.params, dist, n_max)
         with pytest.raises(EventOverflow):
-            hawkes.draw_events([path_rng(5, i)], m.params, dist, n_max - 1)
+            hawkes.draw_events(PathStreams(path_rng(5, i)), one, m.params, dist, n_max - 1)
         kw = dict(selection=desk_selection)
         res = sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max, **kw)
         assert res.terminal["N"].max() == n_max

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hhr import hawkes, measure, model, sde
-from hhr.errors import AdmissibilityError, EventOverflow
-from hhr.rng import derive_seed, path_rng
+from hhr.errors import AdmissibilityError, DomainError, EventOverflow
+from hhr.rng import PathStreams, derive_seed, path_rng
 
-from conftest import desk_params
+from conftest import desk_params, reference_draws
 
 
 def _mk(**kw):
@@ -27,6 +27,11 @@ class TestInterface:
     def test_minimum_steps_enforced(self, desk_model, desk_selection):
         with pytest.raises(ValueError):
             sde.simulate(desk_model, DIST, "P", 4, 10, 1)
+
+    @pytest.mark.parametrize("n_paths, chunk_size", [(0, 8192), (-3, 8192), (4, 0)])
+    def test_path_and_chunk_counts_enforced(self, desk_model, n_paths, chunk_size):
+        with pytest.raises(DomainError):
+            sde.simulate(desk_model, DIST, "P", n_paths, 64, 1, chunk_size=chunk_size)
 
     def test_q_requires_selection(self, desk_model):
         with pytest.raises(AdmissibilityError):
@@ -239,14 +244,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     of events of one path in one step, event table)."""
     p = m.params
     dt_u = p.T / n_steps
-    events, marks, zbs, zws = [], [], [], []
-    for i in range(n):
-        rng = path_rng(seed, i)
-        one = hawkes.draw_events([rng], p, dist, hawkes.DEFAULT_EVENT_CAP)
-        events.append(one.times)
-        marks.append(one.marks)
-        zbs.append(rng.standard_normal(n_steps + one.times.size))
-        zws.append(rng.standard_normal(n_steps + one.times.size))
+    events, marks, _, zbs, zws = zip(*reference_draws(m, dist, range(n), seed, n_steps))
     width = n_steps + max(e.size for e in events)
     ZB = np.zeros((n, width))
     ZW = np.zeros((n, width))
@@ -421,6 +419,13 @@ class TestSubSteppedStageLoop:
         # dyadic fraction leaves every simulated value bit-identical too
         self._check_identical(params, meas)
 
+    def test_identical_with_a_drift_break_between_nodes(self):
+        # stage 0 reads the P drift once per step at k dt; a later stage
+        # past the break at 0.3 (between the nodes 19/64 and 20/64) reads
+        # it per row
+        mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
+        self._check_identical(dict(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0), "P")
+
 
 class TestEventCap:
     def test_overflow_propagates(self, desk_selection):
@@ -488,3 +493,39 @@ class TestClosedFormTie:
             comp_n, comp_l = hawkes.compensator(m, ev, DIST.mean, t)
             np.testing.assert_allclose(comp_n, comp, rtol=1e-12, atol=0)
             np.testing.assert_allclose(comp_l, DIST.mean * comp, rtol=1e-12, atol=0)
+
+
+class TestStreams:
+    """One generator per chunk, re-keyed per path, against a generator per
+    path, path_rng(seed, i), kept here as the reference."""
+
+    def test_thinning_marks_and_normals_equal_the_path_generators(self):
+        m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)  # dense: paths refill, some twice
+        paths = range(50, 350)
+        ref = reference_draws(m, DIST, paths, 17, 64)
+        assert sum(r[2] > 64 for r in ref) > 10 and max(r[2] for r in ref) > 128
+        table, ZB, ZW = hawkes.draw_events(
+            PathStreams(path_rng(17, 50)), paths, m.params, DIST, hawkes.DEFAULT_EVENT_CAP, 64
+        )
+        assert np.array_equal(table.counts, [r[0].size for r in ref])
+        assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
+        assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
+        assert np.array_equal(ZB, np.concatenate([r[3] for r in ref]))
+        assert np.array_equal(ZW, np.concatenate([r[4] for r in ref]))
+
+    @pytest.fixture(scope="class")
+    def bursty(self):
+        m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
+        sel = _sel(m)
+        return m, sel, _full_width_reference(m, DIST, "P", sel, 40, 64, 19, {64})
+
+    @pytest.mark.parametrize("chunk_size, threads", [(1, 1), (7, 1), (8192, 1), (7, 2)])
+    def test_simulate_equals_the_path_generators(self, bursty, chunk_size, threads):
+        m, sel, (terminal, *_, table) = bursty
+        res = sde.simulate(
+            m, DIST, "P", 40, 64, 19, selection=sel, chunk_size=chunk_size, threads=threads
+        )
+        for key in ("times", "marks", "offsets"):
+            assert np.array_equal(getattr(res.events, key), getattr(table, key)), key
+        for key, val in res.terminal.items():
+            assert np.array_equal(val, terminal[key]), key

@@ -313,8 +313,9 @@ class TestSingleMarch:
         ref_f = _per_node_layers(f, 0.0, [1.0], m, sel, grid)
 
         calls = _counted(monkeypatch, "march")
-        got = thiele._march_layers(theta, 0.0, ss, m, sel, DIST, grid, dt_target)
-        (got_f,) = thiele._march_layers(f, 0.0, [1.0], m, sel, DIST, grid, dt_target)
+        st = pide.Stepper(grid, m, sel, DIST)  # shared, as in reserve_quadrature
+        got = thiele._march_layers(theta, 0.0, ss, st, dt_target)
+        (got_f,) = thiele._march_layers(f, 0.0, [1.0], st, dt_target)
         assert len(calls) == marches
         for s, layer in zip(ss, got):
             assert np.array_equal(layer, ref_theta[float(s)])
@@ -340,15 +341,17 @@ class TestSingleMarch:
         theta = markov.theta_payoff(markov.term_insurance(1.0, 0.02), "alive")
         with pytest.raises(ValueError):
             thiele._march_layers(
-                theta, 0.0, np.array([0.0, 0.25, 0.6, 1.0]), m, sel, DIST, grid, 1.0 / 16
+                theta, 0.0, np.array([0.0, 0.25, 0.6, 1.0]), pide.Stepper(grid, m, sel, DIST),
+                1.0 / 16,
             )
 
     def test_refinement_remarches_only_the_payment_rates(self, small, monkeypatch):
         # one march each for f and theta, then theta again on the doubled
-        # lattice; p(t, T) once for the terminal term and one probability
-        # chain per lattice
+        # lattice, all through one Stepper; p(t, T) once for the terminal
+        # term and one probability chain per lattice
         m, sel, grid = small
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
+        steppers = _counted(monkeypatch, "Stepper")
         marches = _counted(monkeypatch, "march")
         probs = _counted(monkeypatch, "transition_probs")
         chains = _counted(monkeypatch, "lattice_probs")
@@ -357,6 +360,7 @@ class TestSingleMarch:
         )
         assert out.diagnostics == {"n_maturities": 17, "refined": True}
         assert len(marches) == 3
+        assert len(steppers) == 1 and len({id(args[0]) for args in marches}) == 1
         assert len(probs) == 1
         assert [args[3] for args in chains] == [9, 17]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -78,6 +79,17 @@ class TestSuiteMechanics:
         cfg = config_from_dict(d)
         lam_t = hawkes.lambda_at(cfg.validated_model(), drawn[0].events.head(2000), 1.0)
         assert f"mean lambda_T {lam_t.mean():.5f} " in checks["hawkes_mean_law"].detail
+
+    def test_nan_in_a_later_term_fails_the_check(self, monkeypatch):
+        # max(0.5, nan) is 0.5 in Python: the budget must keep the NaN
+        monkeypatch.setattr(verification, "_integrated_inverse_mc", lambda *a: math.nan)
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+        c = checks["closed_form_oracles"]
+        assert "integrated reciprocal rel nan%" in c.detail
+        assert math.isnan(c.value) and not c.passed
+        assert sum(not c.passed for c in checks.values()) == 1
 
     def test_unknown_tolerance_key_is_refused(self):
         d = default_config_dict()
