@@ -97,14 +97,13 @@ def compute_c_l(
     model: ValidatedModel,
     dist: JumpDistribution,
     *,
-    scan_points: int = 1024,
     tol: float = 1e-10,
 ) -> ClResult:
     """sup{c <= kappa^2/(2 sigma^2) : Lambda(c) < eps_J and M_J(Lambda(c)) <= bound}.
 
-    Lambda is first verified to be nondecreasing on a scan grid (the predicate
-    is then an interval and bisection applies); a failed scan falls back to a
-    dense grid supremum with a warning.  Returns the cap exactly when the
+    Lambda is first verified to be nondecreasing on a 1024-point scan (the
+    predicate is then an interval and bisection applies); a failed scan falls
+    back to a dense grid supremum with a warning.  Returns the cap exactly when the
     predicate holds there.
     """
     cap = _cap(model)
@@ -118,7 +117,7 @@ def compute_c_l(
             return True
         return dist.mgf(lam) <= bound
 
-    cs = np.linspace(cap / scan_points, cap, scan_points)
+    cs = np.linspace(cap / 1024, cap, 1024)
     lams = np.array([lambda_cap(model, c) for c in cs])
     monotone = bool(np.all(np.diff(lams) >= -1e-12 * max(lams.max(), 1.0)))
     if not monotone:
@@ -136,7 +135,7 @@ def compute_c_l(
     if ok(cap):
         return ClResult(cap, True, True)
 
-    lo, hi = cap / scan_points, cap
+    lo, hi = cap / 1024, cap
     if not ok(lo):
         # predicate holds near 0 by construction; shrink until it does
         while lo > 1e-300 and not ok(lo):

@@ -64,9 +64,6 @@ class PiecewiseFlat:
         """sup_t (value(t) - r)^2, exact for the piecewise representation."""
         return max((v - r) ** 2 for v in self.values)
 
-    def to_pairs(self):
-        return [[t, v] for t, v in zip(self.breakpoints, self.values)]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -105,23 +102,6 @@ class ModelParams:
     def drift_gap_sq(self) -> float:
         """D = sup_t (mu_t - r)^2."""
         return self.mu.sup_sq_gap(self.r)
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "S0": self.S0,
-            "r": self.r,
-            "mu_breakpoints": self.mu.to_pairs(),
-            "rho": self.rho,
-            "v0": self.v0,
-            "kappa": self.kappa,
-            "vbar": self.vbar,
-            "sigma": self.sigma,
-            "eta": self.eta,
-            "T": self.T,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":

@@ -117,27 +117,29 @@ def _sinh_axis(lo: float, hi: float, anchor: float, n: int) -> np.ndarray:
 def build_grid(
     model: ValidatedModel,
     maturity: float,
-    nt: int = 64,
-    nx: int = 48,
-    ny: int = 24,
-    nz: int = 16,
+    nt: int,
+    nx: int,
+    ny: int,
+    nz: int,
     *,
-    x_span: float = 8.0,
     y_span: float = 12.0,
 ) -> Grid4:
-    """Default truncation: x in [S0/span, ~span*S0] log-spaced (spot a node),
+    """Default truncation: x in [S0/8, ~8 S0] log-spaced (spot a node),
     y in [v0/50, y_span*vbar] sinh-clustered at v0, z from lambda0 out to
     lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node when there is
-    no self-excitation.  A maturity past T is refused, because the z-axis is
-    sized for the events expected by T.  x needs at least 3 nodes, and y and z
-    1 or at least 3: LAPACK's tridiagonal factorisation refuses 2 rows."""
+    no self-excitation.  A maturity of 0 or less is refused, and so is one
+    past T, because the z-axis is sized for the events expected by T.  x needs
+    at least 3 nodes, and y and z 1 or at least 3: LAPACK's tridiagonal
+    factorisation refuses 2 rows."""
     p = model.params
+    if not maturity > 0:  # NaN too
+        raise DomainError(f"maturity must be > 0, got {maturity:g}")
     if maturity > p.T:
         raise DomainError(f"maturity {maturity:g} exceeds the model horizon T = {p.T:g}")
     if nx < 3 or 2 in (ny, nz):
         raise DomainError(f"grid needs nx >= 3 and ny, nz of 1 or >= 3, got nx={nx}, ny={ny}, nz={nz}")
     k0 = nx // 2
-    h = math.log(x_span) / k0
+    h = math.log(8.0) / k0
     x = p.S0 * np.exp(h * (np.arange(nx) - k0))
     y = _sinh_axis(p.v0 / 50.0, max(y_span * p.vbar, 2.0 * p.v0), p.v0, ny)
     if p.alpha == 0 or nz == 1:

@@ -228,30 +228,25 @@ def equivalence_premium(
     selection: MeasureSelection,
     dist: JumpDistribution,
     grid: Grid4,
-    *,
-    premium_state: str = "alive",
-    probe=None,
 ) -> float:
-    """Constant premium rate pi with V(0) = 0 at the anchor point, where the
-    premium is paid continuously while in `premium_state`.
+    """Constant premium rate pi with V(0) = 0 at the anchor point
+    (S0, v0, lambda0), where the premium is paid continuously while alive.
 
     The reserve is linear in the premium, so pi = benefits(0) / annuity(0).
     """
     p = model.params
-    if probe is None:
-        probe = (p.S0, p.v0, p.lambda0)
-    ix = grid.index_near("x", probe[0])
-    iy = grid.index_near("y", probe[1])
-    iz = grid.index_near("z", probe[2])
+    ix = grid.index_near("x", p.S0)
+    iy = grid.index_near("y", p.v0)
+    iz = grid.index_near("z", p.lambda0)
 
     benefits = reserve_quadrature(policy, model, selection, dist, grid, 0.0)
     annuity_policy = PolicySpec(
         states=policy.states,
         horizon=policy.horizon,
         intensities=policy.intensities,
-        rate={premium_state: constant(1.0)},
+        rate={"alive": constant(1.0)},
     )
     annuity = reserve_quadrature(annuity_policy, model, selection, dist, grid, 0.0)
-    vb = benefits.values[premium_state][ix, iy, iz]
-    va = annuity.values[premium_state][ix, iy, iz]
+    vb = benefits.values["alive"][ix, iy, iz]
+    va = annuity.values["alive"][ix, iy, iz]
     return float(vb / va)

@@ -5,15 +5,15 @@ oracles, exact PIDE solutions, and agreement of the two reserve routes.
 
 Each check reports the fraction of its error budget consumed (statistical
 gates are 3 standard errors); the raw numbers live in the detail string.
-The Monte Carlo checks read two samples, each drawn once and released
-after its last reader (`readers` in run_verification): the P sample (2 *
-run.paths paths at the run seed, X probed at T/2 and T; the event checks
-read N, lambda and the compensator of its first run.paths paths off their
-event table with hawkes' closed forms) and the Q sample (as many at
-derive_seed(seed, "pidemc0")).  A statistical check that fails is retried once, on a fresh
-sample of the same kind and size drawn from the base seed derive_seed(seed,
-check name + "1"); a retried check keeps its failed first attempt (budget
-used and detail) in the report.  The JSON report is byte-identical across
+The Monte Carlo checks read two samples, each drawn once and held for
+the run: the P sample (2 * run.paths paths at the run seed, X probed at T/2
+and T; the event checks read N, lambda and the compensator of its first
+run.paths paths off their event table with hawkes' closed forms) and the Q
+sample (as many at derive_seed(seed, "pidemc0")).  A statistical check that
+fails is retried once, on a fresh sample of the same kind and size drawn
+from the base seed derive_seed(seed, check name + "1"); a retried check
+keeps its failed first attempt (budget used and detail) in the report, also
+when the retry raises.  The JSON report is byte-identical across
 runs of the same config and seed (wall times appear only in the
 human-readable table).
 """
@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -70,20 +70,10 @@ class Check:
         return self.first_attempt is not None
 
     def to_dict(self) -> dict:
-        # wall_time excluded on purpose: reports must be byte-identical
-        doc = {
-            "name": self.name,
-            "kind": self.kind,
-            "detail": self.detail,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "retried": self.retried,
-            "hard": self.hard,
-        }
-        if self.retried:
-            doc["first_attempt"] = self.first_attempt
-        return doc
+        # wall_time excluded on purpose: reports must be byte-identical; a
+        # first_attempt appears only on a retried check
+        doc = {k: v for k, v in asdict(self).items() if k != "wall_time" and v is not None}
+        return doc | {"retried": self.retried}
 
 
 @dataclass
@@ -137,53 +127,36 @@ def _ratio(deviation: float, gate: float) -> float:
     return deviation / gate
 
 
+def _mean_se(x) -> tuple[float, float]:
+    """Sample mean and standard error of the mean of a 1-D sample."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+
+
 class _Suite:
     def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
         self.checks: list[Check] = []
         self.scale = cfg.run.tolerances
 
-    def add(self, name, kind, used, detail, *, first_attempt=None, started=None):
-        budget = float(self.scale.get(name, 1.0))
-        self.checks.append(
-            Check(
-                name=name,
-                kind=kind,
-                detail=detail,
-                value=float(used),
-                tolerance=budget,
-                passed=bool(used <= budget),
-                first_attempt=first_attempt,
-                wall_time=time.perf_counter() - started if started else 0.0,
-            )
-        )
-
-    def add_stat(self, name, kind, compute, *, started=None):
-        """compute(tag) -> (budget_used, detail); retried once on failure,
-        keeping the failed first attempt."""
-        used, detail = compute(0)
-        first = None
-        if used > float(self.scale.get(name, 1.0)):
-            first = {"value": float(used), "detail": detail}
-            used, detail = compute(1)
-        self.add(name, kind, used, detail, first_attempt=first, started=started)
-
-    def stat(self, name, kind, compute):
-        """A statistical check: compute(tag) -> (budget_used, detail)."""
-        self.guard(name, kind, lambda t0: self.add_stat(name, kind, compute, started=t0))
-
-    def fixed(self, name, kind, compute):
-        """A deterministic check: compute() -> (budget_used, detail)."""
-        self.guard(name, kind, lambda t0: self.add(name, kind, *compute(), started=t0))
-
-    def guard(self, name, kind, fn):
-        """Run one check body; an exception becomes a recorded failure."""
+    def guard(self, name, kind, compute, *, retry=False):
+        """Run and record one check.  compute() -> (budget_used, detail); with
+        `retry`, a statistical check, compute(tag): tag 0 first, and once more
+        on tag 1 if over budget, keeping the failed first attempt.  An
+        exception becomes a recorded failure."""
         started = time.perf_counter()
+        budget = float(self.scale.get(name, 1.0))
+        first = None
         try:
-            fn(started)
+            used, detail = compute(0) if retry else compute()
+            if retry and used > budget:
+                first = {"value": float(used), "detail": detail}
+                used, detail = compute(1)
         except Exception as exc:  # checks must never abort the suite
-            detail = f"raised {type(exc).__name__}: {exc}"
-            self.add(name, kind, math.inf, detail, started=started)
+            used, detail = math.inf, f"raised {type(exc).__name__}: {exc}"
+        self.checks.append(
+            Check(name=name, kind=kind, detail=detail, value=float(used), tolerance=budget,
+                  passed=bool(used <= budget), first_attempt=first,
+                  wall_time=time.perf_counter() - started)
+        )
 
 
 def run_verification(cfg: RunConfig) -> VerificationReport:
@@ -208,14 +181,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def guarantee_pv(s_t):
         return math.exp(-p.r * p.T) * np.maximum(g_level, s_t)
 
-    # The suite's two Monte Carlo samples and the checks that read them, in
-    # order; a sample is released after the last check of its row.
-    readers = {
-        "P": ("hawkes_mean_law", "compensator_p", "compensator_q_weighted", "rn_density",
-              "girsanov_price_crosscheck"),
-        "Q": ("q_martingale_stock", "girsanov_price_crosscheck", "pide_vs_mc_guarantee"),
-    }
-    held = {}
+    samples = {}  # the suite's two Monte Carlo samples, held for the run
 
     def draw(kind, base):
         under_p = kind == "P"
@@ -231,20 +197,20 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         one drawn from the base seed derive_seed(seed, check + tag)."""
         if tag:
             return draw(kind, derive_seed(seed, f"{check}{tag}"))
-        if kind not in held:
-            held[kind] = draw(kind, seed)
-        return held.pop(kind) if check == readers[kind][-1] else held[kind]
+        if kind not in samples:
+            samples[kind] = draw(kind, seed)
+        return samples[kind]
 
     # 1. event-process mean law against the first-moment equation
     def hawkes_mean_law(tag):
         events = sample("P", "hawkes_mean_law", tag).events.head(run.paths)
         lam_t = hawkes.lambda_at(model, events, p.T)
         _, el_ref = hawkes.mean_intensity_ode(model, p.T)
-        se = lam_t.std(ddof=1) / math.sqrt(lam_t.size)
-        used = _ratio(abs(lam_t.mean() - el_ref), 3 * se)
-        return used, f"mean lambda_T {lam_t.mean():.5f} vs {el_ref:.5f} (3se {3*se:.5f})"
+        mean, se = _mean_se(lam_t)
+        used = _ratio(abs(mean - el_ref), 3 * se)
+        return used, f"mean lambda_T {mean:.5f} vs {el_ref:.5f} (3se {3*se:.5f})"
 
-    suite.stat("hawkes_mean_law", ORACLE, hawkes_mean_law)
+    suite.guard("hawkes_mean_law", ORACLE, hawkes_mean_law, retry=True)
 
     # 2. compensated counting and compound processes have mean zero under P
     def compensator_p(tag):
@@ -256,7 +222,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         )
         return used, detail
 
-    suite.stat("compensator_p", ORACLE, compensator_p)
+    suite.guard("compensator_p", ORACLE, compensator_p, retry=True)
 
     # 3 + 4. the P sample's first half: weighted compensator, density moments
     def compensator_q_weighted(tag):
@@ -266,39 +232,39 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         for t, x_t in sim_p.probes.items():
             comp_n, _ = hawkes.compensator(model, events, dist.mean, t)
             w = x_t[: run.paths] * (hawkes.n_at(events, t) - comp_n)
-            se = w.std(ddof=1) / math.sqrt(w.size)
-            used = _worst(used, _ratio(abs(w.mean()), 3 * se))
-            parts.append(f"t={t:g}: {w.mean():+.4f} (3se {3*se:.4f})")
+            mean, se = _mean_se(w)
+            used = _worst(used, _ratio(abs(mean), 3 * se))
+            parts.append(f"t={t:g}: {mean:+.4f} (3se {3*se:.4f})")
         return used, "; ".join(parts)
 
-    suite.stat("compensator_q_weighted", ORACLE, compensator_q_weighted)
+    suite.guard("compensator_q_weighted", ORACLE, compensator_q_weighted, retry=True)
 
     def rn_density(tag):
         x_t = sample("P", "rn_density", tag).terminal["X"]
         half = x_t[: run.paths]
-        se = half.std(ddof=1) / math.sqrt(half.size)
-        used = _ratio(abs(half.mean() - 1.0), 3 * se)
+        mean, se = _mean_se(half)
+        used = _ratio(abs(mean - 1.0), 3 * se)
         mom = 2.0 + selection.epsilon1
         m_half = float(np.mean(half**mom))
         m_full = float(np.mean(x_t**mom))
         change = abs(m_full - m_half) / m_half
         used = _worst(used, change / 0.05)
         return used, (
-            f"E[X_T] {half.mean():.5f} (3se {3*se:.5f}); "
+            f"E[X_T] {mean:.5f} (3se {3*se:.5f}); "
             f"E[X^{mom:g}] doubling change {change:.3%} (<5%)"
         )
 
-    suite.stat("rn_density", ORACLE, rn_density)
+    suite.guard("rn_density", ORACLE, rn_density, retry=True)
 
     # 5. the Q sample's first half: the discounted stock is a martingale
     def q_martingale_stock(tag):
         s_t = sample("Q", "q_martingale_stock", tag).terminal["S"][: run.paths]
         disc = math.exp(-p.r * p.T) * s_t
-        se = disc.std(ddof=1) / math.sqrt(disc.size)
-        used = _ratio(abs(disc.mean() - p.S0), 3 * se)
-        return used, f"E[e^-rT S_T] {disc.mean():.4f} vs {p.S0:g} (3se {3*se:.4f})"
+        mean, se = _mean_se(disc)
+        used = _ratio(abs(mean - p.S0), 3 * se)
+        return used, f"E[e^-rT S_T] {mean:.4f} vs {p.S0:g} (3se {3*se:.4f})"
 
-    suite.stat("q_martingale_stock", ORACLE, q_martingale_stock)
+    suite.guard("q_martingale_stock", ORACLE, q_martingale_stock, retry=True)
 
     # extra: E_P[X_T f(S_T)] = E_Q[f(S_T)] over the whole P and Q samples
     def girsanov_price_crosscheck(tag):
@@ -307,8 +273,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         x_t = sim_p.terminal["X"]
         wp = x_t * guarantee_pv(sim_p.terminal["S"])
         wq = guarantee_pv(sim_q.terminal["S"])
-        m_p, se_p = float(wp.mean()), float(wp.std(ddof=1) / math.sqrt(wp.size))
-        m_q, se_q = float(wq.mean()), float(wq.std(ddof=1) / math.sqrt(wq.size))
+        m_p, se_p = _mean_se(wp)
+        m_q, se_q = _mean_se(wq)
         pooled = math.hypot(se_p, se_q)
         ess = float(x_t.sum()) ** 2 / float(np.sum(x_t**2))
         return _ratio(abs(m_p - m_q), 3 * pooled), (
@@ -316,7 +282,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             f"P effective sample size {ess:.0f} of {x_t.size}"
         )
 
-    suite.stat("girsanov_price_crosscheck", ORACLE, girsanov_price_crosscheck)
+    suite.guard("girsanov_price_crosscheck", ORACLE, girsanov_price_crosscheck, retry=True)
 
     # 6. closed-form moment oracles vs Monte Carlo and series identities
     def closed_form_oracles():
@@ -340,7 +306,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             f"{rel2:.3%} (<2%); series identity dev {dev:.1e} (<1e-9)"
         )
 
-    suite.fixed("closed_form_oracles", ORACLE, closed_form_oracles)
+    suite.guard("closed_form_oracles", ORACLE, closed_form_oracles)
 
     # 7. exact solutions of the pricing equation
     nt, nx, ny, nz = run.grid
@@ -361,21 +327,21 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             f"payoff x rel err {err_x:.1e} (<1e-3); payoff 1 rel err {err_1:.1e} (<1e-6)"
         )
 
-    suite.fixed("pide_exact_solutions", EXACT, pide_exact_solutions)
+    suite.guard("pide_exact_solutions", EXACT, pide_exact_solutions)
 
     # 8. guarantee price: solver vs the whole Q sample
     def pide_vs_mc_guarantee(tag):
         sol_g = pide.solve_price_pide(guarantee(g_level), p.T, model, selection, dist, grid)
         u0 = sol_g.at(0, p.S0, p.v0, p.lambda0)
         pay = guarantee_pv(sample("Q", "pide_vs_mc_guarantee", tag).terminal["S"])
-        mc, se = float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(pay.size))
+        mc, se = _mean_se(pay)
         used = abs(u0 - mc) / (0.01 * mc + 3 * se)
         return used, (
             f"solver {u0:.4f} vs simulation {mc:.4f} +- {se:.4f} "
             f"(gate 1% + 3se = {0.01*mc + 3*se:.4f})"
         )
 
-    suite.stat("pide_vs_mc_guarantee", ORACLE, pide_vs_mc_guarantee)
+    suite.guard("pide_vs_mc_guarantee", ORACLE, pide_vs_mc_guarantee, retry=True)
 
     # 9. the two reserve routes agree; classical scalar reduction
     def thiele_consistency():
@@ -386,17 +352,17 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             f"dev {dev:.1e} (<1e-4)"
         )
 
-    suite.fixed("thiele_consistency", ORACLE, thiele_consistency)
+    suite.guard("thiele_consistency", ORACLE, thiele_consistency)
 
     # 10. admissibility threshold and band nesting
-    suite.fixed("admissibility_c_l", CLOSED, lambda: _c_l_consistency(model, dist, adm))
+    suite.guard("admissibility_c_l", CLOSED, lambda: _c_l_consistency(model, dist, adm))
 
     # extra: continuity of the exponential-moment cap at its corner
     def lambda_cap_corner():
         corner = _lambda_corner_deviation(model)
         return corner / 1e-6, f"relative gap to the analytic limit {corner:.1e} (<1e-6)"
 
-    suite.fixed("lambda_cap_corner", CLOSED, lambda_cap_corner)
+    suite.guard("lambda_cap_corner", CLOSED, lambda_cap_corner)
 
     unknown = sorted(set(run.tolerances) - {c.name for c in suite.checks})
     if unknown:

