@@ -1,13 +1,15 @@
-"""Counter-based per-path random streams.
+"""Counter-based random streams, one per chunk of paths and kind of draw.
 
-Every simulated path owns an independent Philox stream keyed by
-(seed, path_index), so results are reproducible for a fixed seed and
-independent of how paths are distributed over threads.  A Philox stream
-is its key plus a counter (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11), so one generator serves a whole chunk of paths:
-PathStreams re-keys it to the start of any path's stream, at the cost of
-a state write instead of a generator build (whose constructor first reads
-OS entropy for a seed sequence that the key then overrides).
+Paths are simulated in chunks of hawkes._CHUNK paths; chunk c covers paths
+c * _CHUNK onward.  Each kind of random number a chunk needs comes from its
+own Philox stream (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11), path_rng(seed, stream_index(c, kind, round)), and is drawn
+for the whole chunk in one call, path by path in order.  So a path's
+numbers depend on the seed and on the paths of its chunk up to itself
+only: a run of n paths is a prefix of a run of 2n, and the thread count
+changes nothing.  The kinds are the thinning exponentials and uniforms
+(a block per refill round), the marks, the stage normals and the event
+normals.
 """
 
 from __future__ import annotations
@@ -16,11 +18,19 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+EXPONENTIALS, UNIFORMS, MARKS, STAGE_NORMALS, EVENT_NORMALS = range(5)
+
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for path `index` of the run keyed by `seed`."""
+    """Generator of stream `index` of the run keyed by `seed`."""
     key = ((int(seed) & _MASK64) << 64) | (int(index) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def stream_index(chunk: int, kind: int, round: int = 0) -> int:
+    """Stream of one kind of draw of a chunk: (chunk << 32) | (kind << 24) |
+    round, round counting the thinning refills (below 2**24)."""
+    return (chunk << 32) | (kind << 24) | round
 
 
 class PathStreams:
