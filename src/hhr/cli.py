@@ -7,7 +7,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .config import (
     default_config_dict,
     load_config,
     parse_grid,
+    read_json,
 )
 from .errors import HHRError
 from .hawkes import write_event_csv
@@ -99,8 +100,7 @@ def _cmd_admissible(cfg, args) -> int:
     rep = a_bounds(
         model, cfg.dist, epsilon1=cfg.measure.epsilon1, epsilon2=cfg.measure.epsilon2
     )
-    doc = rep.to_dict()
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(asdict(rep), sort_keys=True, indent=2)
     if args.out:
         path = Path(args.out)
         if path.is_dir() or not path.suffix:
@@ -162,10 +162,10 @@ def _cmd_reserve(cfg, args) -> int:
     model = cfg.validated_model()
     sel, _ = cfg.selection(model, a=args.a)
     if args.policy:
-        doc = json.loads(Path(args.policy).read_text())
-        pol_cfg = config_from_dict(
-            {"model": cfg.raw["model"], "policy": doc.get("policy", doc)}
-        )
+        doc = read_json(args.policy, "policy")
+        if isinstance(doc, dict):  # a config file, or its policy section alone
+            doc = doc.get("policy", doc)
+        pol_cfg = config_from_dict({"model": cfg.raw["model"], "policy": doc})
         policy = pol_cfg.policy
     else:
         policy = cfg.policy

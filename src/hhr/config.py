@@ -18,7 +18,10 @@ from .model import (
 )
 from .payoff import parse_payoff
 
-__all__ = ["RunSettings", "MeasureConfig", "RunConfig", "load_config", "config_from_dict", "default_config_dict"]
+__all__ = [
+    "RunSettings", "MeasureConfig", "RunConfig", "load_config", "read_json", "config_from_dict",
+    "default_config_dict",
+]
 
 
 @dataclass(frozen=True)
@@ -117,16 +120,32 @@ def _parse_policy(d: dict, default_horizon: float) -> PolicySpec:
         raise ConfigError(f"bad policy section: {exc}") from exc
 
 
+_POLICY_ITEMS = {
+    "intensities": {"from", "to", "rate_segments"},
+    "terminal": {"state", "payoff"},
+    "rate": {"state", "payoff"},
+    "transition": {"from", "to", "payoff"},
+}
+
+
 def _unknown_keys(d: dict) -> list[str]:
     """Dotted names of the keys that no section of the config reads."""
     model = d["model"]
+    policy = d.get("policy")
     sections = {
         "": (d, {"model", "measure", "policy", "run"}),
         "model.": (model, {f.name for f in fields(ModelParams)} - {"mu"} | {"mu_breakpoints", "jump"}),
         "model.jump.": (model.get("jump"), {"kind", "value", "rate"}),
         "measure.": (d.get("measure"), {f.name for f in fields(MeasureConfig)}),
+        "policy.": (policy, {"states", "horizon", *_POLICY_ITEMS}),
         "run.": (d.get("run"), {f.name for f in fields(RunSettings)}),
     }
+    for name, keys in _POLICY_ITEMS.items():
+        items = policy.get(name) if isinstance(policy, dict) else None
+        for i, item in enumerate(items if isinstance(items, list) else []):
+            sections[f"policy.{name}[{i}]."] = (item, keys)
+            if "payoff" in keys and isinstance(item, dict):
+                sections[f"policy.{name}[{i}].payoff."] = (item.get("payoff"), {"kind", "value"})
     return [prefix + k for prefix, (section, keys) in sections.items()
             if isinstance(section, dict) for k in section if k not in keys]
 
@@ -172,7 +191,7 @@ def config_from_dict(d: dict) -> RunConfig:
 
     policy = None
     if "policy" in d:
-        policy = _parse_policy(d["policy"], params.T)
+        policy = _parse_policy(_object(d["policy"], "policy"), params.T)
 
     try:
         counts = {key: rz[key] for key in ("seed", "paths", "steps") if key in rz}
@@ -192,15 +211,20 @@ def config_from_dict(d: dict) -> RunConfig:
     return RunConfig(model=params, dist=dist, measure=measure, policy=policy, run=run, raw=d)
 
 
-def load_config(path) -> RunConfig:
+def read_json(path, what: str = "config"):
+    """The JSON document in the file at path; an unreadable or malformed
+    file raises ConfigError naming it as `what`."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(d)
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(read_json(path))
 
 
 def default_config_dict() -> dict:

@@ -5,6 +5,13 @@ between events it decays exponentially toward lambda0 and the decaying value
 is itself a valid thinning bound.  Sampling is exact (Ogata thinning, no
 time discretization), which keeps the compensator-martingale tests free of
 scheme bias.
+
+Paths are drawn in chunks of _CHUNK paths, and each kind of random number
+of a chunk comes from its own stream (see rng), drawn for the whole chunk
+in one call: the thinning blocks of each refill round, the marks, and for
+the diffusion (see sde) the stage and event normals.  Events are kept in
+one CSR table per batch of paths (EventTable), whose closed forms give the
+intensity, counts, compound sums and compensators at any time.
 """
 
 from __future__ import annotations
@@ -18,12 +25,16 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, EventOverflow
 from .model import JumpDistribution, ValidatedModel
-from .rng import PathStreams, path_rng
+from .rng import (
+    EVENT_NORMALS, EXPONENTIALS, MARKS, STAGE_NORMALS, UNIFORMS, path_rng, stream_index,
+)
 
 __all__ = [
     "HawkesPath",
     "EventTable",
+    "chunks",
     "draw_events",
+    "draw_normals",
     "simulate_events",
     "simulate_hawkes_batch",
     "mean_intensity_ode",
@@ -39,7 +50,7 @@ __all__ = [
 
 DEFAULT_EVENT_CAP = 1_000_000
 _BLOCK = 64  # thinning candidates drawn per refill
-_CHUNK = 8192  # paths thinned together by simulate_events
+_CHUNK = 8192  # paths per chunk, the unit of the random streams (see rng)
 
 
 @dataclass(frozen=True)
@@ -98,58 +109,48 @@ class EventTable:
         return np.bincount(self.path, weights=values, minlength=self.counts.size)
 
 
-def _redraw_blocks(rng, n_blocks, scratch):
-    """Draw again, into scratch, a path's first n_blocks thinning blocks."""
-    for _ in range(n_blocks):
-        rng.standard_exponential(out=scratch)
-        rng.random(out=scratch)
-    return rng
+def chunks(n_paths: int) -> list[tuple[int, int]]:
+    """(index, path count) of each chunk of a run of n_paths paths."""
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    return [(c, min(_CHUNK, n_paths - c * _CHUNK)) for c in range(-(-n_paths // _CHUNK))]
 
 
-def _thin_lockstep(streams, paths, lambda0, alpha, beta, horizon, max_events):
-    """Exact thinning of every path at once, with the decaying-intensity bound.
+def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
+    """Exact thinning of the n paths of a chunk at once, with the
+    decaying-intensity bound.
 
-    Path i draws only from its own stream: a block of 64 unit exponentials,
-    then 64 uniforms, and a fresh pair of blocks after every 64 candidates.
-    A refill enters the stream afresh and draws the path's earlier blocks
-    again before the new one, so no generator state is kept per path.  All
-    live paths take the same candidate index together, with the float
-    operations of the one-path algorithm (the decay factor through
-    math.exp: numpy's SIMD exp rounds some arguments differently), so a
-    path's events do not depend on the batch it is thinned in.
-    Returns (times, counts, blocks): the events ordered by path, then by
-    time, and the number of blocks each path drew.
+    Refill round r draws a block of 64 unit exponentials and one of 64
+    uniforms for each path still live, in path order, from the chunk's
+    round-r streams.  All live paths take the same candidate index
+    together, with the float operations of the one-path algorithm (the
+    decay factor through math.exp: numpy's SIMD exp rounds some arguments
+    differently).  Returns (times, counts): the events ordered by path,
+    then by time.
     """
-    n = len(paths)
-    exps = np.empty((n, _BLOCK))
-    unis = np.empty((n, _BLOCK))
-    scratch = np.empty(_BLOCK)
     count = np.zeros(n, dtype=np.int64)
-    blocks = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
     t = np.zeros(n)
     lam = np.full(n, float(lambda0))  # intensity just after t; a bound while decaying
     hit_path, hit_time = [], []
     col = _BLOCK
-    n_blocks = 0
+    rnd = 0
     while live.size:
         if col == _BLOCK:
-            # the draws and stream positions of exponential(size=64), uniform(size=64)
-            for i in live.tolist():
-                rng = _redraw_blocks(streams.enter(paths[i]), n_blocks, scratch)
-                rng.standard_exponential(out=exps[i])
-                rng.random(out=unis[i])
-            n_blocks += 1
-            blocks[live] = n_blocks
+            shape = (live.size, _BLOCK)
+            exps = path_rng(seed, stream_index(chunk, EXPONENTIALS, rnd)).standard_exponential(shape)
+            unis = path_rng(seed, stream_index(chunk, UNIFORMS, rnd)).random(shape)
+            row = np.arange(live.size)  # each live path's row in the blocks
+            rnd += 1
             col = 0
-        wait = exps[live, col] / lam
+        wait = exps[row, col] / lam
         t = t + wait
         inside = t <= horizon
         if not inside.all():
-            live, t, lam, wait = live[inside], t[inside], lam[inside], wait[inside]
+            live, row, t, lam, wait = live[inside], row[inside], t[inside], lam[inside], wait[inside]
         decay = np.fromiter(map(math.exp, (-beta * wait).tolist()), float, wait.size)
         lam_cand = lambda0 + (lam - lambda0) * decay
-        accept = unis[live, col] * lam <= lam_cand
+        accept = unis[row, col] * lam <= lam_cand
         col += 1
         hits = live[accept]
         if hits.size:
@@ -163,59 +164,41 @@ def _thin_lockstep(streams, paths, lambda0, alpha, beta, horizon, max_events):
         # accepted: jump by alpha; rejected: the tightened bound
         lam = np.where(accept, lam_cand + alpha, lam_cand)
     if not hit_path:
-        return np.empty(0), count, blocks
+        return np.empty(0), count
     by_path = np.argsort(np.concatenate(hit_path), kind="stable")
-    return np.concatenate(hit_time)[by_path], count, blocks
+    return np.concatenate(hit_time)[by_path], count
 
 
-def draw_events(
-    streams: PathStreams, paths: range, p, dist: JumpDistribution, max_events: int,
-    n_steps: int = 0,
-) -> tuple[EventTable, np.ndarray, np.ndarray]:
-    """Event table of the paths `paths` under the model parameters p, each
-    path drawing from its own stream (entered through `streams`): its
-    thinning draws, its marks, then the standard normals of its n_steps + k
-    diffusion stages (k its event count), a block for the stock and then
-    one for the variance.  Returns (table, ZB, ZW), each kind of block flat
-    in path order: path i's start at table.offsets[i] + n_steps * i."""
-    times, count, blocks = _thin_lockstep(
-        streams, paths, p.lambda0, p.alpha, p.beta, p.T, max_events
+def draw_events(seed, chunk, n, p, dist: JumpDistribution, max_events: int) -> EventTable:
+    """Event table of the n paths of chunk `chunk` (paths chunk * _CHUNK
+    onward) under the model parameters p: thinned in lockstep, then the
+    marks drawn in one call, in table order."""
+    times, count = _thin_lockstep(
+        seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T, max_events
     )
-    table = EventTable.from_counts(times, np.empty(times.size), count)
-    z_off = table.offsets + n_steps * np.arange(count.size + 1)
-    # two arrays, not one 2m block per path, each sized for the same whole
-    # number of normals per path in every chunk of a run, so that glibc can
-    # reuse a freed chunk's block for the next: one buffer of both lifted a
-    # second hhr verify's peak RSS in one process from 133 to 154 MB, and
-    # exact sizes to about 152 MB in some runs
-    size = (n_steps + -(-times.size // max(count.size, 1))) * count.size
-    ZB, ZW = np.empty(size)[: z_off[-1]], np.empty(size)[: z_off[-1]]
-    scratch = np.empty(_BLOCK)
-    for i, lo, hi, z_lo, z_hi, n_blocks in zip(
-        paths, table.offsets[:-1].tolist(), table.offsets[1:].tolist(),
-        z_off[:-1].tolist(), z_off[1:].tolist(), blocks.tolist(),
-    ):
-        if z_hi == z_lo:
-            continue  # no events and no normals: nothing left to draw
-        rng = _redraw_blocks(streams.enter(i), n_blocks, scratch)
-        table.marks[lo:hi] = dist.sample(rng, hi - lo)
-        rng.standard_normal(out=ZB[z_lo:z_hi])
-        rng.standard_normal(out=ZW[z_lo:z_hi])
-    return table, ZB, ZW
+    marks = dist.sample(path_rng(seed, stream_index(chunk, MARKS)), times.size)
+    return EventTable.from_counts(times, marks, count)
+
+
+def draw_normals(seed, chunk, n, n_steps, n_events) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normals of the diffusion stages of a chunk's n paths,
+    the stock's then the variance's: (n, 2, n_steps) for the first stage of
+    each step, path-major, and (n_events, 2) for the stage after each
+    event, in table order."""
+    z = path_rng(seed, stream_index(chunk, STAGE_NORMALS)).standard_normal((n, 2, n_steps))
+    ez = path_rng(seed, stream_index(chunk, EVENT_NORMALS)).standard_normal((n_events, 2))
+    return z, ez
 
 
 def simulate_events(
     model: ValidatedModel, dist: JumpDistribution, n_paths: int, seed: int, *,
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> EventTable:
-    """Exact-law event table of n_paths independent paths on [0, T], path i
-    drawn from the (seed, i) stream; one generator per chunk of paths."""
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    chunks = [range(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    """Exact-law event table of n_paths independent paths on [0, T], drawn
+    chunk by chunk from the run's streams (see rng); path i's events depend
+    on the seed and the paths of its chunk up to i only."""
     return EventTable.concat([
-        draw_events(PathStreams(path_rng(seed, c.start)), c, model.params, dist, max_events)[0]
-        for c in chunks
+        draw_events(seed, c, n, model.params, dist, max_events) for c, n in chunks(n_paths)
     ])
 
 

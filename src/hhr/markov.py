@@ -52,6 +52,10 @@ class PolicySpec:
                 raise ValueError(f"bad transition ({j!r}, {k!r})")
             if any(v < 0 for v in mu.values):
                 raise ValueError(f"negative intensity on ({j!r}, {k!r})")
+        named = [*self.terminal, *self.rate, *(s for pair in self.transition for s in pair)]
+        undeclared = sorted(set(named) - set(self.states))
+        if undeclared:
+            raise ValueError(f"undeclared states {', '.join(map(repr, undeclared))}")
 
     @property
     def n_states(self) -> int:
@@ -179,7 +183,7 @@ def theta_payoff(policy: PolicySpec, state: str) -> _ThetaPayoff:
     return _ThetaPayoff(policy, state)
 
 
-def _two_state(horizon, mu_rate) -> tuple:
+def _two_state(mu_rate) -> tuple:
     states = ("alive", "dead")
     intensities = {("alive", "dead"): PiecewiseFlat.constant(mu_rate)}
     return states, intensities
@@ -187,7 +191,7 @@ def _two_state(horizon, mu_rate) -> tuple:
 
 def pure_endowment(horizon: float, mu_rate: float, amount: float = 1.0) -> PolicySpec:
     """Pays `amount` at the horizon if still alive."""
-    states, intensities = _two_state(horizon, mu_rate)
+    states, intensities = _two_state(mu_rate)
     return PolicySpec(
         states=states,
         horizon=horizon,
@@ -198,7 +202,7 @@ def pure_endowment(horizon: float, mu_rate: float, amount: float = 1.0) -> Polic
 
 def term_insurance(horizon: float, mu_rate: float, amount: float = 1.0) -> PolicySpec:
     """Pays `amount` at the moment of death before the horizon."""
-    states, intensities = _two_state(horizon, mu_rate)
+    states, intensities = _two_state(mu_rate)
     return PolicySpec(
         states=states,
         horizon=horizon,
@@ -212,7 +216,7 @@ def endowment_guarantee(
 ) -> PolicySpec:
     """Unit-linked endowment max(G, S) at the horizon if alive; optionally the
     same guarantee paid at death."""
-    states, intensities = _two_state(horizon, mu_rate)
+    states, intensities = _two_state(mu_rate)
     transition = {("alive", "dead"): guarantee(level)} if death_benefit else {}
     return PolicySpec(
         states=states,

@@ -90,7 +90,6 @@ class ClResult:
     value: float
     at_cap: bool
     scan_monotone: bool
-    grid_fallback: bool = False
 
 
 def compute_c_l(
@@ -130,7 +129,7 @@ def compute_c_l(
         for c in grid:
             if ok(float(c)):
                 sup = float(c)
-        return ClResult(sup, sup == cap, False, True)
+        return ClResult(sup, sup == cap, False)
 
     if ok(cap):
         return ClResult(cap, True, True)
@@ -182,23 +181,6 @@ class AdmissibilityReport:
     epsilon2: float
     big_d: float
     conditions: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "c_l": self.c_l,
-            "cap": self.cap,
-            "c_l_at_cap": self.c_l_at_cap,
-            "scan_monotone": self.scan_monotone,
-            "bound_e": self.bound_e,
-            "bound_em": self.bound_em,
-            "bound_em_qs": self.bound_em_qs,
-            "q1": self.q1,
-            "q2": self.q2,
-            "epsilon1": self.epsilon1,
-            "epsilon2": self.epsilon2,
-            "big_d": self.big_d,
-            "conditions": dict(self.conditions),
-        }
 
 
 def a_bounds(

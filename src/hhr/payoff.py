@@ -63,6 +63,8 @@ def parse_payoff(spec) -> Payoff:
     if isinstance(spec, Payoff):
         return spec
     if isinstance(spec, dict):
+        if spec["kind"] == "guarantee" and "value" not in spec:
+            raise ValueError("guarantee payoff needs a value")
         return Payoff(spec["kind"], float(spec.get("value", 1.0)))
     name, _, arg = str(spec).partition(":")
     if name == "guarantee" and not arg:

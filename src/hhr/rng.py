@@ -33,27 +33,6 @@ def stream_index(chunk: int, kind: int, round: int = 0) -> int:
     return (chunk << 32) | (kind << 24) | round
 
 
-class PathStreams:
-    """The path streams of one run through one generator.
-
-    Built from a fresh path_rng(seed, i) of the run; enter(j) puts that
-    generator at the start of path j's stream (counter 0, key (j, seed),
-    no buffered output), where path_rng(seed, j) would start.  numpy's
-    Generator keeps no cached values of its own, so the draws that follow
-    are those of path_rng(seed, j).  Not shared between threads.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._start = rng.bit_generator.state
-        self._key = self._start["state"]["key"]  # (index, seed) words
-
-    def enter(self, index: int) -> np.random.Generator:
-        self._key[0] = int(index) & _MASK64
-        self.rng.bit_generator.state = self._start
-        return self.rng
-
-
 def derive_seed(seed: int, tag: str) -> int:
     """Stable 64-bit sub-seed for a named purpose (retries, cross-checks)."""
     h = np.uint64(seed & _MASK64)

@@ -12,21 +12,23 @@ augmented per path, never smeared).  X is accumulated with left-endpoint
 martingale, so E[X_t] = 1 holds without discretization bias; the reported
 running integral of v is trapezoidal.
 
-Each path consumes only its own counter-based stream: the thinning draws
-first, then the marks, then one block of normals for the stock and one for
-the variance, each sized to the path's own augmented grid.  Results are
-therefore identical for a fixed seed no matter how paths are chunked or
-threaded.  A chunk builds one generator, path_rng(seed, first path), and
-re-keys it to each path's stream (rng.PathStreams); it enters a path once
-to thin and once more, after thinning, for its marks and normals.
+Paths run in the chunks of hawkes.chunks, and each chunk draws every kind
+of random number in one call from its own stream (see rng): the thinning
+blocks and the marks (hawkes.draw_events), then the stage normals, one
+(paths, 2, n_steps) array, and the event normals, one (events, 2) array
+(hawkes.draw_normals).  So a path's numbers depend on the seed and on the
+paths of its chunk up to itself only: a run is a prefix of any longer run
+at the same seed, and the thread count changes nothing.
 
 A chunk thins all its paths in lockstep into one CSR event table (one flat
-array of times and marks plus per-path offsets; see hawkes.draw_events).
-Each uniform step then runs its first stage over every path and its later
-stages, up to the closing one, over only the paths with an event in that
-step.  A skipped path already sits at the step's end, and a stage of length
-0 leaves every state row unchanged exactly, so skipping is bit-identical to
-running every stage over every path.
+array of times and marks plus per-path offsets).  Each uniform step then
+runs its first stage over every path, on column k of the stage normals,
+and its later stages, up to the closing one, over only the paths with an
+event in that step: stage j starts at a path's order-(j - 1) event of the
+step and reads that event's normals.  A skipped path already sits at the
+step's end, and a stage of length 0 leaves every state row unchanged
+exactly, so skipping is bit-identical to running every stage over every
+path.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .hawkes import DEFAULT_EVENT_CAP, EventTable, draw_events, l_at, lambda_at, n_at
+from .hawkes import (
+    DEFAULT_EVENT_CAP, EventTable, chunks, draw_events, draw_normals, l_at, lambda_at, n_at,
+)
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
-from .rng import PathStreams, path_rng
+from .rng import path_rng  # noqa: F401  (perfbench traces hhr.sde.path_rng)
 
 __all__ = ["PathBundle", "SimulationResult", "simulate"]
 
@@ -85,9 +89,9 @@ class SimulationResult:
     bundles: list | None = None
 
 
-def _bucket_events(table, dt, n_steps):
-    """Event rows sorted by (step, path, order); order ranks an event among
-    its path's events in the same step."""
+def _bucket_events(table, ez, dt, n_steps):
+    """Event rows, with their normals ez, sorted by (step, path, order);
+    order ranks an event among its path's events in the same step."""
     path = table.path
     step = np.clip(np.ceil(table.times / dt - 1e-12).astype(int) - 1, 0, n_steps - 1)
     idx = np.arange(step.size)
@@ -96,7 +100,8 @@ def _bucket_events(table, dt, n_steps):
     order = idx - np.maximum.accumulate(np.where(first, idx, 0))
     # the table is ordered by (path, time), so a stable sort by step suffices
     sorter = np.argsort(step, kind="stable")
-    return path[sorter], table.times[sorter], table.marks[sorter], step[sorter], order[sorter]
+    return (path[sorter], table.times[sorter], table.marks[sorter], ez[sorter], step[sorter],
+            order[sorter])
 
 
 def _run_chunk(
@@ -106,21 +111,17 @@ def _run_chunk(
     selection,
     n_steps,
     seed,
-    idx_lo,
-    idx_hi,
+    chunk,
+    nc,
     probe_steps,
     record_full,
     max_events,
 ):
     p = model.params
-    nc = idx_hi - idx_lo
     dt_u = p.T / n_steps
-    table, ZB, ZW = draw_events(
-        PathStreams(path_rng(seed, idx_lo)), range(idx_lo, idx_hi), p, dist, max_events,
-        n_steps,
-    )
-    z_off = table.offsets[:-1] + n_steps * np.arange(nc)  # each path's first normal
-    ev_path, ev_time, ev_mark, ev_step, ev_order = _bucket_events(table, dt_u, n_steps)
+    table = draw_events(seed, chunk, nc, p, dist, max_events)
+    z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size)
+    ev_path, ev_time, ev_mark, ev_z, ev_step, ev_order = _bucket_events(table, ez, dt_u, n_steps)
     step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
     step_hi = np.searchsorted(ev_step, np.arange(n_steps), side="right")
 
@@ -137,37 +138,26 @@ def _run_chunk(
     st = np.zeros((5, nc))
     st[1] = math.log(p.S0)
     st[2] = p.v0
-    ptr = np.zeros(nc, dtype=int)
     trunc = 0
     active_total = 0
     probes = {}
     snaps = [st.copy()] if record_full else None
 
-    def stage(s, ptr, rows, target, hit, mk, drift):
-        """Advance the state block s of chunk rows `rows` to `target` with
-        the stock drift `drift` (a value or one per row), then jump the
-        variance of its rows `hit` by eta times the marks mk."""
+    def stage(s, target, zb, zw, hit, mk, drift):
+        """Advance the state block s to `target` with the stock and variance
+        normals zb, zw and the stock drift `drift` (a value or one per row),
+        then jump the variance of its rows `hit` by eta times the marks mk.
+        A row already at its target moves by exactly 0."""
         nonlocal trunc, active_total
         cur_t, log_s, v, int_v, log_x = s
         # clamp guards the stage length when an event time sits a float
         # ulp past a grid node and was bucketed into the earlier step
         dt_vec = np.maximum(target - cur_t, 0.0)
         active = dt_vec > 0.0
-        act = np.nonzero(active)[0]
-        if act.size == rows.size:
-            at = z_off[rows] + ptr
-            zb, zw = ZB[at], ZW[at]
-            ptr += 1
-        else:  # an idle row draws nothing and moves by 0 * 0
-            at = z_off[rows[act]] + ptr[act]
-            zb = np.zeros(rows.size)
-            zw = np.zeros(rows.size)
-            zb[act], zw[act] = ZB[at], ZW[at]
-            ptr[act] += 1
         sq = np.sqrt(dt_vec)
         vp = np.maximum(v, 0.0)
         trunc += int(np.count_nonzero(active & (v < 0.0)))
-        active_total += act.size
+        active_total += int(np.count_nonzero(active))
         sv = np.sqrt(vp)
         s[1] = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
         v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
@@ -187,7 +177,6 @@ def _run_chunk(
         if hit is not None and hit.size:
             s[2, hit] += p.eta * mk
 
-    all_rows = np.arange(nc)
     mu = (lambda t: p.r) if under_q else p.mu
 
     for k in range(n_steps):
@@ -197,33 +186,37 @@ def _run_chunk(
         first = order == 0
         rows = ev_path[lo:hi][first]  # the rows with an event in this step
         # stage 0, full width: every row from k dt to its first event of the
-        # step, or to the step's end
+        # step, or to the step's end, on the step's column of normals
         target = np.full(nc, t_next)
         target[rows] = ev_time[lo:hi][first]
-        stage(st, ptr, all_rows, target, rows, ev_mark[lo:hi][first], mu(k * dt_u))
+        stage(st, target, z[:, 0, k], z[:, 1, k], rows, ev_mark[lo:hi][first], mu(k * dt_u))
         if record_full:
             snaps.append(st.copy())
         if rows.size:
             # later stages touch only the event rows: any other row sits at
             # t_next, where a stage of length 0 would leave its state
-            # unchanged
+            # unchanged.  Stage j starts at each row's order-(j - 1) event
+            # and reads that event's normals; a row with fewer events sits
+            # at t_next and reads zeros.
             n_stage = int(order.max()) + 1
             local = np.cumsum(first) - 1  # each event's row in the block
-            sub, sub_ptr = st[:, rows], ptr[rows]
+            sub = st[:, rows]
             for j in range(1, n_stage + 1):
+                prev = order == j - 1
+                zs = np.zeros((2, rows.size))
+                zs[:, local[prev]] = ev_z[lo:hi][prev].T
                 target = np.full(rows.size, t_next)
                 if j < n_stage:
                     sel = order == j
                     hit = local[sel]
                     target[hit] = ev_time[lo:hi][sel]
-                    stage(sub, sub_ptr, rows, target, hit, ev_mark[lo:hi][sel], mu(sub[0]))
+                    stage(sub, target, *zs, hit, ev_mark[lo:hi][sel], mu(sub[0]))
                 else:
-                    stage(sub, sub_ptr, rows, target, None, None, mu(sub[0]))
+                    stage(sub, target, *zs, None, None, mu(sub[0]))
                 if record_full:
                     st[:, rows] = sub
                     snaps.append(st.copy())
             st[:, rows] = sub
-            ptr[rows] = sub_ptr
         if (k + 1) in probe_steps:
             probes[t_next] = np.exp(st[4])
 
@@ -285,7 +278,6 @@ def simulate(
     probe_times=(),
     record_full: bool = False,
     threads: int = 1,
-    chunk_size: int = 8192,
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> SimulationResult:
     """Simulate the joint system under P or Q(a).
@@ -304,10 +296,7 @@ def simulate(
         raise AdmissibilityError("Q-measure simulation requires a certified selection")
     if n_steps < 50:
         raise DomainError(f"n_steps must be >= 50, got {n_steps}")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    if chunk_size < 1:
-        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
+    runs = chunks(n_paths)
 
     dt_u = p.T / n_steps
     probe_steps = set()
@@ -317,22 +306,17 @@ def simulate(
             raise DomainError(f"probe time {t} is not on the uniform grid")
         probe_steps.add(k)
 
-    chunks = [
-        (lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)
-    ]
-
     def work(chunk):
-        lo, hi = chunk
         return _run_chunk(
-            model, dist, measure, selection, n_steps, seed, lo, hi,
+            model, dist, measure, selection, n_steps, seed, *chunk,
             probe_steps, record_full, max_events,
         )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, chunks))
+            results = list(ex.map(work, runs))
     else:
-        results = [work(c) for c in chunks]
+        results = [work(c) for c in runs]
 
     terminal = {
         key: np.concatenate([r[0][key] for r in results])

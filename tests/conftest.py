@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,20 +49,19 @@ def desk_report(desk_model, desk_dist):
     return measure.a_bounds(desk_model, desk_dist)
 
 
-def scalar_thin(rng, lambda0, alpha, beta, horizon):
+def scalar_thin(blocks, lambda0, alpha, beta, horizon):
     """Reference: one path at a time, the thinning loop the lockstep thinner
-    replaced.  Returns the event times and the number of candidates drawn."""
+    replaced, taking each block of 64 candidates as the next (exponentials,
+    uniforms) pair of the iterator `blocks`.  Returns the event times and
+    the number of candidates drawn."""
     times = []
     t = 0.0
     lam = lambda0
-    exps = rng.exponential(size=64)
-    unis = rng.uniform(size=64)
-    ptr = 0
+    ptr = 64
     n_cand = 0
     while True:
         if ptr == 64:
-            exps = rng.exponential(size=64)
-            unis = rng.uniform(size=64)
+            exps, unis = next(blocks)
             ptr = 0
         wait = exps[ptr] / lam
         t = t + wait
@@ -79,19 +79,44 @@ def scalar_thin(rng, lambda0, alpha, beta, horizon):
     return np.asarray(times), n_cand
 
 
-def reference_draws(m, dist, paths, seed, n_steps=None):
-    """Reference: each path's draws from its own generator path_rng(seed, i),
-    one path at a time: (times, marks, candidates) and, given n_steps, then
-    the stock and the variance normals of its n_steps + len(times) stages."""
+def reference_draws(m, dist, n_paths, seed, n_steps=None, chunk=8192):
+    """Reference: the draws of paths 0 .. n_paths - 1, chunk by chunk of
+    `chunk` paths.  Chunk c draws each kind of number from the stream
+    path_rng(seed, (c << 32) | (kind << 24) | round), kinds 0-4 being the
+    thinning exponentials and uniforms (one stream per refill round), the
+    marks, the stage normals and the event normals.  Its paths are thinned
+    one at a time by scalar_thin, a path taking the next unused row of each
+    round's blocks; the marks and the normals are split in path order.
+    Returns one (times, marks, candidates) per path and, given n_steps,
+    also its (2, n_steps) stage normals and (events, 2) event normals."""
     p = m.params
     out = []
-    for i in paths:
-        rng = path_rng(seed, i)
-        times, n_cand = scalar_thin(rng, p.lambda0, p.alpha, p.beta, p.T)
-        row = (times, dist.sample(rng, times.size), n_cand)
+    for c, lo in enumerate(range(0, n_paths, chunk)):
+        n = min(chunk, n_paths - lo)
+
+        def stream(kind, r=0):
+            return path_rng(seed, (c << 32) | (kind << 24) | r)
+
+        rounds = []  # per refill round: its blocks and the rows taken so far
+
+        def blocks():
+            for r in itertools.count():
+                if r == len(rounds):
+                    shape = (n, 64)
+                    rounds.append([stream(0, r).standard_exponential(shape),
+                                   stream(1, r).random(shape), 0])
+                exps, unis, row = rounds[r]
+                rounds[r][2] += 1
+                yield exps[row], unis[row]
+
+        thinned = [scalar_thin(blocks(), p.lambda0, p.alpha, p.beta, p.T) for _ in range(n)]
+        counts = [times.size for times, _ in thinned]
+        cut = np.cumsum(counts)[:-1]
+        marks = np.split(dist.sample(stream(2), sum(counts)), cut)
+        rows = [(times, mk, n_cand) for (times, n_cand), mk in zip(thinned, marks)]
         if n_steps is not None:
-            zb = rng.standard_normal(n_steps + times.size)
-            zw = rng.standard_normal(n_steps + times.size)
-            row += (zb, zw)
-        out.append(row)
+            z = stream(3).standard_normal((n, 2, n_steps))
+            ez = np.split(stream(4).standard_normal((sum(counts), 2)), cut)
+            rows = [row + (z[i], ez[i]) for i, row in enumerate(rows)]
+        out += rows
     return out

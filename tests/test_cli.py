@@ -243,6 +243,29 @@ class TestPrice:
         assert not out.exists()
 
 
+def _rename(d, old, new):
+    d[new] = d.pop(old)
+
+
+# a policy edit, and the one error line it must give
+POLICY_TYPOS = {
+    "section-key": (lambda p: _rename(p, "terminal", "terminals"),
+                    "error: unknown config keys: policy.terminals"),
+    "item-key": (lambda p: p["transition"][0].update(rate_segments=[[0.0, 0.02]]),
+                 "error: unknown config keys: policy.transition[0].rate_segments"),
+    "payoff-key": (lambda p: _rename(p["terminal"][0]["payoff"], "value", "valeu"),
+                   "error: unknown config keys: policy.terminal[0].payoff.valeu"),
+    "terminal-state": (lambda p: p["terminal"][0].update(state="alvie"),
+                       "error: bad policy section: undeclared states 'alvie'"),
+    "rate-state": (lambda p: p.update(rate=[{"state": "Alive", "payoff": "constant:1"}]),
+                   "error: bad policy section: undeclared states 'Alive'"),
+    "transition-state": (lambda p: p["transition"][0].update(to="ded"),
+                         "error: bad policy section: undeclared states 'ded'"),
+    "guarantee-value": (lambda p: p["terminal"][0]["payoff"].pop("value"),
+                        "error: bad policy section: guarantee payoff needs a value"),
+}
+
+
 class TestReserve:
     def test_both_methods_with_rel_diff(self, small_config, tmp_path, capsys):
         out = tmp_path / "reserve.csv"
@@ -305,6 +328,38 @@ class TestReserve:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == ["error: maturity must be > 0, got 0"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("typo", sorted(POLICY_TYPOS))
+    def test_policy_typo_is_one_error_line(self, small_config, tmp_path, capsys, typo):
+        edit, message = POLICY_TYPOS[typo]
+        pol = default_config_dict()["policy"]
+        edit(pol)
+        ppath = tmp_path / "policy.json"
+        ppath.write_text(json.dumps({"policy": pol}))
+        out = tmp_path / "reserve.csv"
+        rc = cli.main(
+            ["--config", str(small_config), "reserve", "--policy", str(ppath),
+             "--grid", "4x12x8x8", "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "error: cannot read policy "), ("{not json", "error: policy "),
+    ], ids=["missing", "malformed"])
+    def test_policy_file_error_is_one_error_line(self, small_config, tmp_path, capsys,
+                                                 text, named):
+        ppath = tmp_path / "policy.json"
+        if text is not None:
+            ppath.write_text(text)
+        rc = cli.main(
+            ["--config", str(small_config), "reserve", "--policy", str(ppath),
+             "--grid", "4x12x8x8", "--out", str(tmp_path / "reserve.csv")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(named)
 
 
 class TestVerify:

@@ -7,8 +7,6 @@ from scipy.stats import kstest
 
 from hhr import hawkes, model, sde
 from hhr.errors import DomainError, EventOverflow
-from hhr.rng import PathStreams, path_rng
-
 from conftest import desk_params, reference_draws
 
 
@@ -62,7 +60,7 @@ class TestThinning:
     def test_deterministic_in_seed_and_index(self):
         m = _mk()
         d = model.ExponentialJump(2.0)
-        # path i depends on (seed, i) only, not on the batch it is drawn in
+        # path i depends on the seed and the paths before it only
         a = hawkes.simulate_events(m, d, 5, 9)
         b = hawkes.simulate_events(m, d, 6, 9)
         assert np.array_equal(a.offsets, b.head(5).offsets)
@@ -104,7 +102,7 @@ class TestLockstepThinner:
     )
     def test_bit_identical_to_scalar_reference(self, params, dist):
         m = _mk(**params)
-        ref = reference_draws(m, dist, range(400), 41)
+        ref = reference_draws(m, dist, 400, 41)
         table = hawkes.simulate_events(m, dist, 400, 41)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
@@ -118,26 +116,27 @@ class TestLockstepThinner:
         if params.get("lambda0") == 20.0:
             assert sum(r[2] > 64 for r in ref) > 10
 
-    @pytest.mark.parametrize("chunk", [1, 7, 8192])
-    def test_every_chunking_draws_the_path_streams(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunks_draw_from_their_own_streams(self, chunk, monkeypatch):
         m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)
         dist = model.ExponentialJump(2.0)
-        ref = reference_draws(m, dist, range(40), 43)
+        ref = reference_draws(m, dist, 40, 43, chunk=chunk)
         assert max(r[2] for r in ref) > 128  # some path refills twice
         monkeypatch.setattr(hawkes, "_CHUNK", chunk)
         table = hawkes.simulate_events(m, dist, 40, 43)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
         assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
+        # a shorter run is a prefix, also one that ends inside a chunk
+        head = hawkes.simulate_events(m, dist, 36, 43)
+        for key in ("times", "marks", "offsets"):
+            assert np.array_equal(getattr(head, key), getattr(table.head(head.counts.size), key))
 
     def test_table_layout(self):
         m = _mk(lambda0=3.0)
         dist = model.ExponentialJump(2.0)
-        streams = PathStreams(path_rng(5, 0))
-        table = hawkes.draw_events(
-            streams, range(50), m.params, dist, hawkes.DEFAULT_EVENT_CAP
-        )[0]
-        ref = reference_draws(m, dist, range(50), 5)
+        table = hawkes.draw_events(5, 0, 50, m.params, dist, hawkes.DEFAULT_EVENT_CAP)
+        ref = reference_draws(m, dist, 50, 5)
         assert table.offsets[0] == 0 and table.offsets[-1] == table.times.size
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
@@ -146,15 +145,15 @@ class TestLockstepThinner:
     def test_overflow_fires_one_past_the_cap(self, desk_selection):
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         dist = model.ExponentialJump(2.0)
-        n_max = max(r[0].size for r in reference_draws(m, dist, range(8), 5))
+        n_max = max(r[0].size for r in reference_draws(m, dist, 8, 5))
         assert hawkes.simulate_events(m, dist, 8, 5, max_events=n_max).counts.max() == n_max
         with pytest.raises(EventOverflow):
             hawkes.simulate_events(m, dist, 8, 5, max_events=n_max - 1)
-        i = next(i for i, r in enumerate(reference_draws(m, dist, range(8), 5)) if r[0].size == n_max)
-        one = range(i, i + 1)
-        hawkes.draw_events(PathStreams(path_rng(5, i)), one, m.params, dist, n_max)
+        i = next(i for i, r in enumerate(reference_draws(m, dist, 8, 5)) if r[0].size == n_max)
+        # the first paths up to the one that reaches n_max
+        hawkes.draw_events(5, 0, i + 1, m.params, dist, n_max)
         with pytest.raises(EventOverflow):
-            hawkes.draw_events(PathStreams(path_rng(5, i)), one, m.params, dist, n_max - 1)
+            hawkes.draw_events(5, 0, i + 1, m.params, dist, n_max - 1)
         kw = dict(selection=desk_selection)
         res = sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max, **kw)
         assert res.terminal["N"].max() == n_max

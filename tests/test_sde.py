@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from hhr import hawkes, measure, model, sde
 from hhr.errors import AdmissibilityError, DomainError, EventOverflow
-from hhr.rng import PathStreams, derive_seed, path_rng
+from hhr.rng import derive_seed
 
 from conftest import desk_params, reference_draws
 
@@ -28,10 +28,11 @@ class TestInterface:
         with pytest.raises(ValueError):
             sde.simulate(desk_model, DIST, "P", 4, 10, 1)
 
-    @pytest.mark.parametrize("n_paths, chunk_size", [(0, 8192), (-3, 8192), (4, 0)])
-    def test_path_and_chunk_counts_enforced(self, desk_model, n_paths, chunk_size):
+    @pytest.mark.parametrize("n_paths, chunk", [(0, 8192), (-3, 8192)])
+    def test_path_and_chunk_counts_enforced(self, desk_model, n_paths, chunk, monkeypatch):
+        monkeypatch.setattr(hawkes, "_CHUNK", chunk)
         with pytest.raises(DomainError):
-            sde.simulate(desk_model, DIST, "P", n_paths, 64, 1, chunk_size=chunk_size)
+            sde.simulate(desk_model, DIST, "P", n_paths, 64, 1)
 
     def test_q_requires_selection(self, desk_model):
         with pytest.raises(AdmissibilityError):
@@ -185,19 +186,33 @@ class TestGirsanovCrossCheck:
 
 
 class TestReproducibility:
-    def test_identical_across_chunking_and_threads(self, desk_model, desk_selection):
-        kw = dict(selection=desk_selection, probe_times=(1.0,))
-        a = sde.simulate(desk_model, DIST, "P", 600, 64, 61, chunk_size=128, **kw)
-        b = sde.simulate(desk_model, DIST, "P", 600, 64, 61, chunk_size=250, **kw)
-        c = sde.simulate(
-            desk_model, DIST, "P", 600, 64, 61, chunk_size=128, threads=4, **kw
-        )
+    KW = dict(probe_times=(0.5, 1.0))
+
+    def test_identical_across_threads(self, desk_model, desk_selection, monkeypatch):
+        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        kw = dict(selection=desk_selection, **self.KW)
+        a = sde.simulate(desk_model, DIST, "P", 600, 64, 61, **kw)
+        b = sde.simulate(desk_model, DIST, "P", 600, 64, 61, threads=2, **kw)
+        assert a.truncated_fraction == b.truncated_fraction
+        self._assert_prefix(a, b, 600)
+
+    def test_shorter_run_is_a_prefix(self, desk_model, desk_selection, monkeypatch):
+        # 300 paths end inside the third chunk of 128
+        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        kw = dict(selection=desk_selection, **self.KW)
+        a = sde.simulate(desk_model, DIST, "P", 300, 64, 61, **kw)
+        b = sde.simulate(desk_model, DIST, "P", 600, 64, 61, **kw)
+        self._assert_prefix(a, b, 300)
+
+    @staticmethod
+    def _assert_prefix(a, b, n):
+        assert a.terminal.keys() == b.terminal.keys()
         for key in a.terminal:
-            assert np.array_equal(a.terminal[key], b.terminal[key])
-            assert np.array_equal(a.terminal[key], c.terminal[key])
-        assert np.array_equal(a.probes[1.0], b.probes[1.0])
-        assert np.array_equal(a.events.offsets, b.events.offsets)
-        assert np.array_equal(a.events.times, b.events.times)
+            assert np.array_equal(a.terminal[key], b.terminal[key][:n]), key
+        for t in a.probes:
+            assert np.array_equal(a.probes[t], b.probes[t][:n]), t
+        for key in ("times", "marks", "offsets"):
+            assert np.array_equal(getattr(a.events, key), getattr(b.events.head(n), key)), key
 
     def test_seed_changes_results(self, desk_model, desk_selection):
         a = sde.simulate(desk_model, DIST, "P", 64, 64, 1, selection=desk_selection)
@@ -235,29 +250,26 @@ class TestNegativeTilt:
         assert abs(disc.mean() - desk_model.S0) < 3 * se
 
 
-def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_steps):
+def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_steps,
+                          chunk=8192):
     """Reference: the chunk loop before sub-stepping, which also carried
-    lambda, N, L and the compensator of N by their stage recursion.  Draws
-    path by path, buckets path by path and runs every stage of a step over
-    every path.
+    lambda, N, L and the compensator of N by their stage recursion.  Takes
+    the draws of conftest.reference_draws, buckets path by path and runs
+    every stage of a step over every path.  Stage 0 of step k reads column
+    k of a path's stage normals, stage j > 0 the normals of its order-(j - 1)
+    event in the step; a row that does not move reads zeros.
     Returns (terminal, probes, truncated fraction, bundles, largest number
     of events of one path in one step, event table)."""
     p = m.params
     dt_u = p.T / n_steps
-    events, marks, _, zbs, zws = zip(*reference_draws(m, dist, range(n), seed, n_steps))
-    width = n_steps + max(e.size for e in events)
-    ZB = np.zeros((n, width))
-    ZW = np.zeros((n, width))
-    for i in range(n):
-        ZB[i, : zbs[i].size] = zbs[i]
-        ZW[i, : zws[i].size] = zws[i]
-    by_step = {}  # step -> [(order, path, time, mark)]
+    events, marks, _, zs, ezs = zip(*reference_draws(m, dist, n, seed, n_steps, chunk))
+    by_step = {}  # step -> [(order, path, time, mark, index among the path's events)]
     for i, (t_i, m_i) in enumerate(zip(events, marks)):
         k = np.clip(np.ceil(t_i / dt_u - 1e-12).astype(int) - 1, 0, n_steps - 1)
         order = 0
         for j in range(t_i.size):
             order = order + 1 if j and k[j] == k[j - 1] else 0
-            by_step.setdefault(int(k[j]), []).append((order, i, t_i[j], m_i[j]))
+            by_step.setdefault(int(k[j]), []).append((order, i, t_i[j], m_i[j], j))
 
     under_q = measure_tag == "Q"
     kappa_eff, vbar_eff = measure.q_dynamics(p, sel) if under_q else (p.kappa, p.vbar)
@@ -268,7 +280,6 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     v = np.full(n, p.v0)
     lam = np.full(n, p.lambda0)
     n_ev, l_ev, int_v, log_x, comp_n, cur_t = (np.zeros(n) for _ in range(6))
-    ptr = np.zeros(n, dtype=int)
     trunc = active_total = 0
     probes = {}
     snaps = []
@@ -292,11 +303,16 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
             dt_vec = np.maximum(target - cur_t, 0.0)
             active = dt_vec > 0.0
             rows = np.nonzero(active)[0]
-            zb = np.zeros(n)
-            zw = np.zeros(n)
-            zb[rows] = ZB[rows, ptr[rows]]
-            zw[rows] = ZW[rows, ptr[rows]]
-            ptr[rows] += 1
+            if j == 0:
+                zb, zw = np.array([z[:, k] for z in zs]).T
+            else:
+                zb = np.zeros(n)
+                zw = np.zeros(n)
+                for e in evs:
+                    if e[0] == j - 1:
+                        zb[e[1]], zw[e[1]] = ezs[e[1]][e[4]]
+            zb = np.where(active, zb, 0.0)
+            zw = np.where(active, zw, 0.0)
             sq = np.sqrt(dt_vec)
             vp = np.maximum(v, 0.0)
             trunc += int(np.count_nonzero(active & (v < 0.0)))
@@ -496,36 +512,32 @@ class TestClosedFormTie:
 
 
 class TestStreams:
-    """One generator per chunk, re-keyed per path, against a generator per
-    path, path_rng(seed, i), kept here as the reference."""
+    """The chunk streams against conftest.reference_draws, which thins path
+    by path and splits each kind of draw by path."""
 
     def test_thinning_marks_and_normals_equal_the_path_generators(self):
         m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)  # dense: paths refill, some twice
-        paths = range(50, 350)
-        ref = reference_draws(m, DIST, paths, 17, 64)
+        ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
         assert sum(r[2] > 64 for r in ref) > 10 and max(r[2] for r in ref) > 128
-        table, ZB, ZW = hawkes.draw_events(
-            PathStreams(path_rng(17, 50)), paths, m.params, DIST, hawkes.DEFAULT_EVENT_CAP, 64
-        )
+        table = hawkes.draw_events(17, 1, 300, m.params, DIST, hawkes.DEFAULT_EVENT_CAP)
+        z, ez = hawkes.draw_normals(17, 1, 300, 64, table.times.size)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
         assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
-        assert np.array_equal(ZB, np.concatenate([r[3] for r in ref]))
-        assert np.array_equal(ZW, np.concatenate([r[4] for r in ref]))
+        assert np.array_equal(z, np.stack([r[3] for r in ref]))
+        assert np.array_equal(ez, np.concatenate([r[4] for r in ref]))
 
-    @pytest.fixture(scope="class")
-    def bursty(self):
+    @pytest.mark.parametrize("chunk, threads", [(1, 1), (7, 1), (8192, 1), (7, 2)])
+    def test_simulate_equals_the_path_generators(self, chunk, threads, monkeypatch):
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         sel = _sel(m)
-        return m, sel, _full_width_reference(m, DIST, "P", sel, 40, 64, 19, {64})
-
-    @pytest.mark.parametrize("chunk_size, threads", [(1, 1), (7, 1), (8192, 1), (7, 2)])
-    def test_simulate_equals_the_path_generators(self, bursty, chunk_size, threads):
-        m, sel, (terminal, *_, table) = bursty
-        res = sde.simulate(
-            m, DIST, "P", 40, 64, 19, selection=sel, chunk_size=chunk_size, threads=threads
-        )
+        terminal, *_, table = _full_width_reference(m, DIST, "P", sel, 40, 64, 19, {64}, chunk)
+        monkeypatch.setattr(hawkes, "_CHUNK", chunk)
+        res = sde.simulate(m, DIST, "P", 40, 64, 19, selection=sel, threads=threads)
         for key in ("times", "marks", "offsets"):
             assert np.array_equal(getattr(res.events, key), getattr(table, key)), key
         for key, val in res.terminal.items():
             assert np.array_equal(val, terminal[key]), key
+        events = hawkes.simulate_events(m, DIST, 40, 19)
+        for key in ("times", "marks", "offsets"):
+            assert np.array_equal(getattr(res.events, key), getattr(events, key)), key
