@@ -116,6 +116,11 @@ def chunks(n_paths: int) -> list[tuple[int, int]]:
     return [(c, min(_CHUNK, n_paths - c * _CHUNK)) for c in range(-(-n_paths // _CHUNK))]
 
 
+def _stream(seed, chunk, kind, r=0) -> np.random.Generator:
+    """Generator of one kind of draw of a chunk, for refill round r (see rng)."""
+    return path_rng(seed, stream_index(chunk, kind, r))
+
+
 def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
     """Exact thinning of the n paths of a chunk at once, with the
     decaying-intensity bound.
@@ -138,8 +143,8 @@ def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
     while live.size:
         if col == _BLOCK:
             shape = (live.size, _BLOCK)
-            exps = path_rng(seed, stream_index(chunk, EXPONENTIALS, rnd)).standard_exponential(shape)
-            unis = path_rng(seed, stream_index(chunk, UNIFORMS, rnd)).random(shape)
+            exps = _stream(seed, chunk, EXPONENTIALS, rnd).standard_exponential(shape)
+            unis = _stream(seed, chunk, UNIFORMS, rnd).random(shape)
             row = np.arange(live.size)  # each live path's row in the blocks
             rnd += 1
             col = 0
@@ -147,7 +152,7 @@ def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
         t = t + wait
         inside = t <= horizon
         if not inside.all():
-            live, row, t, lam, wait = live[inside], row[inside], t[inside], lam[inside], wait[inside]
+            live, row, t, lam, wait = (x[inside] for x in (live, row, t, lam, wait))
         decay = np.fromiter(map(math.exp, (-beta * wait).tolist()), float, wait.size)
         lam_cand = lambda0 + (lam - lambda0) * decay
         accept = unis[row, col] * lam <= lam_cand
@@ -173,20 +178,26 @@ def draw_events(seed, chunk, n, p, dist: JumpDistribution, max_events: int) -> E
     """Event table of the n paths of chunk `chunk` (paths chunk * _CHUNK
     onward) under the model parameters p: thinned in lockstep, then the
     marks drawn in one call, in table order."""
-    times, count = _thin_lockstep(
-        seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T, max_events
-    )
-    marks = dist.sample(path_rng(seed, stream_index(chunk, MARKS)), times.size)
+    times, count = _thin_lockstep(seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T, max_events)
+    marks = dist.sample(_stream(seed, chunk, MARKS), times.size)
     return EventTable.from_counts(times, marks, count)
 
 
-def draw_normals(seed, chunk, n, n_steps, n_events) -> tuple[np.ndarray, np.ndarray]:
+def draw_normals(seed, chunk, n, n_steps, n_events, width) -> tuple[np.ndarray, np.ndarray]:
     """The standard normals of the diffusion stages of a chunk's n paths,
     the stock's then the variance's: (n, 2, n_steps) for the first stage of
     each step, path-major, and (n_events, 2) for the stage after each
-    event, in table order."""
-    z = path_rng(seed, stream_index(chunk, STAGE_NORMALS)).standard_normal((n, 2, n_steps))
-    ez = path_rng(seed, stream_index(chunk, EVENT_NORMALS)).standard_normal((n_events, 2))
+    event, in table order.
+
+    The first array is a view of one of `width` rows, the run's chunk
+    width, so every chunk of a run allocates the same size: a shorter last
+    chunk's array (14.8 MB at 20000 paths x 256 steps) raised glibc's mmap
+    threshold, and with it the heap's trim threshold, and a second hhr
+    verify in one process then peaked at 152 MB instead of 132 MB.
+    """
+    z = np.empty((width, 2, n_steps))[:n]
+    _stream(seed, chunk, STAGE_NORMALS).standard_normal(out=z)
+    ez = _stream(seed, chunk, EVENT_NORMALS).standard_normal((n_events, 2))
     return z, ez
 
 

@@ -3,7 +3,7 @@
 Paths are simulated in chunks of hawkes._CHUNK paths; chunk c covers paths
 c * _CHUNK onward.  Each kind of random number a chunk needs comes from its
 own Philox stream (Salmon et al., "Parallel random numbers: as easy as 1,
-2, 3", SC'11), path_rng(seed, stream_index(c, kind, round)), and is drawn
+2, 3", SC'11), path_rng(seed, stream_index(c, kind, refill)), and is drawn
 for the whole chunk in one call, path by path in order.  So a path's
 numbers depend on the seed and on the paths of its chunk up to itself
 only: a run of n paths is a prefix of a run of 2n, and the thread count
@@ -27,10 +27,10 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_index(chunk: int, kind: int, round: int = 0) -> int:
+def stream_index(chunk: int, kind: int, refill: int = 0) -> int:
     """Stream of one kind of draw of a chunk: (chunk << 32) | (kind << 24) |
-    round, round counting the thinning refills (below 2**24)."""
-    return (chunk << 32) | (kind << 24) | round
+    refill, refill counting the thinning refill rounds (below 2**24)."""
+    return (chunk << 32) | (kind << 24) | refill
 
 
 def derive_seed(seed: int, tag: str) -> int:

@@ -113,6 +113,7 @@ def _run_chunk(
     seed,
     chunk,
     nc,
+    width,
     probe_steps,
     record_full,
     max_events,
@@ -120,7 +121,7 @@ def _run_chunk(
     p = model.params
     dt_u = p.T / n_steps
     table = draw_events(seed, chunk, nc, p, dist, max_events)
-    z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size)
+    z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size, width)
     ev_path, ev_time, ev_mark, ev_z, ev_step, ev_order = _bucket_events(table, ez, dt_u, n_steps)
     step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
     step_hi = np.searchsorted(ev_step, np.arange(n_steps), side="right")
@@ -308,7 +309,7 @@ def simulate(
 
     def work(chunk):
         return _run_chunk(
-            model, dist, measure, selection, n_steps, seed, *chunk,
+            model, dist, measure, selection, n_steps, seed, *chunk, runs[0][1],
             probe_steps, record_full, max_events,
         )
 

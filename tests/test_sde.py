@@ -520,7 +520,7 @@ class TestStreams:
         ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
         assert sum(r[2] > 64 for r in ref) > 10 and max(r[2] for r in ref) > 128
         table = hawkes.draw_events(17, 1, 300, m.params, DIST, hawkes.DEFAULT_EVENT_CAP)
-        z, ez = hawkes.draw_normals(17, 1, 300, 64, table.times.size)
+        z, ez = hawkes.draw_normals(17, 1, 300, 64, table.times.size, 300)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
         assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
