@@ -347,7 +347,8 @@ class TestReserve:
 
     @pytest.mark.parametrize("text, named", [
         (None, "error: cannot read policy "), ("{not json", "error: policy "),
-    ], ids=["missing", "malformed"])
+        ("[]", "error: policy must be an object"),
+    ], ids=["missing", "malformed", "list"])
     def test_policy_file_error_is_one_error_line(self, small_config, tmp_path, capsys,
                                                  text, named):
         ppath = tmp_path / "policy.json"
