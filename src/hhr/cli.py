@@ -7,7 +7,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +18,11 @@ from .config import (
     config_from_dict,
     default_config_dict,
     load_config,
-    parse_grid,
     read_json,
 )
 from .errors import HHRError
 from .hawkes import write_event_csv
+from .measure import a_bounds
 from .payoff import parse_payoff
 from .sde import simulate
 from .verification import run_verification
@@ -45,14 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--measure", choices=("P", "Q"), default="P")
     sim.add_argument("--a", type=float, default=None, help="override the tilt parameter")
     sim.add_argument("--paths", type=int, default=16)
-    sim.add_argument("--steps", type=int, default=None)
+    sim.add_argument("--steps", type=int, default=None, help="override run.steps")
     sim.add_argument("--events-out", type=str, default=None, help="also dump the event log CSV")
 
     pr = sub.add_parser("price", parents=[shared], help="solve the pricing equation, dump the t=0 slice")
     pr.add_argument("--payoff", type=str, required=True, help="constant[:c] | linear[:c] | guarantee:G")
     pr.add_argument("--maturity", type=float, default=None)
     pr.add_argument("--a", type=float, default=None)
-    pr.add_argument("--grid", type=str, default=None, help="TxXxYxZ")
+    pr.add_argument("--grid", type=str, default=None, help="TxXxYxZ, override run.grid")
 
     rs = sub.add_parser("reserve", parents=[shared], help="compute reserves, dump the t=0 slice")
     rs.add_argument("--policy", type=str, default=None, help="JSON file with a policy section")
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv=None):
     args = _build_parser().parse_args(argv)
-    for name in ("config", "seed", "out"):
+    for name in ("config", "seed", "out", "grid", "steps", "a"):
         if not hasattr(args, name):
             setattr(args, name, None)
     return args
@@ -74,13 +74,8 @@ def _parse(argv=None):
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else config_from_dict(default_config_dict())
-    run = cfg.run
-    cfg.run = replace(
-        run,
-        seed=args.seed if args.seed is not None else run.seed,
-        out_dir=args.out or run.out_dir,
-    )
-    return cfg
+    flags = {"seed": args.seed, "out_dir": args.out, "grid": args.grid, "steps": args.steps}
+    return cfg.with_flags({k: v for k, v in flags.items() if v is not None}, args.a)
 
 
 def _reprs(values) -> list[str]:
@@ -94,12 +89,7 @@ def _cells(grid) -> list[tuple[str, str, str]]:
 
 
 def _cmd_admissible(cfg, args) -> int:
-    model = cfg.validated_model()
-    from .measure import a_bounds
-
-    rep = a_bounds(
-        model, cfg.dist, epsilon1=cfg.measure.epsilon1, epsilon2=cfg.measure.epsilon2
-    )
+    rep = a_bounds(cfg.validated_model(), cfg.dist, cfg.measure)
     text = json.dumps(asdict(rep), sort_keys=True, indent=2)
     if args.out:
         path = Path(args.out)
@@ -115,10 +105,9 @@ def _cmd_admissible(cfg, args) -> int:
 
 def _cmd_simulate(cfg, args) -> int:
     model = cfg.validated_model()
-    sel, _ = cfg.selection(model, a=args.a)
-    steps = args.steps or cfg.run.steps
+    sel, _ = cfg.selection(model)
     res = simulate(
-        model, cfg.dist, args.measure, args.paths, steps, cfg.run.seed,
+        model, cfg.dist, args.measure, args.paths, cfg.run.steps, cfg.run.seed,
         selection=sel, record_full=True,
     )
     out = args.out or "paths.csv"
@@ -142,11 +131,10 @@ def _cmd_simulate(cfg, args) -> int:
 
 def _cmd_price(cfg, args) -> int:
     model = cfg.validated_model()
-    sel, _ = cfg.selection(model, a=args.a)
+    sel, _ = cfg.selection(model)
     pay = parse_payoff(args.payoff)
     maturity = args.maturity if args.maturity is not None else model.T
-    nt, nx, ny, nz = parse_grid(args.grid) if args.grid else cfg.run.grid
-    grid = pide.build_grid(model, maturity, nt, nx, ny, nz)
+    grid = pide.build_grid(model, maturity, *cfg.run.grid)
     sol = pide.solve_price_pide(pay, maturity, model, sel, cfg.dist, grid)
     out = args.out or "price.csv"
     with open(out, "w", newline="") as fh:
@@ -160,7 +148,7 @@ def _cmd_price(cfg, args) -> int:
 
 def _cmd_reserve(cfg, args) -> int:
     model = cfg.validated_model()
-    sel, _ = cfg.selection(model, a=args.a)
+    sel, _ = cfg.selection(model)
     if args.policy:
         doc = read_json(args.policy, "policy")
         if isinstance(doc, dict):  # a config file, or its policy section alone
@@ -172,8 +160,7 @@ def _cmd_reserve(cfg, args) -> int:
     if policy is None:
         print("no policy: give --policy or add a policy section to the config", file=sys.stderr)
         return 2
-    nt, nx, ny, nz = parse_grid(args.grid) if args.grid else cfg.run.grid
-    grid = pide.build_grid(model, policy.horizon, nt, nx, ny, nz)
+    grid = pide.build_grid(model, policy.horizon, *cfg.run.grid)
     layers = {}
     if args.method in ("pide", "both"):
         surf = thiele.solve_thiele_pide(policy, model, sel, cfg.dist, grid)
@@ -206,7 +193,7 @@ def _cmd_reserve(cfg, args) -> int:
 def _cmd_verify(cfg, args) -> int:
     report = run_verification(cfg)
     print(report.table())
-    out_dir = Path(args.out or cfg.run.out_dir)
+    out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "verification.json"
     path.write_text(report.to_json() + "\n")

@@ -1,36 +1,38 @@
-"""JSON run configuration: model + jump law + measure + policy + run sizes."""
+"""JSON run configuration: model + jump law + measure + policy + run sizes.
+
+Every setting gets its type here, once (a number passes _number, a count is
+an int), and its default from the fields of MeasureConfig or RunSettings:
+a section passes on only the keys it gives.  Command-line flags go through
+the same readers (RunConfig.with_flags).
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 
 from .errors import ConfigError
 from .markov import PolicySpec
-from .measure import LEVELS, select_measure
+from .measure import MeasureConfig, select_measure
 from .model import (
+    ConstantJump,
+    ExponentialJump,
     JumpDistribution,
     ModelParams,
     PiecewiseFlat,
     ValidatedModel,
-    jump_from_dict,
     validate,
 )
 from .payoff import parse_payoff
 
 __all__ = [
-    "RunSettings", "MeasureConfig", "RunConfig", "load_config", "read_json", "config_from_dict",
+    "RunSettings", "RunConfig", "load_config", "read_json", "config_from_dict",
     "default_config_dict",
 ]
 
-
-@dataclass(frozen=True)
-class MeasureConfig:
-    level: str = "EmQS"
-    a: float | None = None
-    fraction_of_bound: float | None = 0.8
-    epsilon1: float = 0.1
-    epsilon2: float = 0.1
+_MODEL_SCALARS = [f.name for f in fields(ModelParams) if f.name != "mu"]
 
 
 @dataclass(frozen=True)
@@ -55,22 +57,29 @@ class RunConfig:
     def validated_model(self) -> ValidatedModel:
         return validate(self.model)
 
-    def selection(self, model: ValidatedModel, a: float | None = None):
-        """Certified measure selection per the config, or at the tilt `a`
-        when given (raises on inadmissible a)."""
-        a = self.measure.a if a is None else a
-        return select_measure(
-            model,
-            self.dist,
-            a=a,
-            fraction=self.measure.fraction_of_bound if a is None else None,
-            level=self.measure.level,
-            epsilon1=self.measure.epsilon1,
-            epsilon2=self.measure.epsilon2,
-        )
+    def selection(self, model: ValidatedModel):
+        """Certified measure selection per the config (raises on an
+        inadmissible a), with its admissibility report."""
+        return select_measure(model, self.dist, self.measure)
+
+    def with_flags(self, run: dict, a: float | None = None) -> RunConfig:
+        """This config with flags' run keys and tilt `a` (in place of a or
+        fraction_of_bound) read by the file's rules; raw stays the file's."""
+        mz = self.raw.get("measure", {})
+        if a is not None:
+            mz = {k: v for k, v in mz.items() if k != "fraction_of_bound"} | {"a": a}
+        return replace(self, measure=_measure(mz), run=_run_settings(self.raw.get("run", {}) | run))
 
     def canonical(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+
+
+def _number(value, key: str) -> float:
+    """The value of the dotted key as a float: an int or a float (so never
+    a bool or a string), and finite."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # NaN, inf
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def parse_grid(spec) -> tuple[int, int, int, int]:
@@ -89,32 +98,47 @@ def parse_grid(spec) -> tuple[int, int, int, int]:
     return nt, nx, ny, nz
 
 
-def _parse_policy(d: dict, default_horizon: float) -> PolicySpec:
+def _flat(pairs, key: str) -> PiecewiseFlat:
+    """A piecewise-flat function of time from its [t, value] pairs."""
+    pairs = [(_number(t, key), _number(v, key)) for t, v in pairs]
     try:
-        states = tuple(d["states"])
-        horizon = float(d.get("horizon", default_horizon))
-        intensities = {}
-        for item in d.get("intensities", []):
-            intensities[(item["from"], item["to"])] = PiecewiseFlat.from_pairs(
-                item["rate_segments"]
-            )
-        terminal = {
-            item["state"]: parse_payoff(item["payoff"]) for item in d.get("terminal", [])
-        }
-        rate = {
-            item["state"]: parse_payoff(item["payoff"]) for item in d.get("rate", [])
-        }
-        transition = {
-            (item["from"], item["to"]): parse_payoff(item["payoff"])
-            for item in d.get("transition", [])
-        }
+        return PiecewiseFlat.from_pairs(pairs)
+    except ValueError as exc:  # no pair, a first breakpoint other than 0, or a repeat
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _jump(jd: dict) -> JumpDistribution:
+    kind = str(jd.get("kind")).lower()
+    if kind == "constant":
+        return ConstantJump(_number(jd.get("value"), "model.jump.value"))
+    if kind == "exponential":
+        return ExponentialJump(_number(jd.get("rate"), "model.jump.rate"))
+    raise ConfigError(f"model.jump.kind must be constant or exponential, got {jd.get('kind')!r}")
+
+
+def _parse_policy(d: dict, default_horizon: float) -> PolicySpec:
+    state, pair = itemgetter("state"), itemgetter("from", "to")
+
+    def payoffs(name, key):
+        out = {}
+        for i, item in enumerate(d.get(name, [])):
+            spec = item["payoff"]  # a 'kind[:value]' string, or a dict with a number value
+            if isinstance(spec, dict) and "value" in spec:
+                _number(spec["value"], f"policy.{name}[{i}].payoff.value")
+            out[key(item)] = parse_payoff(spec)
+        return out
+
+    try:
         return PolicySpec(
-            states=states,
-            horizon=horizon,
-            intensities=intensities,
-            terminal=terminal,
-            rate=rate,
-            transition=transition,
+            states=tuple(d["states"]),
+            horizon=_number(d["horizon"], "policy.horizon") if "horizon" in d else default_horizon,
+            intensities={
+                pair(item): _flat(item["rate_segments"], f"policy.intensities[{i}].rate_segments")
+                for i, item in enumerate(d.get("intensities", []))
+            },
+            terminal=payoffs("terminal", state),
+            rate=payoffs("rate", state),
+            transition=payoffs("transition", pair),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad policy section: {exc}") from exc
@@ -134,7 +158,7 @@ def _unknown_keys(d: dict) -> list[str]:
     policy = d.get("policy")
     sections = {
         "": (d, {"model", "measure", "policy", "run"}),
-        "model.": (model, {f.name for f in fields(ModelParams)} - {"mu"} | {"mu_breakpoints", "jump"}),
+        "model.": (model, {*_MODEL_SCALARS, "mu_breakpoints", "jump"}),
         "model.jump.": (model.get("jump"), {"kind", "value", "rate"}),
         "measure.": (d.get("measure"), {f.name for f in fields(MeasureConfig)}),
         "policy.": (policy, {"states", "horizon", *_POLICY_ITEMS}),
@@ -156,59 +180,57 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _measure(mz: dict) -> MeasureConfig:
+    return MeasureConfig(
+        **{k: v if k == "level" else _number(v, f"measure.{k}") for k, v in mz.items()}
+    )
+
+
+def _run_settings(rz: dict) -> RunSettings:
+    try:
+        run = dict(rz)
+        for key in ("seed", "paths", "steps"):
+            if key in run and type(run[key]) is not int:  # a bool is an int subclass: refused too
+                raise ConfigError(f"run.{key} must be an integer, got {run[key]!r}")
+        if run.get("paths", 1) < 1:
+            raise ConfigError(f"run.paths must be >= 1, got {run['paths']}")
+        if "grid" in run:
+            run["grid"] = parse_grid(run["grid"])
+        if not isinstance(run.get("out_dir", ""), str):
+            raise ConfigError(f"run.out_dir must be a string, got {run['out_dir']!r}")
+        if "tolerances" in run:
+            budgets = _object(run["tolerances"], "run.tolerances").items()
+            run["tolerances"] = {k: _number(v, f"run.tolerances.{k}") for k, v in budgets}
+            for k, v in run["tolerances"].items():
+                if v < 0:
+                    raise ConfigError(f"run.tolerances.{k} must be >= 0, got {v:g}")
+        return RunSettings(**run)
+    except ConfigError as exc:
+        raise ConfigError(f"bad run section: {exc}") from exc
+
+
 def config_from_dict(d: dict) -> RunConfig:
     if "model" not in _object(d, "config"):
         raise ConfigError("config needs a 'model' section")
-    md = dict(_object(d["model"], "model"))
+    md = _object(d["model"], "model")
     mz, rz = (_object(d.get(key, {}), key) for key in ("measure", "run"))
-    tolerances = _object(rz.get("tolerances", {}), "run.tolerances")
     unknown = _unknown_keys(d)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if md.get("jump") is None:
         raise ConfigError("model.jump is required")
     try:
-        dist = jump_from_dict(_object(md.pop("jump"), "model.jump"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"model.jump: {exc}") from exc
-    try:
-        params = ModelParams.from_dict(md)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-
-    if mz.get("level", "EmQS") not in LEVELS:
-        raise ConfigError(f"measure.level must be one of {', '.join(LEVELS)}, got {mz['level']!r}")
-    for key in ("a", "fraction_of_bound", "epsilon1", "epsilon2"):
-        if key in mz and (isinstance(mz[key], bool) or not isinstance(mz[key], (int, float))):
-            raise ConfigError(f"measure.{key} must be a number, got {mz[key]!r}")
-    measure = MeasureConfig(
-        level=mz.get("level", "EmQS"),
-        a=mz.get("a"),
-        fraction_of_bound=mz.get("fraction_of_bound", 0.8 if "a" not in mz else None),
-        epsilon1=float(mz.get("epsilon1", 0.1)),
-        epsilon2=float(mz.get("epsilon2", 0.1)),
-    )
-
-    policy = None
-    if "policy" in d:
-        policy = _parse_policy(_object(d["policy"], "policy"), params.T)
-
-    try:
-        counts = {key: rz[key] for key in ("seed", "paths", "steps") if key in rz}
-        for key, value in counts.items():
-            if type(value) is not int:  # a bool is an int subclass: refused too
-                raise TypeError(f"run.{key} must be an integer, got {value!r}")
-        if counts.get("paths", 1) < 1:
-            raise ValueError(f"run.paths must be >= 1, got {counts['paths']}")
-        run = RunSettings(
-            **counts,
-            grid=parse_grid(rz.get("grid", "64x48x24x16")),
-            out_dir=str(rz.get("out_dir", "out")),
-            tolerances=dict(tolerances),
+        dist = _jump(_object(md["jump"], "model.jump"))
+        mu = md.get("mu_breakpoints")
+        params = ModelParams(
+            **{k: _number(md.get(k), f"model.{k}") for k in _MODEL_SCALARS},
+            mu=_flat(mu, "model.mu_breakpoints") if mu else None,
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run section: {exc}") from exc
-    return RunConfig(model=params, dist=dist, measure=measure, policy=policy, run=run, raw=d)
+        raise ConfigError(f"bad model section: {exc}") from exc
+    policy = _parse_policy(_object(d["policy"], "policy"), params.T) if "policy" in d else None
+    return RunConfig(model=params, dist=dist, measure=_measure(mz), policy=policy,
+                     run=_run_settings(rz), raw=d)
 
 
 def read_json(path, what: str = "config"):

@@ -48,7 +48,7 @@ __all__ = [
     "write_event_csv",
 ]
 
-DEFAULT_EVENT_CAP = 1_000_000
+_EVENT_CAP = 1_000_000  # events a path may hold before EventOverflow
 _BLOCK = 64  # thinning candidates drawn per refill
 _CHUNK = 8192  # paths per chunk, the unit of the random streams (see rng)
 
@@ -121,7 +121,7 @@ def _stream(seed, chunk, kind, r=0) -> np.random.Generator:
     return path_rng(seed, stream_index(chunk, kind, r))
 
 
-def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
+def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon):
     """Exact thinning of the n paths of a chunk at once, with the
     decaying-intensity bound.
 
@@ -160,9 +160,9 @@ def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
         hits = live[accept]
         if hits.size:
             count[hits] += 1
-            if count[hits].max() > max_events:
+            if count[hits].max() > _EVENT_CAP:
                 raise EventOverflow(
-                    f"path exceeded {max_events} events; raise the cap only if intended"
+                    f"path exceeded {_EVENT_CAP} events; raise the cap only if intended"
                 )
             hit_path.append(hits)
             hit_time.append(t[accept])
@@ -174,11 +174,11 @@ def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon, max_events):
     return np.concatenate(hit_time)[by_path], count
 
 
-def draw_events(seed, chunk, n, p, dist: JumpDistribution, max_events: int) -> EventTable:
+def draw_events(seed, chunk, n, p, dist: JumpDistribution) -> EventTable:
     """Event table of the n paths of chunk `chunk` (paths chunk * _CHUNK
     onward) under the model parameters p: thinned in lockstep, then the
     marks drawn in one call, in table order."""
-    times, count = _thin_lockstep(seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T, max_events)
+    times, count = _thin_lockstep(seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T)
     marks = dist.sample(_stream(seed, chunk, MARKS), times.size)
     return EventTable.from_counts(times, marks, count)
 
@@ -202,14 +202,13 @@ def draw_normals(seed, chunk, n, n_steps, n_events, width) -> tuple[np.ndarray, 
 
 
 def simulate_events(
-    model: ValidatedModel, dist: JumpDistribution, n_paths: int, seed: int, *,
-    max_events: int = DEFAULT_EVENT_CAP,
+    model: ValidatedModel, dist: JumpDistribution, n_paths: int, seed: int
 ) -> EventTable:
     """Exact-law event table of n_paths independent paths on [0, T], drawn
     chunk by chunk from the run's streams (see rng); path i's events depend
     on the seed and the paths of its chunk up to i only."""
     return EventTable.concat([
-        draw_events(seed, c, n, model.params, dist, max_events) for c, n in chunks(n_paths)
+        draw_events(seed, c, n, model.params, dist) for c, n in chunks(n_paths)
     ])
 
 

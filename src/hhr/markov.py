@@ -30,6 +30,8 @@ __all__ = [
     "endowment_guarantee",
 ]
 
+_AMOUNT = 1.0  # the benefit of the pure_endowment and term_insurance templates
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -189,25 +191,25 @@ def _two_state(mu_rate) -> tuple:
     return states, intensities
 
 
-def pure_endowment(horizon: float, mu_rate: float, amount: float = 1.0) -> PolicySpec:
-    """Pays `amount` at the horizon if still alive."""
+def pure_endowment(horizon: float, mu_rate: float) -> PolicySpec:
+    """Pays _AMOUNT at the horizon if still alive."""
     states, intensities = _two_state(mu_rate)
     return PolicySpec(
         states=states,
         horizon=horizon,
         intensities=intensities,
-        terminal={"alive": constant(amount)},
+        terminal={"alive": constant(_AMOUNT)},
     )
 
 
-def term_insurance(horizon: float, mu_rate: float, amount: float = 1.0) -> PolicySpec:
-    """Pays `amount` at the moment of death before the horizon."""
+def term_insurance(horizon: float, mu_rate: float) -> PolicySpec:
+    """Pays _AMOUNT at the moment of death before the horizon."""
     states, intensities = _two_state(mu_rate)
     return PolicySpec(
         states=states,
         horizon=horizon,
         intensities=intensities,
-        transition={("alive", "dead"): constant(amount)},
+        transition={("alive", "dead"): constant(_AMOUNT)},
     )
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     AdmissibilityError,
+    ConfigError,
     DegenerateReversion,
     DomainError,
     NonMonotoneLambda,
@@ -32,6 +33,7 @@ __all__ = [
     "em_qs_bound",
     "a_bounds",
     "AdmissibilityReport",
+    "MeasureConfig",
     "MeasureSelection",
     "select_measure",
     "theta",
@@ -40,6 +42,29 @@ __all__ = [
 ]
 
 LEVELS = ("E", "Em", "EmQS")  # the admissibility levels select_measure certifies
+
+
+@dataclass(frozen=True)
+class MeasureConfig:
+    """How the tilt is chosen: `a` itself, or `fraction_of_bound` of the
+    bound of `level` (0.8 when neither is given; giving both is refused),
+    certified with the margins epsilon1 (moments) and epsilon2 (Feller)."""
+
+    level: str = "EmQS"
+    a: float | None = None
+    fraction_of_bound: float | None = None
+    epsilon1: float = 0.1
+    epsilon2: float = 0.1
+
+    def __post_init__(self):
+        if self.level not in LEVELS:
+            raise ConfigError(
+                f"measure.level must be one of {', '.join(LEVELS)}, got {self.level!r}"
+            )
+        if self.a is None and self.fraction_of_bound is None:
+            object.__setattr__(self, "fraction_of_bound", 0.8)
+        elif self.a is not None and self.fraction_of_bound is not None:
+            raise ConfigError("give measure.a or measure.fraction_of_bound, not both")
 
 
 def _cap(model: ValidatedModel) -> float:
@@ -186,9 +211,8 @@ class AdmissibilityReport:
 def a_bounds(
     model: ValidatedModel,
     dist: JumpDistribution,
+    settings: MeasureConfig,
     *,
-    epsilon1: float = 0.1,
-    epsilon2: float = 0.1,
     c_l: float | None = None,
 ) -> AdmissibilityReport:
     """All admissible-|a| bounds plus the precondition flags.
@@ -205,7 +229,7 @@ def a_bounds(
 
     rho = model.rho
     d_sup = model.drift_gap_sq
-    s_mom = 2.0 + epsilon1
+    s_mom = 2.0 + settings.epsilon1
     feller_gap = (2.0 * model.kappa * model.vbar - model.sigma**2) / (2.0 * model.sigma)
 
     cond_rho = rho**2 < c_l_val
@@ -214,7 +238,7 @@ def a_bounds(
     else:
         q2_upper = math.inf
     cond_moment = q2_upper > 1.0
-    cond_feller = 2.0 * model.kappa * model.vbar > (1.0 + epsilon2) * model.sigma**2
+    cond_feller = 2.0 * model.kappa * model.vbar > (1.0 + settings.epsilon2) * model.sigma**2
 
     conditions = {
         "correlation_below_threshold": cond_rho,
@@ -243,8 +267,8 @@ def a_bounds(
         bound_em_qs=bound_em_qs,
         q1=q1,
         q2=q2,
-        epsilon1=epsilon1,
-        epsilon2=epsilon2,
+        epsilon1=settings.epsilon1,
+        epsilon2=settings.epsilon2,
         big_d=d_sup,
         conditions=conditions,
     )
@@ -256,24 +280,22 @@ class MeasureSelection:
 
     a: float
     level: str  # "E" | "Em" | "EmQS"
-    epsilon1: float = 0.1
-    epsilon2: float = 0.1
+    epsilon1: float
+    epsilon2: float
 
 
 def select_measure(
     model: ValidatedModel,
     dist: JumpDistribution,
+    settings: MeasureConfig,
     *,
-    a: float | None = None,
-    fraction: float | None = None,
-    level: str = "EmQS",
-    epsilon1: float = 0.1,
-    epsilon2: float = 0.1,
     report: AdmissibilityReport | None = None,
 ) -> tuple[MeasureSelection, AdmissibilityReport]:
-    """Certify `a` (or `fraction` of the level's bound) against its band."""
+    """Certify the settings' `a` (or its fraction of the level's bound)
+    against the level's band."""
     if report is None:
-        report = a_bounds(model, dist, epsilon1=epsilon1, epsilon2=epsilon2)
+        report = a_bounds(model, dist, settings)
+    level = settings.level
     if level == "E":
         bound = report.bound_e
     elif level == "Em":
@@ -283,26 +305,21 @@ def select_measure(
                 condition="correlation_below_threshold",
             )
         bound = report.bound_em
-    elif level == "EmQS":
+    else:  # EmQS
         for name, okc in report.conditions.items():
             if not okc:
                 raise AdmissibilityError(
                     f"admissibility precondition failed: {name}", condition=name
                 )
         bound = report.bound_em_qs
-    else:
-        raise ValueError(f"unknown level {level!r}")
 
-    if (a is None) == (fraction is None):
-        raise ValueError("give exactly one of a= or fraction=")
-    if a is None:
-        a = fraction * bound
+    a = settings.fraction_of_bound * bound if settings.a is None else settings.a
     if not abs(a) < bound:
         raise AdmissibilityError(
             f"|a|={abs(a):.6g} not strictly below the {level} bound {bound:.6g}",
             condition=f"bound_{level.lower()}",
         )
-    return MeasureSelection(float(a), level, epsilon1, epsilon2), report
+    return MeasureSelection(float(a), level, settings.epsilon1, settings.epsilon2), report
 
 
 def theta(model: ValidatedModel, selection: MeasureSelection, t: float, v: float):

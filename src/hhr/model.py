@@ -24,7 +24,6 @@ __all__ = [
     "JumpDistribution",
     "ConstantJump",
     "ExponentialJump",
-    "jump_from_dict",
 ]
 
 
@@ -102,25 +101,6 @@ class ModelParams:
     def drift_gap_sq(self) -> float:
         """D = sup_t (mu_t - r)^2."""
         return self.mu.sup_sq_gap(self.r)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        mu = d.get("mu_breakpoints")
-        return cls(
-            lambda0=float(d["lambda0"]),
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            S0=float(d["S0"]),
-            r=float(d["r"]),
-            rho=float(d["rho"]),
-            v0=float(d["v0"]),
-            kappa=float(d["kappa"]),
-            vbar=float(d["vbar"]),
-            sigma=float(d["sigma"]),
-            eta=float(d["eta"]),
-            T=float(d["T"]),
-            mu=PiecewiseFlat.from_pairs(mu) if mu else None,
-        )
 
 
 def violations(p: ModelParams) -> list[Violation]:
@@ -271,12 +251,3 @@ class ExponentialJump(JumpDistribution):
 
     def sample(self, rng, n):
         return rng.exponential(scale=1.0 / self.rate, size=n)
-
-
-def jump_from_dict(d: dict) -> JumpDistribution:
-    kind = d.get("kind", "").lower()
-    if kind == "constant":
-        return ConstantJump(float(d["value"]))
-    if kind == "exponential":
-        return ExponentialJump(float(d["rate"]))
-    raise ValueError(f"unknown jump kind {d.get('kind')!r}")

@@ -37,6 +37,7 @@ from .model import ConstantJump, ExponentialJump, JumpDistribution, ValidatedMod
 __all__ = ["Grid4", "build_grid", "Layer0", "PIDESolution", "march", "solve_price_pide"]
 
 _GL_NODES = 32
+_Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,9 @@ def build_grid(
     nx: int,
     ny: int,
     nz: int,
-    *,
-    y_span: float = 12.0,
 ) -> Grid4:
     """Default truncation: x in [S0/8, ~8 S0] log-spaced (spot a node),
-    y in [v0/50, y_span*vbar] sinh-clustered at v0, z from lambda0 out to
+    y in [v0/50, _Y_SPAN*vbar] sinh-clustered at v0, z from lambda0 out to
     lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node when there is
     no self-excitation.  A maturity of 0 or less is refused, and so is one
     past T, because the z-axis is sized for the events expected by T.  x needs
@@ -141,7 +140,7 @@ def build_grid(
     k0 = nx // 2
     h = math.log(8.0) / k0
     x = p.S0 * np.exp(h * (np.arange(nx) - k0))
-    y = _sinh_axis(p.v0 / 50.0, max(y_span * p.vbar, 2.0 * p.v0), p.v0, ny)
+    y = _sinh_axis(p.v0 / 50.0, max(_Y_SPAN * p.vbar, 2.0 * p.v0), p.v0, ny)
     if p.alpha == 0 or nz == 1:
         z = np.array([p.lambda0])
     else:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .hawkes import (
-    DEFAULT_EVENT_CAP, EventTable, chunks, draw_events, draw_normals, l_at, lambda_at, n_at,
+    EventTable, chunks, draw_events, draw_normals, l_at, lambda_at, n_at,
 )
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
@@ -116,11 +116,10 @@ def _run_chunk(
     width,
     probe_steps,
     record_full,
-    max_events,
 ):
     p = model.params
     dt_u = p.T / n_steps
-    table = draw_events(seed, chunk, nc, p, dist, max_events)
+    table = draw_events(seed, chunk, nc, p, dist)
     z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size, width)
     ev_path, ev_time, ev_mark, ev_z, ev_step, ev_order = _bucket_events(table, ez, dt_u, n_steps)
     step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
@@ -279,7 +278,6 @@ def simulate(
     probe_times=(),
     record_full: bool = False,
     threads: int = 1,
-    max_events: int = DEFAULT_EVENT_CAP,
 ) -> SimulationResult:
     """Simulate the joint system under P or Q(a).
 
@@ -310,7 +308,7 @@ def simulate(
     def work(chunk):
         return _run_chunk(
             model, dist, measure, selection, n_steps, seed, *chunk, runs[0][1],
-            probe_steps, record_full, max_events,
+            probe_steps, record_full,
         )
 
     if threads > 1:

@@ -18,9 +18,11 @@ __all__ = ["hyp1f1", "cir_neg_moment", "integrated_inverse_cir_exp"]
 
 _Z_MAX = 700.0  # exp overflow guard for the direct series
 _ASYMPTOTIC_Z = 1000.0  # beyond this, the log-form uses the large-z limit
+_SERIES_TOL = 1e-12  # a 1F1 series stops after two terms below this, relative
+_SERIES_TERMS = 20000  # and raises NonConvergence after this many
 
 
-def _series_1f1(a: float, b: float, z: float, tol: float, max_terms: int) -> float:
+def _series_1f1(a: float, b: float, z: float) -> float:
     """Direct Taylor summation with the term recursion.
 
     term_{n+1} = term_n * (a+n) / ((b+n)(n+1)) * z.  Stops once two successive
@@ -29,23 +31,23 @@ def _series_1f1(a: float, b: float, z: float, tol: float, max_terms: int) -> flo
     total = 1.0
     term = 1.0
     small_streak = 0
-    for n in range(max_terms):
+    for n in range(_SERIES_TERMS):
         term *= (a + n) * z / ((b + n) * (n + 1.0))
         total += term
         if term == 0.0:  # terminating (polynomial) case
             return total
-        if abs(term) < tol * (1.0 + abs(total)):
+        if abs(term) < _SERIES_TOL * (1.0 + abs(total)):
             small_streak += 1
             if small_streak >= 2 and abs(a + n + 1) * abs(z) < (b + n + 1) * (n + 2):
                 return total
         else:
             small_streak = 0
     raise NonConvergence(
-        f"series for 1F1({a}, {b}; {z}) did not converge in {max_terms} terms"
+        f"series for 1F1({a}, {b}; {z}) did not converge in {_SERIES_TERMS} terms"
     )
 
 
-def hyp1f1(a: float, b: float, z: float, *, tol: float = 1e-12, max_terms: int = 20000) -> float:
+def hyp1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function sum_n (a)_n/(b)_n z^n/n!.
 
     Every negative argument is routed through the Kummer transform
@@ -62,8 +64,8 @@ def hyp1f1(a: float, b: float, z: float, *, tol: float = 1e-12, max_terms: int =
     if a == b:
         return math.exp(z)
     if z < 0.0:
-        return math.exp(z) * _series_1f1(b - a, b, -z, tol, max_terms)
-    return _series_1f1(a, b, z, tol, max_terms)
+        return math.exp(z) * _series_1f1(b - a, b, -z)
+    return _series_1f1(a, b, z)
 
 
 def _log_hyp1f1_positive(a: float, b: float, z: float, max_terms: int = 200000) -> float:

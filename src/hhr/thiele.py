@@ -27,6 +27,9 @@ __all__ = [
     "equivalence_premium",
 ]
 
+_N_MATURITIES = 33  # Simpson nodes of the quadrature reserve
+_REFINE_BUDGET = 1e-3  # relative Richardson error above which they are doubled
+
 
 @dataclass
 class ReserveSurface:
@@ -107,20 +110,17 @@ def reserve_quadrature(
     dist: JumpDistribution,
     grid: Grid4,
     t: float,
-    *,
-    n_maturities: int = 33,
-    refine_budget: float = 1e-3,
 ) -> ReserveLayer:
     """V_i(t) = sum_j p_ij(t,T) U_T^{f_j}(t) + int_t^T sum_j p_ij(t,s) U_s^{theta_j}(t) ds.
 
-    The maturity integral uses composite Simpson on n_maturities nodes
-    ss = linspace(t, T, n_maturities); p_ij(t, s) and every U_s^{theta_j}(t)
+    The maturity integral uses composite Simpson on _N_MATURITIES nodes
+    ss = linspace(t, T, _N_MATURITIES); p_ij(t, s) and every U_s^{theta_j}(t)
     are held as lists indexed by node, the former chained along the lattice
     (lattice_probs), the latter read from one backward march per distinct
     payoff (_march_layers), and U_T^{f_j}(t) is marched once; all marches
     step through one Stepper, which keeps the factors of each step size.
     The embedded half-resolution rule on every other node gives a
-    Richardson error estimate; if it exceeds refine_budget (relative) the
+    Richardson error estimate; if it exceeds _REFINE_BUDGET (relative) the
     node count is doubled once, which chains the probabilities again and
     marches only the theta payoffs again.
     """
@@ -154,19 +154,19 @@ def reserve_quadrature(
             out[i] = acc
         return out
 
-    ss = np.linspace(t, T, n_maturities)
+    ss = np.linspace(t, T, _N_MATURITIES)
     running = [(idx(th.state), layers_at(th, ss)) for th in thetas]
-    probs = lattice_probs(policy, t, T, n_maturities) if thetas else []
+    probs = lattice_probs(policy, t, T, _N_MATURITIES) if thetas else []
     fine = assemble(ss, probs, running)
     refined = False
-    if running and n_maturities >= 5 and len(ss[::2]) % 2:
+    if running and _N_MATURITIES >= 5 and len(ss[::2]) % 2:
         coarse = assemble(ss[::2], probs[::2], [(j, layers[::2]) for j, layers in running])
         worst = 0.0
         for i in policy.states:
             scale = max(float(np.max(np.abs(fine[i]))), 1e-12)
             worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
-        if worst > refine_budget:
-            ss = np.linspace(t, T, 2 * n_maturities - 1)
+        if worst > _REFINE_BUDGET:
+            ss = np.linspace(t, T, 2 * _N_MATURITIES - 1)
             running = [(idx(th.state), layers_at(th, ss)) for th in thetas]
             probs = lattice_probs(policy, t, T, len(ss))
             fine = assemble(ss, probs, running)

@@ -40,13 +40,13 @@ def desk_dist():
 
 @pytest.fixture(scope="session")
 def desk_selection(desk_model, desk_dist):
-    sel, report = measure.select_measure(desk_model, desk_dist, fraction=0.8)
+    sel, report = measure.select_measure(desk_model, desk_dist, measure.MeasureConfig())
     return sel
 
 
 @pytest.fixture(scope="session")
 def desk_report(desk_model, desk_dist):
-    return measure.a_bounds(desk_model, desk_dist)
+    return measure.a_bounds(desk_model, desk_dist, measure.MeasureConfig())
 
 
 def scalar_thin(blocks, lambda0, alpha, beta, horizon):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hhr import cli
 from hhr.config import config_from_dict, default_config_dict, load_config, parse_grid
 from hhr.errors import ConfigError
+from hhr.measure import MeasureConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,8 +77,40 @@ class TestConfig:
         ("run", "paths", 1500.9, "bad run section"),
         ("run", "steps", "1500", "bad run section"),
         ("run", "paths", 0, "run.paths must be >= 1, got 0"),
+        ("run", "out_dir", None, "run.out_dir must be a string, got None"),
+        ("measure", "a", 0.1, "give measure.a or measure.fraction_of_bound, not both"),
+        ("measure", "epsilon1", math.nan, "measure.epsilon1 must be a number, got nan"),
+        ("model", "kappa", True, "model.kappa must be a number, got True"),
+        ("model", "kappa", "2.0", "model.kappa must be a number, got '2.0'"),
+        ("model", "S0", math.inf, "model.S0 must be a number, got inf"),
+        ("model", "mu_breakpoints", [[0.0, "0.05"]], "model.mu_breakpoints must be a number"),
+        ("model", "mu_breakpoints", [[0.1, 0.05]],
+         "model.mu_breakpoints: first breakpoint must be t=0"),
+        ("model", "jump", {"kind": "exponential", "rate": "2"},
+         "model.jump.rate must be a number, got '2'"),
+        ("model", "jump", {"kind": "constant"}, "model.jump.value must be a number, got None"),
+        ("model", "jump", {"kind": 5, "rate": 2.0},
+         "model.jump.kind must be constant or exponential, got 5"),
+        ("policy", "horizon", "1", "policy.horizon must be a number, got '1'"),
+        ("policy", "horizon", True, "policy.horizon must be a number, got True"),
+        ("policy", "intensities",
+         [{"from": "alive", "to": "dead", "rate_segments": [["0", "0.02"]]}],
+         "policy.intensities[0].rate_segments must be a number, got '0'"),
+        ("policy", "terminal",
+         [{"state": "alive", "payoff": {"kind": "guarantee", "value": "103"}}],
+         "policy.terminal[0].payoff.value must be a number, got '103'"),
+        ("run", "tolerances", {"hawkes_mean_law": "abc"},
+         "run.tolerances.hawkes_mean_law must be a number, got 'abc'"),
+        ("run", "tolerances", {"rn_density": -1}, "run.tolerances.rn_density must be >= 0, got -1"),
+        ("run", "tolerances", {"rn_density": math.nan},
+         "run.tolerances.rn_density must be a number"),
+        ("run", "tolerances", {"rn_density": True}, "run.tolerances.rn_density must be a number"),
     ], ids=["a-string", "fraction-null", "level", "model", "jump", "measure", "run",
-            "tolerances", "paths", "seed-bool", "paths-float", "steps-string", "paths-zero"])
+            "tolerances", "paths", "seed-bool", "paths-float", "steps-string", "paths-zero",
+            "out-dir-null", "a-and-fraction", "epsilon-nan", "kappa-bool", "kappa-string", "S0-inf",
+            "mu-string", "mu-late-start", "jump-rate-string", "jump-value-missing", "jump-kind-int",
+            "horizon-string", "horizon-bool", "rate-segments-string", "payoff-value-string",
+            "budget-string", "budget-negative", "budget-nan", "budget-bool"])
     def test_malformed_values_refused(
         self, section, key, value, named, tmp_path, capsys
     ):
@@ -87,7 +121,8 @@ class TestConfig:
         rc = cli.main(["--config", str(path), "price", "--payoff", "constant",
                        "--grid", "4x12x8x8", "--out", str(tmp_path / "price.csv")])
         assert rc == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -97,6 +132,26 @@ class TestConfig:
         args = cli._parse(["--config", str(small_config), "admissible"])
         assert args.config == str(small_config)
         assert cli._load(args).run.seed == 99
+
+    def test_flags_replace_settings_and_keep_the_document(self, small_config):
+        args = cli._parse(["--config", str(small_config), "--seed", "7", "--out", "o", "price",
+                           "--payoff", "constant", "--grid", "4x12x8x8", "--a", "0.3"])
+        cfg = cli._load(args)
+        assert (cfg.run.seed, cfg.run.out_dir, cfg.run.grid) == (7, "o", (4, 12, 8, 8))
+        assert cfg.run.paths == 1500 and cfg.run.steps == 64
+        assert cfg.measure == MeasureConfig(level="EmQS", a=0.3, epsilon1=0.1, epsilon2=0.1)
+        assert cfg.raw == json.loads(small_config.read_text())
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--a", "nan", "error: measure.a must be a number, got nan"),
+        ("--grid", "4x12", "error: bad run section: grid must be TxXxYxZ, got '4x12'"),
+    ], ids=["a-nan", "grid-short"])
+    def test_bad_flag_is_one_error_line(self, small_config, tmp_path, capsys, flag, value,
+                                        message):
+        rc = cli.main(["--config", str(small_config), "price", "--payoff", "constant",
+                       flag, value, "--out", str(tmp_path / "price.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_built_in_defaults_match_desk_file(self):
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
@@ -163,6 +218,14 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: n_steps must be >= 50, got 10"]
         assert "Traceback" not in proc.stderr
+
+    def test_zero_steps_reach_the_step_check(self, small_config, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        rc = cli.main(["--config", str(small_config), "simulate", "--paths", "2",
+                       "--steps", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: n_steps must be >= 50, got 0"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("paths", [0, -3])
     def test_no_paths_is_one_error_line(self, small_config, tmp_path, paths):

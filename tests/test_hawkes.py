@@ -52,10 +52,11 @@ class TestThinning:
         with pytest.raises(DomainError):
             hawkes.simulate_events(_mk(), model.ConstantJump(1.0), n_paths, 1)
 
-    def test_event_cap_overflow(self):
+    def test_event_cap_overflow(self, monkeypatch):
         m = _mk(lambda0=50.0)
+        monkeypatch.setattr(hawkes, "_EVENT_CAP", 3)
         with pytest.raises(EventOverflow):
-            hawkes.simulate_events(m, model.ConstantJump(1.0), 1, 2, max_events=3)
+            hawkes.simulate_events(m, model.ConstantJump(1.0), 1, 2)
 
     def test_deterministic_in_seed_and_index(self):
         m = _mk()
@@ -135,30 +136,31 @@ class TestLockstepThinner:
     def test_table_layout(self):
         m = _mk(lambda0=3.0)
         dist = model.ExponentialJump(2.0)
-        table = hawkes.draw_events(5, 0, 50, m.params, dist, hawkes.DEFAULT_EVENT_CAP)
+        table = hawkes.draw_events(5, 0, 50, m.params, dist)
         ref = reference_draws(m, dist, 50, 5)
         assert table.offsets[0] == 0 and table.offsets[-1] == table.times.size
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
         assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
 
-    def test_overflow_fires_one_past_the_cap(self, desk_selection):
+    def test_overflow_fires_one_past_the_cap(self, desk_selection, monkeypatch):
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         dist = model.ExponentialJump(2.0)
         n_max = max(r[0].size for r in reference_draws(m, dist, 8, 5))
-        assert hawkes.simulate_events(m, dist, 8, 5, max_events=n_max).counts.max() == n_max
-        with pytest.raises(EventOverflow):
-            hawkes.simulate_events(m, dist, 8, 5, max_events=n_max - 1)
         i = next(i for i, r in enumerate(reference_draws(m, dist, 8, 5)) if r[0].size == n_max)
-        # the first paths up to the one that reaches n_max
-        hawkes.draw_events(5, 0, i + 1, m.params, dist, n_max)
-        with pytest.raises(EventOverflow):
-            hawkes.draw_events(5, 0, i + 1, m.params, dist, n_max - 1)
         kw = dict(selection=desk_selection)
-        res = sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max, **kw)
-        assert res.terminal["N"].max() == n_max
+        monkeypatch.setattr(hawkes, "_EVENT_CAP", n_max)
+        assert hawkes.simulate_events(m, dist, 8, 5).counts.max() == n_max
+        # the first paths up to the one that reaches n_max
+        hawkes.draw_events(5, 0, i + 1, m.params, dist)
+        assert sde.simulate(m, dist, "P", 8, 64, 5, **kw).terminal["N"].max() == n_max
+        monkeypatch.setattr(hawkes, "_EVENT_CAP", n_max - 1)
         with pytest.raises(EventOverflow):
-            sde.simulate(m, dist, "P", 8, 64, 5, max_events=n_max - 1, **kw)
+            hawkes.simulate_events(m, dist, 8, 5)
+        with pytest.raises(EventOverflow):
+            hawkes.draw_events(5, 0, i + 1, m.params, dist)
+        with pytest.raises(EventOverflow):
+            sde.simulate(m, dist, "P", 8, 64, 5, **kw)
 
 
 class TestMeanIntensityOde:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hhr import measure, model
 from hhr.errors import (
     AdmissibilityError,
+    ConfigError,
     DegenerateReversion,
     DomainError,
     RhoTooLarge,
@@ -134,7 +135,7 @@ class TestComputeCl:
 class TestABounds:
     def test_rho_zero_arithmetic(self):
         m = _mk(rho=0.0)
-        rep = measure.a_bounds(m, model.ExponentialJump(2.0), c_l=2.0)
+        rep = measure.a_bounds(m, model.ExponentialJump(2.0), measure.MeasureConfig(), c_l=2.0)
         assert rep.bound_em == pytest.approx(1.0)
 
     def test_nesting_on_desk(self, desk_report):
@@ -154,12 +155,13 @@ class TestABounds:
     def test_rho_too_large(self):
         m = _mk(rho=0.9)
         with pytest.raises(RhoTooLarge):
-            measure.select_measure(m, model.ExponentialJump(2.0), fraction=0.5,
-                                   level="Em", report=measure.a_bounds(m, model.ExponentialJump(2.0), c_l=0.5))
+            settings = measure.MeasureConfig(level="Em", fraction_of_bound=0.5)
+            report = measure.a_bounds(m, model.ExponentialJump(2.0), settings, c_l=0.5)
+            measure.select_measure(m, model.ExponentialJump(2.0), settings, report=report)
 
     def test_zero_drift_gap_defaults_q2(self):
         m = _mk(mu=model.PiecewiseFlat.constant(0.03))
-        rep = measure.a_bounds(m, model.ExponentialJump(2.0))
+        rep = measure.a_bounds(m, model.ExponentialJump(2.0), measure.MeasureConfig())
         assert rep.big_d == 0.0
         assert rep.q2 == 2.0
         assert rep.q1 == 2.0
@@ -174,60 +176,69 @@ class TestABounds:
             dict(rho=0.4, vbar=0.5, eta=0.6),
         ]
         for kw in cases:
-            rep = measure.a_bounds(_mk(**kw), dist)
+            rep = measure.a_bounds(_mk(**kw), dist, measure.MeasureConfig())
             assert rep.bound_em_qs is not None
             assert rep.bound_em_qs <= rep.bound_em <= rep.bound_e
 
 
 class TestSelection:
+    def test_settings_give_a_or_a_fraction(self):
+        assert measure.MeasureConfig().fraction_of_bound == 0.8
+        assert measure.MeasureConfig(a=0.1).fraction_of_bound is None
+        with pytest.raises(ConfigError, match="not both"):
+            measure.MeasureConfig(a=0.1, fraction_of_bound=0.5)
+        with pytest.raises(ConfigError, match="measure.level must be one of"):
+            measure.MeasureConfig(level="Q")
+
     def test_fraction_of_bound(self, desk_model, desk_dist, desk_report):
-        sel, _ = measure.select_measure(desk_model, desk_dist, fraction=0.8)
+        sel, _ = measure.select_measure(desk_model, desk_dist, measure.MeasureConfig())
         assert sel.a == pytest.approx(0.8 * desk_report.bound_em_qs)
 
     def test_explicit_a_above_bound_refused(self, desk_model, desk_dist):
         with pytest.raises(AdmissibilityError) as exc:
-            measure.select_measure(desk_model, desk_dist, a=2.0)
+            measure.select_measure(desk_model, desk_dist, measure.MeasureConfig(a=2.0))
         assert "bound" in str(exc.value)
 
     def test_level_e_wider_than_em_qs(self, desk_model, desk_dist, desk_report):
         a_mid = 0.5 * (desk_report.bound_em_qs + desk_report.bound_em)
         with pytest.raises(AdmissibilityError):
-            measure.select_measure(desk_model, desk_dist, a=a_mid, level="EmQS")
-        sel, _ = measure.select_measure(desk_model, desk_dist, a=a_mid, level="Em")
+            measure.select_measure(desk_model, desk_dist, measure.MeasureConfig(a=a_mid))
+        em = measure.MeasureConfig(level="Em", a=a_mid)
+        sel, _ = measure.select_measure(desk_model, desk_dist, em)
         assert sel.level == "Em"
 
 
 class TestTheta:
     def test_zero_when_drift_matches_and_a_zero(self):
         m = _mk(mu=model.PiecewiseFlat.constant(0.03))
-        sel = measure.MeasureSelection(0.0, "Em")
+        sel = measure.MeasureSelection(0.0, "Em", 0.1, 0.1)
         assert measure.theta(m, sel, 0.1, 0.2) == 0.0
 
     def test_zero_when_rho_zero_and_drift_matches(self):
         m = _mk(rho=0.0, mu=model.PiecewiseFlat.constant(0.03))
-        sel = measure.MeasureSelection(0.7, "Em")
+        sel = measure.MeasureSelection(0.7, "Em", 0.1, 0.1)
         assert measure.theta(m, sel, 0.1, 0.2) == 0.0
 
     def test_formula_value(self):
         m = _mk(mu=model.PiecewiseFlat.constant(0.05))
-        sel = measure.MeasureSelection(0.1, "Em")
+        sel = measure.MeasureSelection(0.1, "Em", 0.1, 0.1)
         assert measure.theta(m, sel, 0.2, 0.04) == pytest.approx(0.127017, abs=1e-6)
 
     def test_nonpositive_variance_rejected(self):
         m = _mk()
-        sel = measure.MeasureSelection(0.1, "Em")
+        sel = measure.MeasureSelection(0.1, "Em", 0.1, 0.1)
         with pytest.raises(DomainError):
             measure.theta(m, sel, 0.1, 0.0)
 
 
 class TestQDynamics:
     def test_identity_at_zero(self, desk_model):
-        sel = measure.MeasureSelection(0.0, "Em")
+        sel = measure.MeasureSelection(0.0, "Em", 0.1, 0.1)
         ka, vb = measure.q_dynamics(desk_model, sel)
         assert (ka, vb) == (desk_model.kappa, desk_model.vbar)
 
     def test_example_values(self, desk_model):
-        sel = measure.MeasureSelection(0.2, "Em")
+        sel = measure.MeasureSelection(0.2, "Em", 0.1, 0.1)
         ka, vb = measure.q_dynamics(desk_model, sel)
         assert ka == pytest.approx(2.1)
         assert vb == pytest.approx(0.6 / 2.1)
@@ -236,9 +247,9 @@ class TestQDynamics:
     @given(a=st.floats(-1.8, 1.8))
     def test_product_invariant(self, a):
         m = _mk()
-        ka, vb = measure.q_dynamics(m, measure.MeasureSelection(a, "E"))
+        ka, vb = measure.q_dynamics(m, measure.MeasureSelection(a, "E", 0.1, 0.1))
         assert ka * vb == pytest.approx(m.kappa * m.vbar, rel=1e-12)
 
     def test_degenerate_reversion(self, desk_model):
         with pytest.raises(DegenerateReversion):
-            measure.q_dynamics(desk_model, measure.MeasureSelection(-4.5, "E"))
+            measure.q_dynamics(desk_model, measure.MeasureSelection(-4.5, "E", 0.1, 0.1))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hhr import model
+from hhr.config import config_from_dict
 from hhr.errors import DomainError, InvalidModel
 
 from conftest import desk_params
@@ -149,19 +150,25 @@ class TestPayoffObjects:
             payoff.parse_payoff("swaption")
 
 
+DESK_MODEL = {
+    "lambda0": 1.0, "alpha": 0.5, "beta": 1.0, "S0": 100.0, "r": 0.03,
+    "mu_breakpoints": [[0.0, 0.05], [0.5, 0.04]], "rho": -0.5, "v0": 0.2,
+    "kappa": 2.0, "vbar": 0.3, "sigma": 0.5, "eta": 0.1, "T": 1.0,
+}
+
+
+def _read(jump):
+    return config_from_dict({"model": DESK_MODEL | {"jump": jump}})
+
+
 class TestSerialization:
     def test_round_trip(self):
-        d = {
-            "lambda0": 1.0, "alpha": 0.5, "beta": 1.0, "S0": 100.0, "r": 0.03,
-            "mu_breakpoints": [[0.0, 0.05], [0.5, 0.04]], "rho": -0.5, "v0": 0.2,
-            "kappa": 2.0, "vbar": 0.3, "sigma": 0.5, "eta": 0.1, "T": 1.0,
-        }
-        assert model.ModelParams.from_dict(d) == desk_params()
+        assert _read({"kind": "exponential", "rate": 2.0}).model == desk_params()
 
     def test_jump_from_dict(self):
-        d = model.jump_from_dict({"kind": "exponential", "rate": 2.0})
+        d = _read({"kind": "exponential", "rate": 2.0}).dist
         assert isinstance(d, model.ExponentialJump)
-        c = model.jump_from_dict({"kind": "constant", "value": 0.3})
+        c = _read({"kind": "constant", "value": 0.3}).dist
         assert isinstance(c, model.ConstantJump)
         with pytest.raises(ValueError):
-            model.jump_from_dict({"kind": "lognormal"})
+            _read({"kind": "lognormal"})

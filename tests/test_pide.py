@@ -20,7 +20,7 @@ DIST = model.ExponentialJump(2.0)
 @pytest.fixture(scope="module")
 def setup():
     m = _mk()
-    sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+    sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
     grid = pide.build_grid(m, 1.0, 64, 48, 24, 16)
     return m, sel, grid
 
@@ -213,7 +213,7 @@ class TestExactSolutions:
 class TestDimensionReduction:
     def test_no_variance_jumps_match_collapsed_z_axis(self):
         m = _mk(eta=0.0)
-        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         g = m.S0 * math.exp(m.r)
         g4 = pide.build_grid(m, 1.0, 48, 32, 16, 12)
         g3 = pide.build_grid(m, 1.0, 48, 32, 16, 1)
@@ -256,9 +256,10 @@ class TestStability:
         assert st.clamp_mass == pytest.approx(math.exp(-2.0 * 3.4 / 0.1), rel=1e-9)
         assert st.clamp_mass < 1e-25
 
-    def test_clamp_mass_is_large_on_a_short_variance_axis(self, setup):
+    def test_clamp_mass_is_large_on_a_short_variance_axis(self, setup, monkeypatch):
         m, sel, _ = setup
-        grid = pide.build_grid(m, 1.0, 64, 16, 12, 8, y_span=1.0)
+        monkeypatch.setattr(pide, "_Y_SPAN", 1.0)
+        grid = pide.build_grid(m, 1.0, 64, 16, 12, 8)
         st = pide.Stepper(grid, m, sel, DIST)
         # y_max = 2 v0 = 0.4: a fifth of the exponential marks' mass is clamped
         assert grid.y[-1] == pytest.approx(0.4)
@@ -335,7 +336,7 @@ class TestImplicitSweeps:
     )
     def test_match_banded_reference(self, overrides, shape, expected):
         m = _mk(**overrides)
-        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, *shape)
         assert grid.shape == expected
         st = pide.Stepper(grid, m, sel, DIST)
@@ -392,7 +393,7 @@ class TestWorkspace:
     )
     def test_results_never_alias_the_workspace(self, overrides, shape):
         m = _mk(**overrides)
-        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, *shape)
         st = pide.Stepper(grid, m, sel, DIST)
         owned = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
@@ -418,7 +419,7 @@ class TestJumpQuadrature:
 
         m = _mk()
         dist = model.ConstantJump(0.5)
-        sel, _ = measure.select_measure(m, dist, fraction=0.8)
+        sel, _ = measure.select_measure(m, dist, measure.MeasureConfig())
         g = m.S0 * math.exp(m.r)
         grid = pide.build_grid(m, 1.0, 64, 48, 24, 16)
         sol = pide.solve_price_pide(payoff.guarantee(g), 1.0, m, sel, dist, grid)

@@ -19,7 +19,7 @@ DIST = model.ExponentialJump(2.0)
 
 
 def _sel(m, fraction=0.8):
-    sel, _ = measure.select_measure(m, DIST, fraction=fraction)
+    sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig(fraction_of_bound=fraction))
     return sel
 
 
@@ -242,7 +242,8 @@ class TestTiltedVarianceConsistency:
 
 class TestNegativeTilt:
     def test_martingale_holds_for_negative_a(self, desk_model):
-        sel, _ = measure.select_measure(desk_model, DIST, fraction=-0.8)
+        negative = measure.MeasureConfig(fraction_of_bound=-0.8)
+        sel, _ = measure.select_measure(desk_model, DIST, negative)
         assert sel.a < 0
         res = sde.simulate(desk_model, DIST, "Q", 20_000, 128, 71, selection=sel)
         disc = math.exp(-desk_model.r * desk_model.T) * res.terminal["S"]
@@ -444,12 +445,11 @@ class TestSubSteppedStageLoop:
 
 
 class TestEventCap:
-    def test_overflow_propagates(self, desk_selection):
+    def test_overflow_propagates(self, desk_selection, monkeypatch):
         m = _mk(lambda0=50.0)
+        monkeypatch.setattr(hawkes, "_EVENT_CAP", 3)
         with pytest.raises(EventOverflow):
-            sde.simulate(
-                m, DIST, "P", 8, 64, 5, selection=desk_selection, max_events=3
-            )
+            sde.simulate(m, DIST, "P", 8, 64, 5, selection=desk_selection)
 
 
 def _recursive_bookkeeping(m, table, t):
@@ -519,7 +519,7 @@ class TestStreams:
         m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)  # dense: paths refill, some twice
         ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
         assert sum(r[2] > 64 for r in ref) > 10 and max(r[2] for r in ref) > 128
-        table = hawkes.draw_events(17, 1, 300, m.params, DIST, hawkes.DEFAULT_EVENT_CAP)
+        table = hawkes.draw_events(17, 1, 300, m.params, DIST)
         z, ez = hawkes.draw_normals(17, 1, 300, 64, table.times.size, 300)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))

@@ -20,7 +20,7 @@ def _mk(**kw):
 @pytest.fixture(scope="module")
 def setup():
     m = _mk()
-    sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+    sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
     grid = pide.build_grid(m, 1.0, 64, 48, 24, 16)
     return m, sel, grid
 
@@ -28,7 +28,7 @@ def setup():
 @pytest.fixture(scope="module")
 def long_setup():
     m = _mk(T=10.0)
-    sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+    sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
     grid = pide.build_grid(m, 10.0, 1024, 12, 8, 4)
     return m, sel, grid
 
@@ -285,7 +285,7 @@ class TestSingleMarch:
     @pytest.fixture(scope="class")
     def small(self):
         m = _mk()
-        sel, _ = measure.select_measure(m, DIST, fraction=0.8)
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         return m, sel, pide.build_grid(m, 1.0, 16, 12, 8, 6)
 
     @pytest.mark.parametrize("template, marches", [("guarantee", 2), ("breakpoint", 3)])
@@ -321,18 +321,16 @@ class TestSingleMarch:
             assert np.array_equal(layer, ref_theta[float(s)])
         assert np.array_equal(got_f, ref_f[1.0])
 
-        marched = thiele.reserve_quadrature(
-            pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=np.inf
-        )
+        monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
+        monkeypatch.setattr(thiele, "_REFINE_BUDGET", np.inf)
+        marched = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
 
         def per_node(pay, t, maturities, *_):
             layers = _per_node_layers(pay, t, maturities, m, sel, grid)
             return [layers[float(s)] for s in maturities]
 
         monkeypatch.setattr(thiele, "_march_layers", per_node)
-        ref = thiele.reserve_quadrature(
-            pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=np.inf
-        )
+        ref = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
         for state in pol.states:
             assert np.array_equal(marched.values[state], ref.values[state])
 
@@ -355,9 +353,9 @@ class TestSingleMarch:
         marches = _counted(monkeypatch, "march")
         probs = _counted(monkeypatch, "transition_probs")
         chains = _counted(monkeypatch, "lattice_probs")
-        out = thiele.reserve_quadrature(
-            pol, m, sel, DIST, grid, 0.0, n_maturities=9, refine_budget=0.0
-        )
+        monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
+        monkeypatch.setattr(thiele, "_REFINE_BUDGET", 0.0)
+        out = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
         assert out.diagnostics == {"n_maturities": 17, "refined": True}
         assert len(marches) == 3
         assert len(steppers) == 1 and len({id(args[0]) for args in marches}) == 1
@@ -385,9 +383,10 @@ class TestSimpson:
 
 
 class TestPremium:
-    def test_equivalence_premium_zeroes_the_reserve(self, setup):
+    def test_equivalence_premium_zeroes_the_reserve(self, setup, monkeypatch):
         m, sel, grid = setup
-        pol = markov.pure_endowment(1.0, 0.02, amount=100.0)
+        monkeypatch.setattr(markov, "_AMOUNT", 100.0)
+        pol = markov.pure_endowment(1.0, 0.02)
         pi = thiele.equivalence_premium(pol, m, sel, DIST, grid)
         ix = grid.index_near("x", m.S0)
         iy = grid.index_near("y", m.v0)

@@ -274,24 +274,25 @@ class TestDegenerateConfigs:
 
 
 class TestQuadratureRefinement:
-    def test_zero_budget_forces_doubling(self):
+    def test_zero_budget_forces_doubling(self, monkeypatch):
         m = model.validate(desk_params())
         dist = model.ExponentialJump(2.0)
-        sel, _ = measure.select_measure(m, dist, fraction=0.8)
+        sel, _ = measure.select_measure(m, dist, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, 16, 12, 8, 6)
         pol = markov.term_insurance(1.0, 0.02)
-        out = thiele.reserve_quadrature(
-            pol, m, sel, dist, grid, 0.0, n_maturities=9, refine_budget=0.0
-        )
+        monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
+        monkeypatch.setattr(thiele, "_REFINE_BUDGET", 0.0)
+        out = thiele.reserve_quadrature(pol, m, sel, dist, grid, 0.0)
         assert out.diagnostics["refined"]
         assert out.diagnostics["n_maturities"] == 17
 
-    def test_within_budget_keeps_node_count(self):
+    def test_within_budget_keeps_node_count(self, monkeypatch):
         m = model.validate(desk_params())
         dist = model.ExponentialJump(2.0)
-        sel, _ = measure.select_measure(m, dist, fraction=0.8)
+        sel, _ = measure.select_measure(m, dist, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, 16, 12, 8, 6)
         pol = markov.term_insurance(1.0, 0.02)
-        out = thiele.reserve_quadrature(pol, m, sel, dist, grid, 0.0, n_maturities=9)
+        monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
+        out = thiele.reserve_quadrature(pol, m, sel, dist, grid, 0.0)
         assert not out.diagnostics["refined"]
         assert out.diagnostics["n_maturities"] == 9
