@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = ["Payoff", "constant", "linear", "guarantee", "parse_payoff"]
 
@@ -22,7 +25,7 @@ class Payoff:
 
     def __post_init__(self):
         if self.kind not in ("constant", "linear", "guarantee"):
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
+            raise ConfigError(f"unknown payoff kind {self.kind!r}")
 
     @property
     def kinked(self) -> bool:
@@ -59,14 +62,21 @@ ZERO = constant(0.0)
 
 
 def parse_payoff(spec) -> Payoff:
-    """Parse 'constant[:c]', 'linear[:c]', 'guarantee:G', or a dict."""
+    """Parse 'constant[:c]', 'linear[:c]', 'guarantee:G', or a dict; a spec
+    that names no payoff raises ConfigError."""
     if isinstance(spec, Payoff):
         return spec
     if isinstance(spec, dict):
         if spec["kind"] == "guarantee" and "value" not in spec:
-            raise ValueError("guarantee payoff needs a value")
+            raise ConfigError("guarantee payoff needs a value")
         return Payoff(spec["kind"], float(spec.get("value", 1.0)))
     name, _, arg = str(spec).partition(":")
     if name == "guarantee" and not arg:
-        raise ValueError("guarantee payoff needs a level, e.g. guarantee:120")
-    return Payoff(name, float(arg) if arg else 1.0)
+        raise ConfigError("guarantee payoff needs a level, e.g. guarantee:120")
+    try:
+        value = float(arg) if arg else 1.0
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"payoff level must be a finite number, got {arg!r}")
+    return Payoff(name, value)

@@ -18,11 +18,16 @@ lines, in the same operations and order, so bit for bit as dgttrs.  The
 jump integral is one matrix product over y on a (y, x z) copy of the
 z-shifted layer.  Each Stepper owns a workspace allocated once, so a step
 allocates only the layer it returns.
+
+Of scipy, only LAPACK (scipy.linalg) loads, at import.  The variance axis's
+spacing is a root found by _brentq, a port of scipy's brentq.c that gives
+the same float, so building a grid never loads scipy.optimize.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,6 +43,8 @@ __all__ = ["Grid4", "build_grid", "Layer0", "PIDESolution", "march", "solve_pric
 
 _GL_NODES = 32
 _Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
+_BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
+_BRENT_MAXITER = 100  # and its default maxiter
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,54 @@ class Grid4:
         return int(np.argmin(np.abs(u - value)))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f on [xa, xb] by Brent's method: scipy's brentq.c operation
+    for operation, at scipy's default rtol (4 eps) and maxiter (100), so the
+    same float as scipy.optimize.brentq(f, xa, xb, xtol=xtol).  Raises
+    ValueError on same-sign endpoints and RuntimeError on non-convergence."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # C's signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)  # can underflow to 0: C then bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def _sinh_axis(lo: float, hi: float, anchor: float, n: int) -> np.ndarray:
     """Axis on exactly [lo, hi] clustered at `anchor`, which lands on a node.
 
@@ -74,8 +129,6 @@ def _sinh_axis(lo: float, hi: float, anchor: float, n: int) -> np.ndarray:
     d of that grid solves sinh((n-1-k0) d)/sinh(k0 d) = (hi-anchor)/(anchor-lo)
     so that both endpoints are hit exactly.
     """
-    from scipy.optimize import brentq
-
     if n == 1:
         return np.array([anchor])
     if n < 4 or not lo < anchor < hi:
@@ -107,7 +160,7 @@ def _sinh_axis(lo: float, hi: float, anchor: float, n: int) -> np.ndarray:
         d_hi = 1e-4
         while f(d_hi) * f(1e-9) > 0 and d_hi < 1e3:
             d_hi *= 2.0
-        d = brentq(f, 1e-9, d_hi, xtol=1e-14)
+        d = _brentq(f, 1e-9, d_hi, xtol=1e-14)
     b = (anchor - lo) / math.sinh(k0 * d)
     xi = d * (np.arange(n) - k0)
     u = anchor + b * np.sinh(xi)

@@ -4,13 +4,14 @@ These are the independent references the simulation engine is verified
 against: negative moments of the jump-free square-root variance (via its
 noncentral chi-square transition) and the exponential moment of its
 integrated reciprocal (via the quadratic-drift 3/2 process).
+
+scipy.special (for gammaln) loads at the first call of cir_neg_moment or
+integrated_inverse_cir_exp; only hhr verify's closed-form oracles reach them.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import gammaln
 
 from .errors import DomainError, HypothesisViolated, NonConvergence
 
@@ -104,6 +105,8 @@ def cir_neg_moment(
     of the 1F1 factor is used (with its first-order correction), which
     reproduces the t -> 0 limit 1/v0^s.
     """
+    from scipy.special import gammaln
+
     if t <= 0:
         raise DomainError(f"t must be > 0, got {t}")
     if not 2.0 * kappa * vbar > s * sigma**2:
@@ -149,6 +152,8 @@ def integrated_inverse_cir_exp(
     gamma = 2 (alpha~ + m), y = (e^{kappa T} - 1)/(v0 kappa).
     The c = 0 identity (value exactly 1) pins the Gamma(gamma) normalization.
     """
+    from scipy.special import gammaln
+
     if not 2.0 * kappa * vbar > sigma**2:
         raise HypothesisViolated(
             f"need 2*kappa*vbar > sigma^2, got {2*kappa*vbar:.6g} <= {sigma**2:.6g}"

@@ -253,9 +253,18 @@ class TestPrice:
         assert rows[0] == ["x", "y", "z", "U"]
         assert len(rows) == 1 + 12 * 8 * 4
 
-    def test_bad_payoff(self, small_config, capsys):
-        with pytest.raises(ValueError):
-            cli.main(["--config", str(small_config), "price", "--payoff", "swaption"])
+    def test_bad_payoff(self, small_config, tmp_path, capsys):
+        out = tmp_path / "price.csv"
+        for spec, message in [
+            ("swaption", "unknown payoff kind 'swaption'"),
+            ("guarantee", "guarantee payoff needs a level, e.g. guarantee:120"),
+            ("guarantee:abc", "payoff level must be a finite number, got 'abc'"),
+            ("guarantee:nan", "payoff level must be a finite number, got 'nan'"),
+        ]:
+            rc = cli.main(["--config", str(small_config), "price", "--payoff", spec, "--out", str(out)])
+            assert rc == 2, spec
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_explicit_tilt_override(self, small_config, tmp_path, capsys):
         out = tmp_path / "price.csv"
@@ -466,3 +475,43 @@ class TestVerify:
         rc = cli.main(["--config", str(path), "verify"])
         assert rc == 2
         assert "bound" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: the import-hygiene test cannot share this one,
+# whose tests import scipy's heavier subpackages themselves.
+_IMPORT_PROBE = """
+import json, sys
+from hhr import cli, hawkes, pide, special
+from hhr.config import load_config
+
+config, out = sys.argv[1:]
+cfg = load_config(config)
+m = cfg.validated_model()
+pide.build_grid(m, m.T, *cfg.run.grid)
+for command in (["price", "--payoff", "guarantee:103.05"], ["reserve", "--method", "both"]):
+    rc = cli.main(["--config", config, *command, "--grid", "4x12x8x8", "--out", f"{out}/{command[0]}.csv"])
+    assert rc == 0, command
+loaded = [name for name in ("scipy.integrate", "scipy.optimize", "scipy.special") if name in sys.modules]
+values = [*hawkes.mean_intensity_ode(m, 0.7), special.cir_neg_moment(2.0, 0.3, 0.5, 0.2, 0.5, 1.0)]
+print(json.dumps({"loaded": loaded, "values": [v.hex() for v in values]}))
+"""
+
+
+class TestImports:
+    def test_price_and_reserve_load_no_scipy_solver(self, tmp_path):
+        """scipy.integrate, scipy.optimize and scipy.special stay unloaded
+        through the import, a grid, a price and a reserve; once loaded, the
+        two functions that need them give the same floats as here."""
+        from hhr import hawkes, special
+
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(ROOT / "configs" / "desk.json"), str(tmp_path)],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        assert probe["loaded"] == []
+        m = load_config(ROOT / "configs" / "desk.json").validated_model()
+        values = [*hawkes.mean_intensity_ode(m, 0.7), special.cir_neg_moment(2.0, 0.3, 0.5, 0.2, 0.5, 1.0)]
+        assert probe["values"] == [v.hex() for v in values]

@@ -1,13 +1,18 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.optimize import brentq
 
 from hhr import measure, model, payoff, pide
+from hhr.config import config_from_dict, load_config, parse_grid
 
 from conftest import desk_params
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 
 def _mk(**kw):
@@ -57,6 +62,101 @@ class TestGrid:
         m = _mk(alpha=0.0)
         grid = pide.build_grid(m, 1.0, 8, 8, 8, 16)
         assert grid.z.shape == (1,)
+
+
+def _port_and_scipy(monkeypatch, build):
+    """build() once with pide's Brent port and once with every root taken by
+    scipy.optimize.brentq instead; asserts each root is the same float and
+    returns both results and the number of roots solved."""
+    port, roots = pide._brentq, []
+
+    def both(f, xa, xb, xtol):
+        roots.append((port(f, xa, xb, xtol), brentq(f, xa, xb, xtol=xtol)))
+        return roots[-1][1]
+
+    ours = build()
+    monkeypatch.setattr(pide, "_brentq", both)
+    theirs = build()
+    monkeypatch.setattr(pide, "_brentq", port)
+    assert all(a == b for a, b in roots), [r for r in roots if r[0] != r[1]]
+    return ours, theirs, len(roots)
+
+
+def _oracle_models():
+    desk = load_config(DESK)
+    bursty = desk.raw | {"model": desk.raw["model"] | {"lambda0": 6.0, "alpha": 1.6, "beta": 2.0}}
+    return {
+        "desk.json": desk.validated_model(),
+        "bursty": config_from_dict(bursty).validated_model(),  # the benchmark's mc_bursty model
+        "tests": _mk(),
+    }
+
+
+# configs/desk.json and the acceptance suite (64x48x24x16), the benchmark's
+# fine and tiny grids, scripts/pide_convergence.py and scripts/premium_sweep.py
+DECLARED_GRIDS = (
+    load_config(DESK).run.grid, (64, 48, 24, 16), (128, 128, 64, 32), (32, 24, 12, 8),
+    (48, 36, 16, 8), (16, 12, 8, 6), (96, 64, 32, 16), parse_grid("48x32x16x10"),
+)
+
+
+class TestBrentPort:
+    """pide's Brent loop is scipy's brentq.c, so every axis keeps its bits."""
+
+    def test_random_sinh_axes(self, monkeypatch):
+        rng = np.random.default_rng(20240801)
+        solved = 0
+        for _ in range(3000):
+            lo = 10.0 ** rng.uniform(-6.0, 1.0)
+            anchor = lo * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0))
+            hi = anchor * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0))
+            n = int(rng.integers(4, 200))
+            ours, theirs, roots = _port_and_scipy(monkeypatch, lambda: pide._sinh_axis(lo, hi, anchor, n))
+            assert ours.tobytes() == theirs.tobytes(), (lo, hi, anchor, n)
+            solved += roots
+        assert solved > 2500
+
+    @pytest.mark.parametrize("model_name", ["desk.json", "bursty", "tests"])
+    def test_every_declared_grid(self, monkeypatch, model_name):
+        m = _oracle_models()[model_name]
+        shapes = set(DECLARED_GRIDS) | {(8, 12, ny, 4) for ny in [1, *range(3, 161)]}
+        solved = 0
+        for shape in sorted(shapes):
+            ours, theirs, roots = _port_and_scipy(monkeypatch, lambda: pide.build_grid(m, m.T, *shape))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(dataclasses.astuple(ours), dataclasses.astuple(theirs))), shape
+            solved += roots
+        assert solved > 100
+
+    @pytest.mark.parametrize("f, a, b, xtol, maxiter", [
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, 1e-14, 100),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12, 100),
+        (lambda x: math.exp(x) - 1e6, -5.0, 30.0, 1e-14, 100),
+        (lambda x: math.atan(x - 1e-3), -1e4, 1e5, 1e-14, 100),
+        (lambda x: x - 1.0, 1.0, 2.0, 1e-14, 100),  # a root on an endpoint
+        (lambda x: x - 2.0, 1.0, 2.0, 1e-14, 100),
+        # hundreds of steps, some with an extrapolation denominator that underflows to 0
+        (lambda x: x ** 9, -1.0, 2.0, 1e-300, 1000),
+        (lambda x: x ** 3, -1.0, 2.0, 1e-300, 1000),
+    ])
+    def test_generic_roots(self, monkeypatch, f, a, b, xtol, maxiter):
+        monkeypatch.setattr(pide, "_BRENT_MAXITER", maxiter)
+        assert pide._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+
+    def test_same_sign_endpoints_raise_as_scipy(self):
+        with pytest.raises(ValueError, match="different signs") as scipy_err:
+            brentq(lambda x: x * x + 1.0, 0.0, 1.0, xtol=1e-14)
+        with pytest.raises(ValueError) as ours:
+            pide._brentq(lambda x: x * x + 1.0, 0.0, 1.0, 1e-14)
+        assert str(ours.value) == str(scipy_err.value)
+
+    def test_nonconvergence_raises_as_scipy(self, monkeypatch):
+        f = lambda x: math.sinh(x) - 3.0  # noqa: E731
+        with pytest.raises(RuntimeError, match="converge") as scipy_err:
+            brentq(f, 0.0, 10.0, xtol=1e-14, maxiter=2)
+        monkeypatch.setattr(pide, "_BRENT_MAXITER", 2)
+        with pytest.raises(RuntimeError) as ours:
+            pide._brentq(f, 0.0, 10.0, 1e-14)
+        assert str(ours.value) == str(scipy_err.value)
 
 
 class TestGenerator:
