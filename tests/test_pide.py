@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from hhr import measure, model, payoff, pide
-from hhr.config import config_from_dict, load_config, parse_grid
+from hhr.config import config_from_dict, load_config
 
 from conftest import desk_params
 
@@ -96,7 +96,7 @@ def _oracle_models():
 # fine and tiny grids, scripts/pide_convergence.py and scripts/premium_sweep.py
 DECLARED_GRIDS = (
     load_config(DESK).run.grid, (64, 48, 24, 16), (128, 128, 64, 32), (32, 24, 12, 8),
-    (48, 36, 16, 8), (16, 12, 8, 6), (96, 64, 32, 16), parse_grid("48x32x16x10"),
+    (48, 36, 16, 8), (16, 12, 8, 6), (96, 64, 32, 16), (48, 32, 16, 10),
 )
 
 
@@ -123,7 +123,8 @@ class TestBrentPort:
         solved = 0
         for shape in sorted(shapes):
             ours, theirs, roots = _port_and_scipy(monkeypatch, lambda: pide.build_grid(m, m.T, *shape))
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(dataclasses.astuple(ours), dataclasses.astuple(theirs))), shape
+            for a, b in zip(dataclasses.astuple(ours), dataclasses.astuple(theirs)):
+                assert a.tobytes() == b.tobytes(), shape
             solved += roots
         assert solved > 100
 
@@ -141,6 +142,26 @@ class TestBrentPort:
     def test_generic_roots(self, monkeypatch, f, a, b, xtol, maxiter):
         monkeypatch.setattr(pide, "_BRENT_MAXITER", maxiter)
         assert pide._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+
+    def test_random_generic_roots(self):
+        """Tolerances up to 0.1, where the step rules' margins (the - delta
+        in the short-step test) decide more steps than on the sinh axes."""
+        rng = np.random.default_rng(7)
+        families = (
+            lambda x, c, p, s: math.copysign(abs(x - s) ** p, x - s) + 1e-3 * c,
+            lambda x, c, p, s: math.tanh(3.0 * c * (x - s)) + 0.1 * p,
+            lambda x, c, p, s: math.expm1(x - s) - 0.5 * c + 0.3 * (x - s) ** 3,
+        )
+        checked = 0
+        for i in range(3000):
+            c, p, s = rng.normal(), rng.uniform(0.2, 5.0), rng.uniform(-2.0, 2.0)
+            a, b = rng.uniform(-5.0, -4.0), rng.uniform(4.0, 5.0)
+            xtol = 10.0 ** rng.uniform(-15.0, -1.0)
+            f = lambda x, g=families[i % 3]: g(x, c, p, s)  # noqa: E731
+            if f(a) * f(b) < 0:
+                assert pide._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol), (i, xtol)
+                checked += 1
+        assert checked > 1500
 
     def test_same_sign_endpoints_raise_as_scipy(self):
         with pytest.raises(ValueError, match="different signs") as scipy_err:
