@@ -84,6 +84,8 @@ def _number(value, key: str) -> float:
 
 def parse_grid(spec) -> tuple[int, int, int, int]:
     if isinstance(spec, (list, tuple)):
+        if any(type(v) is not int for v in spec):  # a bool is an int subclass: refused too
+            raise ConfigError(f"run.grid entries must be integers, got {spec!r}")
         parts = list(spec)
     else:
         parts = str(spec).lower().split("x")

@@ -212,8 +212,6 @@ def a_bounds(
     model: ValidatedModel,
     dist: JumpDistribution,
     settings: MeasureConfig,
-    *,
-    c_l: float | None = None,
 ) -> AdmissibilityReport:
     """All admissible-|a| bounds plus the precondition flags.
 
@@ -221,18 +219,15 @@ def a_bounds(
     (1, upper); Q1 = Q2/(Q2-1) is its conjugate.  With a zero drift gap the
     upper end is infinite and Q2 defaults to 2.
     """
-    if c_l is None:
-        res = compute_c_l(model, dist)
-        c_l_val, at_cap, mono = res.value, res.at_cap, res.scan_monotone
-    else:
-        c_l_val, at_cap, mono = c_l, c_l == _cap(model), True
+    res = compute_c_l(model, dist)
+    c_l = res.value
 
     rho = model.rho
     d_sup = model.drift_gap_sq
     s_mom = 2.0 + settings.epsilon1
     feller_gap = (2.0 * model.kappa * model.vbar - model.sigma**2) / (2.0 * model.sigma)
 
-    cond_rho = rho**2 < c_l_val
+    cond_rho = rho**2 < c_l
     if d_sup > 0:
         q2_upper = (1.0 - rho**2) / (d_sup * (s_mom**2 - s_mom)) * feller_gap**2
     else:
@@ -246,22 +241,22 @@ def a_bounds(
         "feller_margin": cond_feller,
     }
 
-    bound_e = math.sqrt(2.0 * c_l_val)
+    bound_e = math.sqrt(2.0 * c_l)
     bound_em = (
-        min(bound_e / 2.0, math.sqrt(c_l_val - rho**2)) if cond_rho else None
+        min(bound_e / 2.0, math.sqrt(c_l - rho**2)) if cond_rho else None
     )
 
     q1 = q2 = bound_em_qs = None
     if cond_rho and cond_moment:
         q2 = 2.0 if math.isinf(q2_upper) else math.sqrt(q2_upper)
         q1 = q2 / (q2 - 1.0)
-        bound_em_qs = min(em_qs_bound(c_l_val, rho, q1, s_mom), bound_em)
+        bound_em_qs = min(em_qs_bound(c_l, rho, q1, s_mom), bound_em)
 
     return AdmissibilityReport(
-        c_l=c_l_val,
+        c_l=c_l,
         cap=_cap(model),
-        c_l_at_cap=at_cap,
-        scan_monotone=mono,
+        c_l_at_cap=res.at_cap,
+        scan_monotone=res.scan_monotone,
         bound_e=bound_e,
         bound_em=bound_em,
         bound_em_qs=bound_em_qs,
@@ -288,13 +283,10 @@ def select_measure(
     model: ValidatedModel,
     dist: JumpDistribution,
     settings: MeasureConfig,
-    *,
-    report: AdmissibilityReport | None = None,
 ) -> tuple[MeasureSelection, AdmissibilityReport]:
     """Certify the settings' `a` (or its fraction of the level's bound)
     against the level's band."""
-    if report is None:
-        report = a_bounds(model, dist, settings)
+    report = a_bounds(model, dist, settings)
     level = settings.level
     if level == "E":
         bound = report.bound_e

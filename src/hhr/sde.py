@@ -21,14 +21,16 @@ paths of its chunk up to itself only: a run is a prefix of any longer run
 at the same seed, and the thread count changes nothing.
 
 A chunk thins all its paths in lockstep into one CSR event table (one flat
-array of times and marks plus per-path offsets).  Each uniform step then
-runs its first stage over every path, on column k of the stage normals,
-and its later stages, up to the closing one, over only the paths with an
-event in that step: stage j starts at a path's order-(j - 1) event of the
-step and reads that event's normals.  A skipped path already sits at the
-step's end, and a stage of length 0 leaves every state row unchanged
-exactly, so skipping is bit-identical to running every stage over every
-path.
+array of times and marks plus per-path offsets), and sorts its events by
+step once.  Each uniform step then runs its first stage over every path,
+on column k of the stage normals, to the path's first event of the step
+or to the step's end.  After it, the stage loop walks from each event to
+the next: a stage gathers only the paths of the events just reached and
+runs each, on its event's normals, to its next event of the step or to
+the step's end, where it leaves the walk.  A path that has left the walk
+(or never entered it) sits at the step's end, where a stage of length 0
+would leave its state unchanged exactly, so the walk is bit-identical to
+running every stage over every path.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError
+from .errors import DomainError
 from .hawkes import (
     EventTable, chunks, draw_events, draw_normals, l_at, lambda_at, n_at,
 )
@@ -89,21 +91,6 @@ class SimulationResult:
     bundles: list | None = None
 
 
-def _bucket_events(table, ez, dt, n_steps):
-    """Event rows, with their normals ez, sorted by (step, path, order);
-    order ranks an event among its path's events in the same step."""
-    path = table.path
-    step = np.clip(np.ceil(table.times / dt - 1e-12).astype(int) - 1, 0, n_steps - 1)
-    idx = np.arange(step.size)
-    first = np.ones(step.size, dtype=bool)
-    first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
-    order = idx - np.maximum.accumulate(np.where(first, idx, 0))
-    # the table is ordered by (path, time), so a stable sort by step suffices
-    sorter = np.argsort(step, kind="stable")
-    return (path[sorter], table.times[sorter], table.marks[sorter], ez[sorter], step[sorter],
-            order[sorter])
-
-
 def _run_chunk(
     model,
     dist,
@@ -121,17 +108,25 @@ def _run_chunk(
     dt_u = p.T / n_steps
     table = draw_events(seed, chunk, nc, p, dist)
     z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size, width)
-    ev_path, ev_time, ev_mark, ev_z, ev_step, ev_order = _bucket_events(table, ez, dt_u, n_steps)
-    step_lo = np.searchsorted(ev_step, np.arange(n_steps), side="left")
-    step_hi = np.searchsorted(ev_step, np.arange(n_steps), side="right")
+    step = np.clip(np.ceil(table.times / dt_u - 1e-12).astype(int) - 1, 0, n_steps - 1)
+    # the table is ordered by (path, time), so after a stable sort by step
+    # each step's events run in (path, time) order
+    sorter = np.argsort(step, kind="stable")
+    ev_path, ev_time, ev_mark, ev_z, ev_step = (
+        table.path[sorter], table.times[sorter], table.marks[sorter], ez[sorter], step[sorter]
+    )
+    # cont[e]: the path of event e has its next event in the same step, at e + 1
+    cont = np.zeros(ev_step.size, dtype=bool)
+    cont[:-1] = (ev_path[1:] == ev_path[:-1]) & (ev_step[1:] == ev_step[:-1])
+    heads = np.flatnonzero(~np.roll(cont, 1))  # a path's first event in a step (cont[-1] is False)
+    step_lo = np.searchsorted(ev_step[heads], np.arange(n_steps + 1))
 
     under_q = measure_tag == "Q"
     if under_q:
         kappa_eff, vbar_eff = q_dynamics(p, selection)
     else:
         kappa_eff, vbar_eff = p.kappa, p.vbar
-    track_x = (not under_q) and selection is not None
-    a = selection.a if selection is not None else 0.0
+    a = selection.a
     c1 = math.sqrt(1.0 - p.rho**2)
 
     # state rows: t, log S, v, int v, log X
@@ -162,7 +157,7 @@ def _run_chunk(
         s[1] = log_s + (drift - 0.5 * vp) * dt_vec + sv * (c1 * zb + p.rho * zw) * sq
         v_new = v + kappa_eff * (vbar_eff - vp) * dt_vec + p.sigma * sv * sq * zw
         s[3] = int_v + 0.5 * (vp + np.maximum(v_new, 0.0)) * dt_vec
-        if track_x:
+        if not under_q:
             vth = np.maximum(vp, _V_THETA_FLOOR)
             svth = np.sqrt(vth)
             th = ((drift - p.r) / svth - a * p.rho * svth) / c1
@@ -174,49 +169,35 @@ def _run_chunk(
             )
         s[2] = v_new
         s[0] = target
-        if hit is not None and hit.size:
-            s[2, hit] += p.eta * mk
+        s[2, hit] += p.eta * mk
 
     mu = (lambda t: p.r) if under_q else p.mu
 
     for k in range(n_steps):
         t_next = (k + 1) * dt_u
-        lo, hi = step_lo[k], step_hi[k]
-        order = ev_order[lo:hi]
-        first = order == 0
-        rows = ev_path[lo:hi][first]  # the rows with an event in this step
+        e = heads[step_lo[k]:step_lo[k + 1]]  # each path's first event of the step
+        rows = ev_path[e]
         # stage 0, full width: every row from k dt to its first event of the
         # step, or to the step's end, on the step's column of normals
         target = np.full(nc, t_next)
-        target[rows] = ev_time[lo:hi][first]
-        stage(st, target, z[:, 0, k], z[:, 1, k], rows, ev_mark[lo:hi][first], mu(k * dt_u))
+        target[rows] = ev_time[e]
+        stage(st, target, z[:, 0, k], z[:, 1, k], rows, ev_mark[e], mu(k * dt_u))
         if record_full:
             snaps.append(st.copy())
-        if rows.size:
-            # later stages touch only the event rows: any other row sits at
-            # t_next, where a stage of length 0 would leave its state
-            # unchanged.  Stage j starts at each row's order-(j - 1) event
-            # and reads that event's normals; a row with fewer events sits
-            # at t_next and reads zeros.
-            n_stage = int(order.max()) + 1
-            local = np.cumsum(first) - 1  # each event's row in the block
+        while e.size:
+            # the rows of the events e just reached walk, on those events'
+            # normals, to their next event of the step or to its end
+            rows = ev_path[e]
+            hit = np.flatnonzero(cont[e])
+            nxt = e[hit] + 1
+            target = np.full(e.size, t_next)
+            target[hit] = ev_time[nxt]
             sub = st[:, rows]
-            for j in range(1, n_stage + 1):
-                prev = order == j - 1
-                zs = np.zeros((2, rows.size))
-                zs[:, local[prev]] = ev_z[lo:hi][prev].T
-                target = np.full(rows.size, t_next)
-                if j < n_stage:
-                    sel = order == j
-                    hit = local[sel]
-                    target[hit] = ev_time[lo:hi][sel]
-                    stage(sub, target, *zs, hit, ev_mark[lo:hi][sel], mu(sub[0]))
-                else:
-                    stage(sub, target, *zs, None, None, mu(sub[0]))
-                if record_full:
-                    st[:, rows] = sub
-                    snaps.append(st.copy())
+            stage(sub, target, *ev_z[e].T, hit, ev_mark[nxt], mu(sub[0]))
             st[:, rows] = sub
+            if record_full:
+                snaps.append(st.copy())
+            e = nxt
         if (k + 1) in probe_steps:
             probes[t_next] = np.exp(st[4])
 
@@ -274,7 +255,7 @@ def simulate(
     n_steps: int,
     seed: int,
     *,
-    selection: MeasureSelection | None = None,
+    selection: MeasureSelection,
     probe_times=(),
     record_full: bool = False,
     threads: int = 1,
@@ -283,16 +264,14 @@ def simulate(
 
     Under Q the stock drifts at r and the variance reverts with the tilted
     (kappa_a, vbar_a); the event intensity dynamics are unchanged because the
-    compensator is the same under both measures.  Under P a selection may be
-    attached to accumulate the density process X.  Probe times must lie on
+    compensator is the same under both measures.  Under P the run carries
+    the density process X of Q(a) (under Q, X stays 1).  Probe times must lie on
     the uniform grid.  record_full keeps a snapshot per stage and is meant
     for small path counts (trajectory dumps), not estimator runs.
     """
     p = model.params
     if measure not in ("P", "Q"):
         raise ValueError("measure must be 'P' or 'Q'")
-    if measure == "Q" and selection is None:
-        raise AdmissibilityError("Q-measure simulation requires a certified selection")
     if n_steps < 50:
         raise DomainError(f"n_steps must be >= 50, got {n_steps}")
     runs = chunks(n_paths)

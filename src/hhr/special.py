@@ -21,6 +21,7 @@ _Z_MAX = 700.0  # exp overflow guard for the direct series
 _ASYMPTOTIC_Z = 1000.0  # beyond this, the log-form uses the large-z limit
 _SERIES_TOL = 1e-12  # a 1F1 series stops after two terms below this, relative
 _SERIES_TERMS = 20000  # and raises NonConvergence after this many
+_LOG_SERIES_TERMS = 200000  # the log-space 1F1 series raises NonConvergence after this many
 
 
 def _series_1f1(a: float, b: float, z: float) -> float:
@@ -69,7 +70,7 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     return _series_1f1(a, b, z)
 
 
-def _log_hyp1f1_positive(a: float, b: float, z: float, max_terms: int = 200000) -> float:
+def _log_hyp1f1_positive(a: float, b: float, z: float) -> float:
     """log 1F1(a, b; z) for a, b, z > 0, summed in log space.
 
     All terms are positive, so a running log-sum-exp accumulator is exact up
@@ -77,7 +78,7 @@ def _log_hyp1f1_positive(a: float, b: float, z: float, max_terms: int = 200000) 
     """
     log_sum = 0.0  # log of the n=0 term
     log_term = 0.0
-    for n in range(max_terms):
+    for n in range(_LOG_SERIES_TERMS):
         log_term += math.log((a + n) * z / ((b + n) * (n + 1.0)))
         if log_term > log_sum:
             log_sum = log_term + math.log1p(math.exp(log_sum - log_term))

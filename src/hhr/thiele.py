@@ -127,7 +127,7 @@ def reserve_quadrature(
     T = policy.horizon
     idx = policy.index
     p_T = transition_probs(policy, t, T)  # refuses t outside [0, T] before any solve
-    dt_target = model.T / (len(grid.t) - 1) if len(grid.t) > 1 else model.T / 64
+    dt_target = grid.t[1] - grid.t[0]  # the backward route's step
     st = Stepper(grid, model, selection, dist)
 
     def layers_at(payoff, maturities):

@@ -38,11 +38,19 @@ from .payoff import constant, guarantee, linear
 from .rng import derive_seed
 from .sde import simulate
 
-__all__ = ["Check", "VerificationReport", "run_verification"]
+__all__ = ["CHECKS", "Check", "VerificationReport", "run_verification"]
 
 EXACT = "exact-identity"
 CLOSED = "closed-form"
 ORACLE = "independent-oracle"
+
+# the names of the checks, in the order the suite runs them
+CHECKS = (
+    "hawkes_mean_law", "compensator_p", "compensator_q_weighted", "rn_density",
+    "q_martingale_stock", "girsanov_price_crosscheck", "closed_form_oracles",
+    "pide_exact_solutions", "pide_vs_mc_guarantee", "thiele_consistency",
+    "admissibility_c_l", "lambda_cap_corner",
+)
 
 
 @dataclass
@@ -163,12 +171,14 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     """Execute the full suite on the configured model; config problems raise,
     individual check failures are recorded and never abort.
 
-    Check names map one-to-one onto the acceptance criteria, in order:
-    hawkes_mean_law, compensator_p, compensator_q_weighted, rn_density,
-    q_martingale_stock, closed_form_oracles, pide_exact_solutions,
-    pide_vs_mc_guarantee, thiele_consistency, admissibility_c_l; the
-    girsanov_price_crosscheck and lambda_cap_corner rows are additional.
+    The checks run in the order of CHECKS; all but girsanov_price_crosscheck
+    and lambda_cap_corner map one-to-one onto the acceptance criteria.  A
+    run.tolerances key that names no check is refused before the first
+    check runs.
     """
+    unknown = sorted(set(cfg.run.tolerances) - set(CHECKS))
+    if unknown:
+        raise ConfigError(f"run.tolerances names no check: {', '.join(unknown)}")
     model = cfg.validated_model()
     selection, adm = cfg.selection(model)  # inadmissible a aborts here
     dist = cfg.dist
@@ -364,9 +374,6 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.guard("lambda_cap_corner", CLOSED, lambda_cap_corner)
 
-    unknown = sorted(set(run.tolerances) - {c.name for c in suite.checks})
-    if unknown:
-        raise ConfigError(f"run.tolerances names no check: {', '.join(unknown)}")
     digest = hashlib.sha256(cfg.canonical().encode()).hexdigest()[:16]
     return VerificationReport(seed=seed, config_digest=digest, checks=suite.checks)
 

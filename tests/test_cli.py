@@ -105,12 +105,16 @@ class TestConfig:
         ("run", "tolerances", {"rn_density": math.nan},
          "run.tolerances.rn_density must be a number"),
         ("run", "tolerances", {"rn_density": True}, "run.tolerances.rn_density must be a number"),
+        ("run", "grid", [8.9, 12, 8, True], "bad run section: run.grid entries must be integers"),
+        ("run", "grid", ["64", 48, 24, 16], "bad run section: run.grid entries must be integers"),
+        ("run", "grid", [64, 48, 24, False], "bad run section: run.grid entries must be integers"),
     ], ids=["a-string", "fraction-null", "level", "model", "jump", "measure", "run",
             "tolerances", "paths", "seed-bool", "paths-float", "steps-string", "paths-zero",
             "out-dir-null", "a-and-fraction", "epsilon-nan", "kappa-bool", "kappa-string", "S0-inf",
             "mu-string", "mu-late-start", "jump-rate-string", "jump-value-missing", "jump-kind-int",
             "horizon-string", "horizon-bool", "rate-segments-string", "payoff-value-string",
-            "budget-string", "budget-negative", "budget-nan", "budget-bool"])
+            "budget-string", "budget-negative", "budget-nan", "budget-bool", "grid-float",
+            "grid-string", "grid-bool"])
     def test_malformed_values_refused(
         self, section, key, value, named, tmp_path, capsys
     ):

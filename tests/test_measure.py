@@ -133,9 +133,10 @@ class TestComputeCl:
 
 
 class TestABounds:
-    def test_rho_zero_arithmetic(self):
+    def test_rho_zero_arithmetic(self, monkeypatch):
         m = _mk(rho=0.0)
-        rep = measure.a_bounds(m, model.ExponentialJump(2.0), measure.MeasureConfig(), c_l=2.0)
+        monkeypatch.setattr(measure, "compute_c_l", lambda *_: measure.ClResult(2.0, False, True))
+        rep = measure.a_bounds(m, model.ExponentialJump(2.0), measure.MeasureConfig())
         assert rep.bound_em == pytest.approx(1.0)
 
     def test_nesting_on_desk(self, desk_report):
@@ -152,12 +153,12 @@ class TestABounds:
         assert bracket > 1 - rho**2 > 0
         assert measure.em_qs_bound(4.0, rho, q, s) > 0
 
-    def test_rho_too_large(self):
+    def test_rho_too_large(self, monkeypatch):
         m = _mk(rho=0.9)
+        monkeypatch.setattr(measure, "compute_c_l", lambda *_: measure.ClResult(0.5, False, True))
         with pytest.raises(RhoTooLarge):
             settings = measure.MeasureConfig(level="Em", fraction_of_bound=0.5)
-            report = measure.a_bounds(m, model.ExponentialJump(2.0), settings, c_l=0.5)
-            measure.select_measure(m, model.ExponentialJump(2.0), settings, report=report)
+            measure.select_measure(m, model.ExponentialJump(2.0), settings)
 
     def test_zero_drift_gap_defaults_q2(self):
         m = _mk(mu=model.PiecewiseFlat.constant(0.03))

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hhr import hawkes, measure, model, sde
-from hhr.errors import AdmissibilityError, DomainError, EventOverflow
-from hhr.rng import derive_seed
+from hhr.errors import DomainError, EventOverflow
+from hhr.rng import EVENT_NORMALS, derive_seed, path_rng
 
 from conftest import desk_params, reference_draws
 
@@ -26,17 +26,15 @@ def _sel(m, fraction=0.8):
 class TestInterface:
     def test_minimum_steps_enforced(self, desk_model, desk_selection):
         with pytest.raises(ValueError):
-            sde.simulate(desk_model, DIST, "P", 4, 10, 1)
+            sde.simulate(desk_model, DIST, "P", 4, 10, 1, selection=desk_selection)
 
     @pytest.mark.parametrize("n_paths, chunk", [(0, 8192), (-3, 8192)])
-    def test_path_and_chunk_counts_enforced(self, desk_model, n_paths, chunk, monkeypatch):
+    def test_path_and_chunk_counts_enforced(
+        self, desk_model, desk_selection, n_paths, chunk, monkeypatch
+    ):
         monkeypatch.setattr(hawkes, "_CHUNK", chunk)
         with pytest.raises(DomainError):
-            sde.simulate(desk_model, DIST, "P", n_paths, 64, 1)
-
-    def test_q_requires_selection(self, desk_model):
-        with pytest.raises(AdmissibilityError):
-            sde.simulate(desk_model, DIST, "Q", 4, 64, 1)
+            sde.simulate(desk_model, DIST, "P", n_paths, 64, 1, selection=desk_selection)
 
     def test_probe_time_must_sit_on_grid(self, desk_model, desk_selection):
         with pytest.raises(ValueError):
@@ -50,7 +48,9 @@ class TestDeterministicVariance:
     def test_matches_linear_ode(self):
         # no jumps and no vol-of-vol: v follows dv = -kappa (v - vbar) dt
         m = _mk(eta=0.0, sigma=0.0)
-        res = sde.simulate(m, DIST, "P", 8, 10_000, 3, record_full=True)
+        # no measure is certified at sigma = 0; the tilt only moves X here
+        sel = measure.MeasureSelection(0.0, "E", 0.1, 0.1)
+        res = sde.simulate(m, DIST, "P", 8, 10_000, 3, selection=sel, record_full=True)
         for b in res.bundles:
             exact = m.vbar + (m.v0 - m.vbar) * np.exp(-m.kappa * b.time_grid)
             assert np.max(np.abs(b.v / exact - 1.0)) < 1e-3
@@ -252,18 +252,26 @@ class TestNegativeTilt:
 
 
 def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_steps,
-                          chunk=8192):
+                          chunk=8192, table=None):
     """Reference: the chunk loop before sub-stepping, which also carried
     lambda, N, L and the compensator of N by their stage recursion.  Takes
     the draws of conftest.reference_draws, buckets path by path and runs
     every stage of a step over every path.  Stage 0 of step k reads column
     k of a path's stage normals, stage j > 0 the normals of its order-(j - 1)
-    event in the step; a row that does not move reads zeros.
+    event in the step; a row that does not move reads zeros.  A given
+    event `table` of one chunk replaces the thinned events and marks, and
+    its event normals are drawn from the chunk's event-normal stream.
     Returns (terminal, probes, truncated fraction, bundles, largest number
     of events of one path in one step, event table)."""
     p = m.params
     dt_u = p.T / n_steps
-    events, marks, _, zs, ezs = zip(*reference_draws(m, dist, n, seed, n_steps, chunk))
+    draws = reference_draws(m, dist, n, seed, n_steps, chunk)
+    if table is not None:
+        cut = table.offsets[1:-1]
+        ez = path_rng(seed, EVENT_NORMALS << 24).standard_normal((table.times.size, 2))
+        draws = [(t_i, m_i, 0, d[3], ez_i) for t_i, m_i, d, ez_i in zip(
+            np.split(table.times, cut), np.split(table.marks, cut), draws, np.split(ez, cut))]
+    events, marks, _, zs, ezs = zip(*draws)
     by_step = {}  # step -> [(order, path, time, mark, index among the path's events)]
     for i, (t_i, m_i) in enumerate(zip(events, marks)):
         k = np.clip(np.ceil(t_i / dt_u - 1e-12).astype(int) - 1, 0, n_steps - 1)
@@ -373,11 +381,12 @@ class TestSubSteppedStageLoop:
     ran every stage over every path, and the closed forms its recursion."""
 
     @staticmethod
-    def _pair(params, meas, n=120, n_steps=64, seed=23):
+    def _pair(params, meas, n=120, n_steps=64, seed=23, table=None):
         m = _mk(**params)
         sel = _sel(m)
         probe_steps = {n_steps // 2, n_steps}
-        ref = _full_width_reference(m, DIST, meas, sel, n, n_steps, seed, probe_steps)
+        ref = _full_width_reference(m, DIST, meas, sel, n, n_steps, seed, probe_steps,
+                                    table=table)
         res = sde.simulate(
             m, DIST, meas, n, n_steps, seed, selection=sel,
             probe_times=tuple(k * m.T / n_steps for k in probe_steps),
@@ -442,6 +451,43 @@ class TestSubSteppedStageLoop:
         # it per row
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         self._check_identical(dict(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0), "P")
+
+
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    def test_identical_on_hand_built_events(self, meas, monkeypatch):
+        # at 50 steps the nodes k T / 50 are not dyadic
+        dt = 1.0 / 50
+        node, past = 13 * dt, np.nextafter(20 * dt, 2.0)
+        assert math.ceil(past / dt - 1e-12) - 1 == 19 and past > 20 * dt  # the clamp case
+        paths = [
+            [node, node + 0.3 * dt],  # on a grid node, then inside the next step
+            [past, 0.61],  # one float ulp past a node
+            [0.307, 0.307, 0.5],  # two at the same time
+            [0.2, 1.0],  # one at T
+            [(30 + f) * dt for f in (0.1, 0.3, 0.5, 0.7, 0.9)] + [0.95],  # five in one step
+            [],
+        ]
+        times = np.concatenate([np.asarray(t, dtype=float) for t in paths])
+        marks = np.linspace(0.2, 1.4, times.size)
+        table = hawkes.EventTable.from_counts(times, marks, [len(t) for t in paths])
+        monkeypatch.setattr(sde, "draw_events", lambda *_: table)
+        (terminal, probes, trunc, bundles, max_order, _), res = self._pair(
+            {}, meas, n=len(paths), n_steps=50, table=table
+        )
+        assert max_order == 5
+        for key, val in res.terminal.items():
+            assert np.array_equal(val, terminal[key]), key
+        assert res.truncated_fraction == trunc
+        for t, row in probes.items():
+            assert np.array_equal(res.probes[t], row["X"]), t
+        # the stage loop's state (t, S, v, int v, X) at every row; lambda, N
+        # and L are read off the events at the row's time, so at the node
+        # after the clamp case they do not yet count the event that the
+        # recursion has applied
+        assert len(res.bundles) == len(bundles)
+        for b, ref_b in zip(res.bundles, bundles):
+            for i in (0, 1, 2, 6, 7):
+                assert np.array_equal(_bundle_fields(b)[i], ref_b[i]), i
 
 
 class TestEventCap:

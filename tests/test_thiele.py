@@ -206,6 +206,23 @@ class TestRouteConsistency:
             for i, j, k in probes:
                 assert abs(a_lay[i, j, k] - b_lay[i, j, k]) / scale < 0.01
 
+    def test_routes_agree_below_the_model_horizon(self, setup):
+        # the quadrature route marches at the grid's own step, as the
+        # backward route does: at horizon T/2 that is half of T / nt
+        m, sel, _ = setup
+        h = m.T / 2
+        grid = pide.build_grid(m, h, 32, 24, 12, 8)
+        pol = markov.endowment_guarantee(h, 0.02, m.S0 * math.exp(m.r * h))
+        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        nx, ny, nz = grid.shape
+        probes = np.ix_(*[(n // 4, n // 2, 3 * n // 4) for n in (nx, ny, nz)])
+        for state in pol.states:
+            want, got = surf.values[state][0], quad.values[state]
+            scale = max(float(np.max(np.abs(got))), 1e-12)
+            # 4.0e-4 when the quadrature marched at T / nt, 7.6e-7 at the grid's step
+            assert float(np.max(np.abs(want[probes] - got[probes]))) / scale < 1e-5
+
     def test_interior_time_layer(self, setup):
         # the quadrature evaluates at any t, not just 0
         m, sel, grid = setup
@@ -254,7 +271,7 @@ class TestDiagnostics:
 def _per_node_layers(pay, t, maturities, m, sel, grid):
     """{s: U_s(t)} from one solve_price_pide per maturity node: the loop the
     single march per payoff replaced, kept as the reference."""
-    dt_target = m.T / (len(grid.t) - 1)
+    dt_target = grid.t[1] - grid.t[0]
     layers = {}
     for s in maturities:
         s = float(s)
@@ -306,7 +323,7 @@ class TestSingleMarch:
                 transition={("alive", "dead"): payoff.guarantee(g)},
             )
         ss = np.linspace(0.0, 1.0, 9)
-        dt_target = m.T / (len(grid.t) - 1)
+        dt_target = grid.t[1] - grid.t[0]
         theta = markov.theta_payoff(pol, "alive")
         f = pol.terminal_payoff("alive")
         ref_theta = _per_node_layers(theta, 0.0, ss, m, sel, grid)

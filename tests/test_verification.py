@@ -120,12 +120,21 @@ class TestSuiteMechanics:
         assert math.isnan(c.value) and not c.passed
         assert sum(not c.passed for c in checks.values()) == 1
 
-    def test_unknown_tolerance_key_is_refused(self):
+    def test_unknown_tolerance_key_is_refused(self, monkeypatch):
+        drawn = []  # a check that ran would have drawn a sample
+        monkeypatch.setattr(verification, "simulate", lambda *args, **kw: drawn.append(args))
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6",
                         tolerances={"hawkes_mean_law": 2.0, "compensator_pp": 2.0})
         with pytest.raises(ConfigError, match="names no check: compensator_pp$"):
             run_verification(config_from_dict(d))
+        assert not drawn
+
+    def test_check_names_are_the_report_rows_in_order(self):
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        rep = run_verification(config_from_dict(d))
+        assert tuple(c.name for c in rep.checks) == verification.CHECKS
 
     def test_tolerance_override_scales_budget(self):
         cfg = config_from_dict(default_config_dict())
