@@ -220,14 +220,14 @@ def a_bounds(
     upper end is infinite and Q2 defaults to 2.
     """
     res = compute_c_l(model, dist)
-    c_l = res.value
+    c_l_val, at_cap, mono = res.value, res.at_cap, res.scan_monotone
 
     rho = model.rho
     d_sup = model.drift_gap_sq
     s_mom = 2.0 + settings.epsilon1
     feller_gap = (2.0 * model.kappa * model.vbar - model.sigma**2) / (2.0 * model.sigma)
 
-    cond_rho = rho**2 < c_l
+    cond_rho = rho**2 < c_l_val
     if d_sup > 0:
         q2_upper = (1.0 - rho**2) / (d_sup * (s_mom**2 - s_mom)) * feller_gap**2
     else:
@@ -241,22 +241,22 @@ def a_bounds(
         "feller_margin": cond_feller,
     }
 
-    bound_e = math.sqrt(2.0 * c_l)
+    bound_e = math.sqrt(2.0 * c_l_val)
     bound_em = (
-        min(bound_e / 2.0, math.sqrt(c_l - rho**2)) if cond_rho else None
+        min(bound_e / 2.0, math.sqrt(c_l_val - rho**2)) if cond_rho else None
     )
 
     q1 = q2 = bound_em_qs = None
     if cond_rho and cond_moment:
         q2 = 2.0 if math.isinf(q2_upper) else math.sqrt(q2_upper)
         q1 = q2 / (q2 - 1.0)
-        bound_em_qs = min(em_qs_bound(c_l, rho, q1, s_mom), bound_em)
+        bound_em_qs = min(em_qs_bound(c_l_val, rho, q1, s_mom), bound_em)
 
     return AdmissibilityReport(
-        c_l=c_l,
+        c_l=c_l_val,
         cap=_cap(model),
-        c_l_at_cap=res.at_cap,
-        scan_monotone=res.scan_monotone,
+        c_l_at_cap=at_cap,
+        scan_monotone=mono,
         bound_e=bound_e,
         bound_em=bound_em,
         bound_em_qs=bound_em_qs,

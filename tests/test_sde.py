@@ -259,8 +259,8 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     every stage of a step over every path.  Stage 0 of step k reads column
     k of a path's stage normals, stage j > 0 the normals of its order-(j - 1)
     event in the step; a row that does not move reads zeros.  A given
-    event `table` of one chunk replaces the thinned events and marks, and
-    its event normals are drawn from the chunk's event-normal stream.
+    event `table` of chunk 0 replaces the thinned events and marks, and its
+    event normals are drawn from that chunk's event-normal stream.
     Returns (terminal, probes, truncated fraction, bundles, largest number
     of events of one path in one step, event table)."""
     p = m.params
@@ -451,7 +451,6 @@ class TestSubSteppedStageLoop:
         # it per row
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         self._check_identical(dict(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0), "P")
-
 
     @pytest.mark.parametrize("meas", ["P", "Q"])
     def test_identical_on_hand_built_events(self, meas, monkeypatch):
