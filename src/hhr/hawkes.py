@@ -12,9 +12,6 @@ in one call: the thinning blocks of each refill round, the marks, and for
 the diffusion (see sde) the stage and event normals.  Events are kept in
 one CSR table per batch of paths (EventTable), whose closed forms give the
 intensity, counts, compound sums and compensators at any time.
-
-Of scipy, only mean_intensity_ode loads anything (scipy.integrate, at its
-first call), so the commands that simulate or price never import it.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ __all__ = [
     "draw_normals",
     "simulate_events",
     "simulate_hawkes_batch",
-    "mean_intensity_ode",
     "expected_intensity",
     "expected_events",
     "lambda_at",
@@ -220,29 +216,6 @@ def simulate_hawkes_batch(model, dist, n_paths, seed) -> list[HawkesPath]:
     table = simulate_events(model, dist, n_paths, seed)
     cut = table.offsets[1:-1]
     return list(map(HawkesPath, np.split(table.times, cut), np.split(table.marks, cut)))
-
-
-def mean_intensity_ode(model: ValidatedModel, t: float) -> tuple[float, float]:
-    """(E[N_t], E[lambda_t]) from the first-moment system.
-
-    Solves dE[lambda]/dt = beta*lambda0 - (beta - alpha)*E[lambda],
-    dE[N]/dt = E[lambda] with a high-accuracy adaptive integrator; serves as
-    the independent oracle for the simulated mean law.
-    """
-    from scipy.integrate import solve_ivp  # loaded here: only hhr verify's check 1 needs it
-
-    p = model.params
-    if t < 0 or t > p.T:
-        raise ValueError(f"t must lie in [0, {p.T}], got {t}")
-    if t == 0.0:
-        return 0.0, p.lambda0
-
-    def rhs(_, y):
-        en, el = y
-        return [el, p.beta * p.lambda0 - (p.beta - p.alpha) * el]
-
-    sol = solve_ivp(rhs, (0.0, t), [0.0, p.lambda0], rtol=1e-10, atol=1e-12)
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
 
 
 def expected_intensity(model: ValidatedModel, t) -> np.ndarray:

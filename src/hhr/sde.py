@@ -108,7 +108,13 @@ def _run_chunk(
     dt_u = p.T / n_steps
     table = draw_events(seed, chunk, nc, p, dist)
     z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size, width)
-    step = np.clip(np.ceil(table.times / dt_u - 1e-12).astype(int) - 1, 0, n_steps - 1)
+    # step k ends at nodes[k] = (k + 1) dt_u, the last at T itself (n_steps
+    # dt_u can round below T); an event belongs to the step whose end is the
+    # first node at or after it, so every stage target lies at or after its
+    # row's time
+    nodes = np.arange(1, n_steps + 1) * dt_u
+    nodes[-1] = p.T
+    step = np.searchsorted(nodes, table.times, side="left")
     # the table is ordered by (path, time), so after a stable sort by step
     # each step's events run in (path, time) order
     sorter = np.argsort(step, kind="stable")
@@ -145,9 +151,7 @@ def _run_chunk(
         A row already at its target moves by exactly 0."""
         nonlocal trunc, active_total
         cur_t, log_s, v, int_v, log_x = s
-        # clamp guards the stage length when an event time sits a float
-        # ulp past a grid node and was bucketed into the earlier step
-        dt_vec = np.maximum(target - cur_t, 0.0)
+        dt_vec = target - cur_t
         active = dt_vec > 0.0
         sq = np.sqrt(dt_vec)
         vp = np.maximum(v, 0.0)
@@ -174,7 +178,7 @@ def _run_chunk(
     mu = (lambda t: p.r) if under_q else p.mu
 
     for k in range(n_steps):
-        t_next = (k + 1) * dt_u
+        t_next = float(nodes[k])
         e = heads[step_lo[k]:step_lo[k + 1]]  # each path's first event of the step
         rows = ev_path[e]
         # stage 0, full width: every row from k dt to its first event of the
@@ -219,7 +223,8 @@ def _assemble_bundles(model, measure_tag, snaps, table):
     snaps[j] is the state (t, log S, v, int v, log X) of every path after
     stage j; lambda, N and L are read off each path's events at its time
     there.  Zero-length stages duplicate a time point; the last snapshot at
-    each time wins so event nodes carry the post-jump (cadlag) values.
+    each time wins so event nodes carry the post-jump (cadlag) values.  The
+    t = 0 row reads S0 itself, not exp(log S0).
     """
     events = np.stack(
         [(lambda_at(model, table, t), n_at(table, t), l_at(table, t)) for t in snaps[:, 0]]
@@ -231,11 +236,13 @@ def _assemble_bundles(model, measure_tag, snaps, table):
         keep = np.ones(len(ts), dtype=bool)
         keep[:-1] = np.diff(ts) > 0
         _, log_s, v, int_v, log_x, lam, n_ev, l_ev = snaps[keep, :, i].T
+        stock = np.exp(log_s)
+        stock[0] = model.params.S0
         bundles.append(
             PathBundle(
                 measure_tag=measure_tag,
                 time_grid=ts[keep],
-                S=np.exp(log_s),
+                S=stock,
                 v=np.maximum(v, 0.0),
                 lam=lam,
                 N=n_ev,

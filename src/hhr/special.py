@@ -4,9 +4,6 @@ These are the independent references the simulation engine is verified
 against: negative moments of the jump-free square-root variance (via its
 noncentral chi-square transition) and the exponential moment of its
 integrated reciprocal (via the quadratic-drift 3/2 process).
-
-scipy.special (for gammaln) loads at the first call of cir_neg_moment or
-integrated_inverse_cir_exp; only hhr verify's closed-form oracles reach them.
 """
 
 from __future__ import annotations
@@ -106,8 +103,6 @@ def cir_neg_moment(
     of the 1F1 factor is used (with its first-order correction), which
     reproduces the t -> 0 limit 1/v0^s.
     """
-    from scipy.special import gammaln
-
     if t <= 0:
         raise DomainError(f"t must be > 0, got {t}")
     if not 2.0 * kappa * vbar > s * sigma**2:
@@ -124,15 +119,15 @@ def cir_neg_moment(
     log_pref = (
         s * math.log(k / (emkt * v0))
         - s * math.log(2.0)
-        + gammaln(aa)
-        - gammaln(bb)
+        + math.lgamma(aa)
+        - math.lgamma(bb)
     )
     if half_k <= _ASYMPTOTIC_Z:
         log_f = _log_hyp1f1_positive(aa, bb, half_k)
         return math.exp(log_pref - half_k + log_f)
     # 1F1(a,b;z) ~ Gamma(b)/Gamma(a) e^z z^{a-b} (1 + (b-a)(1-a)/z)
     corr = 1.0 + (bb - aa) * (1.0 - aa) / half_k
-    log_f = gammaln(bb) - gammaln(aa) + half_k + (aa - bb) * math.log(half_k)
+    log_f = math.lgamma(bb) - math.lgamma(aa) + half_k + (aa - bb) * math.log(half_k)
     return math.exp(log_pref - half_k + log_f) * corr
 
 
@@ -153,8 +148,6 @@ def integrated_inverse_cir_exp(
     gamma = 2 (alpha~ + m), y = (e^{kappa T} - 1)/(v0 kappa).
     The c = 0 identity (value exactly 1) pins the Gamma(gamma) normalization.
     """
-    from scipy.special import gammaln
-
     if not 2.0 * kappa * vbar > sigma**2:
         raise HypothesisViolated(
             f"need 2*kappa*vbar > sigma^2, got {2*kappa*vbar:.6g} <= {sigma**2:.6g}"
@@ -169,8 +162,8 @@ def integrated_inverse_cir_exp(
     y = math.expm1(kappa * T) / (v0 * kappa)
     w = 2.0 / (sigma**2 * y)
     log_val = (
-        gammaln(gamma - alpha_t)
-        - gammaln(gamma)
+        math.lgamma(gamma - alpha_t)
+        - math.lgamma(gamma)
         + alpha_t * math.log(w)
         + math.log(hyp1f1(alpha_t, gamma, -w))
     )

@@ -211,11 +211,12 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             samples[kind] = draw(kind, seed)
         return samples[kind]
 
-    # 1. event-process mean law against the first-moment equation
+    # 1. event-process mean law against the closed-form solution of the
+    # first-moment equation, E[lambda_T] = hawkes.expected_intensity
     def hawkes_mean_law(tag):
         events = sample("P", "hawkes_mean_law", tag).events.head(run.paths)
         lam_t = hawkes.lambda_at(model, events, p.T)
-        _, el_ref = hawkes.mean_intensity_ode(model, p.T)
+        el_ref = float(hawkes.expected_intensity(model, p.T))
         mean, se = _mean_se(lam_t)
         used = _ratio(abs(mean - el_ref), 3 * se)
         return used, f"mean lambda_T {mean:.5f} vs {el_ref:.5f} (3se {3*se:.5f})"
@@ -461,11 +462,14 @@ def _c_l_consistency(model, dist, adm) -> tuple[float, str]:
     p = model.params
     res = compute_c_l(model, dist, tol=1e-10)
     n = 1_000_000
-    cs = np.linspace(adm.cap / n, adm.cap, n)
-    # blocks bound the scan's temporaries to a few MB
-    ok = np.concatenate([_c_l_scan(p, dist, block) for block in np.array_split(cs, 16)])
-    scan_sup = float(cs[ok].max()) if ok.any() else 0.0
     spacing = adm.cap / n
+    # the scan grid np.linspace(spacing, cap, n), built and scanned in 16
+    # blocks so that neither it nor the temporaries are held whole
+    scan_sup = 0.0
+    for block in _linspace_blocks(spacing, adm.cap, n, 16):
+        ok = _c_l_scan(p, dist, block)
+        if ok.any():
+            scan_sup = max(scan_sup, float(block[ok].max()))
     dev_scan = abs(res.value - scan_sup)
     shift = abs(compute_c_l(model, dist, tol=1e-12).value - res.value)
     cap_exact = compute_c_l(validate(replace(p, eta=0.0)), dist).value == adm.cap
@@ -479,6 +483,19 @@ def _c_l_consistency(model, dist, adm) -> tuple[float, str]:
         f"(<=1e-10); zero-eta cap exact {cap_exact}; band nesting {nested}"
     )
     return used, detail
+
+
+def _linspace_blocks(start, stop, n, n_blocks):
+    """np.linspace(start, stop, n) in n_blocks consecutive pieces, each built
+    from its index range with linspace's own formula (index * step + start,
+    the last point exactly stop), so the same floats."""
+    step = (stop - start) / (n - 1)
+    edges = [n * j // n_blocks for j in range(n_blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = np.arange(lo, hi, dtype=float) * step + start
+        if hi == n:
+            block[-1] = stop
+        yield block
 
 
 def _c_l_scan(p, dist, cs) -> np.ndarray:

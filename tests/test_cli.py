@@ -485,37 +485,56 @@ class TestVerify:
 # whose tests import scipy's heavier subpackages themselves.
 _IMPORT_PROBE = """
 import json, sys
-from hhr import cli, hawkes, pide, special
+import scipy.linalg
+
+def subpackages():
+    return {name for name in sys.modules if name.startswith("scipy.") and name.count(".") == 1}
+
+baseline = subpackages()
+from hhr import cli, pide, special
 from hhr.config import load_config
 
 config, out = sys.argv[1:]
 cfg = load_config(config)
 m = cfg.validated_model()
 pide.build_grid(m, m.T, *cfg.run.grid)
-for command in (["price", "--payoff", "guarantee:103.05"], ["reserve", "--method", "both"]):
-    rc = cli.main(["--config", config, *command, "--grid", "4x12x8x8", "--out", f"{out}/{command[0]}.csv"])
+grid = ["--grid", "4x12x8x8"]
+for command in (
+    ["price", "--payoff", "guarantee:103.05", *grid, "--out", f"{out}/price.csv"],
+    ["reserve", "--method", "both", *grid, "--out", f"{out}/reserve.csv"],
+    ["simulate", "--paths", "4", "--steps", "98", "--out", f"{out}/paths.csv"],
+    ["admissible", "--out", f"{out}/adm"],
+    ["verify", "--out", f"{out}/verify"],
+):
+    rc = cli.main(["--config", config, *command])
     assert rc == 0, command
-loaded = [name for name in ("scipy.integrate", "scipy.optimize", "scipy.special") if name in sys.modules]
-values = [*hawkes.mean_intensity_ode(m, 0.7), special.cir_neg_moment(2.0, 0.3, 0.5, 0.2, 0.5, 1.0)]
-print(json.dumps({"loaded": loaded, "values": [v.hex() for v in values]}))
+solvers = [name for name in ("scipy.integrate", "scipy.optimize", "scipy.special") if name in sys.modules]
+values = [special.cir_neg_moment(2.0, 0.3, 0.5, 0.2, 0.5, 1.0)]
+print(json.dumps({"solvers": solvers, "beyond_linalg": sorted(subpackages() - baseline),
+                  "values": [v.hex() for v in values]}))
 """
 
 
 class TestImports:
     def test_price_and_reserve_load_no_scipy_solver(self, tmp_path):
-        """scipy.integrate, scipy.optimize and scipy.special stay unloaded
-        through the import, a grid, a price and a reserve; once loaded, the
-        two functions that need them give the same floats as here."""
-        from hhr import hawkes, special
+        """No scipy subpackage beyond scipy.linalg and what it imports is
+        loaded through the import, a grid, and every command, verify (on the
+        desk model at 2000 paths, 64 steps and a 32x24x12x8 grid) included;
+        the closed-form oracles give the same floats as here."""
+        from hhr import special
 
+        d = json.loads((ROOT / "configs" / "desk.json").read_text())
+        d["run"].update(paths=2000, steps=64, grid="32x24x12x8")
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(d))
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, str(ROOT / "configs" / "desk.json"), str(tmp_path)],
+            [sys.executable, "-c", _IMPORT_PROBE, str(config), str(tmp_path)],
             cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout.splitlines()[-1])
-        assert probe["loaded"] == []
-        m = load_config(ROOT / "configs" / "desk.json").validated_model()
-        values = [*hawkes.mean_intensity_ode(m, 0.7), special.cir_neg_moment(2.0, 0.3, 0.5, 0.2, 0.5, 1.0)]
+        assert probe["solvers"] == []
+        assert probe["beyond_linalg"] == []
+        values = [special.cir_neg_moment(2.0, 0.3, 0.5, 0.2, 0.5, 1.0)]
         assert probe["values"] == [v.hex() for v in values]

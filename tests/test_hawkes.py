@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.stats import kstest
 
 from hhr import hawkes, model, sde
@@ -163,23 +163,43 @@ class TestLockstepThinner:
             sde.simulate(m, dist, "P", 8, 64, 5, **kw)
 
 
+def _first_moment_ode(m, t):
+    """(E[N_t], E[lambda_t]) from the first-moment system
+    dE[lambda]/dt = beta lambda0 - (beta - alpha) E[lambda], dE[N]/dt = E[lambda],
+    solved numerically: the oracle of hawkes' closed forms."""
+
+    def rhs(_, y):
+        return [y[1], m.beta * m.lambda0 - (m.beta - m.alpha) * y[1]]
+
+    sol = solve_ivp(rhs, (0.0, t), [0.0, m.lambda0], rtol=1e-10, atol=1e-12)
+    return float(sol.y[0, -1]), float(sol.y[1, -1])
+
+
 class TestMeanIntensityOde:
+    """hawkes.expected_events and expected_intensity, the closed forms of
+    the first-moment equation, against its numerical solution."""
+
     def test_initial_values(self):
         m = _mk()
-        en, el = hawkes.mean_intensity_ode(m, 0.0)
-        assert (en, el) == (0.0, m.lambda0)
+        assert float(hawkes.expected_events(m, 0.0)) == 0.0
+        assert float(hawkes.expected_intensity(m, 0.0)) == pytest.approx(m.lambda0, rel=1e-15)
 
     def test_poisson_counts(self):
         m = _mk(alpha=0.0)
-        en, _ = hawkes.mean_intensity_ode(m, 0.7)
-        assert en == pytest.approx(0.7 * m.lambda0, rel=1e-8)
+        assert float(hawkes.expected_events(m, 0.7)) == pytest.approx(0.7 * m.lambda0, rel=1e-14)
+        assert float(hawkes.expected_intensity(m, 0.7)) == pytest.approx(m.lambda0, rel=1e-14)
 
     def test_matches_closed_form(self):
-        m = _mk()
-        en, el = hawkes.mean_intensity_ode(m, 1.0)
-        assert el == pytest.approx(2.0 - math.exp(-0.5), rel=1e-8)
-        assert el == pytest.approx(float(hawkes.expected_intensity(m, 1.0)), rel=1e-8)
-        assert en == pytest.approx(float(hawkes.expected_events(m, 1.0)), rel=1e-8)
+        for params in (dict(), dict(lambda0=2.0, alpha=0.2, beta=0.8),
+                       dict(lambda0=0.5, alpha=0.9, beta=2.0)):
+            m = _mk(**params)
+            for t in (0.25, 0.7, 1.0):
+                en, el = _first_moment_ode(m, t)
+                assert float(hawkes.expected_intensity(m, t)) == pytest.approx(el, rel=1e-9)
+                assert float(hawkes.expected_events(m, t)) == pytest.approx(en, rel=1e-9)
+        assert float(hawkes.expected_intensity(_mk(), 1.0)) == pytest.approx(
+            2.0 - math.exp(-0.5), rel=1e-14
+        )
 
 
 def _table(times):
@@ -304,7 +324,7 @@ class TestMartingaleResiduals:
         table = hawkes.simulate_events(m, dist, 8_000, 13)
         for t in (0.25, 0.5, 1.0):
             counts = hawkes.n_at(table, t).astype(float)
-            en, _ = hawkes.mean_intensity_ode(m, t)
+            en = float(hawkes.expected_events(m, t))
             se = counts.std(ddof=1) / math.sqrt(counts.size)
             assert abs(counts.mean() - en) <= 3 * se + 1e-12
 

@@ -261,10 +261,13 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     event in the step; a row that does not move reads zeros.  A given
     event `table` of chunk 0 replaces the thinned events and marks, and its
     event normals are drawn from that chunk's event-normal stream.
-    Returns (terminal, probes, truncated fraction, bundles, largest number
-    of events of one path in one step, event table)."""
+    Step k ends at nodes[k], (k + 1) T / n_steps but T for the last, and an
+    event belongs to the first step that ends at or after it.  Returns
+    (terminal, probes, truncated fraction, bundles, largest number of events
+    of one path in one step, event table)."""
     p = m.params
-    dt_u = p.T / n_steps
+    nodes = np.arange(1, n_steps + 1) * (p.T / n_steps)
+    nodes[-1] = p.T
     draws = reference_draws(m, dist, n, seed, n_steps, chunk)
     if table is not None:
         cut = table.offsets[1:-1]
@@ -274,7 +277,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     events, marks, _, zs, ezs = zip(*draws)
     by_step = {}  # step -> [(order, path, time, mark, index among the path's events)]
     for i, (t_i, m_i) in enumerate(zip(events, marks)):
-        k = np.clip(np.ceil(t_i / dt_u - 1e-12).astype(int) - 1, 0, n_steps - 1)
+        k = np.searchsorted(nodes, t_i, side="left")
         order = 0
         for j in range(t_i.size):
             order = order + 1 if j and k[j] == k[j - 1] else 0
@@ -300,7 +303,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     snap()
     max_order = 0
     for k in range(n_steps):
-        t_next = (k + 1) * dt_u
+        t_next = float(nodes[k])
         evs = by_step.get(k, [])
         n_stage = max((e[0] for e in evs), default=-1) + 1
         max_order = max(max_order, n_stage)
@@ -309,7 +312,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
             now = [e for e in evs if e[0] == j]
             jp = np.array([e[1] for e in now], dtype=int)
             target[jp] = [e[2] for e in now]
-            dt_vec = np.maximum(target - cur_t, 0.0)
+            dt_vec = target - cur_t
             active = dt_vec > 0.0
             rows = np.nonzero(active)[0]
             if j == 0:
@@ -363,8 +366,9 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
         ts = np.array([sn[0][i] for sn in snaps])
         keep = np.append(np.diff(ts) > 0, True)
         cols = [np.array([sn[c][i] for sn in snaps])[keep] for c in range(1, 8)]
-        bundles.append((ts[keep], np.exp(cols[0]), np.maximum(cols[1], 0.0), *cols[2:6],
-                        np.exp(cols[6])))
+        stock = np.exp(cols[0])
+        stock[0] = p.S0
+        bundles.append((ts[keep], stock, np.maximum(cols[1], 0.0), *cols[2:6], np.exp(cols[6])))
     table = hawkes.EventTable.from_counts(
         np.concatenate(events), np.concatenate(marks), [e.size for e in events]
     )
@@ -373,6 +377,18 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
 
 def _bundle_fields(b):
     return (b.time_grid, b.S, b.v, b.lam, b.N, b.L, b.int_v, b.X)
+
+
+def _assert_bundles_equal(got_bundles, ref_bundles):
+    """All eight fields of every bundle: lambda, a closed form against the
+    reference's recursion, to 1e-12 relative, the rest bit for bit."""
+    assert len(got_bundles) == len(ref_bundles)
+    for b, ref_b in zip(got_bundles, ref_bundles):
+        for i, (got, want) in enumerate(zip(_bundle_fields(b), ref_b)):
+            if i == 3:  # lambda
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(got, want), i
 
 
 class TestSubSteppedStageLoop:
@@ -420,13 +436,7 @@ class TestSubSteppedStageLoop:
             assert np.array_equal(hawkes.l_at(ev, t), row["L"]), t
             comp_n, _ = hawkes.compensator(m, ev, DIST.mean, t)
             np.testing.assert_allclose(comp_n, row["comp_n"], rtol=1e-12, atol=0)
-        assert len(res.bundles) == len(bundles)
-        for b, ref_b in zip(res.bundles, bundles):
-            for i, (got, want) in enumerate(zip(_bundle_fields(b), ref_b)):
-                if i == 3:  # lambda
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-                else:
-                    assert np.array_equal(got, want), i
+        _assert_bundles_equal(res.bundles, bundles)
 
     @pytest.mark.parametrize("meas", ["P", "Q"])
     @pytest.mark.parametrize(
@@ -452,12 +462,12 @@ class TestSubSteppedStageLoop:
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         self._check_identical(dict(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0), "P")
 
-    @pytest.mark.parametrize("meas", ["P", "Q"])
-    def test_identical_on_hand_built_events(self, meas, monkeypatch):
-        # at 50 steps the nodes k T / 50 are not dyadic
-        dt = 1.0 / 50
+    def _check_hand_built(self, meas, n_steps, monkeypatch):
+        dt = 1.0 / n_steps
         node, past = 13 * dt, np.nextafter(20 * dt, 2.0)
-        assert math.ceil(past / dt - 1e-12) - 1 == 19 and past > 20 * dt  # the clamp case
+        # one ulp past the node that ends step 19, so in step 20, where
+        # bucketing by ceil(t / dt - 1e-12) - 1 put it in step 19
+        assert past > 20 * dt and math.ceil(past / dt - 1e-12) - 1 == 19
         paths = [
             [node, node + 0.3 * dt],  # on a grid node, then inside the next step
             [past, 0.61],  # one float ulp past a node
@@ -471,22 +481,29 @@ class TestSubSteppedStageLoop:
         table = hawkes.EventTable.from_counts(times, marks, [len(t) for t in paths])
         monkeypatch.setattr(sde, "draw_events", lambda *_: table)
         (terminal, probes, trunc, bundles, max_order, _), res = self._pair(
-            {}, meas, n=len(paths), n_steps=50, table=table
+            {}, meas, n=len(paths), n_steps=n_steps, table=table
         )
         assert max_order == 5
         for key, val in res.terminal.items():
             assert np.array_equal(val, terminal[key]), key
         assert res.truncated_fraction == trunc
+        assert probes.keys() == res.probes.keys()
         for t, row in probes.items():
             assert np.array_equal(res.probes[t], row["X"]), t
-        # the stage loop's state (t, S, v, int v, X) at every row; lambda, N
-        # and L are read off the events at the row's time, so at the node
-        # after the clamp case they do not yet count the event that the
-        # recursion has applied
-        assert len(res.bundles) == len(bundles)
-        for b, ref_b in zip(res.bundles, bundles):
-            for i in (0, 1, 2, 6, 7):
-                assert np.array_equal(_bundle_fields(b)[i], ref_b[i]), i
+        _assert_bundles_equal(res.bundles, bundles)
+        assert all(b.time_grid[-1] == 1.0 and b.S[0] == _mk().S0 for b in res.bundles)
+
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    def test_identical_on_hand_built_events(self, meas, monkeypatch):
+        # at 50 steps the nodes k T / 50 are not dyadic
+        self._check_hand_built(meas, 50, monkeypatch)
+
+    @pytest.mark.parametrize("meas", ["P", "Q"])
+    def test_identical_with_an_event_past_the_last_computed_node(self, meas, monkeypatch):
+        # 98 (T / 98) rounds below T = 1, so the event at T lies past it:
+        # the last step ends at T itself
+        assert 98 * (1.0 / 98) < 1.0
+        self._check_hand_built(meas, 98, monkeypatch)
 
 
 class TestEventCap:

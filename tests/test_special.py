@@ -125,6 +125,21 @@ class TestCirNegMoment:
         assert abs(i3 - i2) < abs(i2 - i1)
         assert abs(i3 - i2) / i3 < 1e-3
 
+    def test_against_high_precision_reference(self):
+        # the closed form evaluated in 50-digit arithmetic
+        kap, vb, sig, v0 = (mp.mpf(CIR[k]) for k in ("kappa", "vbar", "sigma", "v0"))
+        for t in (0.05, 0.5, 1.0, 3.0):
+            for s in (0.5, 1.0, 2.0):
+                emkt = mp.exp(-kap * t)
+                k = 4 * kap * v0 * emkt / (sig**2 * (1 - emkt))
+                half_delta = 2 * kap * vb / sig**2
+                ref = mp.exp(
+                    s * mp.log(k / (emkt * v0) / 2) - k / 2
+                    + mp.loggamma(half_delta - s) - mp.loggamma(half_delta)
+                ) * mp.hyp1f1(half_delta - s, half_delta, k / 2)
+                mine = special.cir_neg_moment(**CIR, t=t, s=s)
+                assert mine == pytest.approx(float(ref), rel=1e-10), (t, s)
+
     def test_large_noncentrality_branch_continuous(self):
         # crossing the asymptotic switch must not jump
         ts = np.geomspace(1e-5, 1e-3, 40)
@@ -172,6 +187,22 @@ class TestIntegratedInverseCir:
             v = v_new
         mc = float(np.mean(np.exp(c * integ)))
         assert abs(val - mc) / mc < 0.02
+
+    def test_against_high_precision_reference(self):
+        # the closed form evaluated in 50-digit arithmetic
+        kap, vb, sig, v0 = (mp.mpf(CIR[k]) for k in ("kappa", "vbar", "sigma", "v0"))
+        c_max = 0.5 * ((2 * CIR["kappa"] * CIR["vbar"] - CIR["sigma"] ** 2) / (2 * CIR["sigma"])) ** 2
+        for T in (0.5, 1.0, 2.0):
+            for c in (-0.2, 0.05, 0.1, 0.99 * c_max):
+                m = kap * vb / sig**2
+                alpha_t = -(m - 0.5) + mp.sqrt((m - 0.5) ** 2 - 2 * c / sig**2)
+                gamma = 2 * (alpha_t + m)
+                w = 2 / (sig**2 * mp.expm1(kap * T) / (v0 * kap))
+                ref = mp.exp(
+                    mp.loggamma(gamma - alpha_t) - mp.loggamma(gamma) + alpha_t * mp.log(w)
+                ) * mp.hyp1f1(alpha_t, gamma, -w)
+                mine = special.integrated_inverse_cir_exp(**CIR, T=T, c=c)
+                assert mine == pytest.approx(float(ref), rel=1e-10), (T, c)
 
     def test_negative_coefficient_below_one(self):
         val = special.integrated_inverse_cir_exp(**CIR, T=1.0, c=-0.2)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hhr import hawkes, markov, measure, model, pide, sde, thiele, verification
@@ -280,6 +281,17 @@ class TestDegenerateConfigs:
         q_mean = re.search(r" vs Q (\S+) ", detail["girsanov_price_crosscheck"])
         sim_mean = re.search(r"vs simulation (\S+) ", detail["pide_vs_mc_guarantee"])
         assert q_mean.group(1) == sim_mean.group(1)
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("n, n_blocks", [(1_000_000, 16), (1_000_003, 7)])
+    def test_blocks_are_the_linspace_floats(self, n, n_blocks):
+        # admissibility_c_l scans np.linspace(cap / n, cap, n) block by block
+        caps = [8.0, 0.3, 1e-3, *np.random.default_rng(0).uniform(0.01, 100.0, 3)]
+        for cap in caps:
+            blocks = list(verification._linspace_blocks(cap / n, cap, n, n_blocks))
+            assert len(blocks) == n_blocks
+            assert np.array_equal(np.concatenate(blocks), np.linspace(cap / n, cap, n)), cap
 
 
 class TestQuadratureRefinement:
