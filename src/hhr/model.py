@@ -37,6 +37,12 @@ class PiecewiseFlat:
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
+    _breaks: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_breaks", np.asarray(self.breakpoints, dtype=float))
+        object.__setattr__(self, "_values", np.asarray(self.values, dtype=float))
 
     @classmethod
     def from_pairs(cls, pairs) -> "PiecewiseFlat":
@@ -55,9 +61,9 @@ class PiecewiseFlat:
         return cls((0.0,), (float(value),))
 
     def __call__(self, t):
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return np.asarray(self.values)[idx]
+        # searchsorted returns at most len(breakpoints); a t before 0 gives -1
+        idx = np.searchsorted(self._breaks, t, side="right") - 1
+        return self._values[np.maximum(idx, 0)]
 
     def sup_sq_gap(self, r: float) -> float:
         """sup_t (value(t) - r)^2, exact for the piecewise representation."""

@@ -15,7 +15,8 @@ from .errors import DomainError, HypothesisViolated, NonConvergence
 __all__ = ["hyp1f1", "cir_neg_moment", "integrated_inverse_cir_exp"]
 
 _Z_MAX = 700.0  # exp overflow guard for the direct series
-_ASYMPTOTIC_Z = 1000.0  # beyond this, the log-form uses the large-z limit
+_ASYMPTOTIC_Z = 1000.0  # beyond this k/2, cir_neg_moment sums the large-z expansion
+_ASYMPTOTIC_TOL = 1e-16  # which stops at the first term below this, relative
 _SERIES_TOL = 1e-12  # a 1F1 series stops after two terms below this, relative
 _SERIES_TERMS = 20000  # and raises NonConvergence after this many
 _LOG_SERIES_TERMS = 200000  # the log-space 1F1 series raises NonConvergence after this many
@@ -86,6 +87,22 @@ def _log_hyp1f1_positive(a: float, b: float, z: float) -> float:
     raise NonConvergence(f"log-series for 1F1({a}, {b}; {z}) did not converge")
 
 
+def _large_z_sum(a: float, b: float, z: float) -> float | None:
+    """The sum in 1F1(a,b;z) ~ Gamma(b)/Gamma(a) e^z z^{a-b} sum_n (b-a)_n (1-a)_n / (n! z^n),
+    up to the first term below _ASYMPTOTIC_TOL of it, or None if the terms
+    stop decreasing first (the expansion is asymptotic, not convergent)."""
+    total = term = 1.0
+    n = 0
+    while abs(term) > _ASYMPTOTIC_TOL * abs(total):
+        nxt = term * (b - a + n) * (1.0 - a + n) / ((n + 1.0) * z)
+        if abs(nxt) >= abs(term):
+            return None
+        term = nxt
+        total += term
+        n += 1
+    return total
+
+
 def cir_neg_moment(
     kappa: float, vbar: float, sigma: float, v0: float, t: float, s: float
 ) -> float:
@@ -98,10 +115,11 @@ def cir_neg_moment(
         (k/(e^{-kappa t} v0))^s 2^{-s} e^{-k/2}
             * Gamma(delta/2 - s)/Gamma(delta/2) * 1F1(delta/2 - s, delta/2; k/2).
 
-    Evaluated fully in log space; for k/2 beyond the series budget the
-    large-argument limit e^{k/2} (k/2)^{-s} Gamma(delta/2)/Gamma(delta/2 - s)
-    of the 1F1 factor is used (with its first-order correction), which
-    reproduces the t -> 0 limit 1/v0^s.
+    Evaluated fully in log space.  For k/2 beyond the series budget the
+    large-argument expansion of the 1F1 factor (see _large_z_sum) is used
+    while its terms decrease; its leading factor turns the whole into
+    (e^{-kappa t} v0)^{-s} times the expansion's sum, which reproduces the
+    t -> 0 limit 1/v0^s.
     """
     if t <= 0:
         raise DomainError(f"t must be > 0, got {t}")
@@ -116,19 +134,20 @@ def cir_neg_moment(
     bb = delta / 2.0
     half_k = k / 2.0
 
+    if half_k > _ASYMPTOTIC_Z:
+        corr = _large_z_sum(aa, bb, half_k)
+        if corr is not None:
+            # the expansion's leading factor cancels the prefactor down to
+            # (e^{-kappa t} v0)^{-s}, so no e^{k/2} or Gamma term is rounded
+            return corr / (emkt * v0) ** s
     log_pref = (
         s * math.log(k / (emkt * v0))
         - s * math.log(2.0)
         + math.lgamma(aa)
         - math.lgamma(bb)
     )
-    if half_k <= _ASYMPTOTIC_Z:
-        log_f = _log_hyp1f1_positive(aa, bb, half_k)
-        return math.exp(log_pref - half_k + log_f)
-    # 1F1(a,b;z) ~ Gamma(b)/Gamma(a) e^z z^{a-b} (1 + (b-a)(1-a)/z)
-    corr = 1.0 + (bb - aa) * (1.0 - aa) / half_k
-    log_f = math.lgamma(bb) - math.lgamma(aa) + half_k + (aa - bb) * math.log(half_k)
-    return math.exp(log_pref - half_k + log_f) * corr
+    log_f = _log_hyp1f1_positive(aa, bb, half_k)
+    return math.exp(log_pref - half_k + log_f)
 
 
 def integrated_inverse_cir_exp(

@@ -59,6 +59,21 @@ class TestPiecewiseFlat:
         assert f(0.5) == 2.0
         assert np.allclose(f(np.array([0.1, 0.6])), [1.0, 2.0])
 
+    def test_lookup_equals_the_clipped_tuple_lookup(self):
+        # the lookup before the arrays were built once, with np.clip
+        def clipped(f, t):
+            idx = np.searchsorted(f.breakpoints, t, side="right") - 1
+            idx = np.clip(idx, 0, len(f.values) - 1)
+            return np.asarray(f.values)[idx]
+
+        f = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
+        ts = np.concatenate([[-2.0, -1e-300, 0.0, 0.3, 0.77, 1.0, 5.0], np.linspace(-1, 2, 301)])
+        for t in [*ts, 3, ts, ts.reshape(7, 44)]:
+            got, want = f(t), clipped(f, t)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert f == model.PiecewiseFlat(f.breakpoints, f.values) and hash(f) is not None
+
     def test_requires_zero_start(self):
         with pytest.raises(ValueError):
             model.PiecewiseFlat.from_pairs([[0.1, 1.0]])

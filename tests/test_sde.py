@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -603,3 +604,49 @@ class TestStreams:
         events = hawkes.simulate_events(m, DIST, 40, 19)
         for key in ("times", "marks", "offsets"):
             assert np.array_equal(getattr(res.events, key), getattr(events, key)), key
+
+
+def _sha(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestGoldenDigests:
+    """simulate's outputs pinned as sha256 digests, recorded before the stage
+    loop ran in a workspace on blocked stage normals.  Chunks of 128 with 300
+    paths leave a last chunk shorter than the run's width, 50 and 98 steps
+    leave a last block of stage normals shorter than 8 steps, and tiles of
+    48 paths leave a last tile shorter than the others."""
+
+    DIGESTS = {
+        ("P", 50): ("c1fd6954575a4623", "c6f117bb2f9b0f8c"),
+        ("Q", 50): ("967d7e1187ea66c2", "5760b54fad60174f"),
+        ("P", 98): ("3aef8994d5710cdc", "33566a7b722f4be8"),
+        ("Q", 98): ("e94f40afaf8d3b40", "4240b60593cd7894"),
+    }
+
+    @pytest.mark.parametrize("meas, n_steps", sorted(DIGESTS))
+    def test_outputs_equal_the_recorded_digests(self, meas, n_steps, monkeypatch):
+        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        monkeypatch.setattr(sde, "_TILE", 48)  # a chunk's block copy in tiles of 48, 48, 32
+        mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
+        # several events per step, a P drift break between nodes, and a low,
+        # volatile variance that the truncation clips on some stages
+        m = _mk(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0, v0=0.04, sigma=0.9)
+        kw = dict(selection=_sel(m), probe_times=(m.T / 2, m.T))
+        res = sde.simulate(m, DIST, meas, 300, n_steps, 29, **kw)
+        assert res.truncated_fraction > 0.0
+        full = sde.simulate(m, DIST, meas, 300, n_steps, 29, record_full=True, **kw)
+        for key, val in res.terminal.items():
+            assert np.array_equal(full.terminal[key], val), key
+        got = (
+            _sha(
+                [res.terminal[key] for key in sorted(res.terminal)]
+                + [res.probes[t] for t in sorted(res.probes)]
+                + [[res.truncated_fraction]]
+            ),
+            _sha(f for b in full.bundles for f in _bundle_fields(b)),
+        )
+        assert got == self.DIGESTS[meas, n_steps]

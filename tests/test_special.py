@@ -125,20 +125,39 @@ class TestCirNegMoment:
         assert abs(i3 - i2) < abs(i2 - i1)
         assert abs(i3 - i2) / i3 < 1e-3
 
-    def test_against_high_precision_reference(self):
+    @staticmethod
+    def _high_precision(t, s):
         # the closed form evaluated in 50-digit arithmetic
         kap, vb, sig, v0 = (mp.mpf(CIR[k]) for k in ("kappa", "vbar", "sigma", "v0"))
+        emkt = mp.exp(-kap * t)
+        k = 4 * kap * v0 * emkt / (sig**2 * (1 - emkt))
+        half_delta = 2 * kap * vb / sig**2
+        return float(mp.exp(
+            s * mp.log(k / (emkt * v0) / 2) - k / 2
+            + mp.loggamma(half_delta - s) - mp.loggamma(half_delta)
+        ) * mp.hyp1f1(half_delta - s, half_delta, k / 2))
+
+    def test_against_high_precision_reference(self):
         for t in (0.05, 0.5, 1.0, 3.0):
             for s in (0.5, 1.0, 2.0):
-                emkt = mp.exp(-kap * t)
-                k = 4 * kap * v0 * emkt / (sig**2 * (1 - emkt))
-                half_delta = 2 * kap * vb / sig**2
-                ref = mp.exp(
-                    s * mp.log(k / (emkt * v0) / 2) - k / 2
-                    + mp.loggamma(half_delta - s) - mp.loggamma(half_delta)
-                ) * mp.hyp1f1(half_delta - s, half_delta, k / 2)
                 mine = special.cir_neg_moment(**CIR, t=t, s=s)
-                assert mine == pytest.approx(float(ref), rel=1e-10), (t, s)
+                assert mine == pytest.approx(self._high_precision(t, s), rel=1e-10), (t, s)
+
+    def test_asymptotic_branch_against_high_precision_reference(self):
+        # k/2 = 1.6/t here, so every t lies past the switch at k/2 = 1000,
+        # where the first-order expansion alone erred by up to 2.8e-6
+        for t in (1.2e-3, 1e-3, 5e-4, 1e-4):
+            for s in (1.0, 2.0):
+                mine = special.cir_neg_moment(**CIR, t=t, s=s)
+                assert mine == pytest.approx(self._high_precision(t, s), rel=1e-10), (t, s)
+
+    def test_diverging_expansion_falls_back_to_the_series(self):
+        # delta/2 = 12000 exceeds k/2 = 1252 at t = 1: the expansion's terms
+        # grow from the first, where its first-order form gave a negative moment
+        cir = dict(kappa=2.0, vbar=0.3, sigma=0.01, v0=0.2)
+        assert special._large_z_sum(11999.0, 12000.0, 1252.14) is None
+        mine = special.cir_neg_moment(**cir, t=1.0, s=1.0)
+        assert mine == pytest.approx(3.4910982441962397, rel=1e-10)  # mp.hyp1f1, 50 digits
 
     def test_large_noncentrality_branch_continuous(self):
         # crossing the asymptotic switch must not jump
