@@ -7,9 +7,10 @@ time discretization), which keeps the compensator-martingale tests free of
 scheme bias.
 
 Paths are drawn in chunks of _CHUNK paths, and each kind of random number
-of a chunk comes from its own stream (see rng), drawn for the whole chunk
-in one call: the thinning blocks of each refill round, the marks, and for
-the diffusion (see sde) the stage and event normals.  Events are kept in
+of a chunk comes from its own stream (see rng), drawn path by path in
+order: the thinning blocks of each refill round and the marks, each in one
+call for the whole chunk, and for the diffusion (see sde) the stage
+normals, in path tiles, and the event normals.  Events are kept in
 one CSR table per batch of paths (EventTable), whose closed forms give the
 intensity, counts, compound sums and compensators at any time.
 """
@@ -33,7 +34,8 @@ __all__ = [
     "EventTable",
     "chunks",
     "draw_events",
-    "draw_normals",
+    "stage_normals",
+    "event_normals",
     "simulate_events",
     "simulate_hawkes_batch",
     "expected_intensity",
@@ -94,8 +96,12 @@ class EventTable:
 
     def head(self, n: int) -> EventTable:
         """The table of the first n paths."""
-        end = self.offsets[n]
-        return EventTable(self.times[:end], self.marks[:end], self.offsets[: n + 1])
+        return self.rows(0, n)
+
+    def rows(self, lo: int, hi: int) -> EventTable:
+        """The table of paths lo to hi - 1, renumbered from 0."""
+        a, b = self.offsets[lo], self.offsets[hi]
+        return EventTable(self.times[a:b], self.marks[a:b], self.offsets[lo:hi + 1] - a)
 
     def at(self, t) -> np.ndarray:
         """t at each event: a time, or one time per path."""
@@ -166,6 +172,7 @@ def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon):
             hit_time.append(t[accept])
         # accepted: jump by alpha; rejected: the tightened bound
         lam = np.where(accept, lam_cand + alpha, lam_cand)
+    del exps, unis  # the last round's blocks (8 MiB at 8192 paths in round 0) before the sort
     if not hit_path:
         return np.empty(0), count
     by_path = np.argsort(np.concatenate(hit_path), kind="stable")
@@ -181,22 +188,22 @@ def draw_events(seed, chunk, n, p, dist: JumpDistribution) -> EventTable:
     return EventTable.from_counts(times, marks, count)
 
 
-def draw_normals(seed, chunk, n, n_steps, n_events, width) -> tuple[np.ndarray, np.ndarray]:
-    """The standard normals of the diffusion stages of a chunk's n paths,
-    the stock's then the variance's: (n, 2, n_steps) for the first stage of
-    each step, path-major, and (n_events, 2) for the stage after each
-    event, in table order.
+def stage_normals(seed, chunk) -> np.random.Generator:
+    """The stream of the standard normals of the first diffusion stage of
+    each step (see sde) of a chunk's paths.
 
-    The first array is a view of one of `width` rows, the run's chunk
-    width, so every chunk of a run allocates the same size: a shorter last
-    chunk's array (14.8 MB at 20000 paths x 256 steps) raised glibc's mmap
-    threshold, and with it the heap's trim threshold, and a second hhr
-    verify in one process then peaked at 152 MB instead of 132 MB.
+    It is drawn path by path in order, each path's (2, n_steps) normals,
+    the stock's then the variance's.  Sequential draws from one Generator
+    continue its stream, so drawing it in tiles of paths gives the numbers
+    of one draw for the whole chunk.
     """
-    z = np.empty((width, 2, n_steps))[:n]
-    _stream(seed, chunk, STAGE_NORMALS).standard_normal(out=z)
-    ez = _stream(seed, chunk, EVENT_NORMALS).standard_normal((n_events, 2))
-    return z, ez
+    return _stream(seed, chunk, STAGE_NORMALS)
+
+
+def event_normals(seed, chunk, n_events) -> np.ndarray:
+    """The (n_events, 2) standard normals of the diffusion stage after each
+    event of a chunk, the stock's then the variance's, in table order."""
+    return _stream(seed, chunk, EVENT_NORMALS).standard_normal((n_events, 2))
 
 
 def simulate_events(

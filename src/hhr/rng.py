@@ -4,12 +4,13 @@ Paths are simulated in chunks of hawkes._CHUNK paths; chunk c covers paths
 c * _CHUNK onward.  Each kind of random number a chunk needs comes from its
 own Philox stream (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC'11), path_rng(seed, stream_index(c, kind, refill)), and is drawn
-for the whole chunk in one call, path by path in order.  So a path's
-numbers depend on the seed and on the paths of its chunk up to itself
-only: a run of n paths is a prefix of a run of 2n, and the thread count
-changes nothing.  The kinds are the thinning exponentials and uniforms
-(a block per refill round), the marks, the stage normals and the event
-normals.
+path by path in order: in one call for the whole chunk, or for the stage
+normals in consecutive calls over tiles of paths, which continue the
+stream and so draw the same numbers.  So a path's numbers depend on the
+seed and on the paths of its chunk up to itself only: a run of n paths is
+a prefix of a run of 2n, and the thread count changes nothing.  The kinds
+are the thinning exponentials and uniforms (a block per refill round), the
+marks, the stage normals and the event normals.
 """
 
 from __future__ import annotations

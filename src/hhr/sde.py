@@ -13,33 +13,45 @@ martingale, so E[X_t] = 1 holds without discretization bias; the reported
 running integral of v is trapezoidal.
 
 Paths run in the chunks of hawkes.chunks, and each chunk draws every kind
-of random number in one call from its own stream (see rng): the thinning
-blocks and the marks (hawkes.draw_events), then the stage normals, one
-(paths, 2, n_steps) array, and the event normals, one (events, 2) array
-(hawkes.draw_normals).  So a path's numbers depend on the seed and on the
-paths of its chunk up to itself only: a run is a prefix of any longer run
-at the same seed, and the thread count changes nothing.
+of random number from its own stream (see rng), path by path in order:
+the thinning blocks and the marks (hawkes.draw_events), the stage normals,
+(2, n_steps) per path (hawkes.stage_normals), and the event normals, one
+(events, 2) array (hawkes.event_normals).  So a path's numbers depend on
+the seed and on the paths of its chunk up to itself only: a run is a
+prefix of any longer run at the same seed, and the thread count changes
+nothing.
 
 A chunk thins all its paths in lockstep into one CSR event table (one flat
-array of times and marks plus per-path offsets), and sorts its events by
-step once.  Each uniform step then runs its first stage over every path,
-on column k of the stage normals, to the path's first event of the step
-or to the step's end.  After it, the stage loop walks from each event to
-the next: a stage gathers only the paths of the events just reached and
-runs each, on its event's normals, to its next event of the step or to
-the step's end, where it leaves the walk.  A path that has left the walk
-(or never entered it) sits at the step's end, where a stage of length 0
-would leave its state unchanged exactly, so the walk is bit-identical to
-running every stage over every path.
+array of times and marks plus per-path offsets), and runs its paths as
+path tiles of ceil(width / 2) rows, width being the run's chunk width: two
+tiles for a full chunk.  The stage arithmetic is elementwise per path, so
+the tiles are independent, and a tile's events are one contiguous slice of
+the table.  A tile sorts its events by step once.  Each uniform step then
+runs its first stage over every path of the tile, on the step's stage
+normals, to the path's first event of the step or to the step's end.
+After it, the stage loop walks from each event to the next: a stage
+gathers only the paths of the events just reached and runs each, on its
+event's normals, to its next event of the step or to the step's end, where
+it leaves the walk.  A path that has left the walk (or never entered it)
+sits at the step's end, where a stage of length 0 would leave its state
+unchanged exactly, so the walk is bit-identical to running every stage
+over every path.
 
-A stage writes every intermediate into one per-chunk workspace, an (8,
-width) float array and a (2, width) bool array, with out=, keeping each
-Euler expression's operations in Python's left-to-right order, so its
-floats are those of the plain expressions.  The first stage of step k
-reads its normals from an (8, 2, width) buffer refilled every 8 steps by
-copying z[:, :, k:k + 8] step-major: the path-major stage normals hold a
-path's 8 steps of one kind in one 64-byte cache line, where column k
-alone would read one line per path and kind for each step.
+A stage writes every intermediate into one workspace, an (8, tile) float
+array and a (2, tile) bool array, with out=, keeping each Euler
+expression's operations in Python's left-to-right order, so its floats are
+those of the plain expressions.  The stage normals of a tile sit in a
+step-major (n_steps, 2, tile) buffer, so the first stage of step k reads
+the contiguous rows zs[k, 0] and zs[k, 1].  One helper thread draws them,
+from each chunk's one stage stream in path order, one tile ahead of the
+stage loop across chunk boundaries: tile t + 1 while tile t runs, and the
+first tile while the first chunk is thinned.  numpy's draws and copies
+release the GIL, so the helper runs on a second core.  It draws _TILE
+paths at a time into a small staging array, copied transposed into the
+tile's buffer.  The two tile buffers, the staging array and the workspace
+are allocated once per simulate call at the run's chunk width and reused
+by every chunk.  With threads=2 two chunk workers take alternate chunks,
+each with its own buffers and helper thread.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hawkes import (
-    EventTable, chunks, draw_events, draw_normals, l_at, lambda_at, n_at,
+    EventTable, chunks, draw_events, event_normals, l_at, lambda_at, n_at, stage_normals,
 )
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
@@ -61,11 +73,10 @@ from .rng import path_rng  # noqa: F401  (perfbench traces hhr.sde.path_rng)
 __all__ = ["PathBundle", "SimulationResult", "simulate"]
 
 _V_THETA_FLOOR = 1e-12
-_BLOCK = 8  # steps of stage normals copied at once: 64 bytes, a cache line, per path and kind
-# paths per copy of a block: at 256 steps each path's normals fill a 4 KB page,
-# and one copy over all 8192 pages of a chunk misses the TLB (29 ms a chunk
-# against 13 ms in tiles of 512, numpy 2.4 on a 2-core x86-64 VM)
-_TILE = 512
+# paths per draw into the staging array, 0.5 MiB at 256 steps: a 4096-path
+# tile's draw and transposed copy took 34 ms in parts of 128 or 256 paths
+# and 35-47 ms in parts of 512 (numpy 2.4 on a 2-core x86-64 VM)
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,34 @@ class SimulationResult:
     bundles: list | None = None
 
 
+def _draw_tile(gen, zs, stg, n):
+    """Draw the stage normals of the next n paths of the stage stream gen
+    into zs[:, :, :n], step-major, through the staging array stg, len(stg)
+    paths at a time."""
+    for i in range(0, n, len(stg)):
+        part = stg[:min(len(stg), n - i)]
+        gen.standard_normal(out=part)
+        np.copyto(zs[:, :, i:i + len(part)], part.transpose(2, 1, 0))
+
+
+def _tile_normals(helper, zt, stg, draws):
+    """Yield, for each (stage stream, path count) of draws in turn, the
+    buffer zt[0] or zt[1], by turns, holding that tile's stage normals
+    step-major.  The helper thread draws each tile while the caller runs
+    the one before: the first draw starts at the first next(), which
+    yields None, and each later one when the caller takes the tile before
+    it, whose buffer the caller is then done with."""
+    gen, n = draws[0]
+    pending = helper.submit(_draw_tile, gen, zt[0], stg, n)
+    yield None
+    for i in range(len(draws)):
+        pending.result()
+        if i + 1 < len(draws):
+            gen, n = draws[i + 1]
+            pending = helper.submit(_draw_tile, gen, zt[(i + 1) % 2], stg, n)
+        yield zt[i % 2]
+
+
 def _run_chunk(
     model,
     dist,
@@ -114,32 +153,23 @@ def _run_chunk(
     seed,
     chunk,
     nc,
-    width,
     probe_steps,
     record_full,
+    tw,
+    tiles,
+    ws,
+    wb,
 ):
     p = model.params
     dt_u = p.T / n_steps
     table = draw_events(seed, chunk, nc, p, dist)
-    z, ez = draw_normals(seed, chunk, nc, n_steps, table.times.size, width)
+    ez = event_normals(seed, chunk, table.times.size)
     # step k ends at nodes[k] = (k + 1) dt_u, the last at T itself (n_steps
     # dt_u can round below T); an event belongs to the step whose end is the
     # first node at or after it, so every stage target lies at or after its
     # row's time
     nodes = np.arange(1, n_steps + 1) * dt_u
     nodes[-1] = p.T
-    step = np.searchsorted(nodes, table.times, side="left")
-    # the table is ordered by (path, time), so after a stable sort by step
-    # each step's events run in (path, time) order
-    sorter = np.argsort(step, kind="stable")
-    ev_path, ev_time, ev_mark, ev_z, ev_step = (
-        table.path[sorter], table.times[sorter], table.marks[sorter], ez[sorter], step[sorter]
-    )
-    # cont[e]: the path of event e has its next event in the same step, at e + 1
-    cont = np.zeros(ev_step.size, dtype=bool)
-    cont[:-1] = (ev_path[1:] == ev_path[:-1]) & (ev_step[1:] == ev_step[:-1])
-    heads = np.flatnonzero(~np.roll(cont, 1))  # a path's first event in a step (cont[-1] is False)
-    step_lo = np.searchsorted(ev_step[heads], np.arange(n_steps + 1))
 
     under_q = measure_tag == "Q"
     if under_q:
@@ -155,15 +185,8 @@ def _run_chunk(
     st[2] = p.v0
     trunc = 0
     active_total = 0
-    probes = {}
-    snaps = [st.copy()] if record_full else None
-
-    # per-chunk scratch at the run's width: stage writes its intermediates
-    # into rows 0-6 of ws and its masks into wb, and each stage's targets
-    # sit in row 7; zblk holds _BLOCK steps of the stage normals step-major
-    ws = np.empty((8, width))
-    wb = np.empty((2, width), dtype=bool)
-    zblk = np.empty((_BLOCK, 2, width))
+    log_x_at = {float(nodes[k - 1]): np.empty(nc) for k in probe_steps}
+    bundles = [] if record_full else None
 
     def stage(s, target, zb, zw, hit, mk, drift):
         """Advance the state block s to `target` with the stock and variance
@@ -171,7 +194,8 @@ def _run_chunk(
         then jump the variance of its rows `hit` by eta times the marks mk.
         A row already at its target moves by exactly 0.  Each update is the
         full-truncation Euler expression in the comment above it, evaluated
-        operation by operation in Python's left-to-right order."""
+        operation by operation in Python's left-to-right order, with the
+        intermediates in rows 0-6 of ws and the masks in wb."""
         nonlocal trunc, active_total
         n = s.shape[1]
         dt, sq, vp, sv, t0, t1, t2 = ws[:7, :n]
@@ -241,40 +265,58 @@ def _run_chunk(
 
     mu = (lambda t: p.r) if under_q else p.mu
 
-    for k in range(n_steps):
-        if k % _BLOCK == 0:
-            kk = min(_BLOCK, n_steps - k)
-            for i in range(0, nc, _TILE):
-                j = min(i + _TILE, nc)
-                np.copyto(zblk[:kk, :, i:j], z[i:j, :, k:k + kk].transpose(2, 1, 0))
-        t_next = float(nodes[k])
-        e = heads[step_lo[k]:step_lo[k + 1]]  # each path's first event of the step
-        rows = ev_path[e]
-        # stage 0, full width: every row from k dt to its first event of the
-        # step, or to the step's end, on the step's normals
-        target = ws[7, :nc]
-        target.fill(t_next)
-        target[rows] = ev_time[e]
-        stage(st, target, *zblk[k % _BLOCK, :, :nc], rows, ev_mark[e], mu(k * dt_u))
-        if record_full:
-            snaps.append(st.copy())
-        while e.size:
-            # the rows of the events e just reached walk, on those events'
-            # normals, to their next event of the step or to its end
+    for lo in range(0, nc, tw):
+        hi = min(lo + tw, nc)
+        zs = next(tiles)
+        tile = table.rows(lo, hi)
+        ev_z = ez[table.offsets[lo]:table.offsets[hi]]
+        step = np.searchsorted(nodes, tile.times, side="left")
+        # the table is ordered by (path, time), so after a stable sort by step
+        # each step's events run in (path, time) order
+        sorter = np.argsort(step, kind="stable")
+        ev_path, ev_time, ev_mark, ev_z, ev_step = (
+            tile.path[sorter], tile.times[sorter], tile.marks[sorter], ev_z[sorter], step[sorter]
+        )
+        # cont[e]: the path of event e has its next event in the same step, at e + 1
+        cont = np.zeros(ev_step.size, dtype=bool)
+        cont[:-1] = (ev_path[1:] == ev_path[:-1]) & (ev_step[1:] == ev_step[:-1])
+        # a path's first event in a step (cont[-1] is False)
+        heads = np.flatnonzero(~np.roll(cont, 1))
+        step_lo = np.searchsorted(ev_step[heads], np.arange(n_steps + 1))
+        tst = st[:, lo:hi]
+        snaps = [tst.copy()] if record_full else None
+
+        for k in range(n_steps):
+            t_next = float(nodes[k])
+            e = heads[step_lo[k]:step_lo[k + 1]]  # each path's first event of the step
             rows = ev_path[e]
-            hit = np.flatnonzero(cont[e])
-            nxt = e[hit] + 1
-            target = ws[7, :e.size]
+            # stage 0, over the tile: every row from k dt to its first event
+            # of the step, or to the step's end, on the step's normals
+            target = ws[7, :hi - lo]
             target.fill(t_next)
-            target[hit] = ev_time[nxt]
-            sub = st[:, rows]
-            stage(sub, target, *ev_z[e].T, hit, ev_mark[nxt], mu(sub[0]))
-            st[:, rows] = sub
+            target[rows] = ev_time[e]
+            stage(tst, target, *zs[k, :, :hi - lo], rows, ev_mark[e], mu(k * dt_u))
             if record_full:
-                snaps.append(st.copy())
-            e = nxt
-        if (k + 1) in probe_steps:
-            probes[t_next] = np.exp(st[4])
+                snaps.append(tst.copy())
+            while e.size:
+                # the rows of the events e just reached walk, on those events'
+                # normals, to their next event of the step or to its end
+                rows = ev_path[e]
+                hit = np.flatnonzero(cont[e])
+                nxt = e[hit] + 1
+                target = ws[7, :e.size]
+                target.fill(t_next)
+                target[hit] = ev_time[nxt]
+                sub = tst[:, rows]
+                stage(sub, target, *ev_z[e].T, hit, ev_mark[nxt], mu(sub[0]))
+                tst[:, rows] = sub
+                if record_full:
+                    snaps.append(tst.copy())
+                e = nxt
+            if (k + 1) in probe_steps:
+                log_x_at[t_next][lo:hi] = tst[4]
+        if record_full:
+            bundles += _assemble_bundles(model, measure_tag, np.stack(snaps), tile)
 
     out = {
         "S": np.exp(st[1]),
@@ -282,18 +324,16 @@ def _run_chunk(
         "int_v": st[3].copy(),
         "X": np.exp(st[4]),
     }
-    bundles = None
-    if record_full:
-        bundles = _assemble_bundles(model, measure_tag, np.stack(snaps), table)
+    probes = {t: np.exp(log_x) for t, log_x in log_x_at.items()}
     return out, probes, trunc, active_total, bundles, table
 
 
 def _assemble_bundles(model, measure_tag, snaps, table):
     """Per-path merged grids from the stage snapshots (uniform + own events).
 
-    snaps[j] is the state (t, log S, v, int v, log X) of every path after
-    stage j; lambda, N and L are read off each path's events at its time
-    there.  Zero-length stages duplicate a time point; the last snapshot at
+    snaps[j] is the state (t, log S, v, int v, log X) of every path of
+    `table` (a chunk's path tile) after stage j; lambda, N and L are read
+    off each path's events at its time there.  Zero-length stages duplicate a time point; the last snapshot at
     each time wins so event nodes carry the post-jump (cadlag) values.  The
     t = 0 row reads S0 itself, not exp(log S0).
     """
@@ -362,17 +402,38 @@ def simulate(
             raise DomainError(f"probe time {t} is not on the uniform grid")
         probe_steps.add(k)
 
-    def work(chunk):
-        return _run_chunk(
-            model, dist, measure, selection, n_steps, seed, *chunk, runs[0][1],
-            probe_steps, record_full,
-        )
+    tw = -(-runs[0][1] // 2)  # path tile width: half the run's chunk width
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, runs))
+    def work(group):
+        # the chunks of `group` in turn, on one set of buffers at the tile
+        # width, with one helper thread drawing each path tile's stage
+        # normals while the tile before runs
+        zt = np.empty((2, n_steps, 2, tw))
+        stg = np.empty((min(_TILE, tw), 2, n_steps))
+        ws = np.empty((8, tw))
+        wb = np.empty((2, tw), dtype=bool)
+        draws = []
+        for c, nc in group:
+            gen = stage_normals(seed, c)
+            draws += [(gen, min(tw, nc - lo)) for lo in range(0, nc, tw)]
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            tiles = _tile_normals(helper, zt, stg, draws)
+            next(tiles)  # the first tile is drawn while the first chunk is thinned
+            return [
+                _run_chunk(
+                    model, dist, measure, selection, n_steps, seed, *chunk,
+                    probe_steps, record_full, tw, tiles, ws, wb,
+                )
+                for chunk in group
+            ]
+
+    workers = min(threads, len(runs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            done = list(ex.map(work, [runs[w::workers] for w in range(workers)]))
+        results = [done[i % workers][i // workers] for i in range(len(runs))]
     else:
-        results = [work(c) for c in runs]
+        results = work(runs)
 
     terminal = {
         key: np.concatenate([r[0][key] for r in results])

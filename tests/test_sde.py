@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -583,12 +585,29 @@ class TestStreams:
         ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
         assert sum(r[2] > 64 for r in ref) > 10 and max(r[2] for r in ref) > 128
         table = hawkes.draw_events(17, 1, 300, m.params, DIST)
-        z, ez = hawkes.draw_normals(17, 1, 300, 64, table.times.size, 300)
+        z = hawkes.stage_normals(17, 1).standard_normal((300, 2, 64))
+        ez = hawkes.event_normals(17, 1, table.times.size)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
         assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
         assert np.array_equal(z, np.stack([r[3] for r in ref]))
         assert np.array_equal(ez, np.concatenate([r[4] for r in ref]))
+
+    @pytest.mark.parametrize("tile", [1, 7, 64, 300])
+    def test_stage_normals_drawn_in_path_tiles_equal_one_draw(self, tile):
+        ref = reference_draws(_mk(), DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
+        one = hawkes.stage_normals(17, 1).standard_normal((300, 2, 64))
+        gen = hawkes.stage_normals(17, 1)
+        zs = np.empty((64, 2, tile))
+        stg = np.empty((5, 2, 64))  # tiles of 7, 64 and 300 paths cross the staging array
+        tiles = []
+        for lo in range(0, 300, tile):
+            n = min(tile, 300 - lo)
+            sde._draw_tile(gen, zs, stg, n)
+            tiles.append(zs[:, :, :n].transpose(2, 1, 0).copy())
+        z = np.concatenate(tiles)
+        assert np.array_equal(z, one)
+        assert np.array_equal(z, np.stack([r[3] for r in ref]))
 
     @pytest.mark.parametrize("chunk, threads", [(1, 1), (7, 1), (8192, 1), (7, 2)])
     def test_simulate_equals_the_path_generators(self, chunk, threads, monkeypatch):
@@ -606,6 +625,55 @@ class TestStreams:
             assert np.array_equal(getattr(res.events, key), getattr(events, key)), key
 
 
+class TestHelperThread:
+    """Each chunk worker's helper thread draws stage normals ahead of the
+    stage loop; an error in it reaches the caller, and no thread outlives
+    simulate."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_error_propagates_and_no_thread_is_left(
+        self, desk_model, desk_selection, threads, monkeypatch
+    ):
+        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        before = set(threading.enumerate())
+        sde.simulate(desk_model, DIST, "P", 300, 64, 3, selection=desk_selection, threads=threads)
+        assert set(threading.enumerate()) == before
+        calls = []
+        draw = sde._draw_tile
+
+        def failing(*args):
+            calls.append(args[-1])
+            if len(calls) == 2:  # with one worker, tile 1 of chunk 0
+                raise RuntimeError("draw failed")
+            return draw(*args)
+
+        monkeypatch.setattr(sde, "_draw_tile", failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            sde.simulate(
+                desk_model, DIST, "P", 300, 64, 3, selection=desk_selection, threads=threads
+            )
+        assert set(threading.enumerate()) == before
+
+    def test_identical_under_frequent_thread_switches(self, desk_selection, monkeypatch):
+        # three chunk workers and their helpers on two cores, switching
+        # every microsecond: a tile read before its draw, or a buffer drawn
+        # over while its tile runs, would change the result
+        monkeypatch.setattr(hawkes, "_CHUNK", 64)
+        monkeypatch.setattr(sde, "_TILE", 5)
+        m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
+        kw = dict(selection=desk_selection, probe_times=(0.5,))
+        a = sde.simulate(m, DIST, "P", 700, 64, 41, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = sde.simulate(m, DIST, "P", 700, 64, 41, threads=3, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        for key in a.terminal:
+            assert np.array_equal(a.terminal[key], b.terminal[key]), key
+        assert np.array_equal(a.probes[0.5], b.probes[0.5])
+
+
 def _sha(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -615,10 +683,11 @@ def _sha(arrays):
 
 class TestGoldenDigests:
     """simulate's outputs pinned as sha256 digests, recorded before the stage
-    loop ran in a workspace on blocked stage normals.  Chunks of 128 with 300
-    paths leave a last chunk shorter than the run's width, 50 and 98 steps
-    leave a last block of stage normals shorter than 8 steps, and tiles of
-    48 paths leave a last tile shorter than the others."""
+    loop ran in a workspace on blocked stage normals, and kept since it runs
+    in path tiles on normals drawn by a helper thread.  Chunks of 128 with
+    300 paths run two tiles of 64 paths each and a last chunk of 44 paths as
+    one tile, shorter than the tile buffers; a staging array of 48 paths
+    draws each tile of 64 in two parts, 48 and 16."""
 
     DIGESTS = {
         ("P", 50): ("c1fd6954575a4623", "c6f117bb2f9b0f8c"),
@@ -630,7 +699,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("meas, n_steps", sorted(DIGESTS))
     def test_outputs_equal_the_recorded_digests(self, meas, n_steps, monkeypatch):
         monkeypatch.setattr(hawkes, "_CHUNK", 128)
-        monkeypatch.setattr(sde, "_TILE", 48)  # a chunk's block copy in tiles of 48, 48, 32
+        monkeypatch.setattr(sde, "_TILE", 48)  # each tile of 64 drawn as 48, then 16
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         # several events per step, a P drift break between nodes, and a low,
         # volatile variance that the truncation clips on some stages
