@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 
 from .errors import ConfigError
@@ -42,7 +42,6 @@ class RunSettings:
     steps: int = 256
     grid: tuple[int, int, int, int] = (64, 48, 24, 16)
     out_dir: str = "out"
-    tolerances: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -200,12 +199,6 @@ def _run_settings(rz: dict) -> RunSettings:
             run["grid"] = parse_grid(run["grid"])
         if not isinstance(run.get("out_dir", ""), str):
             raise ConfigError(f"run.out_dir must be a string, got {run['out_dir']!r}")
-        if "tolerances" in run:
-            budgets = _object(run["tolerances"], "run.tolerances").items()
-            run["tolerances"] = {k: _number(v, f"run.tolerances.{k}") for k, v in budgets}
-            for k, v in run["tolerances"].items():
-                if v < 0:
-                    raise ConfigError(f"run.tolerances.{k} must be >= 0, got {v:g}")
         return RunSettings(**run)
     except ConfigError as exc:
         raise ConfigError(f"bad run section: {exc}") from exc

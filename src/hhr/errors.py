@@ -54,7 +54,3 @@ class TimeOrderError(HHRError, ValueError):
 
 class ConfigError(HHRError, ValueError):
     """Configuration document failed validation."""
-
-
-class NonMonotoneLambda(UserWarning):
-    """Exponential-moment cap failed the monotonicity scan; grid fallback used."""

@@ -1,5 +1,5 @@
 """Risk-neutral measure construction: exponential-moment cap, admissible
-Girsanov parameters, market price of risk, and tilted variance dynamics.
+Girsanov parameters and tilted variance dynamics.
 
 The variance process admits exponential moments E[exp(c * int v du)] < inf
 for c below a threshold c_l.  That threshold gates which Girsanov parameters
@@ -11,17 +11,13 @@ under which the event-process compensator is measure-invariant.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     AdmissibilityError,
     ConfigError,
     DegenerateReversion,
     DomainError,
-    NonMonotoneLambda,
     RhoTooLarge,
 )
 from .model import JumpDistribution, ValidatedModel
@@ -36,7 +32,6 @@ __all__ = [
     "MeasureConfig",
     "MeasureSelection",
     "select_measure",
-    "theta",
     "q_dynamics",
     "LEVELS",
 ]
@@ -114,7 +109,6 @@ def _mgf_bound(model: ValidatedModel) -> float:
 class ClResult:
     value: float
     at_cap: bool
-    scan_monotone: bool
 
 
 def compute_c_l(
@@ -125,10 +119,12 @@ def compute_c_l(
 ) -> ClResult:
     """sup{c <= kappa^2/(2 sigma^2) : Lambda(c) < eps_J and M_J(Lambda(c)) <= bound}.
 
-    Lambda is first verified to be nondecreasing on a 1024-point scan (the
-    predicate is then an interval and bisection applies); a failed scan falls
-    back to a dense grid supremum with a warning.  Returns the cap exactly when the
-    predicate holds there.
+    Lambda(c) = eta B(T; c), where B solves the CIR Riccati equation
+    B' = c - kappa B + sigma^2 B^2 / 2, B(0) = 0, whose right side increases
+    in c; by the comparison theorem Lambda is nondecreasing in c on
+    (0, kappa^2/(2 sigma^2)], so the predicate holds on an interval and
+    bisection finds its end.  Returns the cap exactly when the predicate
+    holds there.
     """
     cap = _cap(model)
     bound = _mgf_bound(model)
@@ -141,23 +137,8 @@ def compute_c_l(
             return True
         return dist.mgf(lam) <= bound
 
-    cs = np.linspace(cap / 1024, cap, 1024)
-    lams = np.array([lambda_cap(model, c) for c in cs])
-    monotone = bool(np.all(np.diff(lams) >= -1e-12 * max(lams.max(), 1.0)))
-    if not monotone:
-        warnings.warn(
-            "Lambda(c) failed the monotonicity scan; using dense grid supremum",
-            NonMonotoneLambda,
-        )
-        grid = np.linspace(cap / 1_000_000, cap, 1_000_000)
-        sup = 0.0
-        for c in grid:
-            if ok(float(c)):
-                sup = float(c)
-        return ClResult(sup, sup == cap, False)
-
     if ok(cap):
-        return ClResult(cap, True, True)
+        return ClResult(cap, True)
 
     lo, hi = cap / 1024, cap
     if not ok(lo):
@@ -170,7 +151,7 @@ def compute_c_l(
             lo = mid
         else:
             hi = mid
-    return ClResult(lo, False, True)
+    return ClResult(lo, False)
 
 
 def em_qs_bound(c_l: float, rho: float, q: float, s: float) -> float:
@@ -196,7 +177,6 @@ class AdmissibilityReport:
     c_l: float
     cap: float
     c_l_at_cap: bool
-    scan_monotone: bool
     bound_e: float
     bound_em: float | None
     bound_em_qs: float | None
@@ -220,7 +200,7 @@ def a_bounds(
     upper end is infinite and Q2 defaults to 2.
     """
     res = compute_c_l(model, dist)
-    c_l_val, at_cap, mono = res.value, res.at_cap, res.scan_monotone
+    c_l_val, at_cap = res.value, res.at_cap
 
     rho = model.rho
     d_sup = model.drift_gap_sq
@@ -256,7 +236,6 @@ def a_bounds(
         c_l=c_l_val,
         cap=_cap(model),
         c_l_at_cap=at_cap,
-        scan_monotone=mono,
         bound_e=bound_e,
         bound_em=bound_em,
         bound_em_qs=bound_em_qs,
@@ -312,17 +291,6 @@ def select_measure(
             condition=f"bound_{level.lower()}",
         )
     return MeasureSelection(float(a), level, settings.epsilon1, settings.epsilon2), report
-
-
-def theta(model: ValidatedModel, selection: MeasureSelection, t: float, v: float):
-    """Market price of risk (1/sqrt(1-rho^2)) ((mu_t - r)/sqrt(v) - a rho sqrt(v))."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0):
-        raise DomainError("variance must be > 0")
-    sv = np.sqrt(v)
-    gap = model.mu(t) - model.r
-    out = (gap / sv - selection.a * model.rho * sv) / math.sqrt(1.0 - model.rho**2)
-    return out if out.ndim else float(out)
 
 
 def q_dynamics(model: ValidatedModel, selection: MeasureSelection) -> tuple[float, float]:

@@ -185,7 +185,7 @@ def _run_chunk(
     st[2] = p.v0
     trunc = 0
     active_total = 0
-    log_x_at = {float(nodes[k - 1]): np.empty(nc) for k in probe_steps}
+    log_x_at = {t: np.empty(nc) for ts in probe_steps.values() for t in ts}
     bundles = [] if record_full else None
 
     def stage(s, target, zb, zw, hit, mk, drift):
@@ -313,8 +313,8 @@ def _run_chunk(
                 if record_full:
                     snaps.append(tst.copy())
                 e = nxt
-            if (k + 1) in probe_steps:
-                log_x_at[t_next][lo:hi] = tst[4]
+            for t in probe_steps.get(k + 1, ()):
+                log_x_at[t][lo:hi] = tst[4]
         if record_full:
             bundles += _assemble_bundles(model, measure_tag, np.stack(snaps), tile)
 
@@ -395,12 +395,12 @@ def simulate(
     runs = chunks(n_paths)
 
     dt_u = p.T / n_steps
-    probe_steps = set()
+    probe_steps = {}  # step k -> the probe times given at the end of step k
     for t in probe_times:
         k = round(t / dt_u)
         if abs(k * dt_u - t) > 1e-9 * max(p.T, 1.0) or not 1 <= k <= n_steps:
             raise DomainError(f"probe time {t} is not on the uniform grid")
-        probe_steps.add(k)
+        probe_steps.setdefault(k, []).append(t)
 
     tw = -(-runs[0][1] // 2)  # path tile width: half the run's chunk width
 

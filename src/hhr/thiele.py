@@ -27,7 +27,9 @@ __all__ = [
     "equivalence_premium",
 ]
 
-_N_MATURITIES = 33  # Simpson nodes of the quadrature reserve
+# Simpson nodes of the quadrature reserve, 4m + 1 so that every other node
+# (the embedded half-resolution rule) is a Simpson rule too
+_N_MATURITIES = 33
 _REFINE_BUDGET = 1e-3  # relative Richardson error above which they are doubled
 
 
@@ -159,7 +161,7 @@ def reserve_quadrature(
     probs = lattice_probs(policy, t, T, _N_MATURITIES) if thetas else []
     fine = assemble(ss, probs, running)
     refined = False
-    if running and _N_MATURITIES >= 5 and len(ss[::2]) % 2:
+    if running:
         coarse = assemble(ss[::2], probs[::2], [(j, layers[::2]) for j, layers in running])
         worst = 0.0
         for i in policy.states:

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import hawkes, pide, special, thiele
 from .config import RunConfig
-from .errors import ConfigError
 from .markov import endowment_guarantee, pure_endowment, term_insurance
 from .measure import compute_c_l, lambda_cap
 from .model import ConstantJump, ExponentialJump, validate
@@ -57,20 +56,18 @@ CHECKS = (
 class Check:
     """One named verification item.
 
-    `value` is the fraction of the error budget consumed (pass iff <= the
-    budget `tolerance`, normally 1); `detail` carries the raw numbers.  A
-    retried check keeps its failed first try as `first_attempt`, a dict with
-    that try's `value` and `detail`.
+    `value` is the fraction of the error budget consumed (pass iff <= 1);
+    `detail` carries the raw numbers.  A retried check keeps its failed
+    first try as `first_attempt`, a dict with that try's `value` and
+    `detail`.
     """
 
     name: str
     kind: str
     detail: str
     value: float
-    tolerance: float
     passed: bool
     first_attempt: dict | None = None
-    hard: bool = True
     wall_time: float = 0.0
 
     @property
@@ -92,7 +89,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.hard)
+        return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
         doc = {
@@ -141,28 +138,26 @@ def _mean_se(x) -> tuple[float, float]:
 
 
 class _Suite:
-    def __init__(self, cfg: RunConfig):
+    def __init__(self):
         self.checks: list[Check] = []
-        self.scale = cfg.run.tolerances
 
     def guard(self, name, kind, compute, *, retry=False):
         """Run and record one check.  compute() -> (budget_used, detail); with
         `retry`, a statistical check, compute(tag): tag 0 first, and once more
-        on tag 1 if over budget, keeping the failed first attempt.  An
-        exception becomes a recorded failure."""
+        on tag 1 if over budget (used > 1), keeping the failed first attempt.
+        An exception becomes a recorded failure."""
         started = time.perf_counter()
-        budget = float(self.scale.get(name, 1.0))
         first = None
         try:
             used, detail = compute(0) if retry else compute()
-            if retry and used > budget:
+            if retry and used > 1.0:
                 first = {"value": float(used), "detail": detail}
                 used, detail = compute(1)
         except Exception as exc:  # checks must never abort the suite
             used, detail = math.inf, f"raised {type(exc).__name__}: {exc}"
         self.checks.append(
-            Check(name=name, kind=kind, detail=detail, value=float(used), tolerance=budget,
-                  passed=bool(used <= budget), first_attempt=first,
+            Check(name=name, kind=kind, detail=detail, value=float(used),
+                  passed=bool(used <= 1.0), first_attempt=first,
                   wall_time=time.perf_counter() - started)
         )
 
@@ -172,19 +167,14 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     individual check failures are recorded and never abort.
 
     The checks run in the order of CHECKS; all but girsanov_price_crosscheck
-    and lambda_cap_corner map one-to-one onto the acceptance criteria.  A
-    run.tolerances key that names no check is refused before the first
-    check runs.
+    and lambda_cap_corner map one-to-one onto the acceptance criteria.
     """
-    unknown = sorted(set(cfg.run.tolerances) - set(CHECKS))
-    if unknown:
-        raise ConfigError(f"run.tolerances names no check: {', '.join(unknown)}")
     model = cfg.validated_model()
     selection, adm = cfg.selection(model)  # inadmissible a aborts here
     dist = cfg.dist
     p = model.params
     run = cfg.run
-    suite = _Suite(cfg)
+    suite = _Suite()
     seed = run.seed
     g_level = p.S0 * math.exp(p.r * p.T)
 

@@ -46,6 +46,20 @@ class TestInterface:
                 selection=desk_selection, probe_times=(0.123456,),
             )
 
+    def test_probes_keyed_by_the_requested_times(self, desk_model, desk_selection):
+        # at 98 steps the end of step 49 is the float 49 * (1 / 98) =
+        # 0.49999999999999994, not 0.5; the probe is still found under 0.5
+        res = sde.simulate(
+            desk_model, DIST, "P", 40, 98, 3,
+            selection=desk_selection, probe_times=(0.5, 1.0), record_full=True,
+        )
+        node = 49 * (desk_model.T / 98)
+        assert node != 0.5
+        assert list(res.probes) == [0.5, 1.0]
+        x_49 = [b.X[np.flatnonzero(b.time_grid == node)[-1]] for b in res.bundles]
+        assert np.array_equal(res.probes[0.5], x_49)
+        assert np.array_equal(res.probes[1.0], res.terminal["X"])
+
 
 class TestDeterministicVariance:
     def test_matches_linear_ode(self):
@@ -359,8 +373,8 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
                 n_ev[jp] += 1.0
                 l_ev[jp] += mk
             snap()
-        if (k + 1) in probe_steps:
-            probes[t_next] = {"N": n_ev.copy(), "L": l_ev.copy(), "comp_n": comp_n.copy(),
+        if (k + 1) in probe_steps:  # keyed by the time a caller asks for, not the node
+            probes[(k + 1) * p.T / n_steps] = {"N": n_ev.copy(), "L": l_ev.copy(), "comp_n": comp_n.copy(),
                               "X": np.exp(log_x)}
     terminal = {"S": np.exp(log_s), "v": np.maximum(v, 0.0), "lam": lam, "N": n_ev,
                 "L": l_ev, "int_v": int_v, "X": np.exp(log_x)}

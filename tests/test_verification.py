@@ -7,7 +7,6 @@ import pytest
 
 from hhr import hawkes, markov, measure, model, pide, sde, thiele, verification
 from hhr.config import config_from_dict, default_config_dict
-from hhr.errors import ConfigError
 from hhr.rng import derive_seed
 from hhr.sde import simulate
 from hhr.verification import Check, VerificationReport, _Suite, run_verification
@@ -17,7 +16,7 @@ from conftest import desk_params
 
 class TestSuiteMechanics:
     def _suite(self):
-        return _Suite(config_from_dict(default_config_dict()))
+        return _Suite()
 
     def test_guard_records_exceptions_as_failures(self):
         suite = self._suite()
@@ -83,11 +82,11 @@ class TestSuiteMechanics:
         assert "first_attempt" not in suite.checks[0].to_dict()
 
     def test_retry_draws_fresh_and_leaves_the_shared_sample(self, monkeypatch):
-        # a zero budget makes compensator_q_weighted retry; rn_density's first
-        # attempt must still read the suite's P sample, not the retry's
+        # compensator_q_weighted's first attempt reads over budget, so it
+        # retries; rn_density's first attempt must still read the suite's P
+        # sample, not the retry's
         d = default_config_dict()
-        d["run"].update(paths=2000, grid="24x16x10x6",
-                        tolerances={"compensator_q_weighted": 0.0})
+        d["run"].update(paths=2000, grid="24x16x10x6")
         seed = d["run"]["seed"]
         drawn = []
 
@@ -95,7 +94,19 @@ class TestSuiteMechanics:
             drawn.append(simulate(*args, **kwargs))
             return drawn[-1]
 
+        guard = _Suite.guard
+
+        def over_budget_first(self, name, kind, compute, *, retry=False):
+            if name == "compensator_q_weighted":
+                inner = compute
+
+                def compute(tag):
+                    used, detail = inner(tag)
+                    return (2.0 if tag == 0 else used), detail
+            return guard(self, name, kind, compute, retry=retry)
+
         monkeypatch.setattr(verification, "simulate", recorded)
+        monkeypatch.setattr(_Suite, "guard", over_budget_first)
         checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
         assert checks["compensator_q_weighted"].retried
         assert [(s.measure_tag[0], s.seed) for s in drawn] == [
@@ -121,29 +132,11 @@ class TestSuiteMechanics:
         assert math.isnan(c.value) and not c.passed
         assert sum(not c.passed for c in checks.values()) == 1
 
-    def test_unknown_tolerance_key_is_refused(self, monkeypatch):
-        drawn = []  # a check that ran would have drawn a sample
-        monkeypatch.setattr(verification, "simulate", lambda *args, **kw: drawn.append(args))
-        d = default_config_dict()
-        d["run"].update(paths=1000, steps=64, grid="24x16x10x6",
-                        tolerances={"hawkes_mean_law": 2.0, "compensator_pp": 2.0})
-        with pytest.raises(ConfigError, match="names no check: compensator_pp$"):
-            run_verification(config_from_dict(d))
-        assert not drawn
-
     def test_check_names_are_the_report_rows_in_order(self):
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
         rep = run_verification(config_from_dict(d))
         assert tuple(c.name for c in rep.checks) == verification.CHECKS
-
-    def test_tolerance_override_scales_budget(self):
-        cfg = config_from_dict(default_config_dict())
-        cfg.run.tolerances["loose_check"] = 3.0
-        suite = _Suite(cfg)
-        suite.guard("loose_check", "exact-identity", lambda: (2.0, "within the widened budget"))
-        assert suite.checks[0].passed
-        assert suite.checks[0].tolerance == 3.0
 
 
 # VerificationReport.to_json() of TestReportSerialization.test_json_is_pinned
@@ -152,22 +145,18 @@ PINNED_JSON = """\
   "checks": [
     {
       "detail": "gap 1.0e-12",
-      "hard": true,
       "kind": "closed-form",
       "name": "steady",
       "passed": true,
       "retried": false,
-      "tolerance": 1.0,
       "value": 0.25
     },
     {
       "detail": "raised RuntimeError: boom",
-      "hard": true,
       "kind": "exact-identity",
       "name": "broken",
       "passed": false,
       "retried": false,
-      "tolerance": 2.0,
       "value": Infinity
     },
     {
@@ -176,12 +165,10 @@ PINNED_JSON = """\
         "detail": "attempt 0",
         "value": 1.5
       },
-      "hard": true,
       "kind": "independent-oracle",
       "name": "flaky",
       "passed": true,
       "retried": true,
-      "tolerance": 1.0,
       "value": 0.5
     }
   ],
@@ -199,11 +186,11 @@ class TestReportSerialization:
             config_digest="0123456789abcdef",
             checks=[
                 Check(name="steady", kind="closed-form", detail="gap 1.0e-12", value=0.25,
-                      tolerance=1.0, passed=True, wall_time=1.5),
+                      passed=True, wall_time=1.5),
                 Check(name="broken", kind="exact-identity", detail="raised RuntimeError: boom",
-                      value=math.inf, tolerance=2.0, passed=False),
+                      value=math.inf, passed=False),
                 Check(name="flaky", kind="independent-oracle", detail="attempt 1", value=0.5,
-                      tolerance=1.0, passed=True,
+                      passed=True,
                       first_attempt={"value": 1.5, "detail": "attempt 0"}),
             ],
         )
@@ -216,7 +203,7 @@ class TestReportSerialization:
             checks=[
                 Check(
                     name="x", kind="exact-identity", detail="d", value=0.1,
-                    tolerance=1.0, passed=True, wall_time=123.0,
+                    passed=True, wall_time=123.0,
                 )
             ],
         )
@@ -232,7 +219,7 @@ class TestReportSerialization:
             checks=[
                 Check(
                     name="bad", kind="closed-form", detail="d", value=9.0,
-                    tolerance=1.0, passed=False,
+                    passed=False,
                 )
             ],
         )
