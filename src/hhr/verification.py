@@ -56,19 +56,22 @@ CHECKS = (
 class Check:
     """One named verification item.
 
-    `value` is the fraction of the error budget consumed (pass iff <= 1);
-    `detail` carries the raw numbers.  A retried check keeps its failed
-    first try as `first_attempt`, a dict with that try's `value` and
-    `detail`.
+    `value` is the fraction of the error budget consumed, and the check
+    passes iff it is at most 1 (a NaN fails); `detail` carries the raw
+    numbers.  A retried check keeps its failed first try as
+    `first_attempt`, a dict with that try's `value` and `detail`.
     """
 
     name: str
     kind: str
     detail: str
     value: float
-    passed: bool
     first_attempt: dict | None = None
     wall_time: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= 1.0
 
     @property
     def retried(self) -> bool:
@@ -78,7 +81,7 @@ class Check:
         # wall_time excluded on purpose: reports must be byte-identical; a
         # first_attempt appears only on a retried check
         doc = {k: v for k, v in asdict(self).items() if k != "wall_time" and v is not None}
-        return doc | {"retried": self.retried}
+        return doc | {"passed": self.passed, "retried": self.retried}
 
 
 @dataclass
@@ -156,8 +159,7 @@ class _Suite:
         except Exception as exc:  # checks must never abort the suite
             used, detail = math.inf, f"raised {type(exc).__name__}: {exc}"
         self.checks.append(
-            Check(name=name, kind=kind, detail=detail, value=float(used),
-                  passed=bool(used <= 1.0), first_attempt=first,
+            Check(name=name, kind=kind, detail=detail, value=float(used), first_attempt=first,
                   wall_time=time.perf_counter() - started)
         )
 

@@ -186,11 +186,10 @@ class TestReportSerialization:
             config_digest="0123456789abcdef",
             checks=[
                 Check(name="steady", kind="closed-form", detail="gap 1.0e-12", value=0.25,
-                      passed=True, wall_time=1.5),
+                      wall_time=1.5),
                 Check(name="broken", kind="exact-identity", detail="raised RuntimeError: boom",
-                      value=math.inf, passed=False),
+                      value=math.inf),
                 Check(name="flaky", kind="independent-oracle", detail="attempt 1", value=0.5,
-                      passed=True,
                       first_attempt={"value": 1.5, "detail": "attempt 0"}),
             ],
         )
@@ -201,10 +200,7 @@ class TestReportSerialization:
             seed=1,
             config_digest="abc",
             checks=[
-                Check(
-                    name="x", kind="exact-identity", detail="d", value=0.1,
-                    passed=True, wall_time=123.0,
-                )
+                Check(name="x", kind="exact-identity", detail="d", value=0.1, wall_time=123.0)
             ],
         )
         doc = json.loads(rep.to_json())
@@ -217,10 +213,7 @@ class TestReportSerialization:
             seed=1,
             config_digest="abc",
             checks=[
-                Check(
-                    name="bad", kind="closed-form", detail="d", value=9.0,
-                    passed=False,
-                )
+                Check(name="bad", kind="closed-form", detail="d", value=9.0)
             ],
         )
         text = rep.table()
