@@ -11,10 +11,14 @@ which case they are upwinded; boundary rows carry one-sided convection with
 a vanishing second derivative, which preserves both exact solutions
 U = x and U = e^{-r(s-t)} at every node including the boundary.
 
-Execution: the x sweep calls LAPACK dgttrs once per y-node, whose factors
-differ per node; the y and z sweeps share one factorisation each and run
-the dgttrs recurrence one grid row at a time, vectorised across all their
-lines, in the same operations and order, so bit for bit as dgttrs.  The
+Execution: the y and z sweeps share one factorisation each and run the
+dgttrs recurrence one grid row at a time, vectorised across all their
+lines, in the same operations and order, so bit for bit as dgttrs.  The x
+sweep's factors differ per y-node.  On a grid of at least _X_ROW_LINES x
+lines (ny*nz) it runs the same row recurrence with per-line factors: each
+coefficient a (ny, 1) column, and at each row only the lines that pivot
+there swapped.  On a narrower grid, where a row is too short to repay
+numpy's per-call cost, it calls LAPACK dgttrs once per y-node.  The
 jump integral is one matrix product over y on a (y, x z) copy of the
 z-shifted layer.  Each Stepper owns a workspace allocated once, so a step
 allocates only the layer it returns.
@@ -45,6 +49,12 @@ _GL_NODES = 32
 _Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
 _BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
 _BRENT_MAXITER = 100  # and its default maxiter
+# From this many x lines (ny*nz) up, the x sweep runs as rows, vectorised
+# across all its lines; below, as one dgttrs call per y-node, which wins where
+# a row is too short to repay numpy's per-call overhead.  Measured: the two
+# cross between 512 and 640 lines at nx = 48, 128 and 256; rows are 10-20%
+# faster at 768 (the x stage alone, 2 cores, CHANGES.md has the table).
+_X_ROW_LINES = 768
 
 
 @dataclass(frozen=True)
@@ -330,21 +340,46 @@ def _solve_lines(fac, b: np.ndarray) -> None:
             raise ValueError(f"dgttrs rejected argument {-info}")
 
 
+def _row_factors(fac):
+    """Shared factors of the row solver: dgttrf's (dl, d, du, du2) as one
+    scalar per row, and per row the lines that pivot there, slice(None) for
+    all or None for none.  A one-node axis's None stays None."""
+    if fac is None:
+        return None
+    dl, d, du, du2, ipiv = (f.tolist() for f in fac)
+    swaps = [slice(None) if p != i + 1 else None for i, p in enumerate(ipiv)]
+    return dl, d, du, du2, swaps
+
+
+def _line_factors(facs):
+    """Per-line factors of the row solver: the dgttrf factors of each line
+    stacked into (n, lines, 1) columns, so a row (lines, m) of the right-hand
+    sides broadcasts against them, and per row the indices of the lines that
+    pivot there (None where none does)."""
+    dl, d, du, du2, ipiv = (np.stack(f, axis=1)[..., None] for f in zip(*facs))
+    rows = np.arange(1, len(d) + 1)[:, None]
+    swaps = [np.flatnonzero(s) if s.any() else None for s in ipiv[..., 0] != rows]
+    return list(dl), list(d), list(du), list(du2), swaps
+
+
 def _solve_rows(fac, b: np.ndarray, tmp: np.ndarray) -> None:
     """Overwrite b with the solutions of its lines, one line per position of
     the rows b[0], ..., b[n-1]: the dgttrs recurrence (LAPACK dgtts2, no
     transpose) in its operations and their order, run one row at a time and
-    vectorised across the lines; tmp is scratch of one row's shape."""
+    vectorised across the lines; tmp is scratch of one row's shape.  fac is
+    _row_factors' (one factorisation shared by every line) or _line_factors'
+    (each line its own, its coefficients broadcast along a row)."""
     if fac is None:
         return
-    dl, d, du, du2, ipiv = (f.tolist() for f in fac)
+    dl, d, du, du2, swaps = fac
     n = len(d)
     row = list(b)  # views, indexed once
     for i in range(n - 1):
-        if ipiv[i] != i + 1:  # pivot: rows i and i+1 swap before the update
+        s = swaps[i]
+        if s is not None:  # pivot: these lines swap rows i and i+1 before the update
             np.copyto(tmp, row[i])
-            np.copyto(row[i], row[i + 1])
-            np.copyto(row[i + 1], tmp)
+            row[i][s] = row[i + 1][s]
+            row[i + 1][s] = tmp[s]
         np.multiply(row[i], dl[i], out=tmp)
         np.subtract(row[i + 1], tmp, out=row[i + 1])
     np.divide(row[n - 1], d[n - 1], out=row[n - 1])
@@ -363,11 +398,13 @@ class Stepper:
     """Shared spatial discretization of the generator; prices and reserves
     both step through it.
 
-    Each Stepper owns a workspace of three layer-sized buffers and one row,
-    allocated once and reused by every step, so a Stepper serves one caller
-    at a time.  `jump_term` and `mixed_term` return views of it, valid until
-    the next call; `explicit_terms`, `implicit_sweeps`, `step` and
-    `generator` return fresh arrays."""
+    Each Stepper owns a workspace of three layer-sized buffers and one row
+    of scratch (the largest of an (nz, nx), a (ny, nx) and an (ny, nz) grid
+    row, the last the x sweep's when it runs as rows), allocated once and
+    reused by every step, so a Stepper serves one caller at a time.
+    `jump_term` and `mixed_term` return views of it, valid until the next
+    call; `explicit_terms`, `implicit_sweeps`, `step` and `generator` return
+    fresh arrays."""
 
     def __init__(self, grid: Grid4, model: ValidatedModel, selection: MeasureSelection,
                  dist: JumpDistribution):
@@ -391,12 +428,15 @@ class Stepper:
         self._cache = {}
         # _a and _b hold in turn the jump term's stages, the mixed term's
         # differences, W, the source term and the sweeps' transposed lines;
-        # _mixed keeps the zero border of the mixed term
+        # _mixed keeps the zero border of the mixed term; _w is W's (x, y, z)
+        # view of _b, where a wide x sweep solves in place
         cells = nx * ny * nz
         self._a = np.empty(cells)
         self._b = np.empty(cells)
+        self._w = self._b.reshape(nx, ny, nz)
         self._mixed = np.zeros((nx, ny, nz))
-        self._row = np.empty(max(ny, nz) * nx)
+        self._x_rows = ny * nz >= _X_ROW_LINES
+        self._row = np.empty(max(ny * nx, nz * nx, ny * nz))
 
     @property
     def dt_max_explicit(self) -> float:
@@ -442,27 +482,38 @@ class Stepper:
     def _factors(self, dt: float):
         key = round(dt, 15)
         if key not in self._cache:
+            x = [_tridiag_factors(*op, dt) for op in self.x_ops]
             self._cache[key] = {
-                "x": [_tridiag_factors(*op, dt) for op in self.x_ops],
-                "y": _tridiag_factors(*self.y_op, dt),
-                "z": _tridiag_factors(*self.z_op, dt),
+                "x": _line_factors(x) if self._x_rows else x,
+                "y": _row_factors(_tridiag_factors(*self.y_op, dt)),
+                "z": _row_factors(_tridiag_factors(*self.z_op, dt)),
             }
         return self._cache[key]
 
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt*A_x), then (I - dt*A_y), then (I - dt*A_z).
 
-        x goes to LAPACK one y-slice at a time (its factors differ per y),
-        on Fortran-ordered columns of a (y, z, x) copy; y and z share one
-        factorisation each and are solved row by row, vectorised across
-        their lines, in place in the (y, z, x) and then a (z, y, x) copy.
+        x's factors differ per y.  With at least _X_ROW_LINES x lines, x
+        is solved row by row across all of them with per-line factors, in
+        place in the workspace's (x, y, z) layer (a caller's W is copied
+        there first and left intact), before the (y, z, x) copy.  Below
+        that, x goes to LAPACK one y-slice at a time, on Fortran-ordered
+        columns of the (y, z, x) copy.  y and z share one factorisation
+        each and are solved row by row, vectorised across their lines, in
+        place in the (y, z, x) and then a (z, y, x) copy.
         """
         nx, ny, nz = self.grid.shape
         fac = self._factors(dt)
         lines = self._a.reshape(ny, nz, nx)
-        np.copyto(lines, W.transpose(1, 2, 0))
-        for k in range(ny):
-            _solve_lines(fac["x"][k], lines[k].T)
+        if self._x_rows:
+            if W is not self._w:
+                np.copyto(self._w, W)
+            _solve_rows(fac["x"], self._w, self._row[: ny * nz].reshape(ny, nz))
+            np.copyto(lines, self._w.transpose(1, 2, 0))
+        else:
+            np.copyto(lines, W.transpose(1, 2, 0))
+            for k in range(ny):
+                _solve_lines(fac["x"][k], lines[k].T)
         _solve_rows(fac["y"], lines, self._row[: nz * nx].reshape(nz, nx))
         rows = self._b.reshape(nz, ny, nx)
         np.copyto(rows, lines.transpose(1, 0, 2))
@@ -475,7 +526,7 @@ class Stepper:
         bound = self.dt_max_explicit
         n = 1 if dt <= bound * (1 + 1e-12) else math.ceil(dt / bound)
         dt = dt / n
-        W = self._b.reshape(self.grid.shape)
+        W = self._w
         for _ in range(n):
             self.explicit_terms(U, out=W)
             W *= dt

@@ -432,6 +432,14 @@ def _dgttrs_rows(fac, b):
     return lines.reshape(b.shape)
 
 
+def _dgttrf_random(rng, n):
+    """dgttrf factors of a random system that is not diagonally dominant."""
+    *fac, info = dgttrf(rng.uniform(0.5, 2.0, n - 1), rng.uniform(-0.1, 0.1, n),
+                        rng.uniform(0.5, 2.0, n - 1))
+    assert info == 0
+    return fac
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -452,8 +460,11 @@ class TestImplicitSweeps:
             ({}, (64, 48, 1, 16), (48, 1, 16)),
             ({}, (128, 128, 64, 32), (128, 64, 32)),  # layers past a core's L2
             ({}, (1024, 12, 8, 4), (12, 8, 4)),  # the grid of verify's classical reduction
+            ({}, (8, 16, 13, 59), (16, 13, 59)),  # 767 x lines: one dgttrs per y-node
+            ({}, (8, 16, 24, 32), (16, 24, 32)),  # 768 x lines: as rows
+            ({}, (8, 16, 1, 1024), (16, 1, 1024)),  # as rows, one y-node
         ],
-        ids=["desk", "nz1", "ny1", "fine", "long"],
+        ids=["desk", "nz1", "ny1", "fine", "long", "below", "at", "wide_ny1"],
     )
     def test_match_banded_reference(self, overrides, shape, expected):
         m = _mk(**overrides)
@@ -461,6 +472,8 @@ class TestImplicitSweeps:
         grid = pide.build_grid(m, 1.0, *shape)
         assert grid.shape == expected
         st = pide.Stepper(grid, m, sel, DIST)
+        assert pide._X_ROW_LINES == 768  # the "below" and "at" grids straddle it
+        assert st._x_rows == (expected[1] * expected[2] >= pide._X_ROW_LINES)
         W = np.random.default_rng(3).uniform(0.0, 200.0, grid.shape)
         dt = grid.t[1] - grid.t[0]
         for step in (dt, 0.5 * dt):
@@ -474,20 +487,38 @@ class TestImplicitSweeps:
     def test_row_solver_is_dgttrs_bit_for_bit(self, setup):
         m, sel, grid = setup
         st = pide.Stepper(grid, m, sel, DIST)
-        fac = st._factors(grid.t[1] - grid.t[0])
+        dt = grid.t[1] - grid.t[0]
         rng = np.random.default_rng(11)
-        # a system that is not diagonally dominant, so dgttrf pivots on some
-        # rows and not on others
-        *pivoting, info = dgttrf(rng.uniform(0.5, 2.0, 8), rng.uniform(-0.1, 0.1, 9),
-                                 rng.uniform(0.5, 2.0, 8))
-        assert info == 0
-        swapped = pivoting[-1] != np.arange(1, 10)
-        assert swapped.any() and not swapped.all()
-        for f in (fac["y"], fac["z"], pivoting):
+        # systems that are not diagonally dominant, so dgttrf pivots on some
+        # rows and not on others, each on its own rows
+        pivoting = [_dgttrf_random(rng, 128) for _ in range(3)]
+        swapped = np.array([f[-1] != np.arange(1, 129) for f in pivoting])
+        assert swapped.any(axis=1).all() and not swapped.all(axis=1).any()
+        assert (swapped.any(axis=0) & ~swapped.all(axis=0)).any()
+        # a diagonally dominant system pivots nowhere
+        *dominant, info = dgttrf(rng.uniform(0.5, 1.0, 127), rng.uniform(3.0, 4.0, 128),
+                                 rng.uniform(0.5, 1.0, 127))
+        assert info == 0 and np.array_equal(dominant[-1], np.arange(1, 129))
+        # shared factors: every line solves the same system
+        for f in (pide._tridiag_factors(*st.y_op, dt), pide._tridiag_factors(*st.z_op, dt),
+                  pivoting[0]):
             b = rng.uniform(-100.0, 100.0, (len(f[1]), 5, 7))
             want = _dgttrs_rows(f, b)
-            pide._solve_rows(f, b, np.empty((5, 7)))
+            pide._solve_rows(pide._row_factors(f), b, np.empty((5, 7)))
             assert np.array_equal(_bits(b), _bits(want))
+        # per-line factors: each line its own system, among them the fine
+        # grid's x factors, which pivot at some (row, y-node) pairs
+        fine = _mk()
+        fine_grid = pide.build_grid(fine, 1.0, 128, 128, 64, 32)
+        fine_st = pide.Stepper(fine_grid, fine, sel, DIST)
+        fine_dt = fine_grid.t[1] - fine_grid.t[0]
+        x_facs = [pide._tridiag_factors(*op, fine_dt) for op in fine_st.x_ops]
+        assert any((f[-1] != np.arange(1, 129)).any() for f in x_facs)
+        lines = pivoting + [dominant] + x_facs + pivoting[::-1]
+        b = rng.uniform(-100.0, 100.0, (128, len(lines), 7))
+        want = np.stack([_dgttrs_rows(f, b[:, j]) for j, f in enumerate(lines)], axis=1)
+        pide._solve_rows(pide._line_factors(lines), b, np.empty((len(lines), 7)))
+        assert np.array_equal(_bits(b), _bits(want))
 
     @pytest.mark.parametrize("nz", [1, 2, 3, 7, 16])
     def test_jump_term_equals_the_tensordot_form(self, setup, nz):
@@ -509,8 +540,9 @@ class TestWorkspace:
             ({"alpha": 0.0}, (8, 16, 12, 16)),  # z collapses to one node
             ({}, (8, 16, 1, 8)),
             ({"alpha": 0.0}, (8, 16, 1, 8)),  # y and z of one node
+            ({}, (8, 16, 24, 32)),  # x swept as rows, in place in the workspace
         ],
-        ids=["desk", "nz1", "ny1", "ny1nz1"],
+        ids=["desk", "nz1", "ny1", "ny1nz1", "x_rows"],
     )
     def test_results_never_alias_the_workspace(self, overrides, shape):
         m = _mk(**overrides)
@@ -520,6 +552,7 @@ class TestWorkspace:
         owned = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
         dt = grid.t[1] - grid.t[0]
         U = np.random.default_rng(7).uniform(0.0, 200.0, grid.shape)
+        U_given = U.copy()
         first = st.step(U, dt)
         kept = first.copy()
         second = st.step(first, dt)
@@ -527,6 +560,7 @@ class TestWorkspace:
         layers = [(cur[0], cur[0].copy()) for _, cur in
                   pide.march(st, {0: grid.x}, grid.t, kinked=True)]
         results = [first, second, st.implicit_sweeps(U, dt), st.explicit_terms(U)]
+        assert np.array_equal(_bits(U), _bits(U_given))  # a caller's W is copied first
         for layer, copy in layers:
             assert np.array_equal(_bits(layer), _bits(copy))
             results.append(layer)
