@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import sys
@@ -83,9 +84,33 @@ def _reprs(values) -> list[str]:
     return [repr(v) for v in np.ravel(values).tolist()]
 
 
-def _cells(grid) -> list[tuple[str, str, str]]:
-    """(x, y, z) repr strings of every grid node, in C order of a layer."""
-    return list(itertools.product(_reprs(grid.x), _reprs(grid.y), _reprs(grid.z)))
+def _field(value) -> str:
+    """csv.writer's text for value as one field of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]  # drop the empty field's "," and the "\r\n"
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write header and then the rows of every block, byte for byte as
+    csv.writer would.  A block is a tuple of columns of field text, one
+    string per row (itertools.repeat for a constant); its rows are joined
+    into one string, so no file-sized string is built.  Fields are written
+    as given: a finite float's repr and an int need no quoting, other text
+    goes through _field."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for cols in blocks:
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
+
+
+def _grid_blocks(grid, lead, *layers):
+    """One block per x index of a layer's rows: the constant fields lead,
+    then x, y, z and each layer's value at the node, in C order."""
+    yz = [f"{y},{z}" for y, z in itertools.product(_reprs(grid.y), _reprs(grid.z))]
+    consts = [itertools.repeat(f) for f in lead]
+    for i, x in enumerate(_reprs(grid.x)):
+        yield (*consts, itertools.repeat(x), yz, *(_reprs(a[i]) for a in layers))
 
 
 def _cmd_admissible(cfg, args) -> int:
@@ -111,16 +136,12 @@ def _cmd_simulate(cfg, args) -> int:
         selection=sel, record_full=True,
     )
     out = args.out or "paths.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "t", "S", "v", "lambda", "N", "L", "X"])
-        for pid, b in enumerate(res.bundles):
-            for j in range(len(b.time_grid)):
-                w.writerow(
-                    [pid, repr(float(b.time_grid[j])), repr(float(b.S[j])),
-                     repr(float(b.v[j])), repr(float(b.lam[j])), int(b.N[j]),
-                     repr(float(b.L[j])), repr(float(b.X[j]))]
-                )
+    _write_csv(
+        out, ["path_id", "t", "S", "v", "lambda", "N", "L", "X"],
+        ((itertools.repeat(str(pid)), _reprs(b.time_grid), _reprs(b.S), _reprs(b.v),
+          _reprs(b.lam), [str(n) for n in b.N.astype(int).tolist()], _reprs(b.L), _reprs(b.X))
+         for pid, b in enumerate(res.bundles)),
+    )
     print(f"wrote {out} ({len(res.bundles)} paths, measure {res.measure_tag})")
     if args.events_out:
         with open(args.events_out, "w", newline="") as fh:
@@ -137,10 +158,7 @@ def _cmd_price(cfg, args) -> int:
     grid = pide.build_grid(model, maturity, *cfg.run.grid)
     sol = pide.solve_price_pide(pay, maturity, model, sel, cfg.dist, grid)
     out = args.out or "price.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "z", "U"])
-        w.writerows((*cell, u) for cell, u in zip(_cells(grid), _reprs(sol.values[0])))
+    _write_csv(out, ["x", "y", "z", "U"], _grid_blocks(grid, (), sol.values[0]))
     anchor = sol.at(0, model.S0, model.v0, model.lambda0)
     print(f"wrote {out}; price at (0, S0, v0, lambda0) = {anchor:.6f}")
     return 0
@@ -173,19 +191,19 @@ def _cmd_reserve(cfg, args) -> int:
         layers["quadrature"] = quad.values
     primary = layers.get("pide") or layers["quadrature"]
     out = args.out or "reserve.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["state", "t", "x", "y", "z", "V"]
-        if args.method == "both":
-            header.append("rel_diff")
-        w.writerow(header)
-        cells = _cells(grid)
+    header = ["state", "t", "x", "y", "z", "V"]
+    if args.method == "both":
+        header.append("rel_diff")
+
+    def blocks():
         for st in policy.states:
-            cols = [_reprs(primary[st])]
+            cols = [primary[st]]
             if args.method == "both":
                 a_val, b_val = layers["pide"][st], layers["quadrature"][st]
-                cols.append(_reprs(np.abs(a_val - b_val) / np.maximum(np.abs(b_val), 1e-12)))
-            w.writerows((st, 0.0, *cell, *vals) for cell, *vals in zip(cells, *cols))
+                cols.append(np.abs(a_val - b_val) / np.maximum(np.abs(b_val), 1e-12))
+            yield from _grid_blocks(grid, (_field(st), "0.0"), *cols)
+
+    _write_csv(out, header, blocks())
     print(f"wrote {out} (method {args.method})")
     return 0
 

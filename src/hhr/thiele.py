@@ -191,10 +191,18 @@ def thiele_march(
     dV_i/dt = r V_i - g_i - sum_k mu_ik (h_ik + V_k - V_i) - L V_i,
     V_i(T) = f_i(T, x).  The inter-state coupling and payment sources are
     explicit; the spatial factorizations are shared across states.
+
+    An inert state (zero terminal payoff, zero payment rate, no listed
+    intensity out of it) has the reserve 0 exactly: it is not marched and
+    gets no source, and every yielded map holds it as one +0.0 layer.
     """
     if abs(grid.t[-1] - policy.horizon) > 1e-12 * max(1.0, policy.horizon):
         raise ValueError("grid time axis must end at the policy horizon")
-    start = {i: policy.terminal_payoff(i)(policy.horizon, grid.x) for i in policy.states}
+    exits = {a for a, _ in policy.intensities}
+    live = [i for i in policy.states if i in exits
+            or not (policy.terminal_payoff(i).is_zero and policy.rate_payoff(i).is_zero)]
+    zero = np.zeros(grid.shape)
+    start = {i: policy.terminal_payoff(i)(policy.horizon, grid.x) for i in live}
 
     def source(i, cur, k):
         t_k = grid.t[k]
@@ -206,10 +214,11 @@ def thiele_march(
             mu = float(pw(t_k)) if a == i else 0.0
             if mu != 0.0:
                 h = np.asarray(policy.transition.get((a, b), ZERO)(t_k, grid.x), dtype=float)
-                out += mu * (h[:, None, None] + cur[b] - cur[i])
+                out += mu * (h[:, None, None] + cur.get(b, zero) - cur[i])
         return out
 
-    return march(Stepper(grid, model, selection, dist), start, grid.t, source=source)
+    marching = march(Stepper(grid, model, selection, dist), start, grid.t, source=source)
+    return ((k, {i: cur.get(i, zero) for i in policy.states}) for k, cur in marching)
 
 
 def solve_thiele_pide(

@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -430,6 +432,65 @@ class TestReserve:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(named)
+
+
+def _rewritten(path) -> bytes:
+    """csv.writer's bytes for the rows csv.reader reads back from path."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+_AWKWARD = 'a,"b"\nc'  # a comma, a double quote and a newline
+
+
+class TestCsvWriter:
+    """The joined writer gives csv.writer's bytes, \r\n included."""
+
+    def test_helper_matches_csv_writer(self, tmp_path):
+        names = [_AWKWARD, "", " lead", "plain", 'q"', "cr\r"]
+        values = [0.0, -0.0, 1.5, 1e-300, -2.5e16, 0.1]
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["state", "n", "V"])
+        for name in names:
+            w.writerows((name, n, v) for n, v in enumerate(values))
+        out = tmp_path / "rows.csv"
+        cli._write_csv(out, ["state", "n", "V"], (
+            (itertools.repeat(cli._field(name)), [str(n) for n in range(len(values))],
+             cli._reprs(values))
+            for name in names
+        ))
+        assert out.read_bytes() == buf.getvalue().encode()
+
+    def test_reserve_with_an_awkward_state_name(self, small_config, tmp_path, capsys):
+        pol = {
+            "states": [_AWKWARD, "dead"],
+            "horizon": 1.0,
+            "intensities": [{"from": _AWKWARD, "to": "dead", "rate_segments": [[0.0, 0.05]]}],
+            "terminal": [{"state": _AWKWARD, "payoff": {"kind": "guarantee", "value": 103.05}}],
+        }
+        ppath = tmp_path / "policy.json"
+        ppath.write_text(json.dumps({"policy": pol}))
+        out = tmp_path / "reserve.csv"
+        rc = cli.main(["--config", str(small_config), "reserve", "--policy", str(ppath),
+                       "--method", "both", "--grid", "8x6x4x3", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == _rewritten(out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == [_AWKWARD] * 72 + ["dead"] * 72
+
+    @pytest.mark.parametrize("command", [
+        ["price", "--payoff", "guarantee:103.05", "--grid", "8x6x4x3"],
+        ["simulate", "--paths", "3", "--steps", "64"],
+    ])
+    def test_price_and_simulate(self, small_config, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert cli.main(["--config", str(small_config), *command, "--out", str(out)]) == 0
+        assert out.read_bytes() == _rewritten(out)
 
 
 class TestVerify:

@@ -175,6 +175,60 @@ class TestTerminalExactness:
                 surf.values[state][1]
 
 
+class TestInertStates:
+    """A state with no terminal payoff, no payment rate and no listed exit
+    has the reserve 0 exactly and is not marched."""
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        calls = []
+        step = pide.Stepper.step
+
+        def counted(self, u, *args, **kwargs):
+            calls.append(u)
+            return step(self, u, *args, **kwargs)
+
+        monkeypatch.setattr(pide.Stepper, "step", counted)
+        return calls
+
+    # the desk shape at 8 steps, and a grid whose y factorisation pivots, where
+    # marching a zero layer leaves -0.0 at some nodes
+    @pytest.mark.parametrize("shape", [(8, 48, 24, 16), (4, 48, 48, 16)])
+    def test_matches_marching_every_state(self, shape, monkeypatch):
+        m = _mk()
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
+        grid = pide.build_grid(m, 1.0, *shape)
+        pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
+        want = _full_stack_thiele(pol, m, sel, grid)
+        steps = self._count_steps(monkeypatch)
+        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        assert len(steps) == len(grid.t) - 1  # "alive" only
+        assert surf.values["alive"][0].tobytes() == want["alive"][0].tobytes()
+        dead = surf.values["dead"][0]
+        assert dead.shape == grid.shape
+        assert np.all(dead == 0.0) and not np.any(np.signbit(dead))
+        assert np.array_equal(dead, want["dead"][0])
+        if shape[2] == 48:
+            assert np.any(np.signbit(want["dead"][0]))
+
+    def test_listed_exit_at_zero_rate_is_marched(self, monkeypatch):
+        m = _mk()
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
+        grid = pide.build_grid(m, 1.0, 4, 12, 8, 6)
+        pol = markov.PolicySpec(
+            states=("a", "b", "d"),
+            horizon=1.0,
+            intensities={("a", "d"): model.PiecewiseFlat.constant(0.02),
+                         ("b", "d"): model.PiecewiseFlat.constant(0.0)},
+            terminal={"a": payoff.constant(1.0)},
+        )
+        steps = self._count_steps(monkeypatch)
+        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        assert len(steps) == 2 * (len(grid.t) - 1)  # "a" and "b", not "d"
+        assert np.all(surf.values["b"][0] == 0.0)
+        assert np.all(surf.values["d"][0] == 0.0)
+
+
 class TestRouteConsistency:
     @pytest.mark.parametrize(
         "template",
