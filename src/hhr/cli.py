@@ -22,7 +22,7 @@ from .config import (
     read_json,
 )
 from .errors import HHRError
-from .hawkes import write_event_csv
+from .hawkes import lambda_after
 from .measure import a_bounds
 from .payoff import parse_payoff
 from .sde import simulate
@@ -144,8 +144,12 @@ def _cmd_simulate(cfg, args) -> int:
     )
     print(f"wrote {out} ({len(res.bundles)} paths, measure {res.measure_tag})")
     if args.events_out:
-        with open(args.events_out, "w", newline="") as fh:
-            write_event_csv(model, res.events, fh)
+        ev = res.events
+        _write_csv(
+            args.events_out, ["path_id", "event_index", "time", "mark", "lambda_after"],
+            [([str(i) for i in ev.path.tolist()], [str(k) for k in ev.rank.tolist()],
+              _reprs(ev.times), _reprs(ev.marks), _reprs(lambda_after(model, ev)))],
+        )
         print(f"wrote {args.events_out}")
     return 0
 

@@ -17,7 +17,6 @@ intensity, counts, compound sums and compensators at any time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ __all__ = [
     "l_at",
     "compensator",
     "martingale_residual_test",
-    "write_event_csv",
+    "lambda_after",
 ]
 
 _EVENT_CAP = 1_000_000  # events a path may hold before EventOverflow
@@ -93,6 +92,11 @@ class EventTable:
     def path(self) -> np.ndarray:
         """The path of each event."""
         return np.repeat(np.arange(self.counts.size), self.counts)
+
+    @property
+    def rank(self) -> np.ndarray:
+        """The index of each event among its path's events."""
+        return np.arange(self.times.size) - self.offsets[self.path]
 
     def head(self, n: int) -> EventTable:
         """The table of the first n paths."""
@@ -308,9 +312,8 @@ def martingale_residual_test(
     return rows
 
 
-def write_event_csv(model: ValidatedModel, table: EventTable, fileobj) -> None:
-    """Dump events as path_id, event_index, time, mark, lambda_after, the
-    closed-form intensity at the event with its own jump."""
+def lambda_after(model: ValidatedModel, table: EventTable) -> np.ndarray:
+    """The closed-form intensity at each event, with its own jump."""
     p = model.params
     t, path = table.times, table.path
     acc = np.zeros(t.size)
@@ -318,9 +321,4 @@ def write_event_csv(model: ValidatedModel, table: EventTable, fileobj) -> None:
     for lag in reversed(range(int(table.counts.max(initial=0)))):
         same = path[lag:] == path[: t.size - lag]
         acc[lag:][same] += np.exp(-p.beta * (t[lag:] - t[: t.size - lag])[same])
-    rank = np.arange(t.size) - table.offsets[path]
-    w = csv.writer(fileobj)
-    w.writerow(["path_id", "event_index", "time", "mark", "lambda_after"])
-    for row in zip(path.tolist(), rank.tolist(), t.tolist(), table.marks.tolist(),
-                   (p.lambda0 + p.alpha * acc).tolist()):
-        w.writerow([row[0], row[1], *map(repr, row[2:])])
+    return p.lambda0 + p.alpha * acc

@@ -26,32 +26,30 @@ array of times and marks plus per-path offsets), and runs its paths as
 path tiles of ceil(width / 2) rows, width being the run's chunk width: two
 tiles for a full chunk.  The stage arithmetic is elementwise per path, so
 the tiles are independent, and a tile's events are one contiguous slice of
-the table.  A tile sorts its events by step once.  Each uniform step then
-runs its first stage over every path of the tile, on the step's stage
-normals, to the path's first event of the step or to the step's end.
-After it, the stage loop walks from each event to the next: a stage
-gathers only the paths of the events just reached and runs each, on its
-event's normals, to its next event of the step or to the step's end, where
-it leaves the walk.  A path that has left the walk (or never entered it)
-sits at the step's end, where a stage of length 0 would leave its state
-unchanged exactly, so the walk is bit-identical to running every stage
-over every path.
+the table.  Each path runs its own schedule of the uniform nodes and its
+own events in rounds: round j runs one stage over every row of the tile to
+the row's j-th target, its next event if that lies in the row's current
+step and the step's end node otherwise.  A stage from a node (or 0) reads
+its step's stage normals, one from an event that event's normals; the
+drift is mu at the stage's start.  A row past its last target sits at T,
+where a stage of length 0 leaves its state unchanged exactly, so a tile
+runs n_steps plus its largest event count rounds, bit for bit as if each
+path ran alone.
 
-A stage writes every intermediate into one workspace, an (8, tile) float
+A stage writes every intermediate into one workspace, an (11, tile) float
 array and a (2, tile) bool array, with out=, keeping each Euler
 expression's operations in Python's left-to-right order, so its floats are
 those of the plain expressions.  The stage normals of a tile sit in a
-step-major (n_steps, 2, tile) buffer, so the first stage of step k reads
-the contiguous rows zs[k, 0] and zs[k, 1].  One helper thread draws them,
-from each chunk's one stage stream in path order, one tile ahead of the
-stage loop across chunk boundaries: tile t + 1 while tile t runs, and the
-first tile while the first chunk is thinned.  numpy's draws and copies
-release the GIL, so the helper runs on a second core.  It draws _TILE
-paths at a time into a small staging array, copied transposed into the
-tile's buffer.  The two tile buffers, the staging array and the workspace
-are allocated once per simulate call at the run's chunk width and reused
-by every chunk.  With threads=2 two chunk workers take alternate chunks,
-each with its own buffers and helper thread.
+step-major (n_steps, 2, tile) buffer, read with flat takes.  One helper
+thread draws them, from each chunk's one stage stream in path order, one
+tile ahead of the stage loop across chunk boundaries: tile t + 1 while
+tile t runs, and the first tile while the first chunk is thinned.  numpy's
+draws and copies release the GIL, so the helper runs on a second core.  It
+draws _TILE paths at a time into a small staging array, copied transposed
+into the tile's buffer.  The two tile buffers, the staging array and the
+workspace are allocated once per simulate call at the run's chunk width
+and reused by every chunk.  With threads=2 two chunk workers take
+alternate chunks, each with its own buffers and helper thread.
 """
 
 from __future__ import annotations
@@ -145,20 +143,8 @@ def _tile_normals(helper, zt, stg, draws):
 
 
 def _run_chunk(
-    model,
-    dist,
-    measure_tag,
-    selection,
-    n_steps,
-    seed,
-    chunk,
-    nc,
-    probe_steps,
-    record_full,
-    tw,
-    tiles,
-    ws,
-    wb,
+    model, dist, measure_tag, selection, n_steps, seed, chunk, nc, probe_k, record_full,
+    tw, tiles, ws, wb,
 ):
     p = model.params
     dt_u = p.T / n_steps
@@ -185,17 +171,17 @@ def _run_chunk(
     st[2] = p.v0
     trunc = 0
     active_total = 0
-    log_x_at = {t: np.empty(nc) for ts in probe_steps.values() for t in ts}
+    log_x_at = {t: np.empty(nc) for t in probe_k}
     bundles = [] if record_full else None
 
     def stage(s, target, zb, zw, hit, mk, drift):
         """Advance the state block s to `target` with the stock and variance
-        normals zb, zw and the stock drift `drift` (a value or one per row),
-        then jump the variance of its rows `hit` by eta times the marks mk.
-        A row already at its target moves by exactly 0.  Each update is the
-        full-truncation Euler expression in the comment above it, evaluated
-        operation by operation in Python's left-to-right order, with the
-        intermediates in rows 0-6 of ws and the masks in wb."""
+        normals zb, zw and the stock drift of each row, then jump the
+        variance of its rows `hit` by eta times the marks mk.  A row already
+        at its target moves by exactly 0.  Each update is the full-truncation
+        Euler expression in the comment above it, evaluated operation by
+        operation in Python's left-to-right order, with the intermediates in
+        rows 0-6 of ws and the masks in wb."""
         nonlocal trunc, active_total
         n = s.shape[1]
         dt, sq, vp, sv, t0, t1, t2 = ws[:7, :n]
@@ -263,58 +249,59 @@ def _run_chunk(
         cur_t[:] = target
         v[hit] += p.eta * mk
 
-    mu = (lambda t: p.r) if under_q else p.mu
+    mu = (lambda t: np.full(np.shape(t), p.r)) if under_q else p.mu
+    mu_k = mu(np.arange(n_steps) * dt_u)  # the drift from the start of step k
 
     for lo in range(0, nc, tw):
         hi = min(lo + tw, nc)
-        zs = next(tiles)
+        n = hi - lo
+        zs = next(tiles).reshape(-1)
         tile = table.rows(lo, hi)
-        ev_z = ez[table.offsets[lo]:table.offsets[hi]]
-        step = np.searchsorted(nodes, tile.times, side="left")
-        # the table is ordered by (path, time), so after a stable sort by step
-        # each step's events run in (path, time) order
-        sorter = np.argsort(step, kind="stable")
-        ev_path, ev_time, ev_mark, ev_z, ev_step = (
-            tile.path[sorter], tile.times[sorter], tile.marks[sorter], ev_z[sorter], step[sorter]
-        )
-        # cont[e]: the path of event e has its next event in the same step, at e + 1
-        cont = np.zeros(ev_step.size, dtype=bool)
-        cont[:-1] = (ev_path[1:] == ev_path[:-1]) & (ev_step[1:] == ev_step[:-1])
-        # a path's first event in a step (cont[-1] is False)
-        heads = np.flatnonzero(~np.roll(cont, 1))
-        step_lo = np.searchsorted(ev_step[heads], np.arange(n_steps + 1))
+        # a path reaches its event in round (the event's step + its rank among
+        # the path's events); the stable sort keeps path order in a round
+        rnd = np.searchsorted(nodes, tile.times, side="left") + tile.rank
+        order = np.argsort(rnd, kind="stable")
+        ev_row, ev_t, ev_mk = tile.path[order], tile.times[order], tile.marks[order]
+        # the stock and variance normals and the drift of a stage from each event
+        ev_from = np.vstack([ez[table.offsets[lo] + order].T, mu(ev_t)])
+        n_rounds = n_steps + int(tile.counts.max(initial=0))
+        # round j's events are ev_*[bounds[j + 1]:bounds[j + 2]]
+        bounds = np.searchsorted(rnd[order], np.arange(-1, n_rounds + 1))
+        due = {}  # round -> [(probe time, the rows that reach it in the round)]
+        for t, k in probe_k.items():
+            at = k - 1 + n_at(tile, nodes[k - 1])
+            for j in np.unique(at):
+                due.setdefault(int(j), []).append((t, np.flatnonzero(at == j)))
         tst = st[:, lo:hi]
         snaps = [tst.copy()] if record_full else None
+        kstep = np.zeros(n, dtype=np.intp)  # the step each row is in
+        cols, ix = np.arange(n), np.empty(n, dtype=np.intp)
+        target, start = ws[7, :n], ws[8:11, :n]
+        zb, zw, drift = start
 
-        for k in range(n_steps):
-            t_next = float(nodes[k])
-            e = heads[step_lo[k]:step_lo[k + 1]]  # each path's first event of the step
-            rows = ev_path[e]
-            # stage 0, over the tile: every row from k dt to its first event
-            # of the step, or to the step's end, on the step's normals
-            target = ws[7, :hi - lo]
-            target.fill(t_next)
-            target[rows] = ev_time[e]
-            stage(tst, target, *zs[k, :, :hi - lo], rows, ev_mark[e], mu(k * dt_u))
+        for j in range(n_rounds):
+            np.take(nodes, kstep, out=target)
+            # zs[kstep, 0, cols] and zs[kstep, 1, cols], taken flat
+            np.multiply(kstep, 2 * tw, out=ix)
+            ix += cols
+            np.take(zs, ix, out=zb)
+            ix += tw
+            np.take(zs, ix, out=zw)
+            np.take(mu_k, kstep, out=drift)
+            # a row that reached an event in the round before starts from it
+            prev, cur = slice(bounds[j], bounds[j + 1]), slice(bounds[j + 1], bounds[j + 2])
+            start[:, ev_row[prev]] = ev_from[:, prev]
+            rows = ev_row[cur]
+            target[rows] = ev_t[cur]
+            stage(tst, target, zb, zw, rows, ev_mk[cur], drift)
+            # a row that reached its node goes on to the next step, or stays at T
+            kstep += 1
+            kstep[rows] -= 1
+            np.minimum(kstep, n_steps - 1, out=kstep)
             if record_full:
                 snaps.append(tst.copy())
-            while e.size:
-                # the rows of the events e just reached walk, on those events'
-                # normals, to their next event of the step or to its end
-                rows = ev_path[e]
-                hit = np.flatnonzero(cont[e])
-                nxt = e[hit] + 1
-                target = ws[7, :e.size]
-                target.fill(t_next)
-                target[hit] = ev_time[nxt]
-                sub = tst[:, rows]
-                stage(sub, target, *ev_z[e].T, hit, ev_mark[nxt], mu(sub[0]))
-                tst[:, rows] = sub
-                if record_full:
-                    snaps.append(tst.copy())
-                e = nxt
-            for t in probe_steps.get(k + 1, ()):
-                log_x_at[t][lo:hi] = tst[4]
+            for t, rows in due.get(j, ()):
+                log_x_at[t][lo + rows] = tst[4, rows]
         if record_full:
             bundles += _assemble_bundles(model, measure_tag, np.stack(snaps), tile)
 
@@ -332,10 +319,11 @@ def _assemble_bundles(model, measure_tag, snaps, table):
     """Per-path merged grids from the stage snapshots (uniform + own events).
 
     snaps[j] is the state (t, log S, v, int v, log X) of every path of
-    `table` (a chunk's path tile) after stage j; lambda, N and L are read
-    off each path's events at its time there.  Zero-length stages duplicate a time point; the last snapshot at
-    each time wins so event nodes carry the post-jump (cadlag) values.  The
-    t = 0 row reads S0 itself, not exp(log S0).
+    `table` (a chunk's path tile) after round j; lambda, N and L are read
+    off each path's events at its time there.  Zero-length stages duplicate
+    a time point; the last snapshot at each time wins, so event nodes carry
+    the post-jump (cadlag) values.  The t = 0 row reads S0 itself, not
+    exp(log S0).
     """
     events = np.stack(
         [(lambda_at(model, table, t), n_at(table, t), l_at(table, t)) for t in snaps[:, 0]]
@@ -384,7 +372,7 @@ def simulate(
     (kappa_a, vbar_a); the event intensity dynamics are unchanged because the
     compensator is the same under both measures.  Under P the run carries
     the density process X of Q(a) (under Q, X stays 1).  Probe times must lie on
-    the uniform grid.  record_full keeps a snapshot per stage and is meant
+    the uniform grid.  record_full keeps a snapshot per round and is meant
     for small path counts (trajectory dumps), not estimator runs.
     """
     p = model.params
@@ -395,12 +383,12 @@ def simulate(
     runs = chunks(n_paths)
 
     dt_u = p.T / n_steps
-    probe_steps = {}  # step k -> the probe times given at the end of step k
+    probe_k = {}  # probe time -> k, the time being k dt, the end of step k - 1
     for t in probe_times:
         k = round(t / dt_u)
         if abs(k * dt_u - t) > 1e-9 * max(p.T, 1.0) or not 1 <= k <= n_steps:
             raise DomainError(f"probe time {t} is not on the uniform grid")
-        probe_steps.setdefault(k, []).append(t)
+        probe_k[t] = k
 
     tw = -(-runs[0][1] // 2)  # path tile width: half the run's chunk width
 
@@ -410,7 +398,7 @@ def simulate(
         # normals while the tile before runs
         zt = np.empty((2, n_steps, 2, tw))
         stg = np.empty((min(_TILE, tw), 2, n_steps))
-        ws = np.empty((8, tw))
+        ws = np.empty((11, tw))
         wb = np.empty((2, tw), dtype=bool)
         draws = []
         for c, nc in group:
@@ -422,7 +410,7 @@ def simulate(
             return [
                 _run_chunk(
                     model, dist, measure, selection, n_steps, seed, *chunk,
-                    probe_steps, record_full, tw, tiles, ws, wb,
+                    probe_k, record_full, tw, tiles, ws, wb,
                 )
                 for chunk in group
             ]

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import hawkes, pide, special, thiele
 from .config import RunConfig
+from .errors import DomainError
 from .markov import endowment_guarantee, pure_endowment, term_insurance
 from .measure import compute_c_l, lambda_cap
 from .model import ConstantJump, ExponentialJump, validate
@@ -171,6 +172,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     The checks run in the order of CHECKS; all but girsanov_price_crosscheck
     and lambda_cap_corner map one-to-one onto the acceptance criteria.
     """
+    if cfg.run.steps % 2:
+        raise DomainError(f"verify probes X at T/2, so run.steps must be even, got {cfg.run.steps}")
     model = cfg.validated_model()
     selection, adm = cfg.selection(model)  # inadmissible a aborts here
     dist = cfg.dist

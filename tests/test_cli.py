@@ -200,6 +200,7 @@ class TestSimulate:
         with open(ev) as fh:
             events = list(csv.DictReader(fh))
         assert events
+        assert ev.read_bytes() == _rewritten(ev)
         # each event is a node of its path, with the post-jump lambda and N
         for e in events:
             node = nodes[e["path_id"], e["time"]]
@@ -524,6 +525,18 @@ class TestVerify:
             "error: bad run section: run.paths must be >= 1, got 0"
         ]
         assert not (tmp_path / "verify").exists()
+
+    def test_odd_steps_is_one_error_line(self, small_config, tmp_path, capsys):
+        # X is probed at T/2, which an odd step count does not reach
+        d = json.loads(small_config.read_text())
+        d["run"]["steps"] = 99
+        small_config.write_text(json.dumps(d))
+        out = tmp_path / "verify"
+        assert cli.main(["--config", str(small_config), "verify", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: verify probes X at T/2, so run.steps must be even, got 99"
+        ]
+        assert not (out / "verification.json").exists()
 
     def test_inadmissible_tilt_refused(self, tmp_path, capsys):
         d = default_config_dict()

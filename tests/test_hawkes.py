@@ -272,7 +272,7 @@ class TestTableClosedForms:
     summed exactly.  They differ only by the rounding of sums of a few
     dozen positive terms, so 1e-13 relative bounds them."""
 
-    def test_match_per_path_reference(self, tmp_path):
+    def test_match_per_path_reference(self):
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         dist = model.ExponentialJump(2.0)
         table = hawkes.simulate_events(m, dist, 300, 29)
@@ -285,18 +285,13 @@ class TestTableClosedForms:
             np.testing.assert_allclose(hawkes.l_at(table, t), l_t, rtol=1e-13)
             np.testing.assert_allclose(lam_n, comp_n, rtol=1e-13)
             assert np.array_equal(lam_l, dist.mean * lam_n)
-        out = tmp_path / "events.csv"
-        with open(out, "w", newline="") as fh:
-            hawkes.write_event_csv(m, table, fh)
-        with open(out) as fh:
-            rows = np.array([[float(x) for x in line.split(",")] for line in fh.readlines()[1:]])
-        assert np.array_equal(rows[:, 0], table.path)
-        assert np.array_equal(rows[:, 2], table.times)
-        assert np.array_equal(rows[:, 3], table.marks)
-        for (i, k, t, _, lam_after) in rows:
+        lam_after = hawkes.lambda_after(m, table)
+        for e, (i, k) in enumerate(zip(table.path, table.rank)):
             # lambda just after an event: the path alone, evaluated at it
-            one = _table(table.times[table.offsets[int(i)]:][: int(k) + 1])
-            assert lam_after == pytest.approx(_path_reference(m, one, t)[0][0], rel=1e-13)
+            one = _table(table.times[table.offsets[i]:][: k + 1])
+            assert lam_after[e] == pytest.approx(
+                _path_reference(m, one, table.times[e])[0][0], rel=1e-13
+            )
 
 
 class TestMartingaleResiduals:
@@ -340,13 +335,11 @@ class TestCompoundMoments:
             assert abs(full - half) / max(abs(half), 1e-12) < 0.05
 
 
-class TestEventCsv:
-    def test_columns(self, tmp_path):
+class TestLambdaAfter:
+    def test_one_value_per_event(self):
         m = _mk(lambda0=3.0)
         table = hawkes.simulate_events(m, model.ConstantJump(0.5), 3, 2)
-        out = tmp_path / "events.csv"
-        with open(out, "w", newline="") as fh:
-            hawkes.write_event_csv(m, table, fh)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path_id,event_index,time,mark,lambda_after"
-        assert len(lines) == 1 + table.times.size
+        lam = hawkes.lambda_after(m, table)
+        assert lam.shape == table.times.shape
+        # a path's first event jumps from lambda0 alone
+        assert np.all(lam[table.rank == 0] == 3.0 + m.alpha)

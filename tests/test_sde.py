@@ -409,9 +409,10 @@ def _assert_bundles_equal(got_bundles, ref_bundles):
 
 
 class TestSubSteppedStageLoop:
-    """The stage loop runs only event rows after a step's first stage and
-    reads lambda, N and L off the events; it must reproduce the loop that
-    ran every stage over every path, and the closed forms its recursion."""
+    """The stage loop runs each path's own schedule of nodes and events in
+    rounds and reads lambda, N and L off the events; it must reproduce the
+    loop that ran every stage over every path, and the closed forms its
+    recursion."""
 
     @staticmethod
     def _pair(params, meas, n=120, n_steps=64, seed=23, table=None):
@@ -492,6 +493,9 @@ class TestSubSteppedStageLoop:
             [0.2, 1.0],  # one at T
             [(30 + f) * dt for f in (0.1, 0.3, 0.5, 0.7, 0.9)] + [0.95],  # five in one step
             [],
+            # 40 events, five in each of eight steps: the other rows sit at T
+            # through the last 34 rounds
+            [(k + f) * dt for k in range(10, 50, 5) for f in (0.1, 0.3, 0.5, 0.7, 0.9)],
         ]
         times = np.concatenate([np.asarray(t, dtype=float) for t in paths])
         marks = np.linspace(0.2, 1.4, times.size)
