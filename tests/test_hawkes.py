@@ -324,15 +324,43 @@ class TestMartingaleResiduals:
             assert abs(counts.mean() - en) <= 3 * se + 1e-12
 
 
+def _second_moment_ode(m, t):
+    """(E[N_t], E[N_t^2]) from the second-moment system of (lambda, N), with
+    m = E[lambda], n = E[N], u = E[lambda^2], w = E[N lambda], v = E[N^2]:
+    m' = beta lambda0 - (beta - alpha) m, n' = m,
+    u' = 2 beta lambda0 m - 2 (beta - alpha) u + alpha^2 m,
+    w' = beta lambda0 n - (beta - alpha) w + u + alpha m, v' = 2 w + m,
+    from (lambda0, 0, lambda0^2, 0, 0), solved numerically."""
+    a, b, l0 = m.alpha, m.beta, m.lambda0
+
+    def rhs(_, y):
+        em, n, u, w, _v = y
+        return [b * l0 - (b - a) * em, em, 2 * b * l0 * em - 2 * (b - a) * u + a * a * em,
+                b * l0 * n - (b - a) * w + u + a * em, 2 * w + em]
+
+    sol = solve_ivp(rhs, (0.0, t), [l0, 0.0, l0 * l0, 0.0, 0.0], rtol=1e-10, atol=1e-12)
+    return float(sol.y[1, -1]), float(sol.y[4, -1])
+
+
 class TestCompoundMoments:
-    def test_moments_stabilize_as_paths_double(self):
+    def test_second_moment_ode_at_the_desk(self):
+        m = _mk()
+        en, en2 = _second_moment_ode(m, m.T)
+        assert en == pytest.approx(float(hawkes.expected_events(m, m.T)), rel=1e-9)
+        assert en2 == pytest.approx(3.2413149, rel=1e-7)
+
+    def test_first_two_moments_match_the_ode(self):
+        # E[L] = n E[J], E[L^2] = n E[J^2] + (v - n) E[J]^2 for i.i.d. marks
         m = _mk()
         dist = model.ExponentialJump(2.0)
-        l_t = hawkes.l_at(hawkes.simulate_events(m, dist, 40_000, 19), m.T)
-        for s in (1, 2, 3, 4):
-            half = float(np.mean(l_t[:20_000] ** s))
-            full = float(np.mean(l_t**s))
-            assert abs(full - half) / max(abs(half), 1e-12) < 0.05
+        table = hawkes.simulate_events(m, dist, 40_000, 19)
+        n_t, l_t = table.counts.astype(float), hawkes.l_at(table, m.T)
+        en, en2 = _second_moment_ode(m, m.T)
+        j1, j2 = dist.moment(1), dist.moment(2)
+        for sample, exact in ((n_t, en), (n_t**2, en2), (l_t, en * j1),
+                              (l_t**2, en * j2 + (en2 - en) * j1**2)):
+            se = sample.std(ddof=1) / math.sqrt(sample.size)
+            assert abs(sample.mean() - exact) < 3 * se
 
 
 class TestLambdaAfter:
