@@ -1,15 +1,17 @@
 """Simulation and exact compensators of the self-exciting event process.
 
 The intensity solves d(lambda) = -beta*(lambda - lambda0)*dt + alpha*dN, so
-between events it decays exponentially toward lambda0 and the decaying value
-is itself a valid thinning bound.  Sampling is exact (Ogata thinning, no
-time discretization), which keeps the compensator-martingale tests free of
-scheme bias.
+between events its excess over lambda0 decays exponentially, and the wait
+to the next event is drawn exactly by inversion, from two exponentials and
+with no rejection (Dassios & Zhao, "Exact simulation of Hawkes process with
+exponentially decaying intensity", Electron. Commun. Probab. 18, 2013).
+Sampling is exact (no time discretization), which keeps the
+compensator-martingale tests free of scheme bias.
 
 Paths are drawn in chunks of _CHUNK paths, and each kind of random number
 of a chunk comes from its own stream (see rng), drawn path by path in
-order: the thinning blocks of each refill round and the marks, each in one
-call for the whole chunk, and for the diffusion (see sde) the stage
+order: the two exponentials of each event iteration and the marks, each in
+one call for the whole chunk, and for the diffusion (see sde) the stage
 normals, in path tiles, and the event normals.  Events are kept in
 one CSR table per batch of paths (EventTable), whose closed forms give the
 intensity, counts, compound sums and compensators at any time.
@@ -25,7 +27,8 @@ import numpy as np
 from .errors import DomainError, EventOverflow
 from .model import JumpDistribution, ValidatedModel
 from .rng import (
-    EVENT_NORMALS, EXPONENTIALS, MARKS, STAGE_NORMALS, UNIFORMS, path_rng, stream_index,
+    BASE_EXPONENTIALS, EVENT_NORMALS, EXCESS_EXPONENTIALS, MARKS, STAGE_NORMALS, path_rng,
+    stream_index,
 )
 
 __all__ = [
@@ -48,8 +51,8 @@ __all__ = [
 ]
 
 _EVENT_CAP = 1_000_000  # events a path may hold before EventOverflow
-_BLOCK = 64  # thinning candidates drawn per refill
 _CHUNK = 8192  # paths per chunk, the unit of the random streams (see rng)
+MIN_RESIDUAL_PATHS = 1000  # paths martingale_residual_test needs at least
 
 
 @dataclass(frozen=True)
@@ -124,70 +127,57 @@ def chunks(n_paths: int) -> list[tuple[int, int]]:
     return [(c, min(_CHUNK, n_paths - c * _CHUNK)) for c in range(-(-n_paths // _CHUNK))]
 
 
-def _stream(seed, chunk, kind, r=0) -> np.random.Generator:
-    """Generator of one kind of draw of a chunk, for refill round r (see rng)."""
-    return path_rng(seed, stream_index(chunk, kind, r))
+def _stream(seed, chunk, kind, j=0) -> np.random.Generator:
+    """Generator of one kind of draw of a chunk, for event iteration j (see rng)."""
+    return path_rng(seed, stream_index(chunk, kind, j))
 
 
-def _thin_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon):
-    """Exact thinning of the n paths of a chunk at once, with the
-    decaying-intensity bound.
+def _invert_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon):
+    """Exact event times of the n paths of a chunk at once, by inversion.
 
-    Refill round r draws a block of 64 unit exponentials and one of 64
-    uniforms for each path still live, in path order, from the chunk's
-    round-r streams.  All live paths take the same candidate index
-    together, with the float operations of the one-path algorithm (the
-    decay factor through math.exp: numpy's SIMD exp rounds some arguments
-    differently).  Returns (times, counts): the events ordered by path,
-    then by time.
+    With x = lambda(t+) - lambda0, the excess left by the events so far,
+    the wait to the next event is min(E0 / lambda0, -log1p(-beta E1 / x) /
+    beta), the second term counting only where beta E1 < x: beyond that the
+    excess decays away before its own event.  Iteration j draws the unit
+    exponentials E0 and E1 for each path still live, in path order, from
+    the chunk's iteration-j streams; a path whose event falls past the
+    horizon leaves, and every other gets its (j + 1)-th event, with x
+    decayed over the wait and raised by alpha.  Returns (times, counts):
+    the events ordered by path, then by time.
     """
-    count = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
     t = np.zeros(n)
-    lam = np.full(n, float(lambda0))  # intensity just after t; a bound while decaying
+    x = np.zeros(n)
     hit_path, hit_time = [], []
-    col = _BLOCK
-    rnd = 0
+    j = 0  # events each live path holds
     while live.size:
-        if col == _BLOCK:
-            shape = (live.size, _BLOCK)
-            exps = _stream(seed, chunk, EXPONENTIALS, rnd).standard_exponential(shape)
-            unis = _stream(seed, chunk, UNIFORMS, rnd).random(shape)
-            row = np.arange(live.size)  # each live path's row in the blocks
-            rnd += 1
-            col = 0
-        wait = exps[row, col] / lam
+        if j > _EVENT_CAP:
+            raise EventOverflow(
+                f"path exceeded {_EVENT_CAP} events; raise the cap only if intended"
+            )
+        e0 = _stream(seed, chunk, BASE_EXPONENTIALS, j).standard_exponential(live.size)
+        e1 = _stream(seed, chunk, EXCESS_EXPONENTIALS, j).standard_exponential(live.size)
+        wait = e0 / lambda0
+        reach = beta * e1 < x
+        wait[reach] = np.minimum(wait[reach], -np.log1p(-beta * e1[reach] / x[reach]) / beta)
         t = t + wait
         inside = t <= horizon
         if not inside.all():
-            live, row, t, lam, wait = (x[inside] for x in (live, row, t, lam, wait))
-        decay = np.fromiter(map(math.exp, (-beta * wait).tolist()), float, wait.size)
-        lam_cand = lambda0 + (lam - lambda0) * decay
-        accept = unis[row, col] * lam <= lam_cand
-        col += 1
-        hits = live[accept]
-        if hits.size:
-            count[hits] += 1
-            if count[hits].max() > _EVENT_CAP:
-                raise EventOverflow(
-                    f"path exceeded {_EVENT_CAP} events; raise the cap only if intended"
-                )
-            hit_path.append(hits)
-            hit_time.append(t[accept])
-        # accepted: jump by alpha; rejected: the tightened bound
-        lam = np.where(accept, lam_cand + alpha, lam_cand)
-    del exps, unis  # the last round's blocks (8 MiB at 8192 paths in round 0) before the sort
-    if not hit_path:
-        return np.empty(0), count
-    by_path = np.argsort(np.concatenate(hit_path), kind="stable")
-    return np.concatenate(hit_time)[by_path], count
+            live, t, x, wait = (v[inside] for v in (live, t, x, wait))
+        hit_path.append(live)
+        hit_time.append(t)
+        x = x * np.exp(-beta * wait) + alpha
+        j += 1
+    paths = np.concatenate(hit_path)
+    times = np.concatenate(hit_time)[np.argsort(paths, kind="stable")]
+    return times, np.bincount(paths, minlength=n)
 
 
 def draw_events(seed, chunk, n, p, dist: JumpDistribution) -> EventTable:
     """Event table of the n paths of chunk `chunk` (paths chunk * _CHUNK
-    onward) under the model parameters p: thinned in lockstep, then the
+    onward) under the model parameters p: drawn in lockstep, then the
     marks drawn in one call, in table order."""
-    times, count = _thin_lockstep(seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T)
+    times, count = _invert_lockstep(seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T)
     marks = dist.sample(_stream(seed, chunk, MARKS), times.size)
     return EventTable.from_counts(times, marks, count)
 
@@ -301,8 +291,8 @@ def martingale_residual_test(
     outside 3 standard errors.
     """
     n = table.counts.size
-    if n < 1000:
-        raise ValueError("need at least 1000 paths for a meaningful residual test")
+    if n < MIN_RESIDUAL_PATHS:
+        raise ValueError(f"need at least {MIN_RESIDUAL_PATHS} paths for a meaningful residual test")
     rows = []
     for t in times:
         lam_n, lam_l = compensator(model, table, mean_j, t)

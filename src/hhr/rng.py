@@ -3,14 +3,15 @@
 Paths are simulated in chunks of hawkes._CHUNK paths; chunk c covers paths
 c * _CHUNK onward.  Each kind of random number a chunk needs comes from its
 own Philox stream (Salmon et al., "Parallel random numbers: as easy as 1,
-2, 3", SC'11), path_rng(seed, stream_index(c, kind, refill)), and is drawn
+2, 3", SC'11), path_rng(seed, stream_index(c, kind, j)), and is drawn
 path by path in order: in one call for the whole chunk, or for the stage
 normals in consecutive calls over tiles of paths, which continue the
 stream and so draw the same numbers.  So a path's numbers depend on the
 seed and on the paths of its chunk up to itself only: a run of n paths is
 a prefix of a run of 2n, and the thread count changes nothing.  The kinds
-are the thinning exponentials and uniforms (a block per refill round), the
-marks, the stage normals and the event normals.
+are the two unit exponentials of each path's next event (one stream each
+per event iteration j, see hawkes), the marks, the stage normals and the
+event normals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-EXPONENTIALS, UNIFORMS, MARKS, STAGE_NORMALS, EVENT_NORMALS = range(5)
+EXCESS_EXPONENTIALS, BASE_EXPONENTIALS, MARKS, STAGE_NORMALS, EVENT_NORMALS = range(5)
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -28,10 +29,10 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_index(chunk: int, kind: int, refill: int = 0) -> int:
+def stream_index(chunk: int, kind: int, j: int = 0) -> int:
     """Stream of one kind of draw of a chunk: (chunk << 32) | (kind << 24) |
-    refill, refill counting the thinning refill rounds (below 2**24)."""
-    return (chunk << 32) | (kind << 24) | refill
+    j, j counting the event iterations (below 2**24)."""
+    return (chunk << 32) | (kind << 24) | j
 
 
 def derive_seed(seed: int, tag: str) -> int:

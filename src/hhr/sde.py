@@ -1,7 +1,7 @@
 """Joint simulation of (S, v, lambda, N, L) under the historical measure P or
 a tilted measure Q(a), with the pathwise change-of-measure process X.
 
-The events are drawn exactly (Ogata thinning, see hawkes), and lambda, N, L
+The events are drawn exactly (by inversion, see hawkes), and lambda, N, L
 and the compensator are hawkes' closed forms over them; the stage loop
 carries only the diffusion state (S, v, the running integral of v, X).
 Scheme: full-truncation Euler for the variance between events (v+ = max(v,0)
@@ -14,15 +14,15 @@ running integral of v is trapezoidal.
 
 Paths run in the chunks of hawkes.chunks, and each chunk draws every kind
 of random number from its own stream (see rng), path by path in order:
-the thinning blocks and the marks (hawkes.draw_events), the stage normals,
+the event waits and the marks (hawkes.draw_events), the stage normals,
 (2, n_steps) per path (hawkes.stage_normals), and the event normals, one
 (events, 2) array (hawkes.event_normals).  So a path's numbers depend on
 the seed and on the paths of its chunk up to itself only: a run is a
 prefix of any longer run at the same seed, and the thread count changes
 nothing.
 
-A chunk thins all its paths in lockstep into one CSR event table (one flat
-array of times and marks plus per-path offsets), and runs its paths as
+A chunk draws its paths' events in lockstep into one CSR event table (one
+flat array of times and marks plus per-path offsets), and runs its paths as
 path tiles of ceil(width / 2) rows, width being the run's chunk width: two
 tiles for a full chunk.  The stage arithmetic is elementwise per path, so
 the tiles are independent, and a tile's events are one contiguous slice of
@@ -43,13 +43,13 @@ those of the plain expressions.  The stage normals of a tile sit in a
 step-major (n_steps, 2, tile) buffer, read with flat takes.  One helper
 thread draws them, from each chunk's one stage stream in path order, one
 tile ahead of the stage loop across chunk boundaries: tile t + 1 while
-tile t runs, and the first tile while the first chunk is thinned.  numpy's
-draws and copies release the GIL, so the helper runs on a second core.  It
-draws _TILE paths at a time into a small staging array, copied transposed
-into the tile's buffer.  The two tile buffers, the staging array and the
-workspace are allocated once per simulate call at the run's chunk width
-and reused by every chunk.  With threads=2 two chunk workers take
-alternate chunks, each with its own buffers and helper thread.
+tile t runs, and the first tile while the first chunk's events are drawn.
+numpy's draws and copies release the GIL, so the helper runs on a second
+core.  It draws _TILE paths at a time into a small staging array, copied
+transposed into the tile's buffer.  The two tile buffers, the staging
+array and the workspace are allocated once per simulate call at the run's
+chunk width and reused by every chunk.  With threads=2 two chunk workers
+take alternate chunks, each with its own buffers and helper thread.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ _V_THETA_FLOOR = 1e-12
 # tile's draw and transposed copy took 34 ms in parts of 128 or 256 paths
 # and 35-47 ms in parts of 512 (numpy 2.4 on a 2-core x86-64 VM)
 _TILE = 128
+MIN_STEPS = 50  # uniform steps a run needs at least
 
 
 @dataclass(frozen=True)
@@ -378,8 +379,8 @@ def simulate(
     p = model.params
     if measure not in ("P", "Q"):
         raise ValueError("measure must be 'P' or 'Q'")
-    if n_steps < 50:
-        raise DomainError(f"n_steps must be >= 50, got {n_steps}")
+    if n_steps < MIN_STEPS:
+        raise DomainError(f"n_steps must be >= {MIN_STEPS}, got {n_steps}")
     runs = chunks(n_paths)
 
     dt_u = p.T / n_steps
@@ -406,7 +407,7 @@ def simulate(
             draws += [(gen, min(tw, nc - lo)) for lo in range(0, nc, tw)]
         with ThreadPoolExecutor(max_workers=1) as helper:
             tiles = _tile_normals(helper, zt, stg, draws)
-            next(tiles)  # the first tile is drawn while the first chunk is thinned
+            next(tiles)  # tile 0 is drawn during the first chunk's event draw
             return [
                 _run_chunk(
                     model, dist, measure, selection, n_steps, seed, *chunk,

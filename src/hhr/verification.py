@@ -36,7 +36,7 @@ from .measure import compute_c_l, lambda_cap
 from .model import ConstantJump, ExponentialJump, validate
 from .payoff import constant, guarantee, linear
 from .rng import derive_seed
-from .sde import simulate
+from .sde import MIN_STEPS, simulate
 
 __all__ = ["CHECKS", "Check", "VerificationReport", "run_verification"]
 
@@ -172,13 +172,17 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     The checks run in the order of CHECKS; all but girsanov_price_crosscheck
     and lambda_cap_corner map one-to-one onto the acceptance criteria.
     """
-    if cfg.run.steps % 2:
-        raise DomainError(f"verify probes X at T/2, so run.steps must be even, got {cfg.run.steps}")
+    run = cfg.run
+    if run.steps % 2:
+        raise DomainError(f"verify probes X at T/2, so run.steps must be even, got {run.steps}")
+    if run.steps < MIN_STEPS:
+        raise DomainError(f"run.steps must be >= {MIN_STEPS}, got {run.steps}")
+    if run.paths < hawkes.MIN_RESIDUAL_PATHS:
+        raise DomainError(f"run.paths must be >= {hawkes.MIN_RESIDUAL_PATHS}, got {run.paths}")
     model = cfg.validated_model()
     selection, adm = cfg.selection(model)  # inadmissible a aborts here
     dist = cfg.dist
     p = model.params
-    run = cfg.run
     suite = _Suite()
     seed = run.seed
     g_level = p.S0 * math.exp(p.r * p.T)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -49,71 +48,64 @@ def desk_report(desk_model, desk_dist):
     return measure.a_bounds(desk_model, desk_dist, measure.MeasureConfig())
 
 
-def scalar_thin(blocks, lambda0, alpha, beta, horizon):
-    """Reference: one path at a time, the thinning loop the lockstep thinner
-    replaced, taking each block of 64 candidates as the next (exponentials,
-    uniforms) pair of the iterator `blocks`.  Returns the event times and
-    the number of candidates drawn."""
+def scalar_invert(draw, lambda0, alpha, beta, horizon):
+    """Reference: one path by inversion, the loop that the lockstep sampler
+    runs over all paths of a chunk, with numpy's exp and log1p on
+    one-element arrays.  draw(j) gives the path's unit exponentials (E0,
+    E1) of event iteration j, each a one-element array.  Returns the event
+    times."""
     times = []
-    t = 0.0
-    lam = lambda0
-    ptr = 64
-    n_cand = 0
-    while True:
-        if ptr == 64:
-            exps, unis = next(blocks)
-            ptr = 0
-        wait = exps[ptr] / lam
+    t = x = np.zeros(1)
+    for j in itertools.count():
+        e0, e1 = draw(j)
+        wait = e0 / lambda0
+        if beta * e1 < x:
+            wait = np.minimum(wait, -np.log1p(-beta * e1 / x) / beta)
         t = t + wait
-        n_cand += 1
         if t > horizon:
-            break
-        lam_cand = lambda0 + (lam - lambda0) * math.exp(-beta * wait)
-        accept = unis[ptr] * lam <= lam_cand
-        ptr += 1
-        if accept:
-            times.append(t)
-            lam = lam_cand + alpha
-        else:
-            lam = lam_cand
-    return np.asarray(times), n_cand
+            return np.reshape(times, -1)
+        times.append(t)
+        x = x * np.exp(-beta * wait) + alpha
 
 
 def reference_draws(m, dist, n_paths, seed, n_steps=None, chunk=8192):
     """Reference: the draws of paths 0 .. n_paths - 1, chunk by chunk of
     `chunk` paths.  Chunk c draws each kind of number from the stream
-    path_rng(seed, (c << 32) | (kind << 24) | round), kinds 0-4 being the
-    thinning exponentials and uniforms (one stream per refill round), the
-    marks, the stage normals and the event normals.  Its paths are thinned
-    one at a time by scalar_thin, a path taking the next unused row of each
-    round's blocks; the marks and the normals are split in path order.
-    Returns one (times, marks, candidates) per path and, given n_steps,
-    also its (2, n_steps) stage normals and (events, 2) event normals."""
+    path_rng(seed, (c << 32) | (kind << 24) | j), kinds 0-4 being the unit
+    exponentials E1 and E0 of each event (one stream each per event
+    iteration j), the marks, the stage normals and the event normals.  Its
+    paths are drawn one at a time by scalar_invert, a path taking the next
+    unused number of each iteration's streams; the marks and the normals
+    are split in path order.  Returns one (times, marks, dropped) per path, dropped counting
+    the earlier paths of its chunk that had left before the path's last
+    iteration (its index in the chunk less its row there), and, given
+    n_steps, also its (2, n_steps) stage normals and (events, 2) event
+    normals."""
     p = m.params
     out = []
     for c, lo in enumerate(range(0, n_paths, chunk)):
         n = min(chunk, n_paths - lo)
 
-        def stream(kind, r=0):
-            return path_rng(seed, (c << 32) | (kind << 24) | r)
+        def stream(kind, j=0):
+            return path_rng(seed, (c << 32) | (kind << 24) | j)
 
-        rounds = []  # per refill round: its blocks and the rows taken so far
+        iterations = []  # per event iteration: its two streams and the rows taken
 
-        def blocks():
-            for r in itertools.count():
-                if r == len(rounds):
-                    shape = (n, 64)
-                    rounds.append([stream(0, r).standard_exponential(shape),
-                                   stream(1, r).random(shape), 0])
-                exps, unis, row = rounds[r]
-                rounds[r][2] += 1
-                yield exps[row], unis[row]
+        def draw(j):
+            if j == len(iterations):
+                iterations.append([stream(0, j), stream(1, j), 0])
+            iterations[j][2] += 1
+            return (iterations[j][1].standard_exponential(1),
+                    iterations[j][0].standard_exponential(1))
 
-        thinned = [scalar_thin(blocks(), p.lambda0, p.alpha, p.beta, p.T) for _ in range(n)]
-        counts = [times.size for times, _ in thinned]
+        times, dropped = [], []
+        for i in range(n):
+            times.append(scalar_invert(draw, p.lambda0, p.alpha, p.beta, p.T))
+            dropped.append(i + 1 - iterations[times[-1].size][2])
+        counts = [t.size for t in times]
         cut = np.cumsum(counts)[:-1]
         marks = np.split(dist.sample(stream(2), sum(counts)), cut)
-        rows = [(times, mk, n_cand) for (times, n_cand), mk in zip(thinned, marks)]
+        rows = list(zip(times, marks, dropped))
         if n_steps is not None:
             z = stream(3).standard_normal((n, 2, n_steps))
             ez = np.split(stream(4).standard_normal((sum(counts), 2)), cut)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hhr import cli
+from hhr import cli, hawkes, sde
 from hhr.config import config_from_dict, default_config_dict, load_config, parse_grid
 from hhr.errors import ConfigError
 from hhr.measure import MeasureConfig
@@ -527,16 +527,21 @@ class TestVerify:
         assert not (tmp_path / "verify").exists()
 
     def test_odd_steps_is_one_error_line(self, small_config, tmp_path, capsys):
-        # X is probed at T/2, which an odd step count does not reach
-        d = json.loads(small_config.read_text())
-        d["run"]["steps"] = 99
-        small_config.write_text(json.dumps(d))
-        out = tmp_path / "verify"
-        assert cli.main(["--config", str(small_config), "verify", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: verify probes X at T/2, so run.steps must be even, got 99"
-        ]
-        assert not (out / "verification.json").exists()
+        # X is probed at T/2, which an odd step count does not reach; the
+        # sample draws and the residual test have their own least sizes
+        for key, value, message in (
+            ("steps", 99, "verify probes X at T/2, so run.steps must be even, got 99"),
+            ("steps", 40, f"run.steps must be >= {sde.MIN_STEPS}, got 40"),
+            ("paths", 500, f"run.paths must be >= {hawkes.MIN_RESIDUAL_PATHS}, got 500"),
+        ):
+            d = json.loads(small_config.read_text())
+            d["run"][key] = value
+            config = tmp_path / f"{key}{value}.json"
+            config.write_text(json.dumps(d))
+            out = tmp_path / f"verify_{key}{value}"
+            assert cli.main(["--config", str(config), "verify", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+            assert not (out / "verification.json").exists()
 
     def test_inadmissible_tilt_refused(self, tmp_path, capsys):
         d = default_config_dict()

@@ -90,6 +90,9 @@ class TestThinning:
 
 
 class TestLockstepThinner:
+    """The lockstep inversion sampler against conftest.reference_draws,
+    which draws path by path."""
+
     @pytest.mark.parametrize(
         "params, dist",
         [
@@ -97,7 +100,7 @@ class TestLockstepThinner:
             (dict(), model.ExponentialJump(2.0)),
             # the bursty benchmark model
             (dict(lambda0=6.0, alpha=1.6, beta=2.0), model.ExponentialJump(2.0)),
-            # dense: many paths refill the 64-candidate block
+            # dense: dozens of events per path
             (dict(lambda0=20.0, alpha=3.0, beta=3.5), model.ConstantJump(0.5)),
         ],
     )
@@ -114,15 +117,16 @@ class TestLockstepThinner:
             assert np.array_equal(hp.marks, marks)
         if not params:
             assert min(r[0].size for r in ref) == 0
-        if params.get("lambda0") == 20.0:
-            assert sum(r[2] > 64 for r in ref) > 10
+        # many paths are drawn after earlier ones have left, at a row below their index
+        assert sum(r[2] > 0 for r in ref) > 10
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunks_draw_from_their_own_streams(self, chunk, monkeypatch):
         m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)
         dist = model.ExponentialJump(2.0)
         ref = reference_draws(m, dist, 40, 43, chunk=chunk)
-        assert max(r[2] for r in ref) > 128  # some path refills twice
+        # with more than one path per chunk, some path's row falls below its index
+        assert (max(r[2] for r in ref) > 0) == (chunk > 1)
         monkeypatch.setattr(hawkes, "_CHUNK", chunk)
         table = hawkes.simulate_events(m, dist, 40, 43)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
@@ -236,7 +240,9 @@ class TestCompensator:
     def test_residual_path_shape(self):
         m = _mk(lambda0=3.0)
         dist = model.ConstantJump(1.0)
-        table = hawkes.simulate_events(m, dist, 1, 33)
+        paths = hawkes.simulate_events(m, dist, 8, 33)
+        i = next(i for i, c in enumerate(paths.counts) if c >= 2)  # a path with two events or more
+        table = paths.rows(i, i + 1)
         assert table.times.size >= 2
 
         def resid(t):
@@ -343,12 +349,6 @@ def _second_moment_ode(m, t):
 
 
 class TestCompoundMoments:
-    def test_second_moment_ode_at_the_desk(self):
-        m = _mk()
-        en, en2 = _second_moment_ode(m, m.T)
-        assert en == pytest.approx(float(hawkes.expected_events(m, m.T)), rel=1e-9)
-        assert en2 == pytest.approx(3.2413149, rel=1e-7)
-
     def test_first_two_moments_match_the_ode(self):
         # E[L] = n E[J], E[L^2] = n E[J^2] + (v - n) E[J]^2 for i.i.d. marks
         m = _mk()
@@ -356,6 +356,8 @@ class TestCompoundMoments:
         table = hawkes.simulate_events(m, dist, 40_000, 19)
         n_t, l_t = table.counts.astype(float), hawkes.l_at(table, m.T)
         en, en2 = _second_moment_ode(m, m.T)
+        assert en == pytest.approx(float(hawkes.expected_events(m, m.T)), rel=1e-9)
+        assert en2 == pytest.approx(3.2413149, rel=1e-7)
         j1, j2 = dist.moment(1), dist.moment(2)
         for sample, exact in ((n_t, en), (n_t**2, en2), (l_t, en * j1),
                               (l_t**2, en * j2 + (en2 - en) * j1**2)):

@@ -595,13 +595,13 @@ class TestClosedFormTie:
 
 
 class TestStreams:
-    """The chunk streams against conftest.reference_draws, which thins path
-    by path and splits each kind of draw by path."""
+    """The chunk streams against conftest.reference_draws, which draws the
+    events path by path and splits each kind of draw by path."""
 
     def test_thinning_marks_and_normals_equal_the_path_generators(self):
-        m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)  # dense: paths refill, some twice
+        m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)  # dense: dozens of events per path
         ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
-        assert sum(r[2] > 64 for r in ref) > 10 and max(r[2] for r in ref) > 128
+        assert sum(r[2] > 0 for r in ref) > 10  # drawn after earlier paths left
         table = hawkes.draw_events(17, 1, 300, m.params, DIST)
         z = hawkes.stage_normals(17, 1).standard_normal((300, 2, 64))
         ez = hawkes.event_normals(17, 1, table.times.size)
@@ -700,18 +700,18 @@ def _sha(arrays):
 
 
 class TestGoldenDigests:
-    """simulate's outputs pinned as sha256 digests, recorded before the stage
-    loop ran in a workspace on blocked stage normals, and kept since it runs
-    in path tiles on normals drawn by a helper thread.  Chunks of 128 with
+    """simulate's outputs pinned as sha256 digests, recorded when the events
+    came to be drawn by inversion, with terminal values equal to
+    _full_width_reference's on the same draws.  Chunks of 128 with
     300 paths run two tiles of 64 paths each and a last chunk of 44 paths as
     one tile, shorter than the tile buffers; a staging array of 48 paths
     draws each tile of 64 in two parts, 48 and 16."""
 
     DIGESTS = {
-        ("P", 50): ("c1fd6954575a4623", "c6f117bb2f9b0f8c"),
-        ("Q", 50): ("967d7e1187ea66c2", "5760b54fad60174f"),
-        ("P", 98): ("3aef8994d5710cdc", "33566a7b722f4be8"),
-        ("Q", 98): ("e94f40afaf8d3b40", "4240b60593cd7894"),
+        ("P", 50): ("b3e58df5140c4e29", "ab031963cad9ec1f"),
+        ("Q", 50): ("31ecb9e9c088f515", "ccee810097d0f64e"),
+        ("P", 98): ("90c9c713d5afda23", "44c77f692adf8ea0"),
+        ("Q", 98): ("de0c543d672d4435", "19222a7dce3c3641"),
     }
 
     @pytest.mark.parametrize("meas, n_steps", sorted(DIGESTS))
