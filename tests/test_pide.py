@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
-from hhr import measure, model, payoff, pide
+from hhr import markov, measure, model, payoff, pide, thiele
 from hhr.config import config_from_dict, load_config
 
 from conftest import desk_params
@@ -594,3 +595,67 @@ class TestJumpQuadrature:
         inner = grid.y + m.eta * 0.5 <= grid.y[-1]
         expected = grid.z[None, None, :] * m.eta * 0.5
         assert np.allclose(term[:, inner, :], expected, atol=1e-10)
+
+
+def _sha(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPideGoldenDigests:
+    """The t = 0 surfaces of the PIDE's callers, pinned as sha256 digests of
+    their bits (-0.0 included) on the desk config: a guarantee price on the
+    desk shape at 8 steps, both reserve routes on the desk policy and grid, a
+    grid whose x sweep runs as rows, one whose y factorisation pivots, and
+    verify's classical-reduction grid, which substeps each of its 1024 steps."""
+
+    DIGESTS = {
+        "price_desk_shape": "570fff91b93aea8e",
+        "thiele_desk": "57f0bdada27af3be",
+        "quadrature_desk": "a171e4350cceec14",
+        "price_x_rows": "367846eaec54ba7d",
+        "price_y_pivots": "a5b086fe11ec2959",
+        "classical_reduction": "7db7834073390fc8",
+    }
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        cfg = load_config(DESK)
+        m = cfg.validated_model()
+        sel, _ = cfg.selection(m)
+        return cfg, m, sel
+
+    def _price(self, desk, shape):
+        cfg, m, sel = desk
+        grid = pide.build_grid(m, m.T, *shape)
+        g = cfg.policy.terminal_payoff("alive")
+        return [pide.solve_price_pide(g, m.T, m, sel, cfg.dist, grid).values[0]]
+
+    def _surfaces(self, desk, case):
+        cfg, m, sel = desk
+        pol = cfg.policy
+        if case == "price_desk_shape":
+            return self._price(desk, (8, 48, 24, 16))
+        if case == "price_x_rows":
+            return self._price(desk, (8, 16, 24, 32))
+        if case == "price_y_pivots":
+            return self._price(desk, (4, 48, 48, 16))
+        if case == "classical_reduction":
+            long_model = model.validate(dataclasses.replace(m.params, T=10.0))
+            long_sel, _ = cfg.selection(long_model)
+            grid = pide.build_grid(long_model, 10.0, 1024, 12, 8, 4)
+            surf = thiele.solve_thiele_pide(markov.term_insurance(10.0, 0.02), long_model,
+                                            long_sel, cfg.dist, grid)
+            return [surf.values[s][0] for s in surf.states]
+        grid = pide.build_grid(m, pol.horizon, *cfg.run.grid)
+        if case == "thiele_desk":
+            surf = thiele.solve_thiele_pide(pol, m, sel, cfg.dist, grid)
+            return [surf.values[s][0] for s in surf.states]
+        quad = thiele.reserve_quadrature(pol, m, sel, cfg.dist, grid, 0.0)
+        return [quad.values[s] for s in quad.states]
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_surfaces_equal_the_recorded_digests(self, desk, case):
+        assert _sha(self._surfaces(desk, case)) == self.DIGESTS[case]
