@@ -11,17 +11,23 @@ which case they are upwinded; boundary rows carry one-sided convection with
 a vanishing second derivative, which preserves both exact solutions
 U = x and U = e^{-r(s-t)} at every node including the boundary.
 
-Execution: the y and z sweeps share one factorisation each and run the
-dgttrs recurrence one grid row at a time, vectorised across all their
-lines, in the same operations and order, so bit for bit as dgttrs.  The x
-sweep's factors differ per y-node.  On a grid of at least _X_ROW_LINES x
-lines (ny*nz) it runs the same row recurrence with per-line factors: each
-coefficient a (ny, 1) column, and at each row only the lines that pivot
-there swapped.  On a narrower grid, where a row is too short to repay
-numpy's per-call cost, it calls LAPACK dgttrs once per y-node.  The
-jump integral is one matrix product over y on a (y, x z) copy of the
-z-shifted layer.  Each Stepper owns a workspace allocated once, so a step
-allocates only the layer it returns.
+Execution: a step takes a (B, nx, ny, nz) stack of surfaces, a single
+surface being a stack of one, and makes each numpy and LAPACK call once for
+the whole stack.  The y and z sweeps share one factorisation each and run
+the dgttrs recurrence one grid row at a time, vectorised across all their
+lines, in the same operations and order, except that a row's
+multiply-and-subtract is skipped where its factor (dl, du or du2) is 0 on
+every line: du and du2 of the lower-bidiagonal z axis, and du2 wherever no
+line pivots.  x - 0*y is x bit for bit unless x is -0.0 (or y is not
+finite), so the sweeps are dgttrs's bit for bit but for the sign of an
+exact zero.  The x sweep's factors differ per y-node.  On at least
+_X_ROW_LINES x lines (B*ny*nz) it runs the same row recurrence with
+per-line factors: each coefficient a (ny, 1) column, and at each row only
+the lines that pivot there swapped.  On fewer, where a row is too short to
+repay numpy's per-call cost, it calls LAPACK dgttrs once per y-node.  The jump integral is one matrix product
+over y on a (y, B x z) copy of the z-shifted stack.  Each Stepper owns a
+workspace, grown to the largest stack it serves, so a step allocates only
+the stack it returns.
 
 Of scipy, only LAPACK (scipy.linalg) loads, at import.  The variance axis's
 spacing is a root found by _brentq, a port of scipy's brentq.c that gives
@@ -49,12 +55,13 @@ _GL_NODES = 32
 _Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
 _BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
 _BRENT_MAXITER = 100  # and its default maxiter
-# From this many x lines (ny*nz) up, the x sweep runs as rows, vectorised
-# across all its lines; below, as one dgttrs call per y-node, which wins where
-# a row is too short to repay numpy's per-call overhead.  Measured: the two
-# cross between 512 and 640 lines at nx = 48, 128 and 256; rows are 10-20%
-# faster at 768 (the x stage alone, 2 cores, CHANGES.md has the table).
-_X_ROW_LINES = 768
+# From this many x lines (B*ny*nz for a stack of B) up, the x sweep runs as
+# rows, vectorised across all its lines; below, as one dgttrs call per y-node,
+# which wins where a row is too short to repay numpy's per-call overhead.
+# Measured (the x stage alone, 2 cores, CHANGES.md has the table): rows lose
+# at 384 lines and win from 448, by 5-12% there and by 30% at 768, at nx = 48,
+# 128 and 256 and every aspect tried.
+_X_ROW_LINES = 448
 
 
 @dataclass(frozen=True)
@@ -342,11 +349,13 @@ def _solve_lines(fac, b: np.ndarray) -> None:
 
 def _row_factors(fac):
     """Shared factors of the row solver: dgttrf's (dl, d, du, du2) as one
-    scalar per row, and per row the lines that pivot there, slice(None) for
-    all or None for none.  A one-node axis's None stays None."""
+    scalar per row, None where dl, du or du2 is 0, and per row the lines that
+    pivot there, slice(None) for all or None for none.  A one-node axis's
+    None stays None."""
     if fac is None:
         return None
     dl, d, du, du2, ipiv = (f.tolist() for f in fac)
+    dl, du, du2 = ([c if c != 0 else None for c in f] for f in (dl, du, du2))
     swaps = [slice(None) if p != i + 1 else None for i, p in enumerate(ipiv)]
     return dl, d, du, du2, swaps
 
@@ -354,19 +363,23 @@ def _row_factors(fac):
 def _line_factors(facs):
     """Per-line factors of the row solver: the dgttrf factors of each line
     stacked into (n, lines, 1) columns, so a row (lines, m) of the right-hand
-    sides broadcasts against them, and per row the indices of the lines that
-    pivot there (None where none does)."""
+    sides broadcasts against them, None where dl, du or du2 is 0 on every
+    line of a row, and per row the indices of the lines that pivot there
+    (None where none does)."""
     dl, d, du, du2, ipiv = (np.stack(f, axis=1)[..., None] for f in zip(*facs))
+    dl, du, du2 = ([c if c.any() else None for c in f] for f in (dl, du, du2))
     rows = np.arange(1, len(d) + 1)[:, None]
     swaps = [np.flatnonzero(s) if s.any() else None for s in ipiv[..., 0] != rows]
-    return list(dl), list(d), list(du), list(du2), swaps
+    return dl, list(d), du, du2, swaps
 
 
 def _solve_rows(fac, b: np.ndarray, tmp: np.ndarray) -> None:
     """Overwrite b with the solutions of its lines, one line per position of
     the rows b[0], ..., b[n-1]: the dgttrs recurrence (LAPACK dgtts2, no
     transpose) in its operations and their order, run one row at a time and
-    vectorised across the lines; tmp is scratch of one row's shape.  fac is
+    vectorised across the lines, but for the multiply-and-subtract of a
+    factor marked None, 0 on every line, which is skipped (exact but for
+    the sign of a zero); tmp is scratch of one row's shape.  fac is
     _row_factors' (one factorisation shared by every line) or _line_factors'
     (each line its own, its coefficients broadcast along a row)."""
     if fac is None:
@@ -374,23 +387,25 @@ def _solve_rows(fac, b: np.ndarray, tmp: np.ndarray) -> None:
     dl, d, du, du2, swaps = fac
     n = len(d)
     row = list(b)  # views, indexed once
+
+    def update(i, c, j):  # row[i] -= c * row[j], skipped where c is 0 on every line
+        if c is not None:
+            np.multiply(row[j], c, out=tmp)
+            np.subtract(row[i], tmp, out=row[i])
+
     for i in range(n - 1):
         s = swaps[i]
         if s is not None:  # pivot: these lines swap rows i and i+1 before the update
             np.copyto(tmp, row[i])
             row[i][s] = row[i + 1][s]
             row[i + 1][s] = tmp[s]
-        np.multiply(row[i], dl[i], out=tmp)
-        np.subtract(row[i + 1], tmp, out=row[i + 1])
+        update(i + 1, dl[i], i)
     np.divide(row[n - 1], d[n - 1], out=row[n - 1])
-    np.multiply(row[n - 1], du[n - 2], out=tmp)
-    np.subtract(row[n - 2], tmp, out=row[n - 2])
+    update(n - 2, du[n - 2], n - 1)
     np.divide(row[n - 2], d[n - 2], out=row[n - 2])
     for i in range(n - 3, -1, -1):
-        np.multiply(row[i + 1], du[i], out=tmp)
-        np.subtract(row[i], tmp, out=row[i])
-        np.multiply(row[i + 2], du2[i], out=tmp)
-        np.subtract(row[i], tmp, out=row[i])
+        update(i, du[i], i + 1)
+        update(i, du2[i], i + 2)
         np.divide(row[i], d[i], out=row[i])
 
 
@@ -398,9 +413,12 @@ class Stepper:
     """Shared spatial discretization of the generator; prices and reserves
     both step through it.
 
-    Each Stepper owns a workspace of three layer-sized buffers and one row
-    of scratch (the largest of an (nz, nx), a (ny, nx) and an (ny, nz) grid
-    row, the last the x sweep's when it runs as rows), allocated once and
+    Every method but `generator` takes a (B, nx, ny, nz) stack of surfaces,
+    stepped as one, or a single (nx, ny, nz) surface as a stack of one, and
+    returns the shape it is given.  Each Stepper owns a workspace of three
+    stack-sized buffers and one row of scratch (B times the largest of an
+    (nz, nx), a (ny, nx) and an (ny, nz) grid row, the last the x sweep's
+    when it runs as rows), grown to the largest stack it has served and
     reused by every step, so a Stepper serves one caller at a time.
     `jump_term` and `mixed_term` return views of it, valid until the next
     call; `explicit_terms`, `implicit_sweeps`, `step` and `generator` return
@@ -426,17 +444,60 @@ class Stepper:
         self.clamp_mass = _tail_mass(dist, p.eta, p.v0, float(y[-1]))
         self.z_vec = z
         self._cache = {}
-        # _a and _b hold in turn the jump term's stages, the mixed term's
-        # differences, W, the source term and the sweeps' transposed lines;
-        # _mixed keeps the zero border of the mixed term; _w is W's (x, y, z)
-        # view of _b, where a wide x sweep solves in place
-        cells = nx * ny * nz
-        self._a = np.empty(cells)
-        self._b = np.empty(cells)
-        self._w = self._b.reshape(nx, ny, nz)
-        self._mixed = np.zeros((nx, ny, nz))
-        self._x_rows = ny * nz >= _X_ROW_LINES
-        self._row = np.empty(max(ny * nx, nz * nx, ny * nz))
+        self._shape = grid.shape
+        self._grow(1)
+
+    def _grow(self, B: int) -> None:
+        """Size the workspace for stacks of up to B surfaces.  _a and _b hold
+        in turn the jump term's stages, the mixed term's differences, W, the
+        source term and the sweeps' transposed lines; _mixed keeps the zero
+        border of the mixed term; _row is the row solver's scratch."""
+        nx, ny, nz = self._shape
+        self._a = np.empty(B * nx * ny * nz)
+        self._b = np.empty(B * nx * ny * nz)
+        self._mixed = np.zeros((B, nx, ny, nz))
+        self._row = np.empty(B * max(ny * nx, nz * nx, ny * nz))
+        self._layouts = {}
+
+    def _stack(self, U: np.ndarray) -> np.ndarray:
+        """U as a (B, nx, ny, nz) stack, the workspace grown to hold it."""
+        U = U.reshape((-1,) + self._shape)
+        if len(U) > len(self._mixed):
+            self._grow(len(U))
+        return U
+
+    def _layout(self, B: int) -> dict:
+        """The workspace's views for a stack of B, made once per B."""
+        lay = self._layouts.get(B)
+        if lay is None:
+            nx, ny, nz = self._shape
+            a, b = self._a[: B * nx * ny * nz], self._b[: B * nx * ny * nz]
+            lines = a.reshape(ny, B, nz, nx)
+            lay = self._layouts[B] = {
+                # the jump term: U P_z^T, its (y, B x z) copy, M_y times that
+                "shifted": a.reshape(B, nx, ny, nz),
+                "jump_in": b.reshape(ny, B, nx, nz),
+                "jump": a.reshape(ny, B, nx, nz),
+                # the mixed term's interior differences (none where ny < 3)
+                "cross": b[: B * (nx - 2) * max(ny - 2, 0) * nz].reshape(B, nx - 2, max(ny - 2, 0), nz),
+                "mixed": self._mixed[:B],
+                # W as a (B, x, y, z) stack, and as the x rows of its (x, y, B z) layout
+                "w": b.reshape(nx, ny, B, nz).transpose(2, 0, 1, 3),
+                "packed": b.reshape(nx, ny, B * nz),
+                # the (y, B, z, x) copy and its Fortran-ordered (x, B z) column
+                # blocks, one per y-node; the (z, B, y, x) copy
+                "lines": lines,
+                "x_cols": [line.reshape(B * nz, nx).T for line in lines],
+                "rows": b.reshape(nz, B, ny, nx),
+                "tmp_x": self._row[: B * ny * nz].reshape(ny, B * nz),
+                "tmp_y": self._row[: B * nz * nx].reshape(B, nz, nx),
+                "tmp_z": self._row[: B * ny * nx].reshape(B, ny, nx),
+            }
+        return lay
+
+    def _x_rows(self, B: int) -> bool:
+        _, ny, nz = self._shape
+        return B * ny * nz >= _X_ROW_LINES
 
     @property
     def dt_max_explicit(self) -> float:
@@ -444,81 +505,82 @@ class Stepper:
         return 1.0 / float(self.z_vec[-1])
 
     def jump_term(self, U: np.ndarray) -> np.ndarray:
-        """z * (M_y (U P_z^T) - U), the one dgemm over y taking the (y, x z)
+        """z * (M_y (U P_z^T) - U), the one dgemm over y taking the (y, B x z)
         copy of the z-shift: a workspace view.  (A batched matmul over x
         instead differs in the last bits for small nz: BLAS picks other
         kernels for narrow products.)"""
-        nx, ny, nz = self.grid.shape
-        shifted = np.matmul(U, self.p_z.T, out=self._a.reshape(nx, ny, nz))
-        lines = self._b.reshape(ny, nx, nz)
-        np.copyto(lines, shifted.transpose(1, 0, 2))
-        out = self._a.reshape(ny, nx, nz)
-        np.matmul(self.m_y, lines.reshape(ny, nx * nz), out=out.reshape(ny, nx * nz))
-        out -= U.transpose(1, 0, 2)
+        S = self._stack(U)
+        lay = self._layout(len(S))
+        shifted, lines, out = lay["shifted"], lay["jump_in"], lay["jump"]
+        np.matmul(S, self.p_z.T, out=shifted)
+        np.copyto(lines, shifted.transpose(2, 0, 1, 3))
+        np.matmul(self.m_y, lines.reshape(len(lines), -1), out=out.reshape(len(out), -1))
+        out -= S.transpose(2, 0, 1, 3)
         out *= self.z_vec
-        return out.transpose(1, 0, 2)
+        return out.transpose(1, 2, 0, 3).reshape(U.shape)
 
     def mixed_term(self, U: np.ndarray) -> np.ndarray:
         """sigma rho x y U_xy by central differences, zero on the x and y
         border: a workspace view."""
-        nx, ny, nz = self.grid.shape
-        out = self._mixed
-        if nx < 3 or ny < 3:
-            return out
-        cross = self._b[: (nx - 2) * (ny - 2) * nz].reshape(nx - 2, ny - 2, nz)
-        np.subtract(U[2:, 2:, :], U[2:, :-2, :], out=cross)
-        cross -= U[:-2, 2:, :]
-        cross += U[:-2, :-2, :]
+        S = self._stack(U)
+        lay = self._layout(len(S))
+        out, cross = lay["mixed"], lay["cross"]
+        np.subtract(S[:, 2:, 2:, :], S[:, 2:, :-2, :], out=cross)
+        cross -= S[:, :-2, 2:, :]
+        cross += S[:, :-2, :-2, :]
         cross /= self._dxdy
-        np.multiply(self.mixed_coef[1:-1, 1:-1, None], cross, out=out[1:-1, 1:-1, :])
-        return out
+        np.multiply(self.mixed_coef[1:-1, 1:-1, None], cross, out=out[:, 1:-1, 1:-1, :])
+        return out.reshape(U.shape)
 
     def explicit_terms(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The jump and mixed terms summed, into `out` if given, else fresh."""
         if out is None:
-            out = np.empty(self.grid.shape)
+            out = np.empty(U.shape)
         return np.add(self.jump_term(U), self.mixed_term(U), out=out)
 
-    def _factors(self, dt: float):
+    def _factors(self, dt: float, x_rows: bool):
         key = round(dt, 15)
         if key not in self._cache:
-            x = [_tridiag_factors(*op, dt) for op in self.x_ops]
             self._cache[key] = {
-                "x": _line_factors(x) if self._x_rows else x,
+                "x": [_tridiag_factors(*op, dt) for op in self.x_ops],
                 "y": _row_factors(_tridiag_factors(*self.y_op, dt)),
                 "z": _row_factors(_tridiag_factors(*self.z_op, dt)),
             }
-        return self._cache[key]
+        fac = self._cache[key]
+        if x_rows and "x_rows" not in fac:
+            fac["x_rows"] = _line_factors(fac["x"])
+        return fac
 
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt*A_x), then (I - dt*A_y), then (I - dt*A_z).
 
-        x's factors differ per y.  With at least _X_ROW_LINES x lines, x
-        is solved row by row across all of them with per-line factors, in
-        place in the workspace's (x, y, z) layer (a caller's W is copied
-        there first and left intact), before the (y, z, x) copy.  Below
-        that, x goes to LAPACK one y-slice at a time, on Fortran-ordered
-        columns of the (y, z, x) copy.  y and z share one factorisation
-        each and are solved row by row, vectorised across their lines, in
-        place in the (y, z, x) and then a (z, y, x) copy.
+        W sits in the workspace's (x, y, B z) layout (a caller's W is copied
+        there first and left intact).  x's factors differ per y.  With at
+        least _X_ROW_LINES x lines (B ny nz), x is solved row by row across
+        all of them with per-line factors, in place there, before the
+        (y, B, z, x) copy.  Below that, x goes to LAPACK one y-slice at a
+        time, on Fortran-ordered columns of the (y, B, z, x) copy.  y and z
+        share one factorisation each and are solved row by row, vectorised
+        across their lines, in place in the (y, B, z, x) and then a
+        (z, B, y, x) copy.
         """
-        nx, ny, nz = self.grid.shape
-        fac = self._factors(dt)
-        lines = self._a.reshape(ny, nz, nx)
-        if self._x_rows:
-            if W is not self._w:
-                np.copyto(self._w, W)
-            _solve_rows(fac["x"], self._w, self._row[: ny * nz].reshape(ny, nz))
-            np.copyto(lines, self._w.transpose(1, 2, 0))
-        else:
-            np.copyto(lines, W.transpose(1, 2, 0))
-            for k in range(ny):
-                _solve_lines(fac["x"][k], lines[k].T)
-        _solve_rows(fac["y"], lines, self._row[: nz * nx].reshape(nz, nx))
-        rows = self._b.reshape(nz, ny, nx)
-        np.copyto(rows, lines.transpose(1, 0, 2))
-        _solve_rows(fac["z"], rows, self._row[: ny * nx].reshape(ny, nx))
-        return rows.transpose(2, 1, 0).copy()
+        S = self._stack(W)
+        lay = self._layout(len(S))
+        x_rows = self._x_rows(len(S))
+        fac = self._factors(dt, x_rows)
+        if W is not lay["w"]:
+            np.copyto(lay["w"], S)
+        packed, lines, rows = lay["packed"], lay["lines"], lay["rows"]
+        if x_rows:
+            _solve_rows(fac["x_rows"], packed, lay["tmp_x"])
+        np.copyto(lines, lay["w"].transpose(2, 0, 3, 1))
+        if not x_rows:
+            for f, cols in zip(fac["x"], lay["x_cols"]):
+                _solve_lines(f, cols)
+        _solve_rows(fac["y"], lines, lay["tmp_y"])
+        np.copyto(rows, lines.transpose(2, 1, 0, 3))
+        _solve_rows(fac["z"], rows, lay["tmp_z"])
+        return rows.transpose(1, 3, 2, 0).copy().reshape(W.shape)
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:
         """One backward step of size dt, `source` added explicitly and held over
@@ -526,16 +588,17 @@ class Stepper:
         bound = self.dt_max_explicit
         n = 1 if dt <= bound * (1 + 1e-12) else math.ceil(dt / bound)
         dt = dt / n
-        W = self._w
+        shape, U = U.shape, self._stack(U)
+        W = self._layout(len(U))["w"]
         for _ in range(n):
             self.explicit_terms(U, out=W)
             W *= dt
             W += U
             if source is not None:
-                W += np.multiply(source, dt, out=self._a.reshape(self.grid.shape))
+                W += np.multiply(source, dt, out=self._a[: U.size].reshape(U.shape))
             U = self.implicit_sweeps(W, dt)
             U *= math.exp(-self.r * dt)
-        return U
+        return U.reshape(shape)
 
     def generator(self, U: np.ndarray) -> np.ndarray:
         """Full explicit application of the generator (no reaction term):
@@ -571,23 +634,25 @@ class PIDESolution:
 def march(stepper: Stepper, start: dict, t: np.ndarray, *, kinked=False, source=None):
     """The backward time loop over the uniform axis t: yield (k, layers), k = nt
     down to 0, layers mapping each state to its surface at t[k], from the
-    terminal x-values start[state] broadcast over (y, z).  Each state steps from
-    the previous map, with source(state, layers, k) held over the step from k;
-    a kinked start takes two implicit half-steps first.  Holds one map only."""
+    terminal x-values start[state] broadcast over (y, z).  The states step as
+    one (B, nx, ny, nz) stack, in start's order, with source(layers, k), every
+    state's source as one such stack, held over the step from k; a kinked
+    start takes two implicit half-steps first.  Each surface is a view of its
+    map's stack, and only one map is held."""
     nt = len(t) - 1
     dt = t[1] - t[0] if nt else 0.0
-    cur = {i: np.broadcast_to(np.asarray(f, dtype=float)[:, None, None],
-                              stepper.grid.shape).copy() for i, f in start.items()}
+    U = np.empty((len(start),) + stepper.grid.shape)
+    for u, f in zip(U, start.values()):
+        u[...] = np.asarray(f, dtype=float)[:, None, None]
+    cur = dict(zip(start, U))
     yield nt, cur
     for k in range(nt - 1, -1, -1):
-        nxt = {}
-        for i, u in cur.items():
-            src = None if source is None else source(i, cur, k + 1)
-            if kinked and k == nt - 1:
-                nxt[i] = stepper.step(stepper.step(u, 0.5 * dt, src), 0.5 * dt, src)
-            else:
-                nxt[i] = stepper.step(u, dt, src)
-        cur = nxt
+        src = None if source is None else source(cur, k + 1)
+        if kinked and k == nt - 1:
+            U = stepper.step(stepper.step(U, 0.5 * dt, src), 0.5 * dt, src)
+        else:
+            U = stepper.step(U, dt, src)
+        cur = dict(zip(start, U))
         yield k, cur
 
 

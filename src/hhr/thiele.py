@@ -71,38 +71,48 @@ def _simpson_weights(n_nodes: int) -> np.ndarray:
     return w / 3.0
 
 
-def _march_layers(payoff, t, maturities, st, dt_target):
-    """t-layers of the prices of payoff(s, S_s) for every s in `maturities`,
-    marched through the Stepper st.
+def _march_layers(jobs, t, st, dt_target):
+    """For each (payoff, maturities) of jobs, the t-layers of the prices of
+    payoff(s, S_s) for every s in maturities, marched through the Stepper st.
 
     The generator is time-homogeneous, so U_s(t) is the layer s - t before
     the terminal of a backward march from payoff(s, .): one march per
     distinct terminal layer serves all its maturities.  The maturities lie
     on a lattice t + m*spacing; the march steps spacing/q with
     q = max(2, round(spacing/dt_target)), so every node gets at least two
-    steps, the kinked half-step start included.
+    steps, the kinked half-step start included.  The marches of all jobs
+    that share a time axis and a start, kinked or not, step as one stack;
+    a kept layer is a copy, so it holds no stack alive.
     """
-    ss = np.asarray(maturities, dtype=float)
-    spacing = ss[1] - ss[0] if len(ss) > 1 else ss[0] - t
-    q = max(2, int(round(spacing / dt_target)))
-    pos = np.rint((ss - t) / spacing).astype(int) if spacing > 0 else np.zeros(len(ss), int)
-    if not np.allclose(t + pos * spacing, ss, rtol=0.0, atol=1e-12 * max(1.0, abs(ss[-1]))):
-        raise ValueError("maturities must lie on a uniform lattice starting at t")
     grid = st.grid
-    groups = {}
-    for m, s in zip(pos, ss):
-        term = np.asarray(payoff(s, grid.x), dtype=float).tobytes()
-        groups.setdefault(term, []).append((m, float(s)))
-    layers = {}
-    for members in groups.values():
-        m_end, s_end = max(members)
-        n_steps = q * m_end
-        keep = {n_steps - q * m: m for m, _ in members}
+    stacks = {}  # (s_end, n_steps, kinked) -> {(job, march): (payoff, {k: m})}
+    positions = []
+    for n, (payoff, maturities) in enumerate(jobs):
+        ss = np.asarray(maturities, dtype=float)
+        spacing = ss[1] - ss[0] if len(ss) > 1 else ss[0] - t
+        q = max(2, int(round(spacing / dt_target)))
+        pos = np.rint((ss - t) / spacing).astype(int) if spacing > 0 else np.zeros(len(ss), int)
+        if not np.allclose(t + pos * spacing, ss, rtol=0.0, atol=1e-12 * max(1.0, abs(ss[-1]))):
+            raise ValueError("maturities must lie on a uniform lattice starting at t")
+        positions.append(pos)
+        groups = {}
+        for m, s in zip(pos, ss):
+            term = np.asarray(payoff(s, grid.x), dtype=float).tobytes()
+            groups.setdefault(term, []).append((m, float(s)))
+        for g, members in enumerate(groups.values()):
+            m_end, s_end = max(members)
+            n_steps = q * m_end
+            keep = {n_steps - q * m: m for m, _ in members}
+            stacks.setdefault((s_end, n_steps, payoff.kinked), {})[n, g] = (payoff, keep)
+    layers = [{} for _ in jobs]
+    for (s_end, n_steps, kinked), marches in stacks.items():
+        start = {key: payoff(s_end, grid.x) for key, (payoff, _) in marches.items()}
         ts = np.linspace(t, s_end, n_steps + 1)
-        for k, cur in march(st, {0: payoff(s_end, grid.x)}, ts, kinked=payoff.kinked):
-            if k in keep:
-                layers[keep[k]] = cur[0]
-    return [layers[m] for m in pos]
+        for k, cur in march(st, start, ts, kinked=kinked):
+            for (n, g), (_, keep) in marches.items():
+                if k in keep:
+                    layers[n][keep[k]] = cur[n, g].copy()
+    return [[got[m] for m in pos] for got, pos in zip(layers, positions)]
 
 
 def reserve_quadrature(
@@ -118,9 +128,10 @@ def reserve_quadrature(
     The maturity integral uses composite Simpson on _N_MATURITIES nodes
     ss = linspace(t, T, _N_MATURITIES); p_ij(t, s) and every U_s^{theta_j}(t)
     are held as lists indexed by node, the former chained along the lattice
-    (lattice_probs), the latter read from one backward march per distinct
-    payoff (_march_layers), and U_T^{f_j}(t) is marched once; all marches
-    step through one Stepper, which keeps the factors of each step size.
+    (lattice_probs), the latter, like U_T^{f_j}(t), from one backward march
+    per distinct terminal layer (_march_layers); marches on one time axis
+    step as one stack, and all through one Stepper, which keeps the factors
+    of each step size.
     The embedded half-resolution rule on every other node gives a
     Richardson error estimate; if it exceeds _REFINE_BUDGET (relative) the
     node count is doubled once, which chains the probabilities again and
@@ -132,16 +143,17 @@ def reserve_quadrature(
     dt_target = grid.t[1] - grid.t[0]  # the backward route's step
     st = Stepper(grid, model, selection, dist)
 
-    def layers_at(payoff, maturities):
-        return _march_layers(payoff, t, maturities, st, dt_target)
+    def layers_at(jobs):
+        return _march_layers(jobs, t, st, dt_target)
 
-    terminal = []
-    for j in policy.states:
-        f = policy.terminal_payoff(j)
-        if not f.is_zero:
-            terminal.append((idx(j), layers_at(f, [T])[0]))
+    fs = [(idx(j), policy.terminal_payoff(j)) for j in policy.states]
+    fs = [(j, f) for j, f in fs if not f.is_zero]
     thetas = [theta_payoff(policy, j) for j in policy.states] if T > t else []
     thetas = [th for th in thetas if not th.is_zero]
+    ss = np.linspace(t, T, _N_MATURITIES)
+    marched = layers_at([(f, [T]) for _, f in fs] + [(th, ss) for th in thetas])
+    terminal = [(j, layers[0]) for (j, _), layers in zip(fs, marched)]
+    running = [(idx(th.state), layers) for th, layers in zip(thetas, marched[len(fs):])]
 
     def assemble(ss, probs, running):
         w = _simpson_weights(len(ss)) * ((T - t) / (len(ss) - 1))
@@ -156,8 +168,6 @@ def reserve_quadrature(
             out[i] = acc
         return out
 
-    ss = np.linspace(t, T, _N_MATURITIES)
-    running = [(idx(th.state), layers_at(th, ss)) for th in thetas]
     probs = lattice_probs(policy, t, T, _N_MATURITIES) if thetas else []
     fine = assemble(ss, probs, running)
     refined = False
@@ -169,7 +179,8 @@ def reserve_quadrature(
             worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
         if worst > _REFINE_BUDGET:
             ss = np.linspace(t, T, 2 * _N_MATURITIES - 1)
-            running = [(idx(th.state), layers_at(th, ss)) for th in thetas]
+            running = [(idx(th.state), layers)
+                       for th, layers in zip(thetas, layers_at([(th, ss) for th in thetas]))]
             probs = lattice_probs(policy, t, T, len(ss))
             fine = assemble(ss, probs, running)
             refined = True
@@ -190,7 +201,7 @@ def thiele_march(
 
     dV_i/dt = r V_i - g_i - sum_k mu_ik (h_ik + V_k - V_i) - L V_i,
     V_i(T) = f_i(T, x).  The inter-state coupling and payment sources are
-    explicit; the spatial factorizations are shared across states.
+    explicit, and the states step as one stack.
 
     An inert state (zero terminal payoff, zero payment rate, no listed
     intensity out of it) has the reserve 0 exactly: it is not marched and
@@ -204,17 +215,18 @@ def thiele_march(
     zero = np.zeros(grid.shape)
     start = {i: policy.terminal_payoff(i)(policy.horizon, grid.x) for i in live}
 
-    def source(i, cur, k):
+    def source(cur, k):
         t_k = grid.t[k]
-        out = np.zeros(grid.shape)
-        g = policy.rate_payoff(i)
-        if not g.is_zero:
-            out += np.asarray(g(t_k, grid.x), dtype=float)[:, None, None]
-        for (a, b), pw in policy.intensities.items():
-            mu = float(pw(t_k)) if a == i else 0.0
-            if mu != 0.0:
-                h = np.asarray(policy.transition.get((a, b), ZERO)(t_k, grid.x), dtype=float)
-                out += mu * (h[:, None, None] + cur.get(b, zero) - cur[i])
+        out = np.zeros((len(cur),) + grid.shape)
+        for o, i in zip(out, cur):
+            g = policy.rate_payoff(i)
+            if not g.is_zero:
+                o += np.asarray(g(t_k, grid.x), dtype=float)[:, None, None]
+            for (a, b), pw in policy.intensities.items():
+                mu = float(pw(t_k)) if a == i else 0.0
+                if mu != 0.0:
+                    h = np.asarray(policy.transition.get((a, b), ZERO)(t_k, grid.x), dtype=float)
+                    o += mu * (h[:, None, None] + cur.get(b, zero) - cur[i])
         return out
 
     marching = march(Stepper(grid, model, selection, dist), start, grid.t, source=source)

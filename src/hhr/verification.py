@@ -323,15 +323,15 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     grid = pide.build_grid(model, p.T, nt, nx, ny, nz)
 
     def pide_exact_solutions():
-        # one stepper (one dt, so the same factors); no layer is stored
+        # both payoffs march as one stack; no layer is stored
         st = pide.Stepper(grid, model, selection, dist)
         x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
         disc = np.exp(-p.r * (p.T - grid.t))
         rel_x, rel_1 = [], []
-        for (k, lin), (_, one) in zip(pide.march(st, {0: linear(1.0)(p.T, grid.x)}, grid.t),
-                                      pide.march(st, {0: constant(1.0)(p.T, grid.x)}, grid.t)):
-            rel_x.append(float(np.max(np.abs(lin[0] / x3 - 1.0))))
-            rel_1.append(float(np.max(np.abs(one[0] / disc[k] - 1.0))))
+        start = {"x": linear(1.0)(p.T, grid.x), "1": constant(1.0)(p.T, grid.x)}
+        for k, cur in pide.march(st, start, grid.t):
+            rel_x.append(float(np.max(np.abs(cur["x"] / x3 - 1.0))))
+            rel_1.append(float(np.max(np.abs(cur["1"] / disc[k] - 1.0))))
         err_x, err_1 = _worst(*rel_x), _worst(*rel_1)
         return _worst(err_x / 1e-3, err_1 / 1e-6), (
             f"payoff x rel err {err_x:.1e} (<1e-3); payoff 1 rel err {err_1:.1e} (<1e-6)"

@@ -461,8 +461,8 @@ class TestImplicitSweeps:
             ({}, (64, 48, 1, 16), (48, 1, 16)),
             ({}, (128, 128, 64, 32), (128, 64, 32)),  # layers past a core's L2
             ({}, (1024, 12, 8, 4), (12, 8, 4)),  # the grid of verify's classical reduction
-            ({}, (8, 16, 13, 59), (16, 13, 59)),  # 767 x lines: one dgttrs per y-node
-            ({}, (8, 16, 24, 32), (16, 24, 32)),  # 768 x lines: as rows
+            ({}, (8, 16, 3, 149), (16, 3, 149)),  # 447 x lines: one dgttrs per y-node
+            ({}, (8, 16, 28, 16), (16, 28, 16)),  # 448 x lines: as rows
             ({}, (8, 16, 1, 1024), (16, 1, 1024)),  # as rows, one y-node
         ],
         ids=["desk", "nz1", "ny1", "fine", "long", "below", "at", "wide_ny1"],
@@ -473,8 +473,8 @@ class TestImplicitSweeps:
         grid = pide.build_grid(m, 1.0, *shape)
         assert grid.shape == expected
         st = pide.Stepper(grid, m, sel, DIST)
-        assert pide._X_ROW_LINES == 768  # the "below" and "at" grids straddle it
-        assert st._x_rows == (expected[1] * expected[2] >= pide._X_ROW_LINES)
+        assert pide._X_ROW_LINES == 448  # the "below" and "at" grids straddle it
+        assert st._x_rows(1) == (expected[1] * expected[2] >= pide._X_ROW_LINES)
         W = np.random.default_rng(3).uniform(0.0, 200.0, grid.shape)
         dt = grid.t[1] - grid.t[0]
         for step in (dt, 0.5 * dt):
@@ -486,6 +486,11 @@ class TestImplicitSweeps:
         assert np.array_equal(W, np.random.default_rng(3).uniform(0.0, 200.0, grid.shape))
 
     def test_row_solver_is_dgttrs_bit_for_bit(self, setup):
+        """The row solver runs dgttrs's operations in its order, except that
+        it skips c * row where the factor c (dl, du or du2) is 0 on every line
+        of a row.  x - 0*y is x bit for bit unless x is -0.0 (or y is not
+        finite), so a right-hand side holding signed zeros may differ from
+        dgttrs in the sign of an exact zero and nowhere else."""
         m, sel, grid = setup
         st = pide.Stepper(grid, m, sel, DIST)
         dt = grid.t[1] - grid.t[0]
@@ -500,13 +505,33 @@ class TestImplicitSweeps:
         *dominant, info = dgttrf(rng.uniform(0.5, 1.0, 127), rng.uniform(3.0, 4.0, 128),
                                  rng.uniform(0.5, 1.0, 127))
         assert info == 0 and np.array_equal(dominant[-1], np.arange(1, 129))
+        # systems whose dl and du are 0 on some rows but not all, one of
+        # them pivoting: du2 is 0 on every row where it does not pivot
+        sparse = []
+        for lo_, di_ in ((0.5, 3.0), (0.5, 0.05)):
+            dl_in, du_in = rng.uniform(lo_, 1.0, 127), rng.uniform(lo_, 1.0, 127)
+            dl_in[::3], du_in[1::4] = 0.0, 0.0
+            *f, info = dgttrf(dl_in, rng.uniform(di_, 2 * di_, 128), du_in)
+            assert info == 0
+            sparse.append(f)
+        def partly_zero(c):
+            return (c == 0).any() and (c != 0).any()
+
+        assert all(partly_zero(f[0]) and partly_zero(f[2]) for f in sparse)
+        assert all(partly_zero(f[3]) for f in [sparse[1]] + pivoting)
         # shared factors: every line solves the same system
         for f in (pide._tridiag_factors(*st.y_op, dt), pide._tridiag_factors(*st.z_op, dt),
-                  pivoting[0]):
+                  pivoting[0], *sparse):
             b = rng.uniform(-100.0, 100.0, (len(f[1]), 5, 7))
             want = _dgttrs_rows(f, b)
             pide._solve_rows(pide._row_factors(f), b, np.empty((5, 7)))
             assert np.array_equal(_bits(b), _bits(want))
+            # signed zeros: equal values, and bits that differ only at zeros
+            b = rng.choice([-0.0, 0.0, -1.0, 1.0], (len(f[1]), 5, 7), p=[0.4, 0.4, 0.1, 0.1])
+            want = _dgttrs_rows(f, b)
+            pide._solve_rows(pide._row_factors(f), b, np.empty((5, 7)))
+            assert np.array_equal(b, want)
+            assert np.all(b[_bits(b) != _bits(want)] == 0)
         # per-line factors: each line its own system, among them the fine
         # grid's x factors, which pivot at some (row, y-node) pairs
         fine = _mk()
@@ -515,11 +540,11 @@ class TestImplicitSweeps:
         fine_dt = fine_grid.t[1] - fine_grid.t[0]
         x_facs = [pide._tridiag_factors(*op, fine_dt) for op in fine_st.x_ops]
         assert any((f[-1] != np.arange(1, 129)).any() for f in x_facs)
-        lines = pivoting + [dominant] + x_facs + pivoting[::-1]
-        b = rng.uniform(-100.0, 100.0, (128, len(lines), 7))
-        want = np.stack([_dgttrs_rows(f, b[:, j]) for j, f in enumerate(lines)], axis=1)
-        pide._solve_rows(pide._line_factors(lines), b, np.empty((len(lines), 7)))
-        assert np.array_equal(_bits(b), _bits(want))
+        for lines in (pivoting + [dominant] + x_facs + pivoting[::-1], sparse + [dominant]):
+            b = rng.uniform(-100.0, 100.0, (128, len(lines), 7))
+            want = np.stack([_dgttrs_rows(f, b[:, j]) for j, f in enumerate(lines)], axis=1)
+            pide._solve_rows(pide._line_factors(lines), b, np.empty((len(lines), 7)))
+            assert np.array_equal(_bits(b), _bits(want))
 
     @pytest.mark.parametrize("nz", [1, 2, 3, 7, 16])
     def test_jump_term_equals_the_tensordot_form(self, setup, nz):
@@ -531,6 +556,59 @@ class TestImplicitSweeps:
         want = _tensordot_jump(st, U)
         for _ in range(2):  # the second call reuses the workspace
             assert np.array_equal(_bits(st.jump_term(U)), _bits(want))
+
+
+class TestStackedStep:
+    """A (B, nx, ny, nz) stack steps bit for bit as its B surfaces do one at
+    a time, through one Stepper whose workspace grows to the stack."""
+
+    @pytest.mark.parametrize(
+        "overrides, shape, B",
+        [
+            ({}, (8, 48, 24, 16), 2),  # x as dgttrs alone (384 lines), as rows stacked (768)
+            ({}, (8, 12, 8, 4), 3),  # verify's classical reduction: dgttrs at every B
+            ({}, (8, 16, 28, 16), 2),  # 448 lines: rows alone and stacked
+            ({}, (4, 48, 48, 16), 2),  # the y factorisation pivots
+            ({"alpha": 0.0}, (8, 16, 12, 1), 2),  # one z-node: dgttrs with one column alone
+        ],
+        ids=["desk_crosses", "reduction", "rows", "y_pivots", "nz1"],
+    )
+    def test_stack_equals_separate_steps(self, overrides, shape, B):
+        m = _mk(**overrides)
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
+        grid = pide.build_grid(m, 1.0, *shape)
+        st = pide.Stepper(grid, m, sel, DIST)
+        _, ny, nz = grid.shape
+        assert st._x_rows(1) == (ny * nz >= pide._X_ROW_LINES)
+        if shape[2:] == (24, 16):
+            assert st._x_rows(B) and not st._x_rows(1)
+        rng = np.random.default_rng(17)
+        U = rng.uniform(0.0, 200.0, (B,) + grid.shape)
+        source = rng.uniform(-1.0, 1.0, (B,) + grid.shape)
+        dt = grid.t[1] - grid.t[0]
+        # a step of 3 dt substeps past the explicit bound on the coarse grids
+        for k, h in enumerate([3 * dt] + [dt] * 7):
+            src = source if k % 2 else None
+            got = st.step(U, h, src)
+            want = [st.step(U[b], h, None if src is None else src[b]) for b in range(B)]
+            assert got.shape == U.shape and got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(np.stack(want)))
+            U = got
+
+    @pytest.mark.parametrize("ny", [3, 8, 24, 64])
+    def test_stacked_jump_dgemm_equals_separate_calls(self, setup, ny):
+        """The jump term of a stack is one dgemm over y whose columns are the
+        stack's surfaces side by side.  BLAS promises no bit-identity between
+        that and one dgemm per surface; the stacked step relies on it."""
+        m, sel, _ = setup
+        for nz in (1, 4, 16):
+            grid = pide.build_grid(m, 1.0, 8, 48, ny, nz)
+            st = pide.Stepper(grid, m, sel, DIST)
+            for B in (2, 3, 4):
+                U = np.random.default_rng(B * ny + nz).uniform(0.0, 200.0, (B,) + grid.shape)
+                got = st.jump_term(U).copy()
+                for b in range(B):
+                    assert np.array_equal(_bits(st.jump_term(U[b])), _bits(got[b])), (nz, B, b)
 
 
 class TestWorkspace:

@@ -224,9 +224,21 @@ class TestInertStates:
         )
         steps = self._count_steps(monkeypatch)
         surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
-        assert len(steps) == 2 * (len(grid.t) - 1)  # "a" and "b", not "d"
+        assert [len(u) for u in steps] == [2] * (len(grid.t) - 1)  # "a" and "b" stacked, not "d"
         assert np.all(surf.values["b"][0] == 0.0)
         assert np.all(surf.values["d"][0] == 0.0)
+
+
+    def test_every_state_inert(self):
+        # the march then steps an empty stack
+        m = _mk()
+        sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
+        grid = pide.build_grid(m, 1.0, 4, 12, 8, 6)
+        pol = markov.PolicySpec(states=("a", "d"), horizon=1.0, intensities={})
+        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        for state in pol.states:
+            assert np.all(surf.values[state][0] == 0.0) and np.all(quad.values[state] == 0.0)
 
 
 class TestRouteConsistency:
@@ -385,8 +397,8 @@ class TestSingleMarch:
 
         calls = _counted(monkeypatch, "march")
         st = pide.Stepper(grid, m, sel, DIST)  # shared, as in reserve_quadrature
-        got = thiele._march_layers(theta, 0.0, ss, st, dt_target)
-        (got_f,) = thiele._march_layers(f, 0.0, [1.0], st, dt_target)
+        (got,) = thiele._march_layers([(theta, ss)], 0.0, st, dt_target)
+        ((got_f,),) = thiele._march_layers([(f, [1.0])], 0.0, st, dt_target)
         assert len(calls) == marches
         for s, layer in zip(ss, got):
             assert np.array_equal(layer, ref_theta[float(s)])
@@ -396,28 +408,41 @@ class TestSingleMarch:
         monkeypatch.setattr(thiele, "_REFINE_BUDGET", np.inf)
         marched = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
 
-        def per_node(pay, t, maturities, *_):
-            layers = _per_node_layers(pay, t, maturities, m, sel, grid)
-            return [layers[float(s)] for s in maturities]
+        def per_node(jobs, t, *_):
+            out = []
+            for pay, maturities in jobs:
+                layers = _per_node_layers(pay, t, maturities, m, sel, grid)
+                out.append([layers[float(s)] for s in maturities])
+            return out
 
         monkeypatch.setattr(thiele, "_march_layers", per_node)
         ref = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
         for state in pol.states:
             assert np.array_equal(marched.values[state], ref.values[state])
 
+    def test_desk_payoffs_march_as_one_stack(self, setup, monkeypatch):
+        # the terminal guarantee and the death benefit's theta share the
+        # grid's time axis and the kinked start: 65 steps of a stack of two
+        m, sel, grid = setup
+        pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
+        steps = TestInertStates._count_steps(monkeypatch)
+        thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        assert [len(u) for u in steps] == [2] * len(grid.t)  # nt steps and one half-step more
+
     def test_off_lattice_maturities_rejected(self, small):
         m, sel, grid = small
         theta = markov.theta_payoff(markov.term_insurance(1.0, 0.02), "alive")
         with pytest.raises(ValueError):
             thiele._march_layers(
-                theta, 0.0, np.array([0.0, 0.25, 0.6, 1.0]), pide.Stepper(grid, m, sel, DIST),
+                [(theta, np.array([0.0, 0.25, 0.6, 1.0]))], 0.0, pide.Stepper(grid, m, sel, DIST),
                 1.0 / 16,
             )
 
     def test_refinement_remarches_only_the_payment_rates(self, small, monkeypatch):
-        # one march each for f and theta, then theta again on the doubled
-        # lattice, all through one Stepper; p(t, T) once for the terminal
-        # term and one probability chain per lattice
+        # one march of f and theta as one stack (both on the grid's time
+        # axis), then theta again on the doubled lattice, all through one
+        # Stepper; p(t, T) once for the terminal term and one probability
+        # chain per lattice
         m, sel, grid = small
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
         steppers = _counted(monkeypatch, "Stepper")
@@ -428,7 +453,7 @@ class TestSingleMarch:
         monkeypatch.setattr(thiele, "_REFINE_BUDGET", 0.0)
         out = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
         assert out.diagnostics == {"n_maturities": 17, "refined": True}
-        assert len(marches) == 3
+        assert [len(args[1]) for args in marches] == [2, 1]
         assert len(steppers) == 1 and len({id(args[0]) for args in marches}) == 1
         assert len(probs) == 1
         assert [args[3] for args in chains] == [9, 17]
