@@ -539,16 +539,16 @@ class Stepper:
         return np.add(self.jump_term(U), self.mixed_term(U), out=out)
 
     def _factors(self, dt: float, x_rows: bool):
-        key = round(dt, 15)
-        if key not in self._cache:
-            self._cache[key] = {
-                "x": [_tridiag_factors(*op, dt) for op in self.x_ops],
-                "y": _row_factors(_tridiag_factors(*self.y_op, dt)),
-                "z": _row_factors(_tridiag_factors(*self.z_op, dt)),
-            }
-        fac = self._cache[key]
-        if x_rows and "x_rows" not in fac:
-            fac["x_rows"] = _line_factors(fac["x"])
+        """The sweeps' factors at step dt, built once per dt, and x's in the
+        form of its kernel: per y-node, or stacked per line as rows."""
+        fac = self._cache.setdefault(round(dt, 15), {})
+        if not fac:
+            fac["y"] = _row_factors(_tridiag_factors(*self.y_op, dt))
+            fac["z"] = _row_factors(_tridiag_factors(*self.z_op, dt))
+        form = "x_rows" if x_rows else "x"
+        if form not in fac:
+            x = [_tridiag_factors(*op, dt) for op in self.x_ops]
+            fac[form] = _line_factors(x) if x_rows else x
         return fac
 
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
