@@ -642,8 +642,8 @@ def march(stepper: Stepper, start: dict, t: np.ndarray, *, kinked=False, source=
     nt = len(t) - 1
     dt = t[1] - t[0] if nt else 0.0
     U = np.empty((len(start),) + stepper.grid.shape)
-    for u, f in zip(U, start.values()):
-        u[...] = np.asarray(f, dtype=float)[:, None, None]
+    for b, f in enumerate(start.values()):  # no loop variable keeps a view of U
+        U[b] = np.asarray(f, dtype=float)[:, None, None]
     cur = dict(zip(start, U))
     yield nt, cur
     for k in range(nt - 1, -1, -1):
