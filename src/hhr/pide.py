@@ -24,10 +24,10 @@ exact zero.  The x sweep's factors differ per y-node.  On at least
 _X_ROW_LINES x lines (B*ny*nz) it runs the same row recurrence with
 per-line factors: each coefficient a (ny, 1) column, and at each row only
 the lines that pivot there swapped.  On fewer, where a row is too short to
-repay numpy's per-call cost, it calls LAPACK dgttrs once per y-node.  The jump integral is one matrix product
-over y on a (y, B x z) copy of the z-shifted stack.  Each Stepper owns a
-workspace, grown to the largest stack it serves, so a step allocates only
-the stack it returns.
+repay numpy's per-call cost, it calls LAPACK dgttrs once per y-node.  The
+jump integral is one matrix product over y on a (y, B x z) copy of the
+z-shifted stack.  Each Stepper owns a workspace, grown to the largest stack
+it serves, so a step allocates only the stack it returns.
 
 Of scipy, only LAPACK (scipy.linalg) loads, at import.  The variance axis's
 spacing is a root found by _brentq, a port of scipy's brentq.c that gives
@@ -471,6 +471,7 @@ class Stepper:
         lay = self._layouts.get(B)
         if lay is None:
             nx, ny, nz = self._shape
+            my = max(ny - 2, 0)  # the mixed term's interior y-nodes
             a, b = self._a[: B * nx * ny * nz], self._b[: B * nx * ny * nz]
             lines = a.reshape(ny, B, nz, nx)
             lay = self._layouts[B] = {
@@ -479,7 +480,7 @@ class Stepper:
                 "jump_in": b.reshape(ny, B, nx, nz),
                 "jump": a.reshape(ny, B, nx, nz),
                 # the mixed term's interior differences (none where ny < 3)
-                "cross": b[: B * (nx - 2) * max(ny - 2, 0) * nz].reshape(B, nx - 2, max(ny - 2, 0), nz),
+                "cross": b[: B * (nx - 2) * my * nz].reshape(B, nx - 2, my, nz),
                 "mixed": self._mixed[:B],
                 # W as a (B, x, y, z) stack, and as the x rows of its (x, y, B z) layout
                 "w": b.reshape(nx, ny, B, nz).transpose(2, 0, 1, 3),
@@ -583,8 +584,9 @@ class Stepper:
         return rows.transpose(1, 3, 2, 0).copy().reshape(W.shape)
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:
-        """One backward step of size dt, `source` added explicitly and held over
-        the step, in ceil(dt / dt_max_explicit) equal substeps past that bound."""
+        """One backward step of size dt of a surface or a stack U, `source`
+        (of U's shape) added explicitly and held over the step, in
+        ceil(dt / dt_max_explicit) equal substeps past that bound."""
         bound = self.dt_max_explicit
         n = 1 if dt <= bound * (1 + 1e-12) else math.ceil(dt / bound)
         dt = dt / n

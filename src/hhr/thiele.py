@@ -143,15 +143,13 @@ def reserve_quadrature(
     dt_target = grid.t[1] - grid.t[0]  # the backward route's step
     st = Stepper(grid, model, selection, dist)
 
-    def layers_at(jobs):
-        return _march_layers(jobs, t, st, dt_target)
-
     fs = [(idx(j), policy.terminal_payoff(j)) for j in policy.states]
     fs = [(j, f) for j, f in fs if not f.is_zero]
     thetas = [theta_payoff(policy, j) for j in policy.states] if T > t else []
     thetas = [th for th in thetas if not th.is_zero]
     ss = np.linspace(t, T, _N_MATURITIES)
-    marched = layers_at([(f, [T]) for _, f in fs] + [(th, ss) for th in thetas])
+    jobs = [(f, [T]) for _, f in fs] + [(th, ss) for th in thetas]
+    marched = _march_layers(jobs, t, st, dt_target)
     terminal = [(j, layers[0]) for (j, _), layers in zip(fs, marched)]
     running = [(idx(th.state), layers) for th, layers in zip(thetas, marched[len(fs):])]
 
@@ -179,8 +177,8 @@ def reserve_quadrature(
             worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
         if worst > _REFINE_BUDGET:
             ss = np.linspace(t, T, 2 * _N_MATURITIES - 1)
-            running = [(idx(th.state), layers)
-                       for th, layers in zip(thetas, layers_at([(th, ss) for th in thetas]))]
+            marched = _march_layers([(th, ss) for th in thetas], t, st, dt_target)
+            running = [(idx(th.state), layers) for th, layers in zip(thetas, marched)]
             probs = lattice_probs(policy, t, T, len(ss))
             fine = assemble(ss, probs, running)
             refined = True
