@@ -514,6 +514,7 @@ class TestImplicitSweeps:
             *f, info = dgttrf(dl_in, rng.uniform(di_, 2 * di_, 128), du_in)
             assert info == 0
             sparse.append(f)
+
         def partly_zero(c):
             return (c == 0).any() and (c != 0).any()
 
@@ -586,7 +587,7 @@ class TestStackedStep:
         U = rng.uniform(0.0, 200.0, (B,) + grid.shape)
         source = rng.uniform(-1.0, 1.0, (B,) + grid.shape)
         dt = grid.t[1] - grid.t[0]
-        # a step of 3 dt substeps past the explicit bound on the coarse grids
+        # 3 dt passes the explicit bound (but where alpha = 0): that step substeps
         for k, h in enumerate([3 * dt] + [dt] * 7):
             src = source if k % 2 else None
             got = st.step(U, h, src)
@@ -687,7 +688,7 @@ class TestPideGoldenDigests:
     their bits (-0.0 included) on the desk config: a guarantee price on the
     desk shape at 8 steps, both reserve routes on the desk policy and grid, a
     grid whose x sweep runs as rows, one whose y factorisation pivots, and
-    verify's classical-reduction grid, which substeps each of its 1024 steps."""
+    the 1024-step classical reduction of verify's thiele_consistency."""
 
     DIGESTS = {
         "price_desk_shape": "570fff91b93aea8e",

@@ -228,7 +228,6 @@ class TestInertStates:
         assert np.all(surf.values["b"][0] == 0.0)
         assert np.all(surf.values["d"][0] == 0.0)
 
-
     def test_every_state_inert(self):
         # the march then steps an empty stack
         m = _mk()
