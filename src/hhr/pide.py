@@ -571,9 +571,9 @@ class Stepper:
         fac = self._factors(dt, x_rows)
         if W is not lay["w"]:
             np.copyto(lay["w"], S)
-        packed, lines, rows = lay["packed"], lay["lines"], lay["rows"]
+        lines, rows = lay["lines"], lay["rows"]
         if x_rows:
-            _solve_rows(fac["x_rows"], packed, lay["tmp_x"])
+            _solve_rows(fac["x_rows"], lay["packed"], lay["tmp_x"])
         np.copyto(lines, lay["w"].transpose(2, 0, 3, 1))
         if not x_rows:
             for f, cols in zip(fac["x"], lay["x_cols"]):
