@@ -13,18 +13,20 @@ U = x and U = e^{-r(s-t)} at every node including the boundary.
 
 Execution: a step takes a (B, nx, ny, nz) stack of surfaces, a single
 surface being a stack of one, and makes each numpy and LAPACK call once for
-the whole stack.  The y and z sweeps share one factorisation each and run
-the dgttrs recurrence one grid row at a time, vectorised across all their
-lines, in the same operations and order, except that a row's
-multiply-and-subtract is skipped where its factor (dl, du or du2) is 0 on
-every line: du and du2 of the lower-bidiagonal z axis, and du2 wherever no
-line pivots.  x - 0*y is x bit for bit unless x is -0.0 (or y is not
-finite), so the sweeps are dgttrs's bit for bit but for the sign of an
-exact zero.  The x sweep's factors differ per y-node.  On at least
-_X_ROW_LINES x lines (B*ny*nz) it runs the same row recurrence with
-per-line factors: each coefficient a (ny, 1) column, and at each row only
-the lines that pivot there swapped.  On fewer, where a row is too short to
-repay numpy's per-call cost, it calls LAPACK dgttrs once per y-node.  The
+the whole stack.  Each sweep picks its kernel by its count of lines, from a
+measured crossover up (_X_ROW_LINES, _Y_ROW_LINES, _Z_ROW_LINES) the rows,
+below it LAPACK dgttrs.  As rows, a sweep runs the dgttrs recurrence one
+grid row at a time, vectorised across all its lines, in the same
+operations and order, except that a row's multiply-and-subtract is skipped
+where its factor (dl, du or du2) is 0 on every line: du and du2 of the
+lower-bidiagonal z axis, and du2 wherever no line pivots.  x - 0*y is x bit
+for bit unless x is -0.0 (or y is not finite), so the rows are dgttrs's bit
+for bit but for the sign of an exact zero.  The y and z sweeps share one
+factorisation each; below their crossover, y calls dgttrs once on a
+Fortran-ordered copy and z once on the result, whose z lines are its
+columns.  The x sweep's factors differ per y-node: as rows, each
+coefficient is a (ny, 1) column, and at each row only the lines that pivot
+there swap; below its crossover it calls dgttrs once per y-node.  The
 jump integral is one matrix product over y on a (y, B x z) copy of the
 z-shifted stack.  Each Stepper owns a workspace, grown to the largest stack
 it serves, so a step allocates only the stack it returns.
@@ -55,13 +57,18 @@ _GL_NODES = 32
 _Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
 _BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
 _BRENT_MAXITER = 100  # and its default maxiter
-# From this many x lines (B*ny*nz for a stack of B) up, the x sweep runs as
-# rows, vectorised across all its lines; below, as one dgttrs call per y-node,
-# which wins where a row is too short to repay numpy's per-call overhead.
-# Measured (the x stage alone, 2 cores, CHANGES.md has the table): rows lose
-# at 384 lines and win from 448, by 5-12% there and by 30% at 768, at nx = 48,
-# 128 and 256 and every aspect tried.
+# From this many lines up, a sweep runs as rows, vectorised across all its
+# lines; below, through LAPACK dgttrs, which wins where a row is too short to
+# repay numpy's per-call overhead.  A stack of B has B*ny*nz x lines (dgttrs
+# once per y-node), B*nz*nx y lines and B*ny*nx z lines (dgttrs once each).
+# Measured (2 cores, CHANGES.md has the tables): x rows lose at 384 lines and
+# win from 448, at nx = 48, 128 and 256 and every aspect tried; y and z rows
+# cross over between 256 and 768 lines, lower the longer the line (y: near
+# 300 at ny = 24, near 640 at ny = 8; z: near 300 at nz = 16, near 768 at
+# nz = 8), and 384 keeps the worst loss either way within 6 us a sweep.
 _X_ROW_LINES = 448
+_Y_ROW_LINES = 384
+_Z_ROW_LINES = 384
 
 
 @dataclass(frozen=True)
@@ -340,8 +347,9 @@ def _tridiag_factors(lo, di, up, dt):
 
 
 def _solve_lines(fac, b: np.ndarray) -> None:
-    """Overwrite the Fortran-ordered columns of b with their solutions."""
-    if fac is not None:
+    """Overwrite the Fortran-ordered columns of b with their solutions.  No
+    columns, no call: scipy's dgttrs writes past the end of an empty array."""
+    if fac is not None and b.size:
         _, info = dgttrs(*fac, b, overwrite_b=1)
         if info:
             raise ValueError(f"dgttrs rejected argument {-info}")
@@ -486,9 +494,11 @@ class Stepper:
                 "w": b.reshape(nx, ny, B, nz).transpose(2, 0, 1, 3),
                 "packed": b.reshape(nx, ny, B * nz),
                 # the (y, B, z, x) copy and its Fortran-ordered (x, B z) column
-                # blocks, one per y-node; the (z, B, y, x) copy
+                # blocks, one per y-node; a Fortran-ordered (y, B z x) copy;
+                # the (z, B, y, x) copy
                 "lines": lines,
                 "x_cols": [line.reshape(B * nz, nx).T for line in lines],
+                "y_cols": b.reshape(B * nz * nx, ny).T,
                 "rows": b.reshape(nz, B, ny, nx),
                 "tmp_x": self._row[: B * ny * nz].reshape(ny, B * nz),
                 "tmp_y": self._row[: B * nz * nx].reshape(B, nz, nx),
@@ -496,9 +506,12 @@ class Stepper:
             }
         return lay
 
-    def _x_rows(self, B: int) -> bool:
-        _, ny, nz = self._shape
-        return B * ny * nz >= _X_ROW_LINES
+    def _rows(self, B: int) -> tuple:
+        """Whether the x, y and z sweeps of a stack of B run as rows."""
+        nx, ny, nz = self._shape
+        lines = (ny * nz, nz * nx, ny * nx)
+        least = (_X_ROW_LINES, _Y_ROW_LINES, _Z_ROW_LINES)
+        return tuple(B * n >= m for n, m in zip(lines, least))
 
     @property
     def dt_max_explicit(self) -> float:
@@ -539,49 +552,65 @@ class Stepper:
             out = np.empty(U.shape)
         return np.add(self.jump_term(U), self.mixed_term(U), out=out)
 
-    def _factors(self, dt: float, x_rows: bool):
-        """The sweeps' factors at step dt, built once per dt, and x's in the
-        form of its kernel: per y-node, or stacked per line as rows."""
+    def _factors(self, dt: float, rows: tuple) -> list:
+        """The x, y and z sweeps' factors at step dt, each built once per dt in
+        the form of its kernel: LAPACK's (x's one per y-node), or the row
+        solver's (x's stacked per line)."""
         fac = self._cache.setdefault(round(dt, 15), {})
-        if not fac:
-            fac["y"] = _row_factors(_tridiag_factors(*self.y_op, dt))
-            fac["z"] = _row_factors(_tridiag_factors(*self.z_op, dt))
-        form = "x_rows" if x_rows else "x"
-        if form not in fac:
-            x = [_tridiag_factors(*op, dt) for op in self.x_ops]
-            fac[form] = _line_factors(x) if x_rows else x
-        return fac
+        for axis, as_rows in zip("xyz", rows):
+            if (axis, as_rows) not in fac:
+                if axis == "x":
+                    f = [_tridiag_factors(*op, dt) for op in self.x_ops]
+                    f = _line_factors(f) if as_rows else f
+                else:
+                    f = _tridiag_factors(*(self.y_op if axis == "y" else self.z_op), dt)
+                    f = _row_factors(f) if as_rows else f
+                fac[axis, as_rows] = f
+        return [fac[key] for key in zip("xyz", rows)]
 
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt*A_x), then (I - dt*A_y), then (I - dt*A_z).
 
         W sits in the workspace's (x, y, B z) layout (a caller's W is copied
-        there first and left intact).  x's factors differ per y.  With at
-        least _X_ROW_LINES x lines (B ny nz), x is solved row by row across
-        all of them with per-line factors, in place there, before the
-        (y, B, z, x) copy.  Below that, x goes to LAPACK one y-slice at a
-        time, on Fortran-ordered columns of the (y, B, z, x) copy.  y and z
-        share one factorisation each and are solved row by row, vectorised
-        across their lines, in place in the (y, B, z, x) and then a
-        (z, B, y, x) copy.
+        there first and left intact).  Each sweep runs as rows, vectorised
+        across all its lines, from its _ROW_LINES count up, and through LAPACK
+        dgttrs below it.  x's factors differ per y: as rows, x is solved with
+        per-line factors in place in that layout, before the (y, B, z, x)
+        copy; through LAPACK, one y-slice at a time on Fortran-ordered columns
+        of that copy.  y and z share one factorisation each.  y is solved in
+        place in the (y, B, z, x) copy, as rows or through a Fortran-ordered
+        (y, B z x) copy and back; z as rows in a (z, B, y, x) copy, or
+        through LAPACK in place in the result, whose z lines are its columns.
         """
         S = self._stack(W)
         lay = self._layout(len(S))
-        x_rows = self._x_rows(len(S))
-        fac = self._factors(dt, x_rows)
+        rows = self._rows(len(S))
+        fac_x, fac_y, fac_z = self._factors(dt, rows)
         if W is not lay["w"]:
             np.copyto(lay["w"], S)
-        lines, rows = lay["lines"], lay["rows"]
-        if x_rows:
-            _solve_rows(fac["x_rows"], lay["packed"], lay["tmp_x"])
+        lines = lay["lines"]
+        if rows[0]:
+            _solve_rows(fac_x, lay["packed"], lay["tmp_x"])
         np.copyto(lines, lay["w"].transpose(2, 0, 3, 1))
-        if not x_rows:
-            for f, cols in zip(fac["x"], lay["x_cols"]):
+        if not rows[0]:
+            for f, cols in zip(fac_x, lay["x_cols"]):
                 _solve_lines(f, cols)
-        _solve_rows(fac["y"], lines, lay["tmp_y"])
-        np.copyto(rows, lines.transpose(2, 1, 0, 3))
-        _solve_rows(fac["z"], rows, lay["tmp_z"])
-        return rows.transpose(1, 3, 2, 0).copy().reshape(W.shape)
+        if rows[1]:
+            _solve_rows(fac_y, lines, lay["tmp_y"])
+        else:
+            flat, cols = lines.reshape(len(lines), -1), lay["y_cols"]
+            np.copyto(cols, flat)
+            _solve_lines(fac_y, cols)
+            np.copyto(flat, cols)
+        out = np.empty(S.shape)
+        if rows[2]:
+            np.copyto(lay["rows"], lines.transpose(2, 1, 0, 3))
+            _solve_rows(fac_z, lay["rows"], lay["tmp_z"])
+            np.copyto(out, lay["rows"].transpose(1, 3, 2, 0))
+        else:
+            np.copyto(out, lines.transpose(1, 3, 0, 2))
+            _solve_lines(fac_z, out.reshape(-1, out.shape[-1]).T)
+        return out.reshape(W.shape)
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:
         """One backward step of size dt of a surface or a stack U, `source`

@@ -474,7 +474,7 @@ class TestImplicitSweeps:
         assert grid.shape == expected
         st = pide.Stepper(grid, m, sel, DIST)
         assert pide._X_ROW_LINES == 448  # the "below" and "at" grids straddle it
-        assert st._x_rows(1) == (expected[1] * expected[2] >= pide._X_ROW_LINES)
+        assert st._rows(1)[0] == (expected[1] * expected[2] >= pide._X_ROW_LINES)
         W = np.random.default_rng(3).uniform(0.0, 200.0, grid.shape)
         dt = grid.t[1] - grid.t[0]
         for step in (dt, 0.5 * dt):
@@ -564,25 +564,30 @@ class TestStackedStep:
     a time, through one Stepper whose workspace grows to the stack."""
 
     @pytest.mark.parametrize(
-        "overrides, shape, B",
+        "overrides, shape, B, rows",
         [
-            ({}, (8, 48, 24, 16), 2),  # x as dgttrs alone (384 lines), as rows stacked (768)
-            ({}, (8, 12, 8, 4), 3),  # verify's classical reduction: dgttrs at every B
-            ({}, (8, 16, 28, 16), 2),  # 448 lines: rows alone and stacked
-            ({}, (4, 48, 48, 16), 2),  # the y factorisation pivots
-            ({"alpha": 0.0}, (8, 16, 12, 1), 2),  # one z-node: dgttrs with one column alone
+            # x as dgttrs alone (384 lines), as rows stacked (768)
+            ({}, (8, 48, 24, 16), 2, ("yz", "xyz")),
+            ({}, (8, 12, 8, 4), 3, ("", "")),  # verify's classical reduction: dgttrs at every B
+            ({}, (8, 16, 28, 16), 2, ("xz", "xyz")),  # 448 x lines: rows alone and stacked
+            ({}, (4, 48, 48, 16), 2, ("xyz", "xyz")),  # the y factorisation pivots
+            ({"alpha": 0.0}, (8, 16, 12, 1), 2, ("", "z")),  # one z-node: dgttrs with one column alone
+            ({}, (8, 16, 24, 11), 2, ("z", "xz")),  # y as dgttrs: 176 lines alone, 352 stacked
+            ({}, (8, 24, 8, 16), 2, ("y", "yz")),  # y as rows from 384 lines; z 192, then 384
+            ({}, (8, 16, 11, 24), 2, ("y", "xy")),  # z as dgttrs: 176 lines alone, 352 stacked
+            ({}, (8, 16, 24, 8), 2, ("z", "z")),  # z as rows from 384 lines
         ],
-        ids=["desk_crosses", "reduction", "rows", "y_pivots", "nz1"],
+        ids=["desk_crosses", "reduction", "rows", "y_pivots", "nz1", "y_below", "y_at",
+             "z_below", "z_at"],
     )
-    def test_stack_equals_separate_steps(self, overrides, shape, B):
+    def test_stack_equals_separate_steps(self, overrides, shape, B, rows):
         m = _mk(**overrides)
         sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, *shape)
         st = pide.Stepper(grid, m, sel, DIST)
-        _, ny, nz = grid.shape
-        assert st._x_rows(1) == (ny * nz >= pide._X_ROW_LINES)
-        if shape[2:] == (24, 16):
-            assert st._x_rows(B) and not st._x_rows(1)
+        assert (pide._X_ROW_LINES, pide._Y_ROW_LINES, pide._Z_ROW_LINES) == (448, 384, 384)
+        # the axes swept as rows, a surface alone and the stack
+        assert tuple("".join(a for a, r in zip("xyz", st._rows(b)) if r) for b in (1, B)) == rows
         rng = np.random.default_rng(17)
         U = rng.uniform(0.0, 200.0, (B,) + grid.shape)
         source = rng.uniform(-1.0, 1.0, (B,) + grid.shape)

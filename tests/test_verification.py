@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +139,46 @@ class TestSuiteMechanics:
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
         rep = run_verification(config_from_dict(d))
         assert tuple(c.name for c in rep.checks) == verification.CHECKS
+
+
+class TestBackgroundJob:
+    """closed_form_oracles' integrated-reciprocal Monte Carlo runs on a worker
+    thread beside the PIDE checks, and the check after them."""
+
+    @staticmethod
+    def _run():
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        threads = set(threading.enumerate())
+        rep = run_verification(config_from_dict(d))
+        assert set(threading.enumerate()) == threads  # no thread outlives the call
+        return rep
+
+    def test_normal_run_leaves_no_thread(self):
+        rep = self._run()
+        assert rep.passed
+        assert tuple(c.name for c in rep.checks) == verification.CHECKS
+
+    def test_job_that_raises_fails_its_check_alone(self, monkeypatch):
+        def boom(*args):
+            raise FloatingPointError("iicir exploded")
+
+        monkeypatch.setattr(verification, "_integrated_inverse_mc", boom)
+        rep = self._run()
+        assert tuple(c.name for c in rep.checks) == verification.CHECKS
+        c = {c.name: c for c in rep.checks}["closed_form_oracles"]
+        assert c.detail == "raised FloatingPointError: iicir exploded"
+        assert c.value == math.inf and not c.passed
+        assert [c.name for c in rep.checks if not c.passed] == ["closed_form_oracles"]
+
+    def test_wall_time_counts_the_job(self, monkeypatch):
+        def slow(*args):
+            time.sleep(0.2)
+            return 1.0
+
+        monkeypatch.setattr(verification, "_integrated_inverse_mc", slow)
+        rep = self._run()
+        assert {c.name: c for c in rep.checks}["closed_form_oracles"].wall_time >= 0.2
 
 
 # VerificationReport.to_json() of TestReportSerialization.test_json_is_pinned
