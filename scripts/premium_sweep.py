@@ -21,12 +21,12 @@ def main():
     m = cfg.validated_model()
     sel, _ = cfg.selection(m)
     nt, nx, ny, nz = parse_grid(args.grid)
-    grid = pide.build_grid(m, m.T, nt, nx, ny, nz)
+    st = pide.Stepper(pide.build_grid(m, m.T, nt, nx, ny, nz), m, sel, cfg.dist)
 
     print(f"{'guarantee':>10} {'premium rate':>13}")
     for g in np.linspace(0.6, 1.4, 5) * m.S0:
         pol = markov.endowment_guarantee(m.T, 0.02, float(g), death_benefit=False)
-        pi = thiele.equivalence_premium(pol, m, sel, cfg.dist, grid)
+        pi = thiele.equivalence_premium(pol, m, st)
         print(f"{g:10.1f} {pi:13.4f}")
 
 

@@ -183,15 +183,16 @@ def _cmd_reserve(cfg, args) -> int:
         print("no policy: give --policy or add a policy section to the config", file=sys.stderr)
         return 2
     grid = pide.build_grid(model, policy.horizon, *cfg.run.grid)
+    stepper = pide.Stepper(grid, model, sel, cfg.dist)  # both routes march through it
     layers = {}
     if args.method in ("pide", "both"):
-        surf = thiele.solve_thiele_pide(policy, model, sel, cfg.dist, grid)
+        surf = thiele.solve_thiele_pide(policy, stepper)
         layers["pide"] = {st: surf.values[st][0] for st in policy.states}
         for st in policy.states:
             gz = float(np.max(np.abs(surf.z_gradient(st))))
             print(f"diagnostic max |dV/dz| ({st}): {gz:.6g}")
     if args.method in ("quadrature", "both"):
-        quad = thiele.reserve_quadrature(policy, model, sel, cfg.dist, grid, 0.0)
+        quad = thiele.reserve_quadrature(policy, stepper, 0.0)
         layers["quadrature"] = quad.values
     primary = layers.get("pide") or layers["quadrature"]
     out = args.out or "reserve.csv"

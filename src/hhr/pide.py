@@ -419,7 +419,10 @@ def _solve_rows(fac, b: np.ndarray, tmp: np.ndarray) -> None:
 
 class Stepper:
     """Shared spatial discretization of the generator; prices and reserves
-    both step through it.
+    both step through it.  Build one per grid and measure and hand it to
+    every solve on them: marches may take turns on it, since no step reads
+    what an earlier one left in the workspace, but only one thread may use
+    it at a time.
 
     Every method but `generator` takes a (B, nx, ny, nz) stack of surfaces,
     stepped as one, or a single (nx, ny, nz) surface as a stack of one, and
@@ -427,7 +430,7 @@ class Stepper:
     stack-sized buffers and one row of scratch (B times the largest of an
     (nz, nx), a (ny, nx) and an (ny, nz) grid row, the last the x sweep's
     when it runs as rows), grown to the largest stack it has served and
-    reused by every step, so a Stepper serves one caller at a time.
+    reused by every step, and keeps the sweeps' factors of every step size.
     `jump_term` and `mixed_term` return views of it, valid until the next
     call; `explicit_terms`, `implicit_sweeps`, `step` and `generator` return
     fresh arrays."""
@@ -555,8 +558,9 @@ class Stepper:
     def _factors(self, dt: float, rows: tuple) -> list:
         """The x, y and z sweeps' factors at step dt, each built once per dt in
         the form of its kernel: LAPACK's (x's one per y-node), or the row
-        solver's (x's stacked per line)."""
-        fac = self._cache.setdefault(round(dt, 15), {})
+        solver's (x's stacked per line).  They are keyed on dt itself: a step
+        never takes the factors of a neighbouring float."""
+        fac = self._cache.setdefault(dt, {})
         for axis, as_rows in zip("xyz", rows):
             if (axis, as_rows) not in fac:
                 if axis == "x":

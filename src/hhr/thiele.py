@@ -1,7 +1,8 @@
 """Mathematical reserves two independent ways: the quadrature representation
 over transition probabilities and price surfaces, summed node by node on one
 maturity lattice, and the coupled backward reserve equation; the two routes
-cross-validate each other.
+cross-validate each other.  Both march through the pide.Stepper they are
+given, on its grid.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .markov import PolicySpec, lattice_probs, theta_payoff, transition_probs
-from .measure import MeasureSelection
-from .model import JumpDistribution, ValidatedModel
+from .model import ValidatedModel
 from .payoff import ZERO, constant
 from .pide import Grid4, Layer0, Stepper, march
 from .pide import solve_price_pide  # noqa: F401  (perfbench traces hhr.thiele.solve_price_pide)
@@ -71,7 +71,7 @@ def _simpson_weights(n_nodes: int) -> np.ndarray:
     return w / 3.0
 
 
-def _march_layers(jobs, t, st, dt_target):
+def _march_layers(jobs, t, st):
     """For each (payoff, maturities) of jobs, the t-layers of the prices of
     payoff(s, S_s) for every s in maturities, marched through the Stepper st.
 
@@ -79,18 +79,20 @@ def _march_layers(jobs, t, st, dt_target):
     the terminal of a backward march from payoff(s, .): one march per
     distinct terminal layer serves all its maturities.  The maturities lie
     on a lattice t + m*spacing; the march steps spacing/q with
-    q = max(2, round(spacing/dt_target)), so every node gets at least two
-    steps, the kinked half-step start included.  The marches of all jobs
+    q = max(2, round(spacing/dt)), dt the step of st.grid's time axis (the
+    backward route's), so every node gets at least two steps, the kinked
+    half-step start included.  The marches of all jobs
     that share a time axis and a start, kinked or not, step as one stack;
     a kept layer is a copy, so it holds no stack alive.
     """
     grid = st.grid
+    dt = grid.t[1] - grid.t[0]
     stacks = {}  # (s_end, n_steps, kinked) -> {(job, march): (payoff, {k: m})}
     positions = []
     for n, (payoff, maturities) in enumerate(jobs):
         ss = np.asarray(maturities, dtype=float)
         spacing = ss[1] - ss[0] if len(ss) > 1 else ss[0] - t
-        q = max(2, int(round(spacing / dt_target)))
+        q = max(2, int(round(spacing / dt)))
         pos = np.rint((ss - t) / spacing).astype(int) if spacing > 0 else np.zeros(len(ss), int)
         if not np.allclose(t + pos * spacing, ss, rtol=0.0, atol=1e-12 * max(1.0, abs(ss[-1]))):
             raise ValueError("maturities must lie on a uniform lattice starting at t")
@@ -115,14 +117,7 @@ def _march_layers(jobs, t, st, dt_target):
     return [[got[m] for m in pos] for got, pos in zip(layers, positions)]
 
 
-def reserve_quadrature(
-    policy: PolicySpec,
-    model: ValidatedModel,
-    selection: MeasureSelection,
-    dist: JumpDistribution,
-    grid: Grid4,
-    t: float,
-) -> ReserveLayer:
+def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float) -> ReserveLayer:
     """V_i(t) = sum_j p_ij(t,T) U_T^{f_j}(t) + int_t^T sum_j p_ij(t,s) U_s^{theta_j}(t) ds.
 
     The maturity integral uses composite Simpson on _N_MATURITIES nodes
@@ -130,8 +125,8 @@ def reserve_quadrature(
     are held as lists indexed by node, the former chained along the lattice
     (lattice_probs), the latter, like U_T^{f_j}(t), from one backward march
     per distinct terminal layer (_march_layers); marches on one time axis
-    step as one stack, and all through one Stepper, which keeps the factors
-    of each step size.
+    step as one stack, and all through `stepper`, on its grid and at its
+    time step, which keeps the factors of each step size.
     The embedded half-resolution rule on every other node gives a
     Richardson error estimate; if it exceeds _REFINE_BUDGET (relative) the
     node count is doubled once, which chains the probabilities again and
@@ -140,8 +135,7 @@ def reserve_quadrature(
     T = policy.horizon
     idx = policy.index
     p_T = transition_probs(policy, t, T)  # refuses t outside [0, T] before any solve
-    dt_target = grid.t[1] - grid.t[0]  # the backward route's step
-    st = Stepper(grid, model, selection, dist)
+    grid = stepper.grid
 
     fs = [(idx(j), policy.terminal_payoff(j)) for j in policy.states]
     fs = [(j, f) for j, f in fs if not f.is_zero]
@@ -149,7 +143,7 @@ def reserve_quadrature(
     thetas = [th for th in thetas if not th.is_zero]
     ss = np.linspace(t, T, _N_MATURITIES)
     jobs = [(f, [T]) for _, f in fs] + [(th, ss) for th in thetas]
-    marched = _march_layers(jobs, t, st, dt_target)
+    marched = _march_layers(jobs, t, stepper)
     terminal = [(j, layers[0]) for (j, _), layers in zip(fs, marched)]
     running = [(idx(th.state), layers) for th, layers in zip(thetas, marched[len(fs):])]
 
@@ -177,7 +171,7 @@ def reserve_quadrature(
             worst = max(worst, float(np.max(np.abs(fine[i] - coarse[i]))) / 15.0 / scale)
         if worst > _REFINE_BUDGET:
             ss = np.linspace(t, T, 2 * _N_MATURITIES - 1)
-            marched = _march_layers([(th, ss) for th in thetas], t, st, dt_target)
+            marched = _march_layers([(th, ss) for th in thetas], t, stepper)
             running = [(idx(th.state), layers) for th, layers in zip(thetas, marched)]
             probs = lattice_probs(policy, t, T, len(ss))
             fine = assemble(ss, probs, running)
@@ -188,14 +182,9 @@ def reserve_quadrature(
     )
 
 
-def thiele_march(
-    policy: PolicySpec,
-    model: ValidatedModel,
-    selection: MeasureSelection,
-    dist: JumpDistribution,
-    grid: Grid4,
-):
-    """march() of the coupled backward system over the states:
+def thiele_march(policy: PolicySpec, stepper: Stepper):
+    """march() of the coupled backward system over the states, through
+    `stepper` on its grid, whose time axis must end at the horizon:
 
     dV_i/dt = r V_i - g_i - sum_k mu_ik (h_ik + V_k - V_i) - L V_i,
     V_i(T) = f_i(T, x).  The inter-state coupling and payment sources are
@@ -205,6 +194,7 @@ def thiele_march(
     intensity out of it) has the reserve 0 exactly: it is not marched and
     gets no source, and every yielded map holds it as one +0.0 layer.
     """
+    grid = stepper.grid
     if abs(grid.t[-1] - policy.horizon) > 1e-12 * max(1.0, policy.horizon):
         raise ValueError("grid time axis must end at the policy horizon")
     exits = {a for a, _ in policy.intensities}
@@ -227,47 +217,37 @@ def thiele_march(
                     o += mu * (h[:, None, None] + cur.get(b, zero) - cur[i])
         return out
 
-    marching = march(Stepper(grid, model, selection, dist), start, grid.t, source=source)
+    marching = march(stepper, start, grid.t, source=source)
     return ((k, {i: cur.get(i, zero) for i in policy.states}) for k, cur in marching)
 
 
-def solve_thiele_pide(
-    policy: PolicySpec,
-    model: ValidatedModel,
-    selection: MeasureSelection,
-    dist: JumpDistribution,
-    grid: Grid4,
-) -> ReserveSurface:
+def solve_thiele_pide(policy: PolicySpec, stepper: Stepper) -> ReserveSurface:
     """The t = 0 reserve surfaces of thiele_march, the only layers kept."""
-    (_, layers), = deque(thiele_march(policy, model, selection, dist, grid), maxlen=1)
-    return ReserveSurface(grid, policy.states, {i: Layer0((layers[i],)) for i in policy.states})
+    (_, layers), = deque(thiele_march(policy, stepper), maxlen=1)
+    return ReserveSurface(stepper.grid, policy.states,
+                          {i: Layer0((layers[i],)) for i in policy.states})
 
 
-def equivalence_premium(
-    policy: PolicySpec,
-    model: ValidatedModel,
-    selection: MeasureSelection,
-    dist: JumpDistribution,
-    grid: Grid4,
-) -> float:
+def equivalence_premium(policy: PolicySpec, model: ValidatedModel, stepper: Stepper) -> float:
     """Constant premium rate pi with V(0) = 0 at the anchor point
-    (S0, v0, lambda0), where the premium is paid continuously while alive.
+    (S0, v0, lambda0) of model, where the premium is paid continuously
+    while alive; both reserves march through `stepper`.
 
     The reserve is linear in the premium, so pi = benefits(0) / annuity(0).
     """
-    p = model.params
+    p, grid = model.params, stepper.grid
     ix = grid.index_near("x", p.S0)
     iy = grid.index_near("y", p.v0)
     iz = grid.index_near("z", p.lambda0)
 
-    benefits = reserve_quadrature(policy, model, selection, dist, grid, 0.0)
+    benefits = reserve_quadrature(policy, stepper, 0.0)
     annuity_policy = PolicySpec(
         states=policy.states,
         horizon=policy.horizon,
         intensities=policy.intensities,
         rate={"alive": constant(1.0)},
     )
-    annuity = reserve_quadrature(annuity_policy, model, selection, dist, grid, 0.0)
+    annuity = reserve_quadrature(annuity_policy, stepper, 0.0)
     vb = benefits.values["alive"][ix, iy, iz]
     va = annuity.values["alive"][ix, iy, iz]
     return float(vb / va)

@@ -338,16 +338,17 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     nt, nx, ny, nz = run.grid
     grid = pide.build_grid(model, p.T, nt, nx, ny, nz)
+    # the desk Stepper: checks 7 and 9 march through it in turn
+    stepper = pide.Stepper(grid, model, selection, dist)
 
     # 7. exact solutions of the pricing equation
     def pide_exact_solutions():
         # both payoffs march as one stack; no layer is stored
-        st = pide.Stepper(grid, model, selection, dist)
         x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
         disc = np.exp(-p.r * (p.T - grid.t))
         rel_x, rel_1 = [], []
         start = {"x": linear(1.0)(p.T, grid.x), "1": constant(1.0)(p.T, grid.x)}
-        for k, cur in pide.march(st, start, grid.t):
+        for k, cur in pide.march(stepper, start, grid.t):
             rel_x.append(float(np.max(np.abs(cur["x"] / x3 - 1.0))))
             rel_1.append(float(np.max(np.abs(cur["1"] / disc[k] - 1.0))))
         err_x, err_1 = _worst(*rel_x), _worst(*rel_1)
@@ -369,7 +370,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     # 9. the two reserve routes agree; classical scalar reduction
     def thiele_consistency():
-        worst = _thiele_consistency_worst(model, selection, dist, grid, g_level)
+        worst = _thiele_consistency_worst(stepper, p.T, g_level)
         dev = _classical_reduction_deviation(p, dist, cfg)
         return _worst(worst / 0.01, dev / 1e-4), (
             f"worst probe rel diff {worst:.4%} (<1%); classical reduction "
@@ -438,14 +439,15 @@ def _hyp1f1_identity_deviation() -> float:
     return dev
 
 
-def _thiele_consistency_worst(model, selection, dist, grid, g_level) -> float:
-    p = model.params
+def _thiele_consistency_worst(stepper, horizon, g_level) -> float:
+    """Worst probe gap of the two reserve routes over three policies, all
+    marched through one Stepper."""
     templates = [
-        pure_endowment(p.T, 0.02),
-        term_insurance(p.T, 0.02),
-        endowment_guarantee(p.T, 0.02, g_level),
+        pure_endowment(horizon, 0.02),
+        term_insurance(horizon, 0.02),
+        endowment_guarantee(horizon, 0.02, g_level),
     ]
-    nx, ny, nz = grid.shape
+    nx, ny, nz = stepper.grid.shape
     probes = [
         (i, j, k)
         for i in (nx // 4, nx // 2, 3 * nx // 4)
@@ -454,8 +456,8 @@ def _thiele_consistency_worst(model, selection, dist, grid, g_level) -> float:
     ]
     worst = 0.0
     for pol in templates:
-        surf = thiele.solve_thiele_pide(pol, model, selection, dist, grid)
-        quad = thiele.reserve_quadrature(pol, model, selection, dist, grid, 0.0)
+        surf = thiele.solve_thiele_pide(pol, stepper)
+        quad = thiele.reserve_quadrature(pol, stepper, 0.0)
         for st in pol.states:
             a_lay = surf.values[st][0]
             b_lay = quad.values[st]
@@ -475,7 +477,7 @@ def _classical_reduction_deviation(p, dist, cfg) -> float:
     # coarse grid): the coupling source is held over each step, and the
     # deviation is 9e-6 at 1024 steps, 6.7e-5 at 128, 1.6e-4 at 64 (gate 1e-4)
     grid = pide.build_grid(long_model, horizon, 1024, 12, 8, 4)
-    surf = thiele.solve_thiele_pide(pol, long_model, sel, dist, grid)
+    surf = thiele.solve_thiele_pide(pol, pide.Stepper(grid, long_model, sel, dist))
     got = float(surf.values["alive"][0][0, 0, 0])
     closed = mu_rate / (p.r + mu_rate) * -math.expm1(-(p.r + mu_rate) * horizon)
     return abs(got - closed)

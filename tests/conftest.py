@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hhr import measure, model
+from hhr import measure, model, pide
 from hhr.rng import path_rng
 
 
@@ -25,6 +25,25 @@ def desk_params(**overrides):
     )
     base.update(overrides)
     return model.ModelParams(**base)
+
+
+def bits(a):
+    """a's float64s as their bit patterns, for comparisons that tell -0.0 from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def count_stepper_inits(monkeypatch):
+    """The pide.Steppers built from here on: pide.Stepper.__init__ wrapped to
+    record each, until the monkeypatch is undone."""
+    built = []
+    init = pide.Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pide.Stepper, "__init__", counted)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from hhr.config import config_from_dict, default_config_dict, load_config, parse
 from hhr.errors import ConfigError
 from hhr.measure import MeasureConfig
 
+from conftest import count_stepper_inits
+
 ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture()
@@ -353,6 +355,12 @@ class TestReserve:
         assert len(body) == 2 * 12 * 8 * 4
         alive = [r for r in body if r[0] == "alive"]
         assert max(float(r[6]) for r in alive) < 0.05
+
+    def test_both_methods_march_through_one_stepper(self, small_config, tmp_path, monkeypatch):
+        built = count_stepper_inits(monkeypatch)
+        rc = cli.main(["--config", str(small_config), "reserve", "--method", "both",
+                       "--grid", "16x12x8x4", "--out", str(tmp_path / "reserve.csv")])
+        assert rc == 0 and len(built) == 1
 
     def test_policy_file_override(self, small_config, tmp_path, capsys):
         pol = {

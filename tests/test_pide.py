@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from hhr import markov, measure, model, payoff, pide, thiele
 from hhr.config import config_from_dict, load_config
 
-from conftest import desk_params
+from conftest import bits, desk_params
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -441,8 +441,11 @@ def _dgttrf_random(rng, n):
     return fac
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+def _leaves(factors):
+    """The arrays of a nest of factor tuples and lists, in order."""
+    if isinstance(factors, (list, tuple)):
+        return [a for f in factors for a in _leaves(f)]
+    return [np.asarray(factors)]
 
 
 def _tensordot_jump(st, U):
@@ -485,6 +488,22 @@ class TestImplicitSweeps:
         assert len(st._cache) == 2
         assert np.array_equal(W, np.random.default_rng(3).uniform(0.0, 200.0, grid.shape))
 
+    def test_factors_keyed_on_dt_itself(self, setup):
+        # the next float up rounds to the same 15 decimals, yet is another
+        # step: it gets factors of its own, those of a fresh Stepper
+        m, sel, grid = setup
+        dt = grid.t[1] - grid.t[0]
+        near = float(np.nextafter(dt, 1.0))
+        assert round(near, 15) == round(dt, 15)
+        st = pide.Stepper(grid, m, sel, DIST)
+        rows = st._rows(1)
+        got = [_leaves(st._factors(h, rows)) for h in (dt, near)]
+        assert len(st._cache) == 2
+        for h, fac in zip((dt, near), got):
+            want = _leaves(pide.Stepper(grid, m, sel, DIST)._factors(h, rows))
+            assert all(np.array_equal(a, b) for a, b in zip(fac, want, strict=True))
+        assert not all(np.array_equal(a, b) for a, b in zip(*got))
+
     def test_row_solver_is_dgttrs_bit_for_bit(self, setup):
         """The row solver runs dgttrs's operations in its order, except that
         it skips c * row where the factor c (dl, du or du2) is 0 on every line
@@ -526,13 +545,13 @@ class TestImplicitSweeps:
             b = rng.uniform(-100.0, 100.0, (len(f[1]), 5, 7))
             want = _dgttrs_rows(f, b)
             pide._solve_rows(pide._row_factors(f), b, np.empty((5, 7)))
-            assert np.array_equal(_bits(b), _bits(want))
+            assert np.array_equal(bits(b), bits(want))
             # signed zeros: equal values, and bits that differ only at zeros
             b = rng.choice([-0.0, 0.0, -1.0, 1.0], (len(f[1]), 5, 7), p=[0.4, 0.4, 0.1, 0.1])
             want = _dgttrs_rows(f, b)
             pide._solve_rows(pide._row_factors(f), b, np.empty((5, 7)))
             assert np.array_equal(b, want)
-            assert np.all(b[_bits(b) != _bits(want)] == 0)
+            assert np.all(b[bits(b) != bits(want)] == 0)
         # per-line factors: each line its own system, among them the fine
         # grid's x factors, which pivot at some (row, y-node) pairs
         fine = _mk()
@@ -545,7 +564,7 @@ class TestImplicitSweeps:
             b = rng.uniform(-100.0, 100.0, (128, len(lines), 7))
             want = np.stack([_dgttrs_rows(f, b[:, j]) for j, f in enumerate(lines)], axis=1)
             pide._solve_rows(pide._line_factors(lines), b, np.empty((len(lines), 7)))
-            assert np.array_equal(_bits(b), _bits(want))
+            assert np.array_equal(bits(b), bits(want))
 
     @pytest.mark.parametrize("nz", [1, 2, 3, 7, 16])
     def test_jump_term_equals_the_tensordot_form(self, setup, nz):
@@ -556,7 +575,7 @@ class TestImplicitSweeps:
         U = np.random.default_rng(nz).uniform(0.0, 200.0, g.shape)
         want = _tensordot_jump(st, U)
         for _ in range(2):  # the second call reuses the workspace
-            assert np.array_equal(_bits(st.jump_term(U)), _bits(want))
+            assert np.array_equal(bits(st.jump_term(U)), bits(want))
 
 
 class TestStackedStep:
@@ -598,7 +617,7 @@ class TestStackedStep:
             got = st.step(U, h, src)
             want = [st.step(U[b], h, None if src is None else src[b]) for b in range(B)]
             assert got.shape == U.shape and got.flags.c_contiguous
-            assert np.array_equal(_bits(got), _bits(np.stack(want)))
+            assert np.array_equal(bits(got), bits(np.stack(want)))
             U = got
 
     @pytest.mark.parametrize("ny", [3, 8, 24, 64])
@@ -614,7 +633,7 @@ class TestStackedStep:
                 U = np.random.default_rng(B * ny + nz).uniform(0.0, 200.0, (B,) + grid.shape)
                 got = st.jump_term(U).copy()
                 for b in range(B):
-                    assert np.array_equal(_bits(st.jump_term(U[b])), _bits(got[b])), (nz, B, b)
+                    assert np.array_equal(bits(st.jump_term(U[b])), bits(got[b])), (nz, B, b)
 
 
 class TestWorkspace:
@@ -641,13 +660,13 @@ class TestWorkspace:
         first = st.step(U, dt)
         kept = first.copy()
         second = st.step(first, dt)
-        assert np.array_equal(_bits(first), _bits(kept))
+        assert np.array_equal(bits(first), bits(kept))
         layers = [(cur[0], cur[0].copy()) for _, cur in
                   pide.march(st, {0: grid.x}, grid.t, kinked=True)]
         results = [first, second, st.implicit_sweeps(U, dt), st.explicit_terms(U)]
-        assert np.array_equal(_bits(U), _bits(U_given))  # a caller's W is copied first
+        assert np.array_equal(bits(U), bits(U_given))  # a caller's W is copied first
         for layer, copy in layers:
-            assert np.array_equal(_bits(layer), _bits(copy))
+            assert np.array_equal(bits(layer), bits(copy))
             results.append(layer)
         for out in results:
             assert not any(np.shares_memory(out, buf) for buf in owned)
@@ -730,14 +749,14 @@ class TestPideGoldenDigests:
             long_model = model.validate(dataclasses.replace(m.params, T=10.0))
             long_sel, _ = cfg.selection(long_model)
             grid = pide.build_grid(long_model, 10.0, 1024, 12, 8, 4)
-            surf = thiele.solve_thiele_pide(markov.term_insurance(10.0, 0.02), long_model,
-                                            long_sel, cfg.dist, grid)
+            st = pide.Stepper(grid, long_model, long_sel, cfg.dist)
+            surf = thiele.solve_thiele_pide(markov.term_insurance(10.0, 0.02), st)
             return [surf.values[s][0] for s in surf.states]
-        grid = pide.build_grid(m, pol.horizon, *cfg.run.grid)
+        st = pide.Stepper(pide.build_grid(m, pol.horizon, *cfg.run.grid), m, sel, cfg.dist)
         if case == "thiele_desk":
-            surf = thiele.solve_thiele_pide(pol, m, sel, cfg.dist, grid)
+            surf = thiele.solve_thiele_pide(pol, st)
             return [surf.values[s][0] for s in surf.states]
-        quad = thiele.reserve_quadrature(pol, m, sel, cfg.dist, grid, 0.0)
+        quad = thiele.reserve_quadrature(pol, st, 0.0)
         return [quad.values[s] for s in quad.states]
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))

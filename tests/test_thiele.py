@@ -1,20 +1,27 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from hhr import markov, measure, model, payoff, pide, thiele
+from hhr.config import load_config
 from hhr.errors import TimeOrderError
 
-from conftest import desk_params
+from conftest import bits, count_stepper_inits, desk_params
 
-
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 DIST = model.ExponentialJump(2.0)
 
 
 def _mk(**kw):
     return model.validate(desk_params(**kw))
+
+
+def _stepper(m, sel, grid):
+    return pide.Stepper(grid, m, sel, DIST)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +44,7 @@ def _thiele_stack(pol, m, sel, grid):
     """Every layer of the coupled march, per state stacked by time index as
     the march streams them."""
     out = {i: np.empty((len(grid.t),) + grid.shape) for i in pol.states}
-    for k, layers in thiele.thiele_march(pol, m, sel, DIST, grid):
+    for k, layers in thiele.thiele_march(pol, _stepper(m, sel, grid)):
         for i in pol.states:
             out[i][k] = layers[i]
     return out
@@ -89,7 +96,7 @@ class TestZeroPolicy:
             intensities={("a", "d"): model.PiecewiseFlat.constant(0.02)},
         )
         stack = _thiele_stack(pol, m, sel, grid)
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         assert np.all(stack["a"] == 0.0)
         assert np.all(quad.values["a"] == 0.0)
 
@@ -100,11 +107,11 @@ class TestDeterministicReductions:
         pol = markov.PolicySpec(
             states=("only",), horizon=10.0, terminal={"only": payoff.constant(1.0)}
         )
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         assert float(quad.values["only"][0, 0, 0]) == pytest.approx(
             math.exp(-0.3), abs=1e-9
         )
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
         assert float(surf.values["only"][0][0, 0, 0]) == pytest.approx(
             math.exp(-0.3), abs=1e-6
         )
@@ -125,12 +132,12 @@ class TestDeterministicReductions:
             return float(sol.y[0, -1])
 
         assert ode_ref() == pytest.approx(closed, abs=1e-9)
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
         got = float(surf.values["alive"][0][0, 0, 0])
         assert abs(got - closed) < 1e-4
         # the reserve is spatially flat for an x-independent contract
         assert float(np.ptp(surf.values["alive"][0])) < 1e-12
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         assert float(quad.values["alive"][0, 0, 0]) == pytest.approx(closed, abs=2e-5)
 
 
@@ -139,7 +146,7 @@ class TestTerminalExactness:
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
         pol = markov.endowment_guarantee(1.0, 0.02, g)
-        k, terminal = next(thiele.thiele_march(pol, m, sel, DIST, grid))
+        k, terminal = next(thiele.thiele_march(pol, _stepper(m, sel, grid)))
         assert k == len(grid.t) - 1
         term = np.broadcast_to(np.maximum(g, grid.x)[:, None, None], grid.shape)
         assert np.array_equal(terminal["alive"], term)
@@ -167,7 +174,7 @@ class TestTerminalExactness:
             )
         want = _full_stack_thiele(pol, m, sel, grid)
         got = _thiele_stack(pol, m, sel, grid)
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
         for state in pol.states:
             assert np.array_equal(got[state], want[state])
             assert np.array_equal(surf.values[state][0], want[state][0])
@@ -201,7 +208,7 @@ class TestInertStates:
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
         want = _full_stack_thiele(pol, m, sel, grid)
         steps = self._count_steps(monkeypatch)
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
         assert len(steps) == len(grid.t) - 1  # "alive" only
         assert surf.values["alive"][0].tobytes() == want["alive"][0].tobytes()
         dead = surf.values["dead"][0]
@@ -223,7 +230,7 @@ class TestInertStates:
             terminal={"a": payoff.constant(1.0)},
         )
         steps = self._count_steps(monkeypatch)
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
         assert [len(u) for u in steps] == [2] * (len(grid.t) - 1)  # "a" and "b" stacked, not "d"
         assert np.all(surf.values["b"][0] == 0.0)
         assert np.all(surf.values["d"][0] == 0.0)
@@ -234,8 +241,8 @@ class TestInertStates:
         sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, 4, 12, 8, 6)
         pol = markov.PolicySpec(states=("a", "d"), horizon=1.0, intensities={})
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         for state in pol.states:
             assert np.all(surf.values[state][0] == 0.0) and np.all(quad.values[state] == 0.0)
 
@@ -254,7 +261,7 @@ class TestRouteConsistency:
             "endowment_guarantee": markov.endowment_guarantee(1.0, 0.02, g),
         }[template]
         stack = _thiele_stack(pol, m, sel, grid)
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         nx, ny, nz = grid.shape
         probes = [
             (i, j, k)
@@ -278,8 +285,8 @@ class TestRouteConsistency:
         h = m.T / 2
         grid = pide.build_grid(m, h, 32, 24, 12, 8)
         pol = markov.endowment_guarantee(h, 0.02, m.S0 * math.exp(m.r * h))
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         nx, ny, nz = grid.shape
         probes = np.ix_(*[(n // 4, n // 2, 3 * n // 4) for n in (nx, ny, nz)])
         for state in pol.states:
@@ -293,7 +300,7 @@ class TestRouteConsistency:
         m, sel, grid = setup
         pol = markov.term_insurance(1.0, 0.02)
         t = 0.5
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, t)
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), t)
         closed = scalar_term_insurance(0.03, 0.02, 1.0 - t)
         assert float(quad.values["alive"][0, 0, 0]) == pytest.approx(closed, abs=2e-5)
         k = int(np.argmin(np.abs(grid.t - t)))
@@ -304,7 +311,7 @@ class TestRouteConsistency:
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
         pol = markov.endowment_guarantee(1.0, 0.02, g)
-        quad = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 1.0)
+        quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 1.0)
         term = np.broadcast_to(np.maximum(g, grid.x)[:, None, None], grid.shape)
         assert np.allclose(quad.values["alive"], term, rtol=0, atol=1e-12)
 
@@ -316,7 +323,7 @@ class TestRouteConsistency:
         vals = []
         for g in (80.0, 100.0, 120.0):
             pol = markov.endowment_guarantee(1.0, 0.02, g, death_benefit=False)
-            surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+            surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
             vals.append(float(surf.values["alive"][0][ix, iy, iz]))
         assert vals[0] < vals[1] < vals[2]
 
@@ -326,7 +333,7 @@ class TestDiagnostics:
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
         pol = markov.endowment_guarantee(1.0, 0.02, g)
-        surf = thiele.solve_thiele_pide(pol, m, sel, DIST, grid)
+        surf = thiele.solve_thiele_pide(pol, _stepper(m, sel, grid))
         gz = surf.z_gradient("alive")
         assert gz.shape == grid.shape
         scale = float(np.max(np.abs(surf.values["alive"][0])))
@@ -388,16 +395,15 @@ class TestSingleMarch:
                 transition={("alive", "dead"): payoff.guarantee(g)},
             )
         ss = np.linspace(0.0, 1.0, 9)
-        dt_target = grid.t[1] - grid.t[0]
         theta = markov.theta_payoff(pol, "alive")
         f = pol.terminal_payoff("alive")
         ref_theta = _per_node_layers(theta, 0.0, ss, m, sel, grid)
         ref_f = _per_node_layers(f, 0.0, [1.0], m, sel, grid)
 
         calls = _counted(monkeypatch, "march")
-        st = pide.Stepper(grid, m, sel, DIST)  # shared, as in reserve_quadrature
-        (got,) = thiele._march_layers([(theta, ss)], 0.0, st, dt_target)
-        ((got_f,),) = thiele._march_layers([(f, [1.0])], 0.0, st, dt_target)
+        st = _stepper(m, sel, grid)  # shared, as in reserve_quadrature
+        (got,) = thiele._march_layers([(theta, ss)], 0.0, st)
+        ((got_f,),) = thiele._march_layers([(f, [1.0])], 0.0, st)
         assert len(calls) == marches
         for s, layer in zip(ss, got):
             assert np.array_equal(layer, ref_theta[float(s)])
@@ -405,7 +411,7 @@ class TestSingleMarch:
 
         monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
         monkeypatch.setattr(thiele, "_REFINE_BUDGET", np.inf)
-        marched = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        marched = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
 
         def per_node(jobs, t, *_):
             out = []
@@ -415,7 +421,7 @@ class TestSingleMarch:
             return out
 
         monkeypatch.setattr(thiele, "_march_layers", per_node)
-        ref = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        ref = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         for state in pol.states:
             assert np.array_equal(marched.values[state], ref.values[state])
 
@@ -425,7 +431,7 @@ class TestSingleMarch:
         m, sel, grid = setup
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
         steps = TestInertStates._count_steps(monkeypatch)
-        thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         assert [len(u) for u in steps] == [2] * len(grid.t)  # nt steps and one half-step more
 
     def test_off_lattice_maturities_rejected(self, small):
@@ -433,27 +439,27 @@ class TestSingleMarch:
         theta = markov.theta_payoff(markov.term_insurance(1.0, 0.02), "alive")
         with pytest.raises(ValueError):
             thiele._march_layers(
-                [(theta, np.array([0.0, 0.25, 0.6, 1.0]))], 0.0, pide.Stepper(grid, m, sel, DIST),
-                1.0 / 16,
+                [(theta, np.array([0.0, 0.25, 0.6, 1.0]))], 0.0, _stepper(m, sel, grid)
             )
 
     def test_refinement_remarches_only_the_payment_rates(self, small, monkeypatch):
         # one march of f and theta as one stack (both on the grid's time
-        # axis), then theta again on the doubled lattice, all through one
-        # Stepper; p(t, T) once for the terminal term and one probability
-        # chain per lattice
+        # axis), then theta again on the doubled lattice, all through the
+        # Stepper given, none built; p(t, T) once for the terminal term and
+        # one probability chain per lattice
         m, sel, grid = small
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
-        steppers = _counted(monkeypatch, "Stepper")
+        st = _stepper(m, sel, grid)
+        steppers = count_stepper_inits(monkeypatch)
         marches = _counted(monkeypatch, "march")
         probs = _counted(monkeypatch, "transition_probs")
         chains = _counted(monkeypatch, "lattice_probs")
         monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
         monkeypatch.setattr(thiele, "_REFINE_BUDGET", 0.0)
-        out = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        out = thiele.reserve_quadrature(pol, st, 0.0)
         assert out.diagnostics == {"n_maturities": 17, "refined": True}
         assert [len(args[1]) for args in marches] == [2, 1]
-        assert len(steppers) == 1 and len({id(args[0]) for args in marches}) == 1
+        assert len(steppers) == 0 and all(args[0] is st for args in marches)
         assert len(probs) == 1
         assert [args[3] for args in chains] == [9, 17]
 
@@ -462,8 +468,65 @@ class TestSingleMarch:
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0)
         marches = _counted(monkeypatch, "march")
         with pytest.raises(TimeOrderError):
-            thiele.reserve_quadrature(pol, m, sel, DIST, grid, 1.5)
+            thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 1.5)
         assert marches == []
+
+
+class TestSharedStepper:
+    """Solves that take turns on one Stepper give, bit for bit, what they
+    give on Steppers of their own."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        # the desk policy on a small grid at the desk's 64 steps, where the
+        # quadrature steps its two payoffs as one stack at the grid's step,
+        # and a stack of two sweeps y and z as rows, a single surface not
+        cfg = load_config(DESK)
+        m = cfg.validated_model()
+        sel, _ = cfg.selection(m)
+        grid = pide.build_grid(m, cfg.policy.horizon, 64, 24, 12, 8)
+        return cfg.policy, lambda: pide.Stepper(grid, m, sel, cfg.dist)
+
+    @pytest.mark.parametrize("backward_first", [True, False], ids=["backward_first",
+                                                                    "quadrature_first"])
+    def test_both_routes_in_either_order(self, desk, backward_first):
+        pol, new = desk
+        want = (thiele.solve_thiele_pide(pol, new()), thiele.reserve_quadrature(pol, new(), 0.0))
+        st = new()
+        if backward_first:
+            surf = thiele.solve_thiele_pide(pol, st)
+            quad = thiele.reserve_quadrature(pol, st, 0.0)
+        else:
+            quad = thiele.reserve_quadrature(pol, st, 0.0)
+            surf = thiele.solve_thiele_pide(pol, st)
+        for state in pol.states:
+            assert np.array_equal(bits(surf.values[state][0]), bits(want[0].values[state][0]))
+            assert np.array_equal(bits(quad.values[state]), bits(want[1].values[state]))
+
+    def test_marches_advanced_in_turn(self, desk):
+        # the reserve march steps one surface at the grid's step; the price
+        # march steps two at twice that, from a kinked start whose two
+        # half-steps are the grid's step
+        pol, new = desk
+        x = new().grid.x
+        start = {"g": pol.terminal_payoff("alive")(pol.horizon, x),
+                 "1": payoff.constant(1.0)(pol.horizon, x)}
+        ts = np.linspace(0.0, pol.horizon, 33)
+
+        def run(st_reserve, st_price):
+            out = ([], [])
+            for pair in itertools.zip_longest(thiele.thiele_march(pol, st_reserve),
+                                              pide.march(st_price, start, ts, kinked=True)):
+                for got, item in zip(out, pair):
+                    if item is not None:
+                        got += [bits(layer) for layer in item[1].values()]
+            return out
+
+        st = new()
+        shared, fresh = run(st, st), run(new(), new())
+        for got, want in zip(shared, fresh):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSimpson:
@@ -482,18 +545,20 @@ class TestPremium:
         m, sel, grid = setup
         monkeypatch.setattr(markov, "_AMOUNT", 100.0)
         pol = markov.pure_endowment(1.0, 0.02)
-        pi = thiele.equivalence_premium(pol, m, sel, DIST, grid)
+        steppers = count_stepper_inits(monkeypatch)
+        pi = thiele.equivalence_premium(pol, m, _stepper(m, sel, grid))
+        assert len(steppers) == 1  # the caller's: both reserves march through it
         ix = grid.index_near("x", m.S0)
         iy = grid.index_near("y", m.v0)
         iz = grid.index_near("z", m.lambda0)
-        benefits = thiele.reserve_quadrature(pol, m, sel, DIST, grid, 0.0)
+        benefits = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         annuity_pol = markov.PolicySpec(
             states=pol.states,
             horizon=pol.horizon,
             intensities=pol.intensities,
             rate={"alive": payoff.constant(1.0)},
         )
-        annuity = thiele.reserve_quadrature(annuity_pol, m, sel, DIST, grid, 0.0)
+        annuity = thiele.reserve_quadrature(annuity_pol, _stepper(m, sel, grid), 0.0)
         residual = (
             benefits.values["alive"][ix, iy, iz]
             - pi * annuity.values["alive"][ix, iy, iz]

@@ -13,7 +13,7 @@ from hhr.rng import derive_seed
 from hhr.sde import simulate
 from hhr.verification import Check, VerificationReport, _Suite, run_verification
 
-from conftest import desk_params
+from conftest import count_stepper_inits, desk_params
 
 
 class TestSuiteMechanics:
@@ -133,6 +133,16 @@ class TestSuiteMechanics:
         assert "integrated reciprocal rel nan%" in c.detail
         assert math.isnan(c.value) and not c.passed
         assert sum(not c.passed for c in checks.values()) == 1
+
+    def test_one_stepper_per_grid(self, monkeypatch):
+        # the desk Stepper, shared by the exact solutions and both reserve
+        # routes; solve_price_pide's own; the classical reduction's
+        built = count_stepper_inits(monkeypatch)
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        run_verification(config_from_dict(d))
+        assert len(built) == 3
+        assert built[1].grid is built[0].grid and built[2].grid.shape == (12, 8, 4)
 
     def test_check_names_are_the_report_rows_in_order(self):
         d = default_config_dict()
@@ -325,7 +335,7 @@ class TestQuadratureRefinement:
         pol = markov.term_insurance(1.0, 0.02)
         monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
         monkeypatch.setattr(thiele, "_REFINE_BUDGET", 0.0)
-        out = thiele.reserve_quadrature(pol, m, sel, dist, grid, 0.0)
+        out = thiele.reserve_quadrature(pol, pide.Stepper(grid, m, sel, dist), 0.0)
         assert out.diagnostics["refined"]
         assert out.diagnostics["n_maturities"] == 17
 
@@ -336,6 +346,6 @@ class TestQuadratureRefinement:
         grid = pide.build_grid(m, 1.0, 16, 12, 8, 6)
         pol = markov.term_insurance(1.0, 0.02)
         monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
-        out = thiele.reserve_quadrature(pol, m, sel, dist, grid, 0.0)
+        out = thiele.reserve_quadrature(pol, pide.Stepper(grid, m, sel, dist), 0.0)
         assert not out.diagnostics["refined"]
         assert out.diagnostics["n_maturities"] == 9
