@@ -4,15 +4,18 @@ probabilities through the backward equations, and contract cash flows.
 Intensities are piecewise-constant in time, so each constant segment admits
 the matrix-exponential closed form.  On a uniform maturity lattice the
 probabilities are chained from one step exponential per segment
-(lattice_probs).
+(lattice_probs).  The exponential is expm, Higham's (2005) scaling and
+squaring in numpy.  It is a different algorithm from scipy.linalg.expm (Al-Mohy
+and Higham 2009): on insurance-scale generators the two agree to a few ulps of
+the largest entry, not bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TimeOrderError
 from .model import PiecewiseFlat
@@ -20,6 +23,7 @@ from .payoff import Payoff, ZERO, constant, guarantee
 
 __all__ = [
     "PolicySpec",
+    "expm",
     "generator_matrix",
     "transition_probs",
     "lattice_probs",
@@ -31,6 +35,60 @@ __all__ = [
 ]
 
 _AMOUNT = 1.0  # the benefit of the pure_endowment and term_insurance templates
+
+# Higham (2005), Table 2.3 and eq. (2.4): the largest 1-norm at which the
+# [m/m] Pade approximant of exp reaches double precision, and its numerator
+# coefficients b_0..b_m (the denominator's are the same with alternating signs)
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring (Higham 2005): the
+    [m/m] Pade approximant of the lowest degree m in 3, 5, 7, 9 whose
+    threshold the 1-norm of a meets, else [13/13] of a / 2^s with s the
+    fewest halvings to bring it under theta_13, squared s times."""
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(len(a))
+    norm = float(np.abs(a).sum(axis=0).max())  # the 1-norm
+    s = 0
+    for m in (3, 5, 7, 9):
+        if norm <= _PADE_THETA[m]:
+            break
+    else:
+        m = 13
+        if norm > _PADE_THETA[13]:
+            s = math.ceil(math.log2(norm / _PADE_THETA[13]))
+            a = a / 2.0**s
+    b = _PADE_B[m]
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]
+        for _ in range(m // 2 - 1):
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * pk for k, pk in enumerate(powers))
+        v = sum(b[2 * k] * pk for k, pk in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 @dataclass(frozen=True)

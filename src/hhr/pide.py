@@ -12,28 +12,26 @@ a vanishing second derivative, which preserves both exact solutions
 U = x and U = e^{-r(s-t)} at every node including the boundary.
 
 Execution: a step takes a (B, nx, ny, nz) stack of surfaces, a single
-surface being a stack of one, and makes each numpy and LAPACK call once for
-the whole stack.  Each sweep picks its kernel by its count of lines, from a
-measured crossover up (_X_ROW_LINES, _Y_ROW_LINES, _Z_ROW_LINES) the rows,
-below it LAPACK dgttrs.  As rows, a sweep runs the dgttrs recurrence one
-grid row at a time, vectorised across all its lines, in the same
-operations and order, except that a row's multiply-and-subtract is skipped
-where its factor (dl, du or du2) is 0 on every line: du and du2 of the
-lower-bidiagonal z axis, and du2 wherever no line pivots.  x - 0*y is x bit
-for bit unless x is -0.0 (or y is not finite), so the rows are dgttrs's bit
-for bit but for the sign of an exact zero.  The y and z sweeps share one
-factorisation each; below their crossover, y calls dgttrs once on a
-Fortran-ordered copy and z once on the result, whose z lines are its
-columns.  The x sweep's factors differ per y-node: as rows, each
-coefficient is a (ny, 1) column, and at each row only the lines that pivot
-there swap; below its crossover it calls dgttrs once per y-node.  The
-jump integral is one matrix product over y on a (y, B x z) copy of the
-z-shifted stack.  Each Stepper owns a workspace, grown to the largest stack
-it serves, so a step allocates only the stack it returns.
+surface being a stack of one, and makes each numpy call once for the whole
+stack.  Every implicit sweep runs as rows: the dgttrs recurrence (LAPACK
+dgtts2) one grid row at a time, vectorised across all the sweep's lines, in
+dgttrs's operations and order, except that a row's multiply-and-subtract is
+skipped where its factor (dl, du or du2) is 0 on every line: du and du2 of
+the lower-bidiagonal z axis, and du2 wherever no line pivots.  x - 0*y is x
+bit for bit unless x is -0.0 (or y is not finite), so the rows are dgttrs's
+bit for bit but for the sign of an exact zero.  The factors come from
+_dgttrf, LAPACK's reference dgttrf ported to numpy operation for operation
+and vectorised the same way, so they are dgttrf's bits.  The y and z sweeps
+share one factorisation each; the x sweep's factors differ per y-node, so
+each coefficient is spread over an x row, (ny, B nz), once per stack size
+(numpy broadcasts a column two to three times slower), and at each row
+only the lines that pivot there swap.  The jump integral is one matrix product over y on a
+(y, B x z) copy of the z-shifted stack.  Each Stepper owns a workspace,
+grown to the largest stack it serves, so a step allocates only the stack it
+returns.
 
-Of scipy, only LAPACK (scipy.linalg) loads, at import.  The variance axis's
-spacing is a root found by _brentq, a port of scipy's brentq.c that gives
-the same float, so building a grid never loads scipy.optimize.
+No scipy loads.  The variance axis's spacing is a root found by _brentq, a
+port of scipy's brentq.c that gives the same float.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError
 from .hawkes import expected_events
@@ -57,18 +54,6 @@ _GL_NODES = 32
 _Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
 _BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
 _BRENT_MAXITER = 100  # and its default maxiter
-# From this many lines up, a sweep runs as rows, vectorised across all its
-# lines; below, through LAPACK dgttrs, which wins where a row is too short to
-# repay numpy's per-call overhead.  A stack of B has B*ny*nz x lines (dgttrs
-# once per y-node), B*nz*nx y lines and B*ny*nx z lines (dgttrs once each).
-# Measured (2 cores, CHANGES.md has the tables): x rows lose at 384 lines and
-# win from 448, at nx = 48, 128 and 256 and every aspect tried; y and z rows
-# cross over between 256 and 768 lines, lower the longer the line (y: near
-# 300 at ny = 24, near 640 at ny = 8; z: near 300 at nz = 16, near 768 at
-# nz = 8), and 384 keeps the worst loss either way within 6 us a sweep.
-_X_ROW_LINES = 448
-_Y_ROW_LINES = 384
-_Z_ROW_LINES = 384
 
 
 @dataclass(frozen=True)
@@ -205,8 +190,9 @@ def build_grid(
     lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node when there is
     no self-excitation.  A maturity of 0 or less is refused, and so is one
     past T, because the z-axis is sized for the events expected by T.  x needs
-    at least 3 nodes, and y and z 1 or at least 3: LAPACK's tridiagonal
-    factorisation refuses 2 rows."""
+    at least 3 nodes, and y and z 1 or at least 3: a 2-node axis has no
+    interior node, the only rows where diffusion acts, so its operator would
+    be the two one-sided convection rows alone."""
     p = model.params
     if not maturity > 0:  # NaN too
         raise DomainError(f"maturity must be > 0, got {maturity:g}")
@@ -232,12 +218,13 @@ def _axis_operator(u, conv, diff):
 
     Central first derivative unless |c| max(h-, h+) > 2 d (then upwind by the
     sign of c); boundary rows use one-sided convection into the domain and a
-    vanishing second derivative.
+    vanishing second derivative.  The rows run along the first axis of u, c
+    and d; a second axis of them broadcasts to one operator per position.
     """
     n = len(u)
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
+    lo = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(conv), np.shape(diff)))
+    di = np.zeros(lo.shape)
+    up = np.zeros(lo.shape)
     if n == 1:
         return lo, di, up
     if n > 2:
@@ -335,86 +322,112 @@ def _apply_tridiag(op, U: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _tridiag_factors(lo, di, up, dt):
-    """LU factors (LAPACK dgttrf) of I - dt*A; None on a one-node axis,
-    where the system is the identity."""
-    if len(di) == 1:
-        return None
-    *fac, info = dgttrf(-dt * lo[1:], 1.0 - dt * di, -dt * up[:-1])
-    if info:
-        raise np.linalg.LinAlgError(f"singular implicit sweep (dgttrf info={info})")
-    return fac
-
-
-def _solve_lines(fac, b: np.ndarray) -> None:
-    """Overwrite the Fortran-ordered columns of b with their solutions.  No
-    columns, no call: scipy's dgttrs writes past the end of an empty array."""
-    if fac is not None and b.size:
-        _, info = dgttrs(*fac, b, overwrite_b=1)
-        if info:
-            raise ValueError(f"dgttrs rejected argument {-info}")
+def _dgttrf(dl, d, du):
+    """LU factors of the tridiagonal systems with sub-, main and
+    super-diagonals dl, d and du, whose rows run along the first axis, one
+    system per position of any further axes: LAPACK's reference dgttrf,
+    operation for operation, run one row at a time and vectorised across the
+    systems, with its pivot test |d| >= |dl| taken per system.  Returns
+    dgttrf's (dl, d, du, du2, ipiv), ipiv 1-based, and raises LinAlgError on
+    an exactly zero pivot, naming the first as dgttrf's info does."""
+    dl, d, du = (np.array(c, dtype=float) for c in (dl, d, du))
+    n = len(d)
+    du2 = np.zeros((max(n - 2, 0),) + d.shape[1:])
+    ipiv = np.empty(d.shape, dtype=np.int32)
+    ipiv[...] = np.arange(1, n + 1).reshape((n,) + (1,) * (d.ndim - 1))
+    # where d[i] = dl[i] = 0 dgttrf skips the elimination, and this loop
+    # spreads a NaN past row i instead; either way d[i] = 0 raises below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            swap = np.abs(d[i]) < np.abs(dl[i])  # interchange rows i and i+1
+            fact = np.where(swap, d[i] / dl[i], dl[i] / d[i])
+            below = np.where(swap, du[i] - fact * d[i + 1], d[i + 1] - fact * du[i])
+            if i < n - 2:
+                du2[i] = np.where(swap, du[i + 1], 0.0)
+                du[i + 1] = np.where(swap, -(fact * du[i + 1]), du[i + 1])
+            du[i] = np.where(swap, d[i + 1], du[i])
+            d[i] = np.where(swap, dl[i], d[i])
+            dl[i] = fact
+            d[i + 1] = below
+            ipiv[i] = np.where(swap, i + 2, i + 1)
+    zero = np.flatnonzero((d == 0).reshape(n, -1).any(axis=1))
+    if zero.size:
+        raise np.linalg.LinAlgError(f"singular implicit sweep (dgttrf info={zero[0] + 1})")
+    return dl, d, du, du2, ipiv
 
 
 def _row_factors(fac):
-    """Shared factors of the row solver: dgttrf's (dl, d, du, du2) as one
-    scalar per row, None where dl, du or du2 is 0, and per row the lines that
-    pivot there, slice(None) for all or None for none.  A one-node axis's
-    None stays None."""
-    if fac is None:
+    """The row solver's form of dgttrf's factors (dl, d, du, du2, ipiv), rows
+    along the first axis: per row, each of dl, d, du and du2 as a 0-d array
+    where every line solves one system (1-D factors; numpy takes a 0-d array
+    faster than a float), or as a (lines, 1) column where each line has its
+    own (2-D factors, so a row (lines, m) of the right-hand sides broadcasts
+    against it), None where dl, du or du2 is 0 on every line; and per row
+    the lines that pivot there, slice(None) for all of a shared system,
+    their indices otherwise, None for none."""
+    dl, d, du, du2, ipiv = fac
+    shared = d.ndim == 1
+
+    def rows(c, skip=True):
+        return [None if skip and not r.any() else np.array(r) if shared else r[:, None]
+                for r in c]
+
+    rank = np.arange(1, len(d) + 1).reshape((len(d),) + (1,) * (d.ndim - 1))
+    swaps = [None if not s.any() else slice(None) if shared else np.flatnonzero(s)
+             for s in ipiv != rank]
+    return rows(dl), rows(d, skip=False), rows(du), rows(du2), swaps
+
+
+def _tridiag_factors(lo, di, up, dt):
+    """The row solver's factors of I - dt*A, A's tridiagonal rows (lo, di,
+    up) along the first axis, one system per position of any second; None
+    on a one-node axis, where the system is the identity."""
+    if len(di) == 1:
         return None
-    dl, d, du, du2, ipiv = (f.tolist() for f in fac)
-    dl, du, du2 = ([c if c != 0 else None for c in f] for f in (dl, du, du2))
-    swaps = [slice(None) if p != i + 1 else None for i, p in enumerate(ipiv)]
-    return dl, d, du, du2, swaps
+    return _row_factors(_dgttrf(-dt * lo[1:], 1.0 - dt * di, -dt * up[:-1]))
 
 
-def _line_factors(facs):
-    """Per-line factors of the row solver: the dgttrf factors of each line
-    stacked into (n, lines, 1) columns, so a row (lines, m) of the right-hand
-    sides broadcasts against them, None where dl, du or du2 is 0 on every
-    line of a row, and per row the indices of the lines that pivot there
-    (None where none does)."""
-    dl, d, du, du2, ipiv = (np.stack(f, axis=1)[..., None] for f in zip(*facs))
-    dl, du, du2 = ([c if c.any() else None for c in f] for f in (dl, du, du2))
-    rows = np.arange(1, len(d) + 1)[:, None]
-    swaps = [np.flatnonzero(s) if s.any() else None for s in ipiv[..., 0] != rows]
-    return dl, list(d), du, du2, swaps
-
-
-def _solve_rows(fac, b: np.ndarray, tmp: np.ndarray) -> None:
-    """Overwrite b with the solutions of its lines, one line per position of
-    the rows b[0], ..., b[n-1]: the dgttrs recurrence (LAPACK dgtts2, no
-    transpose) in its operations and their order, run one row at a time and
-    vectorised across the lines, but for the multiply-and-subtract of a
-    factor marked None, 0 on every line, which is skipped (exact but for
-    the sign of a zero); tmp is scratch of one row's shape.  fac is
-    _row_factors' (one factorisation shared by every line) or _line_factors'
-    (each line its own, its coefficients broadcast along a row)."""
+def _solve_rows(fac, b, tmp: np.ndarray) -> None:
+    """Overwrite the rows b[0], ..., b[n-1] (an array, or a list of views of
+    its rows) with the solutions of their lines, one line per position of a
+    row: the dgttrs recurrence (LAPACK dgtts2, no transpose) in its
+    operations and their order, run one row at a time and vectorised across
+    the lines, but for the multiply-and-subtract of a factor marked None, 0
+    on every line, which is skipped (exact but for the sign of a zero); tmp
+    is scratch of one row's shape.  fac is _tridiag_factors': one system
+    shared by every line, or each line its own, its coefficients broadcast
+    along a row.  The ufuncs take `out` by position, which numpy parses
+    faster than the keyword."""
     if fac is None:
         return
     dl, d, du, du2, swaps = fac
-    n = len(d)
-    row = list(b)  # views, indexed once
-
-    def update(i, c, j):  # row[i] -= c * row[j], skipped where c is 0 on every line
-        if c is not None:
-            np.multiply(row[j], c, out=tmp)
-            np.subtract(row[i], tmp, out=row[i])
-
-    for i in range(n - 1):
-        s = swaps[i]
+    mul, sub, div, copyto = np.multiply, np.subtract, np.divide, np.copyto
+    row = list(b)
+    n = len(row)
+    for r, nxt, s, c in zip(row, row[1:], swaps, dl):
         if s is not None:  # pivot: these lines swap rows i and i+1 before the update
-            np.copyto(tmp, row[i])
-            row[i][s] = row[i + 1][s]
-            row[i + 1][s] = tmp[s]
-        update(i + 1, dl[i], i)
-    np.divide(row[n - 1], d[n - 1], out=row[n - 1])
-    update(n - 2, du[n - 2], n - 1)
-    np.divide(row[n - 2], d[n - 2], out=row[n - 2])
+            copyto(tmp, r)
+            r[s] = nxt[s]
+            nxt[s] = tmp[s]
+        if c is not None:  # nxt -= c * r
+            mul(r, c, tmp)
+            sub(nxt, tmp, nxt)
+    r = row[n - 1]
+    div(r, d[n - 1], r)
+    r, c = row[n - 2], du[n - 2]
+    if c is not None:
+        mul(row[n - 1], c, tmp)
+        sub(r, tmp, r)
+    div(r, d[n - 2], r)
     for i in range(n - 3, -1, -1):
-        update(i, du[i], i + 1)
-        update(i, du2[i], i + 2)
-        np.divide(row[i], d[i], out=row[i])
+        r, c, c2 = row[i], du[i], du2[i]
+        if c is not None:  # r -= du * row[i+1]
+            mul(row[i + 1], c, tmp)
+            sub(r, tmp, r)
+        if c2 is not None:  # r -= du2 * row[i+2]
+            mul(row[i + 2], c2, tmp)
+            sub(r, tmp, r)
+        div(r, d[i], r)
 
 
 class Stepper:
@@ -428,9 +441,10 @@ class Stepper:
     stepped as one, or a single (nx, ny, nz) surface as a stack of one, and
     returns the shape it is given.  Each Stepper owns a workspace of three
     stack-sized buffers and one row of scratch (B times the largest of an
-    (nz, nx), a (ny, nx) and an (ny, nz) grid row, the last the x sweep's
-    when it runs as rows), grown to the largest stack it has served and
-    reused by every step, and keeps the sweeps' factors of every step size.
+    (nz, nx), a (ny, nx) and an (ny, nz) grid row, the z, y and x sweeps'),
+    grown to the largest stack it has served and reused by every step, and
+    keeps the sweeps' factors of every step size (x's spread over a row for
+    every stack size).
     `jump_term` and `mixed_term` return views of it, valid until the next
     call; `explicit_terms`, `implicit_sweeps`, `step` and `generator` return
     fresh arrays."""
@@ -444,7 +458,8 @@ class Stepper:
         x, y, z = grid.x, grid.y, grid.z
         nx, ny, nz = grid.shape
 
-        self.x_ops = [_axis_operator(x, p.r * x, 0.5 * x**2 * yk) for yk in y]
+        # x's operator differs per y-node: its rows are (nx, ny), a column per y-node
+        self.x_op = _axis_operator(x[:, None], p.r * x[:, None], 0.5 * x[:, None]**2 * y)
         self.y_op = _axis_operator(y, -kappa_a * (y - vbar_a), 0.5 * p.sigma**2 * y)
         self.z_op = _axis_operator(z, -p.beta * (z - p.lambda0), np.zeros(nz))
 
@@ -484,7 +499,6 @@ class Stepper:
             nx, ny, nz = self._shape
             my = max(ny - 2, 0)  # the mixed term's interior y-nodes
             a, b = self._a[: B * nx * ny * nz], self._b[: B * nx * ny * nz]
-            lines = a.reshape(ny, B, nz, nx)
             lay = self._layouts[B] = {
                 # the jump term: U P_z^T, its (y, B x z) copy, M_y times that
                 "shifted": a.reshape(B, nx, ny, nz),
@@ -495,26 +509,19 @@ class Stepper:
                 "mixed": self._mixed[:B],
                 # W as a (B, x, y, z) stack, and as the x rows of its (x, y, B z) layout
                 "w": b.reshape(nx, ny, B, nz).transpose(2, 0, 1, 3),
-                "packed": b.reshape(nx, ny, B * nz),
-                # the (y, B, z, x) copy and its Fortran-ordered (x, B z) column
-                # blocks, one per y-node; a Fortran-ordered (y, B z x) copy;
+                # the (y, B, z, x) copy, whose y rows are its first axis, and
                 # the (z, B, y, x) copy
-                "lines": lines,
-                "x_cols": [line.reshape(B * nz, nx).T for line in lines],
-                "y_cols": b.reshape(B * nz * nx, ny).T,
+                "lines": a.reshape(ny, B, nz, nx),
                 "rows": b.reshape(nz, B, ny, nx),
+                # each sweep's rows, as the row solver takes them: views listed once
+                "x_rows": list(b.reshape(nx, ny, B * nz)),
+                "y_rows": list(a.reshape(ny, B, nz, nx)),
+                "z_rows": list(b.reshape(nz, B, ny, nx)),
                 "tmp_x": self._row[: B * ny * nz].reshape(ny, B * nz),
                 "tmp_y": self._row[: B * nz * nx].reshape(B, nz, nx),
                 "tmp_z": self._row[: B * ny * nx].reshape(B, ny, nx),
             }
         return lay
-
-    def _rows(self, B: int) -> tuple:
-        """Whether the x, y and z sweeps of a stack of B run as rows."""
-        nx, ny, nz = self._shape
-        lines = (ny * nz, nz * nx, ny * nx)
-        least = (_X_ROW_LINES, _Y_ROW_LINES, _Z_ROW_LINES)
-        return tuple(B * n >= m for n, m in zip(lines, least))
 
     @property
     def dt_max_explicit(self) -> float:
@@ -555,65 +562,49 @@ class Stepper:
             out = np.empty(U.shape)
         return np.add(self.jump_term(U), self.mixed_term(U), out=out)
 
-    def _factors(self, dt: float, rows: tuple) -> list:
-        """The x, y and z sweeps' factors at step dt, each built once per dt in
-        the form of its kernel: LAPACK's (x's one per y-node), or the row
-        solver's (x's stacked per line).  They are keyed on dt itself: a step
+    def _factors(self, dt: float, B: int = 1) -> tuple:
+        """The x, y and z sweeps' factors at step dt for a stack of B, built
+        once per dt: x's a system per y-node, y's and z's one each.  x's
+        columns are spread once per B to the full (ny, B nz) shape of an x
+        row (numpy multiplies arrays of one shape two to three times faster
+        than it broadcasts a column).  They are keyed on dt itself: a step
         never takes the factors of a neighbouring float."""
-        fac = self._cache.setdefault(dt, {})
-        for axis, as_rows in zip("xyz", rows):
-            if (axis, as_rows) not in fac:
-                if axis == "x":
-                    f = [_tridiag_factors(*op, dt) for op in self.x_ops]
-                    f = _line_factors(f) if as_rows else f
-                else:
-                    f = _tridiag_factors(*(self.y_op if axis == "y" else self.z_op), dt)
-                    f = _row_factors(f) if as_rows else f
-                fac[axis, as_rows] = f
-        return [fac[key] for key in zip("xyz", rows)]
+        fac = self._cache.get(dt)
+        if fac is None:
+            fac = self._cache[dt] = (
+                *(_tridiag_factors(*op, dt) for op in (self.x_op, self.y_op, self.z_op)), {})
+        x, y, z, spread = fac
+        if B not in spread:
+            ny, nz = self._shape[1:]
+            row = (ny, B * nz)
+            dl, d, du, du2, swaps = x
+            spread[B] = (*([None if c is None else np.ascontiguousarray(np.broadcast_to(c, row))
+                            for c in f] for f in (dl, d, du, du2)), swaps)
+        return spread[B], y, z
 
     def implicit_sweeps(self, W: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt*A_x), then (I - dt*A_y), then (I - dt*A_z).
 
         W sits in the workspace's (x, y, B z) layout (a caller's W is copied
         there first and left intact).  Each sweep runs as rows, vectorised
-        across all its lines, from its _ROW_LINES count up, and through LAPACK
-        dgttrs below it.  x's factors differ per y: as rows, x is solved with
-        per-line factors in place in that layout, before the (y, B, z, x)
-        copy; through LAPACK, one y-slice at a time on Fortran-ordered columns
-        of that copy.  y and z share one factorisation each.  y is solved in
-        place in the (y, B, z, x) copy, as rows or through a Fortran-ordered
-        (y, B z x) copy and back; z as rows in a (z, B, y, x) copy, or
-        through LAPACK in place in the result, whose z lines are its columns.
+        across all its lines: x in place in that layout, its factors a
+        system per y-node spread over the row; y in place in a (y, B, z, x)
+        copy; z in a (z, B, y, x) copy.  y and z share one factorisation
+        each.
         """
         S = self._stack(W)
         lay = self._layout(len(S))
-        rows = self._rows(len(S))
-        fac_x, fac_y, fac_z = self._factors(dt, rows)
+        fac_x, fac_y, fac_z = self._factors(dt, len(S))
         if W is not lay["w"]:
             np.copyto(lay["w"], S)
+        _solve_rows(fac_x, lay["x_rows"], lay["tmp_x"])
         lines = lay["lines"]
-        if rows[0]:
-            _solve_rows(fac_x, lay["packed"], lay["tmp_x"])
         np.copyto(lines, lay["w"].transpose(2, 0, 3, 1))
-        if not rows[0]:
-            for f, cols in zip(fac_x, lay["x_cols"]):
-                _solve_lines(f, cols)
-        if rows[1]:
-            _solve_rows(fac_y, lines, lay["tmp_y"])
-        else:
-            flat, cols = lines.reshape(len(lines), -1), lay["y_cols"]
-            np.copyto(cols, flat)
-            _solve_lines(fac_y, cols)
-            np.copyto(flat, cols)
+        _solve_rows(fac_y, lay["y_rows"], lay["tmp_y"])
+        np.copyto(lay["rows"], lines.transpose(2, 1, 0, 3))
+        _solve_rows(fac_z, lay["z_rows"], lay["tmp_z"])
         out = np.empty(S.shape)
-        if rows[2]:
-            np.copyto(lay["rows"], lines.transpose(2, 1, 0, 3))
-            _solve_rows(fac_z, lay["rows"], lay["tmp_z"])
-            np.copyto(out, lay["rows"].transpose(1, 3, 2, 0))
-        else:
-            np.copyto(out, lines.transpose(1, 3, 0, 2))
-            _solve_lines(fac_z, out.reshape(-1, out.shape[-1]).T)
+        np.copyto(out, lay["rows"].transpose(1, 3, 2, 0))
         return out.reshape(W.shape)
 
     def step(self, U: np.ndarray, dt: float, source: np.ndarray | None = None) -> np.ndarray:
@@ -638,9 +629,8 @@ class Stepper:
     def generator(self, U: np.ndarray) -> np.ndarray:
         """Full explicit application of the generator (no reaction term):
         the explicit terms plus the tridiagonal operators the sweeps invert."""
-        x_op = tuple(np.stack(c, axis=1) for c in zip(*self.x_ops))  # (nx, ny) rows
         out = self.explicit_terms(U)
-        for op, axis in ((x_op, 0), (self.y_op, 1), (self.z_op, 2)):
+        for op, axis in ((self.x_op, 0), (self.y_op, 1), (self.z_op, 2)):
             out += _apply_tridiag(op, U, axis)
         return out
 

@@ -338,28 +338,21 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     nt, nx, ny, nz = run.grid
     grid = pide.build_grid(model, p.T, nt, nx, ny, nz)
-    # the desk Stepper: checks 7 and 9 march through it in turn
+    # the desk Stepper: checks 7-9 march through it
     stepper = pide.Stepper(grid, model, selection, dist)
+    templates = _thiele_templates(p.T, g_level)
+    desk = _Once(lambda: _desk_surfaces(stepper, templates, g_level))
 
     # 7. exact solutions of the pricing equation
     def pide_exact_solutions():
-        # both payoffs march as one stack; no layer is stored
-        x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
-        disc = np.exp(-p.r * (p.T - grid.t))
-        rel_x, rel_1 = [], []
-        start = {"x": linear(1.0)(p.T, grid.x), "1": constant(1.0)(p.T, grid.x)}
-        for k, cur in pide.march(stepper, start, grid.t):
-            rel_x.append(float(np.max(np.abs(cur["x"] / x3 - 1.0))))
-            rel_1.append(float(np.max(np.abs(cur["1"] / disc[k] - 1.0))))
-        err_x, err_1 = _worst(*rel_x), _worst(*rel_1)
+        err_x, err_1 = desk()["exact"]
         return _worst(err_x / 1e-3, err_1 / 1e-6), (
             f"payoff x rel err {err_x:.1e} (<1e-3); payoff 1 rel err {err_1:.1e} (<1e-6)"
         )
 
     # 8. guarantee price: solver vs the whole Q sample
     def pide_vs_mc_guarantee(tag):
-        sol_g = pide.solve_price_pide(guarantee(g_level), p.T, model, selection, dist, grid)
-        u0 = sol_g.at(0, p.S0, p.v0, p.lambda0)
+        u0 = desk()["guarantee"].at(0, p.S0, p.v0, p.lambda0)
         pay = guarantee_pv(sample("Q", "pide_vs_mc_guarantee", tag).terminal["S"])
         mc, se = _mean_se(pay)
         used = abs(u0 - mc) / (0.01 * mc + 3 * se)
@@ -370,7 +363,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     # 9. the two reserve routes agree; classical scalar reduction
     def thiele_consistency():
-        worst = _thiele_consistency_worst(stepper, p.T, g_level)
+        worst = _thiele_consistency_worst(stepper, templates, desk()["marched"])
         dev = _classical_reduction_deviation(p, dist, cfg)
         return _worst(worst / 0.01, dev / 1e-4), (
             f"worst probe rel diff {worst:.4%} (<1%); classical reduction "
@@ -439,14 +432,68 @@ def _hyp1f1_identity_deviation() -> float:
     return dev
 
 
-def _thiele_consistency_worst(stepper, horizon, g_level) -> float:
-    """Worst probe gap of the two reserve routes over three policies, all
-    marched through one Stepper."""
-    templates = [
+class _Once:
+    """compute(), made on the first call and kept for every later one; an
+    exception is kept too, and raised to every caller."""
+
+    def __init__(self, compute):
+        self._compute, self._got = compute, None
+
+    def __call__(self):
+        if self._got is None:
+            try:
+                self._got = (True, self._compute())
+            except Exception as exc:
+                self._got = (False, exc)
+        ok, got = self._got
+        if not ok:
+            raise got
+        return got
+
+
+def _thiele_templates(horizon, g_level) -> list:
+    """The three policies whose reserve routes thiele_consistency compares."""
+    return [
         pure_endowment(horizon, 0.02),
         term_insurance(horizon, 0.02),
         endowment_guarantee(horizon, 0.02, g_level),
     ]
+
+
+def _desk_surfaces(stepper, templates, g_level) -> dict:
+    """The sourceless surfaces the PIDE checks read, each marched once, in
+    one stack per time axis and kind of start: x and 1 (every layer, for
+    the exact solutions), the guarantee (its t = 0 layer) and the
+    quadratures' layers of the templates from t = 0.  On the desk grid the
+    quadratures' marches share the grid's time axis, so there are two
+    stacks: x, 1 and the term-insurance theta; the guarantee and the
+    endowment-guarantee theta.  Returns the exact solutions' worst relative
+    errors, the guarantee's t = 0 surface and each template's `marched`."""
+    grid = stepper.grid
+    T, r = grid.t[-1], stepper.r
+    x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
+    disc = np.exp(-r * (T - grid.t))
+    rel_x, rel_1, got = [], [], {}
+
+    def see(k, layers):
+        if "x" in layers:
+            rel_x.append(float(np.max(np.abs(layers["x"] / x3 - 1.0))))
+            rel_1.append(float(np.max(np.abs(layers["1"] / disc[k] - 1.0))))
+        if k == 0 and "guarantee" in layers:
+            got["guarantee"] = pide.PIDESolution(grid, pide.Layer0((layers["guarantee"].copy(),)))
+
+    watch = {"x": (linear(1.0)(T, grid.x), False), "1": (constant(1.0)(T, grid.x), False),
+             "guarantee": (guarantee(g_level)(T, grid.x), True)}
+    jobs = [thiele.quadrature_jobs(pol, 0.0) for pol in templates]
+    flat = iter(thiele._march_layers([j for js in jobs for j in js], 0.0, stepper, watch, see))
+    return {"exact": (_worst(*rel_x), _worst(*rel_1)), "guarantee": got["guarantee"],
+            "marched": [[next(flat) for _ in js] for js in jobs]}
+
+
+def _thiele_consistency_worst(stepper, templates, marched) -> float:
+    """Worst probe gap of the two reserve routes over the template
+    policies, all marched through one Stepper, the quadratures reading
+    their layers from `marched`."""
     nx, ny, nz = stepper.grid.shape
     probes = [
         (i, j, k)
@@ -455,9 +502,9 @@ def _thiele_consistency_worst(stepper, horizon, g_level) -> float:
         for k in (nz // 4, nz // 2, 3 * nz // 4)
     ]
     worst = 0.0
-    for pol in templates:
+    for pol, layers in zip(templates, marched):
         surf = thiele.solve_thiele_pide(pol, stepper)
-        quad = thiele.reserve_quadrature(pol, stepper, 0.0)
+        quad = thiele.reserve_quadrature(pol, stepper, 0.0, layers)
         for st in pol.states:
             a_lay = surf.values[st][0]
             b_lay = quad.values[st]

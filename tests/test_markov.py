@@ -192,3 +192,74 @@ class TestTemplates:
         pol = markov.endowment_guarantee(1.0, 0.02, 120.0)
         assert pol.terminal_payoff("alive").kinked
         assert not markov.theta_payoff(pol, "alive").is_zero
+
+
+def _ulps(got, want):
+    """The largest gap between two matrices in ulps of want's largest entry."""
+    return float(np.max(np.abs(got - want)) / np.spacing(np.max(np.abs(want))))
+
+
+def _random_generator(rng, n, rate):
+    q = rng.uniform(0.0, rate, (n, n))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+class TestExpm:
+    """markov.expm, Higham's (2005) scaling and squaring, against scipy's
+    (Al-Mohy and Higham 2009) and against exact references.  The two
+    algorithms pick their Pade degrees and solve their systems differently,
+    so their bits differ by a few ulps of the largest entry."""
+
+    def test_desk_generator_at_every_lattice_step(self):
+        from scipy.linalg import expm as scipy_expm
+
+        from hhr.config import load_config
+
+        pol = load_config("configs/desk.json").policy
+        worst = 0.0
+        for n in (33, 65):  # the quadrature's lattice, and its refinement
+            us = np.linspace(0.0, pol.horizon, n)
+            for a in us[:-1]:
+                q = markov.generator_matrix(pol, a) * (us[1] - us[0])
+                worst = max(worst, _ulps(markov.expm(q), scipy_expm(q)))
+        q = markov.generator_matrix(pol, 0.0) * pol.horizon  # p(0, T)
+        worst = max(worst, _ulps(markov.expm(q), scipy_expm(q)))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("rate", [0.01, 0.1])
+    def test_random_three_state_generators(self, rate):
+        # insurance intensities up to 0.1 a year, over steps of up to 2 years
+        from scipy.linalg import expm as scipy_expm
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            q = _random_generator(rng, 3, rate) * rng.uniform(0.01, 2.0)
+            assert _ulps(markov.expm(q), scipy_expm(q)) <= 8.0
+
+    def test_large_norms_against_high_precision(self):
+        # norms past theta_13, where the squarings run: within 32 ulps of a
+        # 40-digit mpmath exponential (scipy's own reaches about 120 here)
+        import mpmath
+
+        rng = np.random.default_rng(6)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                q = _random_generator(rng, 3, 5.0) * rng.uniform(0.5, 2.0)
+                want = np.array(mpmath.expm(mpmath.matrix(q)).tolist(), dtype=float)
+                assert _ulps(markov.expm(q), want) <= 32.0
+
+    @pytest.mark.parametrize("mu_h", [1e-6, 6.25e-4, 0.02, 0.3, 1.0, 3.0, 8.0, 40.0])
+    def test_two_state_closed_form(self, mu_h):
+        # from mu_h = 3 the squarings run; at 40 they leave 4.5 ulps
+        q = np.array([[-mu_h, mu_h], [0.0, 0.0]])
+        want = np.array([[math.exp(-mu_h), -math.expm1(-mu_h)], [0.0, 1.0]])
+        got = markov.expm(q)
+        assert _ulps(got, want) <= (1.0 if mu_h <= 1.0 else 8.0)
+        assert got[1, 0] == 0.0
+
+    def test_zero_and_diagonal(self):
+        assert np.array_equal(markov.expm(np.zeros((3, 3))), np.eye(3))
+        d = np.diag([-0.5, -2.0, 0.0])
+        assert _ulps(markov.expm(d), np.diag(np.exp(np.diag(d)))) <= 2.0

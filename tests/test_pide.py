@@ -412,7 +412,8 @@ def _reference_sweeps(st, W, dt):
     nx, ny, nz = st.grid.shape
     out = np.empty_like(W)
     for k in range(ny):
-        out[:, k, :] = solve_banded((1, 1), _banded(*st.x_ops[k], dt), W[:, k, :])
+        x_op = [c[:, k] for c in st.x_op]  # y-node k's x operator
+        out[:, k, :] = solve_banded((1, 1), _banded(*x_op, dt), W[:, k, :])
     if ny > 1:
         flat = np.moveaxis(out, 1, 0).reshape(ny, nx * nz)
         flat = solve_banded((1, 1), _banded(*st.y_op, dt), flat)
@@ -431,6 +432,13 @@ def _dgttrs_rows(fac, b):
     lines, info = dgttrs(*fac, np.asfortranarray(b.reshape(n, -1)))
     assert info == 0
     return lines.reshape(b.shape)
+
+
+def _lapack_factors(lo, di, up, dt):
+    """LAPACK dgttrf's factors of I - dt*A, A's rows (lo, di, up)."""
+    *fac, info = dgttrf(-dt * lo[1:], 1.0 - dt * di, -dt * up[:-1])
+    assert info == 0
+    return fac
 
 
 def _dgttrf_random(rng, n):
@@ -464,9 +472,9 @@ class TestImplicitSweeps:
             ({}, (64, 48, 1, 16), (48, 1, 16)),
             ({}, (128, 128, 64, 32), (128, 64, 32)),  # layers past a core's L2
             ({}, (1024, 12, 8, 4), (12, 8, 4)),  # the grid of verify's classical reduction
-            ({}, (8, 16, 3, 149), (16, 3, 149)),  # 447 x lines: one dgttrs per y-node
-            ({}, (8, 16, 28, 16), (16, 28, 16)),  # 448 x lines: as rows
-            ({}, (8, 16, 1, 1024), (16, 1, 1024)),  # as rows, one y-node
+            ({}, (8, 16, 3, 149), (16, 3, 149)),  # three y-nodes, long z lines
+            ({}, (8, 16, 28, 16), (16, 28, 16)),
+            ({}, (8, 16, 1, 1024), (16, 1, 1024)),  # one y-node
         ],
         ids=["desk", "nz1", "ny1", "fine", "long", "below", "at", "wide_ny1"],
     )
@@ -476,10 +484,15 @@ class TestImplicitSweeps:
         grid = pide.build_grid(m, 1.0, *shape)
         assert grid.shape == expected
         st = pide.Stepper(grid, m, sel, DIST)
-        assert pide._X_ROW_LINES == 448  # the "below" and "at" grids straddle it
-        assert st._rows(1)[0] == (expected[1] * expected[2] >= pide._X_ROW_LINES)
         W = np.random.default_rng(3).uniform(0.0, 200.0, grid.shape)
         dt = grid.t[1] - grid.t[0]
+        # one kernel, the row solver: x's factors a system per y-node,
+        # spread over an x row, y's and z's one 0-d array per row, None on a
+        # one-node axis
+        fac_x, fac_y, fac_z = st._factors(dt)
+        assert fac_x[1][0].shape == expected[1:]
+        for fac, n in ((fac_y, expected[1]), (fac_z, expected[2])):
+            assert fac is None if n == 1 else fac[1][0].shape == ()
         for step in (dt, 0.5 * dt):
             got = st.implicit_sweeps(W, step)
             assert got.flags.c_contiguous
@@ -496,11 +509,10 @@ class TestImplicitSweeps:
         near = float(np.nextafter(dt, 1.0))
         assert round(near, 15) == round(dt, 15)
         st = pide.Stepper(grid, m, sel, DIST)
-        rows = st._rows(1)
-        got = [_leaves(st._factors(h, rows)) for h in (dt, near)]
+        got = [_leaves(st._factors(h)) for h in (dt, near)]
         assert len(st._cache) == 2
         for h, fac in zip((dt, near), got):
-            want = _leaves(pide.Stepper(grid, m, sel, DIST)._factors(h, rows))
+            want = _leaves(pide.Stepper(grid, m, sel, DIST)._factors(h))
             assert all(np.array_equal(a, b) for a, b in zip(fac, want, strict=True))
         assert not all(np.array_equal(a, b) for a, b in zip(*got))
 
@@ -540,7 +552,7 @@ class TestImplicitSweeps:
         assert all(partly_zero(f[0]) and partly_zero(f[2]) for f in sparse)
         assert all(partly_zero(f[3]) for f in [sparse[1]] + pivoting)
         # shared factors: every line solves the same system
-        for f in (pide._tridiag_factors(*st.y_op, dt), pide._tridiag_factors(*st.z_op, dt),
+        for f in (_lapack_factors(*st.y_op, dt), _lapack_factors(*st.z_op, dt),
                   pivoting[0], *sparse):
             b = rng.uniform(-100.0, 100.0, (len(f[1]), 5, 7))
             want = _dgttrs_rows(f, b)
@@ -558,12 +570,13 @@ class TestImplicitSweeps:
         fine_grid = pide.build_grid(fine, 1.0, 128, 128, 64, 32)
         fine_st = pide.Stepper(fine_grid, fine, sel, DIST)
         fine_dt = fine_grid.t[1] - fine_grid.t[0]
-        x_facs = [pide._tridiag_factors(*op, fine_dt) for op in fine_st.x_ops]
+        x_facs = [_lapack_factors(*(c[:, k] for c in fine_st.x_op), fine_dt) for k in range(64)]
         assert any((f[-1] != np.arange(1, 129)).any() for f in x_facs)
         for lines in (pivoting + [dominant] + x_facs + pivoting[::-1], sparse + [dominant]):
             b = rng.uniform(-100.0, 100.0, (128, len(lines), 7))
             want = np.stack([_dgttrs_rows(f, b[:, j]) for j, f in enumerate(lines)], axis=1)
-            pide._solve_rows(pide._line_factors(lines), b, np.empty((len(lines), 7)))
+            stacked = [np.stack(c, axis=1) for c in zip(*lines)]  # (n, lines) each
+            pide._solve_rows(pide._row_factors(stacked), b, np.empty((len(lines), 7)))
             assert np.array_equal(bits(b), bits(want))
 
     @pytest.mark.parametrize("nz", [1, 2, 3, 7, 16])
@@ -578,35 +591,119 @@ class TestImplicitSweeps:
             assert np.array_equal(bits(st.jump_term(U)), bits(want))
 
 
+class TestDgttrfPort:
+    """pide._dgttrf is LAPACK's reference dgttrf run row by row across many
+    systems at once: the same dl, d, du, du2 and ipiv, bit for bit."""
+
+    @staticmethod
+    def _assert_lapack_bits(dl, d, du):
+        """The port on the systems of the columns (or the one system) of
+        dl, d, du against scipy's dgttrf on each; the count of pivoting ones."""
+        got = pide._dgttrf(dl, d, du)
+        lines = [(dl, d, du)] if d.ndim == 1 else [tuple(c[:, j] for c in (dl, d, du))
+                                                   for j in range(d.shape[1])]
+        pivoting = 0
+        for j, (a, b, c) in enumerate(lines):
+            *want, info = dgttrf(a, b, c)
+            assert info == 0
+            for port, ref in zip(got, want, strict=True):
+                line = port if d.ndim == 1 else port[:, j]
+                assert line.dtype == ref.dtype
+                assert np.array_equal(bits(line) if ref.dtype == float else line,
+                                      bits(ref) if ref.dtype == float else ref)
+            pivoting += bool((want[-1] != np.arange(1, len(b) + 1)).any())
+        return pivoting
+
+    @pytest.mark.parametrize("shape", [(64, 48, 24, 16), (128, 128, 64, 32), (1024, 12, 8, 4)],
+                             ids=["desk", "fine", "reduction"])
+    def test_every_operator_at_three_steps(self, setup, shape):
+        m, sel, _ = setup
+        grid = pide.build_grid(m, 1.0, *shape)
+        st = pide.Stepper(grid, m, sel, DIST)
+        dt = grid.t[1] - grid.t[0]
+        pivoting = 0
+        for h in (dt, 0.5 * dt, 2.0):
+            for lo, di, up in (st.x_op, st.y_op, st.z_op):  # x: a system per y-node
+                pivoting += self._assert_lapack_bits(-h * lo[1:], 1.0 - h * di, -h * up[:-1])
+        assert pivoting > 0
+
+    def test_pivoting_systems(self):
+        # not diagonally dominant: some rows pivot on some lines, not others
+        rng = np.random.default_rng(23)
+        n, lines = 40, 9
+        dl, du = rng.uniform(0.5, 2.0, (2, n - 1, lines))
+        d = rng.uniform(-0.1, 0.1, (n, lines))
+        d[:, 0] = rng.uniform(3.0, 4.0, n)  # one line pivots nowhere
+        swaps = pide._dgttrf(dl, d, du)[-1] != np.arange(1, n + 1)[:, None]
+        assert not swaps[:, 0].any() and swaps[:, 1:].any(axis=0).all()
+        assert (swaps.any(axis=1) & ~swaps.all(axis=1)).any()
+        assert self._assert_lapack_bits(dl, d, du) == lines - 1
+
+    def test_ties_do_not_pivot(self):
+        # |d| = |dl| keeps the row (dgttrf's test is |d| >= |dl|): dl is 0 on
+        # every other row, so those rows leave the next d as it was, 1 or -1
+        n = 12
+        dl = np.tile([0.0, 1.0], n // 2)[: n - 1]
+        d = np.stack([np.ones(n), -np.ones(n)], axis=1)
+        du = np.full(n - 1, 0.5)
+        cols = (np.stack([dl, -dl], axis=1), d, np.stack([du, du], axis=1))
+        assert self._assert_lapack_bits(*cols) == 0
+        assert np.array_equal(pide._dgttrf(*cols)[-1], np.tile(np.arange(1, n + 1)[:, None], 2))
+
+    def test_one_node_axis(self):
+        # one row, which scipy's dgttrf wrapper refuses (as it does two): the
+        # factors are d itself, no row pivots, and the sweep is the identity
+        got = pide._dgttrf(np.zeros((0, 2)), np.array([[0.75, 2.0]]), np.zeros((0, 2)))
+        assert np.array_equal(got[1], [[0.75, 2.0]]) and got[3].shape == (0, 2)
+        assert np.array_equal(got[4], np.ones((1, 2), dtype=np.int32))
+        assert pide._tridiag_factors(np.zeros(1), np.array([-3.0]), np.zeros(1), 0.1) is None
+
+    @pytest.mark.parametrize(
+        "dl, d, du, info",
+        [
+            ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], 1),  # a zero first pivot, nothing to swap
+            ([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0], 2),  # two equal rows: pivot 2 cancels
+            ([1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0], 3),  # the last pivot cancels
+            ([1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0], 2),  # the first row pivots, then 0
+            ([1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0], 3),  # both rows pivot, then 0
+        ],
+    )
+    def test_exactly_singular_systems_raise(self, dl, d, du, info):
+        *_, want = dgttrf(np.array(dl), np.array(d), np.array(du))
+        assert want == info
+        with pytest.raises(np.linalg.LinAlgError, match=f"info={info}"):
+            pide._dgttrf(np.array(dl), np.array(d), np.array(du))
+        # and one singular line among regular ones raises for the stack
+        cols = [np.stack([np.array(c), np.array(c) + 5.0], axis=1) for c in (dl, d, du)]
+        with pytest.raises(np.linalg.LinAlgError):
+            pide._dgttrf(*cols)
+
+
 class TestStackedStep:
     """A (B, nx, ny, nz) stack steps bit for bit as its B surfaces do one at
     a time, through one Stepper whose workspace grows to the stack."""
 
     @pytest.mark.parametrize(
-        "overrides, shape, B, rows",
+        "overrides, shape, B",
         [
-            # x as dgttrs alone (384 lines), as rows stacked (768)
-            ({}, (8, 48, 24, 16), 2, ("yz", "xyz")),
-            ({}, (8, 12, 8, 4), 3, ("", "")),  # verify's classical reduction: dgttrs at every B
-            ({}, (8, 16, 28, 16), 2, ("xz", "xyz")),  # 448 x lines: rows alone and stacked
-            ({}, (4, 48, 48, 16), 2, ("xyz", "xyz")),  # the y factorisation pivots
-            ({"alpha": 0.0}, (8, 16, 12, 1), 2, ("", "z")),  # one z-node: dgttrs with one column alone
-            ({}, (8, 16, 24, 11), 2, ("z", "xz")),  # y as dgttrs: 176 lines alone, 352 stacked
-            ({}, (8, 24, 8, 16), 2, ("y", "yz")),  # y as rows from 384 lines; z 192, then 384
-            ({}, (8, 16, 11, 24), 2, ("y", "xy")),  # z as dgttrs: 176 lines alone, 352 stacked
-            ({}, (8, 16, 24, 8), 2, ("z", "z")),  # z as rows from 384 lines
+            ({}, (8, 48, 24, 16), 2),  # the desk's space grid
+            ({}, (8, 12, 8, 4), 3),  # verify's classical reduction
+            ({}, (8, 16, 28, 16), 2),
+            ({}, (4, 48, 48, 16), 2),  # the y factorisation pivots
+            ({"alpha": 0.0}, (8, 16, 12, 1), 2),  # one z-node
+            ({}, (8, 16, 24, 11), 2),
+            ({}, (8, 24, 8, 16), 2),
+            ({}, (8, 16, 11, 24), 2),
+            ({}, (8, 16, 24, 8), 2),
         ],
         ids=["desk_crosses", "reduction", "rows", "y_pivots", "nz1", "y_below", "y_at",
              "z_below", "z_at"],
     )
-    def test_stack_equals_separate_steps(self, overrides, shape, B, rows):
+    def test_stack_equals_separate_steps(self, overrides, shape, B):
         m = _mk(**overrides)
         sel, _ = measure.select_measure(m, DIST, measure.MeasureConfig())
         grid = pide.build_grid(m, 1.0, *shape)
         st = pide.Stepper(grid, m, sel, DIST)
-        assert (pide._X_ROW_LINES, pide._Y_ROW_LINES, pide._Z_ROW_LINES) == (448, 384, 384)
-        # the axes swept as rows, a surface alone and the stack
-        assert tuple("".join(a for a, r in zip("xyz", st._rows(b)) if r) for b in (1, B)) == rows
         rng = np.random.default_rng(17)
         U = rng.uniform(0.0, 200.0, (B,) + grid.shape)
         source = rng.uniform(-1.0, 1.0, (B,) + grid.shape)
@@ -619,6 +716,9 @@ class TestStackedStep:
             assert got.shape == U.shape and got.flags.c_contiguous
             assert np.array_equal(bits(got), bits(np.stack(want)))
             U = got
+        # one kernel at every B: the stack and its surfaces share one set of
+        # factors per step size, keyed by nothing else (3 dt and dt, or their substeps)
+        assert set(st._cache) == {h / math.ceil(h / st.dt_max_explicit) for h in (3 * dt, dt)}
 
     @pytest.mark.parametrize("ny", [3, 8, 24, 64])
     def test_stacked_jump_dgemm_equals_separate_calls(self, setup, ny):
@@ -717,7 +817,7 @@ class TestPideGoldenDigests:
     DIGESTS = {
         "price_desk_shape": "570fff91b93aea8e",
         "thiele_desk": "57f0bdada27af3be",
-        "quadrature_desk": "a171e4350cceec14",
+        "quadrature_desk": "c6f7e53bbb83e0d2",  # a171e4350cceec14 with scipy's expm
         "price_x_rows": "367846eaec54ba7d",
         "price_y_pivots": "a5b086fe11ec2959",
         "classical_reduction": "7db7834073390fc8",
@@ -762,3 +862,11 @@ class TestPideGoldenDigests:
     @pytest.mark.parametrize("case", sorted(DIGESTS))
     def test_surfaces_equal_the_recorded_digests(self, desk, case):
         assert _sha(self._surfaces(desk, case)) == self.DIGESTS[case]
+
+    def test_quadrature_moves_only_through_expm(self, desk, monkeypatch):
+        # with scipy's matrix exponential in place of markov.expm, the
+        # quadrature's surfaces keep the bits they had with it
+        from scipy.linalg import expm
+
+        monkeypatch.setattr(markov, "expm", expm)
+        assert _sha(self._surfaces(desk, "quadrature_desk")) == "a171e4350cceec14"

@@ -135,14 +135,53 @@ class TestSuiteMechanics:
         assert sum(not c.passed for c in checks.values()) == 1
 
     def test_one_stepper_per_grid(self, monkeypatch):
-        # the desk Stepper, shared by the exact solutions and both reserve
-        # routes; solve_price_pide's own; the classical reduction's
+        # the desk Stepper, shared by the three PIDE checks; the classical
+        # reduction's
         built = count_stepper_inits(monkeypatch)
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
         run_verification(config_from_dict(d))
-        assert len(built) == 3
-        assert built[1].grid is built[0].grid and built[2].grid.shape == (12, 8, 4)
+        assert len(built) == 2
+        assert built[1].grid.shape == (12, 8, 4)
+
+    def test_each_desk_surface_marched_once(self, monkeypatch):
+        # at nt = 64 the quadratures' lattice steps the desk grid's own dt, so
+        # the sourceless surfaces step as two stacks: x, 1 and the term
+        # insurance's theta (64 steps); the guarantee and the endowment
+        # guarantee's theta (65: the kinked start's two half-steps); beside
+        # them the three backward routes march one surface each
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="64x16x10x6")
+        desk_shape = (16, 10, 6)
+        stacks = []
+        step = pide.Stepper.step
+
+        def counted(self, U, dt, source=None):
+            if self.grid.shape == desk_shape:
+                stacks.append(U.size // math.prod(desk_shape))
+            return step(self, U, dt, source)
+
+        monkeypatch.setattr(pide.Stepper, "step", counted)
+        rep = run_verification(config_from_dict(d))
+        assert rep.passed
+        assert {b: stacks.count(b) for b in set(stacks)} == {3: 64, 2: 65, 1: 3 * 64}
+
+    def test_shared_march_fails_each_check_that_reads_it(self, monkeypatch):
+        calls = []
+
+        def boom(*args):
+            calls.append(args)
+            raise FloatingPointError("march exploded")
+
+        monkeypatch.setattr(thiele, "_march_layers", boom)
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        rep = run_verification(config_from_dict(d))
+        assert tuple(c.name for c in rep.checks) == verification.CHECKS
+        failed = {c.name: c.detail for c in rep.checks if not c.passed}
+        readers = ("pide_exact_solutions", "pide_vs_mc_guarantee", "thiele_consistency")
+        assert failed == dict.fromkeys(readers, "raised FloatingPointError: march exploded")
+        assert len(calls) == 1  # tried once, its failure kept for every reader
 
     def test_check_names_are_the_report_rows_in_order(self):
         d = default_config_dict()
