@@ -57,9 +57,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a square matrix by scaling and squaring (Higham 2005): the
     [m/m] Pade approximant of the lowest degree m in 3, 5, 7, 9 whose
     threshold the 1-norm of a meets, else [13/13] of a / 2^s with s the
-    fewest halvings to bring it under theta_13, squared s times."""
+    fewest halvings to bring it under theta_13, squared s times.  A zero
+    row of a (an absorbing state) gives the identity's row, exactly."""
     a = np.asarray(a, dtype=float)
     eye = np.eye(len(a))
+    dead = ~a.any(axis=1)
     norm = float(np.abs(a).sum(axis=0).max())  # the 1-norm
     s = 0
     for m in (3, 5, 7, 9):
@@ -88,6 +90,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
+    r[dead] = eye[dead]  # set after the squarings, which leave it ulps off
     return r
 
 

@@ -21,7 +21,6 @@ from .pide import solve_price_pide  # noqa: F401  (perfbench traces hhr.thiele.s
 __all__ = [
     "ReserveSurface",
     "ReserveLayer",
-    "quadrature_jobs",
     "reserve_quadrature",
     "thiele_march",
     "solve_thiele_pide",
@@ -72,37 +71,23 @@ def _simpson_weights(n_nodes: int) -> np.ndarray:
     return w / 3.0
 
 
-def _march_layers(jobs, t, st, watch=None, see=None):
+def _march_layers(jobs, t, st):
     """For each (payoff, maturities) of jobs, the t-layers of the prices of
     payoff(s, S_s) for every s in maturities, marched through the Stepper st.
 
     The generator is time-homogeneous, so U_s(t) is the layer s - t before
     the terminal of a backward march from payoff(s, .): one march per
-    distinct terminal layer serves all its maturities.  The maturities lie
-    on a lattice t + m*spacing; the march steps spacing/q with
+    distinct terminal layer of a job serves all its maturities.  The
+    maturities lie on a lattice t + m*spacing; the march steps spacing/q with
     q = max(2, round(spacing/dt)), dt the step of st.grid's time axis (the
     backward route's), so every node gets at least two steps, the kinked
-    half-step start included.  Marches on one time axis with one kind of
-    start, kinked or not, step as one stack, and marches that coincide
-    (one axis, one kind, one terminal layer), within a job or across jobs,
-    are made once; a kept layer is a copy, shared by every job that reads
-    it, so it holds no stack alive.
-
-    `watch`, if given, maps names to (terminal x-values, kinked): surfaces
-    that march over st.grid's own time axis in the stacks of that axis, and
-    at every k of each such stack's march see(k, layers) gets its watched
-    surfaces by name, views valid only during the call.
+    half-step start included.  The marches of all jobs that share a time
+    axis and a kind of start, kinked or not, step as one stack; a kept layer
+    is a copy, so it holds no stack alive.
     """
     grid = st.grid
     dt = grid.t[1] - grid.t[0]
-    stacks = {}  # (axis bytes, kinked) -> (axis, kinked, {terminal bytes: (terminal, keep, names)})
-
-    def member(ts, kinked, term):  # keep: {k: [(job, m)]}; names: the watch's
-        _, _, members = stacks.setdefault((ts.tobytes(), kinked), (ts, kinked, {}))
-        return members.setdefault(term.tobytes(), (term, {}, []))
-
-    for name, (term, kinked) in (watch or {}).items():
-        member(grid.t, kinked, np.asarray(term, dtype=float))[2].append(name)
+    stacks = {}  # (s_end, n_steps, kinked) -> {(job, march): (payoff, {k: m})}
     positions = []
     for n, (payoff, maturities) in enumerate(jobs):
         ss = np.asarray(maturities, dtype=float)
@@ -114,49 +99,25 @@ def _march_layers(jobs, t, st, watch=None, see=None):
         positions.append(pos)
         groups = {}
         for m, s in zip(pos, ss):
-            term = np.asarray(payoff(s, grid.x), dtype=float)
-            groups.setdefault(term.tobytes(), (term, []))[1].append((m, float(s)))
-        for term, members in groups.values():
+            term = np.asarray(payoff(s, grid.x), dtype=float).tobytes()
+            groups.setdefault(term, []).append((m, float(s)))
+        for g, members in enumerate(groups.values()):
             m_end, s_end = max(members)
             n_steps = q * m_end
-            keep = member(np.linspace(t, s_end, n_steps + 1), payoff.kinked, term)[1]
-            for m, _ in members:
-                keep.setdefault(n_steps - q * m, []).append((n, m))
+            keep = {n_steps - q * m: m for m, _ in members}
+            stacks.setdefault((s_end, n_steps, payoff.kinked), {})[n, g] = (payoff, keep)
     layers = [{} for _ in jobs]
-    for ts, kinked, members in stacks.values():
-        start = {b: term for b, (term, _, _) in members.items()}
+    for (s_end, n_steps, kinked), marches in stacks.items():
+        start = {key: payoff(s_end, grid.x) for key, (payoff, _) in marches.items()}
+        ts = np.linspace(t, s_end, n_steps + 1)
         for k, cur in march(st, start, ts, kinked=kinked):
-            seen = {}
-            for b, (_, keep, names) in members.items():
+            for (n, g), (_, keep) in marches.items():
                 if k in keep:
-                    layer = cur[b].copy()
-                    for n, m in keep[k]:
-                        layers[n][m] = layer
-                seen.update(dict.fromkeys(names, cur[b]))
-            if seen:
-                see(k, seen)
+                    layers[n][keep[k]] = cur[n, g].copy()
     return [[got[m] for m in pos] for got, pos in zip(layers, positions)]
 
 
-def _quadrature_payoffs(policy: PolicySpec, t: float):
-    """The (state index, payoff) of each nonzero terminal payoff, and each
-    nonzero theta payoff (none at the horizon), of a quadrature from t."""
-    fs = [(policy.index(j), policy.terminal_payoff(j)) for j in policy.states]
-    thetas = [theta_payoff(policy, j) for j in policy.states] if policy.horizon > t else []
-    return [(j, f) for j, f in fs if not f.is_zero], [th for th in thetas if not th.is_zero]
-
-
-def quadrature_jobs(policy: PolicySpec, t: float) -> list:
-    """The marches reserve_quadrature(policy, stepper, t) reads, as
-    _march_layers jobs: each nonzero terminal payoff at the horizon, then
-    each nonzero theta payoff at the _N_MATURITIES Simpson nodes."""
-    fs, thetas = _quadrature_payoffs(policy, t)
-    ss = np.linspace(t, policy.horizon, _N_MATURITIES)
-    return [(f, [policy.horizon]) for _, f in fs] + [(th, ss) for th in thetas]
-
-
-def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float,
-                       marched: list | None = None) -> ReserveLayer:
+def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float) -> ReserveLayer:
     """V_i(t) = sum_j p_ij(t,T) U_T^{f_j}(t) + int_t^T sum_j p_ij(t,s) U_s^{theta_j}(t) ds.
 
     The maturity integral uses composite Simpson on _N_MATURITIES nodes
@@ -165,9 +126,7 @@ def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float,
     (lattice_probs), the latter, like U_T^{f_j}(t), from one backward march
     per distinct terminal layer (_march_layers); marches on one time axis
     step as one stack, and all through `stepper`, on its grid and at its
-    time step, which keeps the factors of each step size.  A caller that
-    marches these layers beside its own passes them as `marched`, the
-    _march_layers layers of quadrature_jobs(policy, t) on this stepper.
+    time step, which keeps the factors of each step size.
     The embedded half-resolution rule on every other node gives a
     Richardson error estimate; if it exceeds _REFINE_BUDGET (relative) the
     node count is doubled once, which chains the probabilities again and
@@ -178,10 +137,13 @@ def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float,
     p_T = transition_probs(policy, t, T)  # refuses t outside [0, T] before any solve
     grid = stepper.grid
 
-    fs, thetas = _quadrature_payoffs(policy, t)
+    fs = [(idx(j), policy.terminal_payoff(j)) for j in policy.states]
+    fs = [(j, f) for j, f in fs if not f.is_zero]
+    thetas = [theta_payoff(policy, j) for j in policy.states] if T > t else []
+    thetas = [th for th in thetas if not th.is_zero]
     ss = np.linspace(t, T, _N_MATURITIES)
-    if marched is None:
-        marched = _march_layers(quadrature_jobs(policy, t), t, stepper)
+    jobs = [(f, [T]) for _, f in fs] + [(th, ss) for th in thetas]
+    marched = _march_layers(jobs, t, stepper)
     terminal = [(j, layers[0]) for (j, _), layers in zip(fs, marched)]
     running = [(idx(th.state), layers) for th, layers in zip(thetas, marched[len(fs):])]
 

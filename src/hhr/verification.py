@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -338,21 +339,30 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     nt, nx, ny, nz = run.grid
     grid = pide.build_grid(model, p.T, nt, nx, ny, nz)
-    # the desk Stepper: checks 7-9 march through it
+    # the desk Stepper: checks 7-9 march their own surfaces through it in turn
     stepper = pide.Stepper(grid, model, selection, dist)
-    templates = _thiele_templates(p.T, g_level)
-    desk = _Once(lambda: _desk_surfaces(stepper, templates, g_level))
 
     # 7. exact solutions of the pricing equation
     def pide_exact_solutions():
-        err_x, err_1 = desk()["exact"]
+        # both payoffs march as one stack; no layer is stored
+        x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
+        disc = np.exp(-p.r * (p.T - grid.t))
+        rel_x, rel_1 = [], []
+        start = {"x": linear(1.0)(p.T, grid.x), "1": constant(1.0)(p.T, grid.x)}
+        for k, cur in pide.march(stepper, start, grid.t):
+            rel_x.append(float(np.max(np.abs(cur["x"] / x3 - 1.0))))
+            rel_1.append(float(np.max(np.abs(cur["1"] / disc[k] - 1.0))))
+        err_x, err_1 = _worst(*rel_x), _worst(*rel_1)
         return _worst(err_x / 1e-3, err_1 / 1e-6), (
             f"payoff x rel err {err_x:.1e} (<1e-3); payoff 1 rel err {err_1:.1e} (<1e-6)"
         )
 
     # 8. guarantee price: solver vs the whole Q sample
     def pide_vs_mc_guarantee(tag):
-        u0 = desk()["guarantee"].at(0, p.S0, p.v0, p.lambda0)
+        pay_g = guarantee(g_level)
+        marching = pide.march(stepper, {0: pay_g(p.T, grid.x)}, grid.t, kinked=pay_g.kinked)
+        (_, layers), = deque(marching, maxlen=1)  # the last map, k = 0
+        u0 = pide.PIDESolution(grid, pide.Layer0((layers[0],))).at(0, p.S0, p.v0, p.lambda0)
         pay = guarantee_pv(sample("Q", "pide_vs_mc_guarantee", tag).terminal["S"])
         mc, se = _mean_se(pay)
         used = abs(u0 - mc) / (0.01 * mc + 3 * se)
@@ -363,7 +373,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     # 9. the two reserve routes agree; classical scalar reduction
     def thiele_consistency():
-        worst = _thiele_consistency_worst(stepper, templates, desk()["marched"])
+        worst = _thiele_consistency_worst(stepper, p.T, g_level)
         dev = _classical_reduction_deviation(p, dist, cfg)
         return _worst(worst / 0.01, dev / 1e-4), (
             f"worst probe rel diff {worst:.4%} (<1%); classical reduction "
@@ -408,11 +418,13 @@ def _integrated_inverse_mc(p, c, n_paths, n_steps, seed):
     ek = math.exp(-p.kappa * dt)
     cc = 4 * p.kappa / (p.sigma**2 * (1 - ek))
     v = np.full(n_paths, p.v0)
+    inv = 1.0 / v
     integ = np.zeros(n_paths)
     for _ in range(n_steps):
-        v_new = rng.noncentral_chisquare(df, cc * ek * v) / cc
-        integ += 0.5 * (1.0 / v + 1.0 / v_new) * dt
-        v = v_new
+        v = rng.noncentral_chisquare(df, cc * ek * v) / cc
+        inv_new = 1.0 / v  # each reciprocal taken once, carried to the next step
+        integ += 0.5 * (inv + inv_new) * dt
+        inv = inv_new
     return float(np.mean(np.exp(c * integ)))
 
 
@@ -432,68 +444,14 @@ def _hyp1f1_identity_deviation() -> float:
     return dev
 
 
-class _Once:
-    """compute(), made on the first call and kept for every later one; an
-    exception is kept too, and raised to every caller."""
-
-    def __init__(self, compute):
-        self._compute, self._got = compute, None
-
-    def __call__(self):
-        if self._got is None:
-            try:
-                self._got = (True, self._compute())
-            except Exception as exc:
-                self._got = (False, exc)
-        ok, got = self._got
-        if not ok:
-            raise got
-        return got
-
-
-def _thiele_templates(horizon, g_level) -> list:
-    """The three policies whose reserve routes thiele_consistency compares."""
-    return [
+def _thiele_consistency_worst(stepper, horizon, g_level) -> float:
+    """Worst probe gap of the two reserve routes over three policies, all
+    marched through one Stepper."""
+    templates = [
         pure_endowment(horizon, 0.02),
         term_insurance(horizon, 0.02),
         endowment_guarantee(horizon, 0.02, g_level),
     ]
-
-
-def _desk_surfaces(stepper, templates, g_level) -> dict:
-    """The sourceless surfaces the PIDE checks read, each marched once, in
-    one stack per time axis and kind of start: x and 1 (every layer, for
-    the exact solutions), the guarantee (its t = 0 layer) and the
-    quadratures' layers of the templates from t = 0.  On the desk grid the
-    quadratures' marches share the grid's time axis, so there are two
-    stacks: x, 1 and the term-insurance theta; the guarantee and the
-    endowment-guarantee theta.  Returns the exact solutions' worst relative
-    errors, the guarantee's t = 0 surface and each template's `marched`."""
-    grid = stepper.grid
-    T, r = grid.t[-1], stepper.r
-    x3 = np.broadcast_to(grid.x[:, None, None], grid.shape)
-    disc = np.exp(-r * (T - grid.t))
-    rel_x, rel_1, got = [], [], {}
-
-    def see(k, layers):
-        if "x" in layers:
-            rel_x.append(float(np.max(np.abs(layers["x"] / x3 - 1.0))))
-            rel_1.append(float(np.max(np.abs(layers["1"] / disc[k] - 1.0))))
-        if k == 0 and "guarantee" in layers:
-            got["guarantee"] = pide.PIDESolution(grid, pide.Layer0((layers["guarantee"].copy(),)))
-
-    watch = {"x": (linear(1.0)(T, grid.x), False), "1": (constant(1.0)(T, grid.x), False),
-             "guarantee": (guarantee(g_level)(T, grid.x), True)}
-    jobs = [thiele.quadrature_jobs(pol, 0.0) for pol in templates]
-    flat = iter(thiele._march_layers([j for js in jobs for j in js], 0.0, stepper, watch, see))
-    return {"exact": (_worst(*rel_x), _worst(*rel_1)), "guarantee": got["guarantee"],
-            "marched": [[next(flat) for _ in js] for js in jobs]}
-
-
-def _thiele_consistency_worst(stepper, templates, marched) -> float:
-    """Worst probe gap of the two reserve routes over the template
-    policies, all marched through one Stepper, the quadratures reading
-    their layers from `marched`."""
     nx, ny, nz = stepper.grid.shape
     probes = [
         (i, j, k)
@@ -502,9 +460,9 @@ def _thiele_consistency_worst(stepper, templates, marched) -> float:
         for k in (nz // 4, nz // 2, 3 * nz // 4)
     ]
     worst = 0.0
-    for pol, layers in zip(templates, marched):
+    for pol in templates:
         surf = thiele.solve_thiele_pide(pol, stepper)
-        quad = thiele.reserve_quadrature(pol, stepper, 0.0, layers)
+        quad = thiele.reserve_quadrature(pol, stepper, 0.0)
         for st in pol.states:
             a_lay = surf.values[st][0]
             b_lay = quad.values[st]
@@ -531,11 +489,11 @@ def _classical_reduction_deviation(p, dist, cfg) -> float:
 
 
 def _c_l_consistency(model, dist, adm) -> tuple[float, str]:
-    """Bisection threshold against a million-point scan of the unrewritten
-    Lambda(c) and the mark laws' MGFs, its stability under a tighter
-    tolerance, the exact cap at zero jump scale and the band nesting."""
+    """Bisection threshold (adm.c_l, at compute_c_l's default tolerance)
+    against a million-point scan of the unrewritten Lambda(c) and the mark
+    laws' MGFs, its stability under a tighter tolerance, the exact cap at
+    zero jump scale and the band nesting."""
     p = model.params
-    res = compute_c_l(model, dist, tol=1e-10)
     n = 1_000_000
     spacing = adm.cap / n
     # the scan grid np.linspace(spacing, cap, n), built and scanned in 16
@@ -545,15 +503,15 @@ def _c_l_consistency(model, dist, adm) -> tuple[float, str]:
         ok = _c_l_scan(p, dist, block)
         if ok.any():
             scan_sup = max(scan_sup, float(block[ok].max()))
-    dev_scan = abs(res.value - scan_sup)
-    shift = abs(compute_c_l(model, dist, tol=1e-12).value - res.value)
+    dev_scan = abs(adm.c_l - scan_sup)
+    shift = abs(compute_c_l(model, dist, tol=1e-12).value - adm.c_l)
     cap_exact = compute_c_l(validate(replace(p, eta=0.0)), dist).value == adm.cap
     nested = adm.bound_em_qs is not None and adm.bound_em_qs <= adm.bound_em <= adm.bound_e
     used = _worst(dev_scan / (spacing + 1e-10), shift / 1e-10)
     if not cap_exact or not nested:
         used = math.inf
     detail = (
-        f"threshold {res.value:.10g} vs 1e6-point scan {scan_sup:.10g} (gap "
+        f"threshold {adm.c_l:.10g} vs 1e6-point scan {scan_sup:.10g} (gap "
         f"{dev_scan:.1e} <= spacing {spacing:.1e}); refinement shift {shift:.1e} "
         f"(<=1e-10); zero-eta cap exact {cap_exact}; band nesting {nested}"
     )

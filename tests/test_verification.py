@@ -135,8 +135,8 @@ class TestSuiteMechanics:
         assert sum(not c.passed for c in checks.values()) == 1
 
     def test_one_stepper_per_grid(self, monkeypatch):
-        # the desk Stepper, shared by the three PIDE checks; the classical
-        # reduction's
+        # the desk Stepper, which the three PIDE checks march through in
+        # turn; the classical reduction's
         built = count_stepper_inits(monkeypatch)
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
@@ -144,12 +144,14 @@ class TestSuiteMechanics:
         assert len(built) == 2
         assert built[1].grid.shape == (12, 8, 4)
 
-    def test_each_desk_surface_marched_once(self, monkeypatch):
-        # at nt = 64 the quadratures' lattice steps the desk grid's own dt, so
-        # the sourceless surfaces step as two stacks: x, 1 and the term
-        # insurance's theta (64 steps); the guarantee and the endowment
-        # guarantee's theta (65: the kinked start's two half-steps); beside
-        # them the three backward routes march one surface each
+    def test_each_check_marches_its_own_stacks(self, monkeypatch):
+        # at nt = 64 each PIDE check marches its own surfaces on the desk
+        # grid: x and 1 as one stack (64 steps of 2); the guarantee alone
+        # (65: the kinked start's two half-steps); per template, the backward
+        # route (64 of 1) and the quadrature, whose marches share the grid's
+        # time axis: the pure endowment's terminal (64 of 1), the term
+        # insurance's theta (64 of 1), the endowment guarantee's terminal and
+        # theta (65 of 2)
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="64x16x10x6")
         desk_shape = (16, 10, 6)
@@ -163,14 +165,11 @@ class TestSuiteMechanics:
 
         monkeypatch.setattr(pide.Stepper, "step", counted)
         rep = run_verification(config_from_dict(d))
-        assert rep.passed
-        assert {b: stacks.count(b) for b in set(stacks)} == {3: 64, 2: 65, 1: 3 * 64}
+        assert rep.passed and not any(c.retried for c in rep.checks)
+        assert {b: stacks.count(b) for b in set(stacks)} == {2: 64 + 65, 1: 65 + 5 * 64}
 
-    def test_shared_march_fails_each_check_that_reads_it(self, monkeypatch):
-        calls = []
-
+    def test_failed_quadrature_march_fails_thiele_consistency_alone(self, monkeypatch):
         def boom(*args):
-            calls.append(args)
             raise FloatingPointError("march exploded")
 
         monkeypatch.setattr(thiele, "_march_layers", boom)
@@ -179,9 +178,7 @@ class TestSuiteMechanics:
         rep = run_verification(config_from_dict(d))
         assert tuple(c.name for c in rep.checks) == verification.CHECKS
         failed = {c.name: c.detail for c in rep.checks if not c.passed}
-        readers = ("pide_exact_solutions", "pide_vs_mc_guarantee", "thiele_consistency")
-        assert failed == dict.fromkeys(readers, "raised FloatingPointError: march exploded")
-        assert len(calls) == 1  # tried once, its failure kept for every reader
+        assert failed == {"thiele_consistency": "raised FloatingPointError: march exploded"}
 
     def test_check_names_are_the_report_rows_in_order(self):
         d = default_config_dict()
