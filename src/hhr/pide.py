@@ -136,12 +136,11 @@ def _sinh_axis(lo: float, hi: float, anchor: float, n: int) -> np.ndarray:
 
     Nodes are anchor + b*sinh(xi) on a uniform xi-grid through 0; the spacing
     d of that grid solves sinh((n-1-k0) d)/sinh(k0 d) = (hi-anchor)/(anchor-lo)
-    so that both endpoints are hit exactly.
+    so that both endpoints are hit exactly.  Where no split k0 solves it, the
+    axis is two uniform pieces that meet at the anchor.
     """
     if n == 1:
         return np.array([anchor])
-    if n < 4 or not lo < anchor < hi:
-        return np.linspace(lo, hi, n)
     ratio = (hi - anchor) / (anchor - lo)
 
     def solvable(k0):
@@ -157,7 +156,9 @@ def _sinh_axis(lo: float, hi: float, anchor: float, n: int) -> np.ndarray:
         if solvable(k0):
             break
     else:
-        return np.linspace(lo, hi, n)
+        k0 = max(1, min(n - 2, round((n - 1) / (1.0 + ratio))))
+        below = np.linspace(lo, anchor, k0 + 1)[:-1]
+        return np.concatenate([below, np.linspace(anchor, hi, n - k0)])
     m = n - 1 - k0
 
     def f(d):
@@ -186,13 +187,13 @@ def build_grid(
     nz: int,
 ) -> Grid4:
     """Default truncation: x in [S0/8, ~8 S0] log-spaced (spot a node),
-    y in [v0/50, _Y_SPAN*vbar] sinh-clustered at v0, z from lambda0 out to
-    lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node when there is
-    no self-excitation.  A maturity of 0 or less is refused, and so is one
-    past T, because the z-axis is sized for the events expected by T.  x needs
-    at least 3 nodes, and y and z 1 or at least 3: a 2-node axis has no
-    interior node, the only rows where diffusion acts, so its operator would
-    be the two one-sided convection rows alone."""
+    y in [v0/50, max(_Y_SPAN*vbar, 2 v0)] clustered at v0 (a node), z from
+    lambda0 out to lambda0 + 8*alpha*E[N_T]; the z-axis collapses to one node
+    when there is no self-excitation.  A maturity of 0 or less is refused,
+    and so is one past T, because the z-axis is sized for the events
+    expected by T.  x needs at least 3 nodes, and y and z 1 or at least 3: a
+    2-node axis has no interior node, the only rows where diffusion acts, so
+    its operator would be the two one-sided convection rows alone."""
     p = model.params
     if not maturity > 0:  # NaN too
         raise DomainError(f"maturity must be > 0, got {maturity:g}")

@@ -89,7 +89,7 @@ class TestThinning:
             assert lam(mid) >= m.lambda0
 
 
-class TestLockstepThinner:
+class TestLockstepInversion:
     """The lockstep inversion sampler against conftest.reference_draws,
     which draws path by path."""
 

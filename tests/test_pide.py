@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
@@ -40,6 +42,24 @@ class TestGrid:
         assert grid.x[0] == pytest.approx(m.S0 / 8)
         assert grid.y[0] == pytest.approx(m.v0 / 50)
         assert grid.y[-1] == pytest.approx(12 * m.vbar)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        v0_over_vbar=st.floats(0.01, 40.0),
+        vbar=st.floats(0.07, 1.0),  # the Feller condition at kappa 2, sigma 0.5
+        s0=st.floats(1.0, 1000.0),
+        lambda0=st.floats(0.1, 5.0),
+        nx=st.integers(3, 64),
+        ny=st.sampled_from([1, *range(3, 130)]),  # an axis takes 1 node or at least 3
+        nz=st.sampled_from([1, *range(3, 20)]),
+    )
+    @example(v0_over_vbar=5.0 / 0.3, vbar=0.3, s0=100.0, lambda0=1.0, nx=48, ny=24, nz=16)
+    def test_every_accepted_grid_has_the_anchors_as_nodes(
+        self, v0_over_vbar, vbar, s0, lambda0, nx, ny, nz
+    ):
+        m = _mk(v0=v0_over_vbar * vbar, vbar=vbar, S0=s0, lambda0=lambda0)
+        grid = pide.build_grid(m, m.T, 4, nx, ny, nz)
+        assert m.S0 in grid.x and m.v0 in grid.y and m.lambda0 in grid.z
 
     def test_axes_must_increase(self):
         with pytest.raises(ValueError):

@@ -276,7 +276,7 @@ def _full_width_reference(m, dist, measure_tag, sel, n, n_steps, seed, probe_ste
     every stage of a step over every path.  Stage 0 of step k reads column
     k of a path's stage normals, stage j > 0 the normals of its order-(j - 1)
     event in the step; a row that does not move reads zeros.  A given
-    event `table` of chunk 0 replaces the thinned events and marks, and its
+    event `table` of chunk 0 replaces the reference's events and marks, and its
     event normals are drawn from that chunk's event-normal stream.
     Step k ends at nodes[k], (k + 1) T / n_steps but T for the last, and an
     event belongs to the first step that ends at or after it.  Returns
@@ -598,7 +598,7 @@ class TestStreams:
     """The chunk streams against conftest.reference_draws, which draws the
     events path by path and splits each kind of draw by path."""
 
-    def test_thinning_marks_and_normals_equal_the_path_generators(self):
+    def test_inversion_marks_and_normals_equal_the_path_generators(self):
         m = _mk(lambda0=40.0, alpha=3.0, beta=3.5)  # dense: dozens of events per path
         ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
         assert sum(r[2] > 0 for r in ref) > 10  # drawn after earlier paths left

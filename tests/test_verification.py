@@ -2,12 +2,11 @@ import json
 import math
 import re
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from hhr import hawkes, markov, measure, model, pide, sde, thiele, verification
+from hhr import hawkes, markov, measure, model, pide, sde, special, thiele, verification
 from hhr.config import config_from_dict, default_config_dict
 from hhr.rng import derive_seed
 from hhr.sde import simulate
@@ -125,14 +124,28 @@ class TestSuiteMechanics:
 
     def test_nan_in_a_later_term_fails_the_check(self, monkeypatch):
         # max(0.5, nan) is 0.5 in Python: the budget must keep the NaN
-        monkeypatch.setattr(verification, "_integrated_inverse_mc", lambda *a: math.nan)
+        monkeypatch.setattr(verification, "_integrated_inverse_fk", lambda *a: math.nan)
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
         checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
         c = checks["closed_form_oracles"]
-        assert "integrated reciprocal rel nan%" in c.detail
+        assert "integrated reciprocal rel nan (<1e-4)" in c.detail
         assert math.isnan(c.value) and not c.passed
         assert sum(not c.passed for c in checks.values()) == 1
+
+    def test_raising_oracle_fails_closed_form_oracles_alone(self, monkeypatch):
+        def boom(*args):
+            raise FloatingPointError("oracle exploded")
+
+        monkeypatch.setattr(verification, "_integrated_inverse_fk", boom)
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        rep = run_verification(config_from_dict(d))
+        assert tuple(c.name for c in rep.checks) == verification.CHECKS
+        c = {c.name: c for c in rep.checks}["closed_form_oracles"]
+        assert c.detail == "raised FloatingPointError: oracle exploded"
+        assert c.value == math.inf and not c.passed
+        assert [c.name for c in rep.checks if not c.passed] == ["closed_form_oracles"]
 
     def test_one_stepper_per_grid(self, monkeypatch):
         # the desk Stepper, which the three PIDE checks march through in
@@ -183,48 +196,42 @@ class TestSuiteMechanics:
     def test_check_names_are_the_report_rows_in_order(self):
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
-        rep = run_verification(config_from_dict(d))
-        assert tuple(c.name for c in rep.checks) == verification.CHECKS
-
-
-class TestBackgroundJob:
-    """closed_form_oracles' integrated-reciprocal Monte Carlo runs on a worker
-    thread beside the PIDE checks, and the check after them."""
-
-    @staticmethod
-    def _run():
-        d = default_config_dict()
-        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
         threads = set(threading.enumerate())
         rep = run_verification(config_from_dict(d))
         assert set(threading.enumerate()) == threads  # no thread outlives the call
-        return rep
-
-    def test_normal_run_leaves_no_thread(self):
-        rep = self._run()
         assert rep.passed
         assert tuple(c.name for c in rep.checks) == verification.CHECKS
 
-    def test_job_that_raises_fails_its_check_alone(self, monkeypatch):
-        def boom(*args):
-            raise FloatingPointError("iicir exploded")
 
-        monkeypatch.setattr(verification, "_integrated_inverse_mc", boom)
-        rep = self._run()
-        assert tuple(c.name for c in rep.checks) == verification.CHECKS
-        c = {c.name: c for c in rep.checks}["closed_form_oracles"]
-        assert c.detail == "raised FloatingPointError: iicir exploded"
-        assert c.value == math.inf and not c.passed
-        assert [c.name for c in rep.checks if not c.passed] == ["closed_form_oracles"]
+class TestIntegratedInverseOracle:
+    """closed_form_oracles' Feynman-Kac solve against special's closed form,
+    at the desk and at T = 2 with c near 0.4 c_max and below 0."""
 
-    def test_wall_time_counts_the_job(self, monkeypatch):
-        def slow(*args):
-            time.sleep(0.2)
-            return 1.0
+    C_MAX = 0.5 * ((2 * 2.0 * 0.3 - 0.5**2) / (2 * 0.5)) ** 2  # the desk's kappa, vbar, sigma
+    CASES = [(1.0, 0.1), (2.0, 0.4 * C_MAX), (2.0, -0.2)]
 
-        monkeypatch.setattr(verification, "_integrated_inverse_mc", slow)
-        rep = self._run()
-        assert {c.name: c for c in rep.checks}["closed_form_oracles"].wall_time >= 0.2
+    @pytest.mark.parametrize("T, c", CASES)
+    def test_second_order_within_a_tenth_of_its_gate(self, T, c):
+        # at the fixed sizes, and with nodes and steps halved together once
+        # and twice; closed_form_oracles' gate is 1e-4
+        p = desk_params(T=T)
+        exact = special.integrated_inverse_cir_exp(p.kappa, p.vbar, p.sigma, p.v0, T, c)
+        nodes, rate = verification._FK_NODES, verification._FK_STEPS_PER_T
+        err = np.array([
+            abs(verification._integrated_inverse_fk(p, c, nodes // d, rate // d) / exact - 1.0)
+            for d in (4, 2, 1)
+        ])
+        assert err[-1] < 1e-4 / 10
+        assert np.all(np.log2(err[:-1] / err[1:]) >= 1.8), err
+
+    def test_near_the_feller_boundary(self):
+        # 2 kappa vbar is 3% above sigma^2, so v often nears 0, where the
+        # solve's end row holds u to the power law of the equation there
+        # (linear extrapolation in its place reads 1.5e-4 off, over the gate)
+        p = desk_params(kappa=1.0, vbar=0.1, sigma=0.44, v0=0.1)
+        c = 0.4 * 0.5 * ((2 * p.kappa * p.vbar - p.sigma**2) / (2 * p.sigma)) ** 2
+        exact = special.integrated_inverse_cir_exp(p.kappa, p.vbar, p.sigma, p.v0, p.T, c)
+        assert abs(verification._integrated_inverse_fk(p, c) / exact - 1.0) < 1e-4 / 10
 
 
 # VerificationReport.to_json() of TestReportSerialization.test_json_is_pinned
