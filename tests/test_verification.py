@@ -196,11 +196,16 @@ class TestSuiteMechanics:
     def test_check_names_are_the_report_rows_in_order(self):
         d = default_config_dict()
         d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        rep = run_verification(config_from_dict(d))
+        assert tuple(c.name for c in rep.checks) == verification.CHECKS
+
+    def test_normal_run_leaves_no_thread(self):
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
         threads = set(threading.enumerate())
         rep = run_verification(config_from_dict(d))
         assert set(threading.enumerate()) == threads  # no thread outlives the call
         assert rep.passed
-        assert tuple(c.name for c in rep.checks) == verification.CHECKS
 
 
 class TestIntegratedInverseOracle:
