@@ -1,9 +1,9 @@
-"""Closed-form moment oracles built on the confluent hypergeometric series.
-
-These are the independent references the simulation engine is verified
-against: negative moments of the jump-free square-root variance (via its
-noncentral chi-square transition) and the exponential moment of its
-integrated reciprocal (via the quadratic-drift 3/2 process).
+"""Closed-form moment oracles built on the confluent hypergeometric series:
+negative moments of the jump-free square-root variance (via its noncentral
+chi-square transition) and the exponential moment of its integrated
+reciprocal (via the quadratic-drift 3/2 process).  `verification` holds them
+to a quadrature of the transition's Laplace transform and to a Feynman-Kac
+solve, and hyp1f1 to elementary functions on both of its branches.
 """
 
 from __future__ import annotations

@@ -147,6 +147,25 @@ class TestSuiteMechanics:
         assert c.value == math.inf and not c.passed
         assert [c.name for c in rep.checks if not c.passed] == ["closed_form_oracles"]
 
+    def test_closed_form_oracles_pass_at_sigma_one(self):
+        # delta = 4 kappa vbar / sigma^2 = 2.4 < 4, where a sample mean of
+        # 1/v_T has infinite variance; the quadrature has none
+        d = default_config_dict()
+        d["model"]["sigma"] = 1.0
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+        assert checks["closed_form_oracles"].passed, checks["closed_form_oracles"].detail
+
+    def test_closed_form_oracles_do_not_read_the_seed(self):
+        d = default_config_dict()
+        d["run"].update(paths=1000, steps=64, grid="24x16x10x6")
+        read = []
+        for seed in (1, 2):
+            d["run"]["seed"] = seed
+            c = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+            read.append((c["closed_form_oracles"].value, c["closed_form_oracles"].detail))
+        assert read[0] == read[1]
+
     def test_one_stepper_per_grid(self, monkeypatch):
         # the desk Stepper, which the three PIDE checks march through in
         # turn; the classical reduction's
@@ -237,6 +256,45 @@ class TestIntegratedInverseOracle:
         c = 0.4 * 0.5 * ((2 * p.kappa * p.vbar - p.sigma**2) / (2 * p.sigma)) ** 2
         exact = special.integrated_inverse_cir_exp(p.kappa, p.vbar, p.sigma, p.v0, p.T, c)
         assert abs(verification._integrated_inverse_fk(p, c) / exact - 1.0) < 1e-4 / 10
+
+
+class TestInverseMomentQuadrature:
+    """closed_form_oracles' exp-sinh quadrature of E[1/v_T] against special's
+    1F1 series, at delta near 2, k above 1e4 (cir_neg_moment's large-k
+    expansion) and short and long T."""
+
+    CASES = {
+        "delta_2.02": dict(sigma=math.sqrt(4 * 2.0 * 0.3 / 2.02)),
+        "k_3.8e4": dict(sigma=0.1, v0=5.0, T=0.05),
+        "T_0.05": dict(T=0.05),
+        "T_10": dict(T=10.0),
+    }
+
+    @pytest.mark.parametrize("overrides", CASES.values(), ids=CASES.keys())
+    def test_within_a_tenth_of_its_gate(self, overrides):
+        p = desk_params(**overrides)
+        exact = special.cir_neg_moment(p.kappa, p.vbar, p.sigma, p.v0, p.T, 1.0)
+        assert abs(verification._inverse_moment_quad(p) / exact - 1.0) < 1e-10 / 10
+
+
+class TestLambdaCapCorner:
+    @pytest.mark.parametrize("kappa", [2.0, 0.5])
+    def test_the_near_point_leaves_the_limit_branch(self, kappa, monkeypatch):
+        # lambda_cap_corner compares lambda_cap's D > 0 formula with the D = 0
+        # limit, so its c must sit below the cap with D(c) > 0 after rounding
+        m = model.validate(desk_params(kappa=kappa))
+        seen = []
+
+        def recorded(mdl, c):
+            seen.append(c)
+            return measure.lambda_cap(mdl, c)
+
+        monkeypatch.setattr(verification, "lambda_cap", recorded)
+        gap = verification._lambda_corner_deviation(m)
+        (c_near,) = seen
+        assert c_near < kappa**2 / (2 * m.sigma**2)
+        assert measure.big_d(m, c_near) > 0
+        assert gap < 1e-6
 
 
 # VerificationReport.to_json() of TestReportSerialization.test_json_is_pinned
