@@ -21,7 +21,7 @@ from .config import (
     load_config,
     read_json,
 )
-from .errors import HHRError
+from .errors import ConfigError, HHRError
 from .hawkes import lambda_after
 from .measure import a_bounds
 from .payoff import parse_payoff
@@ -79,6 +79,26 @@ def _load(args) -> RunConfig:
     return cfg.with_flags({k: v for k, v in flags.items() if v is not None}, args.a)
 
 
+def _out_file(path):
+    """path, checked before any work as a file to write: its directory
+    must exist and it must not be a directory itself."""
+    p = Path(path)
+    if p.is_dir() or not p.parent.is_dir():
+        why = "it is a directory" if p.is_dir() else f"no directory {p.parent}"
+        raise ConfigError(f"cannot write {path}: {why}")
+    return path
+
+
+def _out_dir(path) -> Path:
+    """path, checked before any work as a directory to make with its
+    parents: it, or else its nearest existing parent, must be a directory."""
+    path = Path(path)
+    first = next(d for d in (path, *path.parents) if d.exists())
+    if not first.is_dir():
+        raise ConfigError(f"cannot make directory {path}: {first} is not a directory")
+    return path
+
+
 def _reprs(values) -> list[str]:
     """repr of every element as a Python float, in C order."""
     return [repr(v) for v in np.ravel(values).tolist()]
@@ -114,13 +134,16 @@ def _grid_blocks(grid, lead, *layers):
 
 
 def _cmd_admissible(cfg, args) -> int:
+    path = args.out and Path(args.out)
+    if path:
+        if path.is_dir() or not path.suffix:
+            path = _out_dir(path) / "admissible.json"
+        else:
+            _out_file(path)
     rep = a_bounds(cfg.validated_model(), cfg.dist, cfg.measure)
     text = json.dumps(asdict(rep), sort_keys=True, indent=2)
-    if args.out:
-        path = Path(args.out)
-        if path.is_dir() or not path.suffix:
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / "admissible.json"
+    if path:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
         print(f"wrote {path}")
     else:
@@ -129,13 +152,15 @@ def _cmd_admissible(cfg, args) -> int:
 
 
 def _cmd_simulate(cfg, args) -> int:
+    out = _out_file(args.out or "paths.csv")
+    if args.events_out:
+        _out_file(args.events_out)
     model = cfg.validated_model()
     sel, _ = cfg.selection(model)
     res = simulate(
         model, cfg.dist, args.measure, args.paths, cfg.run.steps, cfg.run.seed,
         selection=sel, record_full=True,
     )
-    out = args.out or "paths.csv"
     _write_csv(
         out, ["path_id", "t", "S", "v", "lambda", "N", "L", "X"],
         ((itertools.repeat(str(pid)), _reprs(b.time_grid), _reprs(b.S), _reprs(b.v),
@@ -155,13 +180,13 @@ def _cmd_simulate(cfg, args) -> int:
 
 
 def _cmd_price(cfg, args) -> int:
+    out = _out_file(args.out or "price.csv")
     model = cfg.validated_model()
     sel, _ = cfg.selection(model)
     pay = parse_payoff(args.payoff)
     maturity = args.maturity if args.maturity is not None else model.T
     grid = pide.build_grid(model, maturity, *cfg.run.grid)
     sol = pide.solve_price_pide(pay, maturity, model, sel, cfg.dist, grid)
-    out = args.out or "price.csv"
     _write_csv(out, ["x", "y", "z", "U"], _grid_blocks(grid, (), sol.values[0]))
     anchor = sol.at(0, model.S0, model.v0, model.lambda0)
     print(f"wrote {out}; price at (0, S0, v0, lambda0) = {anchor:.6f}")
@@ -169,6 +194,7 @@ def _cmd_price(cfg, args) -> int:
 
 
 def _cmd_reserve(cfg, args) -> int:
+    out = _out_file(args.out or "reserve.csv")
     model = cfg.validated_model()
     sel, _ = cfg.selection(model)
     if args.policy:
@@ -195,7 +221,6 @@ def _cmd_reserve(cfg, args) -> int:
         quad = thiele.reserve_quadrature(policy, stepper, 0.0)
         layers["quadrature"] = quad.values
     primary = layers.get("pide") or layers["quadrature"]
-    out = args.out or "reserve.csv"
     header = ["state", "t", "x", "y", "z", "V"]
     if args.method == "both":
         header.append("rel_diff")
@@ -214,9 +239,9 @@ def _cmd_reserve(cfg, args) -> int:
 
 
 def _cmd_verify(cfg, args) -> int:
+    out_dir = _out_dir(cfg.run.out_dir)
     report = run_verification(cfg)
     print(report.table())
-    out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "verification.json"
     path.write_text(report.to_json() + "\n")

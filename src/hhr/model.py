@@ -177,8 +177,6 @@ class JumpDistribution:
     on (-inf, epsilon_j); all positive moments are then finite.
     """
 
-    kind: str
-
     @property
     def epsilon_j(self) -> float:
         raise NotImplementedError
@@ -208,7 +206,6 @@ class ConstantJump(JumpDistribution):
     """Degenerate law: every mark equals `size` > 0.  MGF finite everywhere."""
 
     size: float
-    kind: str = field(default="constant", init=False)
 
     def __post_init__(self):
         if self.size <= 0:
@@ -236,7 +233,6 @@ class ExponentialJump(JumpDistribution):
     """Exponential(rate) marks.  MGF rate/(rate-t) diverges as t -> rate^-."""
 
     rate: float
-    kind: str = field(default="exponential", init=False)
 
     def __post_init__(self):
         if self.rate <= 0:

@@ -193,7 +193,10 @@ def build_grid(
     and so is one past T, because the z-axis is sized for the events
     expected by T.  x needs at least 3 nodes, and y and z 1 or at least 3: a
     2-node axis has no interior node, the only rows where diffusion acts, so
-    its operator would be the two one-sided convection rows alone."""
+    its operator would be the two one-sided convection rows alone.  nz = 1
+    puts the whole z-axis at lambda0, exact only when alpha = 0 (lambda stays
+    there) or eta = 0 (lambda moves no price); with both positive it would
+    price a model with the intensity frozen at lambda0, so it is refused."""
     p = model.params
     if not maturity > 0:  # NaN too
         raise DomainError(f"maturity must be > 0, got {maturity:g}")
@@ -201,6 +204,11 @@ def build_grid(
         raise DomainError(f"maturity {maturity:g} exceeds the model horizon T = {p.T:g}")
     if nx < 3 or 2 in (ny, nz):
         raise DomainError(f"grid needs nx >= 3 and ny, nz of 1 or >= 3, got nx={nx}, ny={ny}, nz={nz}")
+    if nz == 1 and p.alpha > 0 and p.eta > 0:
+        raise DomainError(
+            f"a one-node z-axis freezes the intensity at lambda0, dropping the self-excitation "
+            f"(alpha = {p.alpha:g}, eta = {p.eta:g}): nz must be >= 3"
+        )
     k0 = nx // 2
     h = math.log(8.0) / k0
     x = p.S0 * np.exp(h * (np.arange(nx) - k0))
@@ -258,17 +266,15 @@ def _axis_operator(u, conv, diff):
 def _interp_matrix(axis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Rows of linear-interpolation weights with constant extrapolation at the
     upper truncation boundary (targets never fall below the axis here)."""
-    n = len(axis)
-    m = np.zeros((len(targets), n))
-    for row, tval in enumerate(targets):
-        if tval >= axis[-1]:
-            m[row, -1] = 1.0
-            continue
-        j = int(np.searchsorted(axis, tval, side="right")) - 1
-        j = min(max(j, 0), n - 2)
-        w = (tval - axis[j]) / (axis[j + 1] - axis[j])
-        m[row, j] = 1.0 - w
-        m[row, j + 1] = w
+    m = np.zeros((len(targets), len(axis)))
+    top = targets >= axis[-1]
+    rows = np.flatnonzero(~top)
+    t = targets[rows]
+    j = np.clip(np.searchsorted(axis, t, side="right") - 1, 0, len(axis) - 2)
+    w = (t - axis[j]) / (axis[j + 1] - axis[j])
+    m[rows, j] = 1.0 - w
+    m[rows, j + 1] = w
+    m[top, -1] = 1.0
     return m
 
 

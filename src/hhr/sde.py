@@ -19,7 +19,9 @@ the event waits and the marks (hawkes.draw_events), the stage normals,
 (events, 2) array (hawkes.event_normals).  So a path's numbers depend on
 the seed and on the paths of its chunk up to itself only: a run is a
 prefix of any longer run at the same seed, and the thread count changes
-nothing.
+nothing.  A chunk keys streams and nothing else: the run's state rows
+(t, log S, v, int v, log X) and its log X rows at the probe times are
+allocated once for all paths, and each chunk runs on its own columns.
 
 A chunk draws its paths' events in lockstep into one CSR event table (one
 flat array of times and marks plus per-path offsets), and runs its paths as
@@ -49,7 +51,9 @@ core.  It draws _TILE paths at a time into a small staging array, copied
 transposed into the tile's buffer.  The two tile buffers, the staging
 array and the workspace are allocated once per simulate call at the run's
 chunk width and reused by every chunk.  With threads=2 two chunk workers
-take alternate chunks, each with its own buffers and helper thread.
+take alternate chunks, each with its own buffers and helper thread, and
+write their chunks' columns; only the chunks' event tables, bundles and
+stage counts are joined, in chunk order.
 """
 
 from __future__ import annotations
@@ -144,10 +148,14 @@ def _tile_normals(helper, zt, stg, draws):
 
 
 def _run_chunk(
-    model, dist, measure_tag, selection, n_steps, seed, chunk, nc, probe_k, record_full,
+    model, dist, measure_tag, selection, n_steps, seed, chunk, st, log_x, probe_k, record_full,
     tw, tiles, ws, wb,
 ):
+    """Run chunk `chunk` on st, its columns of the run's state rows, writing
+    its log X at the probe steps probe_k into the rows of log_x; return its
+    event table, its bundles (given record_full) and its stage counts."""
     p = model.params
+    nc = st.shape[1]
     dt_u = p.T / n_steps
     table = draw_events(seed, chunk, nc, p, dist)
     ez = event_normals(seed, chunk, table.times.size)
@@ -166,13 +174,7 @@ def _run_chunk(
     a = selection.a
     c1 = math.sqrt(1.0 - p.rho**2)
 
-    # state rows: t, log S, v, int v, log X
-    st = np.zeros((5, nc))
-    st[1] = math.log(p.S0)
-    st[2] = p.v0
-    trunc = 0
-    active_total = 0
-    log_x_at = {t: np.empty(nc) for t in probe_k}
+    trunc = active_total = 0
     bundles = [] if record_full else None
 
     def stage(s, target, zb, zw, hit, mk, drift):
@@ -268,11 +270,11 @@ def _run_chunk(
         n_rounds = n_steps + int(tile.counts.max(initial=0))
         # round j's events are ev_*[bounds[j + 1]:bounds[j + 2]]
         bounds = np.searchsorted(rnd[order], np.arange(-1, n_rounds + 1))
-        due = {}  # round -> [(probe time, the rows that reach it in the round)]
-        for t, k in probe_k.items():
+        due = {}  # round -> [(probe index, the rows that reach it in the round)]
+        for i, k in enumerate(probe_k):
             at = k - 1 + n_at(tile, nodes[k - 1])
             for j in np.unique(at):
-                due.setdefault(int(j), []).append((t, np.flatnonzero(at == j)))
+                due.setdefault(int(j), []).append((i, np.flatnonzero(at == j)))
         tst = st[:, lo:hi]
         snaps = [tst.copy()] if record_full else None
         kstep = np.zeros(n, dtype=np.intp)  # the step each row is in
@@ -301,19 +303,12 @@ def _run_chunk(
             np.minimum(kstep, n_steps - 1, out=kstep)
             if record_full:
                 snaps.append(tst.copy())
-            for t, rows in due.get(j, ()):
-                log_x_at[t][lo + rows] = tst[4, rows]
+            for i, rows in due.get(j, ()):
+                log_x[i, lo + rows] = tst[4, rows]
         if record_full:
             bundles += _assemble_bundles(model, measure_tag, np.stack(snaps), tile)
 
-    out = {
-        "S": np.exp(st[1]),
-        "v": np.maximum(st[2], 0.0),
-        "int_v": st[3].copy(),
-        "X": np.exp(st[4]),
-    }
-    probes = {t: np.exp(log_x) for t, log_x in log_x_at.items()}
-    return out, probes, trunc, active_total, bundles, table
+    return table, bundles, trunc, active_total
 
 
 def _assemble_bundles(model, measure_tag, snaps, table):
@@ -385,13 +380,19 @@ def simulate(
 
     dt_u = p.T / n_steps
     probe_k = {}  # probe time -> k, the time being k dt, the end of step k - 1
-    for t in probe_times:
+    for t in sorted(probe_times):
         k = round(t / dt_u)
         if abs(k * dt_u - t) > 1e-9 * max(p.T, 1.0) or not 1 <= k <= n_steps:
             raise DomainError(f"probe time {t} is not on the uniform grid")
         probe_k[t] = k
 
-    tw = -(-runs[0][1] // 2)  # path tile width: half the run's chunk width
+    # the run's state rows (t, log S, v, int v, log X) and log X at each probe
+    st = np.zeros((5, n_paths))
+    st[1] = math.log(p.S0)
+    st[2] = p.v0
+    log_x = np.empty((len(probe_k), n_paths))
+    width = runs[0][1]
+    tw = -(-width // 2)  # path tile width: half the run's chunk width
 
     def work(group):
         # the chunks of `group` in turn, on one set of buffers at the tile
@@ -410,10 +411,11 @@ def simulate(
             next(tiles)  # tile 0 is drawn during the first chunk's event draw
             return [
                 _run_chunk(
-                    model, dist, measure, selection, n_steps, seed, *chunk,
-                    probe_k, record_full, tw, tiles, ws, wb,
+                    model, dist, measure, selection, n_steps, seed, c,
+                    st[:, c * width:c * width + nc], log_x[:, c * width:c * width + nc],
+                    probe_k.values(), record_full, tw, tiles, ws, wb,
                 )
-                for chunk in group
+                for c, nc in group
             ]
 
     workers = min(threads, len(runs))
@@ -424,29 +426,24 @@ def simulate(
     else:
         results = work(runs)
 
+    tables, chunk_bundles, truncs, actives = zip(*results)
+    events = EventTable.concat(tables)
     terminal = {
-        key: np.concatenate([r[0][key] for r in results])
-        for key in results[0][0]
+        "S": np.exp(st[1]),
+        "v": np.maximum(st[2], 0.0),
+        "int_v": st[3].copy(),
+        "X": np.exp(st[4]),
+        "N": events.counts.astype(float),
     }
-    probes = {
-        t: np.concatenate([r[1][t] for r in results])
-        for t in sorted({tt for r in results for tt in r[1]})
-    }
-    trunc = sum(r[2] for r in results)
-    active = sum(r[3] for r in results)
-    events = EventTable.concat([r[5] for r in results])
-    terminal["N"] = events.counts.astype(float)
-    bundles = None
-    if record_full:
-        bundles = [b for r in results for b in r[4]]
+    trunc, active = sum(truncs), sum(actives)
     return SimulationResult(
         measure_tag=measure if measure == "P" else f"Q(a={selection.a:g})",
         n_paths=n_paths,
         n_steps=n_steps,
         seed=seed,
         terminal=terminal,
-        probes=probes,
+        probes={t: np.exp(row) for t, row in zip(probe_k, log_x)},
         truncated_fraction=trunc / active if active else 0.0,
         events=events,
-        bundles=bundles,
+        bundles=[b for bs in chunk_bundles for b in bs] if record_full else None,
     )

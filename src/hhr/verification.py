@@ -186,6 +186,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     selection, adm = cfg.selection(model)  # inadmissible a aborts here
     dist = cfg.dist
     p = model.params
+    grid = pide.build_grid(model, p.T, *run.grid)  # a refused grid aborts before any draw
     suite = _Suite()
     seed = run.seed
     g_level = p.S0 * math.exp(p.r * p.T)
@@ -313,8 +314,6 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
 
     suite.guard("closed_form_oracles", ORACLE, closed_form_oracles)
 
-    nt, nx, ny, nz = run.grid
-    grid = pide.build_grid(model, p.T, nt, nx, ny, nz)
     # the desk Stepper: checks 7-9 march their own surfaces through it in turn
     stepper = pide.Stepper(grid, model, selection, dist)
 

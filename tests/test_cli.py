@@ -551,6 +551,19 @@ class TestVerify:
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
             assert not (out / "verification.json").exists()
 
+    def test_one_z_node_refused_before_any_draw(self, small_config, tmp_path, capsys,
+                                                monkeypatch):
+        calls = _count_simulate(monkeypatch)
+        d = json.loads(small_config.read_text())
+        d["run"]["grid"] = "16x16x10x1"
+        config = tmp_path / "nz1.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "verify"
+        assert cli.main(["--config", str(config), "verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "one-node z-axis" in err[0]
+        assert calls == [] and not out.exists()
+
     def test_inadmissible_tilt_refused(self, tmp_path, capsys):
         d = default_config_dict()
         d["measure"] = {"level": "EmQS", "a": 5.0}
@@ -559,6 +572,47 @@ class TestVerify:
         rc = cli.main(["--config", str(path), "verify"])
         assert rc == 2
         assert "bound" in capsys.readouterr().err
+
+
+def _count_simulate(monkeypatch):
+    """The measures of the sde.simulate calls made from here on, by any
+    command, until the monkeypatch is undone."""
+    from hhr import verification
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return simulate(*args, **kwargs)
+
+    simulate = sde.simulate
+    for mod in (sde, cli, verification):
+        monkeypatch.setattr(mod, "simulate", counted)
+    return calls
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command, refusal", [
+        (["verify", "--out", "{taken}"], "is not a directory"),
+        (["price", "--payoff", "guarantee:103.05", "--out", "{missing}/price.csv"],
+         "no directory"),
+        (["reserve", "--out", "{missing}/reserve.csv"], "no directory"),
+        (["admissible", "--out", "{missing}/adm.json"], "no directory"),
+        (["simulate", "--out", "{tmp}/paths.csv", "--events-out", "{taken}/events.csv"],
+         "no directory"),
+    ], ids=["verify", "price", "reserve", "admissible", "simulate"])
+    def test_unusable_output_refused_before_any_work(self, small_config, tmp_path, capsys,
+                                                     monkeypatch, command, refusal):
+        # an existing file where a directory is needed, or a missing directory
+        (tmp_path / "taken").write_text("")
+        names = dict(taken=tmp_path / "taken", missing=tmp_path / "missing", tmp=tmp_path)
+        steppers, calls = count_stepper_inits(monkeypatch), _count_simulate(monkeypatch)
+        argv = [arg.format(**names) for arg in command]
+        assert cli.main(["--config", str(small_config), *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot ") and refusal in err[0]
+        assert steppers == [] and calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
 
 # Run in a fresh interpreter: the import-hygiene test cannot share this one,

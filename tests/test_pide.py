@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from hhr import markov, measure, model, payoff, pide, thiele
 from hhr.config import config_from_dict, load_config
+from hhr.errors import DomainError
 
 from conftest import bits, desk_params
 
@@ -57,9 +58,19 @@ class TestGrid:
     def test_every_accepted_grid_has_the_anchors_as_nodes(
         self, v0_over_vbar, vbar, s0, lambda0, nx, ny, nz
     ):
-        m = _mk(v0=v0_over_vbar * vbar, vbar=vbar, S0=s0, lambda0=lambda0)
+        # one z node is accepted without variance jumps only; eta moves no axis
+        m = _mk(v0=v0_over_vbar * vbar, vbar=vbar, S0=s0, lambda0=lambda0,
+                **({"eta": 0.0} if nz == 1 else {}))
         grid = pide.build_grid(m, m.T, 4, nx, ny, nz)
         assert m.S0 in grid.x and m.v0 in grid.y and m.lambda0 in grid.z
+
+    def test_one_z_node_refused_with_self_excitation(self):
+        # one node at lambda0 would freeze the intensity there; it is exact
+        # only when lambda stays at lambda0 or moves no price
+        with pytest.raises(DomainError, match="one-node z-axis freezes the intensity"):
+            pide.build_grid(_mk(), 1.0, 8, 12, 8, 1)
+        for m in (_mk(alpha=0.0), _mk(eta=0.0)):
+            assert pide.build_grid(m, 1.0, 8, 12, 8, 1).z.tolist() == [m.lambda0]
 
     def test_axes_must_increase(self):
         with pytest.raises(ValueError):
@@ -747,7 +758,8 @@ class TestStackedStep:
         that and one dgemm per surface; the stacked step relies on it."""
         m, sel, _ = setup
         for nz in (1, 4, 16):
-            grid = pide.build_grid(m, 1.0, 8, 48, ny, nz)
+            grid = pide.build_grid(m, 1.0, 8, 48, ny, max(nz, 3))
+            grid = dataclasses.replace(grid, z=grid.z[:nz])  # nz = 1: z at lambda0 alone
             st = pide.Stepper(grid, m, sel, DIST)
             for B in (2, 3, 4):
                 U = np.random.default_rng(B * ny + nz).uniform(0.0, 200.0, (B,) + grid.shape)
@@ -818,6 +830,26 @@ class TestJumpQuadrature:
         inner = grid.y + m.eta * 0.5 <= grid.y[-1]
         expected = grid.z[None, None, :] * m.eta * 0.5
         assert np.allclose(term[:, inner, :], expected, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(4, 48, 24, 16), (4, 8, 1, 1), (4, 8, 3, 3)])
+    def test_interp_matrix_equals_the_row_loop(self, shape):
+        """_interp_matrix's arrays against one row at a time: the same
+        float operations, so the same bits, shifts past the top included."""
+        m = _mk(eta=0.0) if shape[3] == 1 else _mk()
+        grid = pide.build_grid(m, 1.0, *shape)
+        for axis in (grid.y, grid.z):
+            for shift in np.linspace(0.0, 1.2 * (axis[-1] - axis[0]) + 1.0, 33):
+                targets = axis + shift
+                want = np.zeros((len(targets), len(axis)))
+                for row, tval in enumerate(targets):
+                    if tval >= axis[-1]:
+                        want[row, -1] = 1.0
+                        continue
+                    j = min(max(int(np.searchsorted(axis, tval, side="right")) - 1, 0),
+                            len(axis) - 2)
+                    w = (tval - axis[j]) / (axis[j + 1] - axis[j])
+                    want[row, j], want[row, j + 1] = 1.0 - w, w
+                assert np.array_equal(bits(pide._interp_matrix(axis, targets)), bits(want))
 
 
 def _sha(arrays):

@@ -705,7 +705,9 @@ class TestGoldenDigests:
     _full_width_reference's on the same draws.  Chunks of 128 with
     300 paths run two tiles of 64 paths each and a last chunk of 44 paths as
     one tile, shorter than the tile buffers; a staging array of 48 paths
-    draws each tile of 64 in two parts, 48 and 16."""
+    draws each tile of 64 in two parts, 48 and 16.  Two chunk workers split
+    the three chunks, writing their columns of the run's state and probes,
+    with the same digests."""
 
     DIGESTS = {
         ("P", 50): ("b3e58df5140c4e29", "ab031963cad9ec1f"),
@@ -714,15 +716,18 @@ class TestGoldenDigests:
         ("Q", 98): ("de0c543d672d4435", "19222a7dce3c3641"),
     }
 
-    @pytest.mark.parametrize("meas, n_steps", sorted(DIGESTS))
-    def test_outputs_equal_the_recorded_digests(self, meas, n_steps, monkeypatch):
+    @pytest.mark.parametrize("meas, n_steps, threads", [
+        pytest.param(meas, n_steps, threads, id=f"{meas}-{n_steps}" + "-threads2" * (threads == 2))
+        for meas, n_steps in sorted(DIGESTS) for threads in (1, 2)
+    ])
+    def test_outputs_equal_the_recorded_digests(self, meas, n_steps, threads, monkeypatch):
         monkeypatch.setattr(hawkes, "_CHUNK", 128)
         monkeypatch.setattr(sde, "_TILE", 48)  # each tile of 64 drawn as 48, then 16
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         # several events per step, a P drift break between nodes, and a low,
         # volatile variance that the truncation clips on some stages
         m = _mk(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0, v0=0.04, sigma=0.9)
-        kw = dict(selection=_sel(m), probe_times=(m.T / 2, m.T))
+        kw = dict(selection=_sel(m), probe_times=(m.T / 2, m.T), threads=threads)
         res = sde.simulate(m, DIST, meas, 300, n_steps, 29, **kw)
         assert res.truncated_fraction > 0.0
         full = sde.simulate(m, DIST, meas, 300, n_steps, 29, record_full=True, **kw)
