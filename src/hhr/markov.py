@@ -2,12 +2,11 @@
 probabilities through the backward equations, and contract cash flows.
 
 Intensities are piecewise-constant in time, so each constant segment admits
-the matrix-exponential closed form.  On a uniform maturity lattice the
-probabilities are chained from one step exponential per segment
-(lattice_probs).  The exponential is expm, Higham's (2005) scaling and
-squaring in numpy.  It is a different algorithm from scipy.linalg.expm (Al-Mohy
-and Higham 2009): on insurance-scale generators the two agree to a few ulps of
-the largest entry, not bit for bit.
+the matrix-exponential closed form, and p(t, s) is the product of one
+exponential per segment (transition_probs).  The exponential is expm,
+Higham's (2005) scaling and squaring in numpy.  It is a different algorithm
+from scipy.linalg.expm (Al-Mohy and Higham 2009): on insurance-scale
+generators the two agree to a few ulps of the largest entry, not bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "expm",
     "generator_matrix",
     "transition_probs",
-    "lattice_probs",
     "theta_rate",
     "theta_payoff",
     "pure_endowment",
@@ -152,7 +150,6 @@ def generator_matrix(policy: PolicySpec, t: float) -> np.ndarray:
     q = np.zeros((n, n))
     for (j, k), pw in policy.intensities.items():
         q[policy.index(j), policy.index(k)] = float(pw(t))
-    np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
@@ -174,37 +171,6 @@ def transition_probs(policy: PolicySpec, t: float, s: float) -> np.ndarray:
         q = generator_matrix(policy, a)
         p = p @ expm(q * (b - a))
     return p
-
-
-def lattice_probs(policy: PolicySpec, t: float, s: float, n: int) -> list[np.ndarray]:
-    """p_ij(t, u) at the n nodes u of linspace(t, s, n), chained along the
-    lattice: p(t, u_{m+1}) = p(t, u_m) p(u_m, u_{m+1}).
-
-    The step matrix exp(Q h) is computed once per constant segment of the
-    intensities, and a step that straddles a breakpoint is split there, so a
-    lattice costs one matrix exponential per segment and per straddled
-    breakpoint instead of one per node.  Each step adds a rounding, so the
-    nodes agree with transition_probs to about n ulps.
-    """
-    if not 0 <= t <= s:
-        raise TimeOrderError(f"need 0 <= t <= s, got t={t}, s={s}")
-    if n < 2:
-        raise ValueError("a lattice needs at least 2 nodes")
-    us = np.linspace(t, s, n)
-    h = (s - t) / (n - 1)
-    cuts = policy.breakpoints()
-    steps = {}
-    out = [np.eye(policy.n_states)]
-    for a, b in zip(us[:-1], us[1:]):
-        if np.any((a < cuts) & (cuts < b)):
-            step = transition_probs(policy, a, b)
-        else:
-            segment = int(np.searchsorted(cuts, a, side="right"))
-            if segment not in steps:
-                steps[segment] = transition_probs(policy, a, a + h)
-            step = steps[segment]
-        out.append(out[-1] @ step)
-    return out
 
 
 def theta_rate(policy: PolicySpec, j: str, s: float, x):

@@ -60,6 +60,9 @@ class MeasureConfig:
             object.__setattr__(self, "fraction_of_bound", 0.8)
         elif self.a is not None and self.fraction_of_bound is not None:
             raise ConfigError("give measure.a or measure.fraction_of_bound, not both")
+        for name in ("epsilon1", "epsilon2"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"measure.{name} must be > 0, got {getattr(self, name)!r}")
 
 
 def _cap(model: ValidatedModel) -> float:
@@ -147,6 +150,8 @@ def compute_c_l(
             lo /= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats further apart than tol
+            break
         if ok(mid):
             lo = mid
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .markov import PolicySpec, lattice_probs, theta_payoff, transition_probs
+from .markov import PolicySpec, theta_payoff, transition_probs
 from .model import ValidatedModel
 from .payoff import ZERO, constant
 from .pide import Grid4, Layer0, Stepper, march
@@ -122,15 +122,15 @@ def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float) -> Reserv
 
     The maturity integral uses composite Simpson on _N_MATURITIES nodes
     ss = linspace(t, T, _N_MATURITIES); p_ij(t, s) and every U_s^{theta_j}(t)
-    are held as lists indexed by node, the former chained along the lattice
-    (lattice_probs), the latter, like U_T^{f_j}(t), from one backward march
+    are held as lists indexed by node, the former from transition_probs at
+    each node, the latter, like U_T^{f_j}(t), from one backward march
     per distinct terminal layer (_march_layers); marches on one time axis
     step as one stack, and all through `stepper`, on its grid and at its
     time step, which keeps the factors of each step size.
     The embedded half-resolution rule on every other node gives a
     Richardson error estimate; if it exceeds _REFINE_BUDGET (relative) the
-    node count is doubled once, which chains the probabilities again and
-    marches only the theta payoffs again.
+    node count is doubled once, which takes the probabilities at every node
+    again and marches only the theta payoffs again.
     """
     T = policy.horizon
     idx = policy.index
@@ -160,7 +160,7 @@ def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float) -> Reserv
             out[i] = acc
         return out
 
-    probs = lattice_probs(policy, t, T, _N_MATURITIES) if thetas else []
+    probs = [transition_probs(policy, t, s) for s in ss] if thetas else []
     fine = assemble(ss, probs, running)
     refined = False
     if running:
@@ -173,7 +173,7 @@ def reserve_quadrature(policy: PolicySpec, stepper: Stepper, t: float) -> Reserv
             ss = np.linspace(t, T, 2 * _N_MATURITIES - 1)
             marched = _march_layers([(th, ss) for th in thetas], t, stepper)
             running = [(idx(th.state), layers) for th, layers in zip(thetas, marched)]
-            probs = lattice_probs(policy, t, T, len(ss))
+            probs = [transition_probs(policy, t, s) for s in ss]
             fine = assemble(ss, probs, running)
             refined = True
     return ReserveLayer(

@@ -84,6 +84,9 @@ class TestConfig:
         ("run", "out_dir", None, "run.out_dir must be a string, got None"),
         ("measure", "a", 0.1, "give measure.a or measure.fraction_of_bound, not both"),
         ("measure", "epsilon1", math.nan, "measure.epsilon1 must be a number, got nan"),
+        ("measure", "epsilon1", 0.0, "measure.epsilon1 must be > 0, got 0.0"),
+        ("measure", "epsilon1", -1.0, "measure.epsilon1 must be > 0, got -1.0"),
+        ("measure", "epsilon2", -1, "measure.epsilon2 must be > 0, got -1.0"),
         ("model", "kappa", True, "model.kappa must be a number, got True"),
         ("model", "kappa", "2.0", "model.kappa must be a number, got '2.0'"),
         ("model", "S0", math.inf, "model.S0 must be a number, got inf"),
@@ -108,7 +111,8 @@ class TestConfig:
         ("run", "grid", [64, 48, 24, False], "bad run section: run.grid entries must be integers"),
     ], ids=["a-string", "fraction-null", "level", "model", "jump", "measure", "run",
             "tolerances", "paths", "seed-bool", "paths-float", "steps-string", "paths-zero",
-            "out-dir-null", "a-and-fraction", "epsilon-nan", "kappa-bool", "kappa-string", "S0-inf",
+            "out-dir-null", "a-and-fraction", "epsilon-nan", "epsilon1-zero",
+            "epsilon1-minus-one", "epsilon2-minus-one", "kappa-bool", "kappa-string", "S0-inf",
             "mu-string", "mu-late-start", "jump-rate-string", "jump-value-missing", "jump-kind-int",
             "horizon-string", "horizon-bool", "rate-segments-string", "payoff-value-string",
             "grid-float", "grid-string", "grid-bool"])

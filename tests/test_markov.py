@@ -94,43 +94,6 @@ class TestTransitionProbs:
         assert np.max(np.abs(fd - q)) < 10 * eps
 
 
-class TestLatticeProbs:
-    # three_state's active -> disabled intensity changes at 2.0: straddled by
-    # the first lattice, a node of the second, the first node of the third
-    LATTICES = [(0.3, 4.7, 9), (0.0, 5.0, 11), (2.0, 5.0, 7)]
-
-    @pytest.mark.parametrize("t, s, n", LATTICES)
-    def test_agrees_with_transition_probs_at_every_node(self, t, s, n):
-        pol = three_state()
-        got = markov.lattice_probs(pol, t, s, n)
-        assert len(got) == n
-        assert np.array_equal(got[0], np.eye(3))
-        for u, p in zip(np.linspace(t, s, n), got):
-            assert np.max(np.abs(p - markov.transition_probs(pol, t, u))) < 1e-15 * n
-
-    @pytest.mark.parametrize("lattice, exps", zip(LATTICES, [4, 2, 1]))
-    def test_one_exponential_per_segment(self, lattice, exps, monkeypatch):
-        # the straddling step of the first lattice needs one per side of 2.0
-        calls = []
-        real = markov.expm
-
-        def counted(a):
-            calls.append(a)
-            return real(a)
-
-        monkeypatch.setattr(markov, "expm", counted)
-        markov.lattice_probs(three_state(), *lattice)
-        assert len(calls) == exps
-
-    def test_degenerate_lattice_is_identity(self):
-        got = markov.lattice_probs(three_state(), 1.0, 1.0, 5)
-        assert all(np.array_equal(p, np.eye(3)) for p in got)
-
-    def test_time_order_enforced(self):
-        with pytest.raises(TimeOrderError):
-            markov.lattice_probs(two_state(), 2.0, 1.0, 5)
-
-
 class TestPolicySpec:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
@@ -213,19 +176,18 @@ class TestExpm:
     so their bits differ by a few ulps of the largest entry."""
 
     def test_desk_generator_at_every_lattice_step(self):
+        # the desk's one segment: p(0, s) is exp(Q s) at every node s of the
+        # quadrature's lattice and of its refinement, p(0, T) the last
         from scipy.linalg import expm as scipy_expm
 
         from hhr.config import load_config
 
         pol = load_config("configs/desk.json").policy
         worst = 0.0
-        for n in (33, 65):  # the quadrature's lattice, and its refinement
-            us = np.linspace(0.0, pol.horizon, n)
-            for a in us[:-1]:
-                q = markov.generator_matrix(pol, a) * (us[1] - us[0])
+        for n in (33, 65):
+            for s in np.linspace(0.0, pol.horizon, n)[1:]:
+                q = markov.generator_matrix(pol, 0.0) * s
                 worst = max(worst, _ulps(markov.expm(q), scipy_expm(q)))
-        q = markov.generator_matrix(pol, 0.0) * pol.horizon  # p(0, T)
-        worst = max(worst, _ulps(markov.expm(q), scipy_expm(q)))
         assert worst <= 1.0
 
     @pytest.mark.parametrize("rate", [0.01, 0.1])

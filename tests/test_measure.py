@@ -123,6 +123,26 @@ class TestComputeCl:
         b = measure.compute_c_l(m, dist, tol=1e-12).value
         assert abs(a - b) < 2e-10
 
+    @pytest.mark.parametrize("sigma, eta", [(1e-4, 1e-8), (1e-3, 1e-5)])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_large_c_l_returns(self, sigma, eta, tol, monkeypatch):
+        # c_l near 7.7e7 and 8.1e4, where adjacent floats lie further apart
+        # than tol: the bisection ends when its midpoint is one of the ends
+        real, calls = measure.lambda_cap, []
+
+        def counted(m, c):
+            calls.append(c)
+            if len(calls) > 10_000:
+                raise RuntimeError("bisection made no progress")
+            return real(m, c)
+
+        monkeypatch.setattr(measure, "lambda_cap", counted)
+        m, dist = _mk(sigma=sigma, eta=eta), model.ExponentialJump(2.0)
+        res = measure.compute_c_l(m, dist, tol=tol)
+        assert not res.at_cap and res.value > 1e4
+        calls.clear()
+        measure.select_measure(m, dist, measure.MeasureConfig())
+
     def test_mgf_bound_exceeds_one(self):
         # x * exp(1/x - 1) >= 1 for x > 1, so the predicate holds near c = 0
         xs = np.linspace(1.0 + 1e-9, 100.0, 10_000)
@@ -210,6 +230,14 @@ class TestSelection:
             measure.MeasureConfig(a=0.1, fraction_of_bound=0.5)
         with pytest.raises(ConfigError, match="measure.level must be one of"):
             measure.MeasureConfig(level="Q")
+
+    @pytest.mark.parametrize("margin", ["epsilon1", "epsilon2"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, -1.0, -2.0])
+    def test_non_positive_margins_refused(self, margin, value):
+        # at epsilon1 = -1 or -2 a_bounds would divide by s^2 - s = 0, and at
+        # epsilon2 <= -1 every model would pass the Feller margin
+        with pytest.raises(ConfigError, match=f"measure.{margin} must be > 0"):
+            measure.MeasureConfig(**{margin: value})
 
     def test_fraction_of_bound(self, desk_model, desk_dist, desk_report):
         sel, _ = measure.select_measure(desk_model, desk_dist, measure.MeasureConfig())

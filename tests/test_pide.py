@@ -869,7 +869,7 @@ class TestPideGoldenDigests:
     DIGESTS = {
         "price_desk_shape": "570fff91b93aea8e",
         "thiele_desk": "57f0bdada27af3be",
-        "quadrature_desk": "c6f7e53bbb83e0d2",  # a171e4350cceec14 with scipy's expm
+        "quadrature_desk": "8531af9437e9c5f9",  # e9c0e71be532fd4e with scipy's expm
         "price_x_rows": "367846eaec54ba7d",
         "price_y_pivots": "a5b086fe11ec2959",
         "classical_reduction": "7db7834073390fc8",
@@ -921,4 +921,4 @@ class TestPideGoldenDigests:
         from scipy.linalg import expm
 
         monkeypatch.setattr(markov, "expm", expm)
-        assert _sha(self._surfaces(desk, "quadrature_desk")) == "a171e4350cceec14"
+        assert _sha(self._surfaces(desk, "quadrature_desk")) == "e9c0e71be532fd4e"

@@ -250,16 +250,28 @@ class TestInertStates:
 class TestRouteConsistency:
     @pytest.mark.parametrize(
         "template",
-        ["pure_endowment", "term_insurance", "endowment_guarantee"],
+        ["pure_endowment", "term_insurance", "endowment_guarantee", "off_node_breakpoint"],
     )
     def test_quadrature_vs_backward_at_probes(self, setup, template):
         m, sel, grid = setup
         g = m.S0 * math.exp(m.r)
-        pol = {
-            "pure_endowment": markov.pure_endowment(1.0, 0.02),
-            "term_insurance": markov.term_insurance(1.0, 0.02),
-            "endowment_guarantee": markov.endowment_guarantee(1.0, 0.02, g),
-        }[template]
+        if template == "off_node_breakpoint":
+            # the death intensity steps at 0.37, between lattice nodes 0.34375 and 0.375
+            pol = markov.PolicySpec(
+                states=("alive", "dead"),
+                horizon=1.0,
+                intensities={
+                    ("alive", "dead"): model.PiecewiseFlat.from_pairs([[0.0, 0.02], [0.37, 0.05]])
+                },
+                terminal={"alive": payoff.guarantee(g)},
+                transition={("alive", "dead"): payoff.guarantee(g)},
+            )
+        else:
+            pol = {
+                "pure_endowment": markov.pure_endowment(1.0, 0.02),
+                "term_insurance": markov.term_insurance(1.0, 0.02),
+                "endowment_guarantee": markov.endowment_guarantee(1.0, 0.02, g),
+            }[template]
         stack = _thiele_stack(pol, m, sel, grid)
         quad = thiele.reserve_quadrature(pol, _stepper(m, sel, grid), 0.0)
         nx, ny, nz = grid.shape
@@ -446,22 +458,22 @@ class TestSingleMarch:
         # one march of f and theta as one stack (both on the grid's time
         # axis), then theta again on the doubled lattice, all through the
         # Stepper given, none built; p(t, T) once for the terminal term and
-        # one probability chain per lattice
+        # p(t, s) once at every node of each lattice
         m, sel, grid = small
         pol = markov.endowment_guarantee(1.0, 0.02, m.S0 * math.exp(m.r))
         st = _stepper(m, sel, grid)
         steppers = count_stepper_inits(monkeypatch)
         marches = _counted(monkeypatch, "march")
         probs = _counted(monkeypatch, "transition_probs")
-        chains = _counted(monkeypatch, "lattice_probs")
         monkeypatch.setattr(thiele, "_N_MATURITIES", 9)
         monkeypatch.setattr(thiele, "_REFINE_BUDGET", 0.0)
         out = thiele.reserve_quadrature(pol, st, 0.0)
         assert out.diagnostics == {"n_maturities": 17, "refined": True}
         assert [len(args[1]) for args in marches] == [2, 1]
         assert len(steppers) == 0 and all(args[0] is st for args in marches)
-        assert len(probs) == 1
-        assert [args[3] for args in chains] == [9, 17]
+        assert len(probs) == 1 + 9 + 17
+        assert [args[2] for args in probs[1:10]] == list(np.linspace(0.0, 1.0, 9))
+        assert [args[2] for args in probs[10:]] == list(np.linspace(0.0, 1.0, 17))
 
     def test_time_outside_horizon_refused_before_any_solve(self, small, monkeypatch):
         m, sel, grid = small
