@@ -2,7 +2,8 @@
 
 For each (lambda0, alpha, beta) the compensated counting and compound
 processes should average to zero at every probe time; the table below shows
-the sample means against their 3-standard-error bands.
+the sample means against their 3-standard-error bands, a row ok when its
+mean lies inside (hhr.stats.budget at most 1).
 
 Usage: python scripts/compensator_study.py [--paths 20000] [--seed 7]
 """
@@ -10,6 +11,7 @@ Usage: python scripts/compensator_study.py [--paths 20000] [--seed 7]
 import argparse
 
 from hhr import hawkes, model
+from hhr.stats import budget
 
 CASES = [
     dict(lambda0=1.0, alpha=0.5, beta=1.0),
@@ -18,6 +20,11 @@ CASES = [
     dict(lambda0=0.5, alpha=0.9, beta=2.0),
     dict(lambda0=3.0, alpha=1.5, beta=4.0),
 ]
+
+
+def verdict(row) -> str:
+    """The ok column of a residual row: yes when its mean is within 3 se."""
+    return "yes" if budget(abs(row.mean), row.se) <= 1.0 else "no"
 
 
 def main():
@@ -42,7 +49,7 @@ def main():
             print(
                 f"{case['lambda0']:8.2f} {case['alpha']:6.2f} {case['beta']:5.2f} "
                 f"{r.process:>4} {r.t:5.2f} {r.mean:10.5f} {3 * r.se:10.5f} "
-                f"{'no' if r.flagged else 'yes':>3}"
+                f"{verdict(r):>3}"
             )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from hhr import payoff, pide
 from hhr.config import config_from_dict, default_config_dict
 from hhr.sde import simulate
+from hhr.stats import mean_se
 
 GRIDS = [
     (16, 12, 8, 6),
@@ -39,7 +40,7 @@ def main():
 
     sim = simulate(m, cfg.dist, "Q", args.paths, 256, args.seed, selection=sel)
     pay = math.exp(-m.r * m.T) * np.maximum(g, sim.terminal["S"])
-    mc, se = float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(pay.size))
+    mc, se = mean_se(pay)
     print(f"simulation reference: {mc:.4f} +- {se:.4f}  ({args.paths} paths)")
     print(f"{'grid':>14} {'price':>10} {'diff':>9} {'rel':>8} {'sec':>6}")
     for nt, nx, ny, nz in GRIDS:

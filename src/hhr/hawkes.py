@@ -14,12 +14,13 @@ order: the two exponentials of each event iteration and the marks, each in
 one call for the whole chunk, and for the diffusion (see sde) the stage
 normals, in path tiles, and the event normals.  Events are kept in
 one CSR table per batch of paths (EventTable), whose closed forms give the
-intensity, counts, compound sums and compensators at any time.
+intensity, counts, compound sums and compensators at any time, and the
+mean and standard error of the compensated processes (hhr.stats judges
+them).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .rng import (
     BASE_EXPONENTIALS, EVENT_NORMALS, EXCESS_EXPONENTIALS, MARKS, STAGE_NORMALS, path_rng,
     stream_index,
 )
+from .stats import mean_se
 
 __all__ = [
     "HawkesPath",
@@ -279,7 +281,6 @@ class ResidualRow:
     process: str
     mean: float
     se: float
-    flagged: bool
 
 
 def martingale_residual_test(
@@ -287,18 +288,16 @@ def martingale_residual_test(
 ) -> list[ResidualRow]:
     """Sample mean and standard error of N_t - Lambda^N_t and L_t - Lambda^L_t.
 
-    Both residuals have zero expectation; a row is flagged when its mean falls
-    outside 3 standard errors.
+    Both residuals have zero expectation; a caller judges each row's mean
+    against its standard error with hhr.stats.budget.
     """
-    n = table.counts.size
-    if n < MIN_RESIDUAL_PATHS:
+    if table.counts.size < MIN_RESIDUAL_PATHS:
         raise ValueError(f"need at least {MIN_RESIDUAL_PATHS} paths for a meaningful residual test")
     rows = []
     for t in times:
         lam_n, lam_l = compensator(model, table, mean_j, t)
         for name, res in (("N", n_at(table, t) - lam_n), ("L", l_at(table, t) - lam_l)):
-            mean, se = float(res.mean()), float(res.std(ddof=1) / math.sqrt(n))
-            rows.append(ResidualRow(t, name, mean, se, abs(mean) > 3 * se > 0))
+            rows.append(ResidualRow(t, name, *mean_se(res)))
     return rows
 
 

@@ -108,18 +108,12 @@ def _mgf_bound(model: ValidatedModel) -> float:
     return x * math.exp(1.0 / x - 1.0)
 
 
-@dataclass(frozen=True)
-class ClResult:
-    value: float
-    at_cap: bool
-
-
 def compute_c_l(
     model: ValidatedModel,
     dist: JumpDistribution,
     *,
     tol: float = 1e-10,
-) -> ClResult:
+) -> float:
     """sup{c <= kappa^2/(2 sigma^2) : Lambda(c) < eps_J and M_J(Lambda(c)) <= bound}.
 
     Lambda(c) = eta B(T; c), where B solves the CIR Riccati equation
@@ -127,7 +121,8 @@ def compute_c_l(
     in c; by the comparison theorem Lambda is nondecreasing in c on
     (0, kappa^2/(2 sigma^2)], so the predicate holds on an interval and
     bisection finds its end.  Returns the cap exactly when the predicate
-    holds there.
+    holds there, and otherwise a value strictly below it: the bisection's
+    lower end only moves to a midpoint that differs from the upper end.
     """
     cap = _cap(model)
     bound = _mgf_bound(model)
@@ -141,7 +136,7 @@ def compute_c_l(
         return dist.mgf(lam) <= bound
 
     if ok(cap):
-        return ClResult(cap, True)
+        return cap
 
     lo, hi = cap / 1024, cap
     if not ok(lo):
@@ -156,7 +151,7 @@ def compute_c_l(
             lo = mid
         else:
             hi = mid
-    return ClResult(lo, False)
+    return lo
 
 
 def em_qs_bound(c_l: float, rho: float, q: float, s: float) -> float:
@@ -204,8 +199,7 @@ def a_bounds(
     (1, upper); Q1 = Q2/(Q2-1) is its conjugate.  With a zero drift gap the
     upper end is infinite and Q2 defaults to 2.
     """
-    res = compute_c_l(model, dist)
-    c_l_val, at_cap = res.value, res.at_cap
+    c_l_val, cap = compute_c_l(model, dist), _cap(model)
 
     rho = model.rho
     d_sup = model.drift_gap_sq
@@ -239,8 +233,8 @@ def a_bounds(
 
     return AdmissibilityReport(
         c_l=c_l_val,
-        cap=_cap(model),
-        c_l_at_cap=at_cap,
+        cap=cap,
+        c_l_at_cap=c_l_val == cap,
         bound_e=bound_e,
         bound_em=bound_em,
         bound_em_qs=bound_em_qs,
@@ -255,12 +249,10 @@ def a_bounds(
 
 @dataclass(frozen=True)
 class MeasureSelection:
-    """A certified Girsanov parameter with the band it was checked against."""
+    """A certified Girsanov parameter; the band and margins it was checked
+    against are the MeasureConfig's."""
 
     a: float
-    level: str  # "E" | "Em" | "EmQS"
-    epsilon1: float
-    epsilon2: float
 
 
 def select_measure(
@@ -295,7 +287,7 @@ def select_measure(
             f"|a|={abs(a):.6g} not strictly below the {level} bound {bound:.6g}",
             condition=f"bound_{level.lower()}",
         )
-    return MeasureSelection(float(a), level, settings.epsilon1, settings.epsilon2), report
+    return MeasureSelection(float(a)), report
 
 
 def q_dynamics(model: ValidatedModel, selection: MeasureSelection) -> tuple[float, float]:

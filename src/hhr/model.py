@@ -2,7 +2,10 @@
 
 The asset follows Heston dynamics whose variance receives jumps eta*dL from a
 compound self-exciting (Hawkes) process: intensity jumps by alpha at each
-event and decays at rate beta toward the baseline lambda0.
+event and decays at rate beta toward the baseline lambda0.  Each jump-size
+law carries the integrals the pricing equation takes over it: a quadrature
+rule for the jump integral and the tail mass beyond the variance axis's
+truncation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ __all__ = [
     "ConstantJump",
     "ExponentialJump",
 ]
+
+_GL_NODES = 32  # Gauss-Laguerre nodes of the exponential law's quadrature
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,15 @@ class JumpDistribution:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights) of E[f(J)] ~ sum_i weights[i] f(nodes[i])."""
+        raise NotImplementedError
+
+    def tail(self, y0: float, eta: float, y_max: float) -> float:
+        """P(y0 + eta J >= y_max) for eta > 0: the mass of the jumps from y0
+        that reach the truncation y_max."""
+        raise NotImplementedError
+
     def _check_mgf_domain(self, t: float) -> None:
         if t >= self.epsilon_j:
             raise DomainError(
@@ -227,6 +241,13 @@ class ConstantJump(JumpDistribution):
     def sample(self, rng, n):
         return np.full(n, self.size)
 
+    def quadrature(self):
+        """A single node at the size: the average is one shifted evaluation."""
+        return np.array([self.size]), np.array([1.0])
+
+    def tail(self, y0, eta, y_max):
+        return float(y0 + eta * self.size >= y_max)
+
 
 @dataclass(frozen=True)
 class ExponentialJump(JumpDistribution):
@@ -253,3 +274,12 @@ class ExponentialJump(JumpDistribution):
 
     def sample(self, rng, n):
         return rng.exponential(scale=1.0 / self.rate, size=n)
+
+    def quadrature(self):
+        """Gauss-Laguerre on _GL_NODES nodes, scaled to the rate, the
+        weights normalised to sum to 1."""
+        nodes, weights = np.polynomial.laguerre.laggauss(_GL_NODES)
+        return nodes / self.rate, weights / weights.sum()
+
+    def tail(self, y0, eta, y_max):
+        return math.exp(-self.rate * max(y_max - y0, 0.0) / eta)

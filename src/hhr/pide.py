@@ -46,11 +46,10 @@ import numpy as np
 from .errors import DomainError
 from .hawkes import expected_events
 from .measure import MeasureSelection, q_dynamics
-from .model import ConstantJump, ExponentialJump, JumpDistribution, ValidatedModel
+from .model import JumpDistribution, ValidatedModel
 
 __all__ = ["Grid4", "build_grid", "Layer0", "PIDESolution", "march", "solve_price_pide"]
 
-_GL_NODES = 32
 _Y_SPAN = 12.0  # the variance axis reaches _Y_SPAN * vbar (at least 2 v0)
 _BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
 _BRENT_MAXITER = 100  # and its default maxiter
@@ -81,6 +80,10 @@ class Grid4:
     def index_near(self, axis: str, value: float) -> int:
         u = getattr(self, axis)
         return int(np.argmin(np.abs(u - value)))
+
+    def node(self, x: float, y: float, z: float) -> tuple[int, int, int]:
+        """The (x, y, z) index of the node nearest the point, axis by axis."""
+        return self.index_near("x", x), self.index_near("y", y), self.index_near("z", z)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
@@ -281,26 +284,17 @@ def _interp_matrix(axis: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _jump_matrices(grid: Grid4, eta: float, alpha: float, dist: JumpDistribution):
     """Dense shift-and-average matrices of the jump integral.
 
-    Returns (M_y, P_z): M_y averages f(y + eta*u) over the mark law
-    (Gauss-Laguerre matched to an exponential rate; a single shifted
-    evaluation for constant marks), P_z shifts by alpha; both clamp at the
-    truncation boundary.
+    Returns (M_y, P_z): M_y averages f(y + eta*u) over the mark law by the
+    law's own quadrature rule (Gauss-Laguerre for exponential marks, a
+    single shifted evaluation for constant ones), P_z shifts by alpha; both
+    clamp at the truncation boundary.
     """
     ny, nz = len(grid.y), len(grid.z)
     if eta == 0.0:
         m_y = np.eye(ny)
     else:
-        if isinstance(dist, ConstantJump):
-            nodes = np.array([dist.size])
-            weights = np.array([1.0])
-        elif isinstance(dist, ExponentialJump):
-            nodes, weights = np.polynomial.laguerre.laggauss(_GL_NODES)
-            nodes = nodes / dist.rate
-            weights = weights / weights.sum()
-        else:
-            raise NotImplementedError(f"no quadrature rule for {type(dist).__name__}")
         m_y = np.zeros((ny, ny))
-        for u_node, w in zip(nodes, weights):
+        for u_node, w in zip(*dist.quadrature()):
             m_y += w * _interp_matrix(grid.y, grid.y + eta * u_node)
     p_z = _interp_matrix(grid.z, grid.z + alpha) if alpha > 0 and nz > 1 else np.eye(nz)
     return m_y, p_z
@@ -309,13 +303,7 @@ def _jump_matrices(grid: Grid4, eta: float, alpha: float, dist: JumpDistribution
 def _tail_mass(dist: JumpDistribution, eta: float, y0: float, y_max: float) -> float:
     """Mark-law mass of the jumps from y0 that reach the truncation y_max,
     where the jump integral clamps: P(y0 + eta*U >= y_max)."""
-    if eta == 0.0:
-        return 0.0
-    if isinstance(dist, ConstantJump):
-        return float(y0 + eta * dist.size >= y_max)
-    if isinstance(dist, ExponentialJump):
-        return math.exp(-dist.rate * max(y_max - y0, 0.0) / eta)
-    raise NotImplementedError(f"no tail mass for {type(dist).__name__}")
+    return 0.0 if eta == 0.0 else dist.tail(y0, eta, y_max)
 
 
 def _apply_tridiag(op, U: np.ndarray, axis: int) -> np.ndarray:
@@ -659,8 +647,7 @@ class PIDESolution:
     diagnostics: dict = field(default_factory=dict)
 
     def at(self, t_index: int, x: float, y: float, z: float) -> float:
-        g, u = self.grid, self.values[t_index]
-        return float(u[g.index_near("x", x), g.index_near("y", y), g.index_near("z", z)])
+        return float(self.values[t_index][self.grid.node(x, y, z)])
 
 
 def march(stepper: Stepper, start: dict, t: np.ndarray, *, kinked=False, source=None):

@@ -236,9 +236,7 @@ def equivalence_premium(policy: PolicySpec, model: ValidatedModel, stepper: Step
     The reserve is linear in the premium, so pi = benefits(0) / annuity(0).
     """
     p, grid = model.params, stepper.grid
-    ix = grid.index_near("x", p.S0)
-    iy = grid.index_near("y", p.v0)
-    iz = grid.index_near("z", p.lambda0)
+    anchor = grid.node(p.S0, p.v0, p.lambda0)
 
     benefits = reserve_quadrature(policy, stepper, 0.0)
     annuity_policy = PolicySpec(
@@ -248,6 +246,6 @@ def equivalence_premium(policy: PolicySpec, model: ValidatedModel, stepper: Step
         rate={"alive": constant(1.0)},
     )
     annuity = reserve_quadrature(annuity_policy, stepper, 0.0)
-    vb = benefits.values["alive"][ix, iy, iz]
-    va = annuity.values["alive"][ix, iy, iz]
+    vb = benefits.values["alive"][anchor]
+    va = annuity.values["alive"][anchor]
     return float(vb / va)

@@ -3,8 +3,10 @@ reference: compensator martingales under both measures, density-process
 normalization, measure-change price consistency, the closed-form moment
 oracles, exact PIDE solutions, and agreement of the two reserve routes.
 
-Each check reports the fraction of its error budget consumed (statistical
-gates are 3 standard errors); the raw numbers live in the detail string.
+Each check reports the fraction of its error budget consumed; every
+statistical check takes its mean, standard error and budget from hhr.stats
+(the gate is 3 standard errors, plus 1% of the price in
+pide_vs_mc_guarantee); the raw numbers live in the detail string.
 Only simulate draws random numbers, in two samples, each drawn once and held
 for the run: the P sample (2 * run.paths paths at the run seed, X probed at
 T/2 and T; the event checks read N, lambda and the compensator of its first
@@ -38,6 +40,7 @@ from .model import ConstantJump, ExponentialJump, validate
 from .payoff import constant, guarantee, linear
 from .rng import derive_seed
 from .sde import MIN_STEPS, simulate
+from .stats import budget, mean_se
 
 __all__ = ["CHECKS", "Check", "VerificationReport", "run_verification"]
 
@@ -127,22 +130,6 @@ def _worst(*values: float) -> float:
     return float(np.max(values))
 
 
-def _ratio(deviation: float, gate: float) -> float:
-    """Fraction of a (possibly zero) statistical gate consumed.
-
-    A zero gate happens in degenerate regimes (for instance the intensity is
-    deterministic without self-excitation); the deviation must then vanish.
-    """
-    if gate == 0.0:
-        return 0.0 if deviation == 0.0 else math.inf
-    return deviation / gate
-
-
-def _mean_se(x) -> tuple[float, float]:
-    """Sample mean and standard error of the mean of a 1-D sample."""
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
-
-
 class _Suite:
     def __init__(self):
         self.checks: list[Check] = []
@@ -220,8 +207,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         events = sample("P", "hawkes_mean_law", tag).events.head(run.paths)
         lam_t = hawkes.lambda_at(model, events, p.T)
         el_ref = float(hawkes.expected_intensity(model, p.T))
-        mean, se = _mean_se(lam_t)
-        used = _ratio(abs(mean - el_ref), 3 * se)
+        mean, se = mean_se(lam_t)
+        used = budget(abs(mean - el_ref), se)
         return used, f"mean lambda_T {mean:.5f} vs {el_ref:.5f} (3se {3*se:.5f})"
 
     suite.guard("hawkes_mean_law", ORACLE, hawkes_mean_law, retry=True)
@@ -230,7 +217,7 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def compensator_p(tag):
         events = sample("P", "compensator_p", tag).events.head(run.paths)
         rows = hawkes.martingale_residual_test(model, events, [p.T / 2, p.T], dist.mean)
-        used = _worst(*(_ratio(abs(r.mean), 3 * r.se) for r in rows))
+        used = _worst(*(budget(abs(r.mean), r.se) for r in rows))
         detail = "; ".join(
             f"{r.process}@{r.t:g}: {r.mean:+.4f} (3se {3*r.se:.4f})" for r in rows
         )
@@ -246,8 +233,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         for t, x_t in sim_p.probes.items():
             comp_n, _ = hawkes.compensator(model, events, dist.mean, t)
             w = x_t[: run.paths] * (hawkes.n_at(events, t) - comp_n)
-            mean, se = _mean_se(w)
-            used = _worst(used, _ratio(abs(mean), 3 * se))
+            mean, se = mean_se(w)
+            used = _worst(used, budget(abs(mean), se))
             parts.append(f"t={t:g}: {mean:+.4f} (3se {3*se:.4f})")
         return used, "; ".join(parts)
 
@@ -256,12 +243,14 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def rn_density(tag):
         x_t = sample("P", "rn_density", tag).terminal["X"]
         half = x_t[: run.paths]
-        mean, se = _mean_se(half)
-        used = _ratio(abs(mean - 1.0), 3 * se)
-        mom = 2.0 + selection.epsilon1
+        mean, se = mean_se(half)
+        used = budget(abs(mean - 1.0), se)
+        mom = 2.0 + cfg.measure.epsilon1
         m_half = float(np.mean(half**mom))
         m_full = float(np.mean(x_t**mom))
-        change = abs(m_full - m_half) / m_half
+        # a zero m_half means every X^mom of the half sample underflowed (a
+        # large tilt), so the doubling's change is unbounded and fails
+        change = abs(m_full - m_half) / m_half if m_half else math.inf
         used = _worst(used, change / 0.05)
         return used, (
             f"E[X_T] {mean:.5f} (3se {3*se:.5f}); "
@@ -274,8 +263,8 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
     def q_martingale_stock(tag):
         s_t = sample("Q", "q_martingale_stock", tag).terminal["S"][: run.paths]
         disc = math.exp(-p.r * p.T) * s_t
-        mean, se = _mean_se(disc)
-        used = _ratio(abs(mean - p.S0), 3 * se)
+        mean, se = mean_se(disc)
+        used = budget(abs(mean - p.S0), se)
         return used, f"E[e^-rT S_T] {mean:.4f} vs {p.S0:g} (3se {3*se:.4f})"
 
     suite.guard("q_martingale_stock", ORACLE, q_martingale_stock, retry=True)
@@ -287,11 +276,13 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         x_t = sim_p.terminal["X"]
         wp = x_t * guarantee_pv(sim_p.terminal["S"])
         wq = guarantee_pv(sim_q.terminal["S"])
-        m_p, se_p = _mean_se(wp)
-        m_q, se_q = _mean_se(wq)
+        m_p, se_p = mean_se(wp)
+        m_q, se_q = mean_se(wq)
         pooled = math.hypot(se_p, se_q)
-        ess = float(x_t.sum()) ** 2 / float(np.sum(x_t**2))
-        return _ratio(abs(m_p - m_q), 3 * pooled), (
+        # every weight underflowed when the squares sum to 0: no effective sample
+        sum_sq = float(np.sum(x_t**2))
+        ess = float(x_t.sum()) ** 2 / sum_sq if sum_sq else 0.0
+        return budget(abs(m_p - m_q), pooled), (
             f"P-weighted {m_p:.4f} vs Q {m_q:.4f} (3se pooled {3*pooled:.4f}); "
             f"P effective sample size {ess:.0f} of {x_t.size}"
         )
@@ -337,10 +328,10 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         pay_g = guarantee(g_level)
         marching = pide.march(stepper, {0: pay_g(p.T, grid.x)}, grid.t, kinked=pay_g.kinked)
         (_, layers), = deque(marching, maxlen=1)  # the last map, k = 0
-        u0 = pide.PIDESolution(grid, pide.Layer0((layers[0],))).at(0, p.S0, p.v0, p.lambda0)
+        u0 = float(layers[0][grid.node(p.S0, p.v0, p.lambda0)])
         pay = guarantee_pv(sample("Q", "pide_vs_mc_guarantee", tag).terminal["S"])
-        mc, se = _mean_se(pay)
-        used = abs(u0 - mc) / (0.01 * mc + 3 * se)
+        mc, se = mean_se(pay)
+        used = budget(abs(u0 - mc), se, 0.01 * mc)
         return used, (
             f"solver {u0:.4f} vs simulation {mc:.4f} +- {se:.4f} "
             f"(gate 1% + 3se = {0.01*mc + 3*se:.4f})"
@@ -501,8 +492,8 @@ def _c_l_consistency(model, dist, adm) -> tuple[float, str]:
         if ok.any():
             scan_sup = max(scan_sup, float(block[ok].max()))
     dev_scan = abs(adm.c_l - scan_sup)
-    shift = abs(compute_c_l(model, dist, tol=1e-12).value - adm.c_l)
-    cap_exact = compute_c_l(validate(replace(p, eta=0.0)), dist).value == adm.cap
+    shift = abs(compute_c_l(model, dist, tol=1e-12) - adm.c_l)
+    cap_exact = compute_c_l(validate(replace(p, eta=0.0)), dist) == adm.cap
     nested = adm.bound_em_qs is not None and adm.bound_em_qs <= adm.bound_em <= adm.bound_e
     used = _worst(dev_scan / (spacing + 1e-10), shift / 1e-10)
     if not cap_exact or not nested:
@@ -531,7 +522,9 @@ def _linspace_blocks(start, stop, n, n_blocks):
 def _c_l_scan(p, dist, cs) -> np.ndarray:
     """The c_l predicate at every c of `cs`, from the unrewritten
     Lambda(c) = 2 eta c expm1(DT) / (D - kappa + (D + kappa) e^{DT}) and the
-    mark laws' MGFs written out, independently of `measure`."""
+    mark laws' MGFs written out, independently of `measure`.  The MGFs
+    repeat the laws' own on purpose: this scan is an independent reference
+    for compute_c_l, so it shares none of its code."""
     d = np.sqrt(np.maximum(p.kappa**2 - 2 * p.sigma**2 * cs, 0.0))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         lam = np.where(

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.stats import kstest
 
-from hhr import hawkes, model, sde
+from hhr import hawkes, model, sde, stats
 from hhr.errors import DomainError, EventOverflow
 from conftest import desk_params, reference_draws
 
@@ -307,7 +307,7 @@ class TestMartingaleResiduals:
         table = hawkes.simulate_events(m, dist, 5_000, 8)
         rows = hawkes.martingale_residual_test(m, table, [0.5, 1.0], dist.mean)
         assert len(rows) == 4
-        assert not any(r.flagged for r in rows)
+        assert all(stats.budget(abs(r.mean), r.se) <= 1.0 for r in rows)
 
     def test_requires_enough_paths(self):
         m = _mk()

@@ -89,23 +89,22 @@ class TestLambdaCap:
 class TestComputeCl:
     def test_zero_eta_attains_cap_exactly(self):
         m = _mk(eta=0.0)
-        res = measure.compute_c_l(m, model.ExponentialJump(2.0))
-        assert res.value == m.kappa**2 / (2 * m.sigma**2)
-        assert res.at_cap
+        c_l = measure.compute_c_l(m, model.ExponentialJump(2.0))
+        assert c_l == m.kappa**2 / (2 * m.sigma**2)
 
     def test_predicate_true_at_cap(self):
         # small eta keeps the jump-MGF condition satisfied everywhere
         m = _mk(eta=0.02)
-        res = measure.compute_c_l(m, model.ExponentialJump(2.0))
-        assert res.at_cap
+        c_l = measure.compute_c_l(m, model.ExponentialJump(2.0))
+        assert c_l == m.kappa**2 / (2 * m.sigma**2)
 
     def test_interior_value_vs_grid_oracle(self):
         m = _mk()
         dist = model.ExponentialJump(2.0)
-        res = measure.compute_c_l(m, dist)
-        assert not res.at_cap
-        assert res.value == 7.1492252011834125  # the bisection's float, pinned
+        c_l = measure.compute_c_l(m, dist)
+        assert c_l == 7.1492252011834125  # the bisection's float, pinned
         cap = m.kappa**2 / (2 * m.sigma**2)
+        assert c_l < cap
         bound = m.beta / m.alpha * math.exp(m.alpha / m.beta - 1.0)
         grid = np.linspace(cap / 100_000, cap, 100_000)
         ok = [
@@ -114,13 +113,28 @@ class TestComputeCl:
             if measure.lambda_cap(m, c) < dist.epsilon_j
             and dist.mgf(measure.lambda_cap(m, c)) <= bound
         ]
-        assert abs(res.value - max(ok)) < cap / 100_000 + 1e-10
+        assert abs(c_l - max(ok)) < cap / 100_000 + 1e-10
+
+    @pytest.mark.parametrize("dist", [model.ExponentialJump(2.0), model.ConstantJump(2.0)])
+    @pytest.mark.parametrize("eta", [0.0, 1e-8, 0.02, 0.1, 0.8, 1.5])
+    def test_cap_exactly_when_the_predicate_holds_there(self, eta, dist):
+        # otherwise strictly below it, so c_l == cap is the at-cap flag
+        m = _mk(eta=eta)
+        cap = m.kappa**2 / (2 * m.sigma**2)
+        lam = measure.lambda_cap(m, cap)
+        holds = lam < dist.epsilon_j and dist.mgf(lam) <= (
+            m.beta / m.alpha * math.exp(m.alpha / m.beta - 1.0)
+        )
+        c_l = measure.compute_c_l(m, dist)
+        assert c_l == cap if holds else c_l < cap
+        rep = measure.a_bounds(m, dist, measure.MeasureConfig())
+        assert (rep.c_l, rep.cap, rep.c_l_at_cap) == (c_l, cap, holds)
 
     def test_bisection_refinement_stable(self):
         m = _mk()
         dist = model.ExponentialJump(2.0)
-        a = measure.compute_c_l(m, dist, tol=1e-10).value
-        b = measure.compute_c_l(m, dist, tol=1e-12).value
+        a = measure.compute_c_l(m, dist, tol=1e-10)
+        b = measure.compute_c_l(m, dist, tol=1e-12)
         assert abs(a - b) < 2e-10
 
     @pytest.mark.parametrize("sigma, eta", [(1e-4, 1e-8), (1e-3, 1e-5)])
@@ -138,8 +152,8 @@ class TestComputeCl:
 
         monkeypatch.setattr(measure, "lambda_cap", counted)
         m, dist = _mk(sigma=sigma, eta=eta), model.ExponentialJump(2.0)
-        res = measure.compute_c_l(m, dist, tol=tol)
-        assert not res.at_cap and res.value > 1e4
+        c_l = measure.compute_c_l(m, dist, tol=tol)
+        assert 1e4 < c_l < m.kappa**2 / (2 * m.sigma**2)
         calls.clear()
         measure.select_measure(m, dist, measure.MeasureConfig())
 
@@ -152,21 +166,21 @@ class TestComputeCl:
     def test_constant_jump_interior(self):
         m = _mk(eta=1.5)
         dist = model.ConstantJump(2.0)
-        res = measure.compute_c_l(m, dist)
+        c_l = measure.compute_c_l(m, dist)
         bound = m.beta / m.alpha * math.exp(m.alpha / m.beta - 1.0)
-        assert dist.mgf(measure.lambda_cap(m, res.value - 1e-8)) <= bound
+        assert dist.mgf(measure.lambda_cap(m, c_l - 1e-8)) <= bound
 
     def test_monotone_in_eta_and_horizon(self):
         dist = model.ExponentialJump(2.0)
         for t_hor in (0.5, 1.0, 2.0, 4.0, 8.0):
             vals = [
-                measure.compute_c_l(_mk(eta=e, T=t_hor), dist).value
+                measure.compute_c_l(_mk(eta=e, T=t_hor), dist)
                 for e in (0.02, 0.1, 0.3, 0.8, 1.5)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         for eta in (0.02, 0.1, 0.3, 0.8, 1.5):
             vals = [
-                measure.compute_c_l(_mk(eta=eta, T=t), dist).value
+                measure.compute_c_l(_mk(eta=eta, T=t), dist)
                 for t in (0.5, 1.0, 2.0, 4.0, 8.0)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -175,7 +189,7 @@ class TestComputeCl:
 class TestABounds:
     def test_rho_zero_arithmetic(self, monkeypatch):
         m = _mk(rho=0.0)
-        monkeypatch.setattr(measure, "compute_c_l", lambda *_: measure.ClResult(2.0, False))
+        monkeypatch.setattr(measure, "compute_c_l", lambda *_: 2.0)
         rep = measure.a_bounds(m, model.ExponentialJump(2.0), measure.MeasureConfig())
         assert rep.bound_em == pytest.approx(1.0)
 
@@ -195,7 +209,7 @@ class TestABounds:
 
     def test_rho_too_large(self, monkeypatch):
         m = _mk(rho=0.9)
-        monkeypatch.setattr(measure, "compute_c_l", lambda *_: measure.ClResult(0.5, False))
+        monkeypatch.setattr(measure, "compute_c_l", lambda *_: 0.5)
         with pytest.raises(RhoTooLarge):
             settings = measure.MeasureConfig(level="Em", fraction_of_bound=0.5)
             measure.select_measure(m, model.ExponentialJump(2.0), settings)
@@ -254,17 +268,17 @@ class TestSelection:
             measure.select_measure(desk_model, desk_dist, measure.MeasureConfig(a=a_mid))
         em = measure.MeasureConfig(level="Em", a=a_mid)
         sel, _ = measure.select_measure(desk_model, desk_dist, em)
-        assert sel.level == "Em"
+        assert sel.a == a_mid
 
 
 class TestQDynamics:
     def test_identity_at_zero(self, desk_model):
-        sel = measure.MeasureSelection(0.0, "Em", 0.1, 0.1)
+        sel = measure.MeasureSelection(0.0)
         ka, vb = measure.q_dynamics(desk_model, sel)
         assert (ka, vb) == (desk_model.kappa, desk_model.vbar)
 
     def test_example_values(self, desk_model):
-        sel = measure.MeasureSelection(0.2, "Em", 0.1, 0.1)
+        sel = measure.MeasureSelection(0.2)
         ka, vb = measure.q_dynamics(desk_model, sel)
         assert ka == pytest.approx(2.1)
         assert vb == pytest.approx(0.6 / 2.1)
@@ -273,9 +287,9 @@ class TestQDynamics:
     @given(a=st.floats(-1.8, 1.8))
     def test_product_invariant(self, a):
         m = _mk()
-        ka, vb = measure.q_dynamics(m, measure.MeasureSelection(a, "E", 0.1, 0.1))
+        ka, vb = measure.q_dynamics(m, measure.MeasureSelection(a))
         assert ka * vb == pytest.approx(m.kappa * m.vbar, rel=1e-12)
 
     def test_degenerate_reversion(self, desk_model):
         with pytest.raises(DegenerateReversion):
-            measure.q_dynamics(desk_model, measure.MeasureSelection(-4.5, "E", 0.1, 0.1))
+            measure.q_dynamics(desk_model, measure.MeasureSelection(-4.5))

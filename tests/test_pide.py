@@ -408,6 +408,10 @@ class TestStability:
         # exp(-rate (y_max - v0) / eta) with y_max = 12 vbar = 3.6
         assert st.clamp_mass == pytest.approx(math.exp(-2.0 * 3.4 / 0.1), rel=1e-9)
         assert st.clamp_mass < 1e-25
+        # the law's tail is the clamp mass, bit for bit its written-out formula
+        y_max = float(grid.y[-1])
+        assert DIST.tail(m.v0, m.eta, y_max) == st.clamp_mass
+        assert st.clamp_mass == math.exp(-DIST.rate * max(y_max - m.v0, 0.0) / m.eta)
 
     def test_clamp_mass_is_large_on_a_short_variance_axis(self, setup, monkeypatch):
         m, sel, _ = setup
@@ -417,6 +421,9 @@ class TestStability:
         # y_max = 2 v0 = 0.4: a fifth of the exponential marks' mass is clamped
         assert grid.y[-1] == pytest.approx(0.4)
         assert st.clamp_mass == pytest.approx(math.exp(-4.0), rel=1e-9)
+        y_max = float(grid.y[-1])
+        assert DIST.tail(m.v0, m.eta, y_max) == st.clamp_mass
+        assert st.clamp_mass == math.exp(-DIST.rate * max(y_max - m.v0, 0.0) / m.eta)
         sol = pide.solve_price_pide(payoff.constant(1.0), 1.0, m, sel, DIST, grid)
         assert sol.diagnostics["clamped_jump_mass"] == st.clamp_mass
 
@@ -425,6 +432,9 @@ class TestStability:
         assert pide._tail_mass(small, 0.1, 0.2, 0.4) == 0.0
         assert pide._tail_mass(large, 0.1, 0.2, 0.4) == 1.0
         assert pide._tail_mass(large, 0.0, 0.2, 0.4) == 0.0
+        # the law's own tail, which _tail_mass reads wherever eta > 0
+        assert small.tail(0.2, 0.1, 0.4) == 0.0
+        assert large.tail(0.2, 0.1, 0.4) == 1.0
 
 
 def _banded(lo, di, up, dt):
@@ -819,6 +829,19 @@ class TestJumpQuadrature:
         pay = math.exp(-m.r) * np.maximum(g, sim.terminal["S"])
         mc, se = float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(pay.size))
         assert abs(u0 - mc) < 0.01 * mc + 3 * se
+
+    @pytest.mark.parametrize("dist", [DIST, model.ExponentialJump(0.7), model.ConstantJump(0.5)])
+    def test_quadrature_is_the_written_out_rule(self, dist):
+        """Each law's quadrature() against its rule written out: one node at
+        the size, or 32-node Gauss-Laguerre scaled to the rate with weights
+        summing to 1; the same arrays, bit for bit."""
+        if isinstance(dist, model.ConstantJump):
+            want = np.array([dist.size]), np.array([1.0])
+        else:
+            nodes, weights = np.polynomial.laguerre.laggauss(32)
+            want = nodes / dist.rate, weights / weights.sum()
+        got = dist.quadrature()
+        assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want, strict=True))
 
     def test_constant_marks_single_shift(self, setup):
         m, sel, _ = setup

@@ -7,6 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from hhr import hawkes, model
+
+from conftest import desk_params
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,6 +33,17 @@ def test_compensator_study_prints_one_row_per_case_process_and_time():
         for c in cases for proc in ("N", "L") for t in ("0.50", "1.00")
     }
     assert len(keys) == len(want) and set(keys) == want
+
+
+def test_compensator_study_fails_a_nonzero_mean_with_a_zero_se():
+    # no events on a lambda0 > 0 model: N_t - Lambda^N_t is -lambda0 t on
+    # every path, a nonzero mean with a zero standard error
+    verdict = runpy.run_path(str(ROOT / "scripts" / "compensator_study.py"))["verdict"]
+    m = model.validate(desk_params())
+    empty = hawkes.EventTable.from_counts(np.empty(0), np.empty(0), np.zeros(1000, dtype=int))
+    n_row = hawkes.martingale_residual_test(m, empty, [0.5], 0.5)[0]
+    assert (n_row.process, n_row.mean, n_row.se) == ("N", -0.5 * m.lambda0, 0.0)
+    assert verdict(n_row) == "no"
 
 
 def test_premium_sweep_prints_one_row_per_guarantee_level():

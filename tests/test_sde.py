@@ -66,7 +66,7 @@ class TestDeterministicVariance:
         # no jumps and no vol-of-vol: v follows dv = -kappa (v - vbar) dt
         m = _mk(eta=0.0, sigma=0.0)
         # no measure is certified at sigma = 0; the tilt only moves X here
-        sel = measure.MeasureSelection(0.0, "E", 0.1, 0.1)
+        sel = measure.MeasureSelection(0.0)
         res = sde.simulate(m, DIST, "P", 8, 10_000, 3, selection=sel, record_full=True)
         for b in res.bundles:
             exact = m.vbar + (m.v0 - m.vbar) * np.exp(-m.kappa * b.time_grid)

@@ -421,6 +421,19 @@ class TestDegenerateConfigs:
         assert q_mean.group(1) == sim_mean.group(1)
 
 
+    def test_large_tilt_gives_verdicts_not_raises(self):
+        # sigma 1e-3 and eta 1e-5 certify a ~ 77, and X_T of the P sample
+        # underflows: E[X^{2.1}] and the sum of squared weights read 0
+        d = default_config_dict()
+        d["model"].update(sigma=1e-3, eta=1e-5)
+        d["run"].update(paths=1000, steps=50, grid="16x12x8x6")
+        checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+        for name in ("rn_density", "girsanov_price_crosscheck"):
+            assert not checks[name].detail.startswith("raised"), checks[name].detail
+        assert "doubling change inf%" in checks["rn_density"].detail
+        assert "P effective sample size 0 of 2000" in checks["girsanov_price_crosscheck"].detail
+
+
 class TestScanGrid:
     @pytest.mark.parametrize("n, n_blocks", [(1_000_000, 16), (1_000_003, 7)])
     def test_blocks_are_the_linspace_floats(self, n, n_blocks):
