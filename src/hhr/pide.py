@@ -23,12 +23,13 @@ bit for bit but for the sign of an exact zero.  The factors come from
 _dgttrf, LAPACK's reference dgttrf ported to numpy operation for operation
 and vectorised the same way, so they are dgttrf's bits.  The y and z sweeps
 share one factorisation each; the x sweep's factors differ per y-node, so
-each coefficient is spread over an x row, (ny, B nz), once per stack size
-(numpy broadcasts a column two to three times slower), and at each row
-only the lines that pivot there swap.  The jump integral is one matrix product over y on a
-(y, B x z) copy of the z-shifted stack.  Each Stepper owns a workspace,
-grown to the largest stack it serves, so a step allocates only the stack it
-returns.
+each coefficient is spread over an x row, (ny, B nz) (numpy broadcasts a
+column two to three times slower), for the one step size and stack size
+being stepped, and at each row only the lines that pivot there swap.  The
+jump integral is one matrix product over y on a (y, B x z) copy of the
+z-shifted stack.  Each Stepper owns a workspace, grown to the largest stack
+it serves, so a step allocates only the stack it returns, and x's spread
+where the step or stack size changes.
 
 No scipy loads.  The variance axis's spacing is a root found by _brentq, a
 port of scipy's brentq.c that gives the same float.
@@ -437,9 +438,9 @@ class Stepper:
     returns the shape it is given.  Each Stepper owns a workspace of three
     stack-sized buffers and one row of scratch (B times the largest of an
     (nz, nx), a (ny, nx) and an (ny, nz) grid row, the z, y and x sweeps'),
-    grown to the largest stack it has served and reused by every step, and
-    keeps the sweeps' factors of every step size (x's spread over a row for
-    every stack size).
+    grown to the largest stack it has served and reused by every step.  It
+    keeps the sweeps' factors of every step size, and x's spread over a row
+    (3-4 stacks) for the last step size and stack size alone.
     `jump_term` and `mixed_term` return views of it, valid until the next
     call; `explicit_terms`, `implicit_sweeps`, `step` and `generator` return
     fresh arrays."""
@@ -560,16 +561,20 @@ class Stepper:
     def _factors(self, dt: float, B: int = 1) -> tuple:
         """The x, y and z sweeps' factors at step dt for a stack of B, built
         once per dt: x's a system per y-node, y's and z's one each.  x's
-        columns are spread once per B to the full (ny, B nz) shape of an x
-        row (numpy multiplies arrays of one shape two to three times faster
-        than it broadcasts a column).  They are keyed on dt itself: a step
-        never takes the factors of a neighbouring float."""
+        columns are spread to the full (ny, B nz) shape of an x row (numpy
+        multiplies arrays of one shape two to three times faster than it
+        broadcasts a column), for one (dt, B) at a time: 3-4 stacks of B, so
+        the spread held is dropped before the next is built, and a march
+        that changes its step or stack spreads again.  They are keyed on dt
+        itself: a step never takes the factors of a neighbouring float."""
         fac = self._cache.get(dt)
         if fac is None:
             fac = self._cache[dt] = (
                 *(_tridiag_factors(*op, dt) for op in (self.x_op, self.y_op, self.z_op)), {})
         x, y, z, spread = fac
         if B not in spread:
+            for *_, held in self._cache.values():  # freed first, or both are held at the peak
+                held.clear()
             ny, nz = self._shape[1:]
             row = (ny, B * nz)
             dl, d, du, du2, swaps = x

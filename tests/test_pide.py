@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -812,6 +813,46 @@ class TestWorkspace:
             results.append(layer)
         for out in results:
             assert not any(np.shares_memory(out, buf) for buf in owned)
+
+
+class TestOneSpread:
+    """A Stepper holds x's factors spread over a row for one (dt, B) at a
+    time, and drops it before it spreads the next: a spread is 3-4 stacks."""
+
+    def test_kinked_solve_peaks_near_ten_stacks(self, setup):
+        # the workspace (3 stacks), one spread (3.2), and the stacks that a
+        # step reads and returns; a kinked start's half-step spread is gone
+        # before its full step's is built
+        m, sel, _ = setup
+        grid = pide.build_grid(m, 1.0, 16, 64, 32, 16)
+        pay = payoff.guarantee(103.05)
+        assert pay.kinked
+        pide.solve_price_pide(pay, 1.0, m, sel, DIST, grid)  # first-call allocations
+        tracemalloc.start()
+        try:
+            pide.solve_price_pide(pay, 1.0, m, sel, DIST, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 8 * math.prod(grid.shape)
+
+    def test_steps_after_a_switch_equal_a_fresh_steppers(self, setup):
+        # kinked marches of one surface, then of two, through one Stepper:
+        # dt/2 and dt at B = 1, then at B = 2
+        m, sel, _ = setup
+        grid = pide.build_grid(m, 1.0, 8, 48, 24, 16)
+        terminal = payoff.guarantee(m.S0 * math.exp(m.r))(1.0, grid.x)
+        st = pide.Stepper(grid, m, sel, DIST)
+        for start in ({0: terminal}, {0: terminal, 1: grid.x}):
+            fresh = pide.march(pide.Stepper(grid, m, sel, DIST), start, grid.t, kinked=True)
+            for (k, got), (_, want) in zip(pide.march(st, start, grid.t, kinked=True), fresh,
+                                           strict=True):
+                for b in start:
+                    assert np.array_equal(bits(got[b]), bits(want[b])), (len(start), k, b)
+        # the factors of both step sizes stay cached, spread for the last alone
+        dt = grid.t[1] - grid.t[0]
+        assert set(st._cache) == {0.5 * dt, dt}
+        assert [(h, B) for h, (*_, spread) in st._cache.items() for B in spread] == [(dt, 2)]
 
 
 class TestJumpQuadrature:
