@@ -25,7 +25,7 @@ allocated once for all paths, and each chunk runs on its own columns.
 
 A chunk draws its paths' events in lockstep into one CSR event table (one
 flat array of times and marks plus per-path offsets), and runs its paths as
-path tiles of ceil(width / 2) rows, width being the run's chunk width: two
+path tiles of ceil(width / 4) rows, width being the run's chunk width: four
 tiles for a full chunk.  The stage arithmetic is elementwise per path, so
 the tiles are independent, and a tile's events are one contiguous slice of
 the table.  Each path runs its own schedule of the uniform nodes and its
@@ -33,24 +33,27 @@ own events in rounds: round j runs one stage over every row of the tile to
 the row's j-th target, its next event if that lies in the row's current
 step and the step's end node otherwise.  A stage from a node (or 0) reads
 its step's stage normals, one from an event that event's normals; the
-drift is mu at the stage's start.  A row past its last target sits at T,
-where a stage of length 0 leaves its state unchanged exactly, so a tile
-runs n_steps plus its largest event count rounds, bit for bit as if each
-path ran alone.
+drift is mu at the stage's start under P, and r under Q.  A row past its
+last target sits at T, where a stage of length 0 leaves its state
+unchanged exactly, so a tile runs n_steps plus its largest event count
+rounds, bit for bit as if each path ran alone.
 
 A stage writes every intermediate into one workspace, an (11, tile) float
 array and a (2, tile) bool array, with out=, keeping each Euler
 expression's operations in Python's left-to-right order, so its floats are
 those of the plain expressions.  The stage normals of a tile sit in a
-step-major (n_steps, 2, tile) buffer, read with flat takes.  One helper
-thread draws them, from each chunk's one stage stream in path order, one
+step-major (n_steps, 2, tile) buffer, read with flat takes.  Every gather
+of a round takes with mode="clip", whose indices are in range by
+construction: under the default mode="raise" numpy buffers out=, and a
+4096-row gather took about three times as long.  One helper thread draws
+the stage normals, from each chunk's one stage stream in path order, one
 tile ahead of the stage loop across chunk boundaries: tile t + 1 while
-tile t runs, and the first tile while the first chunk's events are drawn.
+tile t runs, and the first tile while every chunk's event table is drawn.
 numpy's draws and copies release the GIL, so the helper runs on a second
 core.  It draws _TILE paths at a time into a small staging array, copied
 transposed into the tile's buffer.  The two tile buffers, the staging
 array and the workspace are allocated once per simulate call at the run's
-chunk width and reused by every chunk.  With threads=2 two chunk workers
+tile width and reused by every chunk.  With threads=2 two chunk workers
 take alternate chunks, each with its own buffers and helper thread, and
 write their chunks' columns; only the chunks' event tables, bundles and
 stage counts are joined, in chunk order.
@@ -75,9 +78,11 @@ from .rng import path_rng  # noqa: F401  (perfbench traces hhr.sde.path_rng)
 __all__ = ["PathBundle", "SimulationResult", "simulate"]
 
 _V_THETA_FLOOR = 1e-12
+_SV_THETA_FLOOR = math.sqrt(_V_THETA_FLOOR)
 # paths per draw into the staging array, 0.5 MiB at 256 steps: a 4096-path
 # tile's draw and transposed copy took 34 ms in parts of 128 or 256 paths
-# and 35-47 ms in parts of 512 (numpy 2.4 on a 2-core x86-64 VM)
+# and 35-47 ms in parts of 512 (numpy 2.4 on a 2-core x86-64 VM); a full
+# chunk's tiles are 2048 paths
 _TILE = 128
 MIN_STEPS = 50  # uniform steps a run needs at least
 
@@ -148,16 +153,16 @@ def _tile_normals(helper, zt, stg, draws):
 
 
 def _run_chunk(
-    model, dist, measure_tag, selection, n_steps, seed, chunk, st, log_x, probe_k, record_full,
+    model, table, measure_tag, selection, n_steps, seed, chunk, st, log_x, probe_k, record_full,
     tw, tiles, ws, wb,
 ):
-    """Run chunk `chunk` on st, its columns of the run's state rows, writing
-    its log X at the probe steps probe_k into the rows of log_x; return its
-    event table, its bundles (given record_full) and its stage counts."""
+    """Run chunk `chunk`, whose events are `table`, on st, its columns of the
+    run's state rows, writing its log X at the probe steps probe_k into the
+    rows of log_x; return its event table, its bundles (given record_full)
+    and its stage counts."""
     p = model.params
     nc = st.shape[1]
     dt_u = p.T / n_steps
-    table = draw_events(seed, chunk, nc, p, dist)
     ez = event_normals(seed, chunk, table.times.size)
     # step k ends at nodes[k] = (k + 1) dt_u, the last at T itself (n_steps
     # dt_u can round below T); an event belongs to the step whose end is the
@@ -179,12 +184,12 @@ def _run_chunk(
 
     def stage(s, target, zb, zw, hit, mk, drift):
         """Advance the state block s to `target` with the stock and variance
-        normals zb, zw and the stock drift of each row, then jump the
-        variance of its rows `hit` by eta times the marks mk.  A row already
-        at its target moves by exactly 0.  Each update is the full-truncation
-        Euler expression in the comment above it, evaluated operation by
-        operation in Python's left-to-right order, with the intermediates in
-        rows 0-6 of ws and the masks in wb."""
+        normals zb, zw and the stock drift of each row (under Q the scalar
+        r), then jump the variance of its rows `hit` by eta times the marks
+        mk.  A row already at its target moves by exactly 0.  Each update is
+        the full-truncation Euler expression in the comment above it,
+        evaluated operation by operation in Python's left-to-right order,
+        with the intermediates in rows 0-6 of ws and the masks in wb."""
         nonlocal trunc, active_total
         n = s.shape[1]
         dt, sq, vp, sv, t0, t1, t2 = ws[:7, :n]
@@ -229,9 +234,11 @@ def _run_chunk(
             # th = ((drift - r) / svth - a * rho * svth) / c1, svth = sqrt(max(vp, floor));
             # log_x - (th * zb * sq + 0.5 * th**2 * dt + a * sv * zw * sq
             #          + 0.5 * a * a * vp * dt)
-            np.maximum(vp, _V_THETA_FLOOR, out=t0)
-            np.sqrt(t0, out=t0)
-            np.divide(drift - p.r, t0, out=t1)
+            # svth is max(sv, sqrt(floor)), the same float: a correctly
+            # rounded sqrt is monotone
+            np.maximum(sv, _SV_THETA_FLOOR, out=t0)
+            np.subtract(drift, p.r, out=t1)
+            t1 /= t0
             np.multiply(a * p.rho, t0, out=t0)
             t1 -= t0
             t1 /= c1
@@ -252,8 +259,8 @@ def _run_chunk(
         cur_t[:] = target
         v[hit] += p.eta * mk
 
-    mu = (lambda t: np.full(np.shape(t), p.r)) if under_q else p.mu
-    mu_k = mu(np.arange(n_steps) * dt_u)  # the drift from the start of step k
+    if not under_q:
+        mu_k = p.mu(np.arange(n_steps) * dt_u)  # the drift from the start of step k
 
     for lo in range(0, nc, tw):
         hi = min(lo + tw, nc)
@@ -265,8 +272,11 @@ def _run_chunk(
         rnd = np.searchsorted(nodes, tile.times, side="left") + tile.rank
         order = np.argsort(rnd, kind="stable")
         ev_row, ev_t, ev_mk = tile.path[order], tile.times[order], tile.marks[order]
-        # the stock and variance normals and the drift of a stage from each event
-        ev_from = np.vstack([ez[table.offsets[lo] + order].T, mu(ev_t)])
+        # the stock and variance normals, and under P the drift, of a stage
+        # from each event
+        ev_from = ez[table.offsets[lo] + order].T
+        if not under_q:
+            ev_from = np.vstack([ev_from, p.mu(ev_t)])
         n_rounds = n_steps + int(tile.counts.max(initial=0))
         # round j's events are ev_*[bounds[j + 1]:bounds[j + 2]]
         bounds = np.searchsorted(rnd[order], np.arange(-1, n_rounds + 1))
@@ -279,18 +289,23 @@ def _run_chunk(
         snaps = [tst.copy()] if record_full else None
         kstep = np.zeros(n, dtype=np.intp)  # the step each row is in
         cols, ix = np.arange(n), np.empty(n, dtype=np.intp)
-        target, start = ws[7, :n], ws[8:11, :n]
-        zb, zw, drift = start
+        target, start = ws[7, :n], ws[8:10 if under_q else 11, :n]
+        zb, zw = start[:2]
+        drift = p.r if under_q else start[2]
 
         for j in range(n_rounds):
-            np.take(nodes, kstep, out=target)
+            # unbuffered gathers (mode="clip", see the module docstring): every
+            # index is in range, kstep being at most n_steps - 1 and ix below
+            # n_steps * 2 * tw
+            nodes.take(kstep, out=target, mode="clip")
             # zs[kstep, 0, cols] and zs[kstep, 1, cols], taken flat
             np.multiply(kstep, 2 * tw, out=ix)
             ix += cols
-            np.take(zs, ix, out=zb)
+            zs.take(ix, out=zb, mode="clip")
             ix += tw
-            np.take(zs, ix, out=zw)
-            np.take(mu_k, kstep, out=drift)
+            zs.take(ix, out=zw, mode="clip")
+            if not under_q:
+                mu_k.take(kstep, out=drift, mode="clip")
             # a row that reached an event in the round before starts from it
             prev, cur = slice(bounds[j], bounds[j + 1]), slice(bounds[j + 1], bounds[j + 2])
             start[:, ev_row[prev]] = ev_from[:, prev]
@@ -392,12 +407,13 @@ def simulate(
     st[2] = p.v0
     log_x = np.empty((len(probe_k), n_paths))
     width = runs[0][1]
-    tw = -(-width // 2)  # path tile width: half the run's chunk width
+    tw = -(-width // 4)  # path tile width: a quarter of the run's chunk width
 
     def work(group):
         # the chunks of `group` in turn, on one set of buffers at the tile
         # width, with one helper thread drawing each path tile's stage
-        # normals while the tile before runs
+        # normals while the tile before runs, and tile 0 while every
+        # chunk's events are drawn
         zt = np.empty((2, n_steps, 2, tw))
         stg = np.empty((min(_TILE, tw), 2, n_steps))
         ws = np.empty((11, tw))
@@ -408,14 +424,15 @@ def simulate(
             draws += [(gen, min(tw, nc - lo)) for lo in range(0, nc, tw)]
         with ThreadPoolExecutor(max_workers=1) as helper:
             tiles = _tile_normals(helper, zt, stg, draws)
-            next(tiles)  # tile 0 is drawn during the first chunk's event draw
+            next(tiles)  # the helper starts on tile 0
+            tables = [draw_events(seed, c, nc, p, dist) for c, nc in group]
             return [
                 _run_chunk(
-                    model, dist, measure, selection, n_steps, seed, c,
+                    model, table, measure, selection, n_steps, seed, c,
                     st[:, c * width:c * width + nc], log_x[:, c * width:c * width + nc],
                     probe_k.values(), record_full, tw, tiles, ws, wb,
                 )
-                for c, nc in group
+                for table, (c, nc) in zip(tables, group)
             ]
 
     workers = min(threads, len(runs))

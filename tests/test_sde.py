@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -692,6 +693,24 @@ class TestHelperThread:
         assert np.array_equal(a.probes[0.5], b.probes[0.5])
 
 
+class TestTileMemory:
+    """A chunk runs as four path tiles of a quarter of the chunk width, so
+    the stage normals in flight, two tile buffers, are half a chunk's."""
+
+    def test_p_draw_peaks_under_22_mib(self, desk_model, desk_selection):
+        # one chunk of 8192 paths at 256 steps, after a small run has made
+        # the first-call allocations: two tile buffers of 2048 paths are
+        # 16 MiB, and half-width tiles alone would hold 32 MiB
+        sde.simulate(desk_model, DIST, "P", 100, 64, 3, selection=desk_selection)
+        tracemalloc.start()
+        try:
+            sde.simulate(desk_model, DIST, "P", 8192, 256, 3, selection=desk_selection)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * 2**20
+
+
 def _sha(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -703,11 +722,11 @@ class TestGoldenDigests:
     """simulate's outputs pinned as sha256 digests, recorded when the events
     came to be drawn by inversion, with terminal values equal to
     _full_width_reference's on the same draws.  Chunks of 128 with
-    300 paths run two tiles of 64 paths each and a last chunk of 44 paths as
-    one tile, shorter than the tile buffers; a staging array of 48 paths
-    draws each tile of 64 in two parts, 48 and 16.  Two chunk workers split
-    the three chunks, writing their columns of the run's state and probes,
-    with the same digests."""
+    300 paths run four tiles of 32 paths each and a last chunk of 44 paths
+    as a tile of 32 and one of 12, shorter than the tile buffers; a staging
+    array of 24 paths draws each tile of 32 in two parts, 24 and 8.  Two
+    chunk workers split the three chunks, writing their columns of the
+    run's state and probes, with the same digests."""
 
     DIGESTS = {
         ("P", 50): ("b3e58df5140c4e29", "ab031963cad9ec1f"),
@@ -722,7 +741,7 @@ class TestGoldenDigests:
     ])
     def test_outputs_equal_the_recorded_digests(self, meas, n_steps, threads, monkeypatch):
         monkeypatch.setattr(hawkes, "_CHUNK", 128)
-        monkeypatch.setattr(sde, "_TILE", 48)  # each tile of 64 drawn as 48, then 16
+        monkeypatch.setattr(sde, "_TILE", 24)  # each tile of 32 drawn as 24, then 8
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         # several events per step, a P drift break between nodes, and a low,
         # volatile variance that the truncation clips on some stages
