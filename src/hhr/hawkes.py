@@ -8,15 +8,14 @@ exponentially decaying intensity", Electron. Commun. Probab. 18, 2013).
 Sampling is exact (no time discretization), which keeps the
 compensator-martingale tests free of scheme bias.
 
-Paths are drawn in chunks of _CHUNK paths, and each kind of random number
-of a chunk comes from its own stream (see rng), drawn path by path in
-order: the two exponentials of each event iteration and the marks, each in
-one call for the whole chunk, and for the diffusion (see sde) the stage
-normals, in path tiles, and the event normals.  Events are kept in
-one CSR table per batch of paths (EventTable), whose closed forms give the
-intensity, counts, compound sums and compensators at any time, and the
-mean and standard error of the compensated processes (hhr.stats judges
-them).
+Paths are drawn in the chunks of rng.chunks, and this module draws the
+event process and nothing else: the two exponentials of each event
+iteration and the marks, each kind from its own stream of the chunk (see
+rng), in one call for the whole chunk, path by path in order.  Events are
+kept in one CSR table per batch of paths (EventTable), whose closed forms
+give the intensity, counts, compound sums and compensators at any time,
+and the mean and standard error of the compensated processes (hhr.stats
+judges them).
 """
 
 from __future__ import annotations
@@ -25,21 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EventOverflow
+from .errors import EventOverflow
 from .model import JumpDistribution, ValidatedModel
-from .rng import (
-    BASE_EXPONENTIALS, EVENT_NORMALS, EXCESS_EXPONENTIALS, MARKS, STAGE_NORMALS, path_rng,
-    stream_index,
-)
+from .rng import BASE_EXPONENTIALS, EXCESS_EXPONENTIALS, MARKS, chunks, path_rng, stream_index
 from .stats import mean_se
 
 __all__ = [
     "HawkesPath",
     "EventTable",
-    "chunks",
     "draw_events",
-    "stage_normals",
-    "event_normals",
     "simulate_events",
     "simulate_hawkes_batch",
     "expected_intensity",
@@ -53,7 +46,6 @@ __all__ = [
 ]
 
 _EVENT_CAP = 1_000_000  # events a path may hold before EventOverflow
-_CHUNK = 8192  # paths per chunk, the unit of the random streams (see rng)
 MIN_RESIDUAL_PATHS = 1000  # paths martingale_residual_test needs at least
 
 
@@ -122,13 +114,6 @@ class EventTable:
         return np.bincount(self.path, weights=values, minlength=self.counts.size)
 
 
-def chunks(n_paths: int) -> list[tuple[int, int]]:
-    """(index, path count) of each chunk of a run of n_paths paths."""
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    return [(c, min(_CHUNK, n_paths - c * _CHUNK)) for c in range(-(-n_paths // _CHUNK))]
-
-
 def _stream(seed, chunk, kind, j=0) -> np.random.Generator:
     """Generator of one kind of draw of a chunk, for event iteration j (see rng)."""
     return path_rng(seed, stream_index(chunk, kind, j))
@@ -176,30 +161,12 @@ def _invert_lockstep(seed, chunk, n, lambda0, alpha, beta, horizon):
 
 
 def draw_events(seed, chunk, n, p, dist: JumpDistribution) -> EventTable:
-    """Event table of the n paths of chunk `chunk` (paths chunk * _CHUNK
+    """Event table of the n paths of chunk `chunk` (paths chunk * rng._CHUNK
     onward) under the model parameters p: drawn in lockstep, then the
     marks drawn in one call, in table order."""
     times, count = _invert_lockstep(seed, chunk, n, p.lambda0, p.alpha, p.beta, p.T)
     marks = dist.sample(_stream(seed, chunk, MARKS), times.size)
     return EventTable.from_counts(times, marks, count)
-
-
-def stage_normals(seed, chunk) -> np.random.Generator:
-    """The stream of the standard normals of the first diffusion stage of
-    each step (see sde) of a chunk's paths.
-
-    It is drawn path by path in order, each path's (2, n_steps) normals,
-    the stock's then the variance's.  Sequential draws from one Generator
-    continue its stream, so drawing it in tiles of paths gives the numbers
-    of one draw for the whole chunk.
-    """
-    return _stream(seed, chunk, STAGE_NORMALS)
-
-
-def event_normals(seed, chunk, n_events) -> np.ndarray:
-    """The (n_events, 2) standard normals of the diffusion stage after each
-    event of a chunk, the stock's then the variance's, in table order."""
-    return _stream(seed, chunk, EVENT_NORMALS).standard_normal((n_events, 2))
 
 
 def simulate_events(

@@ -12,11 +12,11 @@ augmented per path, never smeared).  X is accumulated with left-endpoint
 martingale, so E[X_t] = 1 holds without discretization bias; the reported
 running integral of v is trapezoidal.
 
-Paths run in the chunks of hawkes.chunks, and each chunk draws every kind
-of random number from its own stream (see rng), path by path in order:
-the event waits and the marks (hawkes.draw_events), the stage normals,
-(2, n_steps) per path (hawkes.stage_normals), and the event normals, one
-(events, 2) array (hawkes.event_normals).  So a path's numbers depend on
+Paths run in the chunks of rng.chunks, and each chunk draws every kind of
+random number from its own stream (see rng), path by path in order: the
+event waits and the marks through hawkes.draw_events, and here the stage
+normals, (2, n_steps) per path, and the event normals, one (events, 2)
+array, each from its stream's path_rng.  So a path's numbers depend on
 the seed and on the paths of its chunk up to itself only: a run is a
 prefix of any longer run at the same seed, and the thread count changes
 nothing.  A chunk keys streams and nothing else: the run's state rows
@@ -68,17 +68,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hawkes import (
-    EventTable, chunks, draw_events, event_normals, l_at, lambda_at, n_at, stage_normals,
-)
+from .hawkes import EventTable, draw_events, l_at, lambda_at, n_at
 from .measure import MeasureSelection, q_dynamics
 from .model import JumpDistribution, ValidatedModel
-from .rng import path_rng  # noqa: F401  (perfbench traces hhr.sde.path_rng)
+from .rng import EVENT_NORMALS, STAGE_NORMALS, chunks, path_rng, stream_index
 
 __all__ = ["PathBundle", "SimulationResult", "simulate"]
 
-_V_THETA_FLOOR = 1e-12
-_SV_THETA_FLOOR = math.sqrt(_V_THETA_FLOOR)
+_SV_THETA_FLOOR = 1e-6  # the floor of sqrt(v) in the density's theta
 # paths per draw into the staging array, 0.5 MiB at 256 steps: a 4096-path
 # tile's draw and transposed copy took 34 ms in parts of 128 or 256 paths
 # and 35-47 ms in parts of 512 (numpy 2.4 on a 2-core x86-64 VM); a full
@@ -163,7 +160,7 @@ def _run_chunk(
     p = model.params
     nc = st.shape[1]
     dt_u = p.T / n_steps
-    ez = event_normals(seed, chunk, table.times.size)
+    ez = path_rng(seed, stream_index(chunk, EVENT_NORMALS)).standard_normal((table.times.size, 2))
     # step k ends at nodes[k] = (k + 1) dt_u, the last at T itself (n_steps
     # dt_u can round below T); an event belongs to the step whose end is the
     # first node at or after it, so every stage target lies at or after its
@@ -231,11 +228,11 @@ def _run_chunk(
         t0 *= dt
         int_v += t0
         if not under_q:
-            # th = ((drift - r) / svth - a * rho * svth) / c1, svth = sqrt(max(vp, floor));
+            # th = ((drift - r) / svth - a * rho * svth) / c1, svth = sqrt(max(vp, 1e-12));
             # log_x - (th * zb * sq + 0.5 * th**2 * dt + a * sv * zw * sq
             #          + 0.5 * a * a * vp * dt)
-            # svth is max(sv, sqrt(floor)), the same float: a correctly
-            # rounded sqrt is monotone
+            # svth is max(sv, _SV_THETA_FLOOR), the same float: a correctly
+            # rounded sqrt is monotone, and sqrt(1e-12) is 1e-6 exactly
             np.maximum(sv, _SV_THETA_FLOOR, out=t0)
             np.subtract(drift, p.r, out=t1)
             t1 /= t0
@@ -420,7 +417,7 @@ def simulate(
         wb = np.empty((2, tw), dtype=bool)
         draws = []
         for c, nc in group:
-            gen = stage_normals(seed, c)
+            gen = path_rng(seed, stream_index(c, STAGE_NORMALS))
             draws += [(gen, min(tw, nc - lo)) for lo in range(0, nc, tw)]
         with ThreadPoolExecutor(max_workers=1) as helper:
             tiles = _tile_normals(helper, zt, stg, draws)

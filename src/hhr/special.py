@@ -3,7 +3,8 @@ negative moments of the jump-free square-root variance (via its noncentral
 chi-square transition) and the exponential moment of its integrated
 reciprocal (via the quadratic-drift 3/2 process).  `verification` holds them
 to a quadrature of the transition's Laplace transform and to a Feynman-Kac
-solve, and hyp1f1 to elementary functions on both of its branches.
+solve, and hyp1f1 to elementary functions on its two branches for
+|z| <= 700 (the Kummer transform and the direct series).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .errors import DomainError, HypothesisViolated, NonConvergence
 
 __all__ = ["hyp1f1", "cir_neg_moment", "integrated_inverse_cir_exp"]
 
-_Z_MAX = 700.0  # exp overflow guard for the direct series
+_Z_MAX = 700.0  # the largest |z| whose e^z the Kummer transform takes
 _ASYMPTOTIC_Z = 1000.0  # beyond this k/2, cir_neg_moment sums the large-z expansion
 _ASYMPTOTIC_TOL = 1e-16  # which stops at the first term below this, relative
 _SERIES_TOL = 1e-12  # a 1F1 series stops after two terms below this, relative
@@ -50,15 +51,23 @@ def _series_1f1(a: float, b: float, z: float) -> float:
 def hyp1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function sum_n (a)_n/(b)_n z^n/n!.
 
-    Every negative argument is routed through the Kummer transform
-    1F1(a,b;z) = e^z 1F1(b-a,b;-z): already at z ~ -20 the alternating sum
-    cancels through nine digits, while the transformed series has an
-    eventually fixed sign and stays fully accurate.
+    Every negative argument with |z| <= _Z_MAX is routed through the Kummer
+    transform 1F1(a,b;z) = e^z 1F1(b-a,b;-z): already at z ~ -20 the
+    alternating sum cancels through nine digits, while the transformed
+    series has an eventually fixed sign and stays fully accurate.  Beyond
+    _Z_MAX, where e^z would overflow or underflow, the direct series is
+    summed if max(|a|, 1) |z| < b, which holds every term ratio
+    |a+n| |z| / ((b+n)(n+1)) below max(|a|, 1) |z| / b < 1, so the terms fall
+    geometrically from the first; any other argument there is refused.
     """
     if b <= 0 and b == round(b):
         raise DomainError(f"b must not be a nonpositive integer, got {b}")
     if abs(z) > _Z_MAX:
-        raise DomainError(f"|z| <= {_Z_MAX:g} required, got {z}")
+        if max(abs(a), 1.0) * abs(z) < b:
+            return _series_1f1(a, b, z)
+        raise DomainError(
+            f"|z| <= {_Z_MAX:g} or max(|a|, 1) |z| < b required, got a={a}, b={b}, z={z}"
+        )
     if z == 0.0:
         return 1.0
     if a == b:

@@ -1,13 +1,14 @@
 """The Monte Carlo verdict every statistical check shares: a sample's mean
-and standard error, and the share of its gate that a deviation uses, the
-gate being an allowance plus 3 standard errors.  numpy alone.
+and standard error, the share of its gate that a deviation uses, the gate
+being an allowance plus 3 standard errors, and the effective sample size
+of a weighted sample.  numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["mean_se", "budget"]
+__all__ = ["mean_se", "budget", "ess"]
 
 
 def mean_se(x) -> tuple[float, float]:
@@ -26,3 +27,10 @@ def budget(deviation: float, se: float, allowance: float = 0.0) -> float:
     if gate == 0.0:
         return 0.0 if deviation == 0.0 else math.inf
     return deviation / gate
+
+
+def ess(w) -> float:
+    """Kong's effective sample size (sum w)^2 / sum w^2 of the weights w, 0
+    when the squares sum to 0 (every weight 0, or underflowed)."""
+    sum_sq = float((w**2).sum())
+    return float(w.sum()) ** 2 / sum_sq if sum_sq else 0.0

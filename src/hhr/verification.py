@@ -6,7 +6,9 @@ oracles, exact PIDE solutions, and agreement of the two reserve routes.
 Each check reports the fraction of its error budget consumed; every
 statistical check takes its mean, standard error and budget from hhr.stats
 (the gate is 3 standard errors, plus 1% of the price in
-pide_vs_mc_guarantee); the raw numbers live in the detail string.
+pide_vs_mc_guarantee), and a row weighted by the density process X fails
+when its weights' effective sample size (hhr.stats.ess) is below
+_MIN_ESS; the raw numbers live in the detail string.
 Only simulate draws random numbers, in two samples, each drawn once and held
 for the run: the P sample (2 * run.paths paths at the run seed, X probed at
 T/2 and T; the event checks read N, lambda and the compensator of its first
@@ -40,9 +42,14 @@ from .model import ConstantJump, ExponentialJump, validate
 from .payoff import constant, guarantee, linear
 from .rng import derive_seed
 from .sde import MIN_STEPS, simulate
-from .stats import budget, mean_se
+from .stats import budget, ess, mean_se
 
 __all__ = ["CHECKS", "Check", "VerificationReport", "run_verification"]
+
+# the effective sample size (hhr.stats.ess) an X-weighted row needs to be
+# judged: below it the weights' mean and SE shrink together and the 3-SE
+# gate passes by construction
+_MIN_ESS = 100
 
 EXACT = "exact-identity"
 CLOSED = "closed-form"
@@ -122,6 +129,15 @@ class VerificationReport:
             )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+def _judged(weights, used, detail):
+    """(used, detail) of a row weighted by `weights`, or a failure with the
+    weights' effective sample size when it is below _MIN_ESS."""
+    e = ess(weights)
+    if e >= _MIN_ESS:
+        return used, detail
+    return math.inf, f"{detail}, effective sample size {e:.0f} of {weights.size} (<{_MIN_ESS})"
 
 
 def _worst(*values: float) -> float:
@@ -234,8 +250,11 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
             comp_n, _ = hawkes.compensator(model, events, dist.mean, t)
             w = x_t[: run.paths] * (hawkes.n_at(events, t) - comp_n)
             mean, se = mean_se(w)
-            used = _worst(used, budget(abs(mean), se))
-            parts.append(f"t={t:g}: {mean:+.4f} (3se {3*se:.4f})")
+            row, part = _judged(
+                x_t[: run.paths], budget(abs(mean), se), f"t={t:g}: {mean:+.4f} (3se {3*se:.4f})"
+            )
+            used = _worst(used, row)
+            parts.append(part)
         return used, "; ".join(parts)
 
     suite.guard("compensator_q_weighted", ORACLE, compensator_q_weighted, retry=True)
@@ -252,10 +271,10 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         # large tilt), so the doubling's change is unbounded and fails
         change = abs(m_full - m_half) / m_half if m_half else math.inf
         used = _worst(used, change / 0.05)
-        return used, (
+        return _judged(half, used, (
             f"E[X_T] {mean:.5f} (3se {3*se:.5f}); "
             f"E[X^{mom:g}] doubling change {change:.3%} (<5%)"
-        )
+        ))
 
     suite.guard("rn_density", ORACLE, rn_density, retry=True)
 
@@ -279,12 +298,11 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         m_p, se_p = mean_se(wp)
         m_q, se_q = mean_se(wq)
         pooled = math.hypot(se_p, se_q)
-        # every weight underflowed when the squares sum to 0: no effective sample
-        sum_sq = float(np.sum(x_t**2))
-        ess = float(x_t.sum()) ** 2 / sum_sq if sum_sq else 0.0
-        return budget(abs(m_p - m_q), pooled), (
+        e = ess(x_t)
+        used = budget(abs(m_p - m_q), pooled) if e >= _MIN_ESS else math.inf
+        return used, (
             f"P-weighted {m_p:.4f} vs Q {m_q:.4f} (3se pooled {3*pooled:.4f}); "
-            f"P effective sample size {ess:.0f} of {x_t.size}"
+            f"P effective sample size {e:.0f} of {x_t.size}"
         )
 
     suite.guard("girsanov_price_crosscheck", ORACLE, girsanov_price_crosscheck, retry=True)

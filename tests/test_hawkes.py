@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.stats import kstest
 
-from hhr import hawkes, model, sde, stats
+from hhr import hawkes, model, rng, sde, stats
 from hhr.errors import DomainError, EventOverflow
 from conftest import desk_params, reference_draws
 
@@ -127,7 +127,7 @@ class TestLockstepInversion:
         ref = reference_draws(m, dist, 40, 43, chunk=chunk)
         # with more than one path per chunk, some path's row falls below its index
         assert (max(r[2] for r in ref) > 0) == (chunk > 1)
-        monkeypatch.setattr(hawkes, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
         table = hawkes.simulate_events(m, dist, 40, 43)
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hhr import hawkes, measure, model, sde
+from hhr import hawkes, measure, model, rng, sde
 from hhr.errors import DomainError, EventOverflow
-from hhr.rng import EVENT_NORMALS, derive_seed, path_rng
+from hhr.rng import EVENT_NORMALS, STAGE_NORMALS, derive_seed, path_rng, stream_index
 
 from conftest import desk_params, reference_draws
 
@@ -36,7 +36,7 @@ class TestInterface:
     def test_path_and_chunk_counts_enforced(
         self, desk_model, desk_selection, n_paths, chunk, monkeypatch
     ):
-        monkeypatch.setattr(hawkes, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
         with pytest.raises(DomainError):
             sde.simulate(desk_model, DIST, "P", n_paths, 64, 1, selection=desk_selection)
 
@@ -207,7 +207,7 @@ class TestReproducibility:
     KW = dict(probe_times=(0.5, 1.0))
 
     def test_identical_across_threads(self, desk_model, desk_selection, monkeypatch):
-        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        monkeypatch.setattr(rng, "_CHUNK", 128)
         kw = dict(selection=desk_selection, **self.KW)
         a = sde.simulate(desk_model, DIST, "P", 600, 64, 61, **kw)
         b = sde.simulate(desk_model, DIST, "P", 600, 64, 61, threads=2, **kw)
@@ -216,7 +216,7 @@ class TestReproducibility:
 
     def test_shorter_run_is_a_prefix(self, desk_model, desk_selection, monkeypatch):
         # 300 paths end inside the third chunk of 128
-        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        monkeypatch.setattr(rng, "_CHUNK", 128)
         kw = dict(selection=desk_selection, **self.KW)
         a = sde.simulate(desk_model, DIST, "P", 300, 64, 61, **kw)
         b = sde.simulate(desk_model, DIST, "P", 600, 64, 61, **kw)
@@ -604,8 +604,8 @@ class TestStreams:
         ref = reference_draws(m, DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
         assert sum(r[2] > 0 for r in ref) > 10  # drawn after earlier paths left
         table = hawkes.draw_events(17, 1, 300, m.params, DIST)
-        z = hawkes.stage_normals(17, 1).standard_normal((300, 2, 64))
-        ez = hawkes.event_normals(17, 1, table.times.size)
+        z = path_rng(17, stream_index(1, STAGE_NORMALS)).standard_normal((300, 2, 64))
+        ez = path_rng(17, stream_index(1, EVENT_NORMALS)).standard_normal((table.times.size, 2))
         assert np.array_equal(table.counts, [r[0].size for r in ref])
         assert np.array_equal(table.times, np.concatenate([r[0] for r in ref]))
         assert np.array_equal(table.marks, np.concatenate([r[1] for r in ref]))
@@ -615,8 +615,8 @@ class TestStreams:
     @pytest.mark.parametrize("tile", [1, 7, 64, 300])
     def test_stage_normals_drawn_in_path_tiles_equal_one_draw(self, tile):
         ref = reference_draws(_mk(), DIST, 600, 17, 64, chunk=300)[300:]  # the second chunk
-        one = hawkes.stage_normals(17, 1).standard_normal((300, 2, 64))
-        gen = hawkes.stage_normals(17, 1)
+        one = path_rng(17, stream_index(1, STAGE_NORMALS)).standard_normal((300, 2, 64))
+        gen = path_rng(17, stream_index(1, STAGE_NORMALS))
         zs = np.empty((64, 2, tile))
         stg = np.empty((5, 2, 64))  # tiles of 7, 64 and 300 paths cross the staging array
         tiles = []
@@ -633,7 +633,7 @@ class TestStreams:
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         sel = _sel(m)
         terminal, *_, table = _full_width_reference(m, DIST, "P", sel, 40, 64, 19, {64}, chunk)
-        monkeypatch.setattr(hawkes, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
         res = sde.simulate(m, DIST, "P", 40, 64, 19, selection=sel, threads=threads)
         for key in ("times", "marks", "offsets"):
             assert np.array_equal(getattr(res.events, key), getattr(table, key)), key
@@ -642,6 +642,46 @@ class TestStreams:
         events = hawkes.simulate_events(m, DIST, 40, 19)
         for key in ("times", "marks", "offsets"):
             assert np.array_equal(getattr(res.events, key), getattr(events, key)), key
+
+
+class TestGeneratorBuilds:
+    """perfbench counts the generators a run builds by wrapping
+    hhr.hawkes.path_rng and hhr.sde.path_rng; a build through any other
+    name would drop out of that count without an error."""
+
+    def test_every_generator_is_built_through_a_traced_name(
+        self, desk_model, desk_selection, monkeypatch
+    ):
+        monkeypatch.setattr(rng, "_CHUNK", 128)
+        built, philox = {hawkes: [], sde: []}, []
+        make = np.random.Philox
+
+        def counted(*args, **kwargs):
+            philox.append(None)
+            return make(*args, **kwargs)
+
+        def through(module):
+            def build(seed, index):
+                built[module].append(index)
+                return rng.path_rng(seed, index)
+            return build
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        for module in built:
+            monkeypatch.setattr(module, "path_rng", through(module))
+        res = sde.simulate(
+            desk_model, DIST, "P", 200, 64, 5, selection=desk_selection, probe_times=(0.5, 1.0)
+        )
+        indices = built[hawkes] + built[sde]
+        assert len(philox) == len(indices)
+        # per chunk: two per event iteration, then the marks, the stage
+        # normals and the event normals
+        per_chunk = [sum(i >> 32 == c for i in indices) for c in range(2)]
+        assert len(indices) == sum(per_chunk)
+        assert per_chunk == [
+            2 * (int(res.events.rows(lo, hi).counts.max()) + 1) + 3
+            for lo, hi in ((0, 128), (128, 200))
+        ]
 
 
 class TestHelperThread:
@@ -653,7 +693,7 @@ class TestHelperThread:
     def test_draw_error_propagates_and_no_thread_is_left(
         self, desk_model, desk_selection, threads, monkeypatch
     ):
-        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        monkeypatch.setattr(rng, "_CHUNK", 128)
         before = set(threading.enumerate())
         sde.simulate(desk_model, DIST, "P", 300, 64, 3, selection=desk_selection, threads=threads)
         assert set(threading.enumerate()) == before
@@ -677,7 +717,7 @@ class TestHelperThread:
         # three chunk workers and their helpers on two cores, switching
         # every microsecond: a tile read before its draw, or a buffer drawn
         # over while its tile runs, would change the result
-        monkeypatch.setattr(hawkes, "_CHUNK", 64)
+        monkeypatch.setattr(rng, "_CHUNK", 64)
         monkeypatch.setattr(sde, "_TILE", 5)
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         kw = dict(selection=desk_selection, probe_times=(0.5,))
@@ -740,7 +780,7 @@ class TestGoldenDigests:
         for meas, n_steps in sorted(DIGESTS) for threads in (1, 2)
     ])
     def test_outputs_equal_the_recorded_digests(self, meas, n_steps, threads, monkeypatch):
-        monkeypatch.setattr(hawkes, "_CHUNK", 128)
+        monkeypatch.setattr(rng, "_CHUNK", 128)
         monkeypatch.setattr(sde, "_TILE", 24)  # each tile of 32 drawn as 24, then 8
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         # several events per step, a P drift break between nodes, and a low,

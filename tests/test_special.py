@@ -12,6 +12,18 @@ mp.mp.dps = 50
 CIR = dict(kappa=2.0, vbar=0.3, sigma=0.5, v0=0.2)
 
 
+def _integrated_inverse_reference(kappa, vbar, sigma, v0, T, c):
+    """integrated_inverse_cir_exp's closed form in 50-digit arithmetic."""
+    kap, vb, sig, v0, T, c = map(mp.mpf, (kappa, vbar, sigma, v0, T, c))
+    m = kap * vb / sig**2
+    alpha_t = -(m - 0.5) + mp.sqrt((m - 0.5) ** 2 - 2 * c / sig**2)
+    gamma = 2 * (alpha_t + m)
+    w = 2 / (sig**2 * mp.expm1(kap * T) / (v0 * kap))
+    return float(mp.exp(
+        mp.loggamma(gamma - alpha_t) - mp.loggamma(gamma) + alpha_t * mp.log(w)
+    ) * mp.hyp1f1(alpha_t, gamma, -w))
+
+
 class TestHyp1f1:
     def test_value_at_zero(self):
         assert special.hyp1f1(0.3, 1.7, 0.0) == 1.0
@@ -33,6 +45,15 @@ class TestHyp1f1:
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
             special.hyp1f1(0.5, 1.5, 701.0)
+
+    def test_direct_series_beyond_the_kummer_range(self):
+        # |z| > 700 with max(|a|, 1) |z| < b: the terms fall geometrically
+        for a, b, z in ((-0.167, 1.2e6, -1.25e5), (2.5, 5e4, -1e3), (0.5, 2e3, 800.0)):
+            ref = float(mp.hyp1f1(a, b, z))
+            assert special.hyp1f1(a, b, z) == pytest.approx(ref, rel=1e-13), (a, b, z)
+        for a, b, z in ((-0.5, 800.0, -1000.0), (3.0, 2500.0, 1000.0)):
+            with pytest.raises(DomainError):
+                special.hyp1f1(a, b, z)
 
     def test_nonconvergence_reported(self, monkeypatch):
         monkeypatch.setattr(special, "_SERIES_TERMS", 3)
@@ -208,20 +229,23 @@ class TestIntegratedInverseCir:
         assert abs(val - mc) / mc < 0.02
 
     def test_against_high_precision_reference(self):
-        # the closed form evaluated in 50-digit arithmetic
-        kap, vb, sig, v0 = (mp.mpf(CIR[k]) for k in ("kappa", "vbar", "sigma", "v0"))
         c_max = 0.5 * ((2 * CIR["kappa"] * CIR["vbar"] - CIR["sigma"] ** 2) / (2 * CIR["sigma"])) ** 2
         for T in (0.5, 1.0, 2.0):
             for c in (-0.2, 0.05, 0.1, 0.99 * c_max):
-                m = kap * vb / sig**2
-                alpha_t = -(m - 0.5) + mp.sqrt((m - 0.5) ** 2 - 2 * c / sig**2)
-                gamma = 2 * (alpha_t + m)
-                w = 2 / (sig**2 * mp.expm1(kap * T) / (v0 * kap))
-                ref = mp.exp(
-                    mp.loggamma(gamma - alpha_t) - mp.loggamma(gamma) + alpha_t * mp.log(w)
-                ) * mp.hyp1f1(alpha_t, gamma, -w)
+                ref = _integrated_inverse_reference(**CIR, T=T, c=c)
                 mine = special.integrated_inverse_cir_exp(**CIR, T=T, c=c)
-                assert mine == pytest.approx(float(ref), rel=1e-10), (T, c)
+                assert mine == pytest.approx(ref, rel=1e-10), (T, c)
+
+    @pytest.mark.parametrize("sigma", [1e-2, 3e-3, 1e-3])
+    def test_small_sigma_against_high_precision_reference(self, sigma):
+        # w = 2 / (sigma^2 y) reaches 1.25e5 at sigma 1e-3, past hyp1f1's
+        # Kummer range; c is the one closed_form_oracles checks.  What is left
+        # is the lgamma(gamma - alpha~) - lgamma(gamma) cancellation, 1.5e-9
+        # at sigma 1e-3
+        cir = CIR | {"sigma": sigma}
+        c = min(0.1, 0.4 * 0.5 * ((2 * cir["kappa"] * cir["vbar"] - sigma**2) / (2 * sigma)) ** 2)
+        ref = _integrated_inverse_reference(**cir, T=1.0, c=c)
+        assert special.integrated_inverse_cir_exp(**cir, T=1.0, c=c) == pytest.approx(ref, rel=1e-8)
 
     def test_negative_coefficient_below_one(self):
         val = special.integrated_inverse_cir_exp(**CIR, T=1.0, c=-0.2)

@@ -25,3 +25,15 @@ class TestBudget:
     def test_zero_gate_needs_a_zero_deviation(self, deviation, used):
         assert stats.budget(deviation, 0.0) == used
         assert stats.budget(deviation, 0.0, 0.0) == used
+
+
+class TestEss:
+    def test_kongs_ratio_written_out(self):
+        rng = np.random.default_rng(13)
+        for w in (rng.exponential(size=1000), rng.lognormal(0.0, 3.0, size=500), np.ones(7)):
+            assert stats.ess(w) == float(w.sum()) ** 2 / float(np.sum(w**2))
+
+    @pytest.mark.parametrize("w", [np.zeros(50), np.full(50, 1e-200)])
+    def test_zero_when_the_squares_sum_to_zero(self, w):
+        # 1e-200 squared underflows: every weight is as good as 0
+        assert stats.ess(w) == 0.0

@@ -379,6 +379,17 @@ class TestReportSerialization:
         assert text.strip().endswith("FAIL")
 
 
+@pytest.fixture(scope="module")
+def large_tilt_checks():
+    """The checks on the desk with sigma 1e-3 and eta 1e-5, which certify a ~
+    77: X of the P sample underflows on almost every path, so E[X^{2.1}]
+    and the sum of squared weights read 0."""
+    d = default_config_dict()
+    d["model"].update(sigma=1e-3, eta=1e-5)
+    d["run"].update(paths=1000, steps=50, grid="16x12x8x6")
+    return {c.name: c for c in run_verification(config_from_dict(d)).checks}
+
+
 class TestDegenerateConfigs:
     def test_poisson_reduction_passes(self):
         # without self-excitation every event-process check reduces to a
@@ -421,17 +432,28 @@ class TestDegenerateConfigs:
         assert q_mean.group(1) == sim_mean.group(1)
 
 
-    def test_large_tilt_gives_verdicts_not_raises(self):
-        # sigma 1e-3 and eta 1e-5 certify a ~ 77, and X_T of the P sample
-        # underflows: E[X^{2.1}] and the sum of squared weights read 0
-        d = default_config_dict()
-        d["model"].update(sigma=1e-3, eta=1e-5)
-        d["run"].update(paths=1000, steps=50, grid="16x12x8x6")
-        checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+    def test_large_tilt_gives_verdicts_not_raises(self, large_tilt_checks):
+        checks = large_tilt_checks
         for name in ("rn_density", "girsanov_price_crosscheck"):
             assert not checks[name].detail.startswith("raised"), checks[name].detail
         assert "doubling change inf%" in checks["rn_density"].detail
         assert "P effective sample size 0 of 2000" in checks["girsanov_price_crosscheck"].detail
+
+    def test_closed_form_oracles_give_a_verdict_at_small_sigma(self, large_tilt_checks):
+        # w = 2 / (sigma^2 y) is 1.25e5, past hyp1f1's Kummer range
+        for c in large_tilt_checks.values():
+            assert not c.detail.startswith("raised"), (c.name, c.detail)
+        assert "integrated reciprocal rel" in large_tilt_checks["closed_form_oracles"].detail
+
+    def test_weighted_rows_that_cannot_see_their_sample_fail(self, large_tilt_checks):
+        # the weighted compensator's mean and SE both read 0: without the
+        # effective-sample-size floor it passes at a budget of 1/3
+        for name in ("compensator_q_weighted", "rn_density", "girsanov_price_crosscheck"):
+            c = large_tilt_checks[name]
+            assert not c.passed and c.retried, name
+            assert re.search(r"effective sample size \d+ of \d+", c.detail), c.detail
+        detail = large_tilt_checks["compensator_q_weighted"].detail
+        assert detail.count("effective sample size") == 2, detail
 
 
 class TestScanGrid:
