@@ -8,7 +8,7 @@ drawn path by path in order: in one call for the whole chunk, or for the
 stage normals in consecutive calls over tiles of paths, which continue the
 stream and so draw the same numbers.  So a path's numbers depend on the
 seed and on the paths of its chunk up to itself only: a run of n paths is
-a prefix of a run of 2n, and the thread count changes nothing.  Of the
+a prefix of a run of 2n.  Of the
 five kinds, hawkes draws the two unit exponentials of each path's next
 event (one stream each per event iteration j) and the marks, and sde the
 stage normals and the event normals.

@@ -18,10 +18,10 @@ event waits and the marks through hawkes.draw_events, and here the stage
 normals, (2, n_steps) per path, and the event normals, one (events, 2)
 array, each from its stream's path_rng.  So a path's numbers depend on
 the seed and on the paths of its chunk up to itself only: a run is a
-prefix of any longer run at the same seed, and the thread count changes
-nothing.  A chunk keys streams and nothing else: the run's state rows
-(t, log S, v, int v, log X) and its log X rows at the probe times are
-allocated once for all paths, and each chunk runs on its own columns.
+prefix of any longer run at the same seed.  A chunk keys streams and
+nothing else: the run's state rows (t, log S, v, int v, log X) and its log
+X rows at the probe times are allocated once for all paths, and each chunk
+runs on its own columns.
 
 A chunk draws its paths' events in lockstep into one CSR event table (one
 flat array of times and marks plus per-path offsets), and runs its paths as
@@ -53,10 +53,11 @@ numpy's draws and copies release the GIL, so the helper runs on a second
 core.  It draws _TILE paths at a time into a small staging array, copied
 transposed into the tile's buffer.  The two tile buffers, the staging
 array and the workspace are allocated once per simulate call at the run's
-tile width and reused by every chunk.  With threads=2 two chunk workers
-take alternate chunks, each with its own buffers and helper thread, and
-write their chunks' columns; only the chunks' event tables, bundles and
-stage counts are joined, in chunk order.
+tile width, and simulate runs one loop over the run's tiles, chunk by
+chunk: a chunk only picks the tile's stage stream, event normals and
+columns.  The buffers die with that loop, before the results are
+assembled, and a chunk's event normals before the next chunk's are drawn.
+The threads keyword is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -131,198 +132,6 @@ def _draw_tile(gen, zs, stg, n):
         np.copyto(zs[:, :, i:i + len(part)], part.transpose(2, 1, 0))
 
 
-def _tile_normals(helper, zt, stg, draws):
-    """Yield, for each (stage stream, path count) of draws in turn, the
-    buffer zt[0] or zt[1], by turns, holding that tile's stage normals
-    step-major.  The helper thread draws each tile while the caller runs
-    the one before: the first draw starts at the first next(), which
-    yields None, and each later one when the caller takes the tile before
-    it, whose buffer the caller is then done with."""
-    gen, n = draws[0]
-    pending = helper.submit(_draw_tile, gen, zt[0], stg, n)
-    yield None
-    for i in range(len(draws)):
-        pending.result()
-        if i + 1 < len(draws):
-            gen, n = draws[i + 1]
-            pending = helper.submit(_draw_tile, gen, zt[(i + 1) % 2], stg, n)
-        yield zt[i % 2]
-
-
-def _run_chunk(
-    model, table, measure_tag, selection, n_steps, seed, chunk, st, log_x, probe_k, record_full,
-    tw, tiles, ws, wb,
-):
-    """Run chunk `chunk`, whose events are `table`, on st, its columns of the
-    run's state rows, writing its log X at the probe steps probe_k into the
-    rows of log_x; return its event table, its bundles (given record_full)
-    and its stage counts."""
-    p = model.params
-    nc = st.shape[1]
-    dt_u = p.T / n_steps
-    ez = path_rng(seed, stream_index(chunk, EVENT_NORMALS)).standard_normal((table.times.size, 2))
-    # step k ends at nodes[k] = (k + 1) dt_u, the last at T itself (n_steps
-    # dt_u can round below T); an event belongs to the step whose end is the
-    # first node at or after it, so every stage target lies at or after its
-    # row's time
-    nodes = np.arange(1, n_steps + 1) * dt_u
-    nodes[-1] = p.T
-
-    under_q = measure_tag == "Q"
-    if under_q:
-        kappa_eff, vbar_eff = q_dynamics(p, selection)
-    else:
-        kappa_eff, vbar_eff = p.kappa, p.vbar
-    a = selection.a
-    c1 = math.sqrt(1.0 - p.rho**2)
-
-    trunc = active_total = 0
-    bundles = [] if record_full else None
-
-    def stage(s, target, zb, zw, hit, mk, drift):
-        """Advance the state block s to `target` with the stock and variance
-        normals zb, zw and the stock drift of each row (under Q the scalar
-        r), then jump the variance of its rows `hit` by eta times the marks
-        mk.  A row already at its target moves by exactly 0.  Each update is
-        the full-truncation Euler expression in the comment above it,
-        evaluated operation by operation in Python's left-to-right order,
-        with the intermediates in rows 0-6 of ws and the masks in wb."""
-        nonlocal trunc, active_total
-        n = s.shape[1]
-        dt, sq, vp, sv, t0, t1, t2 = ws[:7, :n]
-        active, neg = wb[:, :n]
-        cur_t, log_s, v, int_v, log_x = s
-        np.subtract(target, cur_t, out=dt)
-        np.greater(dt, 0.0, out=active)
-        np.sqrt(dt, out=sq)
-        np.maximum(v, 0.0, out=vp)
-        np.less(v, 0.0, out=neg)
-        neg &= active
-        trunc += int(np.count_nonzero(neg))
-        active_total += int(np.count_nonzero(active))
-        np.sqrt(vp, out=sv)
-        # log_s + (drift - 0.5 * vp) * dt + sv * (c1 * zb + rho * zw) * sq
-        np.multiply(0.5, vp, out=t0)
-        np.subtract(drift, t0, out=t0)
-        t0 *= dt
-        log_s += t0
-        np.multiply(c1, zb, out=t0)
-        np.multiply(p.rho, zw, out=t1)
-        t0 += t1
-        np.multiply(sv, t0, out=t0)
-        t0 *= sq
-        log_s += t0
-        # v + kappa * (vbar - vp) * dt + sigma * sv * sq * zw
-        np.subtract(vbar_eff, vp, out=t0)
-        np.multiply(kappa_eff, t0, out=t0)
-        t0 *= dt
-        v += t0
-        np.multiply(p.sigma, sv, out=t0)
-        t0 *= sq
-        t0 *= zw
-        v += t0
-        # int_v + 0.5 * (vp + max(v, 0)) * dt, at the new v
-        np.maximum(v, 0.0, out=t0)
-        np.add(vp, t0, out=t0)
-        np.multiply(0.5, t0, out=t0)
-        t0 *= dt
-        int_v += t0
-        if not under_q:
-            # th = ((drift - r) / svth - a * rho * svth) / c1, svth = sqrt(max(vp, 1e-12));
-            # log_x - (th * zb * sq + 0.5 * th**2 * dt + a * sv * zw * sq
-            #          + 0.5 * a * a * vp * dt)
-            # svth is max(sv, _SV_THETA_FLOOR), the same float: a correctly
-            # rounded sqrt is monotone, and sqrt(1e-12) is 1e-6 exactly
-            np.maximum(sv, _SV_THETA_FLOOR, out=t0)
-            np.subtract(drift, p.r, out=t1)
-            t1 /= t0
-            np.multiply(a * p.rho, t0, out=t0)
-            t1 -= t0
-            t1 /= c1
-            np.multiply(t1, zb, out=t0)
-            t0 *= sq
-            np.square(t1, out=t2)
-            np.multiply(0.5, t2, out=t2)
-            t2 *= dt
-            t0 += t2
-            np.multiply(a, sv, out=t2)
-            t2 *= zw
-            t2 *= sq
-            t0 += t2
-            np.multiply(0.5 * a * a, vp, out=t2)
-            t2 *= dt
-            t0 += t2
-            log_x -= t0
-        cur_t[:] = target
-        v[hit] += p.eta * mk
-
-    if not under_q:
-        mu_k = p.mu(np.arange(n_steps) * dt_u)  # the drift from the start of step k
-
-    for lo in range(0, nc, tw):
-        hi = min(lo + tw, nc)
-        n = hi - lo
-        zs = next(tiles).reshape(-1)
-        tile = table.rows(lo, hi)
-        # a path reaches its event in round (the event's step + its rank among
-        # the path's events); the stable sort keeps path order in a round
-        rnd = np.searchsorted(nodes, tile.times, side="left") + tile.rank
-        order = np.argsort(rnd, kind="stable")
-        ev_row, ev_t, ev_mk = tile.path[order], tile.times[order], tile.marks[order]
-        # the stock and variance normals, and under P the drift, of a stage
-        # from each event
-        ev_from = ez[table.offsets[lo] + order].T
-        if not under_q:
-            ev_from = np.vstack([ev_from, p.mu(ev_t)])
-        n_rounds = n_steps + int(tile.counts.max(initial=0))
-        # round j's events are ev_*[bounds[j + 1]:bounds[j + 2]]
-        bounds = np.searchsorted(rnd[order], np.arange(-1, n_rounds + 1))
-        due = {}  # round -> [(probe index, the rows that reach it in the round)]
-        for i, k in enumerate(probe_k):
-            at = k - 1 + n_at(tile, nodes[k - 1])
-            for j in np.unique(at):
-                due.setdefault(int(j), []).append((i, np.flatnonzero(at == j)))
-        tst = st[:, lo:hi]
-        snaps = [tst.copy()] if record_full else None
-        kstep = np.zeros(n, dtype=np.intp)  # the step each row is in
-        cols, ix = np.arange(n), np.empty(n, dtype=np.intp)
-        target, start = ws[7, :n], ws[8:10 if under_q else 11, :n]
-        zb, zw = start[:2]
-        drift = p.r if under_q else start[2]
-
-        for j in range(n_rounds):
-            # unbuffered gathers (mode="clip", see the module docstring): every
-            # index is in range, kstep being at most n_steps - 1 and ix below
-            # n_steps * 2 * tw
-            nodes.take(kstep, out=target, mode="clip")
-            # zs[kstep, 0, cols] and zs[kstep, 1, cols], taken flat
-            np.multiply(kstep, 2 * tw, out=ix)
-            ix += cols
-            zs.take(ix, out=zb, mode="clip")
-            ix += tw
-            zs.take(ix, out=zw, mode="clip")
-            if not under_q:
-                mu_k.take(kstep, out=drift, mode="clip")
-            # a row that reached an event in the round before starts from it
-            prev, cur = slice(bounds[j], bounds[j + 1]), slice(bounds[j + 1], bounds[j + 2])
-            start[:, ev_row[prev]] = ev_from[:, prev]
-            rows = ev_row[cur]
-            target[rows] = ev_t[cur]
-            stage(tst, target, zb, zw, rows, ev_mk[cur], drift)
-            # a row that reached its node goes on to the next step, or stays at T
-            kstep += 1
-            kstep[rows] -= 1
-            np.minimum(kstep, n_steps - 1, out=kstep)
-            if record_full:
-                snaps.append(tst.copy())
-            for i, rows in due.get(j, ()):
-                log_x[i, lo + rows] = tst[4, rows]
-        if record_full:
-            bundles += _assemble_bundles(model, measure_tag, np.stack(snaps), tile)
-
-    return table, bundles, trunc, active_total
-
-
 def _assemble_bundles(model, measure_tag, snaps, table):
     """Per-path merged grids from the stage snapshots (uniform + own events).
 
@@ -361,6 +170,8 @@ def _assemble_bundles(model, measure_tag, snaps, table):
     return bundles
 
 
+
+
 def simulate(
     model: ValidatedModel,
     dist: JumpDistribution,
@@ -381,7 +192,9 @@ def simulate(
     compensator is the same under both measures.  Under P the run carries
     the density process X of Q(a) (under Q, X stays 1).  Probe times must lie on
     the uniform grid.  record_full keeps a snapshot per round and is meant
-    for small path counts (trajectory dumps), not estimator runs.
+    for small path counts (trajectory dumps), not estimator runs.  threads
+    has no effect; it is kept only because perfbench's threads2_speedup
+    (perfbench/worker.py) passes it.
     """
     p = model.params
     if measure not in ("P", "Q"):
@@ -397,6 +210,21 @@ def simulate(
         if abs(k * dt_u - t) > 1e-9 * max(p.T, 1.0) or not 1 <= k <= n_steps:
             raise DomainError(f"probe time {t} is not on the uniform grid")
         probe_k[t] = k
+    # step k ends at nodes[k] = (k + 1) dt_u, the last at T itself (n_steps
+    # dt_u can round below T); an event belongs to the step whose end is the
+    # first node at or after it, so every stage target lies at or after its
+    # row's time
+    nodes = np.arange(1, n_steps + 1) * dt_u
+    nodes[-1] = p.T
+
+    under_q = measure == "Q"
+    if under_q:
+        kappa_eff, vbar_eff = q_dynamics(p, selection)
+    else:
+        kappa_eff, vbar_eff = p.kappa, p.vbar
+        mu_k = p.mu(np.arange(n_steps) * dt_u)  # the drift from the start of step k
+    a = selection.a
+    c1 = math.sqrt(1.0 - p.rho**2)
 
     # the run's state rows (t, log S, v, int v, log X) and log X at each probe
     st = np.zeros((5, n_paths))
@@ -405,42 +233,184 @@ def simulate(
     log_x = np.empty((len(probe_k), n_paths))
     width = runs[0][1]
     tw = -(-width // 4)  # path tile width: a quarter of the run's chunk width
+    bundles = [] if record_full else None
 
-    def work(group):
-        # the chunks of `group` in turn, on one set of buffers at the tile
-        # width, with one helper thread drawing each path tile's stage
-        # normals while the tile before runs, and tile 0 while every
-        # chunk's events are drawn
+    def run():
+        """Run every path tile of every chunk in turn, and return the chunks'
+        event tables and the stage counts.  The tile buffers live only here,
+        so none of them is held while the results are assembled."""
         zt = np.empty((2, n_steps, 2, tw))
         stg = np.empty((min(_TILE, tw), 2, n_steps))
         ws = np.empty((11, tw))
         wb = np.empty((2, tw), dtype=bool)
-        draws = []
-        for c, nc in group:
+        trunc = active_total = 0
+
+        def stage(s, target, zb, zw, hit, mk, drift):
+            """Advance the state block s to `target` with the stock and variance
+            normals zb, zw and the stock drift of each row (under Q the scalar
+            r), then jump the variance of its rows `hit` by eta times the marks
+            mk.  A row already at its target moves by exactly 0.  Each update is
+            the full-truncation Euler expression in the comment above it,
+            evaluated operation by operation in Python's left-to-right order,
+            with the intermediates in rows 0-6 of ws and the masks in wb."""
+            nonlocal trunc, active_total
+            n = s.shape[1]
+            dt, sq, vp, sv, t0, t1, t2 = ws[:7, :n]
+            active, neg = wb[:, :n]
+            cur_t, log_s, v, int_v, log_x = s
+            np.subtract(target, cur_t, out=dt)
+            np.greater(dt, 0.0, out=active)
+            np.sqrt(dt, out=sq)
+            np.maximum(v, 0.0, out=vp)
+            np.less(v, 0.0, out=neg)
+            neg &= active
+            trunc += int(np.count_nonzero(neg))
+            active_total += int(np.count_nonzero(active))
+            np.sqrt(vp, out=sv)
+            # log_s + (drift - 0.5 * vp) * dt + sv * (c1 * zb + rho * zw) * sq
+            np.multiply(0.5, vp, out=t0)
+            np.subtract(drift, t0, out=t0)
+            t0 *= dt
+            log_s += t0
+            np.multiply(c1, zb, out=t0)
+            np.multiply(p.rho, zw, out=t1)
+            t0 += t1
+            np.multiply(sv, t0, out=t0)
+            t0 *= sq
+            log_s += t0
+            # v + kappa * (vbar - vp) * dt + sigma * sv * sq * zw
+            np.subtract(vbar_eff, vp, out=t0)
+            np.multiply(kappa_eff, t0, out=t0)
+            t0 *= dt
+            v += t0
+            np.multiply(p.sigma, sv, out=t0)
+            t0 *= sq
+            t0 *= zw
+            v += t0
+            # int_v + 0.5 * (vp + max(v, 0)) * dt, at the new v
+            np.maximum(v, 0.0, out=t0)
+            np.add(vp, t0, out=t0)
+            np.multiply(0.5, t0, out=t0)
+            t0 *= dt
+            int_v += t0
+            if not under_q:
+                # th = ((drift - r) / svth - a * rho * svth) / c1, svth = sqrt(max(vp, 1e-12));
+                # log_x - (th * zb * sq + 0.5 * th**2 * dt + a * sv * zw * sq
+                #          + 0.5 * a * a * vp * dt)
+                # svth is max(sv, _SV_THETA_FLOOR), the same float: a correctly
+                # rounded sqrt is monotone, and sqrt(1e-12) is 1e-6 exactly
+                np.maximum(sv, _SV_THETA_FLOOR, out=t0)
+                np.subtract(drift, p.r, out=t1)
+                t1 /= t0
+                np.multiply(a * p.rho, t0, out=t0)
+                t1 -= t0
+                t1 /= c1
+                np.multiply(t1, zb, out=t0)
+                t0 *= sq
+                np.square(t1, out=t2)
+                np.multiply(0.5, t2, out=t2)
+                t2 *= dt
+                t0 += t2
+                np.multiply(a, sv, out=t2)
+                t2 *= zw
+                t2 *= sq
+                t0 += t2
+                np.multiply(0.5 * a * a, vp, out=t2)
+                t2 *= dt
+                t0 += t2
+                log_x -= t0
+            cur_t[:] = target
+            v[hit] += p.eta * mk
+
+        # each tile's chunk, stage stream and paths lo:hi of its chunk
+        tiles = []
+        for c, nc in runs:
             gen = path_rng(seed, stream_index(c, STAGE_NORMALS))
-            draws += [(gen, min(tw, nc - lo)) for lo in range(0, nc, tw)]
+            tiles += [(c, gen, lo, min(lo + tw, nc)) for lo in range(0, nc, tw)]
         with ThreadPoolExecutor(max_workers=1) as helper:
-            tiles = _tile_normals(helper, zt, stg, draws)
-            next(tiles)  # the helper starts on tile 0
-            tables = [draw_events(seed, c, nc, p, dist) for c, nc in group]
-            return [
-                _run_chunk(
-                    model, table, measure, selection, n_steps, seed, c,
-                    st[:, c * width:c * width + nc], log_x[:, c * width:c * width + nc],
-                    probe_k.values(), record_full, tw, tiles, ws, wb,
-                )
-                for table, (c, nc) in zip(tables, group)
-            ]
+            # the helper thread draws each tile's stage normals into zt[0] or
+            # zt[1], by turns, while the tile before runs, and tile 0 while
+            # every chunk's events are drawn
+            def draw(i):
+                _, gen, lo, hi = tiles[i]
+                return helper.submit(_draw_tile, gen, zt[i % 2], stg, hi - lo)
 
-    workers = min(threads, len(runs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            done = list(ex.map(work, [runs[w::workers] for w in range(workers)]))
-        results = [done[i % workers][i // workers] for i in range(len(runs))]
-    else:
-        results = work(runs)
+            pending = draw(0)
+            tables = [draw_events(seed, c, nc, p, dist) for c, nc in runs]
+            for i, (c, _, lo, hi) in enumerate(tiles):
+                pending.result()
+                if i + 1 < len(tiles):
+                    pending = draw(i + 1)
+                zs = zt[i % 2].reshape(-1)
+                table = tables[c]
+                if lo == 0:
+                    ez = None  # the last chunk's, released before this one's is drawn
+                    ez = path_rng(seed, stream_index(c, EVENT_NORMALS)).standard_normal(
+                        (table.times.size, 2)
+                    )
+                n = hi - lo
+                tile = table.rows(lo, hi)
+                # a path reaches its event in round (the event's step + its rank
+                # among the path's events); the stable sort keeps path order in
+                # a round
+                rnd = np.searchsorted(nodes, tile.times, side="left") + tile.rank
+                order = np.argsort(rnd, kind="stable")
+                ev_row, ev_t, ev_mk = tile.path[order], tile.times[order], tile.marks[order]
+                # the stock and variance normals, and under P the drift, of a
+                # stage from each event
+                ev_from = ez[table.offsets[lo] + order].T
+                if not under_q:
+                    ev_from = np.vstack([ev_from, p.mu(ev_t)])
+                n_rounds = n_steps + int(tile.counts.max(initial=0))
+                # round j's events are ev_*[bounds[j + 1]:bounds[j + 2]]
+                bounds = np.searchsorted(rnd[order], np.arange(-1, n_rounds + 1))
+                col = c * width + lo  # the tile's first column of the run's rows
+                due = {}  # round -> [(probe index, the rows that reach it in the round)]
+                for k_i, k in enumerate(probe_k.values()):
+                    at = k - 1 + n_at(tile, nodes[k - 1])
+                    for j in np.unique(at):
+                        due.setdefault(int(j), []).append((k_i, np.flatnonzero(at == j)))
+                tst = st[:, col:col + n]
+                snaps = [tst.copy()] if record_full else None
+                kstep = np.zeros(n, dtype=np.intp)  # the step each row is in
+                cols, ix = np.arange(n), np.empty(n, dtype=np.intp)
+                target, start = ws[7, :n], ws[8:10 if under_q else 11, :n]
+                zb, zw = start[:2]
+                drift = p.r if under_q else start[2]
 
-    tables, chunk_bundles, truncs, actives = zip(*results)
+                for j in range(n_rounds):
+                    # unbuffered gathers (mode="clip", see the module
+                    # docstring): every index is in range, kstep being at most
+                    # n_steps - 1 and ix below n_steps * 2 * tw
+                    nodes.take(kstep, out=target, mode="clip")
+                    # zs[kstep, 0, cols] and zs[kstep, 1, cols], taken flat
+                    np.multiply(kstep, 2 * tw, out=ix)
+                    ix += cols
+                    zs.take(ix, out=zb, mode="clip")
+                    ix += tw
+                    zs.take(ix, out=zw, mode="clip")
+                    if not under_q:
+                        mu_k.take(kstep, out=drift, mode="clip")
+                    # a row that reached an event in the round before starts from it
+                    prev = slice(bounds[j], bounds[j + 1])
+                    cur = slice(bounds[j + 1], bounds[j + 2])
+                    start[:, ev_row[prev]] = ev_from[:, prev]
+                    rows = ev_row[cur]
+                    target[rows] = ev_t[cur]
+                    stage(tst, target, zb, zw, rows, ev_mk[cur], drift)
+                    # a row that reached its node goes on to the next step, or stays at T
+                    kstep += 1
+                    kstep[rows] -= 1
+                    np.minimum(kstep, n_steps - 1, out=kstep)
+                    if record_full:
+                        snaps.append(tst.copy())
+                    for k_i, rows in due.get(j, ()):
+                        log_x[k_i, col + rows] = tst[4, rows]
+                if record_full:
+                    bundles.extend(_assemble_bundles(model, measure, np.stack(snaps), tile))
+        return tables, trunc, active_total
+
+    tables, trunc, active = run()
     events = EventTable.concat(tables)
     terminal = {
         "S": np.exp(st[1]),
@@ -449,7 +419,6 @@ def simulate(
         "X": np.exp(st[4]),
         "N": events.counts.astype(float),
     }
-    trunc, active = sum(truncs), sum(actives)
     return SimulationResult(
         measure_tag=measure if measure == "P" else f"Q(a={selection.a:g})",
         n_paths=n_paths,
@@ -459,5 +428,5 @@ def simulate(
         probes={t: np.exp(row) for t, row in zip(probe_k, log_x)},
         truncated_fraction=trunc / active if active else 0.0,
         events=events,
-        bundles=[b for bs in chunk_bundles for b in bs] if record_full else None,
+        bundles=bundles,
     )

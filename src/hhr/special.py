@@ -48,6 +48,12 @@ def _series_1f1(a: float, b: float, z: float) -> float:
     )
 
 
+def _hyp1f1_takes(a: float, b: float, z: float) -> bool:
+    """Whether hyp1f1 sums 1F1(a, b; z): |z| <= _Z_MAX, or the direct
+    series' terms fall geometrically from the first (see hyp1f1)."""
+    return abs(z) <= _Z_MAX or max(abs(a), 1.0) * abs(z) < b
+
+
 def hyp1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function sum_n (a)_n/(b)_n z^n/n!.
 
@@ -62,12 +68,12 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     """
     if b <= 0 and b == round(b):
         raise DomainError(f"b must not be a nonpositive integer, got {b}")
-    if abs(z) > _Z_MAX:
-        if max(abs(a), 1.0) * abs(z) < b:
-            return _series_1f1(a, b, z)
+    if not _hyp1f1_takes(a, b, z):
         raise DomainError(
             f"|z| <= {_Z_MAX:g} or max(|a|, 1) |z| < b required, got a={a}, b={b}, z={z}"
         )
+    if abs(z) > _Z_MAX:
+        return _series_1f1(a, b, z)
     if z == 0.0:
         return 1.0
     if a == b:
@@ -175,6 +181,13 @@ def integrated_inverse_cir_exp(
     alpha~ = -(m - 1/2) + sqrt((m - 1/2)^2 - 2 c / sigma^2),
     gamma = 2 (alpha~ + m), y = (e^{kappa T} - 1)/(v0 kappa).
     The c = 0 identity (value exactly 1) pins the Gamma(gamma) normalization.
+
+    Where hyp1f1 refuses w = 2/(sigma^2 y), the Kummer transform
+    1F1(alpha~, gamma; -w) = e^{-w} 1F1(gamma - alpha~, gamma; w) is taken:
+    the large-argument expansion of the transformed factor while its terms
+    decrease, whose leading factor cancels the prefactor exactly, so the
+    value is the expansion's sum (as in cir_neg_moment), and otherwise its
+    series summed in log space.
     """
     if not 2.0 * kappa * vbar > sigma**2:
         raise HypothesisViolated(
@@ -189,10 +202,12 @@ def integrated_inverse_cir_exp(
     gamma = 2.0 * (alpha_t + m)
     y = math.expm1(kappa * T) / (v0 * kappa)
     w = 2.0 / (sigma**2 * y)
-    log_val = (
-        math.lgamma(gamma - alpha_t)
-        - math.lgamma(gamma)
-        + alpha_t * math.log(w)
-        + math.log(hyp1f1(alpha_t, gamma, -w))
-    )
+    if _hyp1f1_takes(alpha_t, gamma, -w):
+        log_f = math.log(hyp1f1(alpha_t, gamma, -w))
+    else:
+        total = _large_z_sum(gamma - alpha_t, gamma, w)
+        if total is not None:
+            return total
+        log_f = -w + _log_hyp1f1_positive(gamma - alpha_t, gamma, w)
+    log_val = math.lgamma(gamma - alpha_t) - math.lgamma(gamma) + alpha_t * math.log(w) + log_f
     return math.exp(log_val)

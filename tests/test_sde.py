@@ -207,10 +207,14 @@ class TestReproducibility:
     KW = dict(probe_times=(0.5, 1.0))
 
     def test_identical_across_threads(self, desk_model, desk_selection, monkeypatch):
+        # threads is accepted and changes nothing: perfbench's
+        # threads2_speedup times simulate at threads=2
         monkeypatch.setattr(rng, "_CHUNK", 128)
         kw = dict(selection=desk_selection, **self.KW)
         a = sde.simulate(desk_model, DIST, "P", 600, 64, 61, **kw)
+        before = set(threading.enumerate())
         b = sde.simulate(desk_model, DIST, "P", 600, 64, 61, threads=2, **kw)
+        assert set(threading.enumerate()) == before
         assert a.truncated_fraction == b.truncated_fraction
         self._assert_prefix(a, b, 600)
 
@@ -628,7 +632,7 @@ class TestStreams:
         assert np.array_equal(z, one)
         assert np.array_equal(z, np.stack([r[3] for r in ref]))
 
-    @pytest.mark.parametrize("chunk, threads", [(1, 1), (7, 1), (8192, 1), (7, 2)])
+    @pytest.mark.parametrize("chunk, threads", [(1, 1), (7, 1), (8192, 1)])
     def test_simulate_equals_the_path_generators(self, chunk, threads, monkeypatch):
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
         sel = _sel(m)
@@ -685,38 +689,34 @@ class TestGeneratorBuilds:
 
 
 class TestHelperThread:
-    """Each chunk worker's helper thread draws stage normals ahead of the
-    stage loop; an error in it reaches the caller, and no thread outlives
-    simulate."""
+    """The helper thread draws stage normals ahead of the stage loop; an
+    error in it reaches the caller, and no thread outlives simulate."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
     def test_draw_error_propagates_and_no_thread_is_left(
-        self, desk_model, desk_selection, threads, monkeypatch
+        self, desk_model, desk_selection, monkeypatch
     ):
         monkeypatch.setattr(rng, "_CHUNK", 128)
         before = set(threading.enumerate())
-        sde.simulate(desk_model, DIST, "P", 300, 64, 3, selection=desk_selection, threads=threads)
+        sde.simulate(desk_model, DIST, "P", 300, 64, 3, selection=desk_selection)
         assert set(threading.enumerate()) == before
         calls = []
         draw = sde._draw_tile
 
         def failing(*args):
             calls.append(args[-1])
-            if len(calls) == 2:  # with one worker, tile 1 of chunk 0
+            if len(calls) == 2:  # tile 1 of chunk 0
                 raise RuntimeError("draw failed")
             return draw(*args)
 
         monkeypatch.setattr(sde, "_draw_tile", failing)
         with pytest.raises(RuntimeError, match="draw failed"):
-            sde.simulate(
-                desk_model, DIST, "P", 300, 64, 3, selection=desk_selection, threads=threads
-            )
+            sde.simulate(desk_model, DIST, "P", 300, 64, 3, selection=desk_selection)
         assert set(threading.enumerate()) == before
 
     def test_identical_under_frequent_thread_switches(self, desk_selection, monkeypatch):
-        # three chunk workers and their helpers on two cores, switching
-        # every microsecond: a tile read before its draw, or a buffer drawn
-        # over while its tile runs, would change the result
+        # the stage loop and its helper switching every microsecond, across
+        # ten chunk boundaries: a tile read before its draw, or a buffer
+        # drawn over while its tile runs, would change the result
         monkeypatch.setattr(rng, "_CHUNK", 64)
         monkeypatch.setattr(sde, "_TILE", 5)
         m = _mk(lambda0=6.0, alpha=1.6, beta=2.0)
@@ -725,7 +725,7 @@ class TestHelperThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            b = sde.simulate(m, DIST, "P", 700, 64, 41, threads=3, **kw)
+            b = sde.simulate(m, DIST, "P", 700, 64, 41, **kw)
         finally:
             sys.setswitchinterval(interval)
         for key in a.terminal:
@@ -750,6 +750,21 @@ class TestTileMemory:
             tracemalloc.stop()
         assert peak <= 22 * 2**20
 
+    def test_multi_chunk_p_draw_releases_its_buffers(self, desk_model, desk_selection):
+        # verify's desk P draw, five chunks with probes at T/2 and T, after
+        # a small run has made the first-call allocations, peaked at 20.4 MiB
+        # with the tile buffers released before the results are assembled,
+        # and at 23.2 MiB with them held through it (numpy 2.4)
+        sde.simulate(desk_model, DIST, "P", 100, 64, 3, selection=desk_selection)
+        kw = dict(selection=desk_selection, probe_times=(desk_model.T / 2, desk_model.T))
+        tracemalloc.start()
+        try:
+            sde.simulate(desk_model, DIST, "P", 40_000, 256, 20240801, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * 2**20
+
 
 def _sha(arrays):
     h = hashlib.sha256()
@@ -764,9 +779,7 @@ class TestGoldenDigests:
     _full_width_reference's on the same draws.  Chunks of 128 with
     300 paths run four tiles of 32 paths each and a last chunk of 44 paths
     as a tile of 32 and one of 12, shorter than the tile buffers; a staging
-    array of 24 paths draws each tile of 32 in two parts, 24 and 8.  Two
-    chunk workers split the three chunks, writing their columns of the
-    run's state and probes, with the same digests."""
+    array of 24 paths draws each tile of 32 in two parts, 24 and 8."""
 
     DIGESTS = {
         ("P", 50): ("b3e58df5140c4e29", "ab031963cad9ec1f"),
@@ -775,18 +788,17 @@ class TestGoldenDigests:
         ("Q", 98): ("de0c543d672d4435", "19222a7dce3c3641"),
     }
 
-    @pytest.mark.parametrize("meas, n_steps, threads", [
-        pytest.param(meas, n_steps, threads, id=f"{meas}-{n_steps}" + "-threads2" * (threads == 2))
-        for meas, n_steps in sorted(DIGESTS) for threads in (1, 2)
+    @pytest.mark.parametrize("meas, n_steps", [
+        pytest.param(meas, n_steps, id=f"{meas}-{n_steps}") for meas, n_steps in sorted(DIGESTS)
     ])
-    def test_outputs_equal_the_recorded_digests(self, meas, n_steps, threads, monkeypatch):
+    def test_outputs_equal_the_recorded_digests(self, meas, n_steps, monkeypatch):
         monkeypatch.setattr(rng, "_CHUNK", 128)
         monkeypatch.setattr(sde, "_TILE", 24)  # each tile of 32 drawn as 24, then 8
         mu = model.PiecewiseFlat.from_pairs([[0.0, 0.05], [0.3, 0.02], [0.77, 0.09]])
         # several events per step, a P drift break between nodes, and a low,
         # volatile variance that the truncation clips on some stages
         m = _mk(mu=mu, lambda0=6.0, alpha=1.6, beta=2.0, v0=0.04, sigma=0.9)
-        kw = dict(selection=_sel(m), probe_times=(m.T / 2, m.T), threads=threads)
+        kw = dict(selection=_sel(m), probe_times=(m.T / 2, m.T))
         res = sde.simulate(m, DIST, meas, 300, n_steps, 29, **kw)
         assert res.truncated_fraction > 0.0
         full = sde.simulate(m, DIST, meas, 300, n_steps, 29, record_full=True, **kw)

@@ -247,6 +247,34 @@ class TestIntegratedInverseCir:
         ref = _integrated_inverse_reference(**cir, T=1.0, c=c)
         assert special.integrated_inverse_cir_exp(**cir, T=1.0, c=c) == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("kappa, vbar, sigma, v0, T, expansion", [
+        # w 5.7e4, gamma 1066, alpha~ -2.49: the expansion's terms decrease
+        pytest.param(
+            1.0237255518938602, 0.039382497954571334, 0.00867592995289865, 0.6153495897268867,
+            0.25, True, id="expansion",
+        ),
+        # w 1938, gamma 1316, alpha~ -1.71: they do not, and the log series sums
+        pytest.param(
+            1.2505597479464543, 0.04677394785564559, 0.009415046312379247, 0.02520862784423994,
+            0.25, False, id="log-series",
+        ),
+    ])
+    def test_past_the_direct_series_against_high_precision_reference(
+        self, kappa, vbar, sigma, v0, T, expansion
+    ):
+        # w > 700 and max(|alpha~|, 1) w >= gamma, where hyp1f1 refuses
+        # 1F1(alpha~, gamma; -w); c is the one closed_form_oracles checks
+        cir = dict(kappa=kappa, vbar=vbar, sigma=sigma, v0=v0)
+        c = min(0.1, 0.4 * 0.5 * ((2 * kappa * vbar - sigma**2) / (2 * sigma)) ** 2)
+        m = kappa * vbar / sigma**2
+        alpha_t = -(m - 0.5) + math.sqrt((m - 0.5) ** 2 - 2 * c / sigma**2)
+        gamma, w = 2 * (alpha_t + m), 2 / (sigma**2 * math.expm1(kappa * T) / (v0 * kappa))
+        with pytest.raises(DomainError):
+            special.hyp1f1(alpha_t, gamma, -w)
+        assert (special._large_z_sum(gamma - alpha_t, gamma, w) is not None) == expansion
+        ref = _integrated_inverse_reference(**cir, T=T, c=c)
+        assert special.integrated_inverse_cir_exp(**cir, T=T, c=c) == pytest.approx(ref, rel=1e-8)
+
     def test_negative_coefficient_below_one(self):
         val = special.integrated_inverse_cir_exp(**CIR, T=1.0, c=-0.2)
         assert 0.0 < val < 1.0

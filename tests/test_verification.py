@@ -445,6 +445,21 @@ class TestDegenerateConfigs:
             assert not c.detail.startswith("raised"), (c.name, c.detail)
         assert "integrated reciprocal rel" in large_tilt_checks["closed_form_oracles"].detail
 
+    def test_closed_form_oracles_give_a_verdict_past_the_direct_series(self):
+        # w = 2 / (sigma^2 y) is 5.7e4 and gamma 1066, so the integrated
+        # reciprocal's 1F1(alpha~, gamma; -w) takes the Kummer transform
+        d = default_config_dict()
+        d["model"].update(
+            kappa=1.0237255518938602, vbar=0.039382497954571334, sigma=0.00867592995289865,
+            v0=0.6153495897268867, T=0.25,
+        )
+        d["policy"]["horizon"] = 0.25
+        d["run"].update(paths=1000, steps=50, grid="16x12x8x6")
+        checks = {c.name: c for c in run_verification(config_from_dict(d)).checks}
+        for c in checks.values():
+            assert not c.detail.startswith("raised"), (c.name, c.detail)
+        assert "integrated reciprocal rel" in checks["closed_form_oracles"].detail
+
     def test_weighted_rows_that_cannot_see_their_sample_fail(self, large_tilt_checks):
         # the weighted compensator's mean and SE both read 0: without the
         # effective-sample-size floor it passes at a budget of 1/3
